@@ -4,11 +4,14 @@ PR 7 bought the kernel its throughput (flyweight events, timing-wheel
 scheduler, ~1.4M ev/s) by hand; nothing guarded those invariants
 statically — one convenience refactor re-introducing a per-event dict or a
 per-iteration allocation would erode the floor one accepted diff at a
-time.  These rules lock the invariants in, scoped to the **hot modules**
-(:data:`HOT_MODULE_PREFIXES`) and, for the loop-frame rules, to **hot
-functions**: functions named in the curated :data:`HOT_FUNCTIONS`
-manifest or marked in source with a ``# repro: hot`` comment on (or
-immediately above) their ``def`` line.
+time.  These rules lock the invariants in.  The module-wide rules
+(PERF001, PERF005) are scoped to the **hot modules**
+(:data:`HOT_MODULE_PREFIXES`); the loop-frame rules (PERF002-004) to **hot
+functions** wherever they live: functions named in the curated
+:data:`HOT_FUNCTIONS` manifest or marked in source with a ``# repro: hot``
+comment on (or immediately above) their ``def`` line.  A manifest entry
+for a module outside the hot prefixes therefore puts that one function
+under the loop rules without sweeping its whole module for ``__slots__``.
 
 A file outside the hot packages can opt in wholesale with a
 ``# repro: hot-module`` comment anywhere in the file — that is how the
@@ -49,7 +52,10 @@ HOT_MODULE_PREFIXES: Tuple[str, ...] = (
 #: Curated per-module manifest of hot functions (``Class.method`` or bare
 #: function qualnames).  These are the frames the bench ledger's gated
 #: numbers run through; a function can also opt in at the definition site
-#: with ``# repro: hot``.
+#: with ``# repro: hot``.  The ``catocs.transport``/``catocs.messages``/
+#: ``ordering.matrix`` entries are where perfbench's per-layer attribution
+#: puts most of a causal delivery (docs/PERFORMANCE.md, "Where a
+#: delivery's time goes").
 HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro.sim.kernel": frozenset({
         "Simulator.step", "Simulator.run",
@@ -73,6 +79,17 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "ProtocolStack.broadcast", "ProtocolStack.transmit",
         "ProtocolStack.receive_data", "ProtocolStack.on_control",
         "BatchLayer.enqueue", "BatchLayer._flush",
+    }),
+    "repro.catocs.transport": frozenset({
+        "StabilityLayer.buffer_message", "StabilityLayer.check_stability",
+        "StabilityLayer.absorb_ack_vector", "StabilityLayer.publish_own_counts",
+        "DedupRepairLayer.receive_up",
+    }),
+    "repro.catocs.messages": frozenset({
+        "DataMessage.size_bytes",
+    }),
+    "repro.ordering.matrix": frozenset({
+        "MatrixClock.min_vector",
     }),
     "repro.ordering.dense": frozenset({
         "DenseVectorClock.stamped", "DenseVectorClock.advance",
@@ -153,6 +170,8 @@ def hot_functions(
 ) -> List[Tuple[str, "ast.FunctionDef | ast.AsyncFunctionDef"]]:
     """Functions in ``mod`` subject to the loop-frame rules (PERF002-004)."""
     manifest = HOT_FUNCTIONS.get(mod.module, frozenset())
+    if not manifest and not _HOT_FN_RE.search(mod.text):
+        return []
     out = []
     for qual, node in iter_functions(mod.tree):
         if qual in manifest or _has_fn_marker(mod, node):
@@ -328,8 +347,6 @@ class HotLoopAllocRule(Rule):
     severity = Severity.WARNING
 
     def check_module(self, mod: SourceModule) -> Iterable[Finding]:
-        if not is_hot_module(mod):
-            return
         for qual, fn in hot_functions(mod):
             seen: Set[int] = set()
             for loop in _iter_loops(fn):
@@ -369,8 +386,6 @@ class AttrChainRule(Rule):
     severity = Severity.WARNING
 
     def check_module(self, mod: SourceModule) -> Iterable[Finding]:
-        if not is_hot_module(mod):
-            return
         for qual, fn in hot_functions(mod):
             for loop in _iter_loops(fn):
                 yield from self._check_loop(mod, qual, loop)
@@ -450,8 +465,6 @@ class HotLoopFrameRule(Rule):
     severity = Severity.WARNING
 
     def check_module(self, mod: SourceModule) -> Iterable[Finding]:
-        if not is_hot_module(mod):
-            return
         for qual, fn in hot_functions(mod):
             for loop in _iter_loops(fn):
                 yield from self._check_loop(mod, qual, loop)

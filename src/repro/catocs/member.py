@@ -111,7 +111,7 @@ class GroupInstrumentation:
         return self.graph.metrics()
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryRecord:
     """One delivered application message, with its timing breakdown."""
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ordering.vector import VectorClock
+from repro.sim.network import estimate_size
 
 MsgId = Tuple[str, int]  # (sender pid, per-sender sequence number)
 
@@ -69,13 +70,14 @@ class DataMessage:
     #: along here — eliminating delivery delay at a bandwidth cost.
     attached: Optional[List["DataMessage"]] = None
 
-    @property
-    def msg_id(self) -> MsgId:
-        return (self.sender, self.seq)
+    def __post_init__(self) -> None:
+        # Built once so every holder (buffers, delivery records, hold logs,
+        # the causal graph) shares one tuple; ``sender``/``seq`` are never
+        # reassigned.  Deliberately not a dataclass field: eq, ``fields()``
+        # and the codec see only the wire fields.
+        self.msg_id: MsgId = (self.sender, self.seq)
 
     def size_bytes(self) -> int:
-        from repro.sim.network import estimate_size
-
         size = 24  # fixed header: group/sender refs, seq, timestamps
         size += estimate_size(self.payload)
         if self.vc is not None:
@@ -243,8 +245,6 @@ class BatchEnvelope:
     payloads: List[Any]
 
     def size_bytes(self) -> int:
-        from repro.sim.network import estimate_size
-
         return 16 + sum(estimate_size(p) for p in self.payloads)
 
 

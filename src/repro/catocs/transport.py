@@ -279,6 +279,10 @@ class StabilityLayer(ProtocolLayer):
         self.matrix = MatrixClock(members)
         #: atomicity buffer: every known-unstable message we hold a copy of
         self.buffer: Dict[MsgId, DataMessage] = {}
+        #: what each buffered entry added to ``_buffered_bytes``: a message
+        #: is sized once, on entry, and trimmed by exactly that amount
+        self._entry_bytes: Dict[MsgId, int] = {}
+        self._buffered_bytes = 0
         self.peak_buffered = 0
         self.peak_buffered_bytes = 0
         self.gossip_sent = 0
@@ -336,12 +340,16 @@ class StabilityLayer(ProtocolLayer):
         self.matrix.set_component(sender, sender, seq)
 
     def buffer_message(self, msg: DataMessage) -> None:
-        self.buffer[msg.msg_id] = msg
+        mid = msg.msg_id
+        size = msg.size_bytes()
+        # Re-buffering under an existing id replaces that entry's bytes.
+        self._buffered_bytes += size - self._entry_bytes.get(mid, 0)
+        self._entry_bytes[mid] = size
+        self.buffer[mid] = msg
         if len(self.buffer) > self.peak_buffered:
             self.peak_buffered = len(self.buffer)
-        total = sum(m.size_bytes() for m in self.buffer.values())
-        if total > self.peak_buffered_bytes:
-            self.peak_buffered_bytes = total
+        if self._buffered_bytes > self.peak_buffered_bytes:
+            self.peak_buffered_bytes = self._buffered_bytes
 
     def publish_own_counts(self, contiguous: Dict[str, int]) -> None:
         # Our own receive state is first-hand knowledge for the matrix.
@@ -371,13 +379,14 @@ class StabilityLayer(ProtocolLayer):
         ]
         for mid in newly_stable:
             del self.buffer[mid]
+            self._buffered_bytes -= self._entry_bytes.pop(mid)
             for hook in self.stable_hooks:
                 hook(mid)
 
     # -- metrics -------------------------------------------------------------------
 
     def buffered_bytes(self) -> int:
-        return sum(m.size_bytes() for m in self.buffer.values())
+        return self._buffered_bytes
 
     def layer_metrics(self) -> Dict[str, int]:
         return {

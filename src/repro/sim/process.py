@@ -35,6 +35,7 @@ class Process:
         "alive",
         "crash_count",
         "_timers",
+        "_timers_sweep_at",
         "_handlers",
         "_dispatch_cache",
     )
@@ -45,7 +46,10 @@ class Process:
         self.pid = pid
         self.alive = True
         self.crash_count = 0
+        #: handles ``crash()`` must cancel; fired/cancelled ones are swept
+        #: out each time the list outgrows ``_timers_sweep_at``
         self._timers: List[Timer] = []
+        self._timers_sweep_at = 16
         #: payload-type -> handler, consulted before :meth:`on_message`.
         self._handlers: Dict[Type, Callable[[str, Any], None]] = {}
         #: concrete payload type -> resolved handler (memoized MRO walk);
@@ -116,7 +120,14 @@ class Process:
     def set_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> Timer:
         """Arm a timer that fires ``fn(*args)`` unless this process crashes."""
         timer = self.sim.call_later(delay, self._fire_timer, fn, args)
-        self._timers.append(timer)
+        timers = self._timers
+        timers.append(timer)
+        if len(timers) > self._timers_sweep_at:
+            # Sweeping only once the list has doubled since the last sweep
+            # keeps this amortised O(1) per timer while a long-lived process
+            # (gossip tick, NAK timers) holds at most ~2x its pending set.
+            timers[:] = [t for t in timers if t.active]
+            self._timers_sweep_at = max(16, 2 * len(timers))
         return timer
 
     def _fire_timer(self, fn: Callable[..., None], args: tuple) -> None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.kernel import Simulator
-from repro.sim.network import Network
+from repro.sim.network import Network, estimate_size
 from repro.sim.process import Process
 from repro.statelevel.dependency import DependencyTracker, Stamped
 
@@ -65,8 +65,6 @@ class Publication:
     publisher: str
 
     def size_bytes(self) -> int:
-        from repro.sim.network import estimate_size
-
         return len(self.subject) + 16 + estimate_size(self.datum)
 
 

@@ -64,3 +64,20 @@ def test_no_determinism_findings_grandfathered():
         and f.rule_id.startswith(("DET", "PUR"))
     ]
     assert hard == [], "\n".join(f.render() for f in hard)
+
+
+def test_hot_function_manifest_names_real_functions():
+    """A manifest entry that no longer resolves (function renamed or moved)
+    silently takes that frame out of PERF002-004; every name must match."""
+    from repro.analysis.rules.perf import HOT_FUNCTIONS, iter_functions
+    from repro.analysis.source import load_python_file
+
+    src = REPO_ROOT / "src"
+    missing = []
+    for module, names in sorted(HOT_FUNCTIONS.items()):
+        path = src / (module.replace(".", "/") + ".py")
+        mod, error = load_python_file(path, REPO_ROOT, src)
+        assert error is None, error
+        defined = {qual for qual, _ in iter_functions(mod.tree)}
+        missing += [f"{module}:{name}" for name in sorted(names - defined)]
+    assert missing == []

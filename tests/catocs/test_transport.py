@@ -1,6 +1,10 @@
 """Tests for the reliable group transport: dedup, NAK repair, stability."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.catocs import build_group
+from repro.catocs.messages import DataMessage
 from repro.sim import FailureInjector, LinkModel, Network, Simulator
 
 
@@ -126,3 +130,92 @@ def test_ack_vector_reveals_missing_final_message():
     sim.call_at(30.0, net.set_link, "p0", "p2", LinkModel(latency=5.0))
     sim.run(until=5000)
     assert members["p2"].delivered_payloads() == ["only"]
+
+
+# -- byte accounting: the running total vs a brute-force sum -----------------------
+
+PIDS = ["p0", "p1", "p2"]
+
+_counts = st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=3).map(
+    lambda values: dict(zip(PIDS, values))
+)
+_buffer_op = st.tuples(
+    st.just("buffer"),
+    st.sampled_from(PIDS),                    # sender
+    st.integers(min_value=1, max_value=5),    # seq: small, so ids collide and re-buffer
+    st.integers(min_value=0, max_value=40),   # payload length -> a different size
+    st.booleans(),                            # carries an ack vector?
+)
+_ack_op = st.tuples(st.just("ack"), st.sets(st.sampled_from(PIDS), min_size=1), _counts)
+_view_op = st.tuples(st.just("view"), st.sets(st.sampled_from(PIDS[1:])), _counts)
+
+
+def _stability_layer():
+    sim = Simulator(seed=0)
+    net = Network(sim, LinkModel(latency=5.0))
+    members = build_group(sim, net, PIDS, ordering="raw", ack_period=0.0)
+    return members["p0"].stack.layer("stability"), members["p0"].stack.layer("dedup")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_buffer_op, _ack_op, _view_op), min_size=1, max_size=40))
+def test_running_byte_total_matches_brute_force_sum(ops):
+    layer, dedup = _stability_layer()
+    peak = 0
+    for op in ops:
+        if op[0] == "buffer":
+            _, sender, seq, length, with_acks = op
+            layer.buffer_message(DataMessage(
+                group="group", sender=sender, seq=seq, payload="x" * length, sent_at=0.0,
+                ack_vector=dict.fromkeys(PIDS, 0) if with_acks else None,
+            ))
+        elif op[0] == "ack":
+            _, observers, counts = op
+            for observer in sorted(observers):
+                layer.absorb_ack_vector(observer, counts)
+            layer.check_stability()
+        else:
+            _, others, counts = op
+            dedup.contiguous.update(counts)  # the rebuilt matrix restarts from these
+            layer.on_membership_changed(["p0", *sorted(others)])
+        brute = sum(m.size_bytes() for m in layer.buffer.values())
+        peak = max(peak, brute)
+        assert layer.buffered_bytes() == brute, op
+        assert layer.layer_metrics()["buffered_bytes"] == brute, op
+        assert layer.peak_buffered_bytes == peak, op
+        assert set(layer._entry_bytes) == set(layer.buffer), op
+
+
+def test_transport_metrics_buffered_bytes_with_and_without_stability_layer():
+    def run(ordering):
+        sim = Simulator(seed=0)
+        net = Network(sim, LinkModel(latency=5.0))
+        members = build_group(sim, net, PIDS, ordering=ordering, ack_period=0.0)
+        for i in range(4):
+            sim.call_at(float(i), members["p1"].multicast, "x" * (i + 1))
+        sim.run(until=200)
+        return members["p0"]
+
+    bare = run("hybrid-causal")
+    assert bare.stack.layer("stability") is None
+    assert bare.transport.metrics()["buffered_bytes"] == 0
+
+    member = run("causal")
+    layer = member.stack.layer("stability")
+    brute = sum(m.size_bytes() for m in layer.buffer.values())
+    assert brute > 0  # no gossip, one sender: nothing became stable
+    assert member.transport.metrics()["buffered_bytes"] == layer.buffered_bytes() == brute
+    assert member.metrics()["buffered_bytes"] == brute
+
+
+def test_message_grows_by_exactly_the_ack_vector_when_sent_down():
+    # instrumentation.on_send and the piggyback accounting size a message
+    # *before* send_down attaches its ack vector, so a size memoised on first
+    # call would freeze 8+len(pid) bytes per member short of the wire size.
+    layer, _ = _stability_layer()
+    msg = DataMessage(group="group", sender="p0", seq=1, payload="hello", sent_at=0.0)
+    before = msg.size_bytes()
+    layer.send_down(msg)
+    assert set(msg.ack_vector) == set(PIDS)
+    assert msg.size_bytes() - before == sum(8 + len(pid.encode()) for pid in PIDS)
+    assert layer.buffered_bytes() == msg.size_bytes()  # buffered at its wire size

@@ -227,6 +227,43 @@ def test_cancel_after_firing_is_a_noop():
 # -- loop resolution --------------------------------------------------------------
 
 
+def test_process_timer_list_stays_bounded_over_handle_timers():
+    # Same contract as tests/sim/test_process.py, over _HandleTimer: a host
+    # process re-arming for hours must not accumulate fired handles, and
+    # crash() must still cancel the pending one.
+    from repro.sim.process import Process
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        clock = AsyncioClock(loop, seed=0)
+        proc = Process(clock, AsyncioNetwork(clock), "p")
+        done = loop.create_future()
+        fired = 0
+
+        def tick():
+            nonlocal fired
+            fired += 1
+            if fired < 10_000:
+                proc.set_timer(0.0, tick)
+            else:
+                done.set_result(None)
+
+        proc.set_timer(0.0, tick)
+        await asyncio.wait_for(done, timeout=30)
+        held = len(proc._timers)
+        hits = []
+        pending = proc.set_timer(0.02, hits.append, "late")
+        proc.crash()
+        await run_for(0.06)
+        return fired, held, pending, hits
+
+    fired, held, pending, hits = asyncio.run(scenario())
+    assert fired == 10_000
+    assert held <= 32
+    assert pending.cancelled and not pending.active
+    assert hits == []
+
+
 def test_clock_uses_the_running_loop_by_default():
     async def scenario():
         clock = AsyncioClock(seed=0)  # no explicit loop, no deprecation path

@@ -85,3 +85,27 @@ def test_on_start_suppressed_if_crashed_at_time_zero():
     p.crash()  # before the kernel runs the start event
     sim.run()
     assert p.started == 0
+
+
+def test_timer_list_stays_bounded_across_fire_and_rearm():
+    # A long-lived process (gossip tick, NAK timers) re-arms for hours;
+    # fired handles must not accumulate, and crash() must still reach the
+    # one timer that is pending.
+    sim, net, p = build()
+    fired = []
+
+    def tick():
+        fired.append(sim.now)
+        if len(fired) < 10_000:
+            p.set_timer(1.0, tick)
+
+    p.set_timer(1.0, tick)
+    sim.run()
+    assert len(fired) == 10_000
+    assert len(p._timers) <= 32
+
+    pending = p.set_timer(5.0, p.ticks.append, "late")
+    p.crash()
+    assert not pending.active
+    sim.run()
+    assert p.ticks == []
