@@ -1,11 +1,11 @@
 """Hot-path performance rules (``PERF*``).
 
-PR 7 bought the kernel its throughput (flyweight events, timing-wheel
-scheduler, ~1.4M ev/s) by hand; nothing guarded those invariants
-statically — one convenience refactor re-introducing a per-event dict or a
-per-iteration allocation would erode the floor one accepted diff at a
-time.  These rules lock the invariants in.  The module-wide rules
-(PERF001, PERF005) are scoped to the **hot modules**
+PR 7 bought the kernel its throughput (flyweight events, a free-list, one
+fused pop/fire/recycle loop over C ``heapq``, ~2M ev/s) by hand; nothing
+guarded those invariants statically — one convenience refactor
+re-introducing a per-event dict or a per-iteration allocation would erode
+the floor one accepted diff at a time.  These rules lock the invariants
+in.  The module-wide rules (PERF001, PERF005) are scoped to the **hot modules**
 (:data:`HOT_MODULE_PREFIXES`); the loop-frame rules (PERF002-004) to **hot
 functions** wherever they live: functions named in the curated
 :data:`HOT_FUNCTIONS` manifest or marked in source with a ``# repro: hot``
@@ -37,11 +37,9 @@ from repro.analysis.rules import Rule
 from repro.analysis.rules.determinism import WALL_CLOCK_CALLS, _module_allowed
 from repro.analysis.source import SourceModule
 
-#: The modules whose steady-state loops dominate sim wall clock (the
-#: profile-diff workload in docs/PERFORMANCE.md attributes >90% of kernel
-#: time here): the event kernel + scheduler + network + process dispatch,
-#: the protocol-stack pipeline, the dense clock hot path, and the
-#: real-socket transport.
+#: The modules whose steady-state loops dominate sim wall clock: the event
+#: kernel + network + process dispatch, the protocol-stack pipeline, the
+#: dense clock hot path, and the real-socket transport.
 HOT_MODULE_PREFIXES: Tuple[str, ...] = (
     "repro.sim",
     "repro.catocs.stack",
@@ -58,15 +56,8 @@ HOT_MODULE_PREFIXES: Tuple[str, ...] = (
 #: delivery's time goes").
 HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro.sim.kernel": frozenset({
-        "Simulator.step", "Simulator.run",
+        "Simulator.run", "Simulator._cancel",
         "Simulator.call_later", "Simulator.call_at",
-    }),
-    "repro.sim.wheel": frozenset({
-        "HeapScheduler.push", "HeapScheduler.cancel", "HeapScheduler.pop_next",
-        "HeapScheduler.peek_time", "HeapScheduler.drain",
-        "TimingWheel.push", "TimingWheel.cancel", "TimingWheel.pop_next",
-        "TimingWheel.peek_time", "TimingWheel.drain", "TimingWheel._scan",
-        "TimingWheel._migrate",
     }),
     "repro.sim.network": frozenset({
         "Network.send", "Network._deliver", "estimate_size",
@@ -378,7 +369,7 @@ class AttrChainRule(Rule):
 
     ``self.a.b`` costs two dict probes per evaluation; a chain the loop
     never rebinds can be bound to a local once, before the loop — the
-    aliasing idiom the kernel and wheel already use.
+    aliasing idiom ``Simulator.run`` already uses.
     """
 
     rule_id = "PERF003"

@@ -6,8 +6,6 @@ Subcommands::
              suite, sequential + parallel) and write the next BENCH_<n>.json
     compare  diff the two newest records (or explicit --baseline/--candidate)
              and exit non-zero on any regression beyond --threshold
-    profile  cProfile the kernel chain workload under both scheduler builds
-             (heap vs wheel) and print/write the top-N frame delta
 
 ``compare`` is deliberately forgiving when there is nothing to compare —
 a repo with zero or one record prints a note and exits 0, so the CI step
@@ -112,19 +110,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.bench.profile import profile_diff, render_profile_diff
-
-    doc = profile_diff(events=args.events, top=args.top)
-    print(render_profile_diff(doc))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -157,17 +142,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     cmp_p.add_argument("--warn-only", action="store_true",
                        help="report regressions but exit 0")
     cmp_p.set_defaults(func=_cmd_compare)
-
-    prof_p = sub.add_parser(
-        "profile", help="cProfile top-N delta between scheduler builds")
-    prof_p.add_argument("--events", type=int, default=100_000,
-                        help="timer-chain length per scheduler (default 100000)")
-    prof_p.add_argument("--top", type=int, default=15,
-                        help="frames per side in the report (default 15)")
-    prof_p.add_argument("--out", default=None,
-                        help="also write the full JSON document here "
-                             "(uploaded as a CI artifact)")
-    prof_p.set_defaults(func=_cmd_profile)
 
     args = parser.parse_args(argv)
     if args.command == "run" and args.jobs == 0:

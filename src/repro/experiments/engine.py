@@ -122,10 +122,9 @@ def _worker_main(
     """
     if initializer is not None:
         initializer()
-    # Collector scheduling only — results are identical either way, so the
-    # debugging escape hatch cannot leak into an envelope.
-    if os.environ.get("REPRO_ENGINE_GC", "disable") == "disable":  # repro: ignore[DET005]
-        gc.disable()
+    # Per-task heaps die by refcounting; the loop below bounds the cyclic
+    # residue with a periodic collect (see docs/PERFORMANCE.md).
+    gc.disable()
     completed = 0
     while True:
         item = task_q.get()

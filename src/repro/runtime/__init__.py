@@ -6,9 +6,8 @@ protocol code itself is runtime-agnostic: it only needs ``now``,
 This package provides the real-world implementations of those interfaces
 behind the :class:`~repro.runtime.transport.Transport` seam:
 
-- :class:`~repro.runtime.asyncio_rt.AsyncioClock` /
-  :class:`~repro.runtime.asyncio_rt.AsyncioNetwork` — wall-clock timers,
-  in-process zero-copy delivery;
+- :class:`~repro.runtime.asyncio_rt.AsyncioClock` — wall-clock timers on
+  an asyncio event loop;
 - :class:`~repro.runtime.udp.UdpNetwork` — real UDP datagrams over loopback
   sockets, every payload through the versioned wire codec
   (:mod:`repro.runtime.codec`);
@@ -23,13 +22,12 @@ distributed systems implementation that happens to be testable in
 simulation, not a simulation-only artifact.  See ``docs/RUNTIME.md``.
 """
 
-from repro.runtime.asyncio_rt import AsyncioClock, AsyncioNetwork, run_for
+from repro.runtime.asyncio_rt import AsyncioClock, run_for
 from repro.runtime.transport import TRANSPORT_SURFACE, Transport, missing_surface
 from repro.runtime.udp import UdpNetwork
 
 __all__ = [
     "AsyncioClock",
-    "AsyncioNetwork",
     "run_for",
     "Transport",
     "TRANSPORT_SURFACE",

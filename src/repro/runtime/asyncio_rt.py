@@ -1,15 +1,12 @@
-"""Asyncio-backed clock and network, drop-in compatible with the simulator.
+"""Asyncio-backed clock, drop-in compatible with the simulator's.
 
 :class:`AsyncioClock` exposes the subset of :class:`repro.sim.Simulator`
-the protocol stack uses (``now``, ``rng``, ``call_later``, ``call_at``);
-:class:`AsyncioNetwork` exposes the :class:`repro.sim.Network` surface
-(``attach``, ``send``, link models, partitions, stats).  Latency, jitter
-and loss are applied exactly as in simulation — but over real wall-clock
-``loop.call_later`` timers, so keep the latencies small (milliseconds) in
-tests.
+the protocol stack uses (``now``, ``rng``, ``call_later``, ``call_at``)
+over real wall-clock ``loop.call_later`` timers, and :class:`_HandleTimer`
+gives those timers the simulator ``Timer`` surface.  The network that goes
+with it is :class:`repro.runtime.udp.UdpNetwork`.
 
-Limitations: in-process only (the "network" is the event loop), and
-wall-clock runs are not bit-reproducible — loss/jitter draws are seeded,
+Wall-clock runs are not bit-reproducible — loss/jitter draws are seeded,
 but interleaving depends on the host scheduler.  The protocol guarantees
 (causal order, total order, repair, atomicity) hold regardless, which is
 what the runtime tests assert.
@@ -19,13 +16,9 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.obs import MetricsRegistry
-from repro.sim.network import LinkModel, NetworkStats, Packet, estimate_size
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.process import Process
 
 
 class _HandleTimer:
@@ -109,94 +102,6 @@ class AsyncioClock:
 
     def call_at(self, time: float, fn: Callable[..., None], *args: Any) -> _HandleTimer:
         return self.call_later(time - self.now, fn, *args)
-
-
-class AsyncioNetwork:
-    """Network-compatible datagram layer over the event loop."""
-
-    def __init__(self, clock: AsyncioClock, default_link: Optional[LinkModel] = None) -> None:
-        self.sim = clock  # processes reach the clock through .sim on attach
-        self.clock = clock
-        self.default_link = default_link or LinkModel(latency=0.005)
-        self.stats = NetworkStats()
-        self._processes: Dict[str, "Process"] = {}
-        self._links: Dict[Tuple[str, str], LinkModel] = {}
-        self._partition_of: Dict[str, int] = {}
-        self._packet_ids = 0
-        self.drop_hooks = []
-
-    # -- topology (same surface as repro.sim.Network) -----------------------------------
-
-    def attach(self, process: "Process") -> None:
-        if process.pid in self._processes:
-            raise ValueError(f"duplicate process id: {process.pid}")
-        self._processes[process.pid] = process
-
-    def process(self, pid: str) -> "Process":
-        return self._processes[pid]
-
-    @property
-    def pids(self) -> Tuple[str, ...]:
-        return tuple(self._processes)
-
-    def set_link(self, src: str, dst: str, model: LinkModel) -> None:
-        self._links[(src, dst)] = model
-
-    def set_link_symmetric(self, a: str, b: str, model: LinkModel) -> None:
-        self.set_link(a, b, model)
-        self.set_link(b, a, model)
-
-    def link(self, src: str, dst: str) -> LinkModel:
-        return self._links.get((src, dst), self.default_link)
-
-    def partition(self, *groups: Set[str]) -> None:
-        self._partition_of = {}
-        for index, group in enumerate(groups):
-            for pid in group:
-                self._partition_of[pid] = index
-
-    def heal(self) -> None:
-        self._partition_of = {}
-
-    def note_crash(self, pid: str) -> None:
-        """Link-state hook for process crashes (no FIFO clocks here)."""
-
-    def connected(self, a: str, b: str) -> bool:
-        return self._partition_of.get(a, 0) == self._partition_of.get(b, 0)
-
-    # -- transport --------------------------------------------------------------------------
-
-    def send(self, src: str, dst: str, payload: Any) -> Optional[Packet]:
-        if dst not in self._processes:
-            raise KeyError(f"unknown destination: {dst}")
-        size = estimate_size(payload)
-        self._packet_ids += 1
-        packet = Packet(packet_id=self._packet_ids, src=src, dst=dst,
-                        payload=payload, send_time=self.clock.now, size=size)
-        self.stats.sent += 1
-        self.stats.bytes_sent += size
-        if not self.connected(src, dst):
-            self.stats.partitioned += 1
-            return None
-        model = self.link(src, dst)
-        if model.sample_drop(self.clock.rng):
-            self.stats.dropped += 1
-            return None
-        latency = model.sample_latency(self.clock.rng)
-        self.clock.call_later(latency, self._deliver, packet)
-        return packet
-
-    def _deliver(self, packet: Packet) -> None:
-        process = self._processes.get(packet.dst)
-        if process is None or not process.alive:
-            self.stats.to_crashed += 1
-            return
-        if not self.connected(packet.src, packet.dst):
-            self.stats.partitioned += 1
-            return
-        self.stats.delivered += 1
-        self.stats.bytes_delivered += packet.size
-        process._receive_packet(packet)
 
 
 async def run_for(duration: float) -> None:

@@ -1,14 +1,12 @@
-"""The transport seam: one structural protocol, three backends.
+"""The transport seam: one structural protocol, two backends.
 
 The paper's claim is that ordering semantics live at the endpoints, not in
 the communication substrate.  Our code proves it by running the *same*
-:class:`repro.catocs.stack.ProtocolStack` over three interchangeable
+:class:`repro.catocs.stack.ProtocolStack` over two interchangeable
 transports:
 
 - :class:`repro.sim.network.Network` — the discrete-event simulator network
   (virtual time, bit-reproducible, zero-copy payload delivery);
-- :class:`repro.runtime.asyncio_rt.AsyncioNetwork` — wall-clock timers on an
-  asyncio event loop, still in-process and zero-copy;
 - :class:`repro.runtime.udp.UdpNetwork` — real UDP datagrams over loopback
   sockets, with every payload run through the versioned wire codec
   (:mod:`repro.runtime.codec`).
@@ -49,7 +47,6 @@ TRANSPORT_SURFACE: Tuple[str, ...] = (
     # data path and accounting
     "send",
     "stats",
-    "drop_hooks",
 )
 
 
@@ -67,7 +64,6 @@ class Transport(Protocol):
     sim: Any  # the clock the attached processes schedule against
     default_link: LinkModel
     stats: NetworkStats
-    drop_hooks: list
 
     def attach(self, process: "Process") -> None: ...
 

@@ -66,7 +66,6 @@ class UdpNetwork:
         "_links",
         "_partition_of",
         "_packet_ids",
-        "drop_hooks",
         "_requested_ports",
         "_transports",
         "_addrs",
@@ -88,7 +87,6 @@ class UdpNetwork:
         self._links: Dict[Tuple[str, str], LinkModel] = {}
         self._partition_of: Dict[str, int] = {}
         self._packet_ids = 0
-        self.drop_hooks: list = []
         self._requested_ports: Dict[str, int] = {}
         self._transports: Dict[str, asyncio.DatagramTransport] = {}
         self._addrs: Dict[str, Address] = {}

@@ -9,51 +9,80 @@ assert, e.g., that the Figure 4 trading anomaly occurs at a specific tick.
 Events with equal timestamps are ordered by insertion sequence number, so the
 execution order is a deterministic function of the schedule calls alone.
 
-The event structure is pluggable (:mod:`repro.sim.wheel`): the default is a
-binary heap driven directly through C ``heapq`` (the fastest option
-measured — see docs/PERFORMANCE.md); a calendar-queue timing wheel with
-amortised O(1) push/pop is selectable via ``Simulator(scheduler="wheel")``
-or ``REPRO_SIM_SCHEDULER=wheel`` for differential testing.  Both produce
-identical execution orders for any program — the scheduler is never
-observable in reports.
+The event structure is one binary heap driven through C ``heapq``, owned by
+the :class:`Simulator` itself: scheduling is a single ``heappush`` from
+``call_later``/``call_at``, and one loop in :meth:`Simulator.run` pops,
+fires and recycles for every way of advancing the clock (``run()``,
+``run(until=)``, ``run(max_events=)``, ``step()``).  A pure-Python timing
+wheel was tried beside it and lost at every queue depth — see "Why a plain
+heap" in docs/PERFORMANCE.md.
 
-Cancelled events stay in the scheduler as tombstones (removing from the
-middle of a heap or a sorted bucket is O(n)); the scheduler keeps O(1)
-live/tombstone counters and reclaims dead entries lazily — per-bucket for
-the wheel, whole-heap for the reference scheduler — so timer-heavy
-protocols (NAK timers, heartbeats — armed by the thousand and mostly
-cancelled) don't drag every subsequent push/pop through dead weight.
+Cancelled events stay in the heap as tombstones (removing from the middle
+of a heap is O(n)); the simulator keeps O(1) tombstone counters and
+reclaims dead entries lazily — at the head while popping, wholesale once
+they are half the heap — so timer-heavy protocols (NAK timers, heartbeats
+— armed by the thousand and mostly cancelled) don't drag every subsequent
+push/pop through dead weight.
 
 Hot-path design: :class:`Event` is a ``__slots__`` flyweight that serves as
 its own :class:`Timer` handle (the two names alias one class), and the
 kernel keeps a small free-list of fired events.  An event is recycled only
 when, after its callback returns, the run loop holds the sole remaining
-reference (a refcount check centralized as ``RECYCLE_REFS``/``live_refs``
-in :mod:`repro.sim.wheel`; CPython-only, disabled cleanly elsewhere) — if
-any caller kept the Timer handle, the object is simply left to the
-allocator, so handle state (``fired``, ``cancelled``, ``time``) stays
-valid forever.
+reference (the ``RECYCLE_REFS``/``live_refs`` refcount check below;
+CPython-only, disabled cleanly elsewhere) — if any caller kept the Timer
+handle, the object is simply left to the allocator, so handle state
+(``fired``, ``cancelled``, ``time``) stays valid forever.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
+import sys
 import weakref
-from heapq import heappush
+from heapq import heapify, heappop, heappush
+from math import inf
 from typing import Any, Callable, Optional
 
 from repro.obs import MetricsRegistry
-from repro.sim.wheel import (
-    FREELIST_MAX,
-    RECYCLE_REFS,
-    SCHEDULERS,
-    HeapScheduler,
-    SchedulerImpl,
-    live_refs,
-    noop,
-)
+
+#: Heap compaction triggers when at least this many tombstones have
+#: accumulated *and* they make up at least half the heap.
+COMPACT_MIN_TOMBSTONES = 64
+
+#: Cap on recycled events retained for reuse; beyond this, fired events are
+#: released to the allocator like any other object.
+FREELIST_MAX = 512
+
+#: Free-list recycling decides "nobody kept the Timer handle" by exact
+#: refcount: after an event's callback returns, the loop in
+#: :meth:`Simulator.run` compares ``live_refs(event)`` against this
+#: constant.  The loop holds the event in exactly ONE local binding at the
+#: check (it peeks ``queue[0]`` into ``event`` and discards ``heappop``'s
+#: result), so sole ownership is::
+#:
+#:     1 (the loop's `event` local) + 1 (getrefcount's arg)
+#:
+#: If the loop grows a second binding around the check (a temp, a closure
+#: cell, a log capture), recycling silently stops matching — harmless but
+#: wasteful; if it *drops* its binding (e.g. firing straight off a
+#: container slot), a still-held handle could match and be recycled while
+#: live.
+RECYCLE_REFS = 2
+
+if hasattr(sys, "getrefcount") and getattr(sys, "_is_gil_enabled", lambda: True)():
+    live_refs = sys.getrefcount
+else:  # pragma: no cover - non-CPython / free-threaded fallback
+    # PyPy has no getrefcount; free-threaded CPython's counts include
+    # biased cross-thread references.  Returning a sentinel that can never
+    # equal RECYCLE_REFS disables recycling cleanly: fired events simply
+    # fall to the allocator, which is correct, just unrecycled.
+    def live_refs(obj: object) -> int:
+        return -1
+
+
+def noop() -> None:
+    """Placeholder callback for recycled events parked on the free-list."""
 
 
 class Event:
@@ -67,16 +96,14 @@ class Event:
     allocation and indirection were a measurable slice of the hot path, so
     the two are now one ``__slots__`` object (``Timer`` aliases this class).
     ``_simref`` is a weak reference shared by every event of a simulator —
-    a strong reference would cycle sim→scheduler→event→sim, and per-task
+    a strong reference would cycle sim→heap→event→sim, and per-task
     heaps must die by refcounting (warm workers run with the cyclic GC off).
     """
 
-    __slots__ = ("time", "seq", "tick", "fn", "args", "cancelled", "fired", "_simref")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired", "_simref")
 
     time: float
     seq: int
-    #: integer time slot, stamped by the wheel scheduler at push time
-    tick: int
     fn: Callable[..., None]
     args: tuple
     cancelled: bool
@@ -93,7 +120,6 @@ class Event:
     ) -> None:
         self.time = time
         self.seq = seq
-        self.tick = 0
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -119,7 +145,7 @@ class Event:
             # Simulator already collected; nothing left to account against.
             self.cancelled = True
             return
-        sim._sched.cancel(self)
+        sim._cancel(self)
 
     def reschedule(self, delay: float) -> "Timer":
         """Cancel this timer and schedule its callback ``delay`` from now.
@@ -143,9 +169,6 @@ class Event:
 #: Public alias: the scheduled event doubles as its own cancellation handle.
 Timer = Event
 
-_SCHEDULER_ENV = "REPRO_SIM_SCHEDULER"
-_DEFAULT_SCHEDULER = "heap"
-
 
 class Simulator:
     """Deterministic discrete-event loop with virtual time.
@@ -156,10 +179,10 @@ class Simulator:
         sim.call_later(1.5, print, "hello at t=1.5")
         sim.run()
 
-    ``scheduler`` selects the event structure by name (``"heap"`` or
-    ``"wheel"``, see :mod:`repro.sim.wheel`); when omitted it falls back to
-    the ``REPRO_SIM_SCHEDULER`` environment variable, then ``"heap"``.
-    Execution order is identical whichever is active.
+    ``tombstones`` counts cancelled events still occupying the heap,
+    ``compactions`` how many times the heap was rebuilt to shed them, and
+    ``tombstones_shed`` how many were physically reclaimed so far (popped
+    at the head or compacted away).
 
     ``__slots__`` because ``now``/``_events_executed``/``_stopped`` are
     written or read once per event on the hot path; ``_clock_domains`` is
@@ -170,9 +193,10 @@ class Simulator:
         "seed",
         "rng",
         "now",
-        "scheduler_name",
-        "_sched",
-        "_heap_queue",
+        "tombstones",
+        "compactions",
+        "tombstones_shed",
+        "_queue",
         "_seq",
         "_events_executed",
         "_stopped",
@@ -183,30 +207,15 @@ class Simulator:
         "__weakref__",
     )
 
-    def __init__(self, seed: int = 0, scheduler: Optional[str] = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
         self.now: float = 0.0
-        if scheduler is None:
-            # Differential-testing seam, resolved once per Simulator; within
-            # a process every default-constructed simulator is homogeneous,
-            # and both schedulers execute any program identically.
-            scheduler = os.environ.get(_SCHEDULER_ENV) or _DEFAULT_SCHEDULER
-        factory = SCHEDULERS.get(scheduler)
-        if factory is None:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; choose one of "
-                f"{sorted(SCHEDULERS)}"
-            )
-        self.scheduler_name = scheduler
-        self._sched: SchedulerImpl = factory()
-        # Direct handle on the heap scheduler's list: push is then a single
-        # C heappush from call_later/call_at, with no method frame between.
-        # Safe because HeapScheduler compacts in place (see wheel.py).
-        sched = self._sched
-        self._heap_queue: Optional[list[Event]] = (
-            sched._queue if isinstance(sched, HeapScheduler) else None
-        )
+        self.tombstones = 0
+        self.compactions = 0
+        self.tombstones_shed = 0
+        #: min-heap of events by (time, seq), tombstones included
+        self._queue: list[Event] = []
         self._seq = itertools.count()
         self._events_executed = 0
         self._stopped = False
@@ -217,17 +226,16 @@ class Simulator:
 
     def _register_metrics(self) -> None:
         m = self.metrics
-        sched = self._sched
         m.gauge_fn("kernel.events_executed", lambda: self._events_executed)
-        m.gauge_fn("kernel.pending", lambda: sched.live)
-        m.gauge_fn("kernel.queue_depth", lambda: sched.depth)
-        m.gauge_fn("kernel.tombstones", lambda: sched.tombstones)
+        m.gauge_fn("kernel.pending", lambda: self.pending)
+        m.gauge_fn("kernel.queue_depth", lambda: self.queue_depth)
+        m.gauge_fn("kernel.tombstones", lambda: self.tombstones)
         m.gauge_fn(
             "kernel.tombstone_ratio",
-            lambda: sched.tombstones / sched.depth if sched.depth else 0.0,
+            lambda: self.tombstones / self.queue_depth if self.queue_depth else 0.0,
         )
-        m.gauge_fn("kernel.compactions", lambda: sched.compactions)
-        m.gauge_fn("kernel.tombstones_shed", lambda: sched.shed)
+        m.gauge_fn("kernel.compactions", lambda: self.compactions)
+        m.gauge_fn("kernel.tombstones_shed", lambda: self.tombstones_shed)
         m.gauge_fn("kernel.virtual_time", lambda: self.now)
 
     # -- scheduling ---------------------------------------------------------
@@ -253,11 +261,7 @@ class Simulator:
             event.fired = False
         else:
             event = Event(self.now + delay, next(self._seq), fn, args, self._selfref)
-        heap = self._heap_queue
-        if heap is not None:
-            heappush(heap, event)
-        else:
-            self._sched.push(event)
+        heappush(self._queue, event)
         return event
 
     def call_at(self, time: float, fn: Callable[..., None], *args: Any) -> Timer:
@@ -274,69 +278,82 @@ class Simulator:
             event.fired = False
         else:
             event = Event(time, next(self._seq), fn, args, self._selfref)
-        heap = self._heap_queue
-        if heap is not None:
-            heappush(heap, event)
-        else:
-            self._sched.push(event)
+        heappush(self._queue, event)
         return event
+
+    def _cancel(self, event: Event) -> None:
+        """Tombstone ``event``.  Caller guarantees it is live (not fired)."""
+        event.cancelled = True
+        self.tombstones += 1
+        if (self.tombstones >= COMPACT_MIN_TOMBSTONES
+                and self.tombstones * 2 >= len(self._queue)):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop tombstones and re-heapify (amortised O(1) per cancellation).
+
+        Compaction is *in place* (slice-assign, not rebind): :meth:`run`
+        holds ``_queue`` in a local, and a callback that mass-cancels timers
+        mid-run must not strand it on a stale list.
+        """
+        queue = self._queue
+        kept = [e for e in queue if not e.cancelled]
+        self.tombstones_shed += len(queue) - len(kept)
+        heapify(kept)
+        queue[:] = kept
+        self.tombstones = 0
+        self.compactions += 1
 
     # -- execution ----------------------------------------------------------
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when queue is empty."""
-        event = self._sched.pop_next()
-        if event is None:
-            return False
-        event.fired = True
-        self.now = event.time
-        self._events_executed += 1
-        event.fn(*event.args)
-        # One-binding call shape pinned by RECYCLE_REFS (see repro.sim.wheel).
-        if len(self._freelist) < FREELIST_MAX and live_refs(event) == RECYCLE_REFS:
-            event.fn = noop
-            event.args = ()
-            self._freelist.append(event)
-        return True
+        before = self._events_executed
+        self.run(max_events=1)
+        return self._events_executed != before
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` passes, or the event
         budget is exhausted.  Returns the final simulation time.
 
         ``until`` is inclusive: an event at exactly ``until`` executes.
+
+        This is the kernel's only popping loop: pop, fire and free-list
+        recycling happen in one frame with the heap held in a local (at >1M
+        events/sec a method frame per event is a first-order cost).
         """
         self._stopped = False
-        sched = self._sched
-        if until is None and max_events is None:
-            # Drain-everything fast path: the scheduler's fused loop pops,
-            # fires, and recycles in one frame (see repro.sim.wheel).
-            sched.drain(self)
-            return self.now
-        pop_next = sched.pop_next
-        peek_time = sched.peek_time
+        horizon = inf if until is None else until
+        budget = max_events
+        queue = self._queue
         freelist = self._freelist
+        park = freelist.append
+        pop = heappop
         refs = live_refs
-        executed = 0
-        while not self._stopped:
-            if until is not None:
-                head_time = peek_time()
-                if head_time is None or head_time > until:
+        while queue and not self._stopped:
+            event = queue[0]
+            if event.cancelled:
+                pop(queue)
+                self.tombstones -= 1
+                self.tombstones_shed += 1
+                continue
+            if event.time > horizon:
+                break
+            if budget is not None:
+                if budget <= 0:
                     break
-            if max_events is not None and executed >= max_events:
-                break
-            event = pop_next()
-            if event is None:
-                break
+                budget -= 1
+            # Result discarded: `event` must stay the only binding at the
+            # recycle check (see RECYCLE_REFS).
+            pop(queue)
             event.fired = True
             self.now = event.time
             self._events_executed += 1
             event.fn(*event.args)
-            executed += 1
-            # One-binding call shape pinned by RECYCLE_REFS (see repro.sim.wheel).
-            if len(freelist) < FREELIST_MAX and refs(event) == RECYCLE_REFS:
+            if refs(event) == RECYCLE_REFS and len(freelist) < FREELIST_MAX:
                 event.fn = noop
                 event.args = ()
-                freelist.append(event)
+                park(event)
         if until is not None and self.now < until:
             self.now = until
         return self.now
@@ -354,30 +371,14 @@ class Simulator:
     def pending(self) -> int:
         """Number of live events still queued, O(1).
 
-        Cancelled tombstones are *excluded*: they occupy scheduler slots
-        until popped or compacted but will never execute.  See
-        :attr:`queue_depth` for the raw structure size including tombstones.
+        Cancelled tombstones are *excluded*: they occupy heap slots until
+        popped or compacted but will never execute.  Derived rather than
+        counted, so pushes and pops stay counter-free.  See
+        :attr:`queue_depth` for the raw heap size including tombstones.
         """
-        return self._sched.live
+        return len(self._queue) - self.tombstones
 
     @property
     def queue_depth(self) -> int:
-        """Raw scheduler size, including cancelled tombstones awaiting reclaim."""
-        return self._sched.depth
-
-    @property
-    def tombstones(self) -> int:
-        """Cancelled events still occupying the scheduler."""
-        return self._sched.tombstones
-
-    @property
-    def compactions(self) -> int:
-        """How many times scheduler storage was rebuilt to shed tombstones."""
-        return self._sched.compactions
-
-    @property
-    def tombstones_shed(self) -> int:
-        """Tombstones physically reclaimed so far (popped, compacted, or
-        dropped during wheel migration) — one accounting path for both
-        :meth:`step` and :meth:`run`."""
-        return self._sched.shed
+        """Raw heap size, including cancelled tombstones awaiting reclaim."""
+        return len(self._queue)

@@ -21,16 +21,17 @@ delays referenced to pre-partition ghosts.
 
 This class is also the reference implementation of the transport seam
 (:class:`repro.runtime.transport.Transport`, a structural protocol — this
-module never imports the runtime): ``AsyncioNetwork`` and ``UdpNetwork``
-expose the same attach/send/link-model/partition surface, so the protocol
-stacks run unchanged on a wall-clock event loop or over real UDP loopback
-sockets (see docs/RUNTIME.md).
+module never imports the runtime): ``UdpNetwork`` exposes the same
+attach/send/link-model/partition surface, so the protocol stacks run
+unchanged over real UDP loopback sockets on a wall-clock event loop (see
+docs/RUNTIME.md).  ``drop_hooks`` is this class's own: only the simulator
+sees every drop as a packet it can hand to a callback.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.sim.kernel import Simulator
@@ -125,7 +126,6 @@ class NetworkStats:
     reset: int = 0
     bytes_sent: int = 0
     bytes_delivered: int = 0
-    per_sender: Dict[str, int] = field(default_factory=dict)
 
     def snapshot(self) -> Dict[str, int]:
         return {
@@ -292,7 +292,6 @@ class Network:  # repro: ignore[PERF001] -- tests monkeypatch send() per instanc
         )
         stats.sent += 1
         stats.bytes_sent += size
-        stats.per_sender[src] = stats.per_sender.get(src, 0) + 1
 
         # The directed-link key is consulted up to three times below (link
         # model, FIFO clock, latency histogram); build the tuple once.

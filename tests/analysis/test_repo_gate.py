@@ -30,27 +30,6 @@ def test_committed_baseline_is_tight():
     assert stale == [], f"stale baseline entries: {stale}"
 
 
-def test_new_kernel_modules_are_analyzed_not_baselined():
-    """The scheduler rework's modules must sit inside the analysis scope:
-    ``repro.sim.wheel`` under the PUR001 purity ban (it *is* the kernel hot
-    path), ``repro.bench.profile`` in the project at all — and must be
-    clean there, not excused via baseline entries."""
-    from repro.analysis.rules.purity import _in_pure_package
-
-    result = run_analysis(root=REPO_ROOT)
-    modules = {m.module for m in result.project.src_modules}
-    assert "repro.sim.wheel" in modules
-    assert "repro.bench.profile" in modules
-    assert _in_pure_package("repro.sim.wheel")
-    known = baseline.load(REPO_ROOT / "analysis-baseline.json")
-    fresh, grandfathered = baseline.apply(result.findings, known)
-    touched = [
-        f for f in list(fresh) + list(grandfathered)
-        if "sim/wheel.py" in str(f.path) or "bench/profile.py" in str(f.path)
-    ]
-    assert touched == [], "\n".join(f.render() for f in touched)
-
-
 def test_no_determinism_findings_grandfathered():
     """The baseline may tolerate doc-side contract nits, never findings
     from the determinism or purity families — those must be fixed or

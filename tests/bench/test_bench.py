@@ -312,33 +312,6 @@ def test_cli_compare_explicit_paths(tmp_path):
         ["compare", "--baseline", base, "--candidate", base]) == 0
 
 
-def test_profile_diff_covers_both_schedulers():
-    from repro.bench.profile import SCHEMA, profile_diff, render_profile_diff
-
-    doc = profile_diff(events=2_000, top=5)
-    assert doc["schema"] == SCHEMA
-    assert set(doc["schedulers"]) == {"heap", "wheel"}
-    for side in doc["schedulers"].values():
-        assert side["events"] == 2_000
-        assert 0 < len(side["top"]) <= 5
-        assert all(e["tottime_s"] >= 0 for e in side["top"])
-    # The wheel build must show its own frames in the delta — that is the
-    # whole point of the diff (attribution, not just totals).
-    assert any("wheel" in row["function"] for row in doc["delta"])
-    rendered = render_profile_diff(doc)
-    assert "== heap:" in rendered and "== wheel:" in rendered
-    assert "delta (wheel - heap)" in rendered
-
-
-def test_cli_profile_writes_json_artifact(tmp_path, capsys):
-    out = tmp_path / "profile_diff.json"
-    assert bench_main(
-        ["profile", "--events", "2000", "--top", "5", "--out", str(out)]) == 0
-    assert "delta (wheel - heap)" in capsys.readouterr().out
-    doc = json.loads(out.read_text())
-    assert set(doc["schedulers"]) == {"heap", "wheel"}
-
-
 def test_cli_run_writes_next_record(tmp_path, capsys, monkeypatch):
     # Stub the timed workloads: this test is about record plumbing, not speed.
     monkeypatch.setattr(

@@ -1,10 +1,9 @@
 """The unchanged protocol stack over real UDP loopback sockets.
 
-Mirrors the asyncio_rt suite, but every payload now crosses an OS socket
-through the wire codec — no Python references survive the trip.  Latencies
-are milliseconds; the assertions are protocol guarantees (causal order,
-total order, loss repair, partition semantics), which hold regardless of
-wall-clock scheduling noise.
+Every payload crosses an OS socket through the wire codec — no Python
+references survive the trip.  Latencies are milliseconds; the assertions
+are protocol guarantees (causal order, total order, loss repair, partition
+semantics), which hold regardless of wall-clock scheduling noise.
 """
 
 import asyncio
@@ -35,6 +34,19 @@ def test_udp_network_implements_the_transport_seam():
         net.close()
 
     asyncio.run(scenario())
+
+
+def test_both_backends_implement_the_transport_seam():
+    """One structural protocol, two substrates: the simulator network and
+    the UDP socket network (checked above)."""
+    from repro.runtime.transport import TRANSPORT_SURFACE
+    from repro.sim import Simulator
+    from repro.sim.network import Network
+
+    sim_net = Network(Simulator(seed=0))
+    assert missing_surface(sim_net) == ()
+    assert isinstance(sim_net, Transport)
+    assert len(TRANSPORT_SURFACE) >= 14  # the seam is the whole Network API
 
 
 def test_causal_group_over_udp_loopback():

@@ -18,22 +18,17 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SEEDS = ("0", "1", "12345")
-#: Every sweep runs once per kernel scheduler build: hash-order robustness
-#: must hold whichever event structure is active, and the sweeps double as
-#: a scheduler-equivalence check (same script, same stdout, both builds).
-SCHEDULERS = ("heap", "wheel")
 
 
-def sweep(script, timeout=300, scheduler=None):
+def sweep(argv, timeout=300):
+    """Run ``python <argv>`` under every hash seed; return the one stdout."""
     outputs = {}
     for seed in SEEDS:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         env["PYTHONHASHSEED"] = seed
-        if scheduler is not None:
-            env["REPRO_SIM_SCHEDULER"] = scheduler
         proc = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, *argv],
             cwd=REPO_ROOT, env=env, capture_output=True, text=True,
             timeout=timeout,
         )
@@ -41,8 +36,7 @@ def sweep(script, timeout=300, scheduler=None):
         outputs[seed] = proc.stdout
     distinct = set(outputs.values())
     assert len(distinct) == 1, (
-        f"output drifts across PYTHONHASHSEED {SEEDS} "
-        f"(scheduler={scheduler}): "
+        f"output drifts across PYTHONHASHSEED {SEEDS}: "
         f"{ {s: len(o) for s, o in outputs.items()} }"
     )
     return outputs[SEEDS[0]]
@@ -114,35 +108,15 @@ print("refusals", sa.refusals)
 
 
 def test_occ_multi_server_sweep():
-    # One sweep per scheduler build, and the builds must agree with each
-    # other byte for byte (the differential-testing invariant, end to end).
-    outs = {s: sweep(OCC_MULTI_SERVER, scheduler=s) for s in SCHEDULERS}
-    assert outs["heap"] == outs["wheel"]
-    assert outs["heap"].startswith("committed\n")
+    assert sweep(["-c", OCC_MULTI_SERVER]).startswith("committed\n")
 
 
 def test_2pc_constraint_refusal_sweep():
-    outs = {s: sweep(TWO_PC_REFUSAL, scheduler=s) for s in SCHEDULERS}
-    assert outs["heap"] == outs["wheel"]
+    out = sweep(["-c", TWO_PC_REFUSAL])
     # The canonical-order fix: smallest violating key wins the refusal.
-    assert outs["heap"].splitlines()[0] == "refused negative aa"
+    assert out.splitlines()[0] == "refused negative aa"
 
 
 @pytest.mark.parametrize("name", ["e01", "e06"])
 def test_experiment_report_sweep(name):
-    outputs = set()
-    for scheduler in SCHEDULERS:
-        for seed in SEEDS:
-            env = dict(os.environ)
-            env["PYTHONPATH"] = str(REPO_ROOT / "src")
-            env["PYTHONHASHSEED"] = seed
-            env["REPRO_SIM_SCHEDULER"] = scheduler
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro.experiments", name],
-                cwd=REPO_ROOT, env=env, capture_output=True, text=True,
-                timeout=600,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.add(proc.stdout)
-    # One distinct output across 3 hash seeds x 2 scheduler builds.
-    assert len(outputs) == 1
+    sweep(["-m", "repro.experiments", name], timeout=600)

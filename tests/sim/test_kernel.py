@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 
@@ -140,7 +142,7 @@ def test_events_executed_counter():
     assert sim.events_executed == 5
 
 
-# -- free-list recycling (RECYCLE_REFS gate, see repro.sim.wheel) -----------------
+# -- free-list recycling (the RECYCLE_REFS gate in repro.sim.kernel) --------------
 
 
 def _fire_n(sim, n, via):
@@ -155,24 +157,22 @@ def _fire_n(sim, n, via):
             pass
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
 @pytest.mark.parametrize("via", ["drain", "until", "step"])
-def test_unheld_events_are_recycled(scheduler, via):
-    # Pins RECYCLE_REFS to the actual call shape of every popping loop: if a
+def test_unheld_events_are_recycled(via):
+    # Pins RECYCLE_REFS to the actual call shape of the run loop: if a
     # refactor adds or drops a binding around the check, recycling silently
     # stops matching and this test catches it.  CPython-only by design.
     import sys
 
     if not hasattr(sys, "getrefcount"):
         pytest.skip("refcount recycling is CPython-only")
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     _fire_n(sim, 8, via)
-    assert len(sim._freelist) > 0, (scheduler, via)
+    assert len(sim._freelist) > 0, via
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-def test_held_timer_handles_are_never_recycled(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_held_timer_handles_are_never_recycled():
+    sim = Simulator()
     held = [sim.call_later(float(i), lambda: None) for i in range(5)]
     sim.run()
     assert all(timer not in sim._freelist for timer in held)
@@ -181,18 +181,14 @@ def test_held_timer_handles_are_never_recycled(scheduler):
     assert [timer.time for timer in held] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-def test_kernel_correct_with_recycling_disabled(scheduler, monkeypatch):
+def test_kernel_correct_with_recycling_disabled(monkeypatch):
     # The non-CPython fallback: live_refs returns a sentinel that never
     # matches RECYCLE_REFS, so events fall to the allocator and behaviour
     # is otherwise identical.
     import repro.sim.kernel as kernel_mod
-    import repro.sim.wheel as wheel_mod
 
-    stub = lambda obj: -1
-    monkeypatch.setattr(wheel_mod, "live_refs", stub)
-    monkeypatch.setattr(kernel_mod, "live_refs", stub)
-    sim = Simulator(scheduler=scheduler)
+    monkeypatch.setattr(kernel_mod, "live_refs", lambda obj: -1)
+    sim = Simulator()
     fired = []
     for i in range(6):
         sim.call_later(float(i), fired.append, i)
@@ -201,3 +197,132 @@ def test_kernel_correct_with_recycling_disabled(scheduler, monkeypatch):
         pass
     assert fired == [0, 1, 2, 3, 4, 5]
     assert sim._freelist == []
+
+
+def test_mass_cancellation_inside_callback_keeps_draining():
+    # A callback that cancels enough timers to trigger compaction while
+    # run() holds the heap in a local: events after the compaction point
+    # must still fire (regression guard for in-place compaction — a rebind
+    # would strand the run loop on a stale list).
+    sim = Simulator()
+    doomed = [sim.call_later(500.0 + (i % 3), lambda: None) for i in range(300)]
+    fired = []
+
+    def massacre():
+        for timer in doomed:
+            timer.cancel()
+
+    sim.call_later(1.0, massacre)
+    sim.call_later(2.0, fired.append, "after")
+    sim.run()
+    assert fired == ["after"]
+    assert sim.pending == 0
+    assert sim.compactions > 0
+
+
+# -- model-based differential: the heap kernel vs a list and min() ----------------
+
+
+class ModelSim:
+    """The obviously-correct event queue: an unsorted list, ``min()`` by
+    ``(time, seq)``, cancel = remove.  Specifies what :class:`Simulator`
+    must do; knows nothing about heaps, tombstones or recycling."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_executed = 0
+        self._seq = 0
+        self._queue = []  # [time, seq, fn, args] entries, unordered
+
+    @property
+    def pending(self):
+        return len(self._queue)
+
+    def call_later(self, delay, fn, *args):
+        entry = [self.now + delay, self._seq, fn, args]
+        self._seq += 1
+        self._queue.append(entry)
+        return entry
+
+    def cancel(self, entry):
+        if entry in self._queue:  # no-op once fired or cancelled
+            self._queue.remove(entry)
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while self._queue:
+            entry = min(self._queue, key=lambda e: (e[0], e[1]))
+            if until is not None and entry[0] > until:
+                break
+            if max_events is not None and executed >= max_events:
+                break
+            self._queue.remove(entry)
+            self.now = entry[0]
+            self.events_executed += 1
+            executed += 1
+            entry[2](*entry[3])
+        if until is not None and self.now < until:
+            self.now = until
+
+    def step(self):
+        before = self.events_executed
+        self.run(max_events=1)
+        return self.events_executed != before
+
+
+def _run_program(sim, cancel, ops):
+    """Drive one op list through ``sim``; return the observable trace.
+
+    ``cancel(handle)`` abstracts the one surface difference between the
+    kernel (``timer.cancel()``) and the model (``model.cancel(entry)``).
+    """
+    trace = []
+    timers = []
+    counter = [0]
+
+    def fire(tag):
+        trace.append(("fire", tag, sim.now))
+        # Every third firing schedules a follow-up, so execution order
+        # feeds back into the schedule (order bugs compound, not hide).
+        counter[0] += 1
+        if counter[0] % 3 == 0:
+            timers.append(sim.call_later(2.5, fire, f"{tag}+"))
+
+    for op, value in ops:
+        if op == "sched":
+            # Mix of zero, sub-unit, near and far delays.
+            delay = [0.0, 0.25, 1.0, 7.5, 900.0, 1500.0, 3000.0][value % 7]
+            timers.append(sim.call_later(delay, fire, len(timers)))
+        elif op == "cancel" and timers:
+            cancel(timers[value % len(timers)])
+        elif op == "step":
+            trace.append(("step", sim.step()))
+        elif op == "until":
+            # Fractional horizons: run() must be able to stop between two
+            # pending events with cancelled ones at the head of the queue.
+            sim.run(until=sim.now + (value % 200) * 0.25)
+        elif op == "burst":
+            sim.run(max_events=value % 5)
+        trace.append(("state", sim.now, sim.events_executed, sim.pending))
+        if isinstance(sim, Simulator):
+            # Conservation of structure: every heap slot is a live event
+            # or a counted tombstone, after every operation.
+            assert sim.queue_depth == sim.pending + sim.tombstones
+    sim.run()
+    return trace, sim.now, sim.events_executed, sim.pending
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(["sched", "cancel", "step", "until", "burst"]),
+              st.integers(min_value=0, max_value=10_000)),
+    max_size=60,
+))
+def test_simulator_matches_the_list_model(ops):
+    """Identical (time, seq) execution order and observable state
+    (``now``, ``events_executed``, ``pending``, ``step()``'s result) after
+    every operation, for ANY program."""
+    model = ModelSim()
+    expected = _run_program(model, model.cancel, ops)
+    got = _run_program(Simulator(seed=7), lambda timer: timer.cancel(), ops)
+    assert got == expected
