@@ -60,9 +60,11 @@ from repro.analysis.source import SourceModule
 #: send primitive -> {call arity: payload argument index}.
 SEND_ARG: Dict[str, Dict[int, int]] = {
     "send": {2: 1, 3: 2},  # member.send(dst, p) / network.send(src, dst, p)
+    "send_many": {2: 1},  # process.send_many(dsts, p)
+    "send_peers": {1: 0},
     "send_control": {2: 1},
     "broadcast_control": {1: 0},
-    "multicast": {1: 0},
+    "multicast": {1: 0, 3: 2},  # member.multicast(p) / network.multicast(src, dsts, p)
 }
 
 #: scheduling primitives: (delay argument index, callback argument index).

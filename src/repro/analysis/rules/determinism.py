@@ -214,7 +214,8 @@ class UnseededRandomRule(Rule):
 #: network transmission, and event scheduling.
 ORDERED_SINKS = {
     "append", "extend", "appendleft", "insert_ordered",
-    "send", "send_control", "multicast", "post", "broadcast",
+    "send", "send_many", "send_peers", "send_control", "multicast", "post",
+    "broadcast",
     "set_timer", "call_later", "call_at", "schedule", "enqueue",
     "put", "emit", "write",
 }

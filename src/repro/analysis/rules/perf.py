@@ -60,10 +60,10 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "Simulator.call_later", "Simulator.call_at",
     }),
     "repro.sim.network": frozenset({
-        "Network.send", "Network._deliver", "estimate_size",
+        "Network.send", "Network.multicast", "Network._deliver", "estimate_size",
     }),
     "repro.sim.process": frozenset({
-        "Process.dispatch", "Process.send",
+        "Process.dispatch", "Process.send", "Process.send_many",
         "Process._receive_packet", "Process._fire_timer",
     }),
     "repro.catocs.stack": frozenset({
@@ -75,6 +75,9 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "StabilityLayer.buffer_message", "StabilityLayer.check_stability",
         "StabilityLayer.absorb_ack_vector", "StabilityLayer.publish_own_counts",
         "DedupRepairLayer.receive_up",
+    }),
+    "repro.catocs.ordering_layers": frozenset({
+        "TotalAgreedOrdering._drain",
     }),
     "repro.catocs.messages": frozenset({
         "DataMessage.size_bytes",
@@ -88,7 +91,8 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "DenseVectorClock.concurrent_with",
     }),
     "repro.runtime.udp": frozenset({
-        "UdpNetwork.send", "UdpNetwork._transmit", "UdpNetwork._on_datagram",
+        "UdpNetwork.send", "UdpNetwork.multicast", "UdpNetwork._transmit",
+        "UdpNetwork._on_datagram",
     }),
 }
 

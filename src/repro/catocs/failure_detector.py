@@ -55,10 +55,7 @@ class HeartbeatDetector:
     def _tick(self) -> None:
         member = self.member
         beat = Heartbeat(group=member.group, sender=member.pid, view_id=member.view_id)
-        for pid in member.view_members:
-            if pid != member.pid:
-                member.send(pid, beat)
-                self.heartbeats_sent += 1
+        self.heartbeats_sent += member.send_peers(beat)
         now = member.sim.now
         for pid, heard in self.last_heard.items():
             if pid not in member.view_members:

@@ -156,9 +156,7 @@ class HybridCausalOrdering(CausalOrdering):
             ack = HybridAck(
                 group=self.member.group, sender=self.member.pid, delivered=counts
             )
-            for pid in self.member.view_members:
-                if pid != self.member.pid:
-                    self.member.send_control(pid, ack)
+            self.member.broadcast_control(ack)
         self.member.set_timer(self.ack_interval, self._ack_tick)
 
     # -- receiver side -----------------------------------------------------------

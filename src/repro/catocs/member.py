@@ -256,6 +256,19 @@ class GroupMember(Process):
             return
         super().send(dst, payload)
 
+    def send_peers(self, payload: Any) -> int:
+        """Send one payload to every other member of the view, in view
+        order; returns how many that is.  The fan-out every layer uses:
+        an attached batch layer still sees one enqueue per peer, and
+        otherwise the network sizes (or encodes) the payload once."""
+        peers = [pid for pid in self.view_members if pid != self.pid]
+        if self._batcher is not None and self.alive:
+            for pid in peers:
+                self._batcher.enqueue(pid, payload)
+        else:
+            self.send_many(peers, payload)
+        return len(peers)
+
     def _do_multicast(self, payload: Any) -> MsgId:
         self._next_seq += 1
         msg = DataMessage(
@@ -286,9 +299,7 @@ class GroupMember(Process):
         self.send(dst, payload)
 
     def broadcast_control(self, payload: Any) -> None:
-        for pid in self.view_members:
-            if pid != self.pid:
-                self.send_control(pid, payload)
+        self.control_sent += self.send_peers(payload)
 
     # -- receiving ----------------------------------------------------------------------
 

@@ -154,9 +154,7 @@ class ViewManager:
         """
         member = self.member
         announce = LeaveAnnounce(group=member.group, sender=member.pid)
-        for pid in member.view_members:
-            if pid != member.pid:
-                member.send(pid, announce)
+        member.send_peers(announce)
         member.suppressed = True  # no resume: we are leaving
         member.set_timer(linger, member.crash)
 

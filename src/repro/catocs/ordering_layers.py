@@ -27,6 +27,7 @@ deliverable, in delivery order.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 from repro.catocs.messages import (
@@ -534,6 +535,13 @@ class TotalAgreedOrdering(OrderingLayer):
     local priority counter) back to the message's sender.  Phase 2: the
     sender commits the maximum proposal.  Messages deliver in
     (priority, proposer-pid) order once committed and at the queue head.
+
+    The hold-back set is ``_pending`` (the dict every other method reads)
+    plus ``_heap``, a ``heapq`` of ``(priority, tiebreak, msg_id)`` keys
+    with lazy invalidation: :meth:`_rekey` pushes an entry's new key and
+    leaves the old one behind, and :meth:`_drain` discards any head whose
+    key is no longer its live entry's.  The heap therefore holds at most
+    one stale key per re-key and empties whenever ``_pending`` does.
     """
 
     name = "total-agreed"
@@ -556,6 +564,8 @@ class TotalAgreedOrdering(OrderingLayer):
         self._max_priority = 0
         # msg_id -> [msg, priority, tiebreak pid, committed?]
         self._pending: Dict[MsgId, list] = {}
+        #: release order over ``_pending``; may hold superseded keys
+        self._heap: List[Tuple[int, str, MsgId]] = []
         self._proposals: Dict[MsgId, Dict[str, int]] = {}
         self._committed_ids: set = set()
         #: commit cache so any member can answer a CommitRequest
@@ -569,8 +579,7 @@ class TotalAgreedOrdering(OrderingLayer):
     def accept_local(self, msg: DataMessage) -> List[DataMessage]:
         self._note_message(msg)
         own_priority = self._propose()
-        self._pending[msg.msg_id][1] = own_priority
-        self._pending[msg.msg_id][2] = self.member.pid
+        self._rekey(msg.msg_id, own_priority, self.member.pid)
         self._record_proposal(msg.msg_id, self.member.pid, own_priority)
         self.member.set_timer(self.proposal_timeout, self._finalize_on_timeout, msg.msg_id)
         return self._drain()
@@ -578,9 +587,17 @@ class TotalAgreedOrdering(OrderingLayer):
     def insert(self, msg: DataMessage) -> List[DataMessage]:
         self._hold(msg)
         self._note_message(msg)
+        agreed = self._commit_values.get(msg.msg_id)
+        if agreed is not None:
+            # The commit overtook its data (the sender finalised without us
+            # while it suspected us).  Take the agreed place and propose
+            # nothing: an uncommitted entry here could never be completed,
+            # because _apply_commit ignores ids it has already recorded.
+            self._pending[msg.msg_id][3] = True
+            self._rekey(msg.msg_id, *agreed)
+            return self._drain()
         priority = self._propose()
-        self._pending[msg.msg_id][1] = priority
-        self._pending[msg.msg_id][2] = self.member.pid
+        self._rekey(msg.msg_id, priority, self.member.pid)
         self.member.send_control(
             msg.sender,
             PriorityProposal(
@@ -649,6 +666,14 @@ class TotalAgreedOrdering(OrderingLayer):
             self._pending[msg.msg_id] = [msg, 0, "", False]
             if msg.msg_id not in self.held_since:
                 self._hold(msg)
+
+    def _rekey(self, msg_id: MsgId, priority: int, tiebreak: str) -> None:
+        """Move a pending entry to ``(priority, tiebreak)`` in the release
+        order.  The key it had stays in the heap until ``_drain`` sheds it."""
+        entry = self._pending[msg_id]
+        entry[1] = priority
+        entry[2] = tiebreak
+        heappush(self._heap, (priority, tiebreak, msg_id))
 
     def _propose(self) -> int:
         self._max_priority += 1
@@ -725,29 +750,32 @@ class TotalAgreedOrdering(OrderingLayer):
         self._commit_values[msg_id] = (priority, tiebreak)
         self._max_priority = max(self._max_priority, priority)
         if msg_id in self._pending:
-            entry = self._pending[msg_id]
-            entry[1] = priority
-            entry[2] = tiebreak
-            entry[3] = True
+            self._pending[msg_id][3] = True
+            self._rekey(msg_id, priority, tiebreak)
 
     def _drain(self) -> List[DataMessage]:
         out: List[DataMessage] = []
-        while self._pending:
-            head_id = min(
-                self._pending,
-                key=lambda mid: (self._pending[mid][1], self._pending[mid][2], mid),
-            )
-            msg, _priority, _tiebreak, committed = self._pending[head_id]
-            if not committed:
+        pending = self._pending
+        heap = self._heap
+        while heap:
+            priority, tiebreak, head_id = heap[0]
+            entry = pending.get(head_id)
+            if entry is None or entry[1] != priority or entry[2] != tiebreak:
+                # Superseded by a re-key, or its message was already
+                # released or dropped by a view change.
+                heappop(heap)
+                continue
+            if not entry[3]:
                 if not self._repair_armed:
                     self._repair_armed = True
                     self.member.set_timer(
                         self.commit_repair_delay, self._request_commit_repair
                     )
                 break
-            del self._pending[head_id]
-            self._release(msg)
-            out.append(msg)
+            heappop(heap)
+            del pending[head_id]
+            self._release(entry[0])
+            out.append(entry[0])
         return out
 
     def poke(self) -> List[DataMessage]:

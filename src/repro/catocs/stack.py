@@ -168,10 +168,7 @@ class ProtocolStack:
         self.transmit(msg)
 
     def transmit(self, msg: DataMessage) -> None:
-        member = self.member
-        for pid in member.view_members:
-            if pid != member.pid:
-                member.send(pid, msg)
+        self.member.send_peers(msg)
 
     def receive_data(self, src: str, msg: DataMessage) -> Optional[DataMessage]:
         """Run an incoming data message up through the transport layers.

@@ -367,9 +367,7 @@ class StabilityLayer(ProtocolLayer):
             sender=self.member.pid,
             ack_vector=dict(self._counts()),
         )
-        for pid in self.member.view_members:
-            if pid != self.member.pid:
-                self.member.send(pid, gossip)
+        self.member.send_peers(gossip)
         self.member.set_timer(self.ack_period, self._gossip_tick)
 
     def check_stability(self) -> None:

@@ -19,16 +19,26 @@ points runtime → sim, never back.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Protocol, Set, Tuple, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Iterable,
+    Optional,
+    Protocol,
+    Set,
+    Tuple,
+    runtime_checkable,
+)
 
 from repro.sim.network import LinkModel, NetworkStats, Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import Process
 
-#: Attribute names every transport backend must expose.  Kept as data so
-#: tests (and debugging sessions) can diff an implementation against the
-#: seam without relying on ``isinstance`` semantics for non-callable members.
+#: The 15 attribute names every transport backend must expose.  Kept as
+#: data so tests (and debugging sessions) can diff an implementation against
+#: the seam without relying on ``isinstance`` semantics for non-callable
+#: members.
 TRANSPORT_SURFACE: Tuple[str, ...] = (
     # wiring
     "attach",
@@ -44,8 +54,9 @@ TRANSPORT_SURFACE: Tuple[str, ...] = (
     "heal",
     "connected",
     "note_crash",
-    # data path and accounting
+    # data path (one destination / a fan-out) and accounting
     "send",
+    "multicast",
     "stats",
 )
 
@@ -59,6 +70,13 @@ class Transport(Protocol):
     latency/jitter/loss model, honours partitions, and counts traffic in
     ``stats``.  Delivery happens by calling ``dst``'s
     ``Process._receive_packet`` with a :class:`~repro.sim.network.Packet`.
+
+    ``multicast(src, dsts, payload)`` is the fan-out form: one ``send`` per
+    destination, in order, with the work that depends on the payload alone
+    done once (the simulator sizes it, the socket backend encodes it).  It
+    hands that result to ``send`` as a fourth positional argument, which
+    each backend defines for its own ``multicast`` and no other caller
+    passes — so anything standing in for ``send`` must forward it.
     """
 
     sim: Any  # the clock the attached processes schedule against
@@ -86,7 +104,10 @@ class Transport(Protocol):
 
     def note_crash(self, pid: str) -> None: ...
 
-    def send(self, src: str, dst: str, payload: Any) -> Optional[Packet]: ...
+    def send(self, src: str, dst: str, payload: Any,
+             prepared: Any = None) -> Optional[Packet]: ...
+
+    def multicast(self, src: str, dsts: Iterable[str], payload: Any) -> None: ...
 
 
 def missing_surface(transport: Any) -> Tuple[str, ...]:

@@ -24,7 +24,7 @@ and flushed on start.  Malformed or truncated datagrams are counted in
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.runtime import codec
 from repro.runtime.asyncio_rt import AsyncioClock
@@ -181,10 +181,14 @@ class UdpNetwork:
 
     # -- data path --------------------------------------------------------------------------
 
-    def send(self, src: str, dst: str, payload: Any) -> Optional[Packet]:
+    def send(self, src: str, dst: str, payload: Any,
+             data: Optional[bytes] = None) -> Optional[Packet]:
+        """Encode and transmit one datagram.  ``data`` is for
+        :meth:`multicast`, which has already encoded the payload."""
         if dst not in self._processes and dst not in self._addrs:
             raise KeyError(f"unknown destination: {dst}")
-        data = codec.encode_datagram(src, payload)
+        if data is None:
+            data = codec.encode_datagram(src, payload)
         size = len(data)
         self._packet_ids += 1
         packet = Packet(packet_id=self._packet_ids, src=src, dst=dst,
@@ -208,6 +212,13 @@ class UdpNetwork:
         else:
             self._transmit(src, dst, data)
         return packet
+
+    def multicast(self, src: str, dsts: Iterable[str], payload: Any) -> None:
+        """One :meth:`send` per destination, in order, of a datagram that
+        is encoded once: the bytes depend on ``src`` and ``payload`` only."""
+        data = codec.encode_datagram(src, payload)
+        for dst in dsts:
+            self.send(src, dst, payload, data)
 
     def _transmit(self, src: str, dst: str, data: bytes) -> None:
         if not self._started:

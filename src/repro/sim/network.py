@@ -22,7 +22,7 @@ delays referenced to pre-partition ghosts.
 This class is also the reference implementation of the transport seam
 (:class:`repro.runtime.transport.Transport`, a structural protocol — this
 module never imports the runtime): ``UdpNetwork`` exposes the same
-attach/send/link-model/partition surface, so the protocol stacks run
+attach/send/multicast/link-model/partition surface, so the protocol stacks run
 unchanged over real UDP loopback sockets on a wall-clock event loop (see
 docs/RUNTIME.md).  ``drop_hooks`` is this class's own: only the simulator
 sees every drop as a packet it can hand to a callback.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
 from repro.sim.kernel import Simulator
 
@@ -271,16 +271,19 @@ class Network:  # repro: ignore[PERF001] -- tests monkeypatch send() per instanc
 
     # -- transport ----------------------------------------------------------
 
-    def send(self, src: str, dst: str, payload: Any) -> Optional[Packet]:
+    def send(self, src: str, dst: str, payload: Any,
+             size: Optional[int] = None) -> Optional[Packet]:
         """Transmit ``payload`` from ``src`` to ``dst``.
 
         Returns the in-flight :class:`Packet`, or None if it was dropped (by
         loss, partition, or a crashed destination at send time — the common
-        failure model for datagram networks).
+        failure model for datagram networks).  ``size`` is for
+        :meth:`multicast`, which has already sized the payload.
         """
         if dst not in self._processes:
             raise KeyError(f"unknown destination: {dst}")
-        size = estimate_size(payload)
+        if size is None:
+            size = estimate_size(payload)
         stats = self.stats
         packet = Packet(
             packet_id=next(self._packet_ids),
@@ -320,6 +323,18 @@ class Network:  # repro: ignore[PERF001] -- tests monkeypatch send() per instanc
         hist.observe(arrival - self.sim.now)
         self.sim.call_at(arrival, self._deliver, packet)
         return packet
+
+    def multicast(self, src: str, dsts: Iterable[str], payload: Any) -> None:
+        """Transmit one ``payload`` from ``src`` to each of ``dsts``, in order.
+
+        Same as one :meth:`send` per destination — every destination still
+        goes through ``send``, with its own drop and latency samples — but
+        the payload is sized once for the whole fan-out, not once per copy.
+        """
+        size = estimate_size(payload)
+        send = self.send
+        for dst in dsts:
+            send(src, dst, payload, size)
 
     def _deliver(self, packet: Packet) -> None:
         if (packet.link_epoch is not None

@@ -15,7 +15,7 @@ explicitly.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Type
+from typing import Any, Callable, Dict, Iterable, List, Type
 
 from repro.sim.kernel import Simulator, Timer
 from repro.sim.network import Network, Packet
@@ -116,6 +116,13 @@ class Process:
         if not self.alive:
             return
         self.network.send(self.pid, dst, payload)
+
+    def send_many(self, dsts: Iterable[str], payload: Any) -> None:
+        """Send one payload to each of ``dsts`` through the network's
+        fan-out primitive.  No-op while crashed."""
+        if not self.alive:
+            return
+        self.network.multicast(self.pid, dsts, payload)
 
     def set_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> Timer:
         """Arm a timer that fires ``fn(*args)`` unless this process crashes."""

@@ -54,9 +54,9 @@ def test_single_payload_ticks_stay_unwrapped():
     seen = []
     original = net.send
 
-    def sniff(src, dst, payload):
+    def sniff(src, dst, payload, *sized):
         seen.append(type(payload).__name__)
-        return original(src, dst, payload)
+        return original(src, dst, payload, *sized)
 
     net.send = sniff
     members = build_group(sim, net, ["a", "b"], ordering="causal",

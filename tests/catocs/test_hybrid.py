@@ -10,13 +10,13 @@ def _lossy_first_to(net, src, dst, seq):
     state = {"dropped": False}
     original = net.send
 
-    def wrapper(s, d, payload):
+    def wrapper(s, d, payload, *sized):
         if (s, d) == (src, dst) and isinstance(payload, DataMessage) \
                 and payload.seq == seq and not payload.retransmit \
                 and not state["dropped"]:
             state["dropped"] = True
             return None
-        return original(s, d, payload)
+        return original(s, d, payload, *sized)
 
     net.send = wrapper
 

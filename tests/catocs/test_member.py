@@ -93,3 +93,56 @@ def test_delivered_payloads_in_order():
         sim.call_at(float(i), members["a"].multicast, i)
     sim.run(until=100)
     assert members["b"].delivered_payloads() == [0, 1, 2, 3, 4]
+
+
+def _fan_out_counters(seed, ordering, stack=None, with_membership=False, leave=None):
+    """Forty round-robin multicasts through a 4-member group at 5% loss;
+    the counters every peer fan-out (data, gossip, control, heartbeat,
+    leave announce) keeps or feeds."""
+    sim = Simulator(seed=seed)
+    net = Network(sim, LinkModel(latency=3.0, jitter=2.0, drop_prob=0.05))
+    pids = ["p0", "p1", "p2", "p3"]
+    group = build_group(sim, net, pids, ordering=ordering, stack=stack,
+                        with_membership=with_membership)
+    for k in range(40):
+        sim.call_at(1.0 + k, group[pids[k % 4]].multicast, k)
+    if leave is not None:
+        sim.call_at(60.0, group[leave].membership.leave)
+    sim.run(until=600.0)
+    members = list(group.values())
+    counters = {
+        "control_sent": [m.control_sent for m in members],
+        "wire": (net.stats.sent, net.stats.bytes_sent, net.stats.dropped),
+    }
+    if with_membership:
+        counters["heartbeats_sent"] = [
+            m.failure_detector.heartbeats_sent for m in members]
+    if stack is not None:
+        batchers = [m.stack.layer("batch") for m in members]
+        counters["singles_sent"] = [b.singles_sent for b in batchers]
+        counters["batches_sent"] = [b.batches_sent for b in batchers]
+    return counters
+
+
+def test_peer_fan_out_keeps_the_counters_the_per_peer_loops_kept():
+    """Values recorded from the hand-rolled ``for pid in view_members``
+    loops that ``send_peers`` replaced, same seeds."""
+    assert _fan_out_counters(22, "total-agreed", with_membership=True,
+                             leave="p3") == {
+        "control_sent": [76, 75, 70, 71],
+        "wire": (1047, 72925, 59),
+        "heartbeats_sent": [127, 127, 127, 33],
+    }
+    assert _fan_out_counters(24, "hybrid-causal") == {
+        "control_sent": [9, 6, 6, 6],
+        "wire": (155, 11661, 4),
+    }
+    assert _fan_out_counters(
+        26, "total-agreed", stack="dedup|batch|stability|total-agreed",
+        with_membership=True) == {
+        "control_sent": [76, 83, 78, 73],
+        "wire": (1121, 108279, 60),
+        "heartbeats_sent": [180, 180, 180, 180],
+        "singles_sent": [194, 179, 186, 181],
+        "batches_sent": [92, 101, 94, 94],
+    }

@@ -7,6 +7,8 @@ what each layer releases.
 from typing import Any, List, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catocs.messages import (
     DataMessage,
@@ -276,3 +278,88 @@ def test_agreed_order_uncommitted_head_blocks():
                                                msg_id=("a", 1), priority=11,
                                                tiebreak="c"))
     assert [o.msg_id for o in out] == [("b", 1), ("a", 1)]
+
+
+def test_agreed_order_commit_that_overtakes_its_data_still_delivers():
+    """Liveness regression: commit, then the data, then the commit-repair
+    answer.  The late data used to become an uncommitted entry with a fresh
+    proposal, and the repair answer was ignored as already committed."""
+    member = FakeMember(pid="c", members=("a", "b", "c"))
+    layer = TotalAgreedOrdering(member)
+    m = data("a", 1)
+    commit = PriorityCommit(group="g", sender="a", msg_id=("a", 1),
+                            priority=4, tiebreak="b")
+    assert layer.on_control("a", commit) == []  # nothing to place yet
+    assert layer.insert(m) == [m]  # takes the agreed place at once
+    assert member.sent == []  # and proposes nothing: agreement is over
+    assert layer.on_control("a", commit) == []  # the repair answer is a no-op
+    assert layer._pending == {} and layer._heap == []
+    assert layer.pending() == 0
+
+
+# -- heap-ordered hold-back set vs. a min()-over-dict model ---------------------------
+
+_IDS = [(sender, seq) for sender in ("a", "b", "me") for seq in (1, 2, 3)]
+_PIDS = ("a", "b", "me")
+
+_agreed_steps = st.one_of(
+    st.tuples(st.just("data"), st.sampled_from(_IDS)),
+    st.tuples(st.just("proposal"), st.sampled_from(_IDS),
+              st.sampled_from(_PIDS), st.integers(1, 12)),
+    st.tuples(st.just("commit"), st.sampled_from(_IDS),
+              st.integers(1, 12), st.sampled_from(_PIDS)),
+    st.tuples(st.just("view_drop"), st.sampled_from(("a", "b"))),
+    st.tuples(st.just("poke")),
+)
+
+
+def _min_scan_drain(pending):
+    """The release rule the heap replaced: repeatedly take the entry with the
+    least (priority, tiebreak, id); stop at the first uncommitted one."""
+    pending = dict(pending)
+    out = []
+    while pending:
+        head = min(pending, key=lambda mid: (pending[mid][1], pending[mid][2], mid))
+        if not pending[head][3]:
+            break
+        out.append(pending.pop(head)[0])
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_agreed_steps, min_size=1, max_size=40))
+def test_agreed_order_heap_releases_exactly_what_a_min_scan_would(program):
+    member = FakeMember(pid="me", members=_PIDS)
+    layer = TotalAgreedOrdering(member)
+    heap_drain = layer._drain
+
+    def checked_drain():
+        expected = _min_scan_drain(layer._pending)
+        got = heap_drain()
+        assert got == expected
+        return got
+
+    layer._drain = checked_drain  # every drain any step makes is compared
+    for step in program:
+        if step[0] == "data":
+            msg = data(*step[1])
+            (layer.accept_local if msg.sender == "me" else layer.insert)(msg)
+        elif step[0] == "proposal":
+            _, msg_id, proposer, priority = step
+            layer.on_control(proposer, PriorityProposal(
+                group="g", proposer=proposer, msg_id=msg_id, priority=priority))
+        elif step[0] == "commit":
+            _, msg_id, priority, tiebreak = step
+            layer.on_control(msg_id[0], PriorityCommit(
+                group="g", sender=msg_id[0], msg_id=msg_id,
+                priority=priority, tiebreak=tiebreak))
+        elif step[0] == "view_drop":
+            layer.on_view_install({}, {step[1]: 0})
+        layer.poke()  # what the member does after every event
+        # Every held entry's live key is in the heap, and the heap empties
+        # with the hold-back set (stale keys do not outlive it).
+        keys = set(layer._heap)
+        for msg_id, (_msg, priority, tiebreak, _done) in layer._pending.items():
+            assert (priority, tiebreak, msg_id) in keys
+        if not layer._pending:
+            assert layer._heap == []

@@ -89,14 +89,14 @@ def test_hybrid_stack_serves_nak_from_sender_retention():
     drop_first = {"count": 0}
     original_send = net.send
 
-    def lossy_send(src, dst, payload):
+    def lossy_send(src, dst, payload, *sized):
         from repro.catocs.messages import DataMessage
         if (src, dst) == ("p", "q") and isinstance(payload, DataMessage) \
                 and payload.seq == 1 and not payload.retransmit \
                 and drop_first["count"] == 0:
             drop_first["count"] += 1
             return None
-        return original_send(src, dst, payload)
+        return original_send(src, dst, payload, *sized)
 
     net.send = lossy_send
     sim.call_at(10.0, members["p"].multicast, {"n": 1})

@@ -46,7 +46,57 @@ def test_both_backends_implement_the_transport_seam():
     sim_net = Network(Simulator(seed=0))
     assert missing_surface(sim_net) == ()
     assert isinstance(sim_net, Transport)
-    assert len(TRANSPORT_SURFACE) >= 14  # the seam is the whole Network API
+    assert len(TRANSPORT_SURFACE) == 15  # the seam is the whole Network API
+    assert "multicast" in TRANSPORT_SURFACE
+
+
+def test_udp_multicast_encodes_once_and_sends_identical_bytes(monkeypatch):
+    """The fan-out primitive encodes the datagram once; what reaches each
+    destination's socket is byte-for-byte what a per-destination ``send``
+    puts there."""
+    from repro.runtime import codec
+    from repro.sim.process import Process
+
+    payload = {"k": [1, 2, 3], "who": "a"}
+
+    async def scenario(fan_out):
+        clock = AsyncioClock(seed=7)
+        net = UdpNetwork(clock)
+        for pid in ("a", "b", "c", "d"):
+            Process(clock, net, pid)
+        await net.start()
+        on_wire = {}
+        monkeypatch.setattr(  # slotted class: patch the receive hook there
+            UdpNetwork, "_on_datagram",
+            lambda self, dst, data: on_wire.setdefault(dst, []).append(data))
+        real_encode = codec.encode_datagram
+        encodes = []
+
+        def counting_encode(src, body):
+            encodes.append(src)
+            return real_encode(src, body)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(codec, "encode_datagram", counting_encode)
+            fan_out(net)
+        await run_for(0.1)
+        net.close()
+        return len(encodes), on_wire, net.stats.snapshot()
+
+    def by_multicast(net):
+        net.multicast("a", ["b", "c", "d"], payload)
+
+    def by_sends(net):
+        for dst in ("b", "c", "d"):
+            net.send("a", dst, payload)
+
+    encodes, on_wire, stats = asyncio.run(scenario(by_multicast))
+    assert encodes == 1
+    loop_encodes, loop_on_wire, loop_stats = asyncio.run(scenario(by_sends))
+    assert loop_encodes == 3
+    assert on_wire == loop_on_wire
+    assert sorted(on_wire) == ["b", "c", "d"]
+    assert stats == loop_stats and stats["sent"] == 3
 
 
 def test_causal_group_over_udp_loopback():

@@ -168,3 +168,80 @@ def test_drop_hooks_fire_on_every_drop_kind():
     sim.call_at(3.0, a.send, "b", "to-crashed")
     sim.run()
     assert dropped == ["partitioned", "to-crashed"]
+
+
+class PacketLog(Process):
+    def __init__(self, sim, net, pid):
+        super().__init__(sim, net, pid)
+        self.packets = []
+
+    def _receive_packet(self, packet):
+        self.packets.append((self.sim.now, packet.packet_id, packet.src,
+                             packet.size, packet.send_time, packet.link_epoch))
+
+
+def _fan_out_run(fan_out):
+    """Six rounds of one payload from ``a`` to ``b``..``e`` over a lossy,
+    jittery network with one FIFO link and a partition that comes and goes;
+    ``fan_out(net, src, dsts, payload)`` does the sending."""
+    sim = Simulator(seed=11)
+    net = Network(sim, LinkModel(latency=4.0, jitter=3.0, drop_prob=0.25))
+    nodes = {pid: PacketLog(sim, net, pid) for pid in "abcde"}
+    net.set_link("a", "c", LinkModel(latency=9.0, jitter=2.0, fifo=True))
+    wire = []
+    net.drop_hooks.append(
+        lambda p: wire.append(("drop", p.packet_id, p.dst, p.size, sim.now)))
+    sim.call_at(20.0, net.partition, {"a", "b", "c"}, {"d", "e"})
+    sim.call_at(40.0, net.heal)
+    for k in range(6):
+        payload = {"round": k, "body": "x" * (3 * k)}
+        sim.call_at(10.0 * k, fan_out, net, "a", ["b", "c", "d", "e"], payload)
+    sim.run()
+    arrivals = {pid: node.packets for pid, node in nodes.items()}
+    return net.stats.snapshot(), wire, arrivals, sim.rng.getstate()
+
+
+def test_multicast_is_one_send_per_destination_sized_once():
+    def loop_of_sends(net, src, dsts, payload):
+        for dst in dsts:
+            net.send(src, dst, payload)
+
+    by_loop = _fan_out_run(loop_of_sends)
+    by_multicast = _fan_out_run(Network.multicast)
+    assert by_multicast == by_loop
+    stats = by_loop[0]  # the run did meet loss, the partition and delivery
+    assert stats["dropped"] and stats["partitioned"] and stats["delivered"]
+
+
+def test_multicast_sizes_the_payload_once_and_enters_through_send():
+    class Sized:
+        calls = 0
+
+        def size_bytes(self):
+            Sized.calls += 1
+            return 42
+
+    sim, net, a, b = build()
+    c = Recorder(sim, net, "c")
+    seen = []
+    original = net.send
+
+    def sniff(src, dst, payload, *sized):
+        seen.append((dst, sized))
+        return original(src, dst, payload, *sized)
+
+    net.send = sniff
+    a.send_many(["b", "c"], Sized())
+    sim.run()
+    assert Sized.calls == 1
+    assert seen == [("b", (42,)), ("c", (42,))]
+    assert net.stats.bytes_sent == net.stats.bytes_delivered == 84
+    assert len(b.received) == len(c.received) == 1
+
+
+def test_send_many_is_a_no_op_while_crashed():
+    sim, net, a, b = build()
+    a.crash()
+    a.send_many(["b"], "x")
+    sim.run()
+    assert net.stats.sent == 0
