@@ -7,6 +7,10 @@ They catch performance regressions in the substrate that every experiment
 stands on.
 """
 
+import itertools
+
+import pytest
+
 from repro.catocs import build_group
 from repro.ordering import ClockDomain, MatrixClock, VectorClock
 from repro.sim import LinkModel, Network, Simulator
@@ -147,15 +151,28 @@ def test_trace_filtering_throughput(benchmark):
     assert benchmark(run) == 1000 + 33_333
 
 
-def test_matrix_clock_stability_scan(benchmark):
-    matrix = MatrixClock([f"p{i}" for i in range(16)])
-    for i in range(16):
-        matrix.update_row(f"p{i}", VectorClock({f"p{j}": j + i for j in range(16)}))
+@pytest.mark.parametrize("size", [16, 128])
+def test_matrix_clock_stability_scan(benchmark, size):
+    """Rows learn a growing ack vector round-robin, as mappings, and the
+    frontier is read after each.  A step costs O(N) for the mapping itself;
+    recomputing the frontier made it O(N^2) — so the two sizes' timings
+    should stand about 8x apart, not 64x."""
+    pids = [f"p{i}" for i in range(size)]
+    matrix = MatrixClock(pids)
+    counts = dict.fromkeys(pids, 0)
+    steps = itertools.count()
 
     def run():
         total = 0
-        for _ in range(200):
-            total += sum(matrix.min_vector().as_dict().values())
+        for _ in range(256):
+            pid = pids[next(steps) % size]
+            counts[pid] += 1
+            matrix.update_row(pid, counts)
+            total += matrix.min_vector()[pid]
         return total
 
-    assert benchmark(run) > 0
+    assert benchmark(run) >= 0
+    rows = [matrix.row(pid) for pid in pids]
+    assert matrix.min_vector().as_dict() == {
+        subject: min(row[subject] for row in rows) for subject in pids
+    }

@@ -83,7 +83,8 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "DataMessage.size_bytes",
     }),
     "repro.ordering.matrix": frozenset({
-        "MatrixClock.min_vector",
+        "MatrixClock.update_row", "MatrixClock.set_component",
+        "MatrixClock._left_minimum",
     }),
     "repro.ordering.dense": frozenset({
         "DenseVectorClock.stamped", "DenseVectorClock.advance",

@@ -88,7 +88,6 @@ class GroupInstrumentation:
 
     def __init__(self) -> None:
         self.graph = CausalGraph()
-        self._stabilized: set = set()
 
     def on_send(self, msg: DataMessage) -> None:
         predecessors = set()
@@ -102,9 +101,7 @@ class GroupInstrumentation:
         self.graph.add_message(msg.msg_id, predecessors, size=msg.size_bytes())
 
     def on_stable(self, msg_id: MsgId) -> None:
-        if msg_id in self._stabilized:
-            return
-        self._stabilized.add(msg_id)
+        # Every member reports each id once; the graph ignores all but the first.
         self.graph.stabilize(msg_id)
 
     def metrics(self) -> Dict[str, int]:

@@ -16,8 +16,9 @@ Sits between the raw (lossy, reordering) network and the ordering layers:
   exactly the buffering whose growth Section 5 analyses; peak occupancy is
   instrumented per member.  Each outgoing data message piggybacks the
   sender's contiguous receive counts; a periodic gossip covers quiet
-  senders.  A :class:`~repro.ordering.matrix.MatrixClock` per member derives
-  the stable frontier as the componentwise minimum over rows.
+  senders.  A :class:`~repro.ordering.matrix.MatrixClock` per member
+  maintains the stable frontier (the componentwise minimum over rows) as
+  acknowledgements arrive; the buffer is swept only when that frontier moves.
 
 The two layers are deliberately *coupled through documented peer services*
 rather than a pure linear pipeline: the wire format piggybacks ack vectors
@@ -43,7 +44,9 @@ deficiency, which experiment E09 demonstrates.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set
+from collections import defaultdict
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.catocs.messages import AckGossip, DataMessage, MsgId, Nak
 from repro.catocs.stack import ProtocolLayer, ProtocolStack, register_layer
@@ -283,6 +286,14 @@ class StabilityLayer(ProtocolLayer):
         #: is sized once, on entry, and trimmed by exactly that amount
         self._entry_bytes: Dict[MsgId, int] = {}
         self._buffered_bytes = 0
+        #: per sender, a heap of (seq, arrival, msg_id) over the buffered
+        #: ids: a sweep reads the heads instead of the whole buffer, and
+        #: ``arrival`` restores buffer order among what it releases
+        self._held: Dict[str, List[Tuple[int, int, MsgId]]] = defaultdict(list)
+        self._arrivals = 0
+        #: ``matrix.moves`` as of the last sweep; ``None`` forces the next
+        #: ``check_stability`` to sweep
+        self._swept_at: Optional[int] = None
         self.peak_buffered = 0
         self.peak_buffered_bytes = 0
         self.gossip_sent = 0
@@ -327,14 +338,15 @@ class StabilityLayer(ProtocolLayer):
         Surviving members' rows restart from our own first-hand knowledge
         and re-converge through piggybacked acks and gossip.
         """
-        self.matrix = MatrixClock(list(members))
-        self.matrix.update_row(self.member.pid, self.matrix.make_clock(self._counts()))
+        self.matrix = MatrixClock(members)
+        self.matrix.update_row(self.member.pid, self._counts())
+        self._swept_at = None  # a new matrix: its frontier is not the swept one
         self.check_stability()
 
     # -- peer services (called by the dedup layer mid-choreography) ----------------
 
     def absorb_ack_vector(self, sender: str, ack_vector: Dict[str, int]) -> None:
-        self.matrix.update_row(sender, self.matrix.make_clock(ack_vector))
+        self.matrix.update_row(sender, ack_vector)
 
     def note_sender_holds(self, sender: str, seq: int) -> None:
         self.matrix.set_component(sender, sender, seq)
@@ -342,8 +354,19 @@ class StabilityLayer(ProtocolLayer):
     def buffer_message(self, msg: DataMessage) -> None:
         mid = msg.msg_id
         size = msg.size_bytes()
+        held = self._entry_bytes.get(mid)
+        if held is None:
+            held = 0
+            sender, seq = mid
+            self._arrivals += 1
+            heappush(self._held[sender], (seq, self._arrivals, mid))
+            if self.matrix.stable(sender, seq):
+                # Buffered under the frontier (never through receive_up:
+                # own row <= contiguous < seq): the next check_stability
+                # must sweep though nothing moved.
+                self._swept_at = None
         # Re-buffering under an existing id replaces that entry's bytes.
-        self._buffered_bytes += size - self._entry_bytes.get(mid, 0)
+        self._buffered_bytes += size - held
         self._entry_bytes[mid] = size
         self.buffer[mid] = msg
         if len(self.buffer) > self.peak_buffered:
@@ -353,7 +376,7 @@ class StabilityLayer(ProtocolLayer):
 
     def publish_own_counts(self, contiguous: Dict[str, int]) -> None:
         # Our own receive state is first-hand knowledge for the matrix.
-        self.matrix.update_row(self.member.pid, self.matrix.make_clock(contiguous))
+        self.matrix.update_row(self.member.pid, contiguous)
 
     def repair_lookup(self, msg_id: MsgId) -> Optional[DataMessage]:
         return self.buffer.get(msg_id)
@@ -371,11 +394,21 @@ class StabilityLayer(ProtocolLayer):
         self.member.set_timer(self.ack_period, self._gossip_tick)
 
     def check_stability(self) -> None:
-        stable = self.matrix.min_vector()
-        newly_stable = [
-            mid for mid in self.buffer if mid[1] <= stable[mid[0]]
-        ]
-        for mid in newly_stable:
+        """Release every buffered message the stable frontier covers, in
+        buffer order.  Returns at once while the frontier stands where the
+        last sweep left it."""
+        moves = self.matrix.moves
+        if moves == self._swept_at:
+            return
+        self._swept_at = moves
+        stable = self.matrix.min_vector().as_dict()
+        newly_stable = []
+        for sender, heap in self._held.items():
+            covered = stable.get(sender, 0)
+            while heap and heap[0][0] <= covered:
+                newly_stable.append(heappop(heap)[1:])
+        newly_stable.sort()
+        for _, mid in newly_stable:
             del self.buffer[mid]
             self._buffered_bytes -= self._entry_bytes.pop(mid)
             for hook in self.stable_hooks:

@@ -73,6 +73,23 @@ def test_instrumentation_sees_sends_and_stability():
     assert metrics["nodes"] == 0  # everything stabilised by the end
 
 
+def test_instrumentation_holds_no_per_message_state_once_all_is_stable():
+    sim = Simulator(seed=9)
+    net = Network(sim, LinkModel(latency=3.0, jitter=2.0, drop_prob=0.05))
+    instr = GroupInstrumentation()
+    pids = ["a", "b", "c", "d"]
+    members = build_group(sim, net, pids, ordering="causal", instrumentation=instr)
+    for k in range(40):
+        sim.call_at(1.0 + k, members[pids[k % 4]].multicast, k)
+    sim.run(until=2000)
+    assert all(len(m.delivered) == 40 and not m.transport.buffer for m in members.values())
+    assert instr.graph.peak_nodes > 1
+    for holder in (instr, instr.graph):
+        grown = {name: value for name, value in vars(holder).items()
+                 if isinstance(value, (set, dict, list)) and value}
+        assert not grown, grown
+
+
 def test_sequencer_is_lowest_unsuspected_pid():
     sim = Simulator()
     net = Network(sim, LinkModel())

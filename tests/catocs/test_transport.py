@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catocs import build_group
-from repro.catocs.messages import DataMessage
+from repro.catocs.messages import AckGossip, DataMessage
+from repro.experiments.e16_stability import _run as e16_run
 from repro.sim import FailureInjector, LinkModel, Network, Simulator
 
 
@@ -157,6 +158,10 @@ def _stability_layer():
     return members["p0"].stack.layer("stability"), members["p0"].stack.layer("dedup")
 
 
+def _brute_force_frontier(matrix):
+    return {s: min(matrix.row(pid)[s] for pid in matrix.pids) for s in matrix.pids}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.one_of(_buffer_op, _ack_op, _view_op), min_size=1, max_size=40))
 def test_running_byte_total_matches_brute_force_sum(ops):
@@ -178,12 +183,190 @@ def test_running_byte_total_matches_brute_force_sum(ops):
             _, others, counts = op
             dedup.contiguous.update(counts)  # the rebuilt matrix restarts from these
             layer.on_membership_changed(["p0", *sorted(others)])
+        if op[0] != "buffer":  # both other ops end in check_stability
+            frontier = _brute_force_frontier(layer.matrix)
+            assert not [m for m in layer.buffer if m[1] <= frontier.get(m[0], 0)], op
         brute = sum(m.size_bytes() for m in layer.buffer.values())
         peak = max(peak, brute)
         assert layer.buffered_bytes() == brute, op
         assert layer.layer_metrics()["buffered_bytes"] == brute, op
         assert layer.peak_buffered_bytes == peak, op
         assert set(layer._entry_bytes) == set(layer.buffer), op
+
+
+# -- the swept-on-move buffer vs recompute-and-scan ---------------------------------
+
+_receive_op = st.tuples(
+    st.just("receive"),
+    st.sampled_from(PIDS[1:]),                # sender
+    st.integers(min_value=1, max_value=6),    # seq: gaps, duplicates, out of order
+    st.one_of(st.none(), _counts),            # piggybacked ack vector
+)
+_send_op = st.tuples(st.just("send"), st.integers(min_value=0, max_value=40))
+_gossip_op = st.tuples(st.just("gossip"), st.sampled_from(PIDS[1:]), _counts)
+
+
+class ReferenceStability:
+    """What ``StabilityLayer`` used to do: recompute the frontier over every
+    row, then scan the whole buffer, on every check."""
+
+    def __init__(self, own, members):
+        self.own = own
+        self.rows = {pid: {} for pid in members}
+        self.buffer = {}     # msg id -> bytes, in buffer order
+        self.released = []
+        self.peak_buffered = self.peak_buffered_bytes = 0
+
+    def learn(self, observer, counts):
+        row = self.rows.get(observer)
+        if row is not None:
+            for subject, count in counts.items():
+                row[subject] = max(row.get(subject, 0), count)
+
+    def hold(self, msg):
+        self.buffer[msg.msg_id] = msg.size_bytes()
+        self.peak_buffered = max(self.peak_buffered, len(self.buffer))
+        self.peak_buffered_bytes = max(self.peak_buffered_bytes, sum(self.buffer.values()))
+
+    def rebuild(self, members, contiguous):
+        self.rows = {pid: {} for pid in members}
+        self.learn(self.own, contiguous)
+        self.check()
+
+    def check(self):
+        frontier = {
+            s: min(row.get(s, 0) for row in self.rows.values()) for s in self.rows
+        }
+        for mid in [m for m in self.buffer if m[1] <= frontier.get(m[0], 0)]:
+            del self.buffer[mid]
+            self.released.append(mid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.one_of(_buffer_op, _ack_op, _view_op, _receive_op, _send_op, _gossip_op),
+    min_size=1, max_size=40,
+))
+def test_stability_layer_matches_recompute_and_scan(ops):
+    layer, dedup = _stability_layer()
+    reference = ReferenceStability("p0", PIDS)
+    hooked = []
+    layer.stable_hooks.append(hooked.append)
+    for op in ops:
+        if op[0] == "buffer":
+            _, sender, seq, length, with_acks = op
+            msg = DataMessage(
+                group="group", sender=sender, seq=seq, payload="x" * length, sent_at=0.0,
+                ack_vector=dict.fromkeys(PIDS, 0) if with_acks else None,
+            )
+            layer.buffer_message(msg)
+            reference.hold(msg)
+        elif op[0] == "ack":
+            _, observers, counts = op
+            for observer in sorted(observers):
+                layer.absorb_ack_vector(observer, counts)
+                reference.learn(observer, counts)
+            layer.check_stability()
+            reference.check()
+        elif op[0] == "view":
+            _, others, counts = op
+            members = ["p0", *sorted(others)]
+            dedup.contiguous.update(counts)
+            layer.on_membership_changed(members)
+            reference.rebuild(members, dedup.contiguous)
+        elif op[0] == "receive":
+            _, sender, seq, acks = op
+            msg = DataMessage(group="group", sender=sender, seq=seq, payload=seq,
+                              sent_at=0.0, ack_vector=acks)
+            fresh = dedup.receive_up(sender, msg) is not None
+            reference.learn(sender, acks or {})
+            reference.learn(sender, {sender: seq})
+            if fresh:
+                reference.hold(msg)
+            reference.learn("p0", dedup.contiguous)
+            reference.check()
+        elif op[0] == "send":
+            msg = DataMessage(group="group", sender="p0", seq=dedup.contiguous["p0"] + 1,
+                              payload="x" * op[1], sent_at=0.0)
+            layer.send_down(msg)   # the stack pushes top to bottom
+            dedup.send_down(msg)
+            reference.hold(msg)    # sized with the ack vector send_down attached
+            reference.learn("p0", dedup.contiguous)
+        else:
+            _, sender, counts = op
+            layer.on_control(sender, AckGossip(group="group", sender=sender, ack_vector=counts))
+            reference.learn(sender, counts)
+            reference.check()
+        assert list(layer.buffer) == list(reference.buffer), op
+        assert hooked == reference.released, op
+        assert layer.peak_buffered == reference.peak_buffered, op
+        assert layer.peak_buffered_bytes == reference.peak_buffered_bytes, op
+
+
+def test_view_change_sweeps_even_when_the_move_counts_coincide():
+    # The rebuilt matrix counts its frontier moves from zero again; landing
+    # on the count the layer last swept at must not read as "nothing moved".
+    layer, dedup = _stability_layer()
+    for observer in PIDS:
+        layer.absorb_ack_vector(observer, {"p1": 1})
+    layer.check_stability()
+    assert layer.matrix.moves == 1
+    layer.buffer_message(DataMessage(group="group", sender="p0", seq=1, payload="x", sent_at=0.0))
+    dedup.contiguous["p0"] = 1
+    layer.on_membership_changed(["p0"])  # alone: own counts are the frontier
+    assert layer.matrix.moves == 1
+    assert not layer.buffer
+
+
+def _stability_counters(seed, ordering, leave=None):
+    """Sixty multicasts through a 5-member group at 5% loss, optionally with
+    a member leaving mid-stream; what each member's transport counted."""
+    sim = Simulator(seed=seed)
+    net = Network(sim, LinkModel(latency=3.0, jitter=2.0, drop_prob=0.05))
+    pids = ["p0", "p1", "p2", "p3", "p4"]
+    group = build_group(sim, net, pids, ordering=ordering,
+                        with_membership=leave is not None)
+    for k in range(60):
+        sim.call_at(1.0 + k, group[pids[k % 4]].multicast, k)
+    if leave is not None:
+        sim.call_at(30.0, group[leave].membership.leave)
+    sim.run(until=900.0)
+    layers = [m.stack.layer("stability") for m in group.values()]
+    return {
+        "peak_buffered": [layer.peak_buffered for layer in layers],
+        "peak_buffered_bytes": [layer.peak_buffered_bytes for layer in layers],
+        "gossip_sent": [layer.gossip_sent for layer in layers],
+        "retransmissions": [m.transport.retransmissions for m in group.values()],
+        "left_buffered": [len(layer.buffer) for layer in layers],
+    }
+
+
+def test_maintained_frontier_keeps_the_counters_the_recomputed_one_kept():
+    """Values recorded from the min-over-every-row, scan-the-whole-buffer
+    ``check_stability`` this one replaced, same seeds."""
+    assert _stability_counters(31, "causal", leave="p4") == {
+        "peak_buffered": [38, 23, 25, 25, 20],
+        "peak_buffered_bytes": [4966, 3036, 3300, 3250, 2640],
+        "gossip_sent": [45, 45, 45, 45, 13],
+        "retransmissions": [3, 5, 2, 0, 0],
+        "left_buffered": [0, 0, 0, 0, 0],
+    }
+    assert _stability_counters(33, "total-agreed") == {
+        "peak_buffered": [24, 24, 26, 25, 21],
+        "peak_buffered_bytes": [1868, 1968, 2132, 2050, 1722],
+        "gossip_sent": [45, 45, 45, 45, 45],
+        "retransmissions": [6, 6, 6, 5, 1],
+        "left_buffered": [0, 0, 0, 0, 0],
+    }
+    # E16 samples every member's buffer every five time units
+    assert e16_run(0, 60.0, 6, 15) == {
+        "gossip_messages": 2040, "buffer_time_integral": 10165.0,
+        "drained_at": 70.0, "residual": 0,
+    }
+    assert e16_run(5, 240.0, 4, 10) == {
+        "gossip_messages": 204, "buffer_time_integral": 16990.0,
+        "drained_at": 250.0, "residual": 0,
+    }
 
 
 def test_transport_metrics_buffered_bytes_with_and_without_stability_layer():
