@@ -176,3 +176,25 @@ def test_matrix_clock_stability_scan(benchmark, size):
     assert matrix.min_vector().as_dict() == {
         subject: min(row[subject] for row in rows) for subject in pids
     }
+
+
+@pytest.mark.parametrize("size", [3, 24])
+def test_wire_codec_datagram(benchmark, size):
+    """One multicast in a three-member group as the socket path pays for it:
+    the stamped ``DataMessage`` is encoded once and decoded by two receivers.
+    Only the clock and the ack vector grow with the group."""
+    from repro.catocs.messages import DataMessage
+    from repro.runtime import codec
+
+    pids = tuple(f"m{i}" for i in range(size))
+    clock = ClockDomain(pids).clock({pid: 10 + i for i, pid in enumerate(pids)})
+    msg = DataMessage(group="group", sender="m2", seq=17, payload=50, sent_at=0.0667,
+                      vc=clock.stamped("m2"),
+                      ack_vector={pid: 9 + i for i, pid in enumerate(pids)})
+
+    def run():
+        data = codec.encode_datagram("m2", msg)
+        return codec.decode_datagram(data), codec.decode_datagram(data)
+
+    first, second = benchmark(run)
+    assert first == second == ("m2", msg)

@@ -11,6 +11,13 @@ interface, not a Python heap.
 
     python examples/loopback_trading.py
 
+The exit status is the verdict CI reads — this is the only place two
+separately started interpreters have to agree on the wire format: non-zero
+when either host counted a datagram it could not decode or one from a pid
+outside the group, when the hosts delivered no tick label in common, or when
+a host delivered nothing beyond its own multicasts (both feeds use the same
+seed and so the same labels; only the count shows the peer got through).
+
 See docs/RUNTIME.md for the transport seam that makes this a one-line swap,
 and `python -m repro.runtime.crossval` for the harness that checks the
 socket run agrees with the simulator anomaly-for-anomaly.
@@ -57,11 +64,11 @@ def main() -> None:
 
     print()
     print(f"{'host':>6} {'port':>6} {'sent':>6} {'delivered':>10} "
-          f"{'decode errs':>12} {'msgs/sec':>10}")
+          f"{'decode errs':>12} {'unknown src':>12} {'msgs/sec':>10}")
     for pid, report in sorted(reports.items()):
         print(f"{pid:>6} {report['address'].rsplit(':', 1)[1]:>6} "
               f"{report['multicasts_sent']:>6} {report['delivered']:>10} "
-              f"{report['decode_errors']:>12} "
+              f"{report['decode_errors']:>12} {report['unknown_sender']:>12} "
               f"{report['runtime_msgs_per_sec']:>10.0f}")
     print()
 
@@ -71,6 +78,16 @@ def main() -> None:
     print(f"labels seen by only one host        : "
           f"{len(set(orders['a']) ^ set(orders['b']))}")
     print()
+
+    rejected = {pid: report["decode_errors"] + report["unknown_sender"]
+                for pid, report in reports.items()}
+    from_peer = {pid: report["delivered"] - report["multicasts_sent"]
+                 for pid, report in reports.items()}
+    if any(rejected.values()) or not shared or min(from_peer.values()) <= 0:
+        raise SystemExit(
+            f"FAILED: the hosts do not agree on the wire (datagrams rejected per "
+            f"host: {rejected}; delivered from the peer: {from_peer}; labels in "
+            f"common: {len(shared)})")
     print("Both processes delivered their own ticks plus the peer's — every")
     print("peer message was encoded by the wire codec, carried by a real UDP")
     print("datagram across loopback, decoded, and released by the unchanged")

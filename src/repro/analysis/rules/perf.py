@@ -53,7 +53,8 @@ HOT_MODULE_PREFIXES: Tuple[str, ...] = (
 #: with ``# repro: hot``.  The ``catocs.transport``/``catocs.messages``/
 #: ``ordering.matrix`` entries are where perfbench's per-layer attribution
 #: puts most of a causal delivery (docs/PERFORMANCE.md, "Where a
-#: delivery's time goes").
+#: delivery's time goes"); the ``runtime.codec`` entry is what runs once per
+#: datagram over sockets.
 HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro.sim.kernel": frozenset({
         "Simulator.run", "Simulator._cancel",
@@ -90,6 +91,11 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "DenseVectorClock.stamped", "DenseVectorClock.advance",
         "DenseVectorClock.merge_in", "DenseVectorClock.__le__",
         "DenseVectorClock.concurrent_with",
+    }),
+    "repro.runtime.codec": frozenset({
+        "encode_datagram", "decode_datagram", "_frame", "_parse",
+        "_write", "_read", "_write_data", "_read_data",
+        "_counts_body", "_read_counts",
     }),
     "repro.runtime.udp": frozenset({
         "UdpNetwork.send", "UdpNetwork.multicast", "UdpNetwork._transmit",

@@ -9,7 +9,7 @@ behind the :class:`~repro.runtime.transport.Transport` seam:
 - :class:`~repro.runtime.asyncio_rt.AsyncioClock` — wall-clock timers on
   an asyncio event loop;
 - :class:`~repro.runtime.udp.UdpNetwork` — real UDP datagrams over loopback
-  sockets, every payload through the versioned wire codec
+  sockets, every payload through the versioned binary wire codec
   (:mod:`repro.runtime.codec`);
 - :mod:`repro.runtime.host` — a process host that runs an unchanged stack
   spec as its own OS process on a loopback port;

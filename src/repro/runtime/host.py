@@ -148,6 +148,7 @@ class StackHost:
             # asdict, not vars(): NetworkStats is slotted and has no __dict__.
             "net": asdict(self.net.stats),
             "decode_errors": net.decode_errors,
+            "unknown_sender": net.unknown_sender,
         }
 
     def _on_deliver(self, src: str, payload: Any, msg: Any) -> None:

@@ -8,7 +8,7 @@ transports:
 - :class:`repro.sim.network.Network` — the discrete-event simulator network
   (virtual time, bit-reproducible, zero-copy payload delivery);
 - :class:`repro.runtime.udp.UdpNetwork` — real UDP datagrams over loopback
-  sockets, with every payload run through the versioned wire codec
+  sockets, with every payload run through the versioned binary wire codec
   (:mod:`repro.runtime.codec`).
 
 :class:`Transport` is a :func:`typing.runtime_checkable` structural protocol

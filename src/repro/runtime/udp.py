@@ -18,7 +18,10 @@ Lifecycle: construct the network, build the members (``attach`` happens in
 the ``Process`` constructor), then ``await net.start()`` to bind the
 sockets.  Anything a stack timer sends before the bind completes is queued
 and flushed on start.  Malformed or truncated datagrams are counted in
-``decode_errors`` and dropped — a byte-flipping peer cannot crash the host.
+``decode_errors`` and dropped — a byte-flipping peer cannot crash the host —
+and so are well-formed ones whose sender pid is neither attached here nor a
+registered peer (``unknown_sender``): peers are static, so nothing the stack
+did with such a message could be answered.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ class UdpNetwork:
         "default_link",
         "stats",
         "decode_errors",
+        "unknown_sender",
         "oversize_dropped",
         "socket_errors",
         "_processes",
@@ -81,6 +85,7 @@ class UdpNetwork:
         self.default_link = default_link or LinkModel(latency=0.0)
         self.stats = NetworkStats()
         self.decode_errors = 0
+        self.unknown_sender = 0
         self.oversize_dropped = 0
         self.socket_errors = 0
         self._processes: Dict[str, "Process"] = {}
@@ -100,6 +105,7 @@ class UdpNetwork:
         registry.gauge_fn("udp.dropped", lambda: self.stats.dropped)
         registry.gauge_fn("udp.bytes_sent", lambda: self.stats.bytes_sent)
         registry.gauge_fn("udp.decode_errors", lambda: self.decode_errors)
+        registry.gauge_fn("udp.unknown_sender", lambda: self.unknown_sender)
 
     # -- wiring -----------------------------------------------------------------------------
 
@@ -236,6 +242,9 @@ class UdpNetwork:
             src, payload = codec.decode_datagram(data)
         except codec.CodecError:
             self.decode_errors += 1
+            return
+        if src not in self._addrs and src not in self._processes:
+            self.unknown_sender += 1
             return
         process = self._processes.get(dst)
         if process is None or not process.alive:

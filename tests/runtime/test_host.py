@@ -81,6 +81,7 @@ def test_two_hosts_exchange_real_datagrams():
         # Each host delivers its own 20 plus the peer's 20.
         assert report["delivered"] == 40, report
         assert report["decode_errors"] == 0
+        assert report["unknown_sender"] == 0
         assert report["runtime_msgs_per_sec"] > 0
     # Same seed, same feed: both hosts saw the identical set of tick labels.
     assert set(report_a["delivery_order"]) == set(report_b["delivery_order"])

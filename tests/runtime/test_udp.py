@@ -7,9 +7,12 @@ semantics), which hold regardless of wall-clock scheduling noise.
 """
 
 import asyncio
+import struct
 
 from repro.catocs.member import GroupMember
-from repro.runtime import AsyncioClock, UdpNetwork, run_for
+from repro.catocs.messages import AckGossip, DataMessage, Nak
+from repro.ordering.vector import VectorClock
+from repro.runtime import AsyncioClock, UdpNetwork, codec, run_for
 from repro.runtime.transport import Transport, missing_surface
 from repro.sim.network import LinkModel
 
@@ -210,7 +213,8 @@ def test_garbage_datagrams_are_counted_and_dropped():
         loop = asyncio.get_running_loop()
         attacker, _ = await loop.create_datagram_endpoint(
             asyncio.DatagramProtocol, local_addr=("127.0.0.1", 0))
-        for blob in (b"not a datagram", b"RPW\x01{truncated"):
+        truncated = codec.encode_datagram("a", "cut short")[:-3]
+        for blob in (b"not a datagram", truncated):
             attacker.sendto(blob, net.address("b"))
         clock.call_later(0.05, members["a"].multicast, "legit")
         await run_for(0.4)
@@ -221,6 +225,61 @@ def test_garbage_datagrams_are_counted_and_dropped():
     delivered, decode_errors = asyncio.run(scenario())
     assert delivered == ["legit"]  # the stack survived the garbage
     assert decode_errors == 2
+
+
+async def _attacked_group(seed, ordering, blobs):
+    """Two members, ``blobs`` thrown at b's socket from outside the group,
+    then one legitimate multicast.  Returns what b delivered, the network,
+    b's stack and everything that reached the loop's exception handler."""
+    clock = AsyncioClock(seed=seed)
+    net = UdpNetwork(clock, LinkModel(latency=0.002))
+    members = _build_group(clock, net, ["a", "b"], ordering)
+    await net.start()
+    loop = asyncio.get_running_loop()
+    escaped = []
+    loop.set_exception_handler(lambda loop, context: escaped.append(context))
+    attacker, _ = await loop.create_datagram_endpoint(
+        asyncio.DatagramProtocol, local_addr=("127.0.0.1", 0))
+    for blob in blobs:
+        attacker.sendto(blob, net.address("b"))
+    clock.call_later(0.05, members["a"].multicast, "legit")
+    await run_for(0.4)  # twenty nak_delays: a re-arming repair timer would show
+    attacker.close()
+    net.close()
+    return members["b"].delivered_payloads(), net, members["b"].stack, escaped
+
+
+def test_a_datagram_nested_past_the_depth_cap_is_a_decode_error():
+    """60 kB of list openers is a legal datagram; unwinding it must end in
+    ``CodecError`` and the counter, not in the loop's exception handler."""
+    opener = struct.pack("!BI", codec._LIST, 1)
+    bomb = codec.HEADER + opener * 12_000
+    assert len(bomb) < codec.MAX_DATAGRAM
+    delivered, net, _, escaped = asyncio.run(_attacked_group(9, "raw", [bomb]))
+    assert net.decode_errors == 1
+    assert escaped == []
+    assert delivered == ["legit"]
+
+
+def test_datagrams_from_an_unregistered_pid_never_reach_the_stack():
+    """Well-formed, and each enough to wedge a stack that trusted ``src``: a
+    causal message without a clock, a gap to NAK towards a pid with no
+    address, a NAK to serve back to it, gossip about it."""
+    forged = [
+        DataMessage(group="g", sender="zz", seq=1, payload="x", sent_at=0.0),
+        DataMessage(group="g", sender="zz", seq=5, payload="y", sent_at=0.0,
+                    vc=VectorClock({"zz": 5})),
+        Nak(group="g", requester="zz", wanted=[("a", 1)]),
+        AckGossip(group="g", sender="zz", ack_vector={"zz": 5}),
+    ]
+    blobs = [codec.encode_datagram("zz", payload) for payload in forged]
+    delivered, net, stack, escaped = asyncio.run(_attacked_group(10, "causal", blobs))
+    assert net.unknown_sender == len(forged)
+    assert net.decode_errors == 0
+    assert escaped == []
+    assert delivered == ["legit"]
+    dedup = stack.layer("dedup")
+    assert dedup.naks_sent == 0 and "zz" not in dedup.contiguous
 
 
 def test_oversize_datagrams_are_refused_sender_side():
@@ -252,5 +311,6 @@ def test_udp_metrics_are_wired_into_the_registry():
 
     snapshot = asyncio.run(scenario())
     gauges = snapshot["gauges"]
-    assert {"udp.sent", "udp.delivered", "udp.bytes_sent"} <= set(gauges)
+    assert {"udp.sent", "udp.delivered", "udp.bytes_sent", "udp.decode_errors",
+            "udp.unknown_sender"} <= set(gauges)
     assert gauges["udp.sent"] >= 1
