@@ -54,6 +54,62 @@ def test_network_send_deliver_throughput(benchmark):
     assert benchmark(run) == 2000
 
 
+def test_network_send_deliver(benchmark):
+    """The envelope path alone, at perfbench's link model: seven sends from
+    one of eight no-op processes, then the seven deliveries."""
+    from repro.sim import Process
+
+    sim = Simulator(seed=0)
+    net = Network(sim, LinkModel(latency=3.0, jitter=2.0))
+    for i in range(8):
+        Process(sim, net, f"m{i}")
+    peers = [f"m{i}" for i in range(1, 8)]
+
+    def run():
+        net.multicast("m0", peers, 50)
+        sim.run()
+        return net.stats.delivered
+
+    assert benchmark(run) % 7 == 0
+
+
+def _sizing_cases():
+    from repro.apps.nameservice import Binding, GossipDigest
+    from repro.catocs.messages import AckGossip, DataMessage, Heartbeat
+
+    def counts(n):
+        return {f"m{i}": 9 + i for i in range(n)}
+
+    pids = tuple(counts(24))
+    stamped = DataMessage(group="group", sender="m2", seq=17, payload=50, sent_at=0.0667,
+                          vc=ClockDomain(pids).clock(counts(24)).stamped("m2"),
+                          ack_vector=counts(24))
+    digest = GossipDigest("m0", {f"name-{i}": Binding(f"name-{i}", f"host-{i}", 0.5 * i, "m1")
+                                 for i in range(100)})
+    return {
+        "AckGossip-3": AckGossip("group", "m1", counts(3)),
+        "AckGossip-24": AckGossip("group", "m1", counts(24)),
+        "AckGossip-64": AckGossip("group", "m1", counts(64)),
+        "Heartbeat": Heartbeat("group", "m1", 4),
+        "DataMessage-24": stamped,
+        "GossipDigest-100": digest,
+    }
+
+
+_SIZING_CASES = _sizing_cases()
+
+
+@pytest.mark.parametrize("case", list(_SIZING_CASES))
+def test_estimate_size(benchmark, case):
+    """What the byte model charges the host to price one message: the
+    control messages should grow gently with the group (C calls per shape),
+    not by a Python call per member."""
+    from repro.sim.network import estimate_size
+
+    payload = _SIZING_CASES[case]
+    assert benchmark(estimate_size, payload) == estimate_size(payload) > 0
+
+
 def _group_workload(ordering, members_n=5, msgs=60):
     sim = Simulator(seed=1)
     net = Network(sim, LinkModel(latency=3.0, jitter=2.0))

@@ -61,7 +61,12 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "Simulator.call_later", "Simulator.call_at",
     }),
     "repro.sim.network": frozenset({
-        "Network.send", "Network.multicast", "Network._deliver", "estimate_size",
+        "Network.send", "Network.multicast", "Network._deliver",
+        # The byte model: the dispatch and every sizer behind it.  _classify
+        # and _by_shape run once per payload type and are left out.
+        "estimate_size", "counts_size", "_size_one", "_size_eight", "_size_str",
+        "_size_hook", "_sum_sizes", "_size_items", "_size_dict", "_size_object",
+        "_size_slotted", "_size_instance",
     }),
     "repro.sim.process": frozenset({
         "Process.dispatch", "Process.send", "Process.send_many",
@@ -87,10 +92,13 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "MatrixClock.update_row", "MatrixClock.set_component",
         "MatrixClock._left_minimum",
     }),
+    "repro.ordering.vector": frozenset({
+        "VectorClock.size_bytes",
+    }),
     "repro.ordering.dense": frozenset({
         "DenseVectorClock.stamped", "DenseVectorClock.advance",
         "DenseVectorClock.merge_in", "DenseVectorClock.__le__",
-        "DenseVectorClock.concurrent_with",
+        "DenseVectorClock.concurrent_with", "DenseVectorClock.size_bytes",
     }),
     "repro.runtime.codec": frozenset({
         "encode_datagram", "decode_datagram", "_frame", "_parse",

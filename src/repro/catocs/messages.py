@@ -2,7 +2,14 @@
 
 Every protocol message is a dataclass so :func:`repro.sim.network.estimate_size`
 can account header overhead (notably the vector clock, whose size grows
-linearly with group membership — the E07 measurement).
+linearly with group membership — the E07 measurement).  A plain dataclass
+here is priced by the byte model's object rule, over its ``vars()``: 16 bytes
+plus, per field, the field name and the value — so a new control message
+needs no sizing code, and keeping its fields to ``str``/number scalars and
+pid -> count dicts keeps it on the model's one-call-per-shape paths.
+:class:`DataMessage` and :class:`BatchEnvelope` define ``size_bytes()``
+instead (a fixed header, not field names); count maps everywhere cost
+:func:`repro.sim.network.counts_size`.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ordering.vector import VectorClock
-from repro.sim.network import estimate_size
+from repro.sim.network import counts_size, estimate_size
 
 MsgId = Tuple[str, int]  # (sender pid, per-sender sequence number)
 
@@ -83,7 +90,7 @@ class DataMessage:
         if self.vc is not None:
             size += self.vc.size_bytes()
         if self.ack_vector is not None:
-            size += sum(8 + len(p.encode()) for p in self.ack_vector)
+            size += counts_size(self.ack_vector)
         if self.attached:
             size += sum(m.size_bytes() for m in self.attached)
         return size

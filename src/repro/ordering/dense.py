@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
+from repro.sim.network import counts_size
+
 
 class ClockDomain:
     """Append-only pid -> index mapping shared by one group's dense clocks.
@@ -312,10 +314,7 @@ class DenseVectorClock:
 
     def size_bytes(self) -> int:
         """Wire size under the same pair-encoding model as ``VectorClock``."""
-        return sum(
-            8 + len(pid.encode("utf-8"))
-            for pid in self._domain.pids[: len(self._counts)]
-        )
+        return counts_size(self._domain.pids[: len(self._counts)])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         inner = ", ".join(

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, Iterable
 
 from repro.ordering.vector import VectorClock
+from repro.sim.network import counts_size
 
 
 class MatrixClock:
@@ -115,7 +116,7 @@ class MatrixClock:
 
     def size_bytes(self) -> int:
         """Storage footprint: N vector clocks of N entries — O(N^2)."""
-        return sum(VectorClock(row).size_bytes() for row in self._rows.values())
+        return sum(map(counts_size, self._rows.values()))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         rows = "; ".join(f"{pid}->{VectorClock(row)!r}" for pid, row in self._rows.items())

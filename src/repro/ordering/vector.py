@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, Mapping, Optional
 
+from repro.sim.network import counts_size
+
 
 class VectorClock:
     """An immutable-by-convention mapping of process id -> event count.
@@ -121,7 +123,7 @@ class VectorClock:
         8 bytes per counter plus the pid string — the linear-in-N header
         overhead measured in experiment E07.
         """
-        return sum(8 + len(pid.encode("utf-8")) for pid in self._counts)
+        return counts_size(self._counts)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         inner = ", ".join(f"{p}:{c}" for p, c in sorted(self._counts.items()))

@@ -26,13 +26,24 @@ attach/send/multicast/link-model/partition surface, so the protocol stacks run
 unchanged over real UDP loopback sockets on a wall-clock event loop (see
 docs/RUNTIME.md).  ``drop_hooks`` is this class's own: only the simulator
 sees every drop as a packet it can hand to a callback.
+
+The module also owns the **byte model** — :func:`estimate_size`, which prices
+every packet and so feeds ``bytes_sent``, ``peak_buffered_bytes`` and the
+Section 5 overhead tables.  It is a table of sizers keyed by payload type,
+filled as types are met: what a shape costs is decided once per type, what a
+value costs is computed every time (docs/ARCHITECTURE.md, "The byte model
+and the envelope path", has the table and the rules ``send`` keeps).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional, Set, Tuple
+from functools import partial
+from types import FunctionType, MemberDescriptorType
+from typing import (
+    TYPE_CHECKING, Any, Callable, Collection, Dict, Iterable, Optional, Set, Tuple,
+)
 
 from repro.sim.kernel import Simulator
 
@@ -44,29 +55,178 @@ def estimate_size(payload: Any) -> int:
     """Rough wire size of a payload in bytes.
 
     Used for the Section 5 buffering measurements.  Objects may define
-    ``size_bytes()`` for an exact figure; otherwise we recursively estimate
-    common containers and assume 8 bytes per scalar, which is adequate for
-    comparing growth *trends* across group sizes.
+    ``size_bytes()`` for an exact figure; otherwise common containers are
+    summed member by member at 8 bytes per scalar, which is adequate for
+    comparing growth *trends* across group sizes (the whole model is the
+    table in docs/ARCHITECTURE.md, "The byte model").
+
+    One probe of :data:`_SIZERS` by the payload's exact type; a type seen
+    for the first time is classified once (:func:`_classify`).
     """
+    sizer = _SIZERS.get(type(payload))
+    if sizer is None:
+        sizer = _classify(type(payload))
+    return sizer(payload)
+
+
+def counts_size(pids: Collection[str]) -> int:
+    """Wire size of a pid -> counter map, given its pids: 8 bytes per counter
+    plus each pid's UTF-8 bytes — what every clock and ack vector costs."""
+    return 8 * len(pids) + _size_str("".join(pids))
+
+
+def _size_one(payload: Any) -> int:
+    return 1
+
+
+def _size_eight(payload: Any) -> int:
+    return 8
+
+
+def _size_str(text: str) -> int:
+    # Accounting never raises: a lone surrogate counts as the one "?" that
+    # ``errors="replace"`` would send in its place.
+    return len(text) if text.isascii() else len(text.encode("utf-8", "replace"))
+
+
+def _size_hook(payload: Any) -> int:
+    return int(payload.size_bytes())
+
+
+def _sum_sizes(values: Iterable[Any]) -> int:
+    total = 0
+    sizers = _SIZERS
+    for value in values:
+        sizer = sizers.get(type(value))
+        total += sizer(value) if sizer is not None else estimate_size(value)
+    return total
+
+
+def _size_items(items: Any) -> int:
+    return 8 + _sum_sizes(items)
+
+
+def _size_dict(mapping: Dict[Any, Any]) -> int:
+    """``8 + sum(size(k) + size(v))``, each half taken in one C call when its
+    shape allows.
+
+    Exact types only: a ``str`` subclass may carry a ``size_bytes`` hook and
+    a ``bool`` value is 1 byte, not 8.  The UTF-8 length of the joined keys
+    is the sum of the keys' lengths, also under ``errors="replace"``.
+    """
+    if set(map(type, mapping)) <= _EXACT_STR:
+        total = 8 + _size_str("".join(mapping))
+    else:
+        total = 8 + _sum_sizes(mapping)
+    values = mapping.values()
+    if set(map(type, values)) <= _EXACT_NUMBERS:
+        return total + 8 * len(values)
+    return total + _sum_sizes(values)
+
+
+def _size_object(payload: Any) -> int:
+    fields = vars(payload)
+    if "size_bytes" in fields:  # a hook set on the instance, not the class
+        return int(payload.size_bytes())
+    # Through the table, not straight to _size_dict: the vars() of a class
+    # (an Enum member's ``__objclass__``) is a mappingproxy, opaque at 8.
+    return 8 + estimate_size(fields)
+
+
+_UNSET = object()
+
+
+def _size_slotted(slots: Tuple[Tuple[str, int], ...], payload: Any) -> int:
+    """A ``__slots__`` instance with no ``__dict__``: what its unslotted twin
+    would cost, counting only the slots that are set."""
+    total = 16
+    for name, name_bytes in slots:
+        value = getattr(payload, name, _UNSET)
+        if value is not _UNSET:
+            total += name_bytes + estimate_size(value)
+    return total
+
+
+def _size_instance(payload: Any) -> int:
+    """For a type that cannot speak for its instances' ``size_bytes``: ask
+    this one, then size it by shape."""
     if hasattr(payload, "size_bytes"):
         return int(payload.size_bytes())
-    if payload is None:
-        return 1
-    if isinstance(payload, bool):
-        return 1
-    if isinstance(payload, (int, float)):
-        return 8
-    if isinstance(payload, str):
-        return len(payload.encode("utf-8", errors="replace"))
-    if isinstance(payload, bytes):
-        return len(payload)
-    if isinstance(payload, dict):
-        return 8 + sum(estimate_size(k) + estimate_size(v) for k, v in payload.items())
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        return 8 + sum(estimate_size(v) for v in payload)
-    if hasattr(payload, "__dict__"):
-        return 8 + estimate_size(vars(payload))
-    return 8
+    return _by_shape(type(payload))(payload)
+
+
+_EXACT_STR = frozenset({str})
+_EXACT_NUMBERS = frozenset({int, float})
+
+#: The byte model's shape rungs, in the order the questions are asked (so
+#: ``bool`` is met before ``int``); a subclass answers to the first rung it
+#: is an instance of.
+_SHAPES: Tuple[Tuple[type, Callable[[Any], int]], ...] = (
+    (type(None), _size_one),
+    (bool, _size_one),
+    (int, _size_eight),
+    (float, _size_eight),
+    (str, _size_str),
+    (bytes, len),
+    (dict, _size_dict),
+    (list, _size_items),
+    (tuple, _size_items),
+    (set, _size_items),
+    (frozenset, _size_items),
+)
+
+#: exact payload type -> sizer.  Starts as the builtins above; every other
+#: type is added by :func:`_classify` the first time one of its instances is
+#: sized.  It memoises which *question* a type asks, never an answer: a size
+#: stays a pure function of the value.  One entry, and one strong reference
+#: to the class, per payload type for the life of the process.
+_SIZERS: Dict[type, Callable[[Any], int]] = dict(_SHAPES)
+
+
+def _by_shape(cls: type) -> Callable[[Any], int]:
+    for base, sizer in _SHAPES:
+        if issubclass(cls, base):
+            return sizer
+    mro = cls.__mro__
+    if any("__dict__" in vars(klass) for klass in mro):
+        return _size_object
+    # Python-level slots only (a class statement that says ``__slots__``);
+    # their member descriptors carry the mangled names ``vars()`` would.
+    slotted = [klass for klass in mro if "__slots__" in vars(klass)]
+    if not slotted:
+        return _size_eight
+    return partial(_size_slotted, tuple(
+        (name, _size_str(name))
+        for klass in slotted
+        for name, member in vars(klass).items()
+        if type(member) is MemberDescriptorType
+    ))
+
+
+def _classify(cls: type) -> Callable[[Any], int]:
+    """Choose the sizer for ``cls`` and remember it.
+
+    A class-level ``size_bytes`` wins; otherwise the shape decides.  Two
+    kinds of type cannot answer ``hasattr(obj, "size_bytes")`` for their
+    instances: one whose lookup is programmable (``__getattr__`` or a
+    Python ``__getattribute__`` in the MRO — never memoised), and a builtin
+    subclass whose instances carry a ``__dict__`` a hook could sit in.
+    Both ask each instance (:func:`_size_instance`).
+    """
+    hook = False
+    for klass in cls.__mro__:
+        names = vars(klass)
+        if "__getattr__" in names or type(names.get("__getattribute__")) is FunctionType:
+            return _size_instance
+        hook = hook or "size_bytes" in names
+    if hook:
+        sizer = _size_hook
+    else:
+        sizer = _by_shape(cls)
+        if sizer is not _size_object and cls.__dictoffset__:
+            sizer = _size_instance
+    _SIZERS[cls] = sizer
+    return sizer
 
 
 @dataclass(slots=True)
@@ -284,44 +444,48 @@ class Network:  # repro: ignore[PERF001] -- tests monkeypatch send() per instanc
             raise KeyError(f"unknown destination: {dst}")
         if size is None:
             size = estimate_size(payload)
+        sim = self.sim
+        now = sim.now
         stats = self.stats
-        packet = Packet(
-            packet_id=next(self._packet_ids),
-            src=src,
-            dst=dst,
-            payload=payload,
-            send_time=self.sim.now,
-            size=size,
-        )
+        packet = Packet(next(self._packet_ids), src, dst, payload, now, size)
         stats.sent += 1
         stats.bytes_sent += size
 
         # The directed-link key is consulted up to three times below (link
         # model, FIFO clock, latency histogram); build the tuple once.
         key = (src, dst)
-        if not self.connected(src, dst):
+        # An empty map is every run that never partitions: all connected.
+        if self._partition_of and not self.connected(src, dst):
             stats.partitioned += 1
             self._m_drop_partition.inc()
             self._on_drop(packet)
             return None
+        # The link model is read here, not asked (sample_drop/sample_latency),
+        # with the same draws in the same order and the same float expression:
+        # docs/ARCHITECTURE.md, "The byte model and the envelope path".
         model = self._links.get(key, self.default_link)
-        if model.sample_drop(self.sim.rng):
+        drop_prob = model.drop_prob
+        if drop_prob > 0 and sim.rng.random() < drop_prob:
             stats.dropped += 1
             self._m_drop_loss.inc()
             self._on_drop(packet)
             return None
 
-        arrival = self.sim.now + model.sample_latency(self.sim.rng)
+        jitter = model.jitter
+        if jitter <= 0:
+            arrival = now + model.latency
+        else:
+            arrival = now + (model.latency + sim.rng.uniform(0.0, jitter))
         if model.fifo:
             arrival = max(arrival, self._fifo_clock.get(key, 0.0))
             self._fifo_clock[key] = arrival
             packet.link_epoch = self._link_epoch.get(key, 0)
         hist = self._latency_hists.get(key)
         if hist is None:
-            hist = self.sim.metrics.histogram("net.link_latency", src=src, dst=dst)
+            hist = sim.metrics.histogram("net.link_latency", src=src, dst=dst)
             self._latency_hists[key] = hist
-        hist.observe(arrival - self.sim.now)
-        self.sim.call_at(arrival, self._deliver, packet)
+        hist.observe(arrival - now)
+        sim.call_at(arrival, self._deliver, packet)
         return packet
 
     def multicast(self, src: str, dsts: Iterable[str], payload: Any) -> None:
@@ -337,29 +501,30 @@ class Network:  # repro: ignore[PERF001] -- tests monkeypatch send() per instanc
             send(src, dst, payload, size)
 
     def _deliver(self, packet: Packet) -> None:
-        if (packet.link_epoch is not None
-                and packet.link_epoch
-                != self._link_epoch.get((packet.src, packet.dst), 0)):
+        stats = self.stats
+        epoch = packet.link_epoch
+        if (epoch is not None
+                and epoch != self._link_epoch.get((packet.src, packet.dst), 0)):
             # The FIFO link was reset (partition or endpoint crash) while
             # the packet was in flight; it died with the connection.
-            self.stats.reset += 1
+            stats.reset += 1
             self._m_drop_reset.inc()
             self._on_drop(packet)
             return
         process = self._processes.get(packet.dst)
         if process is None or not process.alive:
-            self.stats.to_crashed += 1
+            stats.to_crashed += 1
             self._m_drop_crashed.inc()
             self._on_drop(packet)
             return
-        if not self.connected(packet.src, packet.dst):
+        if self._partition_of and not self.connected(packet.src, packet.dst):
             # Partition formed while the packet was in flight.
-            self.stats.partitioned += 1
+            stats.partitioned += 1
             self._m_drop_in_flight.inc()
             self._on_drop(packet)
             return
-        self.stats.delivered += 1
-        self.stats.bytes_delivered += packet.size
+        stats.delivered += 1
+        stats.bytes_delivered += packet.size
         process._receive_packet(packet)
 
     def _on_drop(self, packet: Packet) -> None:

@@ -318,11 +318,11 @@ def test_view_change_sweeps_even_when_the_move_counts_coincide():
     assert not layer.buffer
 
 
-def _stability_counters(seed, ordering, leave=None):
-    """Sixty multicasts through a 5-member group at 5% loss, optionally with
-    a member leaving mid-stream; what each member's transport counted."""
+def _seeded_group_run(seed, ordering, leave=None, drop_prob=0.05):
+    """Sixty multicasts through a 5-member group, optionally with a member
+    leaving mid-stream; the network and the members after the run."""
     sim = Simulator(seed=seed)
-    net = Network(sim, LinkModel(latency=3.0, jitter=2.0, drop_prob=0.05))
+    net = Network(sim, LinkModel(latency=3.0, jitter=2.0, drop_prob=drop_prob))
     pids = ["p0", "p1", "p2", "p3", "p4"]
     group = build_group(sim, net, pids, ordering=ordering,
                         with_membership=leave is not None)
@@ -331,6 +331,12 @@ def _stability_counters(seed, ordering, leave=None):
     if leave is not None:
         sim.call_at(30.0, group[leave].membership.leave)
     sim.run(until=900.0)
+    return net, group
+
+
+def _stability_counters(seed, ordering, leave=None):
+    """:func:`_seeded_group_run` at 5% loss; what each member's transport counted."""
+    _, group = _seeded_group_run(seed, ordering, leave)
     layers = [m.stack.layer("stability") for m in group.values()]
     return {
         "peak_buffered": [layer.peak_buffered for layer in layers],
@@ -366,6 +372,28 @@ def test_maintained_frontier_keeps_the_counters_the_recomputed_one_kept():
     assert e16_run(5, 240.0, 4, 10) == {
         "gossip_messages": 204, "buffer_time_integral": 16990.0,
         "drained_at": 250.0, "residual": 0,
+    }
+
+
+def test_lean_envelope_path_keeps_the_wire_counters():
+    """``net.stats`` recorded at 23bd898 — the walked ``estimate_size`` and the
+    ``sample_drop``/``sample_latency`` envelope path — same seeds: the same
+    packets, sized the same, meet the same fate."""
+    def wire(*args, **kwargs):
+        net, _ = _seeded_group_run(*args, **kwargs)
+        return net.stats.snapshot()
+
+    assert wire(41, "causal", drop_prob=0.0) == {
+        "sent": 1140, "delivered": 1120, "dropped": 0, "partitioned": 0,
+        "to_crashed": 0, "reset": 0, "bytes_sent": 123480, "bytes_delivered": 121440,
+    }
+    assert wire(33, "total-agreed") == {
+        "sent": 1919, "delivered": 1795, "dropped": 105, "partitioned": 0,
+        "to_crashed": 0, "reset": 0, "bytes_sent": 169880, "bytes_delivered": 158784,
+    }
+    assert wire(31, "causal", leave="p4") == {
+        "sent": 1977, "delivered": 1858, "dropped": 96, "partitioned": 0,
+        "to_crashed": 0, "reset": 0, "bytes_sent": 146737, "bytes_delivered": 138524,
     }
 
 
