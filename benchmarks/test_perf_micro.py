@@ -11,7 +11,7 @@ import itertools
 
 import pytest
 
-from repro.catocs import build_group
+from repro.catocs import DISCIPLINES, build_group
 from repro.ordering import ClockDomain, MatrixClock, VectorClock
 from repro.sim import LinkModel, Network, Simulator
 
@@ -123,16 +123,13 @@ def _group_workload(ordering, members_n=5, msgs=60):
     return total
 
 
-def test_causal_multicast_throughput(benchmark):
-    benchmark(_group_workload, "causal")
-
-
-def test_total_seq_multicast_throughput(benchmark):
-    benchmark(_group_workload, "total-seq")
-
-
-def test_total_agreed_multicast_throughput(benchmark):
-    benchmark(_group_workload, "total-agreed")
+@pytest.mark.parametrize("alias", sorted(DISCIPLINES))
+def test_multicast_throughput(benchmark, alias):
+    """The same 5-member, 60-message schedule through every discipline
+    alias, so `raw`, `fifo`, `hybrid-causal` and `batched-causal` — which
+    perfbench has no workload for — are timed beside `causal` and the two
+    total orders."""
+    benchmark(_group_workload, alias)
 
 
 def test_vector_clock_merge_compare(benchmark):
@@ -151,7 +148,7 @@ def test_vector_clock_merge_compare(benchmark):
 
 def test_dense_clock_merge_compare(benchmark):
     # Same workload as test_vector_clock_merge_compare, dense representation:
-    # the pair documents the hot-path win (see BENCH_<n>.json for the ledger).
+    # the pair documents the hot-path win.
     domain = ClockDomain(tuple(f"p{i}" for i in range(24)))
     a = domain.clock({f"p{i}": i * 7 for i in range(24)})
     b = domain.clock({f"p{i}": i * 5 + 3 for i in range(24)})

@@ -19,7 +19,7 @@ on a deterministic discrete-event simulator:
   Chandy-Lamport and CATOCS snapshots, checkpointing, RPC deadlock.
 - :mod:`repro.apps` — the paper's case studies (Figures 2-4, Netnews,
   Deceit/Harp, drilling, the real-time oven), each with both designs.
-- :mod:`repro.experiments` — E01..E14, one per figure/claim.
+- :mod:`repro.experiments` — E01..E19, one per figure/claim.
 
 Quick start::
 

@@ -81,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--changed-only", action="store_true",
         help="analyse only files in `git diff --name-only HEAD` "
-        "(cross-file passes still run when a hot module changed); "
-        "the pre-commit mode",
+        "(cross-file passes still run, replayed from the cache when no "
+        "input of theirs changed); the pre-commit mode",
     )
     parser.add_argument(
         "--stats-out", type=Path, default=None, metavar="PATH",
@@ -201,26 +201,6 @@ def _git_changed_relpaths(root: Path) -> "tuple[Optional[set], Optional[str]]":
     return changed, None
 
 
-def _hot_module_changed(changed_relpaths: "Optional[set]") -> bool:
-    """Whether a change forces the cross-file passes in --changed-only mode.
-
-    Hot protocol modules feed the flow/order/contract graphs, so editing
-    one can invalidate a cross-file verdict anywhere; the same goes for
-    the analyser itself.
-    """
-    from repro.analysis.rules.perf import HOT_MODULE_PREFIXES
-
-    hot_dirs = tuple(
-        "src/" + prefix.replace(".", "/") for prefix in HOT_MODULE_PREFIXES
-    )
-    for relpath in changed_relpaths or ():
-        if relpath.startswith(hot_dirs) or relpath.startswith(
-            "src/repro/analysis/"
-        ):
-            return True
-    return False
-
-
 def _select_rules(
     include: Optional[str], exclude: Optional[str]
 ) -> "tuple[Optional[List], Optional[str]]":
@@ -275,7 +255,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if changed_error is not None:
             print(f"error: --changed-only: {changed_error}", file=sys.stderr)
             return 2
-        with_project_pass = _hot_module_changed(changed_relpaths)
+        # Any edit can move a cross-file verdict; the pass is cached under a
+        # whole-project key, so it replays when none of its inputs changed.
+        with_project_pass = bool(changed_relpaths)
 
     stats = CacheStats()
     import time

@@ -1,6 +1,6 @@
 """Worker-side execution of file-local rules, shared with the in-process path.
 
-The incremental engine fans the file-local rule families (DET/PUR/PERF —
+The incremental engine fans the file-local rule families (DET/PUR —
 anything :func:`repro.analysis.rules.is_file_local` accepts) out across
 the experiment engine's :class:`~repro.experiments.engine.WarmWorkerPool`.
 Each task is one *shard* of stale files; the worker parses its own shard

@@ -116,13 +116,6 @@ def _build_all_rules() -> List[Rule]:
         PreStabilityActionRule,
         TotalOrderAssumptionRule,
     )
-    from repro.analysis.rules.perf import (
-        AttrChainRule,
-        HotLoopAllocRule,
-        HotLoopFrameRule,
-        HotWallClockRule,
-        SlotsRule,
-    )
     from repro.analysis.rules.purity import ImpureImportRule
     from repro.analysis.rules.races import (
         HiddenChannelRule,
@@ -139,11 +132,6 @@ def _build_all_rules() -> List[Rule]:
         IdComparisonRule(),
         EnvBranchRule(),
         ImpureImportRule(),
-        SlotsRule(),
-        HotLoopAllocRule(),
-        AttrChainRule(),
-        HotLoopFrameRule(),
-        HotWallClockRule(),
         LayerSurfaceRule(),
         SpecStringRule(),
         HandlerCoverageRule(),

@@ -17,8 +17,8 @@ from repro.analysis.rules import Rule
 from repro.analysis.source import SourceModule
 
 #: Module prefixes exempt from the wall-clock rule: the asyncio runtime is
-#: *supposed* to read real clocks, and the benchmark harness times real work.
-WALL_CLOCK_ALLOWED = ("repro.runtime", "repro.bench")
+#: *supposed* to read real clocks.
+WALL_CLOCK_ALLOWED = ("repro.runtime",)
 
 #: Module prefixes allowed to touch the ``random`` module directly: the
 #: kernel constructs the one seeded generator; the runtime mirrors it.
@@ -62,13 +62,12 @@ class WallClockRule(Rule):
     """DET001: wall-clock reads make a run depend on when it executes.
 
     Severity split: outside the allowed modules every wall-clock call is
-    an **error**.  Inside ``repro.bench`` / ``repro.runtime`` the calls
-    themselves are sanctioned (that is what those modules are for), but a
-    clock-derived value flowing into a schema'd report payload under a
-    key that is not a timing key is a **warning** everywhere — a report
-    field like ``run_id`` fed from ``time.time()`` makes the record
-    non-reproducible in a way the timing allowlist was never meant to
-    cover.
+    an **error**.  Inside ``repro.runtime`` the calls themselves are
+    sanctioned (that is what that package is for), but a clock-derived
+    value flowing into a schema'd report payload under a key that is not
+    a timing key is a **warning** everywhere — a report field like
+    ``run_id`` fed from ``time.time()`` makes the record non-reproducible
+    in a way the timing allowlist was never meant to cover.
     """
 
     rule_id = "DET001"

@@ -61,7 +61,6 @@ SUBSTRATE_PREFIXES = (
     "repro.ordering",
     "repro.runtime",
     "repro.analysis",
-    "repro.bench",
     "repro.obs",
 )
 

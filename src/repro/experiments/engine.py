@@ -1,8 +1,9 @@
 """Persistent warm-worker pool for coarse-grained parallel campaigns.
 
 The first parallel engine (PR 2) was a ``ProcessPoolExecutor.submit`` per
-experiment.  Every bench record since showed it *losing* to a sequential run
-(suite speedup 0.92-0.97): pool start-up, per-future bookkeeping and rich
+experiment.  The four timing records taken while it was in use (``git show
+9d8352a:BENCH_1.json`` .. ``BENCH_4.json``) showed it *losing* to a sequential
+run (suite speedup 0.92-0.97): pool start-up, per-future bookkeeping and rich
 pickled results ate the win, and ``os.cpu_count()`` oversubscribed
 cgroup-limited CI boxes.  This module replaces it with the classic warm-worker
 shape (cf. droneworks' long-lived middleware workers): spawn ``jobs``

@@ -300,7 +300,7 @@ class NetworkStats:
         }
 
 
-class Network:  # repro: ignore[PERF001] -- tests monkeypatch send() per instance
+class Network:
     """Connects named processes and transports payloads between them.
 
     Processes register via :meth:`attach`; :meth:`send` schedules delivery

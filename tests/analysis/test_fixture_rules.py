@@ -20,7 +20,6 @@ FIXTURE_FILES = (
     + sorted(p.name for p in FIXTURES.glob("flow_*.py"))
     + sorted(p.name for p in FIXTURES.glob("proto_*.py"))
     + sorted(p.name for p in FIXTURES.glob("ord_*.py"))
-    + sorted(p.name for p in FIXTURES.glob("perf_*.py"))
 )
 
 
@@ -60,9 +59,7 @@ def test_fixture_corpus_actually_plants_violations():
             "PROTO002", "PROTO005",
             "RACE001", "RACE002", "RACE003", "RACE004", "RACE005",
             "FLOW001", "FLOW002", "FLOW003", "FLOW004",
-            "ORD001", "ORD002", "ORD003", "ORD004",
-            "PERF001", "PERF002", "PERF003", "PERF004",
-            "PERF005"} <= rules
+            "ORD001", "ORD002", "ORD003", "ORD004"} <= rules
 
 
 def test_fixture_directory_is_excluded_from_repo_scan():

@@ -10,7 +10,8 @@ without touching the real tree.  The invariants pinned:
 - a corrupt/garbage cache silently degrades to a full cold run;
 - text/JSON/SARIF output is byte-identical across ``--jobs`` counts and
   cache states (the canonical-order guarantee);
-- ``--changed-only`` restricts file-local work and gates the cross pass.
+- ``--changed-only`` restricts file-local work only: the cross pass runs
+  for any non-empty diff, wherever the edit is.
 """
 
 import json
@@ -261,40 +262,77 @@ def _git(root, *args):
     )
 
 
-def test_changed_only_cli_uses_git_diff(tmp_path, capsys):
-    from repro.analysis.cli import main
+#: PROTO001/003/004 introspect the *live* repro.catocs package (repo_only),
+#: so against a synthetic root they report nonsense; everything else in the
+#: cross-file pass reads the scanned files.
+SYNTHETIC_ROOT_EXCLUDES = "PROTO001,PROTO003,PROTO004"
 
+#: One process reading another's attribute: a RACE001 hidden channel, which
+#: only the cross-file pass can see.
+HIDDEN_CHANNEL_MODULE = '''"""Synthetic module with a planted hidden channel."""
+
+from repro.sim.process import Process
+
+
+class Spy(Process):
+    def poll(self):
+        return self.network.process("other").queue_len
+'''
+
+
+def committed_repo(tmp_path):
     root = make_repo(tmp_path)
     _git(root, "init", "-q")
     _git(root, "add", ".")
     _git(root, "commit", "-q", "-m", "seed")
+    return root
 
-    # A non-hot edit: only that file is analysed, cross pass skipped.
+
+def test_changed_only_cli_uses_git_diff(tmp_path, capsys):
+    from repro.analysis.cli import main
+
+    root = committed_repo(tmp_path)
+    stats_path = root / "stats.json"
+
+    def changed_only_stats():
+        code = main(["--root", str(root), "--changed-only", "--no-docs",
+                     "--exclude-rules", SYNTHETIC_ROOT_EXCLUDES,
+                     "--stats-out", str(stats_path)])
+        capsys.readouterr()
+        assert code == 0
+        return json.loads(stats_path.read_text(encoding="utf-8"))
+
+    # Nothing differs from HEAD: nothing to analyse, no cross pass.
+    stats = changed_only_stats()
+    assert stats["files"]["total"] == 0
+    assert stats["project"] == {"replayed": False, "analyzed": False}
+
+    # One edited file: the file-local rules see only it; the cross-file
+    # pass runs whichever directory the edit is in.
     target = root / "src" / "repro" / "extra" / "mod0.py"
     target.write_text(
         CLEAN_TEMPLATE.format(i=0) + "\n\nTWEAKED = True\n", encoding="utf-8"
     )
-    stats_path = root / "stats.json"
-    code = main(["--root", str(root), "--changed-only", "--no-docs",
-                 "--stats-out", str(stats_path)])
-    capsys.readouterr()
-    assert code == 0
-    stats = json.loads(stats_path.read_text(encoding="utf-8"))
+    stats = changed_only_stats()
     assert stats["files"]["total"] == 1
-    assert stats["project"] == {"replayed": False, "analyzed": False}
+    assert stats["project"] == {"replayed": False, "analyzed": True}
 
-    # A staged hot-module file forces the cross-file passes back on.  The
-    # PROTO001/003/004 contract rules introspect the *live* repro.catocs
-    # package (repo_only), so they report nonsense against a synthetic
-    # root — exclude them and keep the project-pass gating observable.
-    hot = root / "src" / "repro" / "sim" / "hot_mod.py"
-    hot.parent.mkdir(parents=True)
-    hot.write_text('"""Hot."""\n\nVALUE = 3\n', encoding="utf-8")
-    _git(root, "add", str(hot))
+    # Same diff again: the cross pass replays from its whole-project key.
+    assert changed_only_stats()["project"] == {
+        "replayed": True, "analyzed": False}
+
+
+def test_changed_only_reports_cross_file_findings_anywhere(tmp_path, capsys):
+    """A hidden channel is a cross-file verdict and can be planted in any
+    directory: the pre-commit mode must fail on it as the full gate does."""
+    from repro.analysis.cli import main
+
+    root = committed_repo(tmp_path)
+    spy = root / "src" / "repro" / "extra" / "spy.py"
+    spy.write_text(HIDDEN_CHANNEL_MODULE, encoding="utf-8")
+    _git(root, "add", str(spy))
+
     code = main(["--root", str(root), "--changed-only", "--no-docs",
-                 "--exclude-rules", "PROTO001,PROTO003,PROTO004",
-                 "--stats-out", str(stats_path)])
-    capsys.readouterr()
-    assert code == 0
-    stats = json.loads(stats_path.read_text(encoding="utf-8"))
-    assert stats["project"]["replayed"] or stats["project"]["analyzed"]
+                 "--exclude-rules", SYNTHETIC_ROOT_EXCLUDES])
+    assert code == 1
+    assert "RACE001" in capsys.readouterr().out

@@ -4,11 +4,17 @@ This is the in-process twin of the CI job — if this test fails, so will
 the ``analysis`` CI step, and vice versa.
 """
 
+import io
+import re
+import tokenize
 from pathlib import Path
 
 from repro.analysis import baseline
-from repro.analysis.engine import run_analysis
+from repro.analysis.engine import PARSE_RULE_ID, run_analysis
 from repro.analysis.finding import Severity
+from repro.analysis.rules import rule_catalogue
+from repro.analysis.source import iter_python_files
+from repro.analysis.suppress import parse_suppressions
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -45,18 +51,31 @@ def test_no_determinism_findings_grandfathered():
     assert hard == [], "\n".join(f.render() for f in hard)
 
 
-def test_hot_function_manifest_names_real_functions():
-    """A manifest entry that no longer resolves (function renamed or moved)
-    silently takes that frame out of PERF002-004; every name must match."""
-    from repro.analysis.rules.perf import HOT_FUNCTIONS, iter_functions
-    from repro.analysis.source import load_python_file
+def test_suppressions_name_live_rule_ids():
+    """A suppression naming an id outside the catalogue (a typo, a deleted
+    rule) is silently inert.  Only real comments count: docstrings and
+    test data quote the grammar with made-up ids."""
+    known = set(rule_catalogue())
+    dead = []
+    for path in iter_python_files(
+        [REPO_ROOT / d for d in ("src", "tests", "benchmarks", "examples")]
+    ):
+        text = path.read_text(encoding="utf-8")
+        if "repro:" not in text:
+            continue
+        dead += [
+            f"{path.relative_to(REPO_ROOT)}:{tok.start[0]}: {rule_id}"
+            for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+            if tok.type == tokenize.COMMENT
+            for ids in parse_suppressions(tok.string).values()
+            for rule_id in sorted((ids or frozenset()) - known)
+        ]
+    assert dead == []
 
-    src = REPO_ROOT / "src"
-    missing = []
-    for module, names in sorted(HOT_FUNCTIONS.items()):
-        path = src / (module.replace(".", "/") + ".py")
-        mod, error = load_python_file(path, REPO_ROOT, src)
-        assert error is None, error
-        defined = {qual for qual, _ in iter_functions(mod.tree)}
-        missing += [f"{module}:{name}" for name in sorted(names - defined)]
-    assert missing == []
+
+def test_docs_rule_table_matches_the_catalogue():
+    """docs/ANALYSIS.md's rule table has one row per registered rule, plus
+    the engine's own parse-failure id, and no row for anything else."""
+    text = (REPO_ROOT / "docs" / "ANALYSIS.md").read_text(encoding="utf-8")
+    documented = re.findall(r"^\| ([A-Z]+[0-9]{3}) \|", text, flags=re.M)
+    assert sorted(documented) == sorted([*rule_catalogue(), PARSE_RULE_ID])
