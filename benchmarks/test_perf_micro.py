@@ -231,6 +231,70 @@ def test_matrix_clock_stability_scan(benchmark, size):
     }
 
 
+def _stability_group(size):
+    """Every member's (stability, dedup) layers, no gossip timer armed."""
+    sim = Simulator(seed=0)
+    net = Network(sim, LinkModel(latency=3.0))
+    group = build_group(sim, net, [f"m{i}" for i in range(size)],
+                        ordering="raw", ack_period=0.0)
+    return [(m.stack.layer("stability"), m.stack.layer("dedup")) for m in group.values()]
+
+
+@pytest.mark.parametrize("size", [8, 64])
+@pytest.mark.parametrize("kind", ["news", "no_news"])
+def test_stability_gossip_round(benchmark, kind, size):
+    """One gossip tick at one member and the N-1 receipts it causes, at the
+    group sizes E05/E07 sweep.  With news (the ticker sent a message since
+    its last tick) every receipt merges an N-entry vector twice; without,
+    the tick re-sends its last snapshot and a receipt is one comparison."""
+    (ticker, ticker_counts), *receivers = _stability_group(size)
+    member = ticker.member
+    sent = []
+    member.send_peers = sent.append
+    member.set_timer = lambda delay, fn, *args: None  # the round is driven from here
+
+    def sent_one_more():  # not timed
+        if kind == "news":
+            seq = ticker_counts.contiguous["m0"] + 1
+            ticker_counts.contiguous["m0"] = seq
+            for _, dedup in receivers:
+                dedup._max_seen["m0"] = seq  # they received it: nothing to chase
+
+    def run():
+        ticker._gossip_tick()
+        gossip = sent.pop()
+        for layer, _ in receivers:
+            layer.on_control("m0", gossip)
+        return gossip
+
+    ticker._gossip_tick()  # the snapshot a news-free tick re-sends
+    first = sent.pop()
+    benchmark.pedantic(run, setup=sent_one_more, rounds=300, warmup_rounds=5)
+    last = run()
+    assert (last is first) == (kind == "no_news")
+    assert last.ack_vector == ticker_counts.contiguous
+    for layer, _ in receivers:
+        assert layer.matrix.row("m0").as_dict() == last.ack_vector
+
+
+@pytest.mark.parametrize("size", [8, 64])
+def test_own_count_publish(benchmark, size):
+    """What a send or a receipt tells the stability layer about the member's
+    own progress: the one count that moved, not the N-entry row."""
+    layer, dedup = _stability_group(size)[0]
+    counts = dedup.contiguous
+    senders = itertools.cycle(list(counts))
+
+    def run():
+        for _ in range(256):
+            sender = next(senders)
+            counts[sender] += 1
+            layer.publish_own_counts(sender, counts[sender])
+
+    benchmark(run)
+    assert layer.matrix.row("m0").as_dict() == counts
+
+
 @pytest.mark.parametrize("size", [3, 24])
 def test_wire_codec_datagram(benchmark, size):
     """One multicast in a three-member group as the socket path pays for it:

@@ -98,7 +98,12 @@ class DataMessage:
 
 @dataclass
 class AckGossip(TransportControl):
-    """Periodic stability gossip: the sender's contiguous receive counts."""
+    """Periodic stability gossip: the sender's contiguous receive counts.
+
+    ``ack_vector`` is a snapshot, never written after the gossip is sent:
+    the sender re-sends the same object while its counts stand, and in the
+    simulator every receiver is handed (and may keep) that one dict.
+    """
 
     group: str
     sender: str

@@ -277,16 +277,21 @@ class CausalOrdering(OrderingLayer):
     def _deliverable(self, msg: DataMessage) -> bool:
         assert msg.vc is not None, "causal message missing vector clock"
         sender = msg.sender
-        if self._ceiling is None:
-            # Fast path for the common case (no view change yet): a flat
-            # array comparison, no per-component ceiling lookups.
-            return bss_deliverable(msg.vc, self.delivered, sender)
-        if self.delivered[sender] < self._required(sender, msg.vc[sender] - 1):
+        vc = msg.vc
+        ceiling = self._ceiling
+        if ceiling is None or not any(vc[pid] > cap for pid, cap in ceiling.items()):
+            # Fast path for the common case: a flat array comparison.  The
+            # ceiling lowers a dependency only where the stamp exceeds it
+            # (``_required``); with no such component -- no view change yet,
+            # or a stamp that depends on nothing lost -- the per-component
+            # test below reduces to exactly this one.
+            return bss_deliverable(vc, self.delivered, sender)
+        if self.delivered[sender] < self._required(sender, vc[sender] - 1):
             return False
-        if msg.vc[sender] <= self.delivered[sender]:
+        if vc[sender] <= self.delivered[sender]:
             return False  # stale duplicate; transport should have deduped
-        for pid in msg.vc:
-            if pid != sender and self.delivered[pid] < self._required(pid, msg.vc[pid]):
+        for pid in vc:
+            if pid != sender and self.delivered[pid] < self._required(pid, vc[pid]):
                 return False
         return True
 

@@ -19,6 +19,10 @@ Sits between the raw (lossy, reordering) network and the ordering layers:
   senders.  A :class:`~repro.ordering.matrix.MatrixClock` per member
   maintains the stable frontier (the componentwise minimum over rows) as
   acknowledgements arrive; the buffer is swept only when that frontier moves.
+  The same gossip goes out every period whether or not anything happened,
+  but the work is paid per news: a tick re-sends its last snapshot while no
+  count has moved, and a receiver merges a vector only if it differs from
+  the last one it merged from that sender.
 
 The two layers are deliberately *coupled through documented peer services*
 rather than a pure linear pipeline: the wire format piggybacks ack vectors
@@ -93,7 +97,7 @@ class DedupRepairLayer(ProtocolLayer):
         """
         self._note_counts(msg)
         if self._stability is not None:
-            self._stability.publish_own_counts(self.contiguous)
+            self._stability.publish_own_counts(msg.sender, self.contiguous.get(msg.sender, 0))
 
     def receive_up(self, src: str, msg: DataMessage) -> Optional[DataMessage]:
         """The receive choreography of the old monolithic ``on_data``.
@@ -120,7 +124,7 @@ class DedupRepairLayer(ProtocolLayer):
             stability.buffer_message(msg)
         self._note_counts(msg)
         if stability is not None:
-            stability.publish_own_counts(self.contiguous)
+            stability.publish_own_counts(msg.sender, self.contiguous.get(msg.sender, 0))
         self._check_gaps(msg.sender)
         if stability is not None:
             stability.check_stability()
@@ -299,6 +303,12 @@ class StabilityLayer(ProtocolLayer):
         self.gossip_sent = 0
         self.stable_hooks: List[Callable[[MsgId], None]] = []
         self._dedup: Optional[DedupRepairLayer] = None
+        #: the last gossip sent, re-sent as it is while no count has moved
+        self._last_gossip: Optional[AckGossip] = None
+        #: per sender, the last gossip vector merged into the *current*
+        #: matrix: merging it again changes nothing (rows and ``_max_seen``
+        #: only grow), so a repeat goes straight to ``check_stability``
+        self._absorbed: Dict[str, Dict[str, int]] = {}
 
         if self.ack_period > 0:
             member.set_timer(self.ack_period, self._gossip_tick)
@@ -324,9 +334,13 @@ class StabilityLayer(ProtocolLayer):
 
     def on_control(self, src: str, payload: Any) -> Optional[List[DataMessage]]:
         if isinstance(payload, AckGossip):
-            self.absorb_ack_vector(payload.sender, payload.ack_vector)
-            if self._dedup is not None:
-                self._dedup.learn_existence(payload.ack_vector)
+            vector = payload.ack_vector
+            seen = self._absorbed.get(payload.sender)
+            if seen is not vector and seen != vector:
+                self._absorbed[payload.sender] = vector
+                self.absorb_ack_vector(payload.sender, vector)
+                if self._dedup is not None:
+                    self._dedup.learn_existence(vector)
             self.check_stability()
             return []
         return None
@@ -340,6 +354,7 @@ class StabilityLayer(ProtocolLayer):
         """
         self.matrix = MatrixClock(members)
         self.matrix.update_row(self.member.pid, self._counts())
+        self._absorbed.clear()  # absorbed by the old matrix, not this one
         self._swept_at = None  # a new matrix: its frontier is not the swept one
         self.check_stability()
 
@@ -374,9 +389,12 @@ class StabilityLayer(ProtocolLayer):
         if self._buffered_bytes > self.peak_buffered_bytes:
             self.peak_buffered_bytes = self._buffered_bytes
 
-    def publish_own_counts(self, contiguous: Dict[str, int]) -> None:
-        # Our own receive state is first-hand knowledge for the matrix.
-        self.matrix.update_row(self.member.pid, contiguous)
+    def publish_own_counts(self, sender: str, count: int) -> None:
+        """Our own receive state is first-hand knowledge for the matrix:
+        ``count`` is ``contiguous[sender]``, the one entry a send or
+        receipt can have moved, so the own row mirrors the dedup layer's
+        counts component by component."""
+        self.matrix.set_component(self.member.pid, sender, count)
 
     def repair_lookup(self, msg_id: MsgId) -> Optional[DataMessage]:
         return self.buffer.get(msg_id)
@@ -385,11 +403,16 @@ class StabilityLayer(ProtocolLayer):
 
     def _gossip_tick(self) -> None:
         self.gossip_sent += 1
-        gossip = AckGossip(
-            group=self.member.group,
-            sender=self.member.pid,
-            ack_vector=dict(self._counts()),
-        )
+        gossip = self._last_gossip
+        if gossip is None or gossip.ack_vector != self._counts():
+            # A wire ack vector is immutable once sent: snapshot afresh only
+            # when a count moved, re-send the same object otherwise.
+            gossip = AckGossip(
+                group=self.member.group,
+                sender=self.member.pid,
+                ack_vector=dict(self._counts()),
+            )
+            self._last_gossip = gossip
         self.member.send_peers(gossip)
         self.member.set_timer(self.ack_period, self._gossip_tick)
 

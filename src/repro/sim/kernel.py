@@ -247,8 +247,8 @@ class Simulator:
         non-negative delay can never land in the past, so the past-check is
         subsumed by the delay check).
         """
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
+        if not delay >= 0:  # negative, or NaN (which would poison the heap order)
+            raise ValueError(f"negative or NaN delay: {delay}")
         freelist = self._freelist
         if freelist:
             # Parked events are never cancelled (only live-popped, fired
@@ -266,8 +266,8 @@ class Simulator:
 
     def call_at(self, time: float, fn: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
+        if not time >= self.now:  # in the past, or NaN (as in call_later)
+            raise ValueError(f"cannot schedule in the past (or at NaN): {time} < {self.now}")
         freelist = self._freelist
         if freelist:
             event = freelist.pop()

@@ -1,5 +1,7 @@
 """Joining a running group: the new member participates from the next view."""
 
+import pytest
+
 from repro.catocs import GroupMember, HeartbeatDetector, ViewManager, build_group
 from repro.sim import LinkModel, Network, Simulator
 
@@ -73,3 +75,46 @@ def test_join_request_via_non_coordinator_is_forwarded():
     joiner = add_joiner(sim, net, "p9", "causal", "p2")  # p2 != coordinator
     sim.run(until=2000)
     assert set(joiner.view_members) == {"p0", "p1", "p2", "p9"}
+
+
+def set_loss(net, pids, drop):
+    for a in pids:
+        for b in pids:
+            if a != b:
+                net.set_link(a, b, LinkModel(latency=5.0, jitter=2.0, drop_prob=drop))
+
+
+@pytest.mark.parametrize("ordering", ["causal", "total-seq", "total-agreed"])
+def test_own_matrix_row_mirrors_contiguous_after_every_event(ordering):
+    # The stability layer is told only the one count a send or receipt
+    # moved, and a joiner's fast-forward writes ``contiguous`` directly,
+    # relying on the matrix rebuild that follows it in the same event.  A
+    # row that falls behind ``contiguous`` stalls the stable frontier for
+    # good, so hold the two equal after every event of a schedule with
+    # NAK repair, a join mid-traffic and a leave.  (Membership control is
+    # not repaired, so the links lose packets only between view changes.)
+    sim, net, pids, members = build(seed=3, ordering=ordering)
+    joiner = add_joiner(sim, net, "p9", ordering, "p1")
+    everyone = list(members.values()) + [joiner]
+    for start, end in ((0.0, 95.0), (300.0, 580.0)):
+        sim.call_at(start, set_loss, net, [*pids, "p9"], 0.2)
+        sim.call_at(end, set_loss, net, [*pids, "p9"], 0.0)
+    for k in range(45):
+        sim.call_at(20.0 + k * 12.0, members[pids[k % 3]].multicast, f"m{k}")
+    for k in range(8):
+        sim.call_at(420.0 + k * 12.0, joiner.multicast, f"j{k}")
+    sim.call_at(600.0, members["p2"].membership.leave)
+    checked = 0
+    while sim.now < 1500.0 and sim.step():
+        for m in everyone:
+            if m.alive:
+                own = m.transport.matrix.row(m.pid)
+                counts = m.transport.contiguous
+                assert all(own[pid] == n for pid, n in counts.items()), (sim.now, m.pid)
+                checked += 1
+    assert set(joiner.view_members) == {"p0", "p1", "p9"}
+    assert joiner.transport.contiguous["p0"] > 0
+    assert sum(m.transport.retransmissions for m in everyone) > 0
+    for m in everyone:  # the frontier kept moving: nothing of a member's is left
+        assert not [mid for mid in m.transport.buffer if mid[0] in m.view_members], m.pid
+    assert checked > 1000

@@ -25,6 +25,7 @@ from repro.catocs.ordering_layers import (
     make_ordering,
 )
 from repro.ordering import VectorClock
+from repro.ordering.dense import bss_deliverable
 
 
 class FakeSim:
@@ -189,6 +190,66 @@ def test_causal_forgive_does_not_skip_recoverable_dependency():
     first = data("p1", 1, vc=VectorClock({"p1": 1}))
     layer.insert(first)
     assert layer.drain() == [first, orphan]
+
+
+_CLOCK_PIDS = ("me", "p1", "p2", "gone")  # "gone" joins the domain late, as a joiner would
+_clock = st.fixed_dictionaries({pid: st.integers(min_value=0, max_value=3) for pid in _CLOCK_PIDS})
+
+
+def _near(values):
+    """Per pid, an offset from a base clock: mostly on it, so that whole
+    stamps are deliverable often enough for one waived component to decide."""
+    return st.fixed_dictionaries({}, optional={pid: st.sampled_from(values) for pid in _CLOCK_PIDS})
+
+
+def _per_component_deliverable(layer, msg):
+    """``CausalOrdering._deliverable`` as it stood: once a ceiling exists,
+    every component goes through ``_required``, waived or not."""
+    sender, vc, delivered = msg.sender, msg.vc, layer.delivered
+    if delivered[sender] < layer._required(sender, vc[sender] - 1):
+        return False
+    if vc[sender] <= delivered[sender]:
+        return False
+    return all(pid == sender or delivered[pid] >= layer._required(pid, vc[pid])
+               for pid in vc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(delivered=_clock, ahead=_near([0, 0, 0, -1, 1, 2]), ceilings=st.lists(
+           _near([0, 0, -1, 1]), min_size=1, max_size=2),
+       sender=st.sampled_from(_CLOCK_PIDS), dense=st.booleans())
+def test_causal_flat_test_is_taken_only_where_the_ceiling_waives_nothing(
+        delivered, ahead, ceilings, sender, dense):
+    layer = CausalOrdering(FakeMember())
+    layer.delivered.merge_in(delivered)
+    for offsets in ceilings:  # a second view change merges into the first
+        layer.forgive({pid: max(0, delivered[pid] + off) for pid, off in offsets.items()})
+    stamp = {pid: max(0, count + ahead.get(pid, 0)) for pid, count in delivered.items()}
+    stamp[sender] += 1
+    vc = layer._domain.clock(stamp) if dense else VectorClock(stamp)
+    msg = data(sender, vc[sender], vc=vc)
+    assert layer._deliverable(msg) == _per_component_deliverable(layer, msg)
+
+
+def test_causal_returns_to_the_flat_test_after_a_view_change(monkeypatch):
+    from repro.catocs import ordering_layers
+
+    flat = []
+    monkeypatch.setattr(
+        ordering_layers, "bss_deliverable",
+        lambda vc, delivered, sender: flat.append(sender) or bss_deliverable(
+            vc, delivered, sender))
+    layer = CausalOrdering(FakeMember())
+    layer.forgive({"p1": 1})
+    # depends on nothing beyond the ceiling: the flat test decides
+    layer.insert(data("p2", 1, vc=VectorClock({"p1": 1, "p2": 1})))
+    assert flat == ["p2"]
+    # depends on p1#2, which was lost with p1: only the waiver delivers it
+    orphan = data("p2", 2, vc=VectorClock({"p1": 2, "p2": 2}))
+    layer.delivered.merge_in({"p1": 1, "p2": 1})
+    layer.insert(orphan)
+    assert flat == ["p2"]
+    assert layer.drain() == [orphan]
 
 
 def test_sequencer_assigns_and_gates_delivery():

@@ -2,9 +2,11 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.catocs import build_group
-from repro.catocs.messages import AckGossip, DataMessage
+from repro.catocs import build_group, build_member
+from repro.catocs.messages import AckGossip, DataMessage, Nak
+from repro.catocs.transport import StabilityLayer
 from repro.experiments.e16_stability import _run as e16_run
 from repro.sim import FailureInjector, LinkModel, Network, Simulator
 
@@ -430,3 +432,201 @@ def test_message_grows_by_exactly_the_ack_vector_when_sent_down():
     assert set(msg.ack_vector) == set(PIDS)
     assert msg.size_bytes() - before == sum(8 + len(pid.encode()) for pid in PIDS)
     assert layer.buffered_bytes() == msg.size_bytes()  # buffered at its wire size
+
+
+# -- pay per news: the absorbed-vector memo vs a layer that always merges -----------
+
+SENDERS = ["p1", "p2", "p3", "ghost"]  # p3 joins and leaves; ghost is never a member
+
+_vector = st.lists(st.integers(min_value=0, max_value=5), min_size=4, max_size=4).map(
+    lambda values: dict(zip(["p0", "p1", "p2", "p3"], values))
+)
+
+
+class AlwaysMergeStability(StabilityLayer):
+    """The layer as it was before it paid per news: every gossip merged,
+    every tick a fresh snapshot, every publish the whole own row."""
+
+    def on_control(self, src, payload):
+        if isinstance(payload, AckGossip):
+            self.absorb_ack_vector(payload.sender, payload.ack_vector)
+            self._dedup.learn_existence(payload.ack_vector)
+            self.check_stability()
+            return []
+        return None
+
+    def _gossip_tick(self):
+        self.gossip_sent += 1
+        self.member.send_peers(AckGossip(
+            group=self.member.group, sender=self.member.pid,
+            ack_vector=dict(self._counts()),
+        ))
+        self.member.set_timer(self.ack_period, self._gossip_tick)
+
+    def publish_own_counts(self, sender, count):
+        self.matrix.update_row(self.member.pid, self._counts())
+
+
+class _Driven:
+    """p0's stability and dedup layers on a private simulator: what p0 sends
+    is recorded, not transmitted, and the test plays every other member."""
+
+    def __init__(self, always_merge):
+        self.sim = Simulator(seed=0)
+        net = Network(self.sim, LinkModel(latency=5.0))
+        # ack_period=0: no tick is armed until the class is settled; the
+        # manual first tick at the end of __init__ starts the period
+        self.member = build_member(self.sim, net, "p0", group="group", members=PIDS,
+                                   ordering="raw", ack_period=0.0)
+        self.layer = self.member.stack.layer("stability")
+        self.dedup = self.member.stack.layer("dedup")
+        if always_merge:
+            self.layer.__class__ = AlwaysMergeStability
+        self.sent = []
+        self.member.send = lambda dst, payload: self.sent.append(((dst,), payload))
+        self.member.send_many = lambda dsts, payload: self.sent.append((tuple(dsts), payload))
+        self.released = []
+        self.layer.stable_hooks.append(self.released.append)
+        self.merges = 0
+        absorb = self.layer.absorb_ack_vector
+
+        def counted(sender, vector):
+            self.merges += 1
+            absorb(sender, vector)
+
+        self.layer.absorb_ack_vector = counted
+        self.layer.ack_period = 50.0
+        self.layer._gossip_tick()
+
+    def state(self):
+        matrix = self.layer.matrix
+        return {
+            "rows": {pid: matrix.row(pid).as_dict() for pid in matrix.pids},
+            "frontier": matrix.min_vector().as_dict(),
+            "moves": matrix.moves,
+            "contiguous": dict(self.dedup.contiguous),
+            "max_seen": dict(self.dedup._max_seen),
+            "nak_pending": set(self.dedup._nak_pending),
+            "timers": self.sim.pending,
+            "naks_sent": self.dedup.naks_sent,
+            "sent": self.sent,
+            "buffer": list(self.layer.buffer),
+            "released": self.released,
+            "gossip_sent": self.layer.gossip_sent,
+        }
+
+
+class PayPerNewsMachine(RuleBasedStateMachine):
+    """Every step goes to the real layer and to :class:`AlwaysMergeStability`;
+    nothing either of them exposes may differ afterwards."""
+
+    def __init__(self):
+        super().__init__()
+        self.real = _Driven(always_merge=False)
+        self.model = _Driven(always_merge=True)
+        self.last = {}  # sender -> the vector it last gossiped
+
+    def both(self, act):
+        act(self.real)
+        act(self.model)
+
+    def deliver(self, sender, vector):
+        self.both(lambda d: d.layer.on_control(
+            sender, AckGossip(group="group", sender=sender, ack_vector=vector)))
+
+    @rule(sender=st.sampled_from(SENDERS), vector=_vector)
+    def gossip(self, sender, vector):
+        """Fresh or stale news, from members, ex-members and strangers."""
+        self.last[sender] = vector
+        self.deliver(sender, vector)
+
+    @precondition(lambda self: self.last)
+    @rule(data=st.data(), distinct=st.booleans())
+    def gossip_again(self, data, distinct):
+        """The sender's counts did not move: the same dict object (what the
+        simulated network hands over) or an equal copy (what a socket does)."""
+        sender = data.draw(st.sampled_from(sorted(self.last)))
+        self.deliver(sender, dict(self.last[sender]) if distinct else self.last[sender])
+
+    @rule(sender=st.sampled_from(SENDERS[:3]), seq=st.integers(min_value=1, max_value=6),
+          acks=st.one_of(st.none(), _vector), retransmit=st.booleans())
+    def receive(self, sender, seq, acks, retransmit):
+        """Data in any order, with gaps and duplicates; a retransmitted copy
+        carries no ack vector."""
+        self.both(lambda d: d.dedup.receive_up(sender, DataMessage(
+            group="group", sender=sender, seq=seq, payload=seq, sent_at=0.0,
+            ack_vector=None if retransmit else acks, retransmit=retransmit)))
+
+    @rule()
+    def send(self):
+        def multicast(d):
+            msg = DataMessage(group="group", sender="p0",
+                              seq=d.dedup.contiguous["p0"] + 1, payload="x", sent_at=0.0)
+            d.layer.send_down(msg)  # the stack pushes top to bottom
+            d.dedup.send_down(msg)
+        self.both(multicast)
+
+    @rule(requester=st.sampled_from(SENDERS[:3]), sender=st.sampled_from(PIDS),
+          seq=st.integers(min_value=1, max_value=6))
+    def serve_nak(self, requester, sender, seq):
+        self.both(lambda d: d.dedup.on_control(
+            requester, Nak(group="group", requester=requester, wanted=[(sender, seq)])))
+
+    @rule(others=st.sets(st.sampled_from(SENDERS[:3])),
+          forward=st.one_of(st.none(), _vector))
+    def install_view(self, others, forward):
+        """Join, leave, or the same members again: the matrix is rebuilt each
+        time.  ``forward`` is a joiner's fast-forward, written straight into
+        ``contiguous`` before the rebuild as ``Membership._complete_join`` does."""
+        def install(d):
+            for pid, count in (forward or {}).items():
+                d.dedup.contiguous[pid] = max(d.dedup.contiguous.get(pid, 0), count)
+                d.dedup._max_seen[pid] = max(d.dedup._max_seen.get(pid, 0), count)
+            d.member.view_members = ("p0", *sorted(others))
+            d.member.transport.update_membership(d.member.view_members)
+        self.both(install)
+
+    @rule(elapsed=st.sampled_from([3.0, 10.0, 60.0]))
+    def advance(self, elapsed):
+        """NAK timers and gossip ticks fall due."""
+        self.both(lambda d: d.sim.run(until=d.sim.now + elapsed))
+
+    @invariant()
+    def indistinguishable(self):
+        assert self.real.state() == self.model.state()
+
+
+TestPayPerNews = PayPerNewsMachine.TestCase
+TestPayPerNews.settings = settings(max_examples=120, stateful_step_count=30, deadline=None)
+
+
+def test_equal_but_distinct_vectors_are_recognised_as_no_news():
+    # UdpNetwork decodes a new dict per datagram: the memo must hit on
+    # equality, not identity alone, and must miss as soon as a count differs.
+    machine = PayPerNewsMachine()
+    vector = {"p0": 0, "p1": 2, "p2": 1, "p3": 0}
+    for _ in range(4):
+        machine.deliver("p1", dict(vector))
+        machine.indistinguishable()
+    assert (machine.real.merges, machine.model.merges) == (1, 4)
+    machine.deliver("p1", {**vector, "p2": 2})
+    machine.indistinguishable()
+    assert machine.real.merges == 2
+    assert machine.real.layer.matrix.row("p1")["p2"] == 2
+    assert machine.real.dedup._max_seen["p2"] == 2
+
+
+def test_the_memo_does_not_survive_a_rebuilt_matrix():
+    # Between two identical gossips a view is installed: the new matrix has
+    # never seen the vector, so "same as last time" must not skip the merge.
+    machine = PayPerNewsMachine()
+    vector = {"p0": 0, "p1": 3, "p2": 3, "p3": 0}
+    machine.deliver("p1", vector)
+    machine.deliver("p1", vector)
+    assert machine.real.merges == 1
+    machine.install_view({"p1", "p2"}, None)  # same members, rebuilt matrix
+    assert machine.real.layer.matrix.row("p1").as_dict() == {"p0": 0, "p1": 0, "p2": 0}
+    machine.deliver("p1", vector)
+    machine.indistinguishable()
+    assert machine.real.merges == 2
+    assert machine.real.layer.matrix.row("p1")["p2"] == 3

@@ -87,6 +87,21 @@ def test_schedule_in_past_rejected():
         sim.call_at(5.0, lambda: None)
 
 
+@pytest.mark.parametrize("schedule", ["call_later", "call_at"])
+def test_nan_time_rejected(schedule):
+    # NaN compares false with everything: once in the heap it breaks the
+    # order of the timers around it (2, nan, 1, 3, 0.5 fired 1, 0.5, 2, ...).
+    sim = Simulator()
+    hits = []
+    for when in (2.0, 1.0, 3.0, 0.5):
+        getattr(sim, schedule)(when, hits.append, when)
+    with pytest.raises(ValueError):
+        getattr(sim, schedule)(float("nan"), hits.append, "nan")
+    assert sim.pending == 4
+    sim.run()
+    assert hits == [0.5, 1.0, 2.0, 3.0]
+
+
 def test_stop_halts_run():
     sim = Simulator()
     hits = []
