@@ -32,6 +32,32 @@ def test_kernel_event_throughput(benchmark):
     assert events >= 5000
 
 
+@pytest.mark.parametrize("schedule", ["call_at", "post_at"])
+@pytest.mark.parametrize("depth", [2000, 30000])
+def test_kernel_standing_queue(benchmark, depth, schedule):
+    """``depth`` self-re-arming timers at seeded random delays, 20,000 firings.
+
+    The chain above holds one entry, so its pushes and pops compare nothing;
+    here each sifts through about log2(depth) entries, which is the cost
+    that depends on what a heap entry is.  ``post_at`` is the same queue
+    without the Timer handles."""
+
+    def run():
+        sim = Simulator(seed=0)
+        uniform = sim.rng.uniform
+        arm = getattr(sim, schedule)
+
+        def rearm():
+            arm(sim.now + uniform(0.5, 1.5), rearm)
+
+        for _ in range(depth):
+            arm(uniform(0.0, 1.0), rearm)
+        sim.run(max_events=20_000)
+        return sim.pending
+
+    assert benchmark(run) == depth
+
+
 def test_network_send_deliver_throughput(benchmark):
     from repro.sim import Process
 

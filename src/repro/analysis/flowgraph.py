@@ -68,7 +68,9 @@ SEND_ARG: Dict[str, Dict[int, int]] = {
 }
 
 #: scheduling primitives: (delay argument index, callback argument index).
-TIMER_FUNCS = {"set_timer": (0, 1), "call_later": (0, 1), "call_at": (0, 1)}
+TIMER_FUNCS = {
+    "set_timer": (0, 1), "call_later": (0, 1), "call_at": (0, 1), "post_at": (0, 1),
+}
 
 #: module whose classes are wire messages by definition.
 MESSAGES_MODULE = "repro.catocs.messages"
@@ -433,8 +435,9 @@ class FlowGraph:
         self, call: ast.Call
     ) -> Optional[Tuple[ast.Call, bool, Optional[str]]]:
         """Rewrite ``x.set_timer(d, fn, *args)`` as a synthetic ``fn(*args)``
-        call, with the delayed flag from ``d``.  ``call_at`` is always
-        delayed; a literal-zero delay fires within the current tick."""
+        call, with the delayed flag from ``d``.  ``call_at`` and ``post_at``
+        take a time, not a delay, and are always delayed; a literal-zero
+        delay fires within the current tick."""
         name = self._call_method_name(call)
         if name not in TIMER_FUNCS:
             return None
@@ -444,7 +447,7 @@ class FlowGraph:
         delay = call.args[delay_idx]
         delayed = True
         if (
-            name != "call_at"
+            name not in ("call_at", "post_at")
             and isinstance(delay, ast.Constant)
             and delay.value in (0, 0.0)
         ):

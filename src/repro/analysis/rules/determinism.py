@@ -215,7 +215,7 @@ ORDERED_SINKS = {
     "append", "extend", "appendleft", "insert_ordered",
     "send", "send_many", "send_peers", "send_control", "multicast", "post",
     "broadcast",
-    "set_timer", "call_later", "call_at", "schedule", "enqueue",
+    "set_timer", "call_later", "call_at", "post_at", "schedule", "enqueue",
     "put", "emit", "write",
 }
 

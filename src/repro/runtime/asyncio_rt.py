@@ -28,7 +28,8 @@ class _HandleTimer:
     false once the timer has either been cancelled *or fired*, ``cancel()``
     is an idempotent no-op after firing, and ``reschedule()`` moves a live
     timer but raises once it has fired (a fired callback cannot be un-run;
-    schedule a fresh timer instead).
+    schedule a fresh timer instead) and leaves it armed if the new delay is
+    refused.
     """
 
     __slots__ = ("_clock", "_fn", "_args", "_handle", "cancelled", "fired")
@@ -59,6 +60,8 @@ class _HandleTimer:
                 "cannot reschedule a timer that has already fired; "
                 "schedule a new one with call_later()"
             )
+        if delay != delay:
+            raise ValueError(f"NaN delay: {delay}")
         self.cancel()
         return self._clock.call_later(delay, self._fn, *self._args)
 
@@ -96,6 +99,10 @@ class AsyncioClock:
         return self._loop.time() - self._t0
 
     def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> _HandleTimer:
+        """``fn(*args)`` after ``delay`` real seconds; a negative delay (a
+        ``call_at`` deadline the wall clock already passed) runs at once."""
+        if delay != delay:  # max(nan, 0.0) is nan: asyncio would take it and fire at once
+            raise ValueError(f"NaN delay: {delay}")
         timer = _HandleTimer(self, fn, args)
         timer._handle = self._loop.call_later(max(delay, 0.0), timer._run)
         return timer

@@ -10,12 +10,17 @@ Events with equal timestamps are ordered by insertion sequence number, so the
 execution order is a deterministic function of the schedule calls alone.
 
 The event structure is one binary heap driven through C ``heapq``, owned by
-the :class:`Simulator` itself: scheduling is a single ``heappush`` from
-``call_later``/``call_at``, and one loop in :meth:`Simulator.run` pops,
-fires and recycles for every way of advancing the clock (``run()``,
-``run(until=)``, ``run(max_events=)``, ``step()``).  A pure-Python timing
-wheel was tried beside it and lost at every queue depth — see "Why a plain
-heap" in docs/PERFORMANCE.md.
+the :class:`Simulator` itself.  Every entry is a plain tuple that starts
+``(time, seq)``: ``seq`` is unique, so ``heapq`` orders entries by comparing
+a float and an int in C and never reaches what follows them, nor calls back
+into Python.  What follows is either a handle — ``(time, seq, event)``, from
+``call_later``/``call_at`` — or the callback itself — ``(time, seq, fn,
+args)``, from :meth:`Simulator.post_at`, for callers that would throw the
+handle away.  Scheduling is a single ``heappush``, and one loop in
+:meth:`Simulator.run` pops and fires both kinds for every way of advancing
+the clock (``run()``, ``run(until=)``, ``run(max_events=)``, ``step()``).
+A pure-Python timing wheel was tried beside it and lost at every queue
+depth — see "Why a plain heap" in docs/PERFORMANCE.md.
 
 Cancelled events stay in the heap as tombstones (removing from the middle
 of a heap is O(n)); the simulator keeps O(1) tombstone counters and
@@ -25,20 +30,16 @@ they are half the heap — so timer-heavy protocols (NAK timers, heartbeats
 push/pop through dead weight.
 
 Hot-path design: :class:`Event` is a ``__slots__`` flyweight that serves as
-its own :class:`Timer` handle (the two names alias one class), and the
-kernel keeps a small free-list of fired events.  An event is recycled only
-when, after its callback returns, the run loop holds the sole remaining
-reference (the ``RECYCLE_REFS``/``live_refs`` refcount check below;
-CPython-only, disabled cleanly elsewhere) — if any caller kept the Timer
-handle, the object is simply left to the allocator, so handle state
-(``fired``, ``cancelled``, ``time``) stays valid forever.
+its own :class:`Timer` handle (the two names alias one class).  It is never
+reused: a caller that kept the handle reads its ``fired``, ``cancelled`` and
+``time`` for as long as it likes, and one nobody kept falls to the allocator
+when its heap entry is popped.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import sys
 import weakref
 from heapq import heapify, heappop, heappush
 from math import inf
@@ -50,46 +51,12 @@ from repro.obs import MetricsRegistry
 #: accumulated *and* they make up at least half the heap.
 COMPACT_MIN_TOMBSTONES = 64
 
-#: Cap on recycled events retained for reuse; beyond this, fired events are
-#: released to the allocator like any other object.
-FREELIST_MAX = 512
-
-#: Free-list recycling decides "nobody kept the Timer handle" by exact
-#: refcount: after an event's callback returns, the loop in
-#: :meth:`Simulator.run` compares ``live_refs(event)`` against this
-#: constant.  The loop holds the event in exactly ONE local binding at the
-#: check (it peeks ``queue[0]`` into ``event`` and discards ``heappop``'s
-#: result), so sole ownership is::
-#:
-#:     1 (the loop's `event` local) + 1 (getrefcount's arg)
-#:
-#: If the loop grows a second binding around the check (a temp, a closure
-#: cell, a log capture), recycling silently stops matching — harmless but
-#: wasteful; if it *drops* its binding (e.g. firing straight off a
-#: container slot), a still-held handle could match and be recycled while
-#: live.
-RECYCLE_REFS = 2
-
-if hasattr(sys, "getrefcount") and getattr(sys, "_is_gil_enabled", lambda: True)():
-    live_refs = sys.getrefcount
-else:  # pragma: no cover - non-CPython / free-threaded fallback
-    # PyPy has no getrefcount; free-threaded CPython's counts include
-    # biased cross-thread references.  Returning a sentinel that can never
-    # equal RECYCLE_REFS disables recycling cleanly: fired events simply
-    # fall to the allocator, which is correct, just unrecycled.
-    def live_refs(obj: object) -> int:
-        return -1
-
-
-def noop() -> None:
-    """Placeholder callback for recycled events parked on the free-list."""
-
 
 class Event:
     """A scheduled callback and its own timer handle.
 
-    Ordered by ``(time, seq)``; ``seq`` is a global insertion counter that
-    breaks ties deterministically.
+    The heap orders its ``(time, seq, event)`` entry, not the event: the
+    handle carries ``time`` for its holder to read and no ``seq``.
 
     Earlier kernels paired a dataclass event with a separate ``Timer``
     handle object; at hundreds of thousands of events per second the extra
@@ -100,10 +67,9 @@ class Event:
     heaps must die by refcounting (warm workers run with the cyclic GC off).
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired", "_simref")
+    __slots__ = ("time", "fn", "args", "cancelled", "fired", "_simref")
 
     time: float
-    seq: int
     fn: Callable[..., None]
     args: tuple
     cancelled: bool
@@ -113,23 +79,16 @@ class Event:
     def __init__(
         self,
         time: float,
-        seq: int,
         fn: Callable[..., None],
         args: tuple,
         simref: "weakref.ref[Simulator]",
     ) -> None:
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
         self.fired = False
         self._simref = simref
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.time < other.time or (
-            self.time == other.time and self.seq < other.seq
-        )
 
     @property
     def active(self) -> bool:
@@ -152,7 +111,9 @@ class Event:
 
         Raises :class:`RuntimeError` if the timer already fired — silently
         re-running an already-executed callback is never what the caller
-        meant (arm a fresh timer instead).
+        meant (arm a fresh timer instead).  A ``delay`` that
+        :meth:`Simulator.call_later` would refuse is refused before the
+        cancel, so the timer stays armed where it was.
         """
         if self.fired:
             raise RuntimeError(
@@ -162,6 +123,8 @@ class Event:
         sim = self._simref()
         if sim is None:
             raise RuntimeError("cannot reschedule: simulator no longer exists")
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN delay: {delay}")
         self.cancel()
         return sim.call_later(delay, self.fn, *self.args)
 
@@ -200,7 +163,6 @@ class Simulator:
         "_seq",
         "_events_executed",
         "_stopped",
-        "_freelist",
         "_selfref",
         "_clock_domains",
         "metrics",
@@ -214,12 +176,12 @@ class Simulator:
         self.tombstones = 0
         self.compactions = 0
         self.tombstones_shed = 0
-        #: min-heap of events by (time, seq), tombstones included
-        self._queue: list[Event] = []
+        #: min-heap of (time, seq, event) and (time, seq, fn, args) entries,
+        #: tombstones included
+        self._queue: list[tuple] = []
         self._seq = itertools.count()
         self._events_executed = 0
         self._stopped = False
-        self._freelist: list[Event] = []
         self._selfref: "weakref.ref[Simulator]" = weakref.ref(self)
         self.metrics = MetricsRegistry("sim", clock=lambda: self.now)
         self._register_metrics()
@@ -249,37 +211,28 @@ class Simulator:
         """
         if not delay >= 0:  # negative, or NaN (which would poison the heap order)
             raise ValueError(f"negative or NaN delay: {delay}")
-        freelist = self._freelist
-        if freelist:
-            # Parked events are never cancelled (only live-popped, fired
-            # events are recycled), so only `fired` needs resetting.
-            event = freelist.pop()
-            event.time = self.now + delay
-            event.seq = next(self._seq)
-            event.fn = fn
-            event.args = args
-            event.fired = False
-        else:
-            event = Event(self.now + delay, next(self._seq), fn, args, self._selfref)
-        heappush(self._queue, event)
+        time = self.now + delay
+        event = Event(time, fn, args, self._selfref)
+        heappush(self._queue, (time, next(self._seq), event))
         return event
 
     def call_at(self, time: float, fn: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
         if not time >= self.now:  # in the past, or NaN (as in call_later)
             raise ValueError(f"cannot schedule in the past (or at NaN): {time} < {self.now}")
-        freelist = self._freelist
-        if freelist:
-            event = freelist.pop()
-            event.time = time
-            event.seq = next(self._seq)
-            event.fn = fn
-            event.args = args
-            event.fired = False
-        else:
-            event = Event(time, next(self._seq), fn, args, self._selfref)
-        heappush(self._queue, event)
+        event = Event(time, fn, args, self._selfref)
+        heappush(self._queue, (time, next(self._seq), event))
         return event
+
+    def post_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
+        """:meth:`call_at` without the handle, for a caller that would drop it.
+
+        Same check, same ``seq`` counter and so the same place in the
+        execution order; what is scheduled this way cannot be cancelled.
+        """
+        if not time >= self.now:
+            raise ValueError(f"cannot schedule in the past (or at NaN): {time} < {self.now}")
+        heappush(self._queue, (time, next(self._seq), fn, args))
 
     def _cancel(self, event: Event) -> None:
         """Tombstone ``event``.  Caller guarantees it is live (not fired)."""
@@ -297,7 +250,7 @@ class Simulator:
         mid-run must not strand it on a stale list.
         """
         queue = self._queue
-        kept = [e for e in queue if not e.cancelled]
+        kept = [e for e in queue if len(e) == 4 or not e[2].cancelled]
         self.tombstones_shed += len(queue) - len(kept)
         heapify(kept)
         queue[:] = kept
@@ -318,42 +271,42 @@ class Simulator:
 
         ``until`` is inclusive: an event at exactly ``until`` executes.
 
-        This is the kernel's only popping loop: pop, fire and free-list
-        recycling happen in one frame with the heap held in a local (at >1M
+        This is the kernel's only popping loop: both kinds of entry are
+        popped and fired in one frame with the heap held in a local (at >1M
         events/sec a method frame per event is a first-order cost).
         """
+        if until != until:  # NaN: `time > nan` is never true, so nothing would stop the run
+            raise ValueError("cannot run until NaN")
         self._stopped = False
         horizon = inf if until is None else until
         budget = max_events
         queue = self._queue
-        freelist = self._freelist
-        park = freelist.append
         pop = heappop
-        refs = live_refs
         while queue and not self._stopped:
-            event = queue[0]
-            if event.cancelled:
-                pop(queue)
-                self.tombstones -= 1
-                self.tombstones_shed += 1
-                continue
-            if event.time > horizon:
+            entry = queue[0]
+            handle_free = len(entry) == 4
+            if not handle_free:
+                event = entry[2]
+                if event.cancelled:
+                    pop(queue)
+                    self.tombstones -= 1
+                    self.tombstones_shed += 1
+                    continue
+            time = entry[0]
+            if time > horizon:
                 break
             if budget is not None:
                 if budget <= 0:
                     break
                 budget -= 1
-            # Result discarded: `event` must stay the only binding at the
-            # recycle check (see RECYCLE_REFS).
             pop(queue)
-            event.fired = True
-            self.now = event.time
+            self.now = time
             self._events_executed += 1
-            event.fn(*event.args)
-            if refs(event) == RECYCLE_REFS and len(freelist) < FREELIST_MAX:
-                event.fn = noop
-                event.args = ()
-                park(event)
+            if handle_free:
+                entry[2](*entry[3])
+            else:
+                event.fired = True
+                event.fn(*event.args)
         if until is not None and self.now < until:
             self.now = until
         return self.now

@@ -38,11 +38,11 @@ and the envelope path", has the table and the rules ``send`` keeps).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 from types import FunctionType, MemberDescriptorType
 from typing import (
-    TYPE_CHECKING, Any, Callable, Collection, Dict, Iterable, Optional, Set, Tuple,
+    TYPE_CHECKING, Any, Callable, Collection, Dict, FrozenSet, Iterable, Optional, Set, Tuple,
 )
 
 from repro.sim.kernel import Simulator
@@ -133,6 +133,19 @@ def _size_object(payload: Any) -> int:
     return 8 + estimate_size(fields)
 
 
+def _size_record(names: FrozenSet[str], fixed: int, payload: Any) -> int:
+    """A dataclass instance holding exactly its declared fields: what
+    :func:`_size_object` would say, with the names priced once for the type
+    (``fixed`` is 16 plus their UTF-8 bytes).  One attribute more or fewer —
+    an instance-level ``size_bytes`` is one more — and it is ``_size_object``
+    that answers.  Attribute names are taken to be plain ``str``, as a
+    dataclass ``__init__`` makes them."""
+    attrs = vars(payload)
+    if attrs.keys() == names:
+        return fixed + _sum_sizes(attrs.values())
+    return _size_object(payload)
+
+
 _UNSET = object()
 
 
@@ -211,7 +224,10 @@ def _classify(cls: type) -> Callable[[Any], int]:
     instances: one whose lookup is programmable (``__getattr__`` or a
     Python ``__getattribute__`` in the MRO — never memoised), and a builtin
     subclass whose instances carry a ``__dict__`` a hook could sit in.
-    Both ask each instance (:func:`_size_instance`).
+    Both ask each instance (:func:`_size_instance`).  A dataclass sized
+    through its ``vars()`` has its field names read here, once
+    (:func:`_size_record`); ``fields()`` leaves out ``ClassVar`` and
+    ``InitVar`` pseudo-fields, which no instance carries.
     """
     hook = False
     for klass in cls.__mro__:
@@ -223,7 +239,11 @@ def _classify(cls: type) -> Callable[[Any], int]:
         sizer = _size_hook
     else:
         sizer = _by_shape(cls)
-        if sizer is not _size_object and cls.__dictoffset__:
+        if sizer is _size_object:
+            if is_dataclass(cls):
+                names = frozenset(field.name for field in fields(cls))
+                sizer = partial(_size_record, names, 16 + sum(map(_size_str, names)))
+        elif cls.__dictoffset__:
             sizer = _size_instance
     _SIZERS[cls] = sizer
     return sizer
@@ -260,9 +280,9 @@ class Packet:
     endpoint crash) while the packet is in flight invalidates it.  None for
     non-FIFO links, which have no connection state to reset.
 
-    ``slots=True``: one envelope is allocated per network send, making this
-    the second-hottest allocation in the simulator after the kernel's
-    events (which are ``__slots__`` flyweights for the same reason).
+    ``slots=True``: one envelope is allocated per network send, and three
+    heap entries in four are a packet's delivery (the kernel's own ``Event``
+    is a ``__slots__`` flyweight for the same reason).
     """
 
     packet_id: int
@@ -485,7 +505,7 @@ class Network:
             hist = sim.metrics.histogram("net.link_latency", src=src, dst=dst)
             self._latency_hists[key] = hist
         hist.observe(arrival - now)
-        sim.call_at(arrival, self._deliver, packet)
+        sim.post_at(arrival, self._deliver, packet)
         return packet
 
     def multicast(self, src: str, dsts: Iterable[str], payload: Any) -> None:

@@ -146,6 +146,17 @@ def test_catocs_subgraph_is_acyclic_per_tick(repo_flow):
     )
 
 
+def test_packet_delivery_is_a_delayed_edge_out_of_network_send(repo_flow):
+    # The network hands ``_deliver`` to the kernel's handle-free ``post_at``;
+    # the graph must read that as it read ``call_at``: a call, next tick.
+    send = repo_flow.code.functions["repro.sim.network.Network.send"]
+    scheduled = {
+        ast.unparse(call.func)
+        for call, delayed in repo_flow._iter_plain_calls(send) if delayed
+    }
+    assert scheduled == {"self._deliver"}
+
+
 def test_registered_disciplines_have_statically_visible_layers(repo_flow):
     assert {
         "BatchLayer",

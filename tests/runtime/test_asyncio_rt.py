@@ -8,6 +8,8 @@ protocol stack running on top of them is covered over real sockets in
 
 import asyncio
 
+import pytest
+
 from repro.runtime import AsyncioClock, UdpNetwork, run_for
 
 
@@ -109,6 +111,27 @@ def test_cancel_after_firing_is_a_noop():
     timer = asyncio.run(scenario())
     assert timer.fired
     assert not timer.active
+
+
+def test_nan_is_rejected_and_a_rejected_reschedule_leaves_the_timer_armed():
+    # max(nan, 0.0) is nan: asyncio accepted it, reported when() == nan from
+    # inside its own timer heap and ran the callback at once.
+    async def scenario():
+        clock = AsyncioClock(seed=0)
+        hits = []
+        timer = clock.call_later(0.02, hits.append, "x")
+        with pytest.raises(ValueError):
+            timer.reschedule(float("nan"))
+        assert timer.active  # refused before the cancel, not after
+        with pytest.raises(ValueError):
+            clock.call_later(float("nan"), hits.append, "nan")
+        with pytest.raises(ValueError):
+            clock.call_at(float("nan"), hits.append, "nan")
+        clock.call_later(-1.0, hits.append, "late")  # a passed deadline still clamps to now
+        await run_for(0.06)
+        return hits
+
+    assert asyncio.run(scenario()) == ["late", "x"]
 
 
 # -- loop resolution --------------------------------------------------------------

@@ -157,61 +157,94 @@ def test_events_executed_counter():
     assert sim.events_executed == 5
 
 
-# -- free-list recycling (the RECYCLE_REFS gate in repro.sim.kernel) --------------
-
-
-def _fire_n(sim, n, via):
-    for i in range(n):
-        sim.call_later(float(i), lambda: None)
-    if via == "drain":
-        sim.run()
-    elif via == "until":
-        sim.run(until=float(n))
-    else:
-        while sim.step():
-            pass
-
-
-@pytest.mark.parametrize("via", ["drain", "until", "step"])
-def test_unheld_events_are_recycled(via):
-    # Pins RECYCLE_REFS to the actual call shape of the run loop: if a
-    # refactor adds or drops a binding around the check, recycling silently
-    # stops matching and this test catches it.  CPython-only by design.
-    import sys
-
-    if not hasattr(sys, "getrefcount"):
-        pytest.skip("refcount recycling is CPython-only")
-    sim = Simulator()
-    _fire_n(sim, 8, via)
-    assert len(sim._freelist) > 0, via
-
-
-def test_held_timer_handles_are_never_recycled():
+def test_held_handle_keeps_its_state_after_firing():
+    # An Event is never reused: what a holder reads off a fired or cancelled
+    # handle stays true while later events — at the same instant too — come
+    # and go through the queue.
     sim = Simulator()
     held = [sim.call_later(float(i), lambda: None) for i in range(5)]
+    dropped = sim.call_later(2.0, lambda: None)
+    dropped.cancel()
     sim.run()
-    assert all(timer not in sim._freelist for timer in held)
-    assert all(timer.fired for timer in held)
-    # Handle state survives: a held handle is inert, not repurposed.
+    for _ in range(8):
+        sim.call_at(4.0, lambda: None)
+        sim.post_at(4.0, lambda: None)
+    sim.run()
+    assert all(timer.fired and not timer.cancelled and not timer.active for timer in held)
     assert [timer.time for timer in held] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert dropped.cancelled and not dropped.fired and dropped.time == 2.0
 
 
-def test_kernel_correct_with_recycling_disabled(monkeypatch):
-    # The non-CPython fallback: live_refs returns a sentinel that never
-    # matches RECYCLE_REFS, so events fall to the allocator and behaviour
-    # is otherwise identical.
-    import repro.sim.kernel as kernel_mod
+# -- handle-free entries (Simulator.post_at) beside Timer-carrying ones -----------
 
-    monkeypatch.setattr(kernel_mod, "live_refs", lambda obj: -1)
+
+class _Recorder:
+    def __init__(self):
+        self.seen = []
+
+    def note(self, tag):
+        self.seen.append(tag)
+
+
+def test_equal_time_entries_of_both_kinds_fire_in_seq_order():
+    # Same time, so the heap falls through to seq — and must stop there: a
+    # lambda and a bound method cannot be compared (TypeError if reached).
     sim = Simulator()
-    fired = []
-    for i in range(6):
-        sim.call_later(float(i), fired.append, i)
-    sim.run(until=2.0)
-    while sim.step():
-        pass
-    assert fired == [0, 1, 2, 3, 4, 5]
-    assert sim._freelist == []
+    rec = _Recorder()
+    for i in range(40):
+        if i % 2:
+            sim.post_at(3.0, rec.note, i)
+        else:
+            sim.post_at(3.0, lambda i=i: rec.seen.append(i))
+        sim.call_at(3.0, rec.note, i + 0.5)
+    sim.run()
+    assert rec.seen == [x for i in range(40) for x in (i, i + 0.5)]
+    assert sim.events_executed == 80
+
+
+@pytest.mark.parametrize("when", [5.0, float("nan")], ids=["past", "nan"])
+def test_post_at_rejects_the_past_and_nan(when):
+    sim = Simulator()
+    sim.run(until=10.0)
+    with pytest.raises(ValueError):
+        sim.post_at(when, lambda: None)
+    assert sim.pending == 0
+
+
+def test_post_at_entries_count_as_pending_and_against_the_budget():
+    sim = Simulator()
+    hits = []
+    for i in range(10):
+        (sim.post_at if i % 2 else sim.call_at)(float(i), hits.append, i)
+    assert sim.pending == sim.queue_depth == 10
+    sim.run(max_events=4)
+    assert hits == [0, 1, 2, 3]
+    assert (sim.events_executed, sim.pending) == (4, 6)
+    assert sim.step() and hits[-1] == 4
+    sim.run(until=6.0)
+    assert hits == [0, 1, 2, 3, 4, 5, 6]
+
+
+def test_run_until_nan_rejected():
+    # `time > nan` is never true: the horizon would vanish and run() drain.
+    sim = Simulator()
+    hits = []
+    sim.call_later(5.0, hits.append, "x")
+    with pytest.raises(ValueError):
+        sim.run(until=float("nan"))
+    assert hits == [] and sim.now == 0.0 and sim.pending == 1
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+def test_rejected_reschedule_leaves_the_timer_armed(delay):
+    sim = Simulator()
+    hits = []
+    timer = sim.call_later(5.0, hits.append, "x")
+    with pytest.raises(ValueError):
+        timer.reschedule(delay)
+    assert timer.active and sim.pending == 1 and sim.tombstones == 0
+    sim.run()
+    assert hits == ["x"] and sim.now == 5.0
 
 
 def test_mass_cancellation_inside_callback_keeps_draining():
@@ -229,10 +262,15 @@ def test_mass_cancellation_inside_callback_keeps_draining():
 
     sim.call_later(1.0, massacre)
     sim.call_later(2.0, fired.append, "after")
+    # Handle-free entries share the heap being compacted: below, among and
+    # above the doomed timers, none of them may be shed or stranded.
+    for when in (1.5, 500.0, 501.5, 900.0):
+        sim.post_at(when, fired.append, when)
     sim.run()
-    assert fired == ["after"]
+    assert fired == [1.5, "after", 500.0, 501.5, 900.0]
     assert sim.pending == 0
     assert sim.compactions > 0
+    assert sim.tombstones_shed == 300
 
 
 # -- model-based differential: the heap kernel vs a list and min() ----------------
@@ -241,7 +279,7 @@ def test_mass_cancellation_inside_callback_keeps_draining():
 class ModelSim:
     """The obviously-correct event queue: an unsorted list, ``min()`` by
     ``(time, seq)``, cancel = remove.  Specifies what :class:`Simulator`
-    must do; knows nothing about heaps, tombstones or recycling."""
+    must do; knows nothing about heaps, tombstones or tuples."""
 
     def __init__(self):
         self.now = 0.0
@@ -258,6 +296,10 @@ class ModelSim:
         self._seq += 1
         self._queue.append(entry)
         return entry
+
+    def post_at(self, time, fn, *args):
+        self._queue.append([time, self._seq, fn, args])
+        self._seq += 1
 
     def cancel(self, entry):
         if entry in self._queue:  # no-op once fired or cancelled
@@ -308,6 +350,10 @@ def _run_program(sim, cancel, ops):
             # Mix of zero, sub-unit, near and far delays.
             delay = [0.0, 0.25, 1.0, 7.5, 900.0, 1500.0, 3000.0][value % 7]
             timers.append(sim.call_later(delay, fire, len(timers)))
+        elif op == "post":
+            # No handle: nothing joins `timers`, nothing can cancel it.
+            delay = [0.0, 0.25, 1.0, 7.5, 900.0, 1500.0, 3000.0][value % 7]
+            sim.post_at(sim.now + delay, fire, f"p{value}")
         elif op == "cancel" and timers:
             cancel(timers[value % len(timers)])
         elif op == "step":
@@ -329,14 +375,15 @@ def _run_program(sim, cancel, ops):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(
-    st.tuples(st.sampled_from(["sched", "cancel", "step", "until", "burst"]),
+    st.tuples(st.sampled_from(["sched", "post", "cancel", "step", "until", "burst"]),
               st.integers(min_value=0, max_value=10_000)),
     max_size=60,
 ))
 def test_simulator_matches_the_list_model(ops):
     """Identical (time, seq) execution order and observable state
     (``now``, ``events_executed``, ``pending``, ``step()``'s result) after
-    every operation, for ANY program."""
+    every operation, for ANY program mixing Timer-carrying and handle-free
+    entries."""
     model = ModelSim()
     expected = _run_program(model, model.cancel, ops)
     got = _run_program(Simulator(seed=7), lambda timer: timer.cancel(), ops)

@@ -3,7 +3,8 @@
 import collections
 import dataclasses
 import enum
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from typing import ClassVar
 
 import pytest
 from hypothesis import given, settings
@@ -324,6 +325,16 @@ def _instance_hook(value):
     return obj
 
 
+def _gains_an_attribute(obj):
+    obj.extra = "more than the class declared"
+    return obj
+
+
+def _loses_an_attribute(obj):
+    del obj.b
+    return obj
+
+
 def _bag_with_hook(items):
     bag = Bag(items)
     bag.size_bytes = lambda: 5
@@ -368,6 +379,8 @@ def _containers(inner):
         st.sets(_KEYS, max_size=4),
         st.frozensets(_KEYS, max_size=4),
         st.builds(Plain, inner, inner),      # vars() holding other objects
+        st.builds(Plain, inner, inner).map(_gains_an_attribute),
+        st.builds(Plain, inner, inner).map(_loses_an_attribute),
         st.builds(Slotted, inner, inner),
         st.builds(Hooked, st.integers(0, 9)),
         inner.map(_instance_hook),
@@ -464,6 +477,33 @@ def test_slotted_instance_sizes_as_its_unslotted_twin():
 
     assert estimate_size(Sparse()) == 8 + 8 + (4 + 2)
     assert estimate_size(object()) == estimate_size(len) == 8  # neither dict nor slots
+
+
+def test_dataclass_names_are_priced_once_and_only_while_they_hold():
+    @dataclass
+    class Record:
+        kind: ClassVar[str] = "never in vars()"
+        scale: InitVar[int]
+        pid: str
+        count: int = 0
+        flag: bool = False
+
+        def __post_init__(self, scale):
+            self.count *= scale
+
+    _forget_learned_types()
+    plain = Record(3, "é", 2)
+    assert estimate_size(plain) == 16 + (3 + 5 + 4) + (2 + 8 + 1)
+    assert network._SIZERS[Record].func is network._size_record  # not _size_instance
+    grown, shrunk, hooked = Record(3, "é", 2), Record(3, "é", 2), Record(3, "é", 2)
+    grown.scale = 3
+    del shrunk.flag
+    hooked.size_bytes = lambda: 77
+    for obj in (plain, grown, shrunk):
+        assert estimate_size(obj) == size_model.estimate_size(obj)
+    assert estimate_size(grown) - estimate_size(plain) == 5 + 8
+    assert estimate_size(plain) - estimate_size(shrunk) == 4 + 1
+    assert estimate_size(hooked) == 77
 
 
 def test_instance_level_hook_wins_whatever_the_shape():
