@@ -18,12 +18,14 @@ Three rule families (see ``docs/ANALYSIS.md`` for the full catalogue):
   implements the :class:`~repro.catocs.stack.ProtocolLayer` surface, every
   spec string in code/tests/docs resolves against the layer registry, every
   wire-message dataclass has a reachable typed handler and is pickle-safe
-  for ``--jobs`` fan-out.
+  for the experiment suite's ``--jobs`` fan-out (the analyser itself has
+  no workers).
 - **Sim purity** (``PUR*``): simulation packages must not import
   threading/asyncio/wall-clock facilities (that integration lives in
   :mod:`repro.runtime`).
 
-Run it with ``python -m repro.analysis``; suppress a finding in place with
+Run it with ``python -m repro.analysis`` (one pass over the tree, nothing
+kept between runs); suppress a finding in place with
 ``# repro: ignore[rule-id]``; grandfather legacy findings in
 ``analysis-baseline.json``.
 """

@@ -44,6 +44,7 @@ def update(
     root: Path,
     ran_rules: Set[str],
     known_rules: Set[str],
+    scanned_paths: Set[str],
 ) -> int:
     """Rewrite the baseline from this run, pruning stale entries.
 
@@ -51,10 +52,13 @@ def update(
     run).  An old entry that was *not* re-observed is:
 
     - **removed** when its rule id no longer exists, when its file is
-      gone, or when its rule ran this invocation and simply found nothing
-      (the finding was fixed) — all three are stale;
+      gone, or when its rule ran this invocation over its file
+      (``scanned_paths``: the repo-relative paths this run loaded) and
+      simply found nothing (the finding was fixed) — all three are stale;
     - **kept** when its rule exists but was filtered out of this run
-      (``--rules FLOW001`` must not wipe the DET entries).
+      (``--rules FLOW001`` must not wipe the DET entries), or when its
+      file was not in view (``--no-docs`` or an explicit-paths run must
+      not wipe entries for files it never read).
 
     Returns the number of stale entries removed, for the CLI to report.
     """
@@ -71,7 +75,7 @@ def update(
         stale = (
             rule not in known_rules
             or not (root / relpath).exists()
-            or rule in ran_rules
+            or (rule in ran_rules and relpath in scanned_paths)
         )
         if stale:
             removed += 1

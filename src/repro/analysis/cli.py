@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis import baseline as baseline_mod
-from repro.analysis.cache import DEFAULT_CACHE_NAME, CacheStats
 from repro.analysis.engine import default_root, run_analysis
 from repro.analysis.report import render_json, render_sarif, render_text
 from repro.analysis.rules import ALL_RULES, rule_catalogue
@@ -64,29 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-docs", action="store_true",
         help="skip scanning Markdown docs for spec strings",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for stale-file analysis "
-        "(default: 1 = in-process; 0 = size to the machine)",
-    )
-    parser.add_argument(
-        "--cache", type=Path, default=None, metavar="PATH",
-        help=f"fingerprint-cache file (default: <root>/{DEFAULT_CACHE_NAME})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore and do not write the fingerprint cache",
-    )
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help="analyse only files in `git diff --name-only HEAD` "
-        "(cross-file passes still run, replayed from the cache when no "
-        "input of theirs changed); the pre-commit mode",
-    )
-    parser.add_argument(
-        "--stats-out", type=Path, default=None, metavar="PATH",
-        help="write cache-stats JSON (repro.analysis/cache-stats-v1) here",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -182,25 +158,6 @@ def effects_main(argv: List[str]) -> int:
     return 0
 
 
-def _git_changed_relpaths(root: Path) -> "tuple[Optional[set], Optional[str]]":
-    """Repo-relative paths differing from HEAD (``--changed-only`` input)."""
-    import subprocess
-
-    try:
-        proc = subprocess.run(
-            ["git", "diff", "--name-only", "HEAD"],
-            cwd=root, capture_output=True, text=True, timeout=30,
-        )
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        return None, f"cannot run git: {exc}"
-    if proc.returncode != 0:
-        return None, (proc.stderr.strip() or "git diff failed")
-    changed = {
-        line.strip() for line in proc.stdout.splitlines() if line.strip()
-    }
-    return changed, None
-
-
 def _select_rules(
     include: Optional[str], exclude: Optional[str]
 ) -> "tuple[Optional[List], Optional[str]]":
@@ -244,49 +201,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {rule_error}", file=sys.stderr)
         return 2
 
-    cache_path = None
-    if not args.paths and not args.no_cache:
-        cache_path = args.cache or (root / DEFAULT_CACHE_NAME)
-
-    changed_relpaths = None
-    with_project_pass = True
-    if args.changed_only:
-        changed_relpaths, changed_error = _git_changed_relpaths(root)
-        if changed_error is not None:
-            print(f"error: --changed-only: {changed_error}", file=sys.stderr)
-            return 2
-        # Any edit can move a cross-file verdict; the pass is cached under a
-        # whole-project key, so it replays when none of its inputs changed.
-        with_project_pass = bool(changed_relpaths)
-
-    stats = CacheStats()
-    import time
-
-    # Observability only (stats artifact timing); never enters a finding.
-    started = time.perf_counter()  # repro: ignore[DET001]
     try:
         result = run_analysis(
             root=root,
             paths=args.paths or None,
             rules=rules,
             include_docs=not args.no_docs,
-            jobs=args.jobs,
-            cache_path=cache_path,
-            changed_relpaths=changed_relpaths,
-            with_project_pass=with_project_pass,
-            stats=stats,
         )
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error: analysis failed: {exc}", file=sys.stderr)
         return 2
-    stats.wall_s = time.perf_counter() - started  # repro: ignore[DET001]
-    if args.stats_out is not None:
-        import json
-
-        args.stats_out.write_text(
-            json.dumps(stats.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
 
     baseline_path = args.baseline
     if baseline_path is None:
@@ -297,9 +221,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.update_baseline:
         target = args.baseline or (root / DEFAULT_BASELINE)
         ran = {r.rule_id for r in (rules if rules is not None else ALL_RULES)}
+        project = result.project
+        scanned = {
+            f.relpath for f in
+            project.src_modules + project.test_modules + project.docs
+        }
         removed = baseline_mod.update(
             result.findings, target, root=root,
             ran_rules=ran, known_rules=set(rule_catalogue()),
+            scanned_paths=scanned,
         )
         print(f"baseline written: {target} "
               f"({len(result.findings)} finding(s), "

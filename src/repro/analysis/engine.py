@@ -1,53 +1,30 @@
 """The analysis engine: discover sources, run rules, filter, order.
 
 The engine owns everything a rule should not care about: file discovery,
-suppression comments, deduplication, deterministic output ordering — and,
-since PR 10, *incrementality* and *parallelism*:
+suppression comments, deduplication, deterministic output ordering.  A
+run is one pass, for the whole repo and for explicit ``paths`` alike:
 
-- Full-repo runs consult a content-fingerprint cache
-  (:mod:`repro.analysis.cache`, ``repro.analysis/cache-v1``): a file whose
-  sha and per-rule fingerprints match replays its recorded findings
-  without being re-parsed.  A fully-warm run parses **zero** files.
-- Stale files are fanned out across the experiment engine's
-  :class:`~repro.experiments.engine.WarmWorkerPool` (``jobs > 1``), one
-  shard of files per worker, for the file-local rule families.  The
-  cross-file passes (flow/order/contract rules) run in the parent after a
-  barrier, against the shared parsed-AST project — and are themselves
-  cached under a whole-project key.
-- Findings are merged and sorted by the canonical
-  ``(path, line, col, rule, message)`` key, so text/JSON/SARIF output is
-  byte-identical regardless of ``--jobs``, cache state, or which mix of
-  replay and fresh analysis produced each finding.
+- :func:`load_project` parses every file once;
+- each active rule sees its scoped modules (``check_module``) and then
+  the whole project (``check_project``);
+- findings are deduplicated, checked against the suppression comments of
+  the file they name, and sorted by the canonical
+  ``(path, line, col, rule, message)`` key.
 
-Explicit-``paths`` runs (the fixture corpus, ad-hoc file checks) keep the
-simple sequential pipeline: caching a moving set of out-of-tree paths
-would only manufacture invalidation bugs.
+Nothing is carried from one run to the next and nothing runs in worker
+processes: a full run of the repo is ~3.5 s, and most of it is cross-file
+rules that any edit anywhere re-runs (timings in ``docs/ANALYSIS.md``,
+"How a run works").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.cache import (
-    AnalysisCache,
-    CacheStats,
-    ProjectEntry,
-    RuleEntry,
-    finding_from_cache,
-    project_key,
-    rule_version,
-    text_sha,
-)
 from repro.analysis.finding import Finding, Severity, make_finding
-from repro.analysis.parallel import (
-    WorkItem,
-    analyze_module,
-    run_shard,
-    shard_work,
-)
-from repro.analysis.rules import ALL_RULES, Rule, is_file_local
+from repro.analysis.rules import ALL_RULES, Rule
 from repro.analysis.source import (
     DocFile,
     SourceModule,
@@ -84,18 +61,11 @@ class Project:
 
 @dataclass
 class AnalysisResult:
-    """Findings after suppression, before baseline subtraction.
-
-    ``project`` is fully populated whenever the cross-file pass actually
-    ran; a run that replayed the cached project entry (or skipped the
-    pass in ``--changed-only`` mode) leaves it empty — nothing was parsed
-    to fill it, which is the point.
-    """
+    """Findings after suppression, before baseline subtraction."""
 
     project: Project
     findings: List[Finding]
     suppressed: int = 0
-    stats: Optional[CacheStats] = None
 
     @property
     def errors(self) -> List[Finding]:
@@ -164,52 +134,16 @@ def run_analysis(
     paths: Optional[Sequence[Path]] = None,
     rules: Optional[Sequence[Rule]] = None,
     include_docs: bool = True,
-    jobs: int = 1,
-    cache_path: Optional[Path] = None,
-    changed_relpaths: Optional[Set[str]] = None,
-    with_project_pass: bool = True,
-    stats: Optional[CacheStats] = None,
 ) -> AnalysisResult:
-    """Run ``rules`` (default: all) over the tree rooted at ``root``.
-
-    ``jobs`` > 1 fans stale-file analysis across worker processes; ``0``
-    sizes the pool to the machine.  ``cache_path`` (``None`` disables
-    caching — the API default; the CLI defaults it on) points at the
-    ``repro.analysis/cache-v1`` fingerprint cache.  ``changed_relpaths``
-    restricts file-local analysis to those repo-relative paths (the
-    ``--changed-only`` pre-commit mode); ``with_project_pass=False``
-    additionally skips the cross-file rules.  ``stats``, when given, is
-    filled in with replay/analyse counters.
-    """
-    if paths:
-        return _run_paths_mode(root, paths, rules, include_docs)
-    return _run_repo_mode(
-        root=root,
-        rules=rules,
-        include_docs=include_docs,
-        jobs=jobs,
-        cache_path=cache_path,
-        changed_relpaths=changed_relpaths,
-        with_project_pass=with_project_pass,
-        stats=stats,
-    )
-
-
-# -- explicit-paths mode (sequential, uncached) ---------------------------------
-
-
-def _run_paths_mode(
-    root: Optional[Path],
-    paths: Sequence[Path],
-    rules: Optional[Sequence[Rule]],
-    include_docs: bool,
-) -> AnalysisResult:
+    """Run ``rules`` (default: all) over the tree rooted at ``root``, or
+    over just ``paths`` when given (``repo_only`` rules are skipped then:
+    the repo-global state they judge is not in view)."""
     project = load_project(root=root, paths=paths, include_docs=include_docs)
     active = list(rules) if rules is not None else list(ALL_RULES)
     raw: List[Finding] = list(project.parse_findings)
 
     for rule in active:
-        if rule.repo_only:
+        if paths and rule.repo_only:
             continue
         scoped: List[SourceModule] = []
         if "src" in rule.scopes:
@@ -220,321 +154,19 @@ def _run_paths_mode(
             raw.extend(rule.check_module(mod))
         raw.extend(rule.check_project(project))
 
-    by_relpath = {m.relpath: m for m in project.src_modules}
+    by_relpath = {
+        m.relpath: m for m in project.src_modules + project.test_modules
+    }
     kept, suppressed = _dedup_and_suppress(raw, by_relpath)
     kept.sort(key=lambda f: f.sort_key)
     return AnalysisResult(project=project, findings=kept, suppressed=suppressed)
 
 
-# -- full-repo mode (incremental, parallel) -------------------------------------
-
-
-@dataclass
-class _FileInfo:
-    """One discovered source file, read but not yet parsed."""
-
-    path: Path
-    relpath: str
-    bucket: str  # "src" | "tests"
-    text: str
-    sha: str
-
-
-def _discover(root: Path, src_root: Path) -> List[_FileInfo]:
-    """Read every analysable file; fingerprinting needs the bytes anyway."""
-    out: List[_FileInfo] = []
-
-    def read_into(files: Iterable[Path], bucket: str) -> None:
-        for path in files:
-            text = path.read_text(encoding="utf-8", errors="replace")
-            out.append(_FileInfo(
-                path=path,
-                relpath=_rel(path, root),
-                bucket=bucket,
-                text=text,
-                sha=text_sha(text),
-            ))
-
-    read_into(iter_python_files([src_root / "repro"]), "src")
-    tests_root = root / "tests"
-    if tests_root.is_dir():
-        read_into(
-            [p for p in iter_python_files([tests_root])
-             if "fixtures" not in p.parts],
-            "tests",
-        )
-    return out
-
-
-def _run_repo_mode(
-    root: Optional[Path],
-    rules: Optional[Sequence[Rule]],
-    include_docs: bool,
-    jobs: int,
-    cache_path: Optional[Path],
-    changed_relpaths: Optional[Set[str]],
-    with_project_pass: bool,
-    stats: Optional[CacheStats],
-) -> AnalysisResult:
-    root = (root or default_root()).resolve()
-    src_root = root / "src"
-    active = list(rules) if rules is not None else list(ALL_RULES)
-    local_rules = [r for r in active if is_file_local(r)]
-    cross_rules = [r for r in active if not is_file_local(r)]
-
-    st = stats if stats is not None else CacheStats()
-    caching = cache_path is not None
-    st.enabled = caching
-    cache = AnalysisCache.load(cache_path) if caching else AnalysisCache()
-
-    files = _discover(root, src_root)
-    info_by_relpath = {f.relpath: f for f in files}
-    considered = [
-        f for f in files
-        if changed_relpaths is None or f.relpath in changed_relpaths
-    ]
-    st.files_total = len(considered)
-
-    findings: List[Finding] = []
-    suppressed = 0
-    work: List[WorkItem] = []
-
-    # -- plan: replay what the cache proves unchanged, queue the rest ------------
-    for f in considered:
-        applicable = [r for r in local_rules if f.bucket in r.scopes]
-        entry = cache.file_entry(f.relpath, f.sha) if caching else None
-        if entry is not None:
-            if entry.parse_error is not None:
-                findings.append(_parse_finding(f.relpath, entry.parse_error))
-                st.files_replayed += 1
-                continue
-            stale = []
-            for rule in applicable:
-                hit = cache.rule_hit(entry, rule)
-                if hit is None:
-                    stale.append(rule)
-                else:
-                    findings.extend(hit.findings)
-                    suppressed += hit.suppressed
-                    st.rules_replayed += 1
-            if not stale:
-                st.files_replayed += 1
-                continue
-        else:
-            stale = applicable
-        st.files_analyzed += 1
-        st.rules_analyzed += len(stale)
-        # A changed file with no applicable local rule still queues (with an
-        # empty rule tuple): its parseability must be re-verified so PARSE
-        # findings never go stale.
-        work.append((f.relpath, f.bucket, tuple(r.rule_id for r in stale)))
-
-    # -- execute: worker pool for big stale sets, in-process otherwise ----------
-    parse_memo: Dict[str, SourceModule] = {}
-    file_results = _execute_work(
-        work, root, src_root, jobs, parse_memo, st
-    )
-    st.jobs = st.jobs or 1
-
-    catalogue = {r.rule_id: r for r in local_rules}
-    for relpath, parse_error, rule_results in file_results:
-        f = info_by_relpath[relpath]
-        if parse_error is not None:
-            findings.append(_parse_finding(relpath, parse_error))
-            if caching:
-                cache.put_file(relpath, f.sha, f.bucket, parse_error)
-            continue
-        entry = (
-            cache.put_file(relpath, f.sha, f.bucket, None) if caching else None
-        )
-        for rule_id, kept, supp in rule_results:
-            findings.extend(kept)
-            suppressed += supp
-            if entry is not None:
-                entry.rules[rule_id] = RuleEntry(
-                    version=rule_version(catalogue[rule_id]),
-                    findings=list(kept),
-                    suppressed=supp,
-                )
-
-    # -- cross-file pass (after the barrier), itself cached ---------------------
-    project = Project(root=root)
-    if with_project_pass and cross_rules:
-        docs = (
-            [load_doc_file(p, root) for p in iter_doc_files(root)]
-            if include_docs else []
-        )
-        pkey = project_key(
-            {f.relpath: f.sha for f in files},
-            {d.relpath: text_sha(d.text) for d in docs},
-            cross_rules,
-            include_docs,
-        )
-        hit = cache.project_hit(pkey) if caching else None
-        if hit is not None:
-            findings.extend(hit.findings)
-            suppressed += hit.suppressed
-            st.project_replayed = True
-        else:
-            st.project_analyzed = True
-            project = _build_project(root, files, parse_memo, docs, st)
-            proj_findings, proj_suppressed = _run_project_rules(
-                project, cross_rules
-            )
-            findings.extend(proj_findings)
-            suppressed += proj_suppressed
-            if caching:
-                cache.project = ProjectEntry(
-                    key=pkey,
-                    findings=list(proj_findings),
-                    suppressed=proj_suppressed,
-                )
-
-    findings.sort(key=lambda f: f.sort_key)
-    if caching:
-        cache.prune({f.relpath for f in files})
-        cache.save(cache_path)
-    return AnalysisResult(
-        project=project, findings=findings, suppressed=suppressed, stats=st
-    )
-
-
-def _execute_work(
-    work: List[WorkItem],
-    root: Path,
-    src_root: Path,
-    jobs: int,
-    parse_memo: Dict[str, SourceModule],
-    st: CacheStats,
-) -> List[Tuple[str, Optional[str], List[Tuple[str, List[Finding], int]]]]:
-    """Run the stale-file work list, in-process or across the warm pool.
-
-    Returns per-file ``(relpath, parse_error, [(rule_id, findings,
-    suppressed), ...])`` with real :class:`Finding` objects either way.
-    Shards whose worker died are retried in-process — a lost worker must
-    degrade to sequential speed, never to missing findings.
-    """
-    if not work:
-        st.jobs = max(1, jobs)
-        return []
-
-    from repro.experiments.engine import WarmWorkerPool, worker_count
-
-    n_workers = worker_count(jobs, len(work))
-    st.jobs = n_workers
-    if n_workers <= 1:
-        return _run_work_inprocess(work, root, src_root, parse_memo, st)
-
-    shards = shard_work(work, n_workers)
-    tasks = [
-        (index, (str(root), str(src_root), shard))
-        for index, shard in enumerate(shards)
-    ]
-    pool = WarmWorkerPool(jobs=min(n_workers, len(shards)), runner=run_shard)
-    outcome = pool.run(tasks)
-
-    results: List[
-        Tuple[str, Optional[str], List[Tuple[str, List[Finding], int]]]
-    ] = []
-    for index, shard in enumerate(shards):
-        envelope = outcome.results.get(index)
-        if envelope is None:  # worker died or task raised: do it here
-            results.extend(
-                _run_work_inprocess(shard, root, src_root, parse_memo, st)
-            )
-            continue
-        parses, shard_results = envelope
-        st.parses += parses
-        for relpath, parse_error, payloads in shard_results:
-            results.append((
-                relpath,
-                parse_error,
-                [
-                    (rule_id, [finding_from_cache(d) for d in raw], supp)
-                    for rule_id, raw, supp in payloads
-                ],
-            ))
-    return results
-
-
-def _run_work_inprocess(
-    work: Sequence[WorkItem],
-    root: Path,
-    src_root: Path,
-    parse_memo: Dict[str, SourceModule],
-    st: CacheStats,
-) -> List[Tuple[str, Optional[str], List[Tuple[str, List[Finding], int]]]]:
-    from repro.analysis.rules import rule_catalogue
-
-    catalogue = rule_catalogue()
-    results = []
-    for relpath, _bucket, rule_ids in work:
-        mod, error = load_python_file(root / relpath, root, src_root)
-        st.parses += 1
-        if mod is None:
-            results.append((relpath, error, []))
-            continue
-        parse_memo[relpath] = mod
-        results.append((
-            relpath,
-            None,
-            analyze_module(mod, [catalogue[rid] for rid in rule_ids]),
-        ))
-    return results
-
-
-def _build_project(
-    root: Path,
-    files: List[_FileInfo],
-    parse_memo: Dict[str, SourceModule],
-    docs: List[DocFile],
-    st: CacheStats,
-) -> Project:
-    """Parse everything the cross-file rules need (reusing prior parses)."""
-    src_root = root / "src"
-    project = Project(root=root, docs=docs)
-    for f in files:
-        mod = parse_memo.get(f.relpath)
-        if mod is None:
-            mod, error = load_python_file(f.path, root, src_root)
-            st.parses += 1
-            if mod is None:
-                # The per-file loop already reported the PARSE finding (or
-                # replayed it); the project just proceeds without the file.
-                project.parse_findings.append(_parse_finding(f.relpath, error))
-                continue
-        bucket = (
-            project.src_modules if f.bucket == "src" else project.test_modules
-        )
-        bucket.append(mod)
-    return project
-
-
-def _run_project_rules(
-    project: Project, cross_rules: Sequence[Rule]
-) -> Tuple[List[Finding], int]:
-    """The legacy rule loop, restricted to the cross-file rules."""
-    raw: List[Finding] = []
-    for rule in cross_rules:
-        scoped: List[SourceModule] = []
-        if "src" in rule.scopes:
-            scoped += project.src_modules
-        if "tests" in rule.scopes:
-            scoped += project.test_modules
-        for mod in scoped:
-            raw.extend(rule.check_module(mod))
-        raw.extend(rule.check_project(project))
-    by_relpath = {
-        m.relpath: m for m in project.src_modules + project.test_modules
-    }
-    return _dedup_and_suppress(raw, by_relpath)
-
-
 def _dedup_and_suppress(
     raw: Iterable[Finding], by_relpath: Dict[str, SourceModule]
 ) -> Tuple[List[Finding], int]:
-    """The one dedup/suppression pipeline (see ``parallel.analyze_module``
-    for why running it per ``(file, rule)`` partitions this exactly)."""
+    """Drop repeats of one ``(rule, path, line, message)`` and findings an
+    ignore comment in their own file covers; return (kept, suppressed)."""
     kept: List[Finding] = []
     suppressed = 0
     seen = set()

@@ -56,8 +56,8 @@ class Finding:
         """The one canonical order: ``(path, line, col, rule, message)``.
 
         Every renderer sorts by exactly this key (``report.py`` enforces
-        it), so text/JSON/SARIF output is byte-identical no matter which
-        mix of cache replay and parallel workers produced the findings.
+        it), so a report — and a baseline diff made from it — does not
+        move with rule registration or file discovery order.
         """
         return (self.path, self.line, self.col, self.rule_id, self.message)
 

@@ -14,11 +14,11 @@ def canonical_order(findings: List[Finding]) -> List[Finding]:
     """The single sort every renderer goes through: ``Finding.sort_key``,
     i.e. ``(path, line, col, rule, message)``.
 
-    Findings now arrive from three producers — in-process rule runs,
-    worker-pool shards, and cache replay — in whatever order those
-    complete.  Sorting here (idempotently; the engine pre-sorts too) is
-    what guarantees text/JSON/SARIF bytes, SARIF ``partialFingerprints``
-    order, and baseline diffs never churn with ``--jobs`` or cache state.
+    Callers may hand a renderer findings in any order (the CLI passes
+    the baseline split, tests pass hand-built lists).  Sorting here
+    (idempotently; the engine pre-sorts too) is what keeps text/JSON/SARIF
+    bytes, SARIF ``partialFingerprints`` order, and baseline diffs stable
+    from run to run.
     """
     return sorted(findings, key=lambda f: f.sort_key)
 

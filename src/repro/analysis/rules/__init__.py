@@ -71,24 +71,6 @@ def rule_catalogue() -> Dict[str, Rule]:
     return {rule.rule_id: rule for rule in ALL_RULES}
 
 
-def is_file_local(rule: Rule) -> bool:
-    """True when ``rule``'s verdict on a file depends on that file alone.
-
-    Classified by hook introspection rather than a hand-kept list: a rule
-    that overrides only :meth:`Rule.check_module` (and is not
-    ``repo_only``) sees one file at a time, so the incremental engine may
-    cache its findings per ``(file, rule)`` and fan it out across worker
-    processes.  Everything else — project hooks, registry-backed rules —
-    needs the whole parsed project and runs after the barrier.
-    """
-    cls = type(rule)
-    return (
-        cls.check_module is not Rule.check_module
-        and cls.check_project is Rule.check_project
-        and not rule.repo_only
-    )
-
-
 def _build_all_rules() -> List[Rule]:
     from repro.analysis.rules.contracts import (
         CodecCoverageRule,

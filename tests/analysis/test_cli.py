@@ -11,6 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.analysis.finding import Severity, make_finding
+from repro.analysis.report import render_json, render_text
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -69,21 +74,21 @@ def test_update_baseline_then_pass(tmp_path):
 
 def test_update_baseline_reports_pruned_entries(tmp_path):
     base = tmp_path / "fixture-baseline.json"
-    wrote = run_cli(FIXTURES / "det_wallclock.py",
-                    "--update-baseline", "--baseline", base)
+    target = tmp_path / "det_wallclock.py"
+    target.write_text((FIXTURES / "det_wallclock.py").read_text())
+    wrote = run_cli(target, "--update-baseline", "--baseline", base)
     assert wrote.returncode == 0
     stale = json.loads(base.read_text())["findings"]
     assert stale
 
-    # Re-baseline against a different file: every old entry's rule ran
-    # and found nothing there, so all of them are pruned (and counted).
-    pruned = run_cli(FIXTURES / "flow_dead_orphan.py",
-                     "--update-baseline", "--baseline", base)
+    # Fix the file and re-baseline it: every old entry's rule ran over it
+    # and found nothing, so all of them are pruned (and counted).
+    target.write_text("VALUE = 1\n")
+    pruned = run_cli(target, "--update-baseline", "--baseline", base)
     assert pruned.returncode == 0
     assert f"{len(stale)} stale entr" in pruned.stdout
     assert "removed" in pruned.stdout
-    remaining = {e["path"] for e in json.loads(base.read_text())["findings"]}
-    assert not any(path.endswith("det_wallclock.py") for path in remaining)
+    assert json.loads(base.read_text())["findings"] == []
 
 
 def test_update_baseline_reports_zero_removed_when_fresh(tmp_path):
@@ -105,6 +110,18 @@ def test_bad_root_is_usage_error(tmp_path):
     proc = run_cli("--root", tmp_path)
     assert proc.returncode == 2
     assert "repo root" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", [
+    ["--jobs", "2"], ["--cache", "x"], ["--no-cache"], ["--changed-only"],
+    ["--stats-out", "x"],
+])
+def test_cache_and_worker_flags_are_gone(flag):
+    """The one-pass engine has nothing for these to select: argparse must
+    reject them, not accept and ignore them."""
+    proc = run_cli(FIXTURES / "det_wallclock.py", *flag)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
 
 
 def test_list_rules_covers_all_families():
@@ -222,6 +239,20 @@ def test_graph_dot_subcommand_writes_artifact(tmp_path):
     dot = artifact.read_text()
     assert dot.startswith("digraph message_flow {")
     assert '"DataMessage"' in dot
+
+
+def test_renderers_enforce_canonical_order():
+    shuffled = [
+        make_finding("ZZZ009", Severity.WARNING, "b.py", 2, "later path"),
+        make_finding("BBB002", Severity.WARNING, "a.py", 9, "same line"),
+        make_finding("AAA001", Severity.ERROR, "a.py", 9, "same line"),
+        make_finding("AAA001", Severity.ERROR, "a.py", 3, "earlier line"),
+    ]
+    data = json.loads(render_json(shuffled, [], 0))
+    emitted = [(f["path"], f["line"], f["rule"]) for f in data["findings"]]
+    assert emitted == sorted(emitted)
+    text = render_text(shuffled, [], 0).splitlines()
+    assert text[0].startswith("a.py:3") and text[1].startswith("a.py:9")
 
 
 def test_output_is_hash_seed_stable():

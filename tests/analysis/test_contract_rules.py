@@ -7,7 +7,7 @@ tests prove the shipping layers conform.
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.engine import Project, load_project
+from repro.analysis.engine import Project
 from repro.analysis.rules.contracts import (
     CodecCoverageRule,
     HandlerCoverageRule,
@@ -152,10 +152,10 @@ def test_mro_walk_covers_marker_subclasses():
     assert list(rule.check_project(_project())) == []
 
 
-def test_real_messages_all_covered():
+def test_real_messages_all_covered(repo_result):
     # The default rule derives handler registrations by scanning src, so it
     # needs a fully loaded project, not a bare one.
-    project = load_project(root=REPO_ROOT, include_docs=False)
+    project = repo_result.project
     assert list(HandlerCoverageRule().check_project(project)) == []
 
 
@@ -213,15 +213,15 @@ def test_codec_registry_covers_the_wire_catalogue():
     assert missing == []
 
 
-def test_real_sends_all_codec_registered():
-    project = load_project(root=REPO_ROOT)
+def test_real_sends_all_codec_registered(repo_result):
+    project = repo_result.project
     assert list(CodecCoverageRule().check_project(project)) == []
 
 
-def test_codec_gap_is_flagged():
+def test_codec_gap_is_flagged(repo_result):
     """Strip two real registrations; the rule must anchor a finding at a
     send site for each."""
-    project = load_project(root=REPO_ROOT)
+    project = repo_result.project
     rule = CodecCoverageRule(
         codec_names=lambda: _real_codec_names() - {"Nak", "DataMessage"}
     )
@@ -229,11 +229,11 @@ def test_codec_gap_is_flagged():
     assert flagged == {"Nak", "DataMessage"}
 
 
-def test_non_wire_app_payloads_stay_out_of_scope():
+def test_non_wire_app_payloads_stay_out_of_scope(repo_result):
     """App request/reply classes sent outside registered layers (quorum
     locks, shopfloor db traffic) are not wire-catalogue messages and must
     not be dragged into PROTO005."""
-    project = load_project(root=REPO_ROOT)
+    project = repo_result.project
     rule = CodecCoverageRule(codec_names=lambda: set())
     flagged = {f.message.split()[2] for f in rule.check_project(project)}
     assert "LockRequest" not in flagged

@@ -62,9 +62,7 @@ def test_fixture_corpus_actually_plants_violations():
             "ORD001", "ORD002", "ORD003", "ORD004"} <= rules
 
 
-def test_fixture_directory_is_excluded_from_repo_scan():
-    root = Path(__file__).resolve().parents[2]
-    result = run_analysis(root=root, include_docs=False)
-    fixture_paths = {f.path for f in result.findings
+def test_fixture_directory_is_excluded_from_repo_scan(repo_result):
+    fixture_paths = {f.path for f in repo_result.findings
                      if "fixtures" in f.path}
     assert fixture_paths == set()

@@ -32,9 +32,8 @@ def fixture_graph(*names: str) -> FlowGraph:
 
 
 @pytest.fixture(scope="module")
-def repo_flow() -> FlowGraph:
-    project = load_project(root=REPO_ROOT, include_docs=False)
-    return flow_graph_for(project)
+def repo_flow(repo_result) -> FlowGraph:
+    return flow_graph_for(repo_result.project)
 
 
 # -- fixture-level semantics ----------------------------------------------------

@@ -10,7 +10,7 @@ import tokenize
 from pathlib import Path
 
 from repro.analysis import baseline
-from repro.analysis.engine import PARSE_RULE_ID, run_analysis
+from repro.analysis.engine import PARSE_RULE_ID
 from repro.analysis.finding import Severity
 from repro.analysis.rules import rule_catalogue
 from repro.analysis.source import iter_python_files
@@ -19,30 +19,27 @@ from repro.analysis.suppress import parse_suppressions
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def test_head_has_no_fresh_findings():
-    result = run_analysis(root=REPO_ROOT)
+def test_head_has_no_fresh_findings(repo_result):
     known = baseline.load(REPO_ROOT / "analysis-baseline.json")
-    fresh, _ = baseline.apply(result.findings, known)
+    fresh, _ = baseline.apply(repo_result.findings, known)
     assert fresh == [], "\n".join(f.render() for f in fresh)
 
 
-def test_committed_baseline_is_tight():
+def test_committed_baseline_is_tight(repo_result):
     """Every baseline entry must still match a live finding — dead entries
     mean the underlying code was fixed and the baseline should shrink."""
-    result = run_analysis(root=REPO_ROOT)
     known = baseline.load(REPO_ROOT / "analysis-baseline.json")
-    live = {f.fingerprint for f in result.findings}
+    live = {f.fingerprint for f in repo_result.findings}
     stale = [fp for fp in known if fp not in live]
     assert stale == [], f"stale baseline entries: {stale}"
 
 
-def test_no_determinism_findings_grandfathered():
+def test_no_determinism_findings_grandfathered(repo_result):
     """The baseline may tolerate doc-side contract nits, never findings
     from the determinism or purity families — those must be fixed or
     explicitly suppressed at the site with a justification comment."""
-    result = run_analysis(root=REPO_ROOT)
     known = baseline.load(REPO_ROOT / "analysis-baseline.json")
-    _, grandfathered = baseline.apply(result.findings, known)
+    _, grandfathered = baseline.apply(repo_result.findings, known)
     hard = [
         f for f in grandfathered
         if f.severity is Severity.ERROR
@@ -79,3 +76,9 @@ def test_docs_rule_table_matches_the_catalogue():
     text = (REPO_ROOT / "docs" / "ANALYSIS.md").read_text(encoding="utf-8")
     documented = re.findall(r"^\| ([A-Z]+[0-9]{3}) \|", text, flags=re.M)
     assert sorted(documented) == sorted([*rule_catalogue(), PARSE_RULE_ID])
+
+
+def test_analysis_does_not_import_experiments():
+    """Layering: the analyser reads the experiments' source, never runs it."""
+    for path in iter_python_files([REPO_ROOT / "src" / "repro" / "analysis"]):
+        assert "repro.experiments" not in path.read_text(encoding="utf-8"), path
