@@ -17,9 +17,8 @@ Three rule families (see ``docs/ANALYSIS.md`` for the full catalogue):
 - **Protocol contracts** (``PROTO*``): every registered protocol layer
   implements the :class:`~repro.catocs.stack.ProtocolLayer` surface, every
   spec string in code/tests/docs resolves against the layer registry, every
-  wire-message dataclass has a reachable typed handler and is pickle-safe
-  for the experiment suite's ``--jobs`` fan-out (the analyser itself has
-  no workers).
+  wire-message dataclass has a reachable typed handler, and every wire
+  message a layer sends has a codec registration.
 - **Sim purity** (``PUR*``): simulation packages must not import
   threading/asyncio/wall-clock facilities (that integration lives in
   :mod:`repro.runtime`).

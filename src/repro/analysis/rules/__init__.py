@@ -76,7 +76,6 @@ def _build_all_rules() -> List[Rule]:
         CodecCoverageRule,
         HandlerCoverageRule,
         LayerSurfaceRule,
-        PickleSafetyRule,
         SpecStringRule,
     )
     from repro.analysis.rules.determinism import (
@@ -117,7 +116,6 @@ def _build_all_rules() -> List[Rule]:
         LayerSurfaceRule(),
         SpecStringRule(),
         HandlerCoverageRule(),
-        PickleSafetyRule(),
         CodecCoverageRule(),
         HiddenChannelRule(),
         SharedModuleStateRule(),

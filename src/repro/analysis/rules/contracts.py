@@ -8,7 +8,9 @@ These cross-check the composable-stack machinery against itself:
   against that registry (PROTO002);
 - every wire-message dataclass has a handler reachable through the typed
   dispatch table :meth:`repro.sim.process.Process.add_message_handler`
-  builds (PROTO003), and pickles for ``--jobs`` fan-out (PROTO004).
+  builds (PROTO003);
+- every wire message a layer sends has a wire-codec registration
+  (PROTO005).
 
 Unlike the lexical rules, these import the real registry: the contract *is*
 the runtime registration state, and checking the source of truth beats
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import ast
 import inspect
-import pickle
 import re
 from dataclasses import is_dataclass
 from pathlib import Path
@@ -341,7 +342,7 @@ class SpecStringRule(Rule):
         )
 
 
-# -- PROTO003 / PROTO004: wire-message contracts ---------------------------------
+# -- PROTO003: wire-message handler coverage -------------------------------------
 
 
 def _message_classes() -> List[type]:
@@ -422,56 +423,6 @@ class HandlerCoverageRule(Rule):
                     "MembershipControl)",
                     source_line=f"class:{cls.__name__}",
                 )
-
-
-class PickleSafetyRule(Rule):
-    """PROTO004: wire messages must survive ``--jobs`` process fan-out."""
-
-    rule_id = "PROTO004"
-    title = "wire message is not pickle-safe"
-    severity = Severity.ERROR
-    repo_only = True
-
-    def __init__(self, message_classes: Optional[List[type]] = None) -> None:
-        self._classes = message_classes
-
-    def check_project(self, project: Any) -> Iterable[Finding]:
-        classes = (
-            self._classes if self._classes is not None else _message_classes()
-        )
-        for cls in classes:
-            problem = self._pickle_problem(cls)
-            if problem:
-                relpath, lineno = _class_location(cls, project.root)
-                yield make_finding(
-                    self.rule_id, self.severity,
-                    relpath or "src/repro/catocs/messages.py", lineno,
-                    f"message dataclass {cls.__name__} is not pickle-safe: "
-                    f"{problem}",
-                    hint="wire dataclasses must be importable module-level "
-                    "classes (pickle serialises them by reference)",
-                    source_line=f"class:{cls.__name__}",
-                )
-
-    @staticmethod
-    def _pickle_problem(cls: type) -> Optional[str]:
-        if cls.__qualname__ != cls.__name__:
-            return (
-                f"defined as {cls.__qualname__!r}, not at module top level"
-            )
-        try:
-            pickle.dumps(cls)
-        except Exception as exc:
-            return f"class reference does not pickle ({exc})"
-        import importlib
-
-        try:
-            module = importlib.import_module(cls.__module__)
-        except Exception as exc:  # pragma: no cover - module just imported
-            return f"defining module does not import ({exc})"
-        if getattr(module, cls.__name__, None) is not cls:
-            return "class is not reachable under its own name in its module"
-        return None
 
 
 # -- PROTO005: codec coverage ------------------------------------------------------

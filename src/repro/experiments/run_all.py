@@ -5,10 +5,9 @@ Usage::
     python -m repro.experiments                              # all experiments
     python -m repro.experiments E04 E09                      # a subset
     python -m repro.experiments --list                       # names only
-    python -m repro.experiments --jobs 4                     # parallel workers
     python -m repro.experiments run_all --metrics-out m.json # + metrics dump
     python -m repro.experiments --discipline total-seq E06   # A/B rerun
-    python -m repro.experiments --sweep seeds=0..99 --jobs 4 # seed campaign
+    python -m repro.experiments --sweep seeds=0..99          # seed campaign
 
 ``--discipline NAME`` forces every group member the experiments build onto
 the named stack (a discipline alias like ``hybrid-causal`` or a full spec
@@ -17,25 +16,15 @@ registry) regardless of what each experiment asks for.  Reproduction checks
 are calibrated for the default disciplines, so expect deliberate FAIL
 verdicts under an override; the point is the A/B comparison of the tables.
 
-``--jobs N`` fans the work across N persistent warm workers (``--jobs 0``
-sizes to the scheduling affinity of the box — see
-``repro.experiments.engine``).  Workers are spawned once, import the
-experiment registry once, and pull work items off a queue; results travel
-back as compact tuple envelopes (report text + plain metrics dict), and the
-parent merges them in stable E01->E19 order, so the printed report and the
-``--metrics-out`` JSON are byte-identical to a sequential run.  A worker
-that crashes forfeits only its in-flight experiment: finished envelopes are
-drained, the missing ones are reported CRASH with a cause, and the exit
-status is non-zero — the same contract a ``KeyboardInterrupt`` honours.
+Experiments run one after another in this process, in the order requested
+(a name given twice runs once).  One that raises is reported CRASH with its
+traceback and the rest of the suite still runs.
 
 ``--sweep seeds=A..B`` switches from the curated experiment suite to a
 statistical campaign: every seed in the inclusive range runs each anomaly
-probe under each ordering discipline, and the merged report gives
-per-discipline anomaly counts, rates and Wilson 95% confidence intervals
-(see ``repro.experiments.sweep``).  With ``--jobs`` the seed range is split
-into contiguous shards, capped at the worker count — by-seed sharding is
-coarse enough that the warm pool actually pays, which is the capacity lever
-for large-group statistical studies.
+probe under each ordering discipline, and the report gives per-discipline
+anomaly counts, rates and Wilson 95% confidence intervals (see
+``repro.experiments.sweep``).
 
 ``--metrics-out PATH`` captures every metrics registry the experiments
 create (kernel, network, ordering, membership, bus — see
@@ -44,17 +33,15 @@ experiment; under ``--sweep`` it writes the ``repro.sweep/v1`` campaign
 summary instead.  ``run_all``/``all`` are accepted as explicit spellings of
 "the whole suite".
 
-Exit status is non-zero if any reproduction check fails, any experiment
-crashes, or the run is interrupted.
+Exit status is non-zero if any reproduction check fails or any experiment
+crashes.
 """
 
 from __future__ import annotations
 
-import importlib
-import os
 import sys
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.experiments.harness import ExperimentResult
 from repro.obs import aggregate, capture, write_json
@@ -64,41 +51,10 @@ SEPARATOR = "#" * 78
 #: Envelope verdicts, in severity order.
 PASS, FAIL, CRASH = "pass", "FAIL", "CRASH"
 
-#: Environment seam for the registry, honoured across process boundaries.
-#: ``pkg.module:factory`` names a zero-argument callable returning the
-#: ``{name: runner}`` dict.  The parallel engine's spawn-context workers
-#: rebuild their interpreter from scratch, so a monkeypatched parent module
-#: would silently vanish there — tests (and only tests) set this instead.
-REGISTRY_ENV = "REPRO_EXPERIMENTS_REGISTRY"
-
-#: The canonical suite, in report order.  Kept as a plain tuple so the
-#: parent of a parallel run can validate names and build its task list
-#: *without* importing the nineteen experiment modules — on a one-core box
-#: that import is pure serial overhead before the workers even start (only
-#: workers, and the sequential path, pay it).  ``registry()`` must stay in
-#: lockstep; ``tests/experiments/test_run_all_parallel.py`` pins that.
-EXPERIMENT_NAMES: Tuple[str, ...] = tuple(
-    f"E{i:02d}" for i in range(1, 20)
-)
-
-
-def experiment_names() -> Tuple[str, ...]:
-    """Suite names without importing the experiment modules (env-override
-    aware, so fake registries still validate)."""
-    # The env seam exists precisely to cross process boundaries (spawn
-    # workers); tests are its only writer.
-    if os.environ.get(REGISTRY_ENV):  # repro: ignore[DET005]
-        return tuple(registry())
-    return EXPERIMENT_NAMES
-
 
 def registry() -> Dict[str, Callable[[], ExperimentResult]]:
-    """Lazy experiment registry (imports are deferred to keep --list fast)."""
-    override = os.environ.get(REGISTRY_ENV)
-    if override:
-        module_name, _, attr = override.partition(":")
-        return getattr(importlib.import_module(module_name), attr)()
-
+    """The experiment registry, in report order (imports are deferred until
+    the first call, so importing this module stays cheap)."""
     from repro.experiments.e01_event_diagram import run_e01
     from repro.experiments.e02_hidden_channel import run_e02
     from repro.experiments.e03_external_channel import run_e03
@@ -129,22 +85,20 @@ def registry() -> Dict[str, Callable[[], ExperimentResult]]:
 
 
 def prewarm_registry() -> None:
-    """Warm-worker initializer: resolve the registry (and thereby import
-    every experiment module) once per worker, before the first task."""
+    """Resolve the registry, and thereby import every experiment module, so
+    the import cost is paid before (and timed apart from) the first run."""
     registry()
 
 
-# -- the per-experiment envelope (what a worker ships back) ---------------------
+# -- the per-experiment envelope -------------------------------------------------
 
 
 def run_one(name: str, want_metrics: bool,
             discipline: Optional[str] = None) -> Dict[str, Any]:
-    """Execute one experiment and wrap the outcome in a pickle-safe envelope.
-
-    The envelope carries only plain data (strings, lists, dicts of numbers)
-    so it crosses the process boundary unchanged: the rendered report, the
-    verdict, the names of unmet checks, the aggregated ``repro.obs`` metrics
-    dump (when requested), and the traceback if the experiment raised.
+    """Execute one experiment and wrap the outcome in a plain-data envelope:
+    the rendered report, the verdict, the names of unmet checks, the
+    aggregated ``repro.obs`` metrics dump (when requested), and the
+    traceback if the experiment raised.
     """
     envelope: Dict[str, Any] = {
         "name": name,
@@ -174,112 +128,30 @@ def run_one(name: str, want_metrics: bool,
     return envelope
 
 
-def run_one_compact(name: str, want_metrics: bool,
-                    discipline: Optional[str] = None) -> Tuple[Any, ...]:
-    """Warm-worker task runner: :func:`run_one` flattened to a compact tuple.
-
-    ``(verdict, failed_checks, rendered, metrics, traceback)`` — the task
-    key (the experiment name) travels in the engine envelope, not here.
-    Module-level on purpose: the spawn context pickles it by reference.
-    """
-    envelope = run_one(name, want_metrics, discipline)
-    return (
-        envelope["verdict"],
-        tuple(envelope["failed_checks"]),
-        envelope["rendered"],
-        envelope["metrics"],
-        envelope["traceback"],
-    )
-
-
-def _inflate(name: str, compact: Tuple[Any, ...]) -> Dict[str, Any]:
-    """Rebuild the report-facing envelope dict from a compact worker tuple."""
-    verdict, failed_checks, rendered, metrics, tb = compact
-    return {
-        "name": name,
-        "verdict": verdict,
-        "failed_checks": list(failed_checks),
-        "rendered": rendered,
-        "metrics": metrics,
-        "traceback": tb,
-    }
-
-
-def _dead_worker_envelope(name: str, reason: str) -> Dict[str, Any]:
-    """Envelope for an experiment whose worker never reported (hard crash,
-    interrupt — normal exceptions are caught inside :func:`run_one` and
-    never reach here)."""
-    return {
-        "name": name,
-        "verdict": CRASH,
-        "failed_checks": [],
-        "rendered": "",
-        "metrics": None,
-        "traceback": reason,
-    }
-
-
-def _run_parallel(
-    wanted: List[str], jobs: int, want_metrics: bool,
-    discipline: Optional[str] = None, context: str = "spawn",
-) -> Tuple[List[Dict[str, Any]], bool]:
-    """Fan experiments over the warm pool; merge in ``wanted`` order.
-
-    Returns ``(envelopes, interrupted)`` — envelopes always cover every
-    requested experiment (missing results become CRASH envelopes), and the
-    flag reports whether a ``KeyboardInterrupt`` cut the run short.
-    """
-    from repro.experiments.engine import WarmWorkerPool, worker_count
-
-    # gc_every=0: a worker's share of the suite tops out at a couple hundred
-    # MB of cyclic residue (measured ~150MB for all nineteen experiments),
-    # so the engine's periodic safety collect buys nothing here; unbounded
-    # seed sweeps keep theirs (see sweep.run_shard).
-    pool = WarmWorkerPool(
-        jobs=worker_count(jobs, len(wanted)),
-        runner=run_one_compact,
-        initializer=prewarm_registry,
-        context=context,
-        gc_every=0,
-    )
-    outcome = pool.run(
-        [(name, (name, want_metrics, discipline)) for name in wanted])
-
-    envelopes: List[Dict[str, Any]] = []
-    for name in wanted:
-        if name in outcome.results:
-            envelopes.append(_inflate(name, outcome.results[name]))
-        else:
-            envelopes.append(
-                _dead_worker_envelope(name, outcome.failures[name]))
-    return envelopes, outcome.interrupted
-
-
 # -- CLI ------------------------------------------------------------------------
 
 
 def _parse_args(argv: List[str]) -> tuple:
-    """Split argv into (tokens, metrics path, jobs, discipline, sweep, error)."""
+    """Split argv into (tokens, metrics path, discipline, sweep, error)."""
     names: List[str] = []
     metrics_out = None
-    jobs: Optional[int] = None
     discipline: Optional[str] = None
     sweep: Optional[str] = None
-    options = ("--metrics-out", "--jobs", "--discipline", "--sweep")
+    options = ("--metrics-out", "--discipline", "--sweep")
     i = 0
     while i < len(argv):
         arg = argv[i]
         value = None
         if arg in options:
             if i + 1 >= len(argv):
-                return [], None, None, None, None, f"{arg} requires a value"
+                return [], None, None, None, f"{arg} requires a value"
             value = argv[i + 1]
             i += 2
         elif arg.startswith(tuple(option + "=" for option in options)):
             arg, value = arg.split("=", 1)
             i += 1
         elif arg.startswith("-"):
-            return [], None, None, None, None, f"unknown option: {arg}"
+            return [], None, None, None, f"unknown option: {arg}"
         else:
             names.append(arg)
             i += 1
@@ -288,17 +160,9 @@ def _parse_args(argv: List[str]) -> tuple:
             metrics_out = value
         elif arg == "--discipline":
             discipline = value
-        elif arg == "--sweep":
-            sweep = value
         else:
-            try:
-                jobs = int(value)
-            except ValueError:
-                return [], None, None, None, None, \
-                    f"--jobs requires an integer, got {value!r}"
-            if jobs < 0:
-                return [], None, None, None, None, "--jobs must be >= 0"
-    return names, metrics_out, jobs, discipline, sweep, None
+            sweep = value
+    return names, metrics_out, discipline, sweep, None
 
 
 def _print_report(envelopes: List[Dict[str, Any]]) -> None:
@@ -328,10 +192,10 @@ def _print_verdicts(envelopes: List[Dict[str, Any]]) -> None:
 
 def main(argv: List[str]) -> int:
     if "--list" in argv:
-        for name in experiment_names():
+        for name in registry():
             print(name)
         return 0
-    tokens, metrics_out, jobs, discipline, sweep, error = _parse_args(argv)
+    tokens, metrics_out, discipline, sweep, error = _parse_args(argv)
     if error:
         print(error, file=sys.stderr)
         return 2
@@ -352,10 +216,12 @@ def main(argv: List[str]) -> int:
             print("--sweep already sweeps every discipline; --discipline "
                   "is not accepted", file=sys.stderr)
             return 2
-        return run_sweep(lo, hi, jobs, metrics_out)
+        return run_sweep(lo, hi, metrics_out)
 
-    experiments = experiment_names()
-    wanted = [t.upper() for t in tokens if t.lower() not in ("run_all", "all")]
+    experiments = registry()
+    # dict.fromkeys: a name asked for twice (``E01 e01``) runs once.
+    wanted = list(dict.fromkeys(
+        t.upper() for t in tokens if t.lower() not in ("run_all", "all")))
     wanted = wanted or list(experiments)
     unknown = [w for w in wanted if w not in experiments]
     if unknown:
@@ -373,12 +239,7 @@ def main(argv: List[str]) -> int:
         print()
 
     want_metrics = metrics_out is not None
-    interrupted = False
-    if jobs is None:
-        envelopes = [run_one(name, want_metrics, discipline) for name in wanted]
-    else:
-        envelopes, interrupted = _run_parallel(
-            wanted, jobs, want_metrics, discipline)
+    envelopes = [run_one(name, want_metrics, discipline) for name in wanted]
 
     _print_report(envelopes)
     _print_verdicts(envelopes)
@@ -403,10 +264,8 @@ def main(argv: List[str]) -> int:
         if crashes:
             parts.append("CRASHED: " + ", ".join(crashes))
         status = "; ".join(parts)
-    if interrupted:
-        status += "; INTERRUPTED"
     print(f"ran {len(wanted)} experiments; {status}")
-    return 1 if failures or crashes or interrupted else 0
+    return 1 if failures or crashes else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - thin CLI shim

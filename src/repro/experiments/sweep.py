@@ -5,8 +5,8 @@ external-channel anomalies, so what matters is how *often* each ordering
 discipline lets one through, not whether one curated run does.  The
 experiment suite (E01-E19) reproduces the curated runs; this module runs the
 campaign: every seed in ``A..B`` executes each anomaly probe under each
-discipline, and the merged report gives per-discipline anomaly counts, rates
-and Wilson 95% confidence intervals.
+discipline, and the report gives per-discipline anomaly counts, rates and
+Wilson 95% confidence intervals.
 
 Probes (one per hidden-channel family from Sections 2-3):
 
@@ -17,24 +17,15 @@ Probes (one per hidden-channel family from Sections 2-3):
 ``threads``
     Section 3 — address-space hidden channel; the two send delays are drawn
     from a per-seed RNG, so the scheduling race itself is what is swept.
-
-Parallelism: a seed range is split into at most ``jobs`` *contiguous shards*
-(`repro.experiments.engine.shard_ranges`), one queued shard per warm worker —
-coarse enough to amortise worker start-up, capped at the worker count so the
-pool is never oversubscribed.  Merging is a commutative integer sum over
-shard count vectors, so the merged report and metrics JSON are byte-identical
-whatever the shard count or arrival order (property-tested in
-``tests/experiments/test_sweep.py``).
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import random
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.harness import Table
 
@@ -107,62 +98,6 @@ def parse_seed_range(spec: str) -> Tuple[int, int]:
     return lo, hi
 
 
-def prewarm() -> None:
-    """Warm-worker initializer: import every probe app and ordering stack
-    once, before the first shard arrives."""
-    from repro.apps import firealarm, shopfloor, threads  # noqa: F401
-    from repro.catocs.stack import resolve_spec
-
-    for discipline in SWEEP_DISCIPLINES:
-        resolve_spec(discipline)
-
-
-def run_shard(lo: int, hi: int) -> Tuple[int, Tuple[int, ...]]:
-    """Run seeds ``lo..hi`` (inclusive) through every probe x discipline.
-
-    This is the warm-worker task runner (module-level, pickled by
-    reference).  Returns a compact envelope: the seed count and a flat
-    probe-major count vector — anomaly totals, not per-run records — so a
-    thousand-seed shard crosses the process boundary in a few dozen bytes.
-    """
-    counts = [0] * (len(PROBES) * len(SWEEP_DISCIPLINES))
-    for offset, seed in enumerate(range(lo, hi + 1)):
-        index = 0
-        for _, _, probe in PROBES:
-            for discipline in SWEEP_DISCIPLINES:
-                counts[index] += bool(probe(seed, discipline))
-                index += 1
-        # Warm workers run with the cyclic collector off; a shard is one
-        # engine task, so the engine's per-task collect cannot bound a
-        # thousand-seed shard — sweep its cyclic residue here instead.
-        if not gc.isenabled() and (offset + 1) % 32 == 0:
-            gc.collect()
-    return (hi - lo + 1, tuple(counts))
-
-
-def merge_shards(
-    envelopes: Sequence[Tuple[int, Tuple[int, ...]]],
-) -> Tuple[int, Tuple[int, ...]]:
-    """Sum shard envelopes into campaign totals.
-
-    Pure commutative integer addition: any partition of the seed range into
-    shards, arriving in any order, merges to the same totals — the
-    permutation-invariance half of the byte-identical contract.
-    """
-    width = len(PROBES) * len(SWEEP_DISCIPLINES)
-    runs = 0
-    totals = [0] * width
-    for n_seeds, counts in envelopes:
-        if len(counts) != width:
-            raise ValueError(
-                f"shard envelope width {len(counts)} != campaign width {width}"
-            )
-        runs += n_seeds
-        for i, count in enumerate(counts):
-            totals[i] += count
-    return runs, tuple(totals)
-
-
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> Tuple[float, float]:
     """Wilson score 95% confidence interval for a binomial proportion.
 
@@ -181,7 +116,7 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> Tuple[float
 
 def campaign_tables(lo: int, hi: int,
                     totals: Tuple[int, Tuple[int, ...]]) -> List[Table]:
-    """Render the merged campaign as one table per probe."""
+    """Render the campaign as one table per probe."""
     runs, counts = totals
     tables: List[Table] = []
     index = 0
@@ -205,12 +140,7 @@ def campaign_tables(lo: int, hi: int,
 
 def render_report(lo: int, hi: int,
                   totals: Tuple[int, Tuple[int, ...]]) -> str:
-    """The merged campaign report.
-
-    Depends only on the seed range and the summed totals — never on the
-    worker count, shard boundaries, or arrival order — which is what makes
-    ``--jobs K`` output byte-identical to sequential.
-    """
+    """The campaign report; depends only on the seed range and the totals."""
     runs, _ = totals
     parts = [
         f"== SWEEP: anomaly rates by discipline, seeds {lo}..{hi} "
@@ -261,43 +191,22 @@ def write_metrics(path: str, metrics: Dict[str, Any]) -> None:
         fh.write("\n")
 
 
-def run_sweep(lo: int, hi: int, jobs: Optional[int],
-              metrics_out: Optional[str] = None) -> int:
-    """Execute the campaign and print the merged report; returns exit status.
+def run_sweep(lo: int, hi: int, metrics_out: Optional[str] = None) -> int:
+    """Run seeds ``lo..hi`` (inclusive) through every probe x discipline and
+    print the report; returns the exit status.
 
-    ``jobs=None`` runs sequentially in-process (one logical shard).  With
-    ``--jobs`` the range is split into at most ``worker_count`` contiguous
-    shards and fanned over the warm pool; crashed or interrupted shards are
-    reported per-shard and poison the exit status, but every shard that did
-    report still lands in the (partial) campaign totals only if *all*
-    shards arrived — a partial merge would silently change the rates, so an
-    incomplete campaign prints what failed and produces no report.
+    The totals are the seed count and a flat probe-major vector of anomaly
+    counts, the shape :func:`render_report` and :func:`campaign_metrics`
+    read.
     """
-    from repro.experiments.engine import (
-        WarmWorkerPool, shard_ranges, worker_count,
-    )
-
-    if jobs is None:
-        envelopes = [run_shard(lo, hi)]
-    else:
-        workers = worker_count(jobs, hi - lo + 1)
-        shards = shard_ranges(lo, hi, workers)
-        pool = WarmWorkerPool(jobs=workers, runner=run_shard,
-                              initializer=prewarm)
-        outcome = pool.run([(shard, shard) for shard in shards])
-        if outcome.failures:
-            for (shard_lo, shard_hi), reason in sorted(outcome.failures.items()):
-                print(f"shard seeds {shard_lo}..{shard_hi} failed:",
-                      file=sys.stderr)
-                print(reason.rstrip(), file=sys.stderr)
-            print(
-                f"sweep aborted: {len(outcome.failures)} of {len(shards)} "
-                "shards failed; no campaign report (a partial merge would "
-                "skew the rates)", file=sys.stderr)
-            return 1
-        envelopes = [outcome.results[shard] for shard in shards]
-
-    totals = merge_shards(envelopes)
+    counts = [0] * (len(PROBES) * len(SWEEP_DISCIPLINES))
+    for seed in range(lo, hi + 1):
+        index = 0
+        for _, _, probe in PROBES:
+            for discipline in SWEEP_DISCIPLINES:
+                counts[index] += bool(probe(seed, discipline))
+                index += 1
+    totals = (hi - lo + 1, tuple(counts))
     print(render_report(lo, hi, totals))
     if metrics_out is not None:
         try:

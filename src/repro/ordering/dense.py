@@ -100,8 +100,8 @@ def group_domain(sim: object, group: str, pids) -> ClockDomain:
     them) the same domain object — which is what makes cross-member clock
     comparisons hit the same-domain array fast path.  Scoping to the
     simulator (not a process-global cache) keeps experiments independent:
-    a parallel worker that runs one experiment sees exactly the domains a
-    sequential run would have built for it.
+    an experiment sees exactly the domains it built, whatever ran before it
+    in the same process.
     """
     registry: Optional[Dict[str, ClockDomain]] = getattr(sim, "_clock_domains", None)
     if registry is None:

@@ -63,8 +63,8 @@ class Event:
     allocation and indirection were a measurable slice of the hot path, so
     the two are now one ``__slots__`` object (``Timer`` aliases this class).
     ``_simref`` is a weak reference shared by every event of a simulator —
-    a strong reference would cycle sim→heap→event→sim, and per-task
-    heaps must die by refcounting (warm workers run with the cyclic GC off).
+    a strong reference would cycle sim→heap→event→sim, and a finished
+    run's heap should die by refcounting, not wait for the cyclic GC.
     """
 
     __slots__ = ("time", "fn", "args", "cancelled", "fired", "_simref")

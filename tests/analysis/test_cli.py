@@ -128,9 +128,10 @@ def test_list_rules_covers_all_families():
     proc = run_cli("--list-rules")
     assert proc.returncode == 0
     for rule_id in ("DET001", "DET002", "DET003", "DET004", "DET005",
-                    "PROTO001", "PROTO002", "PROTO003", "PROTO004",
-                    "PROTO005", "PUR001"):
+                    "PROTO001", "PROTO002", "PROTO003", "PROTO005",
+                    "PUR001"):
         assert rule_id in proc.stdout
+    assert "PROTO004" not in proc.stdout
 
 
 def test_rules_filter_selects_only_named_rules():

@@ -12,7 +12,6 @@ from repro.analysis.rules.contracts import (
     CodecCoverageRule,
     HandlerCoverageRule,
     LayerSurfaceRule,
-    PickleSafetyRule,
     SpecStringRule,
     _real_codec_names,
 )
@@ -157,29 +156,6 @@ def test_real_messages_all_covered(repo_result):
     # needs a fully loaded project, not a bare one.
     project = repo_result.project
     assert list(HandlerCoverageRule().check_project(project)) == []
-
-
-# -- pickle safety ----------------------------------------------------------------
-
-
-def test_nested_class_not_pickle_safe():
-    @dataclass
-    class Hidden:
-        x: int
-
-    rule = PickleSafetyRule(message_classes=[Hidden])
-    findings = list(rule.check_project(_project()))
-    assert len(findings) == 1
-    assert "not at module top level" in findings[0].message
-
-
-def test_module_level_class_pickle_safe():
-    rule = PickleSafetyRule(message_classes=[OrphanMessage, DataMessage])
-    assert list(rule.check_project(_project())) == []
-
-
-def test_real_messages_pickle_safe():
-    assert list(PickleSafetyRule().check_project(_project())) == []
 
 
 # -- spec strings ------------------------------------------------------------------

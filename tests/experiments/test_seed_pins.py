@@ -12,15 +12,15 @@ on purpose updates the pinned file.
 import hashlib
 from pathlib import Path
 
-from repro.experiments.run_all import EXPERIMENT_NAMES, PASS, run_one
+from repro.experiments.run_all import PASS, registry, run_one
 from repro.obs import write_json
 
 PINS = Path(__file__).parent
 
 
 def test_suite_report_and_metrics_export_match_the_pinned_digests(tmp_path):
-    envelopes = [run_one(name, True) for name in EXPERIMENT_NAMES]
-    assert [e["verdict"] for e in envelopes] == [PASS] * len(EXPERIMENT_NAMES)
+    envelopes = [run_one(name, True) for name in registry()]
+    assert [e["verdict"] for e in envelopes] == [PASS] * len(envelopes)
 
     report = hashlib.sha256()
     for envelope in envelopes:

@@ -1,15 +1,17 @@
-"""Seed-sweep campaigns: range parsing, merge algebra, and the
-byte-identical contract between sharded and sequential runs."""
+"""Seed-sweep campaigns: range parsing, the campaign counts, and the
+pinned metrics digest."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.experiments import engine, run_all, sweep
+from repro.experiments import run_all, sweep
+
+PINS = Path(__file__).parent
 
 
 def _run_main(argv):
@@ -17,9 +19,6 @@ def _run_main(argv):
     with redirect_stdout(out):
         status = run_all.main(argv)
     return status, out.getvalue()
-
-
-_WIDTH = len(sweep.PROBES) * len(sweep.SWEEP_DISCIPLINES)
 
 
 # -- range parsing -----------------------------------------------------------------
@@ -42,43 +41,6 @@ def test_parse_seed_range_rejects_empty_range():
         sweep.parse_seed_range("seeds=7..3")
 
 
-# -- merge algebra -----------------------------------------------------------------
-
-
-def test_merge_shards_sums_counts_and_seed_totals():
-    a = (2, tuple(range(_WIDTH)))
-    b = (3, tuple(10 for _ in range(_WIDTH)))
-    runs, totals = sweep.merge_shards([a, b])
-    assert runs == 5
-    assert totals == tuple(i + 10 for i in range(_WIDTH))
-
-
-def test_merge_shards_rejects_wrong_width():
-    with pytest.raises(ValueError, match="width"):
-        sweep.merge_shards([(1, (0, 1, 2))])
-
-
-# A shard of n seeds can contribute at most n anomalies per cell.
-_envelope = st.integers(1, 50).flatmap(
-    lambda n: st.tuples(
-        st.just(n), st.tuples(*[st.integers(0, n)] * _WIDTH)))
-_envelopes = st.lists(_envelope, min_size=1, max_size=8)
-
-
-@settings(max_examples=100, deadline=None)
-@given(envelopes=_envelopes, data=st.data())
-def test_campaign_aggregation_is_permutation_invariant(envelopes, data):
-    """Shards arrive in whatever order the workers finish; the merged
-    totals, the rendered report and the metrics JSON must not notice."""
-    shuffled = data.draw(st.permutations(envelopes))
-    merged = sweep.merge_shards(envelopes)
-    remerged = sweep.merge_shards(shuffled)
-    assert merged == remerged
-    assert sweep.render_report(0, 9, merged) == sweep.render_report(0, 9, remerged)
-    assert sweep.campaign_metrics(0, 9, merged) == \
-        sweep.campaign_metrics(0, 9, remerged)
-
-
 def test_wilson_interval_brackets_the_rate():
     lo, hi = sweep.wilson_interval(3, 10)
     assert 0.0 <= lo <= 0.3 <= hi <= 1.0
@@ -88,76 +50,35 @@ def test_wilson_interval_brackets_the_rate():
     assert lo0 == pytest.approx(0.0) and hi0 > 0.0
 
 
-def test_run_shard_counts_match_direct_probe_calls():
-    n, counts = sweep.run_shard(5, 5)
-    assert n == 1
-    expected = []
-    for _, _, probe in sweep.PROBES:
+def test_campaign_counts_match_direct_probe_calls(tmp_path):
+    metrics = tmp_path / "m.json"
+    assert sweep.run_sweep(4, 5, metrics_out=str(metrics)) == 0
+    probes = json.loads(metrics.read_text())["probes"]
+    for name, _, probe in sweep.PROBES:
         for discipline in sweep.SWEEP_DISCIPLINES:
-            expected.append(int(probe(5, discipline)))
-    assert list(counts) == expected
+            expected = sum(bool(probe(seed, discipline)) for seed in (4, 5))
+            assert probes[name][discipline]["runs"] == 2
+            assert probes[name][discipline]["anomalies"] == expected
 
 
-# -- byte-identical sharded runs ---------------------------------------------------
-
-
-def test_sweep_jobs4_report_identical_to_jobs1(tmp_path):
-    m1 = tmp_path / "jobs1.json"
-    m4 = tmp_path / "jobs4.json"
-    s1, out1 = _run_main(
-        ["--sweep", "seeds=0..31", "--jobs", "1", "--metrics-out", str(m1)])
-    s4, out4 = _run_main(
-        ["--sweep", "seeds=0..31", "--jobs", "4", "--metrics-out", str(m4)])
-    assert s1 == s4 == 0
-    assert out4.replace(str(m4), str(m1)) == out1
-    assert m4.read_bytes() == m1.read_bytes()
-
-
-def test_sweep_sequential_and_parallel_agree(tmp_path):
-    mseq = tmp_path / "seq.json"
-    mpar = tmp_path / "par.json"
-    sseq, outseq = _run_main(
-        ["--sweep", "seeds=0..7", "--metrics-out", str(mseq)])
-    spar, outpar = _run_main(
-        ["--sweep", "seeds=0..7", "--jobs", "2", "--metrics-out", str(mpar)])
-    assert sseq == spar == 0
-    assert outpar.replace(str(mpar), str(mseq)) == outseq
-    assert mpar.read_bytes() == mseq.read_bytes()
-    payload = json.loads(mseq.read_text())
+def test_sweep_metrics_match_the_pinned_digest(tmp_path):
+    """``--sweep seeds=0..7 --metrics-out`` writes the pinned bytes; a
+    change that moves a campaign count on purpose updates the pin."""
+    metrics = tmp_path / "sweep.json"
+    status, out = _run_main(
+        ["--sweep", "seeds=0..7", "--metrics-out", str(metrics)])
+    assert status == 0
+    assert f"sweep metrics written to {metrics}" in out
+    payload = json.loads(metrics.read_text())
     assert payload["schema"] == sweep.SCHEMA
     assert payload["seeds"] == {"lo": 0, "hi": 7, "count": 8}
-    assert set(payload["probes"]) == {name for name, _, _ in sweep.PROBES}
-
-
-# -- failure semantics -------------------------------------------------------------
-
-
-def test_failed_shard_aborts_without_a_partial_report(monkeypatch, capsys):
-    class FailingPool:
-        def __init__(self, jobs, runner, initializer=None, context="spawn",
-                     gc_every=engine.DEFAULT_GC_EVERY):
-            pass
-
-        def run(self, tasks):
-            outcome = engine.PoolOutcome()
-            (first_key, _), *rest = tasks
-            outcome.failures[first_key] = "worker process died before reporting"
-            for key, payload in rest:
-                outcome.results[key] = sweep.run_shard(*payload)
-            return outcome
-
-    monkeypatch.setattr(engine, "WarmWorkerPool", FailingPool)
-    status = sweep.run_sweep(0, 7, jobs=2)
-    captured = capsys.readouterr()
-    assert status == 1
-    assert "sweep aborted" in captured.err
-    assert "worker process died" in captured.err
-    assert "SWEEP" not in captured.out  # no partial campaign report
+    assert (hashlib.sha256(metrics.read_bytes()).hexdigest()
+            == (PINS / "sweep_metrics.sha256").read_text().strip())
 
 
 def test_unwritable_metrics_path_is_reported(tmp_path, capsys):
     missing = tmp_path / "no-such-dir" / "m.json"
-    status = sweep.run_sweep(0, 0, jobs=None, metrics_out=str(missing))
+    status = sweep.run_sweep(0, 0, metrics_out=str(missing))
     assert status == 2
     assert "cannot write metrics" in capsys.readouterr().err
 
