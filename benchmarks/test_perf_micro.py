@@ -8,6 +8,7 @@ stands on.
 """
 
 import itertools
+import time
 
 import pytest
 
@@ -272,12 +273,18 @@ def test_stability_gossip_round(benchmark, kind, size):
     """One gossip tick at one member and the N-1 receipts it causes, at the
     group sizes E05/E07 sweep.  With news (the ticker sent a message since
     its last tick) every receipt merges an N-entry vector twice; without,
-    the tick re-sends its last snapshot and a receipt is one comparison."""
+    the tick re-sends its last snapshot and a receipt is one comparison.
+    The ticker holds an unstable message throughout, so no tick is quiet
+    and every one sends."""
+    from repro.catocs.messages import DataMessage
+
     (ticker, ticker_counts), *receivers = _stability_group(size)
     member = ticker.member
     sent = []
     member.send_peers = sent.append
     member.set_timer = lambda delay, fn, *args: None  # the round is driven from here
+    ticker.buffer_message(DataMessage(group="group", sender="m1", seq=1, payload=0,
+                                      sent_at=0.0))
 
     def sent_one_more():  # not timed
         if kind == "news":
@@ -299,8 +306,44 @@ def test_stability_gossip_round(benchmark, kind, size):
     last = run()
     assert (last is first) == (kind == "no_news")
     assert last.ack_vector == ticker_counts.contiguous
+    assert ticker.gossip_quiet == 0
     for layer, _ in receivers:
         assert layer.matrix.row("m0").as_dict() == last.ack_vector
+
+
+@pytest.mark.parametrize("size", [8, 64])
+def test_quiet_group_tail(benchmark, size):
+    """A settled group (a short stream, every buffer drained) ticking for
+    100 more gossip periods: what the tail after a stream costs once quiet
+    ticks back off.  Reports the gossip sends per member and the time per
+    tick."""
+    periods, ack_period = 100, 20.0
+
+    def settled():
+        sim = Simulator(seed=0)
+        net = Network(sim, LinkModel(latency=3.0, jitter=2.0))
+        pids = [f"m{i}" for i in range(size)]
+        group = build_group(sim, net, pids, ordering="causal", ack_period=ack_period)
+        for k in range(8):
+            sim.call_at(1.0 + k, group[pids[k % size]].multicast, k)
+        sim.run(until=500.0)
+        layers = [m.stack.layer("stability") for m in group.values()]
+        assert not any(layer.buffer for layer in layers)
+        return (sim, layers), {}
+
+    elapsed = []
+
+    def run(sim, layers):
+        before = sum(layer.gossip_sent for layer in layers)
+        start = time.perf_counter()
+        sim.run(until=sim.now + periods * ack_period)
+        elapsed.append(time.perf_counter() - start)
+        return sum(layer.gossip_sent for layer in layers) - before
+
+    sends = benchmark.pedantic(run, setup=settled, rounds=10)
+    benchmark.extra_info["sends_per_member"] = sends / size
+    benchmark.extra_info["us_per_tick"] = min(elapsed) * 1e6 / (periods * size)
+    assert sends / size <= 8  # streak-doubling to the cap: at most 8 in 100 quiet periods
 
 
 @pytest.mark.parametrize("size", [8, 64])

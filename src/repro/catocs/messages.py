@@ -98,11 +98,15 @@ class DataMessage:
 
 @dataclass
 class AckGossip(TransportControl):
-    """Periodic stability gossip: the sender's contiguous receive counts.
+    """Stability gossip: the sender's contiguous receive counts.
 
-    ``ack_vector`` is a snapshot, never written after the gossip is sent:
-    the sender re-sends the same object while its counts stand, and in the
-    simulator every receiver is handed (and may keep) that one dict.
+    Sent on every ``ack_period`` tick while the sender buffers an unstable
+    message or has news, and with a doubling interval, capped at 16 periods,
+    once it has settled (``QUIET_BACKOFF_CAP`` in
+    :mod:`repro.catocs.transport`).  ``ack_vector`` is a snapshot,
+    never written after the gossip is sent: the sender re-sends the same
+    object while its counts stand, and in the simulator every receiver is
+    handed (and may keep) that one dict.
     """
 
     group: str

@@ -19,10 +19,16 @@ Sits between the raw (lossy, reordering) network and the ordering layers:
   senders.  A :class:`~repro.ordering.matrix.MatrixClock` per member
   maintains the stable frontier (the componentwise minimum over rows) as
   acknowledgements arrive; the buffer is swept only when that frontier moves.
-  The same gossip goes out every period whether or not anything happened,
-  but the work is paid per news: a tick re-sends its last snapshot while no
-  count has moved, and a receiver merges a vector only if it differs from
-  the last one it merged from that sender.
+  Gossip backs off once a member has settled: a tick is *quiet* when the
+  buffer is empty, the counts equal the last ack vector the member put on
+  the wire and the frontier has not moved since the previous tick, and the
+  k-th quiet tick in a row sends only at k = 1, 2, 4, 8, 16 and every 16th
+  after (Trickle-style, Levis et al.).  Any other tick sends.  A peer whose
+  copy of a quiet member's last vector was lost therefore hears it again
+  within ``QUIET_BACKOFF_CAP`` periods.  The work is paid per news as well: a
+  tick re-sends its last snapshot while no count has moved, and a receiver
+  merges a vector only if it differs from the last one it merged from that
+  sender.
 
 The two layers are deliberately *coupled through documented peer services*
 rather than a pure linear pipeline: the wire format piggybacks ack vectors
@@ -50,7 +56,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.catocs.messages import AckGossip, DataMessage, MsgId, Nak
 from repro.catocs.stack import ProtocolLayer, ProtocolStack, register_layer
@@ -58,6 +64,20 @@ from repro.ordering.matrix import MatrixClock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catocs.member import GroupMember
+
+#: The longest gossip interval of a settled member, in ack periods: quiet
+#: ticks send at streak 1, 2, 4, 8, 16, then every 16th.  It bounds how long
+#: a peer that lost a quiet member's last vector waits to hear it again.
+QUIET_BACKOFF_CAP = 16
+
+
+def tick_sends(streak: int) -> bool:
+    """Whether the ``streak``-th quiet gossip tick in a row sends: a tick
+    that is not quiet (streak 0) always does, a quiet one at powers of two
+    below the cap and at every multiple of it."""
+    if streak < QUIET_BACKOFF_CAP:
+        return streak & (streak - 1) == 0
+    return streak % QUIET_BACKOFF_CAP == 0
 
 
 class DedupRepairLayer(ProtocolLayer):
@@ -76,11 +96,16 @@ class DedupRepairLayer(ProtocolLayer):
         self._ahead: Dict[str, Dict[int, DataMessage]] = {}
         #: highest seq seen per sender (for gap detection)
         self._max_seen: Dict[str, int] = {pid: 0 for pid in members}
-        self._nak_pending: Set[MsgId] = set()
+        #: every id being chased -> how many NAK rounds have asked for it
+        self._nak_pending: Dict[MsgId, int] = {}
         self._nak_attempts: Dict[str, int] = {}
         self.retransmissions = 0
         self.naks_sent = 0
         self.duplicates = 0
+        #: NAK rounds given up because no live member was known to hold the ids
+        self.naks_unroutable = 0
+        #: the most NAK rounds any one missing id has taken
+        self.nak_rounds_max = 0
         self._stability: Optional["StabilityLayer"] = None
 
     def on_attached(self) -> None:
@@ -122,6 +147,7 @@ class DedupRepairLayer(ProtocolLayer):
             return None
         if stability is not None:
             stability.buffer_message(msg)
+        self._nak_pending.pop(msg.msg_id, None)  # no longer chased
         self._note_counts(msg)
         if stability is not None:
             stability.publish_own_counts(msg.sender, self.contiguous.get(msg.sender, 0))
@@ -175,12 +201,12 @@ class DedupRepairLayer(ProtocolLayer):
                 self._check_gaps(sender)
 
     def _check_gaps(self, sender: str) -> None:
-        missing = self._missing(sender)
-        fresh = [mid for mid in missing if mid not in self._nak_pending]
+        pending = self._nak_pending
+        fresh = [mid for mid in self._missing(sender) if mid not in pending]
         if not fresh:
             return
         for mid in fresh:
-            self._nak_pending.add(mid)
+            pending[mid] = 0
         self.member.set_timer(self.nak_delay, self._send_naks, sender)
 
     def _missing(self, sender: str) -> List[MsgId]:
@@ -190,23 +216,28 @@ class DedupRepairLayer(ProtocolLayer):
         return [(sender, s) for s in range(contiguous + 1, top + 1) if s not in ahead]
 
     def _send_naks(self, sender: str) -> None:
-        still_missing = [mid for mid in self._missing(sender) if mid in self._nak_pending]
-        for mid in still_missing:
-            self._nak_pending.discard(mid)
+        pending = self._nak_pending
+        still_missing = [mid for mid in self._missing(sender) if mid in pending]
         if not still_missing:
             return
         target = self._repair_target(sender, still_missing)
         if target is None:
             # Nobody reachable holds the message: the non-durability window.
+            # The chase stops until a new message or ack vector reopens it.
+            self.naks_unroutable += 1
+            for mid in still_missing:
+                del pending[mid]
             return
         self.naks_sent += 1
         self.member.send(
             target,
             Nak(group=self.member.group, requester=self.member.pid, wanted=still_missing),
         )
-        # Re-arm in case the repair itself is lost.
         for mid in still_missing:
-            self._nak_pending.add(mid)
+            rounds = pending[mid] = pending[mid] + 1
+            if rounds > self.nak_rounds_max:
+                self.nak_rounds_max = rounds
+        # Re-arm in case the repair itself is lost.
         self.member.set_timer(self.nak_delay * 2, self._send_naks, sender)
 
     def _repair_target(self, sender: str, wanted: List[MsgId]) -> Optional[str]:
@@ -270,6 +301,8 @@ class DedupRepairLayer(ProtocolLayer):
             "naks_sent": self.naks_sent,
             "duplicates": self.duplicates,
             "nak_pending": len(self._nak_pending),
+            "naks_unroutable": self.naks_unroutable,
+            "nak_rounds_max": self.nak_rounds_max,
         }
 
 
@@ -300,11 +333,20 @@ class StabilityLayer(ProtocolLayer):
         self._swept_at: Optional[int] = None
         self.peak_buffered = 0
         self.peak_buffered_bytes = 0
+        #: ticks that sent, and ticks the quiet back-off kept silent
         self.gossip_sent = 0
+        self.gossip_quiet = 0
         self.stable_hooks: List[Callable[[MsgId], None]] = []
         self._dedup: Optional[DedupRepairLayer] = None
         #: the last gossip sent, re-sent as it is while no count has moved
         self._last_gossip: Optional[AckGossip] = None
+        #: the last ack vector put on the wire, by gossip or piggybacked
+        self._acked: Optional[Dict[str, int]] = None
+        #: ``matrix.moves`` as the previous tick saw it; ``None`` makes the
+        #: next tick not quiet
+        self._ticked_moves: Optional[int] = None
+        #: quiet ticks in a row
+        self._quiet_streak = 0
         #: per sender, the last gossip vector merged into the *current*
         #: matrix: merging it again changes nothing (rows and ``_max_seen``
         #: only grow), so a repeat goes straight to ``check_stability``
@@ -329,7 +371,7 @@ class StabilityLayer(ProtocolLayer):
         to bottom), so the snapshot excludes the message being sent — as in
         the monolith, where the snapshot preceded ``_note_received``.
         """
-        msg.ack_vector = dict(self._counts())
+        msg.ack_vector = self._acked = dict(self._counts())
         self.buffer_message(msg)
 
     def on_control(self, src: str, payload: Any) -> Optional[List[DataMessage]]:
@@ -356,6 +398,7 @@ class StabilityLayer(ProtocolLayer):
         self.matrix.update_row(self.member.pid, self._counts())
         self._absorbed.clear()  # absorbed by the old matrix, not this one
         self._swept_at = None  # a new matrix: its frontier is not the swept one
+        self._ticked_moves = None  # and its moves count from 0: not quiet
         self.check_stability()
 
     # -- peer services (called by the dedup layer mid-choreography) ----------------
@@ -402,18 +445,34 @@ class StabilityLayer(ProtocolLayer):
     # -- stability -----------------------------------------------------------------
 
     def _gossip_tick(self) -> None:
-        self.gossip_sent += 1
-        gossip = self._last_gossip
-        if gossip is None or gossip.ack_vector != self._counts():
-            # A wire ack vector is immutable once sent: snapshot afresh only
-            # when a count moved, re-send the same object otherwise.
-            gossip = AckGossip(
-                group=self.member.group,
-                sender=self.member.pid,
-                ack_vector=dict(self._counts()),
-            )
-            self._last_gossip = gossip
-        self.member.send_peers(gossip)
+        """Gossip the counts, unless this tick is quiet and backing off.
+
+        Quiet: nothing buffered, the counts are the last vector on the wire
+        and the frontier has not moved since the previous tick.  The timer
+        fires every period either way; only the send is skipped."""
+        counts = self._counts()
+        moves = self.matrix.moves
+        if self.buffer or counts != self._acked or moves != self._ticked_moves:
+            self._quiet_streak = streak = 0
+        else:
+            self._quiet_streak = streak = self._quiet_streak + 1
+        self._ticked_moves = moves
+        if tick_sends(streak):
+            self.gossip_sent += 1
+            gossip = self._last_gossip
+            if gossip is None or gossip.ack_vector != counts:
+                # A wire ack vector is immutable once sent: snapshot afresh only
+                # when a count moved, re-send the same object otherwise.
+                gossip = AckGossip(
+                    group=self.member.group,
+                    sender=self.member.pid,
+                    ack_vector=dict(counts),
+                )
+                self._last_gossip = gossip
+            self._acked = gossip.ack_vector
+            self.member.send_peers(gossip)
+        else:
+            self.gossip_quiet += 1
         self.member.set_timer(self.ack_period, self._gossip_tick)
 
     def check_stability(self) -> None:
@@ -449,6 +508,7 @@ class StabilityLayer(ProtocolLayer):
             "peak_buffered": self.peak_buffered,
             "peak_buffered_bytes": self.peak_buffered_bytes,
             "gossip_sent": self.gossip_sent,
+            "gossip_quiet": self.gossip_quiet,
         }
 
 
@@ -513,10 +573,6 @@ class GroupTransport:
     @property
     def _ahead(self) -> Dict[str, Dict[int, DataMessage]]:
         return self._dedup._ahead if self._dedup else {}
-
-    @property
-    def _nak_pending(self) -> Set[MsgId]:
-        return self._dedup._nak_pending if self._dedup else set()
 
     @property
     def matrix(self) -> Optional[MatrixClock]:

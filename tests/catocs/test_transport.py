@@ -1,21 +1,22 @@
 """Tests for the reliable group transport: dedup, NAK repair, stability."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.catocs import build_group, build_member
 from repro.catocs.messages import AckGossip, DataMessage, Nak
-from repro.catocs.transport import StabilityLayer
+from repro.catocs.transport import QUIET_BACKOFF_CAP, StabilityLayer, tick_sends
 from repro.experiments.e16_stability import _run as e16_run
 from repro.sim import FailureInjector, LinkModel, Network, Simulator
 
 
-def build(seed=0, drop=0.0, n=3, **kwargs):
+def build(seed=0, drop=0.0, n=3, ordering="raw", **kwargs):
     sim = Simulator(seed=seed)
     net = Network(sim, LinkModel(latency=5.0, jitter=2.0, drop_prob=drop))
     pids = [f"p{i}" for i in range(n)]
-    members = build_group(sim, net, pids, ordering="raw", **kwargs)
+    members = build_group(sim, net, pids, ordering=ordering, **kwargs)
     return sim, net, members
 
 
@@ -84,6 +85,26 @@ def test_repair_from_peer_when_sender_crashed():
     assert members["p2"].delivered_payloads() == ["precious"]
 
 
+def test_a_chase_nobody_can_serve_is_counted_not_silent():
+    # m2 reaches nobody, m3 reaches everyone, then p0 crashes.  p2 suspects
+    # p0 and knows p1 lacks m2: its chase has no target and stops.  p1 does
+    # not suspect p0 and NAKs it every round until the horizon.
+    sim, net, members = build(n=3, ack_period=10.0)
+    for dst in ("p1", "p2"):
+        sim.call_at(1.5, net.set_link, "p0", dst, LinkModel(latency=5.0, drop_prob=1.0))
+        sim.call_at(2.5, net.set_link, "p0", dst, LinkModel(latency=5.0))
+    for k, at in enumerate((1.0, 2.0, 3.0), start=1):
+        sim.call_at(at, members["p0"].multicast, f"m{k}")
+    sim.call_at(4.0, members["p0"].crash)
+    sim.call_at(4.0, members["p2"].suspect, "p0")
+    sim.run(until=500)
+    p1, p2 = (members[pid].stack.layer("dedup").layer_metrics() for pid in ("p1", "p2"))
+    assert members["p2"].delivered_payloads() == ["m1", "m3"]
+    assert (p2["naks_unroutable"], p2["naks_sent"], p2["nak_pending"]) == (1, 0, 0)
+    assert p1["naks_unroutable"] == 0
+    assert p1["nak_rounds_max"] == p1["naks_sent"] > 10
+
+
 def test_metrics_shape():
     sim, net, members = build()
     sim.call_at(1.0, members["p0"].multicast, "x")
@@ -124,15 +145,185 @@ def test_peer_retransmission_does_not_corrupt_stability_matrix():
                 assert believed <= actual, (observer.pid, subject.pid, sender)
 
 
-def test_ack_vector_reveals_missing_final_message():
-    # The final message from a sender leaves no seq gap; peers must learn of
-    # it through ack vectors (piggybacked or gossiped) and repair.
-    sim, net, members = build(seed=11, n=3, ack_period=20.0)
-    net.set_link("p0", "p2", LinkModel(latency=5.0, drop_prob=1.0))  # always lost
-    sim.call_at(1.0, members["p0"].multicast, "only")
-    sim.call_at(30.0, net.set_link, "p0", "p2", LinkModel(latency=5.0))
-    sim.run(until=5000)
-    assert members["p2"].delivered_payloads() == ["only"]
+@pytest.fixture
+def suppressed_while_buffered(monkeypatch):
+    """Every gossip tick, checked: the layers whose tick stayed silent
+    although their buffer held a message."""
+    tick = StabilityLayer._gossip_tick
+    offenders = []
+
+    def checked(layer):
+        buffered, quiet = bool(layer.buffer), layer.gossip_quiet
+        tick(layer)
+        if buffered and layer.gossip_quiet != quiet:
+            offenders.append((layer.member.pid, layer.member.sim.now))
+
+    monkeypatch.setattr(StabilityLayer, "_gossip_tick", checked)
+    return offenders
+
+
+def test_ack_vector_reveals_missing_final_message(suppressed_while_buffered):
+    # The final message of a stream leaves no seq gap; peers must learn of it
+    # through ack vectors (piggybacked or gossiped), NAK and repair.
+    for ordering in ("raw", "causal", "total-agreed"):
+        sim, net, members = build(seed=11, n=3, ordering=ordering, ack_period=20.0)
+        for k in range(4):
+            sim.call_at(1.0 + k, members["p0"].multicast, f"m{k}")
+        # the final message, and whatever else p0 sends p2 before t=30, is lost
+        sim.call_at(3.5, net.set_link, "p0", "p2", LinkModel(latency=5.0, drop_prob=1.0))
+        sim.call_at(30.0, net.set_link, "p0", "p2", LinkModel(latency=5.0))
+        sim.run(until=5000)
+        assert members["p2"].delivered_payloads() == ["m0", "m1", "m2", "m3"], ordering
+        assert members["p2"].transport.naks_sent >= 1, ordering
+        for member in members.values():
+            assert not member.transport.buffer, (ordering, member.pid)
+    assert suppressed_while_buffered == []
+
+
+# -- quiet once settled: the gossip back-off and what it must not cost --------------
+
+def test_quiet_ticks_send_at_powers_of_two_then_every_cap():
+    assert tick_sends(0)  # a tick that is not quiet always sends
+    assert [k for k in range(1, 100) if tick_sends(k)] == [1, 2, 4, 8, 16, 32, 48, 64, 80, 96]
+    assert QUIET_BACKOFF_CAP == 16
+
+
+def _gossip_times(multicast):
+    """p1's gossip sends over 100 periods of 10 in a 3-member group, after
+    p0 multicasts once at t=1 or never; and p1 with its send log."""
+    sim, net, members = build(n=3, ack_period=10.0)
+    if multicast:
+        sim.call_at(1.0, members["p0"].multicast, "x")
+    member = members["p1"]
+    sends = []
+    send_peers = member.send_peers
+    member.send_peers = lambda payload: sends.append(sim.now) or send_peers(payload)
+    sim.run(until=1000.5)
+    layer = member.stack.layer("stability")
+    assert layer.gossip_sent + layer.gossip_quiet == 100
+    assert not layer.buffer
+    return sim, member, sends
+
+
+def test_a_settled_member_backs_off_to_the_cap():
+    _, _, sends = _gossip_times(multicast=True)
+    # news at the ticks of t=10 and t=20 (receipt, then the frontier moving);
+    # quiet from t=30: streak 1, 2, 4, 8, 16, 32, 48, 64, 80, 96
+    assert sends == [10.0, 20.0, 30.0, 40.0, 60.0, 100.0, 180.0, 340.0, 500.0,
+                     660.0, 820.0, 980.0]
+
+
+def test_a_view_install_restarts_the_back_off():
+    # No traffic: the frontier never moves, so the rebuilt matrix's move
+    # count (0) equals the one the last tick saw, and only the install
+    # itself can make the next tick not quiet.
+    sim, member, sends = _gossip_times(multicast=False)
+    assert sends == [10.0, 20.0, 30.0, 50.0, 90.0, 170.0, 330.0, 490.0, 650.0,
+                     810.0, 970.0]
+    member.transport.update_membership(("p0", "p1", "p2"))
+    sends.clear()
+    sim.run(until=1050.5)
+    assert sends == [1010.0, 1020.0, 1030.0, 1050.0]
+
+
+def test_a_member_holding_an_unstable_message_gossips_every_period():
+    # p2 crashed unnoticed: p0's message never becomes stable, and neither
+    # counts nor frontier move again, yet p0 and p1 must keep gossiping.
+    sim, net, members = build(n=3, ack_period=10.0)
+    members["p2"].crash()
+    sim.call_at(1.0, members["p0"].multicast, "x")
+    sim.run(until=1000.5)
+    for pid in ("p0", "p1"):
+        layer = members[pid].stack.layer("stability")
+        assert list(layer.buffer) == [("p0", 1)]
+        assert (layer.gossip_sent, layer.gossip_quiet) == (100, 0)
+
+
+def _settle(seed, ordering, drop_prob, n=8, stream=40, tail=2000.0):
+    """A short round-robin stream through an ``n``-member group, then a long
+    silent tail; the group at the horizon."""
+    sim = Simulator(seed=seed)
+    net = Network(sim, LinkModel(latency=3.0, jitter=2.0, drop_prob=drop_prob))
+    pids = [f"p{i}" for i in range(n)]
+    group = build_group(sim, net, pids, ordering=ordering)
+    for k in range(stream):
+        sim.call_at(1.0 + k, group[pids[k % n]].multicast, k)
+    sim.run(until=stream + tail)
+    return group
+
+
+@pytest.mark.parametrize("drop_prob", [0.05, 0.15])
+@pytest.mark.parametrize("ordering", ["causal", "total-agreed"])
+def test_every_buffer_and_every_chase_drains_once_the_group_settles(
+        ordering, drop_prob, suppressed_while_buffered):
+    for seed in range(6):
+        group = _settle(seed, ordering, drop_prob)
+        for member in group.values():
+            assert len(member.delivered) == 40, (seed, member.pid)
+            stability = member.stack.layer("stability")
+            assert not stability.buffer, (seed, member.pid)
+            assert not member.stack.layer("dedup")._nak_pending, (seed, member.pid)
+            assert stability.gossip_quiet > stability.gossip_sent, (seed, member.pid)
+    assert suppressed_while_buffered == []
+
+
+class SilentStability(StabilityLayer):
+    """The rule the back-off replaced: gossip only while something is
+    buffered or the counts moved since the last vector on the wire."""
+
+    def _gossip_tick(self):
+        counts = self._counts()
+        if self.buffer or counts != self._acked:
+            self.gossip_sent += 1
+            self._acked = dict(counts)
+            self.member.send_peers(AckGossip(
+                group=self.member.group, sender=self.member.pid, ack_vector=self._acked))
+        self.member.set_timer(self.ack_period, self._gossip_tick)
+
+
+def _drain_after_one_lost_gossip(layer_class, n):
+    """p0 multicasts once; the first gossip p1 sends to p0 is lost and no
+    other packet is.  When p0's buffer drained, or None if it never did."""
+    period = 20.0
+    sim, net, members = build(n=n, ack_period=0.0)  # ticks armed below
+    for member in members.values():
+        layer = member.stack.layer("stability")
+        layer.__class__ = layer_class
+        layer.ack_period = period
+        member.set_timer(period, layer._gossip_tick)
+    lost = []
+    send = net.send
+
+    def lose_first_gossip(src, dst, payload, size=None):
+        if not lost and (src, dst) == ("p1", "p0") and isinstance(payload, AckGossip):
+            lost.append(sim.now)
+            return None
+        return send(src, dst, payload, size)
+
+    net.send = lose_first_gossip
+    drained = []
+    members["p0"].stack.layer("stability").stable_hooks.append(
+        lambda mid: drained.append(sim.now))
+    sim.call_at(1.0, members["p0"].multicast, "x")
+    sim.run(until=2000.0)
+    assert lost == [period]
+    return drained[0] if drained else None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_lost_gossip_from_a_quiet_member_is_sent_again_within_the_cap(n):
+    """p1 sends no data, so its gossip is the only way p0 learns p1 holds
+    p0's message.  Lose p1's first gossip to p0: p0's buffer must still
+    drain within ``QUIET_BACKOFF_CAP`` periods plus the link latency.  With
+    two members p1 is quiet from its second tick, so the resend is a
+    backed-off one; with three it is the tick after p1's frontier moved.
+
+    The silent rule fails this: p1 goes quiet having put its counts on the
+    wire once, never sends them again, and p0 holds the message forever."""
+    bound = 20.0 + QUIET_BACKOFF_CAP * 20.0 + 7.0  # the loss + the cap + latency
+    drained = _drain_after_one_lost_gossip(StabilityLayer, n)
+    assert drained is not None and drained <= bound
+    assert _drain_after_one_lost_gossip(SilentStability, n) is None
 
 
 # -- byte accounting: the running total vs a brute-force sum -----------------------
@@ -351,28 +542,31 @@ def _stability_counters(seed, ordering, leave=None):
 
 def test_maintained_frontier_keeps_the_counters_the_recomputed_one_kept():
     """Values recorded from the min-over-every-row, scan-the-whole-buffer
-    ``check_stability`` this one replaced, same seeds."""
+    ``check_stability`` this one replaced, same seeds.  The gossip counts
+    were re-pinned when settled members' gossip began to back off (45 per
+    member before, 13 for the member that left); every buffer count is as
+    recorded."""
     assert _stability_counters(31, "causal", leave="p4") == {
         "peak_buffered": [38, 23, 25, 25, 20],
         "peak_buffered_bytes": [4966, 3036, 3300, 3250, 2640],
-        "gossip_sent": [45, 45, 45, 45, 13],
+        "gossip_sent": [12, 12, 12, 13, 9],
         "retransmissions": [3, 5, 2, 0, 0],
         "left_buffered": [0, 0, 0, 0, 0],
     }
     assert _stability_counters(33, "total-agreed") == {
         "peak_buffered": [24, 24, 26, 25, 21],
         "peak_buffered_bytes": [1868, 1968, 2132, 2050, 1722],
-        "gossip_sent": [45, 45, 45, 45, 45],
+        "gossip_sent": [12, 12, 12, 12, 12],
         "retransmissions": [6, 6, 6, 5, 1],
         "left_buffered": [0, 0, 0, 0, 0],
     }
     # E16 samples every member's buffer every five time units
     assert e16_run(0, 60.0, 6, 15) == {
-        "gossip_messages": 2040, "buffer_time_integral": 10165.0,
+        "gossip_messages": 300, "buffer_time_integral": 10165.0,
         "drained_at": 70.0, "residual": 0,
     }
     assert e16_run(5, 240.0, 4, 10) == {
-        "gossip_messages": 204, "buffer_time_integral": 16990.0,
+        "gossip_messages": 72, "buffer_time_integral": 16990.0,
         "drained_at": 250.0, "residual": 0,
     }
 
@@ -380,22 +574,24 @@ def test_maintained_frontier_keeps_the_counters_the_recomputed_one_kept():
 def test_lean_envelope_path_keeps_the_wire_counters():
     """``net.stats`` recorded at 23bd898 — the walked ``estimate_size`` and the
     ``sample_drop``/``sample_latency`` envelope path — same seeds: the same
-    packets, sized the same, meet the same fate."""
+    packets, sized the same, meet the same fate.  Re-pinned when settled
+    members' gossip began to back off: fewer gossip sends, and so different
+    drop draws for the packets after them."""
     def wire(*args, **kwargs):
         net, _ = _seeded_group_run(*args, **kwargs)
         return net.stats.snapshot()
 
     assert wire(41, "causal", drop_prob=0.0) == {
-        "sent": 1140, "delivered": 1120, "dropped": 0, "partitioned": 0,
-        "to_crashed": 0, "reset": 0, "bytes_sent": 123480, "bytes_delivered": 121440,
+        "sent": 460, "delivered": 460, "dropped": 0, "partitioned": 0,
+        "to_crashed": 0, "reset": 0, "bytes_sent": 54120, "bytes_delivered": 54120,
     }
     assert wire(33, "total-agreed") == {
-        "sent": 1919, "delivered": 1795, "dropped": 105, "partitioned": 0,
-        "to_crashed": 0, "reset": 0, "bytes_sent": 169880, "bytes_delivered": 158784,
+        "sent": 1258, "delivered": 1196, "dropped": 62, "partitioned": 0,
+        "to_crashed": 0, "reset": 0, "bytes_sent": 102499, "bytes_delivered": 97686,
     }
     assert wire(31, "causal", leave="p4") == {
-        "sent": 1977, "delivered": 1858, "dropped": 96, "partitioned": 0,
-        "to_crashed": 0, "reset": 0, "bytes_sent": 146737, "bytes_delivered": 138524,
+        "sent": 1584, "delivered": 1498, "dropped": 77, "partitioned": 0,
+        "to_crashed": 0, "reset": 0, "bytes_sent": 106651, "bytes_delivered": 101009,
     }
 
 
@@ -445,7 +641,9 @@ _vector = st.lists(st.integers(min_value=0, max_value=5), min_size=4, max_size=4
 
 class AlwaysMergeStability(StabilityLayer):
     """The layer as it was before it paid per news: every gossip merged,
-    every tick a fresh snapshot, every publish the whole own row."""
+    every sending tick a fresh snapshot, every publish the whole own row.
+    Which ticks send is the real layer's rule, so the two differ only in
+    merge work."""
 
     def on_control(self, src, payload):
         if isinstance(payload, AckGossip):
@@ -456,12 +654,8 @@ class AlwaysMergeStability(StabilityLayer):
         return None
 
     def _gossip_tick(self):
-        self.gossip_sent += 1
-        self.member.send_peers(AckGossip(
-            group=self.member.group, sender=self.member.pid,
-            ack_vector=dict(self._counts()),
-        ))
-        self.member.set_timer(self.ack_period, self._gossip_tick)
+        self._last_gossip = None  # nothing to re-send: snapshot afresh
+        super()._gossip_tick()
 
     def publish_own_counts(self, sender, count):
         self.matrix.update_row(self.member.pid, self._counts())
@@ -506,13 +700,14 @@ class _Driven:
             "moves": matrix.moves,
             "contiguous": dict(self.dedup.contiguous),
             "max_seen": dict(self.dedup._max_seen),
-            "nak_pending": set(self.dedup._nak_pending),
+            "nak_pending": dict(self.dedup._nak_pending),
             "timers": self.sim.pending,
             "naks_sent": self.dedup.naks_sent,
             "sent": self.sent,
             "buffer": list(self.layer.buffer),
             "released": self.released,
             "gossip_sent": self.layer.gossip_sent,
+            "gossip_quiet": self.layer.gossip_quiet,
         }
 
 
