@@ -135,11 +135,9 @@ class ViewManager:
         self._joining = False
         # Pretend the flushed history was received: no NAK storm for old
         # traffic, and causal delivery starts at the view's frontier.
-        for pid, count in install.final_counts.items():
-            current = member.transport.contiguous.get(pid, 0)
-            member.transport.contiguous[pid] = max(current, count)
-            if count > member.transport._max_seen.get(pid, 0):
-                member.transport._max_seen[pid] = count
+        dedup = member.stack.layer("dedup")
+        if dedup is not None:
+            dedup.fast_forward(install.final_counts)
         member.ordering.on_join(install.ordering_state, install.final_counts)
 
     # -- voluntary departure --------------------------------------------------------

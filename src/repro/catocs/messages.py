@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.ordering.vector import VectorClock
+from repro.ordering.dense import DenseVectorClock
 from repro.sim.network import counts_size, estimate_size
 
 MsgId = Tuple[str, int]  # (sender pid, per-sender sequence number)
@@ -68,7 +68,7 @@ class DataMessage:
     payload: Any
     sent_at: float
     view_id: int = 0
-    vc: Optional[VectorClock] = None
+    vc: Optional[DenseVectorClock] = None
     ack_vector: Optional[Dict[str, int]] = None
     retransmit: bool = False
     #: Footnote 4 of the paper: "causal protocols can append earlier

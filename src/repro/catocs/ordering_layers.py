@@ -42,7 +42,6 @@ from repro.catocs.messages import (
 )
 from repro.catocs.stack import ProtocolLayer, register_layer
 from repro.ordering.dense import bss_deliverable, group_domain
-from repro.ordering.vector import VectorClock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catocs.member import GroupMember
@@ -224,10 +223,9 @@ class CausalOrdering(OrderingLayer):
 
     Timestamps are dense int-indexed clocks over the group's shared
     :class:`~repro.ordering.dense.ClockDomain`: every member of one group
-    resolves the same domain through its simulator, so the stamp a sender
-    attaches is compared against each receiver's ``delivered`` clock as two
-    flat arrays.  ``stamp`` shares a frozen snapshot of ``delivered``
-    (copy-on-write) instead of copying a dict per send.
+    resolves the same domain through its simulator (a socket host decodes
+    stamps into it), so the stamp a sender attaches is compared against
+    each receiver's ``delivered`` clock as two flat arrays.
     """
 
     name = "causal"
@@ -249,12 +247,11 @@ class CausalOrdering(OrderingLayer):
         #: view change; dependencies beyond it were lost with a crashed
         #: sender (atomic-but-not-durable) and are waived so delivery does
         #: not block forever.  None until the first view change.
-        self._ceiling: Optional[VectorClock] = None
+        self._ceiling: Optional[Dict[str, int]] = None
 
     def stamp(self, msg: DataMessage) -> None:
         # One-pass array copy+tick; ``delivered`` itself is never aliased,
-        # so the per-delivery ``advance`` calls stay in-place mutations
-        # (vs. a full dict copy per send in the dict-clock representation).
+        # so the per-delivery ``advance`` calls stay in-place mutations.
         msg.vc = self.delivered.stamped(msg.sender)
 
     def accept_local(self, msg: DataMessage) -> List[DataMessage]:
@@ -355,7 +352,7 @@ class CausalOrdering(OrderingLayer):
         if self._ceiling is not None:
             for pid, count in self._ceiling.items():
                 merged[pid] = max(merged.get(pid, 0), count)
-        self._ceiling = VectorClock(merged)
+        self._ceiling = merged
 
 
 class TotalSequencerOrdering(OrderingLayer):

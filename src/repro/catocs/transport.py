@@ -169,6 +169,15 @@ class DedupRepairLayer(ProtocolLayer):
             if pid not in self._max_seen:
                 self._max_seen[pid] = 0
 
+    def fast_forward(self, counts: Dict[str, int]) -> None:
+        """Count a joiner's skipped history as received: ``counts[pid]`` is
+        how much of ``pid``'s stream the view flushed.  Counts only rise, so
+        nothing at or below them is ever chased with a NAK."""
+        for pid, count in counts.items():
+            self.contiguous[pid] = max(self.contiguous.get(pid, 0), count)
+            if count > self._max_seen.get(pid, 0):
+                self._max_seen[pid] = count
+
     # -- receive-state bookkeeping ---------------------------------------------
 
     def _already_have(self, msg_id: MsgId) -> bool:
@@ -263,7 +272,7 @@ class DedupRepairLayer(ProtocolLayer):
                 if pid in (self.member.pid, sender) or not self.member.believes_alive(pid):
                     continue
                 row = self._stability.matrix.row(pid)
-                if all(row[s] >= q for s, q in wanted):
+                if all(row.get(s, 0) >= q for s, q in wanted):
                     candidates.append(pid)
         if not candidates:
             return None
@@ -483,7 +492,7 @@ class StabilityLayer(ProtocolLayer):
         if moves == self._swept_at:
             return
         self._swept_at = moves
-        stable = self.matrix.min_vector().as_dict()
+        stable = self.matrix.min_vector()
         newly_stable = []
         for sender, heap in self._held.items():
             covered = stable.get(sender, 0)
@@ -565,14 +574,6 @@ class GroupTransport:
     @property
     def contiguous(self) -> Dict[str, int]:
         return self._dedup.contiguous if self._dedup else {}
-
-    @property
-    def _max_seen(self) -> Dict[str, int]:
-        return self._dedup._max_seen if self._dedup else {}
-
-    @property
-    def _ahead(self) -> Dict[str, Dict[int, DataMessage]]:
-        return self._dedup._ahead if self._dedup else {}
 
     @property
     def matrix(self) -> Optional[MatrixClock]:

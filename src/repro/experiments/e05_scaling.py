@@ -38,8 +38,9 @@ def _run_group(seed: int, size: int, msgs_per_member: int,
     sim.run(until=window + 2000.0)
 
     graph = instrumentation.metrics()
-    per_node_peaks = [m.transport.peak_buffered_bytes for m in members.values()]
-    per_node_counts = [m.transport.peak_buffered for m in members.values()]
+    stability = [m.stack.layer("stability").layer_metrics() for m in members.values()]
+    per_node_peaks = [s["peak_buffered_bytes"] for s in stability]
+    per_node_counts = [s["peak_buffered"] for s in stability]
     return {
         "peak_graph_nodes": graph["peak_nodes"],
         "peak_graph_arcs": graph["peak_arcs"],

@@ -26,6 +26,7 @@ def _run(seed: int, ack_period: float, size: int, burst: int) -> Dict[str, float
     pids = [f"p{i}" for i in range(size)]
     members = build_group(sim, net, pids, ordering="causal",
                           ack_period=ack_period)
+    layers = [m.stack.layer("stability") for m in members.values()]
     # The burst: everyone multicasts in a tight window, then silence.
     for index, pid in enumerate(pids):
         for k in range(burst):
@@ -36,7 +37,7 @@ def _run(seed: int, ack_period: float, size: int, burst: int) -> Dict[str, float
     samples = []
 
     def probe() -> None:
-        total = sum(len(m.transport.buffer) for m in members.values())
+        total = sum(layer.layer_metrics()["buffered"] for layer in layers)
         samples.append((sim.now, total))
         if sim.now < 4000.0:
             sim.call_later(5.0, probe)
@@ -49,7 +50,7 @@ def _run(seed: int, ack_period: float, size: int, burst: int) -> Dict[str, float
         float("inf"),
     )
     integral = sum(total * 5.0 for _, total in samples)
-    gossip = sum(m.transport.gossip_sent for m in members.values()) * (size - 1)
+    gossip = sum(layer.layer_metrics()["gossip_sent"] for layer in layers) * (size - 1)
     return {
         "gossip_messages": gossip,
         "buffer_time_integral": integral,

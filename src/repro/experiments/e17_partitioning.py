@@ -134,7 +134,8 @@ def _buffer_cost(seed: int, size: int, split: bool,
                 at = sim.rng.uniform(1.0, window)
                 sim.call_at(at, members[pid].multicast, {"kind": "tick"})
     sim.run(until=window + 2000.0)
-    return float(sum(m.transport.peak_buffered_bytes for m in all_members))
+    return float(sum(m.stack.layer("stability").layer_metrics()["peak_buffered_bytes"]
+                     for m in all_members))
 
 
 def run_e17(seed: int = 0, size: int = 12) -> ExperimentResult:

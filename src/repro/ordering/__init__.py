@@ -7,7 +7,6 @@ grow quadratically with group size.
 """
 
 from repro.ordering.lamport import LamportClock
-from repro.ordering.vector import VectorClock
 from repro.ordering.dense import ClockDomain, DenseVectorClock, bss_deliverable, group_domain
 from repro.ordering.matrix import MatrixClock
 from repro.ordering.happens_before import (
@@ -20,7 +19,6 @@ from repro.ordering.causal_graph import CausalGraph
 
 __all__ = [
     "LamportClock",
-    "VectorClock",
     "ClockDomain",
     "DenseVectorClock",
     "bss_deliverable",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.ordering.vector import VectorClock
+from repro.ordering.dense import DenseVectorClock
 
 
 class Ordering(enum.Enum):
@@ -23,7 +23,7 @@ class Ordering(enum.Enum):
     CONCURRENT = "concurrent"  # causally unrelated
 
 
-def compare(a: VectorClock, b: VectorClock) -> Ordering:
+def compare(a: DenseVectorClock, b: DenseVectorClock) -> Ordering:
     """Classify the causal relationship between two vector timestamps."""
     a_le_b = a <= b
     b_le_a = b <= a
@@ -36,17 +36,17 @@ def compare(a: VectorClock, b: VectorClock) -> Ordering:
     return Ordering.CONCURRENT
 
 
-def happens_before(a: VectorClock, b: VectorClock) -> bool:
+def happens_before(a: DenseVectorClock, b: DenseVectorClock) -> bool:
     """True iff the event stamped ``a`` causally precedes the event stamped ``b``."""
     return compare(a, b) is Ordering.BEFORE
 
 
-def concurrent(a: VectorClock, b: VectorClock) -> bool:
+def concurrent(a: DenseVectorClock, b: DenseVectorClock) -> bool:
     """True iff neither event causally precedes the other."""
     return compare(a, b) is Ordering.CONCURRENT
 
 
-def is_causal_delivery_order(stamps: list[VectorClock]) -> bool:
+def is_causal_delivery_order(stamps: list[DenseVectorClock]) -> bool:
     """Check that a delivery sequence never inverts happens-before.
 
     For every pair (i, j) with i < j in delivery order, it must not be the

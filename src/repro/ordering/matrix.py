@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
-from repro.ordering.vector import VectorClock
 from repro.sim.network import counts_size
 
 
@@ -52,16 +51,17 @@ class MatrixClock:
     def pids(self):
         return tuple(self._rows)
 
-    def row(self, pid: str) -> VectorClock:
-        """The vector clock we believe ``pid`` has reached (a snapshot: the
-        frontier is derived state, so rows change only through the matrix)."""
-        return VectorClock(self._rows[pid])
+    def row(self, pid: str) -> Dict[str, int]:
+        """The counts we believe ``pid`` has reached, as a dict snapshot
+        (the frontier is derived state, so rows change only through the
+        matrix).  A subject never heard of is absent: read ``.get(s, 0)``."""
+        return dict(self._rows[pid])
 
     def update_row(self, pid: str, counts) -> None:
         """Merge fresher knowledge about ``pid``'s progress.
 
-        ``counts`` is anything with ``.items()`` yielding pid -> count: a
-        wire ack vector, the dedup layer's contiguous counts, any clock.
+        ``counts`` is a pid -> count mapping: a wire ack vector or the
+        dedup layer's contiguous counts.
         Unknown observers are ignored: after a membership change, straggler
         traffic from a departed (but still running) member must not crash
         or distort the rebuilt matrix.
@@ -101,17 +101,18 @@ class MatrixClock:
             self.moves += 1
         self._ties[subject] = ties
 
-    def min_vector(self) -> VectorClock:
-        """Componentwise minimum over all rows: events known seen by *everyone*.
+    def min_vector(self) -> Dict[str, int]:
+        """Componentwise minimum over all rows, one entry per member, as a
+        dict snapshot: events known seen by *everyone*.
 
         An event covered by this vector is stable — safe to discard from
         atomic-delivery buffers.
         """
-        return VectorClock(self._mins)
+        return dict(self._mins)
 
     def stable(self, sender: str, seq: int) -> bool:
         """True iff message ``seq`` from member ``sender`` is known received
-        by all: ``seq <= min_vector()[sender]``."""
+        by all: ``seq <= min_vector().get(sender, 0)``."""
         return seq <= self._mins.get(sender, 0)
 
     def size_bytes(self) -> int:
@@ -119,5 +120,5 @@ class MatrixClock:
         return sum(map(counts_size, self._rows.values()))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        rows = "; ".join(f"{pid}->{VectorClock(row)!r}" for pid, row in self._rows.items())
+        rows = "; ".join(f"{pid}->{row!r}" for pid, row in self._rows.items())
         return f"MatrixClock({rows})"

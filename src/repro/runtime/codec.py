@@ -31,13 +31,19 @@ Per-class registration is explicit: :func:`register_wire` either derives the
 field list from a dataclass or takes custom ``to_fields``/``from_fields``
 functions (their field dict then travels as the record's one value).  Every
 class in :func:`repro.catocs.messages.wire_classes` is registered at import
-time, plus both vector-clock implementations — a
-:class:`~repro.ordering.dense.DenseVectorClock` encodes without its zero
-entries and *decodes as a plain* :class:`~repro.ordering.vector.VectorClock`
-(the clocks interoperate; dense is a sender-local representation, not a wire
-format).  The PROTO005 analysis rule keeps this registry honest: any wire
-message reachable from a protocol layer's send sites without a registration
-fails the build.
+time, plus the vector clock, under the ``VectorClock`` tag.  The PROTO005
+analysis rule keeps this registry honest: any wire message reachable from a
+protocol layer's send sites without a registration fails the build.
+
+A :class:`~repro.ordering.dense.DenseVectorClock` travels as its non-zero
+counts, keyed by pid, and is only meaningful in a
+:class:`~repro.ordering.dense.ClockDomain`.  The wire names no domain, so
+:func:`decode` and :func:`decode_datagram` take the receiver's
+``group -> ClockDomain`` lookup and a ``DataMessage`` clock decodes straight
+into the domain of the message's group, in either layout: compared there,
+it is two arrays over one index whatever order the sender's domain had.  A
+bare clock record outside a ``DataMessage`` names no group and decodes to
+its counts dict.
 
 Decoding is strict: bad magic, any version but this one, truncation at any
 byte, trailing bytes, a declared length or count larger than the bytes that
@@ -54,8 +60,10 @@ import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.catocs.messages import DataMessage, wire_classes
-from repro.ordering.dense import DenseVectorClock
-from repro.ordering.vector import VectorClock
+from repro.ordering.dense import ClockDomain, DenseVectorClock
+
+#: The receiver's clock domains: group name -> the domain its stamps index.
+DomainLookup = Callable[[str], ClockDomain]
 
 MAGIC = b"RPW"
 VERSION = 2
@@ -109,7 +117,7 @@ class _Registration:
     tag: str
     cls: type
     to_fields: Callable[[Any], Dict[str, Any]]
-    from_fields: Optional[Callable[[Dict[str, Any]], Any]]
+    from_fields: Callable[[Dict[str, Any]], Any]
     #: Field order on the wire; None when a custom function owns the field
     #: dict, which then travels as the record's single value.
     names: Optional[Tuple[str, ...]]
@@ -127,21 +135,19 @@ def register_wire(
     *,
     to_fields: Optional[Callable[[Any], Dict[str, Any]]] = None,
     from_fields: Optional[Callable[[Dict[str, Any]], Any]] = None,
-    encode_only: bool = False,
 ) -> type:
     """Register ``cls`` with the wire codec under ``tag`` (default: class name).
 
-    For dataclasses the field functions are derived automatically.  With
-    ``encode_only=True`` the class encodes under a tag whose *decode* side is
-    owned by another registration (e.g. ``DenseVectorClock`` encodes as the
-    ``VectorClock`` tag); the tag must already be decodable.  Returns ``cls``
-    so it can be used as a decorator.
+    For dataclasses the field functions are derived automatically.  Returns
+    ``cls`` so it can be used as a decorator.
     """
     if cls in _BY_CLASS:
         raise CodecError(f"{cls.__name__} is already codec-registered")
     tag = tag or cls.__name__
+    if tag in _BY_TAG:
+        raise CodecError(f"wire tag collision: {tag!r}")
     names: Optional[Tuple[str, ...]] = None
-    if to_fields is None or (from_fields is None and not encode_only):
+    if to_fields is None or from_fields is None:
         if not dataclasses.is_dataclass(cls):
             raise CodecError(
                 f"{cls.__name__} is not a dataclass; pass to_fields/from_fields explicitly"
@@ -152,15 +158,9 @@ def register_wire(
         if to_fields is None:
             def to_fields(obj: Any) -> Dict[str, Any]:
                 return {name: getattr(obj, name) for name in derived}
-        if from_fields is None and not encode_only:
+        if from_fields is None:
             def from_fields(fields: Dict[str, Any]) -> Any:
                 return cls(**fields)
-    if encode_only:
-        if tag not in _BY_TAG:
-            raise CodecError(f"encode-only registration for unknown tag {tag!r}")
-        names, from_fields = _BY_TAG[tag].names, None
-    elif tag in _BY_TAG:
-        raise CodecError(f"wire tag collision: {tag!r}")
     raw_tag = tag.encode("utf-8")
     count = 1 if names is None else len(names)
     if len(raw_tag) > 255 or count > 255:
@@ -168,9 +168,7 @@ def register_wire(
     registration = _Registration(
         tag=tag, cls=cls, to_fields=to_fields, from_fields=from_fields, names=names,
         head=bytes([_RECORD, len(raw_tag)]) + raw_tag + bytes([count]))
-    _BY_CLASS[cls] = registration
-    if not encode_only:
-        _BY_TAG[tag] = registration
+    _BY_CLASS[cls] = _BY_TAG[tag] = registration
     return cls
 
 
@@ -179,7 +177,7 @@ def is_registered(cls: type) -> bool:
 
 
 def registered_classes() -> Tuple[type, ...]:
-    """All codec-registered classes (including encode-only aliases)."""
+    """All codec-registered classes."""
     return tuple(sorted(_BY_CLASS, key=lambda c: (c.__name__, c.__module__)))
 
 
@@ -227,7 +225,7 @@ def _write_data(out: List[bytes], msg: DataMessage, depth: int) -> bool:
     vc_body = acks_body = b""
     vc, acks = msg.vc, msg.ack_vector
     if vc is not None:
-        if type(vc) is not DenseVectorClock and type(vc) is not VectorClock:
+        if type(vc) is not DenseVectorClock:
             return False
         vc_body = _counts_body(vc.as_dict())
         if vc_body is None:
@@ -340,7 +338,8 @@ def _read_counts(data: bytes, pos: int) -> Tuple[Dict[str, int], int]:
     return counts, end
 
 
-def _read_data(data: bytes, pos: int, depth: int) -> Tuple[DataMessage, int]:
+def _read_data(data: bytes, pos: int, depth: int,
+               domains: DomainLookup) -> Tuple[DataMessage, int]:
     _, seq, sent_at, view_id, flags, group_len, sender_len = _DATA_HEAD.unpack_from(data, pos)
     if flags & ~_KNOWN_FLAGS:
         raise CodecError(f"unknown DataMessage flag bits: {flags:#04x}")
@@ -351,20 +350,39 @@ def _read_data(data: bytes, pos: int, depth: int) -> Tuple[DataMessage, int]:
         raise CodecError("DataMessage names larger than the bytes that remain")
     group = str(data[pos:split], "utf-8")
     sender = str(data[split:end], "utf-8")
-    payload, pos = _read(data, end, depth + 1)
+    payload, pos = _read(data, end, depth + 1, domains)
     vc = acks = attached = None
     if flags & _HAS_VC:
         counts, pos = _read_counts(data, pos)
-        vc = VectorClock(counts)
+        vc = domains(group).clock(counts)
     if flags & _HAS_ACKS:
         acks, pos = _read_counts(data, pos)
     if flags & _HAS_ATTACHED:
-        attached, pos = _read(data, pos, depth + 1)
+        attached, pos = _read(data, pos, depth + 1, domains)
     return DataMessage(group, sender, seq, payload, sent_at, view_id, vc, acks,
                        bool(flags & _RETRANSMIT), attached), pos
 
 
-def _read_record(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+def _clock_counts(counts: Any) -> Dict[str, int]:
+    """``counts`` if it is a pid -> count dict, which is all a clock may be."""
+    if type(counts) is not dict or not all(
+            type(pid) is str and type(count) is int for pid, count in counts.items()):
+        raise CodecError("a vector clock is not a pid -> count map")
+    return counts
+
+
+def _record_clock(fields: Dict[str, Any], domains: DomainLookup) -> Optional[DenseVectorClock]:
+    """The clock of a ``DataMessage`` that travelled as a generic record,
+    placed in its group's domain as :func:`_read_data` places a packed one."""
+    counts, group = fields["vc"], fields["group"]
+    if counts is None:
+        return None
+    if type(group) is not str:
+        raise CodecError("DataMessage group is not a string")
+    return domains(group).clock(_clock_counts(counts))
+
+
+def _read_record(data: bytes, pos: int, depth: int, domains: DomainLookup) -> Tuple[Any, int]:
     pos += 2
     end = pos + data[pos - 1]  # where the field count byte sits
     if end >= len(data):
@@ -378,13 +396,15 @@ def _read_record(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
         raise CodecError(f"wire tag {tag!r} with {data[end]} fields")
     pos = end + 1
     if names is None:
-        fields, pos = _read(data, pos, depth + 1)
+        fields, pos = _read(data, pos, depth + 1, domains)
         if type(fields) is not dict:
             raise CodecError(f"wire tag {tag!r} without a field map")
     else:
         fields = {}
         for name in names:
-            fields[name], pos = _read(data, pos, depth + 1)
+            fields[name], pos = _read(data, pos, depth + 1, domains)
+        if registration.cls is DataMessage:
+            fields["vc"] = _record_clock(fields, domains)
     try:
         return registration.from_fields(fields), pos
     except CodecError:
@@ -393,7 +413,7 @@ def _read_record(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
         raise CodecError(f"cannot rebuild {tag!r}: {exc}") from exc
 
 
-def _read(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+def _read(data: bytes, pos: int, depth: int, domains: DomainLookup) -> Tuple[Any, int]:
     """The value that starts at ``data[pos]``, and where the next one starts."""
     code = data[pos]
     if code < _BIGINT:
@@ -408,8 +428,8 @@ def _read(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
         if depth >= MAX_DEPTH:
             raise _too_deep()
         if code == _DATA:
-            return _read_data(data, pos, depth)
-        return _read_record(data, pos, depth)
+            return _read_data(data, pos, depth, domains)
+        return _read_record(data, pos, depth, domains)
     if code > _DICT:
         raise CodecError(f"unknown type byte: {code:#04x}")
     size = _SIZED.unpack_from(data, pos)[1]
@@ -430,13 +450,13 @@ def _read(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
         if code == _DICT:
             mapping: Dict[Any, Any] = {}
             for _ in range(size):
-                key, pos = _read(data, pos, depth + 1)
-                mapping[key], pos = _read(data, pos, depth + 1)
+                key, pos = _read(data, pos, depth + 1, domains)
+                mapping[key], pos = _read(data, pos, depth + 1, domains)
             members: Any = mapping
         else:
             items = []
             for _ in range(size):
-                item, pos = _read(data, pos, depth + 1)
+                item, pos = _read(data, pos, depth + 1, domains)
                 items.append(item)
             members = _SEQUENCES[code](items)
     except TypeError as exc:  # an unhashable dict key or set member
@@ -458,7 +478,7 @@ def _frame(*values: Any) -> bytes:
     return b"".join(out)
 
 
-def _parse(data: bytes, count: int) -> List[Any]:
+def _parse(data: bytes, count: int, domains: DomainLookup) -> List[Any]:
     """The ``count`` values framed in ``data``, and nothing after them."""
     if len(data) < len(HEADER):
         raise CodecError(f"truncated datagram: {len(data)} bytes")
@@ -470,7 +490,7 @@ def _parse(data: bytes, count: int) -> List[Any]:
     values = []
     try:
         for _ in range(count):
-            value, pos = _read(data, pos, 0)
+            value, pos = _read(data, pos, 0, domains)
             values.append(value)
     except (IndexError, struct.error, UnicodeDecodeError) as exc:  # cut short, or not UTF-8
         raise CodecError(f"malformed datagram body: {exc}") from exc
@@ -484,9 +504,10 @@ def encode(obj: Any) -> bytes:
     return _frame(obj)
 
 
-def decode(data: bytes) -> Any:
-    """Parse a framed datagram body back into the wire object."""
-    return _parse(data, 1)[0]
+def decode(data: bytes, domains: DomainLookup) -> Any:
+    """Parse a framed datagram body back into the wire object, every
+    ``DataMessage`` clock in ``domains(msg.group)``."""
+    return _parse(data, 1, domains)[0]
 
 
 def encode_datagram(src: str, payload: Any) -> bytes:
@@ -494,9 +515,10 @@ def encode_datagram(src: str, payload: Any) -> bytes:
     return _frame(src, payload)
 
 
-def decode_datagram(data: bytes) -> Tuple[str, Any]:
-    """Inverse of :func:`encode_datagram`; returns ``(src, payload)``."""
-    src, payload = _parse(data, 2)
+def decode_datagram(data: bytes, domains: DomainLookup) -> Tuple[str, Any]:
+    """Inverse of :func:`encode_datagram`; returns ``(src, payload)``, every
+    ``DataMessage`` clock in ``domains(msg.group)``."""
+    src, payload = _parse(data, 2, domains)
     if type(src) is not str:
         raise CodecError("datagram sender pid is not a string")
     return src, payload
@@ -511,20 +533,13 @@ def _register_builtin_wire_classes() -> None:
     for cls in wire_classes():
         register_wire(cls)
 
-    # Vector clocks: both implementations encode to the same dict form; the
-    # dense (array-backed) clock is a sender-local optimisation, so decode
-    # always canonicalises to the plain dict-backed VectorClock.  Safe
-    # because the two types compare and merge interchangeably.
-    register_wire(
-        VectorClock,
-        to_fields=lambda vc: {"counts": vc.as_dict()},
-        from_fields=lambda fields: VectorClock(fields["counts"]),
-    )
+    # A bare clock record decodes to its counts; inside a DataMessage record,
+    # _read_record places them in the group's domain.
     register_wire(
         DenseVectorClock,
         tag="VectorClock",
         to_fields=lambda vc: {"counts": vc.as_dict()},
-        encode_only=True,
+        from_fields=lambda fields: _clock_counts(fields["counts"]),
     )
 
     # App payloads that are classes rather than plain dicts.

@@ -5,7 +5,9 @@ surface with one bound UDP socket per attached process, so an unchanged
 :class:`~repro.catocs.member.GroupMember` stack runs over actual datagrams:
 every payload is serialized by :mod:`repro.runtime.codec`, crosses the OS
 socket layer, and is decoded into a fresh object on the receiving side —
-no Python references survive the trip, exactly like a real deployment.
+no Python references survive the trip, exactly like a real deployment.  A
+causal stamp decodes into the clock domain its group has on this host's
+clock, the one the receiving members' own clocks index.
 
 The link model is applied *sender-side* before the socket (partition check,
 seeded drop sample, latency/jitter as a wall-clock ``call_later`` before
@@ -27,8 +29,10 @@ did with such a message could be answered.
 from __future__ import annotations
 
 import asyncio
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.ordering.dense import group_domain
 from repro.runtime import codec
 from repro.runtime.asyncio_rt import AsyncioClock
 from repro.sim.network import LinkModel, NetworkStats, Packet
@@ -75,6 +79,7 @@ class UdpNetwork:
         "_addrs",
         "_started",
         "_pre_start",
+        "_domains",
     )
 
     def __init__(self, clock: AsyncioClock, default_link: Optional[LinkModel] = None,
@@ -97,6 +102,9 @@ class UdpNetwork:
         self._addrs: Dict[str, Address] = {}
         self._started = False
         self._pre_start: List[Tuple[str, str, bytes]] = []
+        #: group -> the clock domain its members stamp in on this host, so a
+        #: received stamp decodes into the receiver's own domain
+        self._domains = partial(group_domain, clock)
         self._register_metrics(clock.metrics)
 
     def _register_metrics(self, registry) -> None:
@@ -239,7 +247,7 @@ class UdpNetwork:
 
     def _on_datagram(self, dst: str, data: bytes) -> None:
         try:
-            src, payload = codec.decode_datagram(data)
+            src, payload = codec.decode_datagram(data, self._domains)
         except codec.CodecError:
             self.decode_errors += 1
             return

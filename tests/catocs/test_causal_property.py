@@ -53,7 +53,7 @@ def run_workload(ordering: str, schedule, seed: int, drop: float,
         def wrapper(msg: DataMessage):
             original(msg)
             if msg.vc is not None:
-                vc_of[msg.msg_id] = msg.vc.copy()
+                vc_of[msg.msg_id] = msg.vc  # a stamp is never written after stamping
         member.transport.broadcast = wrapper
 
     for member in members.values():

@@ -24,7 +24,6 @@ from repro.catocs.ordering_layers import (
     TotalSequencerOrdering,
     make_ordering,
 )
-from repro.ordering import VectorClock
 from repro.ordering.dense import bss_deliverable
 
 
@@ -64,6 +63,11 @@ class FakeMember:
 
     def _deliver(self, msg):
         self.delivered.append(msg)
+
+
+def clock(layer, counts):
+    """A stamp in ``layer``'s clock domain, as a sender of its group makes."""
+    return layer._domain.clock(counts)
 
 
 def data(sender, seq, vc=None, payload=None):
@@ -125,8 +129,8 @@ def test_causal_stamp_counts_own_multicasts():
 def test_causal_delivery_condition_waits_for_dependency():
     layer = CausalOrdering(FakeMember())
     # p2's message depends on p1's first (p2 delivered it before sending)
-    dependent = data("p2", 1, vc=VectorClock({"p1": 1, "p2": 1}))
-    first = data("p1", 1, vc=VectorClock({"p1": 1}))
+    dependent = data("p2", 1, vc=clock(layer, {"p1": 1, "p2": 1}))
+    first = data("p1", 1, vc=clock(layer, {"p1": 1}))
     layer.insert(dependent)
     assert layer.drain() == []
     assert layer.pending() == 1
@@ -137,8 +141,8 @@ def test_causal_delivery_condition_waits_for_dependency():
 
 def test_causal_same_sender_fifo():
     layer = CausalOrdering(FakeMember())
-    m1 = data("p1", 1, vc=VectorClock({"p1": 1}))
-    m2 = data("p1", 2, vc=VectorClock({"p1": 2}))
+    m1 = data("p1", 1, vc=clock(layer, {"p1": 1}))
+    m2 = data("p1", 2, vc=clock(layer, {"p1": 2}))
     layer.insert(m2)
     assert layer.drain() == []
     layer.insert(m1)
@@ -147,8 +151,8 @@ def test_causal_same_sender_fifo():
 
 def test_causal_concurrent_messages_deliver_on_arrival():
     layer = CausalOrdering(FakeMember())
-    x = data("p1", 1, vc=VectorClock({"p1": 1}))
-    y = data("p2", 1, vc=VectorClock({"p2": 1}))
+    x = data("p1", 1, vc=clock(layer, {"p1": 1}))
+    y = data("p2", 1, vc=clock(layer, {"p2": 1}))
     layer.insert(y)
     assert layer.release_next() == y
     layer.insert(x)
@@ -159,11 +163,11 @@ def test_causal_concurrent_messages_deliver_on_arrival():
 def test_causal_hold_log_tracks_delay():
     member = FakeMember()
     layer = CausalOrdering(member)
-    dependent = data("p2", 1, vc=VectorClock({"p1": 1, "p2": 1}))
+    dependent = data("p2", 1, vc=clock(layer, {"p1": 1, "p2": 1}))
     layer.insert(dependent)
     layer.drain()
     member.sim.now = 42.0
-    first = data("p1", 1, vc=VectorClock({"p1": 1}))
+    first = data("p1", 1, vc=clock(layer, {"p1": 1}))
     layer.insert(first)
     layer.drain()
     held = dict(layer.hold_log)
@@ -173,7 +177,7 @@ def test_causal_hold_log_tracks_delay():
 def test_causal_forgive_unblocks_lost_dependency():
     layer = CausalOrdering(FakeMember())
     # depends on p1's msg 2, but p1 crashed and nobody has anything from p1
-    orphan = data("p2", 1, vc=VectorClock({"p1": 2, "p2": 1}))
+    orphan = data("p2", 1, vc=clock(layer, {"p1": 2, "p2": 1}))
     layer.insert(orphan)
     assert layer.drain() == []
     layer.forgive({"p1": 0})
@@ -182,12 +186,12 @@ def test_causal_forgive_unblocks_lost_dependency():
 
 def test_causal_forgive_does_not_skip_recoverable_dependency():
     layer = CausalOrdering(FakeMember())
-    orphan = data("p2", 1, vc=VectorClock({"p1": 1, "p2": 1}))
+    orphan = data("p2", 1, vc=clock(layer, {"p1": 1, "p2": 1}))
     layer.insert(orphan)
     # someone still holds p1's message 1: keep waiting for the repair
     layer.forgive({"p1": 1})
     assert layer.drain() == []
-    first = data("p1", 1, vc=VectorClock({"p1": 1}))
+    first = data("p1", 1, vc=clock(layer, {"p1": 1}))
     layer.insert(first)
     assert layer.drain() == [first, orphan]
 
@@ -217,16 +221,16 @@ def _per_component_deliverable(layer, msg):
 @settings(max_examples=500, deadline=None)
 @given(delivered=_clock, ahead=_near([0, 0, 0, -1, 1, 2]), ceilings=st.lists(
            _near([0, 0, -1, 1]), min_size=1, max_size=2),
-       sender=st.sampled_from(_CLOCK_PIDS), dense=st.booleans())
+       sender=st.sampled_from(_CLOCK_PIDS))
 def test_causal_flat_test_is_taken_only_where_the_ceiling_waives_nothing(
-        delivered, ahead, ceilings, sender, dense):
+        delivered, ahead, ceilings, sender):
     layer = CausalOrdering(FakeMember())
     layer.delivered.merge_in(delivered)
     for offsets in ceilings:  # a second view change merges into the first
         layer.forgive({pid: max(0, delivered[pid] + off) for pid, off in offsets.items()})
     stamp = {pid: max(0, count + ahead.get(pid, 0)) for pid, count in delivered.items()}
     stamp[sender] += 1
-    vc = layer._domain.clock(stamp) if dense else VectorClock(stamp)
+    vc = clock(layer, stamp)
     msg = data(sender, vc[sender], vc=vc)
     assert layer._deliverable(msg) == _per_component_deliverable(layer, msg)
 
@@ -242,10 +246,10 @@ def test_causal_returns_to_the_flat_test_after_a_view_change(monkeypatch):
     layer = CausalOrdering(FakeMember())
     layer.forgive({"p1": 1})
     # depends on nothing beyond the ceiling: the flat test decides
-    layer.insert(data("p2", 1, vc=VectorClock({"p1": 1, "p2": 1})))
+    layer.insert(data("p2", 1, vc=clock(layer, {"p1": 1, "p2": 1})))
     assert flat == ["p2"]
     # depends on p1#2, which was lost with p1: only the waiver delivers it
-    orphan = data("p2", 2, vc=VectorClock({"p1": 2, "p2": 2}))
+    orphan = data("p2", 2, vc=clock(layer, {"p1": 2, "p2": 2}))
     layer.delivered.merge_in({"p1": 1, "p2": 1})
     layer.insert(orphan)
     assert flat == ["p2"]
@@ -282,7 +286,7 @@ def test_token_before_data_waits_for_data():
     token = OrderToken(group="g", sequencer="a", assignments=[(0, ("c", 1))])
     layer.on_control("a", token)
     assert layer.release_next() is None
-    m = data("c", 1, vc=VectorClock({"c": 1}))
+    m = data("c", 1, vc=clock(layer._causal, {"c": 1}))
     layer.insert(m)
     assert layer.release_next() == m
 

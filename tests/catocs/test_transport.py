@@ -105,6 +105,24 @@ def test_a_chase_nobody_can_serve_is_counted_not_silent():
     assert p1["nak_rounds_max"] == p1["naks_sent"] > 10
 
 
+def test_fast_forward_never_lowers_a_count_and_chases_no_skipped_history():
+    sim, net, members = build(n=3, ack_period=0.0)
+    dedup = members["p2"].stack.layer("dedup")
+    dedup.receive_up("p1", DataMessage(group="group", sender="p1", seq=1, payload=1,
+                                       sent_at=0.0))
+    dedup.fast_forward({"p0": 4, "p1": 0})
+    assert dedup.contiguous["p0"] == dedup._max_seen["p0"] == 4
+    assert dedup.contiguous["p1"] == dedup._max_seen["p1"] == 1  # not lowered
+    # An ack vector naming the skipped history, then the next message after
+    # it: nothing at or below the fast-forwarded counts is missing.
+    dedup.learn_existence({"p0": 4, "p1": 1})
+    dedup.receive_up("p0", DataMessage(group="group", sender="p0", seq=5, payload=5,
+                                       sent_at=0.0))
+    sim.run(until=100.0)
+    assert dedup.contiguous["p0"] == 5
+    assert dedup.layer_metrics()["naks_sent"] == 0 and not dedup._nak_pending
+
+
 def test_metrics_shape():
     sim, net, members = build()
     sim.call_at(1.0, members["p0"].multicast, "x")
@@ -140,7 +158,7 @@ def test_peer_retransmission_does_not_corrupt_stability_matrix():
     for observer in members.values():
         for subject in members.values():
             for sender in pids:
-                believed = observer.transport.matrix.row(subject.pid)[sender]
+                believed = observer.transport.matrix.row(subject.pid).get(sender, 0)
                 actual = subject.transport.contiguous[sender]
                 assert believed <= actual, (observer.pid, subject.pid, sender)
 
@@ -695,8 +713,8 @@ class _Driven:
     def state(self):
         matrix = self.layer.matrix
         return {
-            "rows": {pid: matrix.row(pid).as_dict() for pid in matrix.pids},
-            "frontier": matrix.min_vector().as_dict(),
+            "rows": {pid: matrix.row(pid) for pid in matrix.pids},
+            "frontier": matrix.min_vector(),
             "moves": matrix.moves,
             "contiguous": dict(self.dedup.contiguous),
             "max_seen": dict(self.dedup._max_seen),
@@ -771,12 +789,10 @@ class PayPerNewsMachine(RuleBasedStateMachine):
           forward=st.one_of(st.none(), _vector))
     def install_view(self, others, forward):
         """Join, leave, or the same members again: the matrix is rebuilt each
-        time.  ``forward`` is a joiner's fast-forward, written straight into
-        ``contiguous`` before the rebuild as ``Membership._complete_join`` does."""
+        time.  ``forward`` is a joiner's fast-forward, applied before the
+        rebuild as ``Membership._complete_join`` does."""
         def install(d):
-            for pid, count in (forward or {}).items():
-                d.dedup.contiguous[pid] = max(d.dedup.contiguous.get(pid, 0), count)
-                d.dedup._max_seen[pid] = max(d.dedup._max_seen.get(pid, 0), count)
+            d.dedup.fast_forward(forward or {})
             d.member.view_members = ("p0", *sorted(others))
             d.member.transport.update_membership(d.member.view_members)
         self.both(install)
@@ -820,7 +836,7 @@ def test_the_memo_does_not_survive_a_rebuilt_matrix():
     machine.deliver("p1", vector)
     assert machine.real.merges == 1
     machine.install_view({"p1", "p2"}, None)  # same members, rebuilt matrix
-    assert machine.real.layer.matrix.row("p1").as_dict() == {"p0": 0, "p1": 0, "p2": 0}
+    assert machine.real.layer.matrix.row("p1") == {"p0": 0, "p1": 0, "p2": 0}
     machine.deliver("p1", vector)
     machine.indistinguishable()
     assert machine.real.merges == 2

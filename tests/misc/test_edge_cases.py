@@ -3,11 +3,11 @@
 
 from repro.catocs import build_group
 from repro.catocs.member import _label
-from repro.ordering import VectorClock
 from repro.sim import LinkModel, Network, Simulator
 from repro.sim.network import estimate_size
 from repro.txn import OccClient, OccServer, Transaction, TransactionCoordinator
 from repro.txn.occ import OccTransaction
+from tests.ordering.dict_clock import VectorClock
 
 
 class _PlainObject:
@@ -21,6 +21,8 @@ def test_estimate_size_generic_object_uses_dict():
 
 
 def test_vector_clock_gt_ge():
+    # The dict clock oracle's strict relations (the dense clock defines only
+    # == and <=; happens_before.compare derives the rest from them).
     lo = VectorClock({"p": 1})
     hi = VectorClock({"p": 2})
     assert hi > lo and hi >= lo and hi >= hi.copy()

@@ -1,6 +1,9 @@
-"""Unit tests for the happens-before comparison vocabulary."""
+"""Unit tests for the happens-before comparison vocabulary, over the dict
+clock oracle (the vocabulary needs only ``<=``)."""
 
-from repro.ordering import Ordering, VectorClock, compare, concurrent, happens_before
+from dict_clock import VectorClock
+
+from repro.ordering import Ordering, compare, concurrent, happens_before
 from repro.ordering.happens_before import is_causal_delivery_order
 
 

@@ -1,9 +1,9 @@
-"""Unit and property tests for vector clocks."""
+"""Unit and property tests for the dict vector clock, the oracle the dense
+clock's agreement suite trusts."""
 
+from dict_clock import VectorClock
 from hypothesis import given
 from hypothesis import strategies as st
-
-from repro.ordering import VectorClock
 
 PIDS = ["p", "q", "r", "s"]
 

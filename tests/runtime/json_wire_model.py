@@ -4,16 +4,18 @@ checked against.
 Version 1 was ``b"RPW\\x01"`` + canonical JSON of a tagged tree: registered
 classes as ``{"!": "<tag>", "f": {field: value}}``, and ``tuple``, ``bytes``,
 ``set``, ``frozenset`` and non-string-keyed dicts under explicit markers.
-``_pack``/``_unpack``/``_canonical`` are that codec's functions, moved here
-unchanged; they read the live registry of :mod:`repro.runtime.codec`, so the
-two formats always describe the same classes.  No production code imports
-this module, and a version-1 datagram is rejected on the wire.
+``_pack``/``_unpack``/``_canonical`` are that codec's functions, moved here;
+they read the live registry of :mod:`repro.runtime.codec`, so the two
+formats always describe the same classes, and a ``DataMessage`` clock lands
+in the receiver's clock domain as the binary codec places it.  No production
+code imports this module, and a version-1 datagram is rejected on the wire.
 """
 
 import json
 from typing import Any, Tuple
 
-from repro.runtime.codec import _BY_TAG, MAGIC, CodecError, _lookup
+from repro.catocs.messages import DataMessage
+from repro.runtime.codec import _BY_TAG, MAGIC, CodecError, DomainLookup, _lookup, _record_clock
 
 HEADER = MAGIC + b"\x01"
 
@@ -50,36 +52,39 @@ def _pack(value: Any) -> Any:
     )
 
 
-def _unpack(value: Any) -> Any:
+def _unpack(value: Any, domains: DomainLookup) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, list):
-        return [_unpack(v) for v in value]
+        return [_unpack(v, domains) for v in value]
     if isinstance(value, dict):
         marker = value.get(_MARKER)
         if marker is None:
-            return {k: _unpack(v) for k, v in value.items()}
+            return {k: _unpack(v, domains) for k, v in value.items()}
         if marker == "tuple":
-            return tuple(_unpack(v) for v in value["v"])
+            return tuple(_unpack(v, domains) for v in value["v"])
         if marker == "bytes":
             try:
                 return bytes.fromhex(value["v"])
             except ValueError as exc:
                 raise CodecError(f"malformed bytes payload: {exc}") from exc
         if marker == "set":
-            return {_unpack(v) for v in value["v"]}
+            return {_unpack(v, domains) for v in value["v"]}
         if marker == "frozenset":
-            return frozenset(_unpack(v) for v in value["v"])
+            return frozenset(_unpack(v, domains) for v in value["v"])
         if marker == "map":
-            return {_unpack(k): _unpack(v) for k, v in value["v"]}
+            return {_unpack(k, domains): _unpack(v, domains) for k, v in value["v"]}
         registration = _BY_TAG.get(marker)
-        if registration is None or registration.from_fields is None:
+        if registration is None:
             raise CodecError(f"unknown wire tag: {marker!r}")
         fields = value.get("f")
         if not isinstance(fields, dict):
             raise CodecError(f"wire tag {marker!r} without a field map")
+        fields = {k: _unpack(v, domains) for k, v in fields.items()}
+        if registration.cls is DataMessage:
+            fields["vc"] = _record_clock(fields, domains)
         try:
-            return registration.from_fields({k: _unpack(v) for k, v in fields.items()})
+            return registration.from_fields(fields)
         except CodecError:
             raise
         except Exception as exc:
@@ -91,15 +96,15 @@ def encode(obj: Any) -> bytes:
     return HEADER + _canonical(_pack(obj)).encode("utf-8")
 
 
-def decode(data: bytes) -> Any:
+def decode(data: bytes, domains: DomainLookup) -> Any:
     assert data.startswith(HEADER)
-    return _unpack(json.loads(data[len(HEADER):].decode("utf-8")))
+    return _unpack(json.loads(data[len(HEADER):].decode("utf-8")), domains)
 
 
 def encode_datagram(src: str, payload: Any) -> bytes:
     return encode({"src": src, "payload": payload})
 
 
-def decode_datagram(data: bytes) -> Tuple[str, Any]:
-    obj = decode(data)
+def decode_datagram(data: bytes, domains: DomainLookup) -> Tuple[str, Any]:
+    obj = decode(data, domains)
     return obj["src"], obj["payload"]

@@ -11,7 +11,7 @@ import struct
 
 from repro.catocs.member import GroupMember
 from repro.catocs.messages import AckGossip, DataMessage, Nak
-from repro.ordering.vector import VectorClock
+from repro.ordering.dense import ClockDomain, group_domain
 from repro.runtime import AsyncioClock, UdpNetwork, codec, run_for
 from repro.runtime.transport import Transport, missing_surface
 from repro.sim.network import LinkModel
@@ -126,6 +126,52 @@ def test_causal_group_over_udp_loopback():
         assert got.index("cause") < got.index("effect"), (pid, got)
     assert net.decode_errors == 0
     assert net.stats.bytes_delivered > 0  # real datagram bytes, not estimates
+
+
+def test_causal_delivery_between_hosts_with_their_own_clock_domains():
+    """Two networks on two clocks, as two host processes run them: each host
+    has its own clock domain for the group, and the second indexes the pids
+    in the opposite order.  A stamp decodes into the receiving host's domain,
+    so causal order holds in both directions across them."""
+    async def scenario():
+        clocks = [AsyncioClock(seed=11), AsyncioClock(seed=12)]
+        nets = [UdpNetwork(clock, LinkModel(latency=0.004, jitter=0.004)) for clock in clocks]
+        members = {
+            pid: GroupMember(clocks[0], nets[0], pid, group="g", members=["a", "b", "c"],
+                             ordering="causal", nak_delay=0.02, ack_period=0.05)
+            for pid in ("a", "b")
+        }
+        members["c"] = GroupMember(clocks[1], nets[1], "c", group="g",
+                                   members=["c", "b", "a"], ordering="causal",
+                                   nak_delay=0.02, ack_period=0.05)
+        for net in nets:
+            await net.start()
+        for pid in ("a", "b"):
+            nets[1].add_peer(pid, *nets[0].address(pid))
+        nets[0].add_peer("c", *nets[1].address("c"))
+
+        def react(member, cause, effect):
+            def on_deliver(src, payload, msg):
+                if payload == cause:
+                    member.multicast(effect)
+            member.on_deliver = on_deliver
+
+        react(members["b"], "cause", "effect")  # same host as the cause
+        react(members["c"], "effect", "reply")  # the other host
+        clocks[0].call_later(0.01, members["a"].multicast, "cause")
+        await run_for(1.0)
+        for net in nets:
+            net.close()
+        domains = [group_domain(clock, "g") for clock in clocks]
+        orders = {pid: m.delivered_payloads() for pid, m in members.items()}
+        return orders, domains, sum(net.decode_errors for net in nets)
+
+    orders, domains, decode_errors = asyncio.run(scenario())
+    assert domains[0] is not domains[1]
+    assert domains[0].pids == ["a", "b", "c"] and domains[1].pids == ["c", "b", "a"]
+    for pid, got in orders.items():
+        assert got == ["cause", "effect", "reply"], (pid, got)
+    assert decode_errors == 0
 
 
 def test_total_order_over_udp_loopback():
@@ -268,7 +314,7 @@ def test_datagrams_from_an_unregistered_pid_never_reach_the_stack():
     forged = [
         DataMessage(group="g", sender="zz", seq=1, payload="x", sent_at=0.0),
         DataMessage(group="g", sender="zz", seq=5, payload="y", sent_at=0.0,
-                    vc=VectorClock({"zz": 5})),
+                    vc=ClockDomain(("zz",)).clock({"zz": 5})),
         Nak(group="g", requester="zz", wanted=[("a", 1)]),
         AckGossip(group="g", sender="zz", ack_vector={"zz": 5}),
     ]
