@@ -369,12 +369,12 @@ class TotalSequencerOrdering(OrderingLayer):
     name = "total-seq"
     delays_local_delivery = True
 
-    #: How long a member waits for a missing order token before asking the
-    #: sequencer to resend (lost-control-message repair).
-    token_repair_delay = 25.0
-
     def __init__(self, member: "GroupMember") -> None:
         super().__init__(member)
+        #: How long a member waits for a missing order token before asking
+        #: the sequencer to resend (lost-control-message repair), in the
+        #: member's own time units: five NAK delays.
+        self.token_repair_delay = 5.0 * getattr(member, "nak_delay", 5.0)
         self._causal = CausalOrdering(member)
         self._ready: Dict[MsgId, DataMessage] = {}
         self._order: Dict[int, MsgId] = {}
@@ -544,36 +544,62 @@ class TotalAgreedOrdering(OrderingLayer):
     leaves the old one behind, and :meth:`_drain` discards any head whose
     key is no longer its live entry's.  The heap therefore holds at most
     one stale key per re-key and empties whenever ``_pending`` does.
+
+    Per-message agreement state lives only as long as the agreement:
+    ``_proposals`` and ``_retries`` (the sender's side) and ``_asked`` (a
+    receiver's commit requests) are dropped when the message commits.
+    ``_commit_values`` is the one record kept for good, and it has no
+    bound: any member may be asked for a commit it applied long ago (a
+    ``CommitRequest`` from a peer whose copy was lost), and the view-change
+    flush hands a departed sender's commits to every survivor.
+
+    Both repair deadlines are in the member's own time units, multiples of
+    its ``nak_delay``, so one rule serves virtual time and seconds alike.
     """
 
     name = "total-agreed"
     delays_local_delivery = True
 
-    #: If proposals are still missing after this long (e.g. a member crashed
-    #: mid-protocol or a proposal was lost), commit with those received — the
-    #: view-synchronous escape hatch real implementations tie to membership
-    #: changes.  Under message loss this can very rarely commit a priority
-    #: below a survivor's tentative proposal; the loss-injection tests
-    #: therefore assert liveness and causality, and the agreed-total-order
-    #: consistency properties are asserted on loss-free networks.
-    proposal_timeout = 50.0
-    #: How long a member tolerates an uncommitted queue head before asking
-    #: for the (possibly lost) commit message.
-    commit_repair_delay = 60.0
+    #: Re-solicitations of believed-alive non-proposers before giving up.
+    #: The first goes one ``proposal_timeout`` after the send; the wait then
+    #: doubles up to four timeouts, so the sender commits without a silent
+    #: member after 28 timeouts, 560 units at the default ``nak_delay``.
+    #: A member that stays silent that long is treated as failed and the
+    #: sender commits with the proposals it has: the view-synchronous escape
+    #: hatch real implementations tie to membership changes.  Under message
+    #: loss that can very rarely commit a priority below a survivor's
+    #: tentative proposal; the loss-injection tests therefore assert
+    #: liveness and causality, and the agreed-total-order consistency
+    #: properties are asserted on loss-free networks.  The number of rounds,
+    #: not the window, is what keeps a lossy link from forcing a commit: at
+    #: 15% loss each round fails about 28% of the time.
+    max_proposal_retries = 8
 
     def __init__(self, member: "GroupMember") -> None:
         super().__init__(member)
+        nak_delay = getattr(member, "nak_delay", 5.0)
+        #: How long the sender waits for missing proposals (a lost proposal
+        #: or data message, or a crashed member) before re-soliciting them.
+        self.proposal_timeout = 4.0 * nak_delay
+        #: How long a member tolerates another sender's uncommitted message
+        #: at its delivery head before asking for the (possibly lost) commit;
+        #: twice this between asks for the same message.
+        self.commit_repair_delay = 6.0 * nak_delay
         self._max_priority = 0
         # msg_id -> [msg, priority, tiebreak pid, committed?]
         self._pending: Dict[MsgId, list] = {}
         #: release order over ``_pending``; may hold superseded keys
         self._heap: List[Tuple[int, str, MsgId]] = []
         self._proposals: Dict[MsgId, Dict[str, int]] = {}
-        self._committed_ids: set = set()
-        #: commit cache so any member can answer a CommitRequest
-        self._commit_values: Dict[MsgId, Tuple[int, str]] = {}
-        self._repair_armed = False
         self._retries: Dict[MsgId, int] = {}
+        #: every commit applied here, so any member can answer a
+        #: CommitRequest; its keys are the committed ids
+        self._commit_values: Dict[MsgId, Tuple[int, str]] = {}
+        #: msg_id -> when this member last sent a CommitRequest for it
+        self._asked: Dict[MsgId, float] = {}
+        self._repair_armed = False
+        #: commits made without a believed-alive member's proposal
+        self.proposals_forced = 0
 
     def stamp(self, msg: DataMessage) -> None:
         pass  # priorities travel in control messages, not on the data message
@@ -683,7 +709,7 @@ class TotalAgreedOrdering(OrderingLayer):
         return entry
 
     def _record_proposal(self, msg_id: MsgId, proposer: str, priority: int) -> None:
-        if msg_id in self._committed_ids:
+        if msg_id in self._commit_values:
             return
         box = self._proposals.setdefault(msg_id, {})
         box[proposer] = priority
@@ -692,13 +718,8 @@ class TotalAgreedOrdering(OrderingLayer):
             if set(box) >= members:
                 self._commit(msg_id)
 
-    #: Retries against believed-alive non-proposers before giving up.  A
-    #: member that never answers this many retransmissions is treated as
-    #: failed (the case real implementations hand to the membership layer).
-    max_proposal_retries = 8
-
     def _finalize_on_timeout(self, msg_id: MsgId) -> None:
-        if msg_id in self._committed_ids:
+        if msg_id in self._commit_values:
             return
         entry = self._pending.get(msg_id)
         if entry is None or entry[0].sender != self.member.pid:
@@ -712,9 +733,9 @@ class TotalAgreedOrdering(OrderingLayer):
         retries = self._retries.get(msg_id, 0)
         if missing and retries < self.max_proposal_retries:
             # The data message or the proposal reply may have been lost;
-            # re-solicit and wait another round.  Committing without a live
-            # member's proposal could break the agreed-priority invariant
-            # (final >= every tentative).
+            # re-solicit and wait another, longer round.  Committing without
+            # a live member's proposal could break the agreed-priority
+            # invariant (final >= every tentative).
             self._retries[msg_id] = retries + 1
             request = ProposalRequest(
                 group=self.member.group,
@@ -723,15 +744,18 @@ class TotalAgreedOrdering(OrderingLayer):
             )
             for pid in missing:
                 self.member.send_control(pid, request)
-            self.member.set_timer(self.proposal_timeout, self._finalize_on_timeout, msg_id)
+            self.member.set_timer(self.proposal_timeout * min(2 ** retries, 4),
+                                  self._finalize_on_timeout, msg_id)
             return
+        if missing:
+            self.proposals_forced += 1
         self._commit(msg_id)
         for msg in self._drain():
             self.member._deliver(msg)
 
     def _commit(self, msg_id: MsgId) -> None:
         box = self._proposals.get(msg_id, {})
-        if not box or msg_id in self._committed_ids:
+        if not box or msg_id in self._commit_values:
             return
         agreed = max(box.values())
         tiebreak = max(p for p, prio in box.items() if prio == agreed)
@@ -746,14 +770,27 @@ class TotalAgreedOrdering(OrderingLayer):
         self._apply_commit(msg_id, agreed, tiebreak)
 
     def _apply_commit(self, msg_id: MsgId, priority: int, tiebreak: str) -> None:
-        if msg_id in self._committed_ids:
+        if msg_id in self._commit_values:
             return
-        self._committed_ids.add(msg_id)
         self._commit_values[msg_id] = (priority, tiebreak)
+        # Every reader of these maps returns early on a committed id, so the
+        # agreement's working state dies here.
+        self._proposals.pop(msg_id, None)
+        self._retries.pop(msg_id, None)
+        self._asked.pop(msg_id, None)
         self._max_priority = max(self._max_priority, priority)
         if msg_id in self._pending:
             self._pending[msg_id][3] = True
             self._rekey(msg_id, priority, tiebreak)
+
+    def _commit_due(self, msg_id: MsgId) -> float:
+        """When this member should ask for ``msg_id``'s commit:
+        ``commit_repair_delay`` after it was first held, and twice that after
+        each ask."""
+        asked = self._asked.get(msg_id)
+        if asked is None:
+            return self.held_since[msg_id] + self.commit_repair_delay
+        return asked + 2 * self.commit_repair_delay
 
     def _drain(self) -> List[DataMessage]:
         out: List[DataMessage] = []
@@ -768,11 +805,13 @@ class TotalAgreedOrdering(OrderingLayer):
                 heappop(heap)
                 continue
             if not entry[3]:
-                if not self._repair_armed:
+                # Blocked.  Only another sender can owe this member a
+                # commit; its own messages commit through the proposal
+                # timeout.
+                if not self._repair_armed and head_id[0] != self.member.pid:
                     self._repair_armed = True
-                    self.member.set_timer(
-                        self.commit_repair_delay, self._request_commit_repair
-                    )
+                    delay = self._commit_due(head_id) - self.member.sim.now
+                    self.member.set_timer(max(delay, 0.0), self._request_commit_repair)
                 break
             heappop(heap)
             del pending[head_id]
@@ -808,38 +847,37 @@ class TotalAgreedOrdering(OrderingLayer):
             msg, _priority, _tiebreak, committed = self._pending[msg_id]
             if not committed and msg_id[0] in departed_counts:
                 del self._pending[msg_id]
+                self._asked.pop(msg_id, None)
                 self._release(msg)
         # Pending proposal collections involving departed members resolve by
         # the normal timeout path (believes_alive now excludes them).
 
     def _request_commit_repair(self) -> None:
+        """Ask for every overdue commit another sender owes this member,
+        then re-arm through :meth:`_drain` if the head is still blocked."""
         self._repair_armed = False
-        stuck = [mid for mid, entry in self._pending.items() if not entry[3]]
-        if not stuck:
-            return
-        for msg_id in stuck:
-            sender = self._pending[msg_id][0].sender
-            target = sender if self.member.believes_alive(sender) else None
-            if target is None or target == self.member.pid:
-                # Ask everyone else: any member may hold the commit.
-                self.member.broadcast_control(
-                    CommitRequest(
-                        group=self.member.group,
-                        requester=self.member.pid,
-                        msg_id=msg_id,
-                    )
-                )
+        member = self.member
+        now = member.sim.now
+        for msg_id in sorted(self._pending):
+            sender = msg_id[0]
+            if (self._pending[msg_id][3] or sender == member.pid
+                    or self._commit_due(msg_id) > now):
+                continue
+            request = CommitRequest(group=member.group, requester=member.pid,
+                                    msg_id=msg_id)
+            if member.believes_alive(sender):
+                member.send_control(sender, request)
             else:
-                self.member.send_control(
-                    target,
-                    CommitRequest(
-                        group=self.member.group,
-                        requester=self.member.pid,
-                        msg_id=msg_id,
-                    ),
-                )
-        self._repair_armed = True
-        self.member.set_timer(self.commit_repair_delay * 2, self._request_commit_repair)
+                # Any survivor may hold the commit of a suspected sender.
+                member.broadcast_control(request)
+            self._asked[msg_id] = now
+        for msg in self._drain():
+            member._deliver(msg)
+
+    def layer_metrics(self) -> Dict[str, Any]:
+        data = super().layer_metrics()
+        data["proposals_forced"] = self.proposals_forced
+        return data
 
 
 ORDERINGS = {

@@ -105,6 +105,9 @@ def run_e07(
         "raw costs ~N-1 msgs per multicast": abs(
             per_mcast[(biggest, "raw")] - (biggest - 1)
         ) < 0.6,
+        "total-agreed costs ~3(N-1) msgs per multicast": abs(
+            per_mcast[(biggest, "total-agreed")] - 3 * (biggest - 1)
+        ) < 0.6,
         "total-seq costs ~2x raw": per_mcast[(biggest, "total-seq")]
         > 1.6 * per_mcast[(biggest, "raw")],
         "total-agreed costs ~3x raw": per_mcast[(biggest, "total-agreed")]

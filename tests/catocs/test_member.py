@@ -145,11 +145,14 @@ def test_peer_fan_out_keeps_the_counters_the_per_peer_loops_kept():
     """Values recorded from the hand-rolled ``for pid in view_members``
     loops that ``send_peers`` replaced, same seeds.  The stability stacks'
     wire counts were re-pinned when settled members' gossip began to back
-    off: gossip sends only, every other counter is as recorded."""
+    off: gossip sends only, every other counter is as recorded.  The
+    total-agreed runs were re-pinned again when a member began to ask for a
+    commit only when it blocks delivery and is overdue: fewer commit
+    requests, and so different drop draws for the packets after them."""
     assert _fan_out_counters(22, "total-agreed", with_membership=True,
                              leave="p3") == {
-        "control_sent": [76, 75, 70, 71],
-        "wire": (927, 61885, 49),
+        "control_sent": [68, 69, 70, 68],
+        "wire": (923, 62263, 49),
         "heartbeats_sent": [127, 127, 127, 33],
     }
     assert _fan_out_counters(24, "hybrid-causal") == {
@@ -159,9 +162,9 @@ def test_peer_fan_out_keeps_the_counters_the_per_peer_loops_kept():
     assert _fan_out_counters(
         26, "total-agreed", stack="dedup|batch|stability|total-agreed",
         with_membership=True) == {
-        "control_sent": [76, 83, 78, 73],
-        "wire": (1121, 82359, 60),
+        "control_sent": [77, 77, 74, 74],
+        "wire": (1109, 81433, 60),
         "heartbeats_sent": [180, 180, 180, 180],
-        "singles_sent": [254, 239, 246, 241],
-        "batches_sent": [32, 41, 34, 34],
+        "singles_sent": [247, 223, 247, 244],
+        "batches_sent": [35, 47, 33, 33],
     }

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catocs.messages import (
+    CommitRequest,
     DataMessage,
     OrderToken,
     PriorityCommit,
@@ -360,6 +361,77 @@ def test_agreed_order_commit_that_overtakes_its_data_still_delivers():
     assert layer.on_control("a", commit) == []  # the repair answer is a no-op
     assert layer._pending == {} and layer._heap == []
     assert layer.pending() == 0
+
+
+def _repair_timers(member):
+    return [(delay, fn) for delay, fn, _ in member.sim.scheduled
+            if fn.__name__ == "_request_commit_repair"]
+
+
+def _commit_requests(member):
+    return [(dst, p.msg_id) for dst, p in member.sent if isinstance(p, CommitRequest)]
+
+
+def test_agreed_order_deadlines_are_multiples_of_the_nak_delay():
+    member = FakeMember()
+    member.nak_delay = 0.02  # seconds, as a socket host runs it
+    layer = TotalAgreedOrdering(member)
+    assert layer.proposal_timeout == pytest.approx(0.08)
+    assert layer.commit_repair_delay == pytest.approx(0.12)
+    assert TotalSequencerOrdering(member).token_repair_delay == pytest.approx(0.1)
+    default = TotalAgreedOrdering(FakeMember())
+    assert (default.proposal_timeout, default.commit_repair_delay) == (20.0, 30.0)
+
+
+def test_agreed_order_asks_for_a_lost_commit_once_at_its_due_time():
+    member = FakeMember(pid="c", members=("a", "b", "c"))
+    layer = TotalAgreedOrdering(member)
+    member.sim.now = 4.0
+    layer.insert(data("a", 1))  # a's commit for it is lost
+    [(delay, fire)] = _repair_timers(member)
+    assert delay == layer.commit_repair_delay  # due 30 after it was held
+    assert _commit_requests(member) == []
+    member.sim.now += delay
+    fire()
+    assert _commit_requests(member) == [("a", ("a", 1))]
+    assert member.broadcasts == []  # a is not suspected: ask a alone
+    assert layer._asked == {("a", 1): 34.0}
+    # Still blocked: re-armed for twice the delay after the ask.
+    assert _repair_timers(member)[-1][0] == 2 * layer.commit_repair_delay
+    out = layer.on_control("a", PriorityCommit(group="g", sender="a", msg_id=("a", 1),
+                                               priority=3, tiebreak="b"))
+    assert [m.msg_id for m in out] == [("a", 1)]
+    assert layer._asked == {}
+    member.sim.now += 2 * layer.commit_repair_delay
+    _repair_timers(member)[-1][1]()  # the re-armed timer finds nothing to ask
+    assert _commit_requests(member) == [("a", ("a", 1))]
+
+
+def test_agreed_order_asks_only_once_the_lost_commit_blocks_the_head():
+    """Behind this member's own uncommitted message a lost commit costs
+    nothing, so nobody is asked; once it blocks the head it is overdue and
+    is asked for at once.  The member never asks for its own message."""
+    member = FakeMember(pid="me", members=("me", "a", "b"))
+    layer = TotalAgreedOrdering(member)
+    own = data("me", 1)
+    layer.accept_local(own)  # tentative priority 1: the head
+    member.sim.now = 1.0
+    theirs = data("a", 1)
+    layer.insert(theirs)  # tentative priority 2; a's commit will be lost
+    assert _repair_timers(member) == []  # the head is ours: nobody owes us
+    member.sim.now = 50.0
+    for proposer, priority in (("a", 5), ("b", 6)):
+        layer.on_control(proposer, PriorityProposal(
+            group="g", proposer=proposer, msg_id=own.msg_id, priority=priority))
+    # Ours commits at 6 and now waits behind theirs, due since t = 31.
+    [(delay, fire)] = _repair_timers(member)
+    assert delay == 0.0
+    fire()
+    assert _commit_requests(member) == [("a", ("a", 1))]
+    out = layer.on_control("a", PriorityCommit(group="g", sender="a", msg_id=("a", 1),
+                                               priority=3, tiebreak="b"))
+    assert out == [theirs, own]
+    assert not any(isinstance(p, CommitRequest) for p in member.broadcasts)
 
 
 # -- heap-ordered hold-back set vs. a min()-over-dict model ---------------------------

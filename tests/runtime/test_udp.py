@@ -192,6 +192,30 @@ def test_total_order_over_udp_loopback():
     assert len(set(orders)) == 1  # identical total order over real sockets
 
 
+def test_agreed_order_repairs_over_lossy_udp_loopback():
+    """Lost proposals and commits are repaired on the member's own time
+    scale: the repair deadlines are multiples of ``nak_delay`` (20 ms
+    here), so a lossy socket group agrees within a second and a half
+    rather than stalling for fifty-unit timeouts meant for virtual time."""
+    async def scenario():
+        clock = AsyncioClock(seed=0)
+        net = UdpNetwork(clock, LinkModel(latency=0.003, jitter=0.002, drop_prob=0.15))
+        members = _build_group(clock, net, ["a", "b", "c"], "total-agreed",
+                               nak_delay=0.02)
+        await net.start()
+        for k in range(12):
+            sender = ["a", "b", "c"][k % 3]
+            clock.call_later(0.005 + k * 0.01, members[sender].multicast, f"m{k:02d}")
+        await run_for(1.5)
+        net.close()
+        return [tuple(m.delivered_payloads()) for m in members.values()], net.stats
+
+    orders, stats = asyncio.run(scenario())
+    assert stats.dropped > 0
+    assert all(len(order) == 12 for order in orders), [len(o) for o in orders]
+    assert len(set(orders)) == 1, orders
+
+
 def test_loss_repair_over_udp_loopback():
     async def scenario():
         clock = AsyncioClock(seed=3)
