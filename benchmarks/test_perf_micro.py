@@ -248,8 +248,9 @@ def test_stability_gossip_round(benchmark, kind, size):
     group sizes E05/E07 sweep.  With news (the ticker sent a message since
     its last tick) every receipt merges an N-entry vector twice; without,
     the tick re-sends its last snapshot and a receipt is one comparison.
-    The ticker holds an unstable message throughout, so no tick is quiet
-    and every one sends."""
+    The ticker holds an unstable message throughout, so no tick is quiet:
+    every one sends an ``AckQuery``, and every receiver, settled, answers
+    it (the answer is counted, not transmitted)."""
     from repro.catocs.messages import DataMessage
 
     (ticker, ticker_counts), *receivers = _stability_group(size)
@@ -257,6 +258,8 @@ def test_stability_gossip_round(benchmark, kind, size):
     sent = []
     member.send_peers = sent.append
     member.set_timer = lambda delay, fn, *args: None  # the round is driven from here
+    for layer, _ in receivers:
+        layer.member.send = lambda dst, payload: None  # answers are counted, not sent
     ticker.buffer_message(DataMessage(group="group", sender="m1", seq=1, payload=0,
                                       sent_at=0.0))
 
@@ -283,14 +286,15 @@ def test_stability_gossip_round(benchmark, kind, size):
     assert ticker.gossip_quiet == 0
     for layer, _ in receivers:
         assert layer.matrix.row("m0") == last.ack_vector
+        assert layer.gossip_answers == ticker.gossip_sent - 1  # all but the first tick
 
 
 @pytest.mark.parametrize("size", [8, 64])
 def test_quiet_group_tail(benchmark, size):
     """A settled group (a short stream, every buffer drained) ticking for
-    100 more gossip periods: what the tail after a stream costs once quiet
-    ticks back off.  Reports the gossip sends per member and the time per
-    tick."""
+    100 more gossip periods: what the tail after a stream costs once a
+    settled member is silent.  Reports the gossip sends per member and the
+    time per tick."""
     periods, ack_period = 100, 20.0
 
     def settled():
@@ -307,17 +311,20 @@ def test_quiet_group_tail(benchmark, size):
 
     elapsed = []
 
+    def gossip(layers):
+        return sum(layer.gossip_sent + layer.gossip_answers for layer in layers)
+
     def run(sim, layers):
-        before = sum(layer.gossip_sent for layer in layers)
+        before = gossip(layers)
         start = time.perf_counter()
         sim.run(until=sim.now + periods * ack_period)
         elapsed.append(time.perf_counter() - start)
-        return sum(layer.gossip_sent for layer in layers) - before
+        return gossip(layers) - before
 
     sends = benchmark.pedantic(run, setup=settled, rounds=10)
     benchmark.extra_info["sends_per_member"] = sends / size
     benchmark.extra_info["us_per_tick"] = min(elapsed) * 1e6 / (periods * size)
-    assert sends / size <= 8  # streak-doubling to the cap: at most 8 in 100 quiet periods
+    assert sends == 0  # nothing is buffered, so nobody asks and nobody answers
 
 
 @pytest.mark.parametrize("size", [8, 64])

@@ -100,10 +100,10 @@ class DataMessage:
 class AckGossip(TransportControl):
     """Stability gossip: the sender's contiguous receive counts.
 
-    Sent on every ``ack_period`` tick while the sender buffers an unstable
-    message or has news, and with a doubling interval, capped at 16 periods,
-    once it has settled (``QUIET_BACKOFF_CAP`` in
-    :mod:`repro.catocs.transport`).  ``ack_vector`` is a snapshot,
+    Broadcast on an ``ack_period`` tick that has news while the sender's
+    buffer is empty, and sent to one member as the answer to an
+    :class:`AckQuery`; nothing answers it.  A settled member sends none
+    (see :mod:`repro.catocs.transport`).  ``ack_vector`` is a snapshot,
     never written after the gossip is sent: the sender re-sends the same
     object while its counts stand, and in the simulator every receiver is
     handed (and may keep) that one dict.
@@ -112,6 +112,17 @@ class AckGossip(TransportControl):
     group: str
     sender: str
     ack_vector: Dict[str, int]
+
+
+@dataclass
+class AckQuery(AckGossip):
+    """Stability gossip from a member that still buffers an unstable
+    message: its counts, and a request for every settled peer's counts.
+
+    Broadcast on every ``ack_period`` tick while the sender's buffer holds a
+    message; a peer whose buffer is empty answers with a plain
+    :class:`AckGossip`.  Priced and absorbed exactly like its base class.
+    """
 
 
 @dataclass

@@ -19,16 +19,22 @@ Sits between the raw (lossy, reordering) network and the ordering layers:
   senders.  A :class:`~repro.ordering.matrix.MatrixClock` per member
   maintains the stable frontier (the componentwise minimum over rows) as
   acknowledgements arrive; the buffer is swept only when that frontier moves.
-  Gossip backs off once a member has settled: a tick is *quiet* when the
-  buffer is empty, the counts equal the last ack vector the member put on
-  the wire and the frontier has not moved since the previous tick, and the
-  k-th quiet tick in a row sends only at k = 1, 2, 4, 8, 16 and every 16th
-  after (Trickle-style, Levis et al.).  Any other tick sends.  A peer whose
-  copy of a quiet member's last vector was lost therefore hears it again
-  within ``QUIET_BACKOFF_CAP`` periods.  The work is paid per news as well: a
-  tick re-sends its last snapshot while no count has moved, and a receiver
-  merges a vector only if it differs from the last one it merged from that
-  sender.
+  A settled member is silent, and one that is not asks: a tick is *quiet*
+  when the buffer is empty, the counts equal the last ack vector the member
+  put on the wire and the frontier has not moved since the previous tick,
+  and a quiet tick sends nothing.  Any other tick broadcasts an
+  :class:`~repro.catocs.messages.AckQuery` while the buffer holds a
+  message, a plain :class:`~repro.catocs.messages.AckGossip` otherwise.  A
+  member whose buffer is empty answers a query with a plain ``AckGossip``
+  to the querier; nothing answers that, so an exchange is two messages.
+  This stays live because an unstable message is always in its sender's
+  buffer: the sender queries every tick with counts that reveal it, and
+  every member still holding a message queries too.  A peer whose row for
+  a settled member is stale is therefore unsettled, and keeps querying
+  until that member's answer arrives.  The work is paid per news as well:
+  a tick re-sends its last snapshot while neither its type nor a count has
+  changed, and a receiver merges a vector only if it differs from the last
+  one it merged from that sender.
 
 The two layers are deliberately *coupled through documented peer services*
 rather than a pure linear pipeline: the wire format piggybacks ack vectors
@@ -58,26 +64,12 @@ from collections import defaultdict
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.catocs.messages import AckGossip, DataMessage, MsgId, Nak
+from repro.catocs.messages import AckGossip, AckQuery, DataMessage, MsgId, Nak
 from repro.catocs.stack import ProtocolLayer, ProtocolStack, register_layer
 from repro.ordering.matrix import MatrixClock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catocs.member import GroupMember
-
-#: The longest gossip interval of a settled member, in ack periods: quiet
-#: ticks send at streak 1, 2, 4, 8, 16, then every 16th.  It bounds how long
-#: a peer that lost a quiet member's last vector waits to hear it again.
-QUIET_BACKOFF_CAP = 16
-
-
-def tick_sends(streak: int) -> bool:
-    """Whether the ``streak``-th quiet gossip tick in a row sends: a tick
-    that is not quiet (streak 0) always does, a quiet one at powers of two
-    below the cap and at every multiple of it."""
-    if streak < QUIET_BACKOFF_CAP:
-        return streak & (streak - 1) == 0
-    return streak % QUIET_BACKOFF_CAP == 0
 
 
 class DedupRepairLayer(ProtocolLayer):
@@ -342,20 +334,20 @@ class StabilityLayer(ProtocolLayer):
         self._swept_at: Optional[int] = None
         self.peak_buffered = 0
         self.peak_buffered_bytes = 0
-        #: ticks that sent, and ticks the quiet back-off kept silent
+        #: ticks that broadcast, quiet ticks (silent), and queries answered
         self.gossip_sent = 0
         self.gossip_quiet = 0
+        self.gossip_answers = 0
         self.stable_hooks: List[Callable[[MsgId], None]] = []
         self._dedup: Optional[DedupRepairLayer] = None
-        #: the last gossip sent, re-sent as it is while no count has moved
+        #: the last gossip broadcast, re-sent as it is while neither its
+        #: type nor a count has changed
         self._last_gossip: Optional[AckGossip] = None
-        #: the last ack vector put on the wire, by gossip or piggybacked
+        #: the last ack vector put on the wire, by gossip, answer or piggyback
         self._acked: Optional[Dict[str, int]] = None
         #: ``matrix.moves`` as the previous tick saw it; ``None`` makes the
         #: next tick not quiet
         self._ticked_moves: Optional[int] = None
-        #: quiet ticks in a row
-        self._quiet_streak = 0
         #: per sender, the last gossip vector merged into the *current*
         #: matrix: merging it again changes nothing (rows and ``_max_seen``
         #: only grow), so a repeat goes straight to ``check_stability``
@@ -393,8 +385,25 @@ class StabilityLayer(ProtocolLayer):
                 if self._dedup is not None:
                     self._dedup.learn_existence(vector)
             self.check_stability()
+            if isinstance(payload, AckQuery):
+                self._answer(payload.sender)
             return []
         return None
+
+    def _answer(self, querier: str) -> None:
+        """Send a member that still buffers a message this member's counts,
+        if its own buffer is empty.  The answer is a plain ``AckGossip``,
+        which nothing answers: a query costs at most one reply per peer."""
+        if self.buffer or querier not in self.member.view_members:
+            return
+        answer = AckGossip(
+            group=self.member.group,
+            sender=self.member.pid,
+            ack_vector=dict(self._counts()),
+        )
+        self._acked = answer.ack_vector
+        self.gossip_answers += 1
+        self.member.send(querier, answer)
 
     def on_membership_changed(self, members: Sequence[str]) -> None:
         """Rebuild stability tracking after a view change.
@@ -454,35 +463,46 @@ class StabilityLayer(ProtocolLayer):
     # -- stability -----------------------------------------------------------------
 
     def _gossip_tick(self) -> None:
-        """Gossip the counts, unless this tick is quiet and backing off.
+        """Broadcast the counts, unless this tick is quiet.
 
         Quiet: nothing buffered, the counts are the last vector on the wire
-        and the frontier has not moved since the previous tick.  The timer
-        fires every period either way; only the send is skipped."""
+        and the frontier has not moved since the previous tick; a quiet tick
+        sends nothing.  Otherwise a member that buffers a message sends an
+        ``AckQuery``, one that does not a plain ``AckGossip``.  A wire ack
+        vector is immutable once sent, so the last snapshot is re-sent as
+        it is while neither its type nor a count has changed.  The timer
+        fires every period either way."""
         counts = self._counts()
         moves = self.matrix.moves
         if self.buffer or counts != self._acked or moves != self._ticked_moves:
-            self._quiet_streak = streak = 0
-        else:
-            self._quiet_streak = streak = self._quiet_streak + 1
-        self._ticked_moves = moves
-        if tick_sends(streak):
             self.gossip_sent += 1
-            gossip = self._last_gossip
-            if gossip is None or gossip.ack_vector != counts:
-                # A wire ack vector is immutable once sent: snapshot afresh only
-                # when a count moved, re-send the same object otherwise.
-                gossip = AckGossip(
-                    group=self.member.group,
-                    sender=self.member.pid,
-                    ack_vector=dict(counts),
-                )
-                self._last_gossip = gossip
-            self._acked = gossip.ack_vector
-            self.member.send_peers(gossip)
+            if self.buffer:
+                query = self._last_gossip
+                if type(query) is not AckQuery or query.ack_vector != counts:
+                    query = AckQuery(
+                        group=self.member.group,
+                        sender=self.member.pid,
+                        ack_vector=dict(counts),
+                    )
+                self._broadcast(query)
+            else:
+                gossip = self._last_gossip
+                if type(gossip) is not AckGossip or gossip.ack_vector != counts:
+                    gossip = AckGossip(
+                        group=self.member.group,
+                        sender=self.member.pid,
+                        ack_vector=dict(counts),
+                    )
+                self._broadcast(gossip)
         else:
             self.gossip_quiet += 1
+        self._ticked_moves = moves
         self.member.set_timer(self.ack_period, self._gossip_tick)
+
+    def _broadcast(self, gossip: AckGossip) -> None:
+        self._last_gossip = gossip
+        self._acked = gossip.ack_vector
+        self.member.send_peers(gossip)
 
     def check_stability(self) -> None:
         """Release every buffered message the stable frontier covers, in
@@ -518,6 +538,7 @@ class StabilityLayer(ProtocolLayer):
             "peak_buffered_bytes": self.peak_buffered_bytes,
             "gossip_sent": self.gossip_sent,
             "gossip_quiet": self.gossip_quiet,
+            "gossip_answers": self.gossip_answers,
         }
 
 

@@ -2,6 +2,7 @@
 
 from repro.catocs import build_group
 from repro.catocs.messages import BatchEnvelope
+from repro.catocs.stack import BatchLayer
 from repro.sim import LinkModel, Network, Simulator
 
 
@@ -20,8 +21,16 @@ def _run(stack, seed=5, until=600):
     return sim, net, members
 
 
-def test_batching_reduces_network_messages():
+def test_batching_reduces_network_messages(monkeypatch):
+    """Batching shifts arrival times, and a settled member's answers to
+    stability queries depend on them, so the two runs need not emit the
+    same payloads: the savings are checked within the batched run, against
+    every payload the members handed the batch layer."""
     _, net_plain, plain = _run("dedup|stability|causal")
+    enqueued = []
+    enqueue = BatchLayer.enqueue
+    monkeypatch.setattr(BatchLayer, "enqueue", lambda layer, dst, payload: (
+        enqueued.append(payload), enqueue(layer, dst, payload)))
     _, net_batched, batched = _run("dedup|batch|stability|causal")
 
     # Identical delivery outcome...
@@ -34,7 +43,7 @@ def test_batching_reduces_network_messages():
     assert net_batched.stats.sent < net_plain.stats.sent
     saved = sum(m.stack.layer("batch").messages_saved() for m in batched.values())
     assert saved > 0
-    assert net_plain.stats.sent - net_batched.stats.sent == saved
+    assert len(enqueued) == net_batched.stats.sent + saved
 
 
 def test_batch_accounting_consistent():

@@ -148,11 +148,14 @@ def test_peer_fan_out_keeps_the_counters_the_per_peer_loops_kept():
     off: gossip sends only, every other counter is as recorded.  The
     total-agreed runs were re-pinned again when a member began to ask for a
     commit only when it blocks delivery and is overdue: fewer commit
-    requests, and so different drop draws for the packets after them."""
+    requests, and so different drop draws for the packets after them.  The
+    stability stacks were re-pinned once more when a settled member fell
+    silent and answered queries instead; in the batched run that also
+    shifts which payloads share a tick, hence the batch counts."""
     assert _fan_out_counters(22, "total-agreed", with_membership=True,
                              leave="p3") == {
         "control_sent": [68, 69, 70, 68],
-        "wire": (923, 62263, 49),
+        "wire": (894, 59595, 48),
         "heartbeats_sent": [127, 127, 127, 33],
     }
     assert _fan_out_counters(24, "hybrid-causal") == {
@@ -162,9 +165,9 @@ def test_peer_fan_out_keeps_the_counters_the_per_peer_loops_kept():
     assert _fan_out_counters(
         26, "total-agreed", stack="dedup|batch|stability|total-agreed",
         with_membership=True) == {
-        "control_sent": [77, 77, 74, 74],
-        "wire": (1109, 81433, 60),
+        "control_sent": [76, 76, 73, 73],
+        "wire": (1111, 74999, 60),
         "heartbeats_sent": [180, 180, 180, 180],
-        "singles_sent": [247, 223, 247, 244],
-        "batches_sent": [35, 47, 33, 33],
+        "singles_sent": [264, 238, 262, 261],
+        "batches_sent": [19, 32, 18, 17],
     }

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.catocs import build_group, build_member
-from repro.catocs.messages import AckGossip, DataMessage, Nak
-from repro.catocs.transport import QUIET_BACKOFF_CAP, StabilityLayer, tick_sends
+from repro.catocs.messages import AckGossip, AckQuery, DataMessage, Nak
+from repro.catocs.transport import StabilityLayer
 from repro.experiments.e16_stability import _run as e16_run
 from repro.sim import FailureInjector, LinkModel, Network, Simulator
 
@@ -198,55 +198,106 @@ def test_ack_vector_reveals_missing_final_message(suppressed_while_buffered):
     assert suppressed_while_buffered == []
 
 
-# -- quiet once settled: the gossip back-off and what it must not cost --------------
+# -- silent once settled, answer when asked ------------------------------------------
 
-def test_quiet_ticks_send_at_powers_of_two_then_every_cap():
-    assert tick_sends(0)  # a tick that is not quiet always sends
-    assert [k for k in range(1, 100) if tick_sends(k)] == [1, 2, 4, 8, 16, 32, 48, 64, 80, 96]
-    assert QUIET_BACKOFF_CAP == 16
+def _wire_log(sim, net):
+    """Every packet the network is handed from now on, as
+    ``(time, src, dst, payload class name)``."""
+    log = []
+    send = net.send
 
+    def logged(src, dst, payload, size=None):
+        log.append((sim.now, src, dst, type(payload).__name__))
+        return send(src, dst, payload, size)
 
-def _gossip_times(multicast):
-    """p1's gossip sends over 100 periods of 10 in a 3-member group, after
-    p0 multicasts once at t=1 or never; and p1 with its send log."""
-    sim, net, members = build(n=3, ack_period=10.0)
-    if multicast:
-        sim.call_at(1.0, members["p0"].multicast, "x")
-    member = members["p1"]
-    sends = []
-    send_peers = member.send_peers
-    member.send_peers = lambda payload: sends.append(sim.now) or send_peers(payload)
-    sim.run(until=1000.5)
-    layer = member.stack.layer("stability")
-    assert layer.gossip_sent + layer.gossip_quiet == 100
-    assert not layer.buffer
-    return sim, member, sends
+    net.send = logged
+    return log
 
 
-def test_a_settled_member_backs_off_to_the_cap():
-    _, _, sends = _gossip_times(multicast=True)
-    # news at the ticks of t=10 and t=20 (receipt, then the frontier moving);
-    # quiet from t=30: streak 1, 2, 4, 8, 16, 32, 48, 64, 80, 96
-    assert sends == [10.0, 20.0, 30.0, 40.0, 60.0, 100.0, 180.0, 340.0, 500.0,
-                     660.0, 820.0, 980.0]
+def _settled_group(n=3):
+    """p0 multicasts once at t=1 into an ``n``-member group gossiping every
+    10 units; the group 100 units later, every buffer drained."""
+    sim, net, members = build(n=n, ack_period=10.0)
+    sim.call_at(1.0, members["p0"].multicast, "x")
+    sim.run(until=100.5)
+    for member in members.values():
+        assert not member.stack.layer("stability").buffer, member.pid
+    return sim, net, members
 
 
-def test_a_view_install_restarts_the_back_off():
+def test_a_settled_member_sends_nothing_in_100_ticks():
+    sim, net, members = _settled_group()
+    before = {pid: m.stack.layer("stability").layer_metrics() for pid, m in members.items()}
+    log = _wire_log(sim, net)
+    sim.run(until=1100.5)
+    assert log == []
+    for pid, member in members.items():
+        after = member.stack.layer("stability").layer_metrics()
+        assert after["gossip_sent"] == before[pid]["gossip_sent"], pid
+        assert after["gossip_quiet"] == before[pid]["gossip_quiet"] + 100, pid
+
+
+def _handed_in(gossip_class):
+    """A settled 4-member group, its ticks stopped; p0 broadcasts one
+    ``gossip_class`` with counts that are already known.  The packets that
+    follow, and how many queries each member answered meanwhile."""
+    sim, net, members = _settled_group(n=4)
+    layers = {pid: m.stack.layer("stability") for pid, m in members.items()}
+    for layer in layers.values():
+        layer.ack_period = 1e9  # the tick at t=110 is the last
+    sim.run(until=110.5)
+    before = {pid: layer.gossip_answers for pid, layer in layers.items()}
+    log = _wire_log(sim, net)
+    counts = dict(members["p0"].stack.layer("dedup").contiguous)
+    members["p0"].send_peers(gossip_class(group="group", sender="p0", ack_vector=counts))
+    sim.run(until=300.0)
+    return log, {pid: layer.gossip_answers - before[pid] for pid, layer in layers.items()}
+
+
+def test_each_settled_peer_answers_a_query_once():
+    log, answers = _handed_in(AckQuery)
+    packets = [(src, dst, kind) for _, src, dst, kind in log]
+    assert packets[:3] == [("p0", dst, "AckQuery") for dst in ("p1", "p2", "p3")]
+    assert sorted(packets[3:]) == [(src, "p0", "AckGossip") for src in ("p1", "p2", "p3")]
+    assert answers == {"p0": 0, "p1": 1, "p2": 1, "p3": 1}
+
+
+def test_a_plain_ack_gossip_is_never_answered():
+    log, answers = _handed_in(AckGossip)
+    assert [(src, kind) for _, src, _, kind in log] == [("p0", "AckGossip")] * 3
+    assert set(answers.values()) == {0}
+
+
+def test_a_query_from_outside_the_view_is_not_answered():
+    # a departed member's late query, or a datagram naming a stranger: the
+    # network has no route to it, and its row is not in the matrix anyway
+    sim, net, members = _settled_group()
+    log = _wire_log(sim, net)
+    layer = members["p1"].stack.layer("stability")
+    answered = layer.gossip_answers
+    layer.on_control("p9", AckQuery(group="group", sender="p9", ack_vector={"p0": 1}))
+    sim.run(until=105.0)
+    assert log == [] and layer.gossip_answers == answered
+
+
+def test_a_view_install_makes_the_next_tick_send():
     # No traffic: the frontier never moves, so the rebuilt matrix's move
     # count (0) equals the one the last tick saw, and only the install
-    # itself can make the next tick not quiet.
-    sim, member, sends = _gossip_times(multicast=False)
-    assert sends == [10.0, 20.0, 30.0, 50.0, 90.0, 170.0, 330.0, 490.0, 650.0,
-                     810.0, 970.0]
-    member.transport.update_membership(("p0", "p1", "p2"))
-    sends.clear()
-    sim.run(until=1050.5)
-    assert sends == [1010.0, 1020.0, 1030.0, 1050.0]
+    # itself can make the next tick, at t=110, not quiet.
+    sim, net, members = build(n=3, ack_period=10.0)
+    sim.run(until=100.5)
+    log = _wire_log(sim, net)
+    members["p1"].transport.update_membership(("p0", "p1", "p2"))
+    sim.run(until=200.5)
+    assert [(t, src, kind) for t, src, _, kind in log] == [
+        (110.0, "p1", "AckGossip"), (110.0, "p1", "AckGossip"),
+    ]
 
 
 def test_a_member_holding_an_unstable_message_gossips_every_period():
     # p2 crashed unnoticed: p0's message never becomes stable, and neither
-    # counts nor frontier move again, yet p0 and p1 must keep gossiping.
+    # counts nor frontier move again, yet p0 and p1 must keep querying;
+    # neither answers the other, since neither is settled.
     sim, net, members = build(n=3, ack_period=10.0)
     members["p2"].crash()
     sim.call_at(1.0, members["p0"].multicast, "x")
@@ -254,7 +305,8 @@ def test_a_member_holding_an_unstable_message_gossips_every_period():
     for pid in ("p0", "p1"):
         layer = members[pid].stack.layer("stability")
         assert list(layer.buffer) == [("p0", 1)]
-        assert (layer.gossip_sent, layer.gossip_quiet) == (100, 0)
+        assert (layer.gossip_sent, layer.gossip_quiet, layer.gossip_answers) == (100, 0, 0)
+        assert type(layer._last_gossip) is AckQuery
 
 
 def _settle(seed, ordering, drop_prob, n=8, stream=40, tail=2000.0):
@@ -286,8 +338,9 @@ def test_every_buffer_and_every_chase_drains_once_the_group_settles(
 
 
 class SilentStability(StabilityLayer):
-    """The rule the back-off replaced: gossip only while something is
-    buffered or the counts moved since the last vector on the wire."""
+    """Silence without asking: gossip only while something is buffered or
+    the counts moved since the last vector on the wire, and always as a
+    plain ``AckGossip``, so no peer is ever asked to answer."""
 
     def _gossip_tick(self):
         counts = self._counts()
@@ -329,16 +382,18 @@ def _drain_after_one_lost_gossip(layer_class, n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_a_lost_gossip_from_a_quiet_member_is_sent_again_within_the_cap(n):
+def test_a_lost_gossip_is_made_good_within_one_period(n):
     """p1 sends no data, so its gossip is the only way p0 learns p1 holds
     p0's message.  Lose p1's first gossip to p0: p0's buffer must still
-    drain within ``QUIET_BACKOFF_CAP`` periods plus the link latency.  With
-    two members p1 is quiet from its second tick, so the resend is a
-    backed-off one; with three it is the tick after p1's frontier moved.
+    drain within one period of the loss plus two link latencies.  With two
+    members p1 is settled at once and answers the query p0 sent in the same
+    tick; with three the lost packet is p1's own query, and p1's next tick
+    has news (its frontier moved).
 
     The silent rule fails this: p1 goes quiet having put its counts on the
-    wire once, never sends them again, and p0 holds the message forever."""
-    bound = 20.0 + QUIET_BACKOFF_CAP * 20.0 + 7.0  # the loss + the cap + latency
+    wire once, nobody asks for them again, and p0 holds the message
+    forever."""
+    bound = 20.0 + 20.0 + 2 * 7.0  # the loss + one period + query and answer
     drained = _drain_after_one_lost_gossip(StabilityLayer, n)
     assert drained is not None and drained <= bound
     assert _drain_after_one_lost_gossip(SilentStability, n) is None
@@ -569,28 +624,31 @@ def test_maintained_frontier_keeps_the_counters_the_recomputed_one_kept():
     gossip -- now loses p1's seventh message, which holds nine of p1's
     messages unstable at every other member until p4's repaired count is
     gossiped (peak 27).  Pooled over perfbench's 24 pinned seeds the peak
-    falls, 27.4 -> 26.5."""
+    falls, 27.4 -> 26.5.  The gossip counts were re-pinned again when a
+    settled member fell silent instead of backing off (about half as many
+    broadcast ticks); that re-rolls seed 31's drops, so p0 and p2 serve a
+    different number of retransmissions.  No buffer count moved."""
     assert _stability_counters(31, "causal", leave="p4") == {
         "peak_buffered": [38, 23, 25, 25, 20],
         "peak_buffered_bytes": [4966, 3036, 3300, 3250, 2640],
-        "gossip_sent": [12, 12, 12, 13, 9],
-        "retransmissions": [3, 5, 2, 0, 0],
+        "gossip_sent": [6, 6, 6, 6, 5],
+        "retransmissions": [2, 5, 5, 0, 0],
         "left_buffered": [0, 0, 0, 0, 0],
     }
     assert _stability_counters(33, "total-agreed") == {
         "peak_buffered": [27, 27, 27, 27, 16],
         "peak_buffered_bytes": [2214, 2214, 2164, 2214, 1312],
-        "gossip_sent": [11, 11, 12, 11, 11],
+        "gossip_sent": [5, 5, 6, 5, 5],
         "retransmissions": [5, 3, 3, 1, 1],
         "left_buffered": [0, 0, 0, 0, 0],
     }
     # E16 samples every member's buffer every five time units
     assert e16_run(0, 60.0, 6, 15) == {
-        "gossip_messages": 300, "buffer_time_integral": 10165.0,
+        "gossip_messages": 66, "buffer_time_integral": 10165.0,
         "drained_at": 70.0, "residual": 0,
     }
     assert e16_run(5, 240.0, 4, 10) == {
-        "gossip_messages": 72, "buffer_time_integral": 16990.0,
+        "gossip_messages": 28, "buffer_time_integral": 16990.0,
         "drained_at": 250.0, "residual": 0,
     }
 
@@ -602,22 +660,23 @@ def test_lean_envelope_path_keeps_the_wire_counters():
     members' gossip began to back off: fewer gossip sends, and so different
     drop draws for the packets after them.  The total-agreed run was
     re-pinned again, the same way, when commit requests became
-    blocking-and-overdue only (181 requests -> 16)."""
+    blocking-and-overdue only (181 requests -> 16), and all three when a
+    settled member fell silent and answered queries instead."""
     def wire(*args, **kwargs):
         net, _ = _seeded_group_run(*args, **kwargs)
         return net.stats.snapshot()
 
     assert wire(41, "causal", drop_prob=0.0) == {
-        "sent": 460, "delivered": 460, "dropped": 0, "partitioned": 0,
-        "to_crashed": 0, "reset": 0, "bytes_sent": 54120, "bytes_delivered": 54120,
+        "sent": 345, "delivered": 345, "dropped": 0, "partitioned": 0,
+        "to_crashed": 0, "reset": 0, "bytes_sent": 42390, "bytes_delivered": 42390,
     }
     assert wire(33, "total-agreed") == {
-        "sent": 1047, "delivered": 993, "dropped": 54, "partitioned": 0,
-        "to_crashed": 0, "reset": 0, "bytes_sent": 89206, "bytes_delivered": 84505,
+        "sent": 935, "delivered": 887, "dropped": 48, "partitioned": 0,
+        "to_crashed": 0, "reset": 0, "bytes_sent": 77759, "bytes_delivered": 73734,
     }
     assert wire(31, "causal", leave="p4") == {
-        "sent": 1584, "delivered": 1498, "dropped": 77, "partitioned": 0,
-        "to_crashed": 0, "reset": 0, "bytes_sent": 106651, "bytes_delivered": 101009,
+        "sent": 1517, "delivered": 1437, "dropped": 70, "partitioned": 0,
+        "to_crashed": 0, "reset": 0, "bytes_sent": 99711, "bytes_delivered": 94522,
     }
 
 
@@ -668,14 +727,16 @@ _vector = st.lists(st.integers(min_value=0, max_value=5), min_size=4, max_size=4
 class AlwaysMergeStability(StabilityLayer):
     """The layer as it was before it paid per news: every gossip merged,
     every sending tick a fresh snapshot, every publish the whole own row.
-    Which ticks send is the real layer's rule, so the two differ only in
-    merge work."""
+    Which ticks send and which queries are answered is the real layer's
+    rule, so the two differ only in merge work."""
 
     def on_control(self, src, payload):
         if isinstance(payload, AckGossip):
             self.absorb_ack_vector(payload.sender, payload.ack_vector)
             self._dedup.learn_existence(payload.ack_vector)
             self.check_stability()
+            if isinstance(payload, AckQuery):
+                self._answer(payload.sender)
             return []
         return None
 
@@ -734,6 +795,7 @@ class _Driven:
             "released": self.released,
             "gossip_sent": self.layer.gossip_sent,
             "gossip_quiet": self.layer.gossip_quiet,
+            "gossip_answers": self.layer.gossip_answers,
         }
 
 
@@ -751,15 +813,16 @@ class PayPerNewsMachine(RuleBasedStateMachine):
         act(self.real)
         act(self.model)
 
-    def deliver(self, sender, vector):
+    def deliver(self, sender, vector, kind=AckGossip):
         self.both(lambda d: d.layer.on_control(
-            sender, AckGossip(group="group", sender=sender, ack_vector=vector)))
+            sender, kind(group="group", sender=sender, ack_vector=vector)))
 
-    @rule(sender=st.sampled_from(SENDERS), vector=_vector)
-    def gossip(self, sender, vector):
-        """Fresh or stale news, from members, ex-members and strangers."""
+    @rule(sender=st.sampled_from(SENDERS), vector=_vector, query=st.booleans())
+    def gossip(self, sender, vector, query):
+        """Fresh or stale news, from members, ex-members and strangers; a
+        query is answered only by a settled member, and only to a member."""
         self.last[sender] = vector
-        self.deliver(sender, vector)
+        self.deliver(sender, vector, AckQuery if query else AckGossip)
 
     @precondition(lambda self: self.last)
     @rule(data=st.data(), distinct=st.booleans())
