@@ -22,7 +22,12 @@ idioms rather than a general type system:
   per-attribute fallback consulted when the owning class knows nothing.
 - **Methods by name.**  Call sites are resolved nominally: every scanned
   function answering to the called name is a candidate, optionally narrowed
-  by the receiver's inferred class.
+  by the receiver's inferred class (:meth:`CodeGraph.methods_for`).
+
+The resolvers the rule families share live here, once: the first-base
+chain (:meth:`CodeGraph.base_chain`), method lookup with subtype
+overrides, and "an attribute of another process"
+(:meth:`CodeGraph.foreign_access`, behind RACE001 and ORD003).
 
 Everything is plain AST — nothing is imported or executed.
 """
@@ -31,9 +36,15 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.astutil import dotted_name, import_bindings
+from repro.analysis.astutil import (
+    annotation_class,
+    dotted_name,
+    import_bindings,
+    is_process_lookup,
+    qualify,
+)
 from repro.analysis.source import SourceModule
 
 #: Qualified names the hierarchy bottoms out at (defined in the tree when the
@@ -41,6 +52,10 @@ from repro.analysis.source import SourceModule
 PROCESS_ROOT = "repro.sim.process.Process"
 LAYER_ROOT = "repro.catocs.stack.ProtocolLayer"
 STACK_ROOT = "repro.catocs.stack.ProtocolStack"
+
+#: attributes on another process that are identity, not state — reading
+#: them cannot create a causal dependency the substrate misses.
+BENIGN_PROCESS_ATTRS = {"pid"}
 
 
 @dataclass
@@ -88,6 +103,7 @@ class CodeGraph:
         self.reverse_attach: Dict[str, Set[str]] = {}
         self.imports: Dict[str, Dict[str, str]] = {}  # relpath -> bindings
         self._subtype_cache: Dict[Tuple[str, str], bool] = {}
+        self._subtypes: Dict[str, List[ClassInfo]] = {}
         for mod in modules:
             self._index_module(mod)
 
@@ -119,13 +135,8 @@ class CodeGraph:
         bases = []
         for base in node.bases:
             name = dotted_name(base)
-            if name is None:
-                continue
-            head, _, rest = name.partition(".")
-            origin = imports.get(head)
-            resolved = f"{origin}.{rest}" if origin and rest else (origin or name)
-            # ``from x import C`` binds C to "x.C" with no rest to append.
-            bases.append(resolved)
+            if name is not None:
+                bases.append(qualify(name, imports))
         info = ClassInfo(
             qualname=qualname,
             name=node.name,
@@ -172,13 +183,9 @@ class CodeGraph:
         for arg in list(method.args.args) + list(method.args.kwonlyargs):
             if arg.annotation is None:
                 continue
-            ann = _annotation_class(arg.annotation)
+            ann = annotation_class(arg.annotation)
             if ann:
-                head, _, rest = ann.partition(".")
-                origin = imports.get(head)
-                param_types[arg.arg] = (
-                    f"{origin}.{rest}" if origin and rest else (origin or ann)
-                )
+                param_types[arg.arg] = qualify(ann, imports)
         for node in ast.walk(method):
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -213,20 +220,16 @@ class CodeGraph:
             name = dotted_name(value.func)
             if name is None:
                 return None
-            head, _, rest = name.partition(".")
-            origin = imports.get(head)
-            resolved = f"{origin}.{rest}" if origin and rest else (origin or name)
+            resolved = qualify(name, imports)
             # Only constructor-looking calls (capitalised final segment).
             tail = resolved.rsplit(".", 1)[-1]
             if tail[:1].isupper():
                 return resolved
             return None
         if isinstance(stmt, ast.AnnAssign):
-            ann = _annotation_class(stmt.annotation)
+            ann = annotation_class(stmt.annotation)
             if ann:
-                head, _, rest = ann.partition(".")
-                origin = imports.get(head)
-                return f"{origin}.{rest}" if origin and rest else (origin or ann)
+                return qualify(ann, imports)
         return None
 
     # -- queries ---------------------------------------------------------------
@@ -277,11 +280,14 @@ class CodeGraph:
         return False
 
     def subtypes_of(self, root: str) -> List[ClassInfo]:
-        return [
-            info
-            for qualname, info in sorted(self.classes.items())
-            if self.is_subtype(qualname, root)
-        ]
+        found = self._subtypes.get(root)
+        if found is None:
+            found = self._subtypes[root] = [
+                info
+                for qualname, info in sorted(self.classes.items())
+                if self.is_subtype(qualname, root)
+            ]
+        return found
 
     def mro_names(self, qualname: str) -> List[str]:
         """Class simple names along the base chain (best effort, no C3)."""
@@ -299,37 +305,74 @@ class CodeGraph:
                 stack.extend(b for b in info.base_names if b not in seen)
         return out
 
-    def attr_candidates(self, owner: Optional[str], attr: str) -> Set[str]:
-        """Candidate class qualnames for ``<owner instance>.attr``."""
-        found: Set[str] = set()
-        cursor = owner
-        hops = 0
-        while cursor is not None and hops < 10:
-            info = self.class_for(cursor)
+    def base_chain(self, qualname: Optional[str]) -> Iterator[ClassInfo]:
+        """The class and its first-base ancestors, as far as they are
+        scanned (at most ten hops, so a base cycle cannot hang the walk)."""
+        cursor = qualname
+        for _ in range(10):
+            info = self.class_for(cursor) if cursor else None
             if info is None:
-                break
-            found |= info.attr_types.get(attr, set())
+                return
+            yield info
             cursor = info.base_names[0] if info.base_names else None
-            hops += 1
-        if not found:
-            found |= self.reverse_attach.get(attr, set())
+
+    def own_attr_types(self, owner: Optional[str], attr: str) -> Set[str]:
+        """Candidate class qualnames for ``self.attr`` from the class's own
+        (and its first bases') assignments."""
+        found: Set[str] = set()
+        for info in self.base_chain(owner):
+            found |= info.attr_types.get(attr, set())
         return found
 
+    def attr_candidates(self, owner: Optional[str], attr: str) -> Set[str]:
+        """:meth:`own_attr_types`, else every class observed attaching itself
+        as ``<obj>.attr = self``."""
+        return self.own_attr_types(owner, attr) or set(
+            self.reverse_attach.get(attr, set())
+        )
 
-def _annotation_class(node: ast.AST) -> Optional[str]:
-    """Extract a class name from a (possibly Optional[...]-wrapped or
-    string-quoted) annotation."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value.strip('"')
-    if isinstance(node, ast.Subscript):
-        base = dotted_name(node.value)
-        if base and base.rsplit(".", 1)[-1] == "Optional":
-            return _annotation_class(node.slice)
+    def methods_for(self, class_qualname: str, method: str) -> List[FunctionInfo]:
+        """Static resolution up the base chain, plus every subtype override
+        (models dynamic dispatch on the receiver)."""
+        out: Dict[str, FunctionInfo] = {}
+        for info in self.base_chain(class_qualname):
+            if method in info.methods:
+                out[info.methods[method].qualname] = info.methods[method]
+                break
+        root_info = self.class_for(class_qualname)
+        if root_info is not None:
+            for sub in self.subtypes_of(root_info.qualname):
+                if sub.qualname != root_info.qualname and method in sub.methods:
+                    out[sub.methods[method].qualname] = sub.methods[method]
+        return [out[q] for q in sorted(out)]
+
+    def foreign_access(
+        self, info: ClassInfo, node: ast.Attribute, process_vars: Set[str]
+    ) -> Optional[str]:
+        """Is ``node`` an attribute of *another* process, read or written
+        from a method of ``info``?  A human-readable description of that
+        process, or None.  ``process_vars`` are the method's locals bound to
+        a process-registry lookup (``server = self.network.process(pid)``).
+        """
+        if node.attr in BENIGN_PROCESS_ATTRS:
+            return None
+        base = node.value
+        if is_process_lookup(base):
+            return "a process-registry lookup"
+        if isinstance(base, ast.Name) and base.id in process_vars:
+            return f"`{base.id}` (bound to a process-registry lookup)"
+        # ``self.<a>.<attr>`` where the class knows ``a`` holds a Process —
+        # only the class's own inference: the reverse-attach fallback is too
+        # speculative for an error-level rule.
+        if (
+            isinstance(base, ast.Attribute)
+            and isinstance(base.value, ast.Name)
+            and base.value.id == "self"
+        ):
+            for candidate in sorted(self.own_attr_types(info.qualname, base.attr)):
+                if self.is_subtype(candidate, PROCESS_ROOT):
+                    return f"`self.{base.attr}` (a {candidate.rsplit('.', 1)[-1]})"
         return None
-    name = dotted_name(node)
-    if name and name.rsplit(".", 1)[-1][:1].isupper():
-        return name
-    return None
 
 
 def _same_class_ref(a: str, b: str) -> bool:
@@ -351,3 +394,14 @@ def _same_class_ref(a: str, b: str) -> bool:
 
 def build_code_graph(modules: Iterable[SourceModule]) -> CodeGraph:
     return CodeGraph(modules)
+
+
+def code_graph_for(project) -> CodeGraph:  # type: ignore[no-untyped-def]
+    """Build (or reuse) the code graph for a Project: every graph-backed
+    rule, the flow graph and the effect table share one."""
+    cached = getattr(project, "_code_graph", None)
+    if cached is not None:
+        return cached
+    graph = build_code_graph(project.src_modules)
+    project._code_graph = graph
+    return graph

@@ -71,91 +71,80 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_graph_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-analysis graph",
-        description="Emit the interprocedural message-flow graph "
+#: export subcommand -> (description, formats, ``--out`` help).
+EXPORTS = {
+    "graph": (
+        "Emit the interprocedural message-flow graph "
         "(send sites vs typed-dispatch handler surface).",
-    )
-    parser.add_argument(
-        "--format", choices=("json", "dot"), default="json",
-        help="output format (default: json)",
-    )
-    parser.add_argument(
-        "--root", type=Path, default=None,
-        help="repository root (default: auto-detected)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="also write the graph to this path",
-    )
-    return parser
-
-
-def graph_main(argv: List[str]) -> int:
-    from repro.analysis.engine import load_project
-    from repro.analysis.flowgraph import flow_graph_for
-
-    args = build_graph_parser().parse_args(argv)
-    root = (args.root or default_root()).resolve()
-    if not (root / "src" / "repro").is_dir():
-        print(f"error: {root} does not look like the repo root "
-              "(no src/repro)", file=sys.stderr)
-        return 2
-    project = load_project(root=root, include_docs=False)
-    flow = flow_graph_for(project)
-    if args.format == "dot":
-        report = flow.to_dot()
-    else:
-        import json
-
-        report = json.dumps(flow.to_json(), indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(report)
-    if args.out is not None:
-        args.out.write_text(report, encoding="utf-8")
-    return 0
-
-
-def build_effects_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-analysis effects",
-        description="Emit the handler effect tables and delivery-guarantee "
+        ("json", "dot"),
+        "also write the graph to this path",
+    ),
+    "effects": (
+        "Emit the handler effect tables and delivery-guarantee "
         "model the ORD rules join (reads/writes per handler, commutativity "
         "classification, resolved spec lattice).",
+        ("json",),
+        "also write the export to this path",
+    ),
+}
+
+
+def build_export_parser(command: str) -> argparse.ArgumentParser:
+    description, formats, out_help = EXPORTS[command]
+    parser = argparse.ArgumentParser(
+        prog=f"repro-analysis {command}", description=description
     )
     parser.add_argument(
-        "--format", choices=("json",), default="json",
+        "--format", choices=formats, default="json",
         help="output format (default: json)",
     )
     parser.add_argument(
         "--root", type=Path, default=None,
         help="repository root (default: auto-detected)",
     )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="also write the export to this path",
-    )
+    parser.add_argument("--out", type=Path, default=None, help=out_help)
     return parser
 
 
-def effects_main(argv: List[str]) -> int:
+def export_main(command: str, argv: List[str]) -> int:
+    """``graph`` and ``effects``: build the project's flow graph or effect
+    table and print it (and write it to ``--out``)."""
     import json
 
     from repro.analysis.effects import effects_export
     from repro.analysis.engine import load_project
+    from repro.analysis.flowgraph import flow_graph_for
 
-    args = build_effects_parser().parse_args(argv)
+    args = build_export_parser(command).parse_args(argv)
     root = (args.root or default_root()).resolve()
-    if not (root / "src" / "repro").is_dir():
-        print(f"error: {root} does not look like the repo root "
-              "(no src/repro)", file=sys.stderr)
+    if not _is_repo_root(root):
         return 2
     project = load_project(root=root, include_docs=False)
-    report = json.dumps(effects_export(project), indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(report)
-    if args.out is not None:
-        args.out.write_text(report, encoding="utf-8")
+    if args.format == "dot":
+        report = flow_graph_for(project).to_dot()
+    else:
+        payload = (
+            flow_graph_for(project).to_json()
+            if command == "graph"
+            else effects_export(project)
+        )
+        report = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _emit(report, args.out)
     return 0
+
+
+def _is_repo_root(root: Path) -> bool:
+    if (root / "src" / "repro").is_dir():
+        return True
+    print(f"error: {root} does not look like the repo root "
+          "(no src/repro)", file=sys.stderr)
+    return False
+
+
+def _emit(report: str, out: Optional[Path]) -> None:
+    sys.stdout.write(report)
+    if out is not None:
+        out.write_text(report, encoding="utf-8")
 
 
 def _select_rules(
@@ -179,10 +168,8 @@ def _select_rules(
 
 def main(argv: Optional[List[str]] = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
-    if raw[:1] == ["graph"]:
-        return graph_main(raw[1:])
-    if raw[:1] == ["effects"]:
-        return effects_main(raw[1:])
+    if raw and raw[0] in EXPORTS:
+        return export_main(raw[0], raw[1:])
     args = build_parser().parse_args(raw)
 
     if args.list_rules:
@@ -191,9 +178,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     root = (args.root or default_root()).resolve()
-    if not (root / "src" / "repro").is_dir() and not args.paths:
-        print(f"error: {root} does not look like the repo root "
-              "(no src/repro)", file=sys.stderr)
+    if not args.paths and not _is_repo_root(root):
         return 2
 
     rules, rule_error = _select_rules(args.rules, args.exclude_rules)
@@ -252,10 +237,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sarif": render_sarif,
         "text": render_text,
     }[args.format]
-    report = renderer(fresh, grandfathered, result.suppressed)
-    sys.stdout.write(report)
-    if args.out is not None:
-        args.out.write_text(report, encoding="utf-8")
+    _emit(renderer(fresh, grandfathered, result.suppressed), args.out)
     return 1 if fresh else 0
 
 

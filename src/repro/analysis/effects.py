@@ -23,27 +23,25 @@ helper-call chains), with each write classified by whether it commutes:
   input to ORD004's stability check).
 
 Reads are recorded so ORD001 can flag the read-then-act half of the
-Fig. 5 pattern.  Everything reuses the flow graph's interprocedural
-machinery (summaries, receiver-bound call resolution, ``isinstance``
-narrowing), so the two views can never disagree about reachability; like
-the flow graph it under-approximates — opaque calls contribute nothing.
+Fig. 5 pattern.  The collector subclasses the flow graph's
+``HandlerWalk``, the walker that also builds its same-tick edges, so it
+narrows on ``isinstance``, resolves calls and marks sends
+behind a timer callback *delayed* exactly as the graph does, and every
+same-tick constructed send in a row is an edge of the graph
+(``test_effect_sends_agree_with_flow_edges``).  It follows only
+``self.`` helper chains, six frames deep; like the flow graph it
+under-approximates — opaque calls contribute nothing.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, TypeGuard
 
-from repro.analysis.callgraph import ClassInfo, CodeGraph, FunctionInfo, PROCESS_ROOT
-from repro.analysis.flowgraph import (
-    DISPATCH_ENTRYPOINTS,
-    FlowGraph,
-    SEND_ARG,
-    TIMER_FUNCS,
-    _ends_flow,
-    flow_graph_for,
-)
+from repro.analysis.callgraph import ClassInfo, FunctionInfo, PROCESS_ROOT
+from repro.analysis.flowgraph import FlowGraph, Frame, HandlerWalk, flow_graph_for
+from repro.analysis.orders import MEMBER_ROOT, guarantee_env_for
 
 #: write kinds in increasing order of commutativity trouble.
 WRITE_KINDS = ("merge", "keyed", "assign", "destructive")
@@ -65,9 +63,6 @@ INFRA_ATTRS = {
     "pid", "sim", "env", "network", "clock", "rng", "member", "group",
     "stack", "metrics", "logger",
 }
-
-_EFFECT_DEPTH = 6
-
 
 @dataclass(frozen=True)
 class AttrEffect:
@@ -155,198 +150,158 @@ class HandlerEffect:
         }
 
 
-class _EffectCollector:
-    """One narrowing walk over a handler body, mirroring the flow-graph
-    closure but collecting ``self.<attr>`` effects instead of edges."""
+class _EffectWalk(HandlerWalk):
+    """The handler walk, collecting ``self.<attr>`` effects and sends."""
 
-    def __init__(self, table: "EffectTable", owner: ClassInfo, message: str) -> None:
-        self._table = table
-        self._flow = table.flow
+    max_depth = 6
+
+    def __init__(self, flow: FlowGraph, owner: ClassInfo, message: str) -> None:
+        super().__init__(flow, message)
         self._owner = owner
-        self._message = message
         self.effects: List[AttrEffect] = []
         self.sends: List[SendEffect] = []
-        self._seen_calls: Set[Tuple[str, Optional[str]]] = set()
         self._seen_effects: Set[Tuple[str, str, int]] = set()
 
-    # -- entry ------------------------------------------------------------------
-
     def run(self, func: FunctionInfo, payload: Optional[str]) -> None:
-        self._visit(func, payload, 0, guarded=False)
+        self.visit(func, payload)
         self.effects.sort(key=lambda e: (e.relpath, e.lineno, e.attr, e.kind))
         self.sends.sort(key=lambda s: (s.lineno, s.message, s.via))
 
-    def _visit(
-        self, func: FunctionInfo, payload: Optional[str], depth: int, guarded: bool
-    ) -> None:
-        key = (func.qualname, payload)
-        if key in self._seen_calls or depth > _EFFECT_DEPTH:
-            return
-        self._seen_calls.add(key)
-        summary = self._flow._summaries.get(func.qualname)
-        if summary is None:
-            return
-        # Locals holding payload-derived values (loop keys over payload
-        # fields, extracted attributes) — statement order makes a single
-        # forward pass sufficient for the idioms this collects.
-        derived: Set[str] = set()
-        self._walk(list(func.node.body), summary, payload, depth, guarded, derived)
+    # -- walker hooks -----------------------------------------------------------
 
-    # -- statement walk with isinstance narrowing -------------------------------
-
-    def _walk(
-        self,
-        stmts: List[ast.stmt],
-        summary,  # type: ignore[no-untyped-def]
-        payload: Optional[str],
-        depth: int,
-        guarded: bool,
-        derived: Set[str],
-    ) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, ast.If):
-                guard = self._flow._isinstance_guard(stmt.test, payload)
-                if guard is not None:
-                    classes, negated = guard
-                    matches = any(
-                        c in self._flow._mro(self._message) for c in classes
-                    )
-                    if not negated:
-                        if matches:
-                            self._walk(
-                                stmt.body, summary, payload, depth, guarded,
-                                derived,
-                            )
-                        else:
-                            self._walk(
-                                stmt.orelse, summary, payload, depth, guarded,
-                                derived,
-                            )
-                    else:
-                        if not matches:
-                            self._walk(
-                                stmt.body, summary, payload, depth, guarded,
-                                derived,
-                            )
-                            if _ends_flow(stmt.body):
-                                return
-                    continue
-                semantic = self._is_semantic_test(stmt.test, payload)
-                self._scan_expr(stmt.test, summary, payload, depth, guarded)
-                self._walk(
-                    stmt.body, summary, payload, depth, guarded or semantic,
-                    derived,
-                )
-                self._walk(
-                    stmt.orelse, summary, payload, depth, guarded or semantic,
-                    derived,
-                )
-                # ``if <state test>: return`` — the guard covers the rest
-                # of this block (the netnews early-return dedup idiom).
-                if semantic and not stmt.orelse and _ends_flow(stmt.body):
-                    guarded = True
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._scan_expr(stmt.iter, summary, payload, depth, guarded)
-                if self._payload_derived(stmt.iter, payload, derived):
-                    for name in _target_names(stmt.target):
-                        derived.add(name)
-                self._walk(stmt.body, summary, payload, depth, guarded, derived)
-                self._walk(stmt.orelse, summary, payload, depth, guarded, derived)
-            elif isinstance(stmt, ast.While):
-                self._scan_expr(stmt.test, summary, payload, depth, guarded)
-                self._walk(stmt.body, summary, payload, depth, guarded, derived)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                self._walk(stmt.body, summary, payload, depth, guarded, derived)
-            elif isinstance(stmt, ast.Try):
-                self._walk(stmt.body, summary, payload, depth, guarded, derived)
-                for handler in stmt.handlers:
-                    self._walk(
-                        handler.body, summary, payload, depth, guarded, derived
-                    )
-                self._walk(
-                    stmt.finalbody, summary, payload, depth, guarded, derived
-                )
-            elif isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    def guards(self, test: ast.expr, frame: Frame) -> bool:
+        """A test that reads the payload or own state — the application
+        checking semantics before acting, which makes the guarded write
+        order-defensive rather than blind."""
+        for child in ast.walk(test):
+            if (
+                frame.payload is not None
+                and isinstance(child, ast.Name)
+                and child.id == frame.payload
             ):
-                continue
-            else:
-                self._statement(stmt, summary, payload, depth, guarded, derived)
+                return True
+            if (
+                _is_self_attr(child)
+                and child.attr not in INFRA_ATTRS
+                and not self._is_method(child.attr)
+            ):
+                return True
+        return False
 
-    # -- per-statement classification -------------------------------------------
+    def follows(self, call: ast.Call, delayed: bool) -> bool:
+        # Only self.helper(...) chains: the callee's ``self`` is ours.
+        return _is_self_attr(call.func)
 
-    def _statement(
+    def send(
         self,
-        stmt: ast.stmt,
-        summary,  # type: ignore[no-untyped-def]
-        payload: Optional[str],
-        depth: int,
-        guarded: bool,
-        derived: Set[str],
+        message: Optional[str],
+        via: str,
+        call: ast.Call,
+        frame: Frame,
+        delayed: bool,
     ) -> None:
+        self.sends.append(
+            SendEffect(message=message or "<payload>", via=via,
+                       lineno=call.lineno, delayed=delayed)
+        )
+
+    def statement(self, stmt: ast.stmt, frame: Frame, guarded: bool) -> None:
         consumed: Set[ast.AST] = set()
         if isinstance(stmt, ast.Assign):
-            from_payload = self._payload_derived(stmt.value, payload, derived)
+            from_payload = self.derives(stmt.value, frame)
             for target in stmt.targets:
                 self._write_target(
-                    target, payload, guarded, from_payload, consumed, derived,
+                    target, frame, guarded, from_payload, consumed,
                     value=stmt.value,
                 )
                 if isinstance(target, ast.Name) and from_payload:
-                    derived.add(target.id)
+                    frame.derived.add(target.id)
         elif isinstance(stmt, ast.AugAssign):
-            from_payload = self._payload_derived(stmt.value, payload, derived)
-            merge = isinstance(stmt.op, _COMMUTING_OPS)
             self._write_target(
-                stmt.target, payload, guarded, from_payload, consumed, derived,
-                aug_merge=merge,
+                stmt.target, frame, guarded, self.derives(stmt.value, frame),
+                consumed, aug_merge=isinstance(stmt.op, _COMMUTING_OPS),
             )
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            from_payload = self._payload_derived(stmt.value, payload, derived)
             self._write_target(
-                stmt.target, payload, guarded, from_payload, consumed, derived,
-                value=stmt.value,
+                stmt.target, frame, guarded, self.derives(stmt.value, frame),
+                consumed, value=stmt.value,
             )
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
-                attr_node = self._self_attr_of(target)
+                attr_node = _self_attr_of(target)
                 if attr_node is not None:
                     consumed.add(attr_node)
                     self._record(
                         attr_node.attr, "destructive", attr_node.lineno,
                         guarded, False,
                     )
-        self._scan_expr(stmt, summary, payload, depth, guarded, consumed)
+        self.scan(stmt, frame, guarded, consumed)
+
+    def scan(
+        self,
+        node: ast.AST,
+        frame: Frame,
+        guarded: bool,
+        consumed: Optional[Set[ast.AST]] = None,
+    ) -> None:
+        """Container writes on own state, then sends and helper calls, then
+        reads of ``self.<attr>`` not already consumed as writes."""
+        consumed = consumed if consumed is not None else set()
+        for child in ast.walk(node):
+            if isinstance(child, ast.Call) and not self._container_write(
+                child, guarded, consumed
+            ):
+                self.call(child, frame, guarded)
+        for child in ast.walk(node):
+            if (
+                child not in consumed
+                and _is_self_attr(child)
+                and isinstance(child.ctx, ast.Load)
+                and not self._is_method(child.attr)
+            ):
+                self._record(child.attr, "read", child.lineno, guarded, False)
+
+    # -- classification ---------------------------------------------------------
+
+    def _container_write(
+        self, call: ast.Call, guarded: bool, consumed: Set[ast.AST]
+    ) -> bool:
+        """``self.<attr>.pop(...)`` / ``.append(...)``: a container write on
+        own state, recorded instead of followed."""
+        if not isinstance(call.func, ast.Attribute):
+            return False
+        attr_node = _self_attr_of(call.func.value)
+        name = call.func.attr
+        if attr_node is None or name not in _DESTRUCTIVE_METHODS | _MERGE_METHODS:
+            return False
+        consumed.add(attr_node)
+        kind = "destructive" if name in _DESTRUCTIVE_METHODS else "merge"
+        self._record(attr_node.attr, kind, call.lineno, guarded, False)
+        return True
 
     def _write_target(
         self,
         target: ast.AST,
-        payload: Optional[str],
+        frame: Frame,
         guarded: bool,
         from_payload: bool,
         consumed: Set[ast.AST],
-        derived: Set[str],
         aug_merge: bool = False,
         value: Optional[ast.AST] = None,
     ) -> None:
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
+        if _is_self_attr(target):
             consumed.add(target)
-            if aug_merge or self._is_join(value, target.attr):
+            if aug_merge or _is_join(value, target.attr):
                 kind = "merge"
             else:
                 kind = "assign"
             self._record(target.attr, kind, target.lineno, guarded, from_payload)
         elif isinstance(target, ast.Subscript):
-            attr_node = self._self_attr_of(target.value)
+            attr_node = _self_attr_of(target.value)
             if attr_node is None:
                 return
             consumed.add(attr_node)
-            keyed = self._payload_derived(target.slice, payload, derived)
-            if keyed:
+            if self.derives(target.slice, frame):
                 kind = "keyed"
             elif aug_merge:
                 kind = "merge"
@@ -356,123 +311,8 @@ class _EffectCollector:
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._write_target(
-                    element, payload, guarded, from_payload, consumed, derived,
-                    aug_merge,
+                    element, frame, guarded, from_payload, consumed, aug_merge
                 )
-
-    def _is_join(self, value: Optional[ast.AST], attr: str) -> bool:
-        """``self.x = max(self.x, ...)`` (or ``min``) — a commutative,
-        idempotent join, not a last-writer-wins overwrite."""
-        if not (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id in ("max", "min")
-        ):
-            return False
-        return any(
-            isinstance(arg, ast.Attribute)
-            and arg.attr == attr
-            and isinstance(arg.value, ast.Name)
-            and arg.value.id == "self"
-            for arg in value.args
-        )
-
-    # -- expression scan: reads, container calls, sends, helper calls ------------
-
-    def _scan_expr(
-        self,
-        node: ast.AST,
-        summary,  # type: ignore[no-untyped-def]
-        payload: Optional[str],
-        depth: int,
-        guarded: bool,
-        consumed: Optional[Set[ast.AST]] = None,
-    ) -> None:
-        consumed = consumed if consumed is not None else set()
-        for child in ast.walk(node):
-            if isinstance(child, ast.Call):
-                self._scan_call(child, summary, payload, depth, guarded, consumed)
-        for child in ast.walk(node):
-            if child in consumed:
-                continue
-            if (
-                isinstance(child, ast.Attribute)
-                and isinstance(child.ctx, ast.Load)
-                and isinstance(child.value, ast.Name)
-                and child.value.id == "self"
-                and not self._is_method(child.attr)
-            ):
-                self._record(child.attr, "read", child.lineno, guarded, False)
-
-    def _scan_call(
-        self,
-        call: ast.Call,
-        summary,  # type: ignore[no-untyped-def]
-        payload: Optional[str],
-        depth: int,
-        guarded: bool,
-        consumed: Set[ast.AST],
-    ) -> None:
-        name = self._flow._call_method_name(call)
-        # self.<attr>.pop(...) / .append(...) — container write on own state.
-        if isinstance(call.func, ast.Attribute):
-            attr_node = self._self_attr_of(call.func.value)
-            if attr_node is not None and name in (
-                _DESTRUCTIVE_METHODS | _MERGE_METHODS
-            ):
-                consumed.add(attr_node)
-                kind = "destructive" if name in _DESTRUCTIVE_METHODS else "merge"
-                self._record(attr_node.attr, kind, call.lineno, guarded, False)
-                return
-        if name in SEND_ARG:
-            self._record_send(call, summary, name, delayed=False)
-            return
-        if name in TIMER_FUNCS:
-            unwrapped = self._flow._unwrap_timer(call)
-            if unwrapped is None:
-                return
-            inner, delayed, inner_name = unwrapped
-            if inner_name in SEND_ARG:
-                self._record_send(inner, summary, inner_name, delayed=delayed)
-                return
-            call, name = inner, inner_name
-        # Follow self.helper(...) chains — the callee's ``self`` is ours.
-        if not (
-            isinstance(call.func, ast.Attribute)
-            and isinstance(call.func.value, ast.Name)
-            and call.func.value.id == "self"
-        ):
-            return
-        for callee in self._flow._callee_candidates(call, summary):
-            if callee.owner is None:
-                continue
-            new_payload = None
-            if payload is not None:
-                new_payload = self._flow._passed_param(call, callee, payload)
-            if callee.name in DISPATCH_ENTRYPOINTS and new_payload is None:
-                continue
-            self._visit(callee, new_payload, depth + 1, guarded)
-
-    def _record_send(
-        self,
-        call: ast.Call,
-        summary,  # type: ignore[no-untyped-def]
-        via: str,
-        delayed: bool,
-    ) -> None:
-        expr = self._flow._payload_expr(call, via)
-        if expr is None:
-            return
-        resolved = self._flow._resolve_payload(expr, summary)
-        message = "<payload>"
-        if resolved is not None and resolved[0] == "class":
-            message = resolved[1]
-        self.sends.append(
-            SendEffect(message=message, via=via, lineno=call.lineno,
-                       delayed=delayed)
-        )
-
-    # -- small predicates --------------------------------------------------------
 
     def _record(
         self, attr: str, kind: str, lineno: int, guarded: bool, derived: bool
@@ -494,77 +334,45 @@ class _EffectCollector:
             )
         )
 
-    def _self_attr_of(self, node: ast.AST) -> Optional[ast.Attribute]:
-        if isinstance(node, ast.Subscript):
-            node = node.value
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return node
-        return None
-
     def _is_method(self, attr: str) -> bool:
-        return bool(self._flow._methods_for(self._owner.qualname, attr))
+        return bool(self.flow.code.methods_for(self._owner.qualname, attr))
 
-    def _payload_derived(
-        self,
-        node: Optional[ast.AST],
-        payload: Optional[str],
-        derived: Optional[Set[str]] = None,
-    ) -> bool:
-        if node is None:
-            return False
-        names = set(derived or ())
-        if payload is not None:
-            names.add(payload)
-        if not names:
-            return False
-        return any(
-            isinstance(child, ast.Name) and child.id in names
-            for child in ast.walk(node)
-        )
 
-    def _is_semantic_test(self, test: ast.AST, payload: Optional[str]) -> bool:
-        """A test that reads the payload or own state — the application
-        checking semantics before acting, which makes the guarded write
-        order-defensive rather than blind."""
-        for child in ast.walk(test):
-            if (
-                payload is not None
-                and isinstance(child, ast.Name)
-                and child.id == payload
-            ):
-                return True
-            if (
-                isinstance(child, ast.Attribute)
-                and isinstance(child.value, ast.Name)
-                and child.value.id == "self"
-                and child.attr not in INFRA_ATTRS
-                and not self._is_method(child.attr)
-            ):
-                return True
+def _is_self_attr(node: ast.AST) -> TypeGuard[ast.Attribute]:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
+def _self_attr_of(node: ast.AST) -> Optional[ast.Attribute]:
+    """The ``self.<attr>`` node of ``self.<attr>`` or ``self.<attr>[...]``."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return node if _is_self_attr(node) else None
+
+
+def _is_join(value: Optional[ast.AST], attr: str) -> bool:
+    """``self.x = max(self.x, ...)`` (or ``min``) — a commutative,
+    idempotent join, not a last-writer-wins overwrite."""
+    if not (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id in ("max", "min")
+    ):
         return False
-
-
-def _target_names(target: ast.AST) -> List[str]:
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        out: List[str] = []
-        for element in target.elts:
-            out.extend(_target_names(element))
-        return out
-    return []
+    return any(
+        _is_self_attr(arg) and arg.attr == attr for arg in value.args
+    )
 
 
 class EffectTable:
     """Effect rows for every handler on every ``Process`` subclass."""
 
-    def __init__(self, flow: FlowGraph, graph: CodeGraph) -> None:
+    def __init__(self, flow: FlowGraph) -> None:
         self.flow = flow
-        self.code = graph
+        self.code = flow.code
         self.rows: List[HandlerEffect] = []
         self._by_process: Dict[str, List[HandlerEffect]] = {}
         self._build()
@@ -583,8 +391,6 @@ class EffectTable:
             # GroupMember subclasses Process, but in explicit-paths mode
             # (fixtures) the member module is not scanned, so the subtype
             # chain stops at the imported base — accept either root.
-            from repro.analysis.orders import MEMBER_ROOT
-
             if not (
                 self.code.is_subtype(owner.qualname, PROCESS_ROOT)
                 or self.code.is_subtype(owner.qualname, MEMBER_ROOT)
@@ -594,9 +400,8 @@ class EffectTable:
             if key in seen:
                 continue
             seen.add(key)
-            payload = self.flow._payload_param(func, site)
-            collector = _EffectCollector(self, owner, site.message)
-            collector.run(func, payload)
+            collector = _EffectWalk(self.flow, owner, site.message)
+            collector.run(func, self.flow.payload_param(func, site))
             row = HandlerEffect(
                 process=owner.qualname,
                 process_name=owner.name,
@@ -654,16 +459,12 @@ class EffectTable:
         """Is there multicast/broadcast (or group-member) send evidence for
         ``message`` — i.e. can two members receive it concurrently?"""
         for site in self.flow.sends:
-            if message != site.message and message not in self.flow._mro(
-                site.message
-            ):
+            if message not in self.code.mro_names(site.message):
                 continue
             if "multicast" in site.via or "broadcast" in site.via:
                 return True
             func = self.code.functions.get(site.context)
             if func is not None and func.owner is not None:
-                from repro.analysis.orders import MEMBER_ROOT
-
                 if self.code.is_subtype(func.owner, MEMBER_ROOT):
                     return True
         return False
@@ -672,7 +473,7 @@ class EffectTable:
         """Distinct functions observed sending ``message``."""
         out: Set[str] = set()
         for site in self.flow.sends:
-            if message == site.message or message in self.flow._mro(site.message):
+            if message in self.code.mro_names(site.message):
                 out.add(site.context)
         return out
 
@@ -689,9 +490,7 @@ def effect_table_for(project) -> EffectTable:  # type: ignore[no-untyped-def]
     cached = getattr(project, "_effect_table", None)
     if cached is not None:
         return cached
-    from repro.analysis.flowgraph import code_graph_for
-
-    table = EffectTable(flow_graph_for(project), code_graph_for(project))
+    table = EffectTable(flow_graph_for(project))
     project._effect_table = table
     return table
 
@@ -700,8 +499,6 @@ def effects_export(project) -> Dict[str, object]:  # type: ignore[no-untyped-def
     """The full ``effects`` subcommand payload: effect rows, the guarantee
     table, per-process resolved guarantees, and raw conflict pairs (before
     any guarantee gating — the rules decide what is actually unsafe)."""
-    from repro.analysis.orders import guarantee_env_for
-
     table = effect_table_for(project)
     env = guarantee_env_for(project)
     payload = table.to_json()

@@ -12,7 +12,7 @@ run is one pass, for the whole repo and for explicit ``paths`` alike:
   ``(path, line, col, rule, message)`` key.
 
 Nothing is carried from one run to the next and nothing runs in worker
-processes: a full run of the repo is ~3.5 s, and most of it is cross-file
+processes: a full run of the repo is ~2.8 s, and most of it is cross-file
 rules that any edit anywhere re-runs (timings in ``docs/ANALYSIS.md``,
 "How a run works").
 """

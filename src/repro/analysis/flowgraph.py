@@ -10,7 +10,10 @@ an interprocedural view: ``GroupMember._do_multicast`` constructs the
 ``DataMessage`` but the ``Process.send`` call is four frames away, inside
 ``ProtocolStack.transmit``.
 
-This module builds that view, statically, from the parsed tree:
+This module builds that view, statically, from the parsed tree.  Each
+function body is walked once, into a :class:`Summary` (constructor
+locals, send calls, other calls, dispatch calls); every pass after that
+reads the summaries:
 
 1. **Send sites.**  Calls to the send primitives (``send``,
    ``send_control``, ``broadcast_control``, ``multicast``, matched by
@@ -25,13 +28,16 @@ This module builds that view, statically, from the parsed tree:
    use inside ``on_message``/``on_app_message``).  Typed dispatch walks
    the payload MRO, so a handler for a marker base covers every subclass.
 3. **Same-tick edges.**  For each concrete message class reaching a
-   handler, a narrowing closure walks the handler body — descending only
+   handler, :class:`HandlerWalk` walks the handler body — descending only
    into ``isinstance`` arms the class can actually take, following calls
-   with the payload identity threaded through — and records which message
-   classes the handler can construct-and-send *in the same tick*.
-   Forwarding the handled object itself is not an edge (a forward does
-   not mint new work), and timer-delayed sends are excluded (next tick
-   breaks the livelock).
+   with the payload identity threaded through — and :class:`EdgeWalk`
+   records which message classes the handler can construct-and-send *in
+   the same tick*.  Forwarding the handled object itself is not an edge
+   (a forward does not mint new work), and timer-delayed sends are
+   excluded (next tick breaks the livelock).
+
+The effect table (:mod:`repro.analysis.effects`) subclasses the same
+walker, so the two views cannot disagree about what a handler reaches.
 
 Known blind spots, accepted for precision: payloads fetched from
 containers (``self.repair_lookup[...]``) do not resolve to a class, and
@@ -46,15 +52,15 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.astutil import annotation_class, called_name, dotted_name
 from repro.analysis.callgraph import (
     CodeGraph,
     FunctionInfo,
     LAYER_ROOT,
-    _annotation_class,
+    code_graph_for,
 )
-from repro.analysis.astutil import dotted_name
 from repro.analysis.source import SourceModule
 
 #: send primitive -> {call arity: payload argument index}.
@@ -80,9 +86,6 @@ MESSAGES_MODULE = "repro.catocs.messages"
 #: wrong message (the inner message of an envelope already gets its own
 #: handler-site edges), so the closure skips them instead.
 DISPATCH_ENTRYPOINTS = {"on_message", "on_app_message", "dispatch"}
-
-_CLOSURE_DEPTH = 8
-
 
 @dataclass(frozen=True)
 class SendSite:
@@ -128,13 +131,19 @@ class MessageNode:
 
 
 @dataclass
-class _Summary:
-    """Per-function extraction results reused by fixpoint and closure."""
+class Summary:
+    """What one walk of a function body found, read by every later pass."""
 
     func: FunctionInfo
     local_ctors: Dict[str, str] = field(default_factory=dict)
     param_annotations: Dict[str, str] = field(default_factory=dict)
     sends_params: Dict[str, int] = field(default_factory=dict)  # name -> line
+    #: send primitive calls, timer callbacks unwrapped: (call, delayed, via)
+    send_calls: List[Tuple[ast.Call, bool, str]] = field(default_factory=list)
+    #: every other call, timer callbacks unwrapped: (call, delayed)
+    plain_calls: List[Tuple[ast.Call, bool]] = field(default_factory=list)
+    #: ``add_message_handler(...)`` and ``isinstance(...)`` calls
+    dispatch_calls: List[ast.Call] = field(default_factory=list)
 
 
 class FlowGraph:
@@ -149,8 +158,7 @@ class FlowGraph:
         self.edges: List[FlowEdge] = []
         #: layer-class simple names registered via ``register_layer(...)``.
         self.registered_layers: Set[str] = set()
-        self._summaries: Dict[str, _Summary] = {}
-        self._closure_cache: Dict[Tuple[str, Optional[str], str], None] = {}
+        self.summaries: Dict[str, Summary] = {}
         self._build()
 
     # -- public queries ---------------------------------------------------------
@@ -168,14 +176,14 @@ class FlowGraph:
         superclasses, so a handler on any base of ``message`` counts.
         """
         handled = self.handled_names()
-        return any(name in handled for name in self._mro(message))
+        return any(name in handled for name in self.code.mro_names(message))
 
     def is_sent(self, message: str) -> bool:
         """Is ``message`` or any scanned subclass of it ever sent?"""
         sent = self.sent_names()
         if message in sent:
             return True
-        return any(message in self._mro(other) for other in sent)
+        return any(message in self.code.mro_names(other) for other in sent)
 
     def same_tick_cycles(self) -> List[List[str]]:
         """Strongly connected components of the same-tick edge graph that
@@ -332,7 +340,7 @@ class FlowGraph:
 
     def family(self, message: str) -> str:
         """Coarse family used for DOT clustering and the docs rendering."""
-        mro = self._mro(message)
+        mro = self.code.mro_names(message)
         for marker in (
             "TransportControl",
             "OrderingControl",
@@ -350,33 +358,30 @@ class FlowGraph:
 
     # -- construction -----------------------------------------------------------
 
-    def _mro(self, message: str) -> List[str]:
-        infos = self.code.by_name.get(message, [])
-        if not infos:
-            return [message]
-        return self.code.mro_names(infos[0].qualname)
-
     def _build(self) -> None:
         for qualname in sorted(self.code.functions):
-            self._summaries[qualname] = self._extract(self.code.functions[qualname])
+            self.summaries[qualname] = self._extract(self.code.functions[qualname])
         self._propagate()
         self._collect_handlers()
         self._collect_registrations()
         self._assemble_catalogue()
         self._build_edges()
 
-    # Pass 1: per-function send extraction -------------------------------------
+    # Pass 1: one walk per function ------------------------------------------------
 
-    def _extract(self, func: FunctionInfo) -> _Summary:
-        summary = _Summary(func=func)
+    def _extract(self, func: FunctionInfo) -> Summary:
+        summary = Summary(func=func)
         args = func.node.args
         for arg in list(args.args) + list(args.kwonlyargs):
             if arg.annotation is not None:
-                ann = _annotation_class(arg.annotation)
+                ann = annotation_class(arg.annotation)
                 if ann:
                     summary.param_annotations[arg.arg] = ann.rsplit(".", 1)[-1]
+        calls: List[ast.Call] = []
         for node in ast.walk(func.node):
-            if (
+            if isinstance(node, ast.Call):
+                calls.append(node)
+            elif (
                 isinstance(node, ast.Assign)
                 and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
@@ -384,11 +389,30 @@ class FlowGraph:
                 ctor = self._ctor_name(node.value, summary)
                 if ctor:
                     summary.local_ctors[node.targets[0].id] = ctor
-        for call, delayed, via in self._iter_send_calls(func):
-            payload = self._payload_expr(call, via)
+        for call in calls:
+            name = called_name(call)
+            if name in ("add_message_handler", "isinstance"):
+                summary.dispatch_calls.append(call)
+            if name in SEND_ARG:
+                summary.send_calls.append((call, False, name))
+            elif name in TIMER_FUNCS:
+                unwrapped = unwrap_timer(call)
+                if unwrapped is None:
+                    continue
+                inner, delayed, inner_name = unwrapped
+                if inner_name in SEND_ARG:
+                    summary.send_calls.append(
+                        (inner, delayed, f"{name}->{inner_name}")
+                    )
+                elif inner_name is not None:
+                    summary.plain_calls.append((inner, delayed))
+            else:
+                summary.plain_calls.append((call, False))
+        for call, delayed, via in summary.send_calls:
+            payload = self.payload_expr(call, via)
             if payload is None:
                 continue
-            resolved = self._resolve_payload(payload, summary)
+            resolved = self.resolve_payload(payload, summary)
             if resolved is None:
                 continue
             kind, value = resolved
@@ -407,58 +431,8 @@ class FlowGraph:
                 summary.sends_params.setdefault(value, call.lineno)
         return summary
 
-    def _iter_send_calls(
-        self, func: FunctionInfo
-    ) -> Iterable[Tuple[ast.Call, bool, str]]:
-        """Yield (call, delayed, via) for direct and timer-wrapped sends."""
-        for node in ast.walk(func.node):
-            if not isinstance(node, ast.Call):
-                continue
-            name = self._call_method_name(node)
-            if name in SEND_ARG:
-                yield node, False, name
-            elif name in TIMER_FUNCS:
-                unwrapped = self._unwrap_timer(node)
-                if unwrapped is not None:
-                    inner, delayed, inner_name = unwrapped
-                    if inner_name in SEND_ARG:
-                        yield inner, delayed, f"{name}->{inner_name}"
-
-    def _call_method_name(self, call: ast.Call) -> Optional[str]:
-        if isinstance(call.func, ast.Attribute):
-            return call.func.attr
-        if isinstance(call.func, ast.Name):
-            return call.func.id
-        return None
-
-    def _unwrap_timer(
-        self, call: ast.Call
-    ) -> Optional[Tuple[ast.Call, bool, Optional[str]]]:
-        """Rewrite ``x.set_timer(d, fn, *args)`` as a synthetic ``fn(*args)``
-        call, with the delayed flag from ``d``.  ``call_at`` and ``post_at``
-        take a time, not a delay, and are always delayed; a literal-zero
-        delay fires within the current tick."""
-        name = self._call_method_name(call)
-        if name not in TIMER_FUNCS:
-            return None
-        delay_idx, fn_idx = TIMER_FUNCS[name]
-        if len(call.args) <= fn_idx:
-            return None
-        delay = call.args[delay_idx]
-        delayed = True
-        if (
-            name not in ("call_at", "post_at")
-            and isinstance(delay, ast.Constant)
-            and delay.value in (0, 0.0)
-        ):
-            delayed = False
-        fn = call.args[fn_idx]
-        synthetic = ast.Call(func=fn, args=list(call.args[fn_idx + 1 :]), keywords=[])
-        ast.copy_location(synthetic, call)
-        inner_name = self._call_method_name(synthetic)
-        return synthetic, delayed, inner_name
-
-    def _payload_expr(self, call: ast.Call, via: str) -> Optional[ast.AST]:
+    def payload_expr(self, call: ast.Call, via: str) -> Optional[ast.AST]:
+        """The payload argument of a send primitive call, by arity."""
         primitive = via.rsplit(">", 1)[-1]
         table = SEND_ARG[primitive]
         args = list(call.args)
@@ -473,9 +447,7 @@ class FlowGraph:
             return None
         return args[index]
 
-    def _ctor_name(
-        self, node: ast.AST, summary: Optional[_Summary] = None
-    ) -> Optional[str]:
+    def _ctor_name(self, node: ast.AST, summary: Summary) -> Optional[str]:
         if not isinstance(node, ast.Call):
             return None
         name = dotted_name(node.func)
@@ -489,18 +461,17 @@ class FlowGraph:
         # Imported-but-unscanned classes (fixture mode): accept only names
         # bound to this tree's own packages, so ``OrderedDict(...)`` does
         # not masquerade as a wire message.
-        if summary is not None:
-            head = name.partition(".")[0]
-            binding = self.code.imports.get(summary.func.relpath, {}).get(head)
-            if binding and (
-                binding.startswith("repro.") or binding.startswith(".")
-            ):
-                return tail
+        head = name.partition(".")[0]
+        binding = self.code.imports.get(summary.func.relpath, {}).get(head)
+        if binding and (binding.startswith("repro.") or binding.startswith(".")):
+            return tail
         return None
 
-    def _resolve_payload(
-        self, expr: ast.AST, summary: _Summary
+    def resolve_payload(
+        self, expr: ast.AST, summary: Summary
     ) -> Optional[Tuple[str, str]]:
+        """``("class", name)`` for a constructed message, ``("param",
+        name)`` for a parameter passed through, None when opaque."""
         ctor = self._ctor_name(expr, summary)
         if ctor:
             return ("class", ctor)
@@ -519,18 +490,18 @@ class FlowGraph:
         }
         for _ in range(12):
             changed = False
-            for qualname in sorted(self._summaries):
-                summary = self._summaries[qualname]
-                for call, delayed in self._iter_plain_calls(summary.func):
-                    for callee in self._callee_candidates(call, summary):
-                        target = self._summaries.get(callee.qualname)
+            for qualname in sorted(self.summaries):
+                summary = self.summaries[qualname]
+                for call, delayed in summary.plain_calls:
+                    for callee in self.callee_candidates(call, summary):
+                        target = self.summaries.get(callee.qualname)
                         if target is None or not target.sends_params:
                             continue
                         for param in sorted(target.sends_params):
                             arg = self._arg_for_param(call, callee, param)
                             if arg is None:
                                 continue
-                            resolved = self._resolve_payload(arg, summary)
+                            resolved = self.resolve_payload(arg, summary)
                             if resolved is None:
                                 continue
                             kind, value = resolved
@@ -561,28 +532,8 @@ class FlowGraph:
             if not changed:
                 break
 
-    def _iter_plain_calls(
-        self, func: FunctionInfo
-    ) -> Iterable[Tuple[ast.Call, bool]]:
-        """Every call that is not itself a send primitive, with timer
-        callbacks unwrapped into synthetic calls."""
-        for node in ast.walk(func.node):
-            if not isinstance(node, ast.Call):
-                continue
-            name = self._call_method_name(node)
-            if name in SEND_ARG:
-                continue
-            if name in TIMER_FUNCS:
-                unwrapped = self._unwrap_timer(node)
-                if unwrapped is not None:
-                    inner, delayed, inner_name = unwrapped
-                    if inner_name is not None and inner_name not in SEND_ARG:
-                        yield inner, delayed
-                continue
-            yield node, False
-
-    def _callee_candidates(
-        self, call: ast.Call, summary: _Summary
+    def callee_candidates(
+        self, call: ast.Call, summary: Summary
     ) -> List[FunctionInfo]:
         """Resolve a call to scanned functions, bound by receiver class.
 
@@ -595,7 +546,7 @@ class FlowGraph:
         func = summary.func
         if isinstance(call.func, ast.Name):
             candidate = self.code.functions.get(
-                f"{self._module_key(func)}.{call.func.id}"
+                f"{func.module or func.relpath}.{call.func.id}"
             )
             return [candidate] if candidate is not None else []
         if not isinstance(call.func, ast.Attribute):
@@ -604,14 +555,11 @@ class FlowGraph:
         receiver_classes = self._expr_classes(call.func.value, summary)
         out: Dict[str, FunctionInfo] = {}
         for cls in sorted(receiver_classes):
-            for candidate in self._methods_for(cls, method):
+            for candidate in self.code.methods_for(cls, method):
                 out[candidate.qualname] = candidate
         return [out[q] for q in sorted(out)]
 
-    def _module_key(self, func: FunctionInfo) -> str:
-        return func.module or func.relpath
-
-    def _expr_classes(self, expr: ast.AST, summary: _Summary) -> Set[str]:
+    def _expr_classes(self, expr: ast.AST, summary: Summary) -> Set[str]:
         """Candidate class qualnames for a receiver expression."""
         func = summary.func
         if isinstance(expr, ast.Name):
@@ -636,39 +584,17 @@ class FlowGraph:
                         found.add(info.qualname)
                 # A property/getter with a return annotation also types
                 # the attribute (``ProtocolStack.ordering -> ProtocolLayer``).
-                for method in self._methods_for(base, expr.attr):
+                for method in self.code.methods_for(base, expr.attr):
                     returns = getattr(method.node, "returns", None)
                     if returns is None:
                         continue
-                    ann = _annotation_class(returns)
+                    ann = annotation_class(returns)
                     if ann:
                         info = self.code.class_for(ann.rsplit(".", 1)[-1])
                         if info:
                             found.add(info.qualname)
             return found
         return set()
-
-    def _methods_for(self, class_qualname: str, method: str) -> List[FunctionInfo]:
-        """Static resolution up the base chain, plus every subtype override
-        (models dynamic dispatch on the receiver)."""
-        out: Dict[str, FunctionInfo] = {}
-        cursor: Optional[str] = class_qualname
-        hops = 0
-        while cursor is not None and hops < 10:
-            info = self.code.class_for(cursor)
-            if info is None:
-                break
-            if method in info.methods:
-                out[info.methods[method].qualname] = info.methods[method]
-                break
-            cursor = info.base_names[0] if info.base_names else None
-            hops += 1
-        root_info = self.code.class_for(class_qualname)
-        if root_info is not None:
-            for sub in self.code.subtypes_of(root_info.qualname):
-                if sub.qualname != root_info.qualname and method in sub.methods:
-                    out[sub.methods[method].qualname] = sub.methods[method]
-        return [out[q] for q in sorted(out)]
 
     def _arg_for_param(
         self, call: ast.Call, callee: FunctionInfo, param: str
@@ -688,29 +614,26 @@ class FlowGraph:
     # Pass 3: handler surface ----------------------------------------------------
 
     def _collect_handlers(self) -> None:
-        for qualname in sorted(self._summaries):
-            summary = self._summaries[qualname]
-            func = summary.func
-            for node in ast.walk(func.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = self._call_method_name(node)
-                if name == "add_message_handler" and len(node.args) >= 2:
+        for qualname in sorted(self.summaries):
+            func = self.summaries[qualname].func
+            for node in self.summaries[qualname].dispatch_calls:
+                if called_name(node) == "add_message_handler":
+                    if len(node.args) < 2:
+                        continue
                     message = dotted_name(node.args[0])
                     if message is None:
                         continue
-                    handler = self._handler_target(node.args[1], func)
                     self.handlers.append(
                         HandlerSite(
                             message=message.rsplit(".", 1)[-1],
-                            context=handler,
+                            context=self._handler_target(node.args[1], func),
                             relpath=func.relpath,
                             lineno=node.lineno,
                             kind="typed",
                         )
                     )
-                elif name == "isinstance" and len(node.args) == 2:
-                    for message in self._isinstance_classes(node.args[1]):
+                elif len(node.args) == 2:
+                    for message in _isinstance_classes(node.args[1]):
                         self.handlers.append(
                             HandlerSite(
                                 message=message,
@@ -726,34 +649,22 @@ class FlowGraph:
         scanned function qualname (best effort; "" when opaque)."""
         if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
             if expr.value.id == "self" and func.owner:
-                for method in self._methods_for(func.owner, expr.attr):
+                for method in self.code.methods_for(func.owner, expr.attr):
                     return method.qualname
         if isinstance(expr, ast.Name):
             candidate = self.code.functions.get(
-                f"{self._module_key(func)}.{expr.id}"
+                f"{func.module or func.relpath}.{expr.id}"
             )
             if candidate is not None:
                 return candidate.qualname
         return ""
-
-    def _isinstance_classes(self, expr: ast.AST) -> List[str]:
-        nodes = expr.elts if isinstance(expr, ast.Tuple) else [expr]
-        out = []
-        for node in nodes:
-            name = dotted_name(node)
-            if name:
-                tail = name.rsplit(".", 1)[-1]
-                if tail[:1].isupper():
-                    out.append(tail)
-        return out
 
     def _collect_registrations(self) -> None:
         for mod in self.modules:
             for node in ast.walk(mod.tree):
                 if not isinstance(node, ast.Call):
                     continue
-                name = self._call_method_name(node)
-                if name != "register_layer" or len(node.args) < 2:
+                if called_name(node) != "register_layer" or len(node.args) < 2:
                     continue
                 cls = dotted_name(node.args[1])
                 if cls:
@@ -775,7 +686,9 @@ class FlowGraph:
         # isinstance sites only count as handlers for classes already in
         # the catalogue family — ``isinstance(x, dict)`` is dispatch on a
         # payload shape, not a wire message.
-        catalogue_mros = {name: set(self._mro(name)) for name in sorted(names)}
+        catalogue_mros = {
+            name: set(self.code.mro_names(name)) for name in sorted(names)
+        }
         kept: List[HandlerSite] = []
         for site in self.handlers:
             if site.kind == "typed":
@@ -816,13 +729,12 @@ class FlowGraph:
             sources = [site.message] + [
                 name
                 for name in sorted(self.messages)
-                if name != site.message and site.message in self._mro(name)
+                if name != site.message and site.message in self.code.mro_names(name)
             ]
             for source in sources:
-                payload = self._payload_param(func, site)
-                found: Set[Tuple[str, str, int]] = set()
-                self._closure(func, payload, source, 0, found, set())
-                for dst, relpath, lineno in sorted(found):
+                walk = EdgeWalk(self, source)
+                walk.visit(func, self.payload_param(func, site))
+                for dst, relpath, lineno in sorted(walk.found):
                     key = (source, dst)
                     if key not in edge_index:
                         edge_index[key] = FlowEdge(
@@ -834,7 +746,7 @@ class FlowGraph:
                         )
         self.edges = [edge_index[k] for k in sorted(edge_index)]
 
-    def _payload_param(
+    def payload_param(
         self, func: FunctionInfo, site: HandlerSite
     ) -> Optional[str]:
         """Which parameter of the handler carries the message?
@@ -850,10 +762,9 @@ class FlowGraph:
             return None
         if site.kind == "isinstance":
             tested: Dict[str, int] = {}
-            for node in ast.walk(func.node):
+            for node in self.summaries[func.qualname].dispatch_calls:
                 if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
+                    isinstance(node.func, ast.Name)
                     and node.func.id == "isinstance"
                     and len(node.args) == 2
                     and isinstance(node.args[0], ast.Name)
@@ -864,120 +775,174 @@ class FlowGraph:
                 return max(sorted(tested), key=lambda name: tested[name])
         return params[-1]
 
-    def _closure(
+
+def unwrap_timer(call: ast.Call) -> Optional[Tuple[ast.Call, bool, Optional[str]]]:
+    """Rewrite ``x.set_timer(d, fn, *args)`` as a synthetic ``fn(*args)``
+    call, with the delayed flag from ``d`` and the synthetic call's name.
+    ``call_at`` and ``post_at`` take a time, not a delay, and are always
+    delayed; a literal-zero delay fires within the current tick."""
+    name = called_name(call)
+    if name not in TIMER_FUNCS:
+        return None
+    delay_idx, fn_idx = TIMER_FUNCS[name]
+    if len(call.args) <= fn_idx:
+        return None
+    delay = call.args[delay_idx]
+    delayed = not (
+        name not in ("call_at", "post_at")
+        and isinstance(delay, ast.Constant)
+        and delay.value in (0, 0.0)
+    )
+    synthetic = ast.Call(
+        func=call.args[fn_idx], args=list(call.args[fn_idx + 1 :]), keywords=[]
+    )
+    ast.copy_location(synthetic, call)
+    return synthetic, delayed, called_name(synthetic)
+
+
+def passed_param(call: ast.Call, callee: FunctionInfo, payload: str) -> Optional[str]:
+    """If the payload variable is passed to the callee, which callee
+    parameter receives it?"""
+    for keyword in call.keywords:
+        if isinstance(keyword.value, ast.Name) and keyword.value.id == payload:
+            return keyword.arg
+    for position, arg in enumerate(call.args):
+        if isinstance(arg, ast.Name) and arg.id == payload:
+            shifted = position
+            if callee.owner is not None and callee.params[:1] == ["self"]:
+                shifted += 1
+            if shifted < len(callee.params):
+                return callee.params[shifted]
+    return None
+
+
+def _isinstance_classes(expr: ast.AST) -> List[str]:
+    nodes = expr.elts if isinstance(expr, ast.Tuple) else [expr]
+    out = []
+    for node in nodes:
+        name = dotted_name(node)
+        if name:
+            tail = name.rsplit(".", 1)[-1]
+            if tail[:1].isupper():
+                out.append(tail)
+    return out
+
+
+def _ends_flow(stmts: List[ast.stmt]) -> bool:
+    return bool(stmts) and isinstance(
+        stmts[-1], (ast.Return, ast.Raise, ast.Continue, ast.Break)
+    )
+
+
+def _target_names(target: ast.AST) -> List[str]:
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        out: List[str] = []
+        for element in target.elts:
+            out.extend(_target_names(element))
+        return out
+    return []
+
+
+@dataclass
+class Frame:
+    """One function on a handler walk."""
+
+    summary: Summary
+    payload: Optional[str]  # the parameter carrying the handled message
+    depth: int
+    delayed: bool  # reached through a timer that fires after this tick
+    #: locals holding payload-derived values (loop keys, extracted fields)
+    derived: Set[str] = field(default_factory=set)
+
+
+class HandlerWalk:
+    """The one narrowing walk over a handler and the calls it reaches.
+
+    It walks a function body for one handled message class, descends only
+    into the ``isinstance`` arms that class can take, hands every send to
+    :meth:`send`, and follows every other call into the callees it may
+    resolve to, threading through the parameter that carries the payload
+    and the *delayed* flag (set once the walk crosses a timer callback
+    with a non-zero delay).  A collector subclasses it: :class:`EdgeWalk`
+    for the same-tick edges here, the effect walk in
+    :mod:`repro.analysis.effects` for reads, writes and sends.
+    """
+
+    max_depth = 8  # call frames followed below the handler
+
+    def __init__(self, flow: FlowGraph, message: str) -> None:
+        self.flow = flow
+        self.mro = flow.code.mro_names(message)
+        self._seen: Set[Tuple[str, Optional[str]]] = set()
+
+    def visit(
         self,
         func: FunctionInfo,
         payload: Optional[str],
-        message: str,
-        depth: int,
-        out: Set[Tuple[str, str, int]],
-        seen: Set[Tuple[str, Optional[str], str]],
+        depth: int = 0,
+        delayed: bool = False,
+        guarded: bool = False,
     ) -> None:
-        key = (func.qualname, payload, message)
-        if key in seen or depth > _CLOSURE_DEPTH:
+        key = (func.qualname, payload)
+        if key in self._seen or depth > self.max_depth:
             return
-        seen.add(key)
-        summary = self._summaries.get(func.qualname)
-        if summary is None:
-            return
-        self._walk_statements(
-            list(func.node.body), summary, payload, message, depth, out, seen
-        )
+        self._seen.add(key)
+        summary = self.flow.summaries[func.qualname]
+        self.walk(func.node.body, Frame(summary, payload, depth, delayed), guarded)
 
-    def _walk_statements(
-        self,
-        stmts: List[ast.stmt],
-        summary: _Summary,
-        payload: Optional[str],
-        message: str,
-        depth: int,
-        out: Set[Tuple[str, str, int]],
-        seen: Set[Tuple[str, Optional[str], str]],
-    ) -> None:
-        for index, stmt in enumerate(stmts):
+    def walk(self, stmts: List[ast.stmt], frame: Frame, guarded: bool) -> None:
+        for stmt in stmts:
             if isinstance(stmt, ast.If):
-                guard = self._isinstance_guard(stmt.test, payload)
-                if guard is not None:
-                    classes, negated = guard
-                    matches = any(c in self._mro(message) for c in classes)
+                narrowed = self._narrowing(stmt.test, frame.payload)
+                if narrowed is not None:
+                    classes, negated = narrowed
+                    matches = any(c in self.mro for c in classes)
                     if not negated:
-                        if matches:
-                            self._walk_statements(
-                                stmt.body, summary, payload, message,
-                                depth, out, seen,
-                            )
-                        else:
-                            self._walk_statements(
-                                stmt.orelse, summary, payload, message,
-                                depth, out, seen,
-                            )
-                    else:
+                        arm = stmt.body if matches else stmt.orelse
+                        self.walk(arm, frame, guarded)
+                    elif not matches:
                         # ``if not isinstance(p, C): return`` — the guard
                         # protects the rest of this block.
-                        if matches:
-                            continue
-                        self._walk_statements(
-                            stmt.body, summary, payload, message,
-                            depth, out, seen,
-                        )
+                        self.walk(stmt.body, frame, guarded)
                         if _ends_flow(stmt.body):
                             return
                     continue
-                self._walk_expr_sends(
-                    stmt.test, summary, payload, message, depth, out, seen
-                )
-                self._walk_statements(
-                    stmt.body, summary, payload, message, depth, out, seen
-                )
-                self._walk_statements(
-                    stmt.orelse, summary, payload, message, depth, out, seen
-                )
+                inner = guarded or self.guards(stmt.test, frame)
+                self.scan(stmt.test, frame, guarded)
+                self.walk(stmt.body, frame, inner)
+                self.walk(stmt.orelse, frame, inner)
+                # ``if <guard>: return`` covers the rest of this block.
+                if inner and not stmt.orelse and _ends_flow(stmt.body):
+                    guarded = True
             elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._walk_expr_sends(
-                    stmt.iter, summary, payload, message, depth, out, seen
-                )
-                self._walk_statements(
-                    stmt.body, summary, payload, message, depth, out, seen
-                )
-                self._walk_statements(
-                    stmt.orelse, summary, payload, message, depth, out, seen
-                )
+                self.scan(stmt.iter, frame, guarded)
+                if self.derives(stmt.iter, frame):
+                    frame.derived.update(_target_names(stmt.target))
+                self.walk(stmt.body, frame, guarded)
+                self.walk(stmt.orelse, frame, guarded)
             elif isinstance(stmt, ast.While):
-                self._walk_expr_sends(
-                    stmt.test, summary, payload, message, depth, out, seen
-                )
-                self._walk_statements(
-                    stmt.body, summary, payload, message, depth, out, seen
-                )
+                self.scan(stmt.test, frame, guarded)
+                self.walk(stmt.body, frame, guarded)
             elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                self._walk_statements(
-                    stmt.body, summary, payload, message, depth, out, seen
-                )
+                self.walk(stmt.body, frame, guarded)
             elif isinstance(stmt, ast.Try):
-                self._walk_statements(
-                    stmt.body, summary, payload, message, depth, out, seen
-                )
+                self.walk(stmt.body, frame, guarded)
                 for handler in stmt.handlers:
-                    self._walk_statements(
-                        handler.body, summary, payload, message, depth, out, seen
-                    )
-                self._walk_statements(
-                    stmt.finalbody, summary, payload, message, depth, out, seen
-                )
-            elif isinstance(
+                    self.walk(handler.body, frame, guarded)
+                self.walk(stmt.finalbody, frame, guarded)
+            elif not isinstance(
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
-                continue
-            else:
-                self._walk_expr_sends(
-                    stmt, summary, payload, message, depth, out, seen
-                )
+                self.statement(stmt, frame, guarded)
 
-    def _isinstance_guard(
+    def _narrowing(
         self, test: ast.AST, payload: Optional[str]
     ) -> Optional[Tuple[List[str], bool]]:
         """Recognise ``isinstance(payload, C)`` / ``not isinstance(...)``
-        tests on the threaded payload variable."""
+        tests on the threaded payload variable; guards on non-message
+        classes (dict, tuple) do not narrow."""
         if payload is None:
             return None
         negated = False
@@ -992,125 +957,132 @@ class FlowGraph:
             and isinstance(test.args[0], ast.Name)
             and test.args[0].id == payload
         ):
-            classes = self._isinstance_classes(test.args[1])
-            # Guards on non-message classes (dict, tuple) do not narrow.
-            message_like = [c for c in classes if c in self.messages]
-            if message_like or (classes and not message_like):
-                if not message_like:
-                    return None
+            classes = _isinstance_classes(test.args[1])
+            message_like = [c for c in classes if c in self.flow.messages]
+            if message_like:
                 return message_like, negated
         return None
 
-    def _walk_expr_sends(
+    def derives(self, node: Optional[ast.AST], frame: Frame) -> bool:
+        """Does ``node`` mention the payload or a local derived from it?"""
+        if node is None:
+            return False
+        names = set(frame.derived)
+        if frame.payload is not None:
+            names.add(frame.payload)
+        return bool(names) and any(
+            isinstance(child, ast.Name) and child.id in names
+            for child in ast.walk(node)
+        )
+
+    def call(self, call: ast.Call, frame: Frame, guarded: bool) -> None:
+        """Hand a send (direct or behind a timer) to :meth:`send`; follow
+        any other call the collector :meth:`follows`."""
+        name = called_name(call)
+        delayed = frame.delayed
+        if name in TIMER_FUNCS:
+            unwrapped = unwrap_timer(call)
+            if unwrapped is None:
+                return
+            call, timer_delayed, name = unwrapped
+            delayed = delayed or timer_delayed
+        if name in SEND_ARG:
+            expr = self.flow.payload_expr(call, name)
+            if expr is not None:
+                resolved = self.flow.resolve_payload(expr, frame.summary)
+                constructed = resolved is not None and resolved[0] == "class"
+                message = resolved[1] if constructed else None
+                self.send(message, name, call, frame, delayed)
+            return
+        if not self.follows(call, delayed):
+            return
+        for callee in self.flow.callee_candidates(call, frame.summary):
+            payload = None
+            if frame.payload is not None:
+                payload = passed_param(call, callee, frame.payload)
+            if callee.name in DISPATCH_ENTRYPOINTS and payload is None:
+                continue
+            self.visit(callee, payload, frame.depth + 1, delayed, guarded)
+
+    # -- collector hooks --------------------------------------------------------
+
+    def guards(self, test: ast.expr, frame: Frame) -> bool:
+        """Does this ``if`` test guard what runs below it?"""
+        return False
+
+    def statement(self, stmt: ast.stmt, frame: Frame, guarded: bool) -> None:
+        """A simple (non-compound) statement."""
+        self.scan(stmt, frame, guarded)
+
+    def scan(self, node: ast.AST, frame: Frame, guarded: bool) -> None:
+        """An expression, or a simple statement: every call in it."""
+        for child in ast.walk(node):
+            if isinstance(child, ast.Call):
+                self.call(child, frame, guarded)
+
+    def follows(self, call: ast.Call, delayed: bool) -> bool:
+        return True
+
+    def send(
         self,
-        stmt: ast.AST,
-        summary: _Summary,
-        payload: Optional[str],
-        message: str,
-        depth: int,
-        out: Set[Tuple[str, str, int]],
-        seen: Set[Tuple[str, Optional[str], str]],
+        message: Optional[str],
+        via: str,
+        call: ast.Call,
+        frame: Frame,
+        delayed: bool,
     ) -> None:
-        for node in ast.walk(stmt):
-            if not isinstance(node, ast.Call):
-                continue
-            name = self._call_method_name(node)
-            if name in SEND_ARG:
-                expr = self._payload_expr(node, name)
-                if expr is None:
-                    continue
-                resolved = self._resolve_payload(expr, summary)
-                if resolved is None:
-                    continue
-                kind, value = resolved
-                if kind == "class":
-                    out.add((value, summary.func.relpath, node.lineno))
-                # kind == "param": forwarding the handled object itself —
-                # a forward re-routes existing work, it does not mint new
-                # messages, so it is not a same-tick edge.
-                continue
-            if name in TIMER_FUNCS:
-                unwrapped = self._unwrap_timer(node)
-                if unwrapped is None:
-                    continue
-                inner, delayed, inner_name = unwrapped
-                if delayed:
-                    continue  # next tick breaks any livelock
-                if inner_name in SEND_ARG:
-                    expr = self._payload_expr(inner, inner_name)
-                    if expr is not None:
-                        resolved = self._resolve_payload(expr, summary)
-                        if resolved is not None and resolved[0] == "class":
-                            out.add(
-                                (resolved[1], summary.func.relpath, inner.lineno)
-                            )
-                    continue
-                node = inner
-                name = inner_name
-            for callee in self._callee_candidates(node, summary):
-                new_payload = None
-                if payload is not None:
-                    new_payload = self._passed_param(node, callee, payload)
-                if callee.name in DISPATCH_ENTRYPOINTS and new_payload is None:
-                    continue
-                self._closure(callee, new_payload, message, depth + 1, out, seen)
-
-    def _passed_param(
-        self, call: ast.Call, callee: FunctionInfo, payload: str
-    ) -> Optional[str]:
-        """If the payload variable is passed to the callee, which callee
-        parameter receives it?"""
-        for keyword in call.keywords:
-            if isinstance(keyword.value, ast.Name) and keyword.value.id == payload:
-                return keyword.arg
-        for position, arg in enumerate(call.args):
-            if isinstance(arg, ast.Name) and arg.id == payload:
-                shifted = position
-                if callee.owner is not None and callee.params[:1] == ["self"]:
-                    shifted += 1
-                if shifted < len(callee.params):
-                    return callee.params[shifted]
-        return None
+        """A send of ``message`` (None unless it is a constructed class)."""
+        raise NotImplementedError
 
 
-def _ends_flow(stmts: List[ast.stmt]) -> bool:
-    return bool(stmts) and isinstance(
-        stmts[-1], (ast.Return, ast.Raise, ast.Continue, ast.Break)
-    )
+class EdgeWalk(HandlerWalk):
+    """Same-tick sends of constructed messages: the graph's edges."""
+
+    def __init__(self, flow: FlowGraph, message: str) -> None:
+        super().__init__(flow, message)
+        self.found: Set[Tuple[str, str, int]] = set()
+
+    def follows(self, call: ast.Call, delayed: bool) -> bool:
+        return not delayed  # next tick breaks any livelock
+
+    def send(
+        self,
+        message: Optional[str],
+        via: str,
+        call: ast.Call,
+        frame: Frame,
+        delayed: bool,
+    ) -> None:
+        # Forwarding the handled object itself (``message`` None) re-routes
+        # existing work, it does not mint new messages: not an edge.
+        if message is not None and not delayed:
+            self.found.add((message, frame.summary.func.relpath, call.lineno))
 
 
 def flow_graph_for(project) -> FlowGraph:  # type: ignore[no-untyped-def]
     """Build (or reuse) the flow graph for a Project.
 
-    Cached on the project object so the four FLOW rules and the ``graph``
-    CLI subcommand share one construction.
+    Cached on the project object so the FLOW rules, the effect table and
+    the ``graph`` CLI subcommand share one construction.
     """
     cached = getattr(project, "_flow_graph", None)
     if cached is not None:
         return cached
-    graph = code_graph_for(project)
-    flow = FlowGraph(project.src_modules, graph)
+    flow = FlowGraph(project.src_modules, code_graph_for(project))
     project._flow_graph = flow
     return flow
 
 
-def code_graph_for(project) -> CodeGraph:  # type: ignore[no-untyped-def]
-    cached = getattr(project, "_code_graph", None)
-    if cached is not None:
-        return cached
-    from repro.analysis.callgraph import build_code_graph
-
-    graph = build_code_graph(project.src_modules)
-    project._code_graph = graph
-    return graph
-
-
 __all__ = [
+    "EdgeWalk",
     "FlowGraph",
     "FlowEdge",
+    "Frame",
+    "HandlerWalk",
     "SendSite",
     "HandlerSite",
     "MessageNode",
+    "Summary",
     "flow_graph_for",
     "code_graph_for",
     "LAYER_ROOT",

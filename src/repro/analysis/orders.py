@@ -33,7 +33,7 @@ import ast
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.callgraph import ClassInfo, CodeGraph
+from repro.analysis.callgraph import ClassInfo, CodeGraph, code_graph_for
 from repro.analysis.source import SourceModule
 
 #: The order lattice, bottom to top.
@@ -296,8 +296,6 @@ def guarantee_env_for(project) -> GuaranteeEnv:  # type: ignore[no-untyped-def]
     cached = getattr(project, "_guarantee_env", None)
     if cached is not None:
         return cached
-    from repro.analysis.flowgraph import code_graph_for
-
     env = GuaranteeEnv(code_graph_for(project), project.src_modules)
     project._guarantee_env = env
     return env

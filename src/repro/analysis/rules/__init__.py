@@ -65,6 +65,23 @@ class Rule:
             source_line=mod.source_line(line),
         )
 
+    def finding_at(
+        self,
+        by_relpath: Dict[str, SourceModule],
+        relpath: str,
+        line: int,
+        message: str,
+        hint: str = "",
+    ) -> Finding:
+        """:meth:`finding` for a path that need not be a scanned module
+        (a site the graph resolved outside the scan carries no source line)."""
+        mod = by_relpath.get(relpath)
+        if mod is not None:
+            return self.finding(mod, line, message, hint=hint)
+        return make_finding(
+            self.rule_id, self.severity, relpath, line, message, hint=hint
+        )
+
 
 def rule_catalogue() -> Dict[str, Rule]:
     """rule id -> rule instance, for ``--list-rules`` and the docs test."""

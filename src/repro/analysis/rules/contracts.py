@@ -459,10 +459,10 @@ class CodecCoverageRule(Rule):
         self._codec_names = codec_names or _real_codec_names
 
     def check_project(self, project: Any) -> Iterable[Finding]:
-        from repro.analysis.flowgraph import code_graph_for, flow_graph_for
+        from repro.analysis.flowgraph import flow_graph_for
 
         flow = flow_graph_for(project)
-        graph = code_graph_for(project)
+        graph = flow.code
         registered = self._codec_names()
         layer_classes = flow.registered_layers
         by_relpath = {m.relpath: m for m in project.src_modules}
@@ -496,11 +496,4 @@ class CodecCoverageRule(Rule):
                 "dataclass in repro.catocs.messages is picked up by "
                 "wire_classes() automatically)"
             )
-            mod = by_relpath.get(site.relpath)
-            if mod is not None:
-                yield self.finding(mod, site.lineno, message, hint=hint)
-            else:
-                yield make_finding(
-                    self.rule_id, self.severity, site.relpath, site.lineno,
-                    message, hint=hint,
-                )
+            yield self.finding_at(by_relpath, site.relpath, site.lineno, message, hint)

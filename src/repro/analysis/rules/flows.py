@@ -26,7 +26,7 @@ from typing import Dict, Iterable
 
 from repro.analysis.callgraph import LAYER_ROOT
 from repro.analysis.finding import Finding, Severity
-from repro.analysis.flowgraph import FlowGraph, code_graph_for, flow_graph_for
+from repro.analysis.flowgraph import FlowGraph, flow_graph_for
 from repro.analysis.rules import Rule
 from repro.analysis.source import SourceModule
 
@@ -49,23 +49,6 @@ class _FlowRule(Rule):
     ) -> Iterable[Finding]:
         raise NotImplementedError
 
-    def _finding_at(
-        self,
-        by_relpath: Dict[str, SourceModule],
-        relpath: str,
-        line: int,
-        message: str,
-        hint: str,
-    ) -> Finding:
-        mod = by_relpath.get(relpath)
-        if mod is not None:
-            return self.finding(mod, line, message, hint=hint)
-        from repro.analysis.finding import make_finding
-
-        return make_finding(
-            self.rule_id, self.severity, relpath, line, message, hint=hint
-        )
-
 
 class DeadMessageRule(_FlowRule):
     """FLOW001: sent but unhandled."""
@@ -82,7 +65,7 @@ class DeadMessageRule(_FlowRule):
                 key=lambda s: (s.relpath, s.lineno),
             )
             site = sites[0]
-            yield self._finding_at(
+            yield self.finding_at(
                 by_relpath,
                 site.relpath,
                 site.lineno,
@@ -114,7 +97,7 @@ class OrphanHandlerRule(_FlowRule):
                 key=lambda h: (h.relpath, h.lineno),
             )
             site = sites[0]
-            yield self._finding_at(
+            yield self.finding_at(
                 by_relpath,
                 site.relpath,
                 site.lineno,
@@ -143,7 +126,7 @@ class SendCycleRule(_FlowRule):
             )
             anchor = edges[0]
             chain = " -> ".join(component + [component[0]])
-            yield self._finding_at(
+            yield self.finding_at(
                 by_relpath,
                 anchor.relpath,
                 anchor.lineno,
@@ -164,11 +147,11 @@ class LayerBypassRule(_FlowRule):
     title = "data message sent outside the declared protocol layers"
 
     def check_flow(self, project, flow, by_relpath):  # type: ignore[no-untyped-def]
-        graph = code_graph_for(project)
+        graph = flow.code
         for site in sorted(
             flow.sends, key=lambda s: (s.relpath, s.lineno, s.message)
         ):
-            mro = flow._mro(site.message)
+            mro = graph.mro_names(site.message)
             if "DataMessage" not in mro and "BatchEnvelope" not in mro:
                 continue
             func = graph.functions.get(site.context)
@@ -181,7 +164,7 @@ class LayerBypassRule(_FlowRule):
                 continue
             if owner_name in flow.registered_layers:
                 continue
-            yield self._finding_at(
+            yield self.finding_at(
                 by_relpath,
                 site.relpath,
                 site.lineno,

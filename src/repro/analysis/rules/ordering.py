@@ -36,12 +36,19 @@ says the semantics live.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
-from repro.analysis.callgraph import ClassInfo, CodeGraph, FunctionInfo, PROCESS_ROOT
+from repro.analysis.astutil import called_name, is_process_lookup
+from repro.analysis.callgraph import (
+    ClassInfo,
+    CodeGraph,
+    FunctionInfo,
+    PROCESS_ROOT,
+    code_graph_for,
+)
 from repro.analysis.effects import EffectTable, effect_table_for
 from repro.analysis.finding import Finding, Severity
-from repro.analysis.flowgraph import SEND_ARG, TIMER_FUNCS, code_graph_for
+from repro.analysis.flowgraph import SEND_ARG, TIMER_FUNCS
 from repro.analysis.orders import (
     GuaranteeEnv,
     MEMBER_ROOT,
@@ -51,7 +58,6 @@ from repro.analysis.orders import (
     guarantee_env_for,
 )
 from repro.analysis.rules import Rule
-from repro.analysis.rules.races import _BENIGN_PROCESS_ATTRS
 from repro.analysis.source import SourceModule
 
 #: modules that implement ordering rather than consume it.
@@ -241,7 +247,7 @@ class ExternalGateRule(_OrdRule):
                 and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
             ):
-                if _is_process_lookup(node.value):
+                if is_process_lookup(node.value):
                     process_vars.add(node.targets[0].id)
                 elif self._has_external_read(
                     graph, info, node.value, process_vars
@@ -271,7 +277,7 @@ class ExternalGateRule(_OrdRule):
                     "deliberate oracle with `# repro: ignore[ORD003]`",
                 )
             elif isinstance(node, ast.Call):
-                name = _call_name(node)
+                name = called_name(node)
                 if name not in SEND_ARG or node.lineno in reported:
                     continue
                 if any(
@@ -318,34 +324,18 @@ class ExternalGateRule(_OrdRule):
     ) -> bool:
         """Does ``expr`` contain ``<other process>.attr`` (RACE001's
         hidden-channel shape)?"""
-        for node in ast.walk(expr):
-            if not isinstance(node, ast.Attribute):
-                continue
-            if node.attr in _BENIGN_PROCESS_ATTRS:
-                continue
-            base = node.value
-            if _is_process_lookup(base):
-                return True
-            if isinstance(base, ast.Name) and base.id in process_vars:
-                return True
-            if (
-                isinstance(base, ast.Attribute)
-                and isinstance(base.value, ast.Name)
-                and base.value.id == "self"
-            ):
-                for candidate in sorted(
-                    _own_attr_types(graph, info, base.attr)
-                ):
-                    if graph.is_subtype(candidate, PROCESS_ROOT):
-                        return True
-        return False
+        return any(
+            isinstance(node, ast.Attribute)
+            and graph.foreign_access(info, node, process_vars) is not None
+            for node in ast.walk(expr)
+        )
 
     def _first_send_line(self, stmts: List[ast.stmt]) -> Optional[int]:
         for stmt in stmts:
             for node in ast.walk(stmt):
                 if not isinstance(node, ast.Call):
                     continue
-                name = _call_name(node)
+                name = called_name(node)
                 if name in SEND_ARG:
                     return node.lineno
                 if name in TIMER_FUNCS and len(node.args) > 1:
@@ -399,39 +389,6 @@ class PreStabilityActionRule(_OrdRule):
                         "destructive step until an application-level "
                         "acknowledgement round",
                     )
-
-
-def _is_process_lookup(node: ast.AST) -> bool:
-    """``<anything>.process(...)`` — the Network/Sim registry lookup."""
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "process"
-    )
-
-
-def _call_name(call: ast.Call) -> Optional[str]:
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return None
-
-
-def _own_attr_types(
-    graph: CodeGraph, info: ClassInfo, attr: str
-) -> Set[str]:
-    found: Set[str] = set()
-    cursor: Optional[str] = info.qualname
-    hops = 0
-    while cursor is not None and hops < 10:
-        current = graph.class_for(cursor)
-        if current is None:
-            break
-        found |= current.attr_types.get(attr, set())
-        cursor = current.base_names[0] if current.base_names else None
-        hops += 1
-    return found
 
 
 __all__ = [

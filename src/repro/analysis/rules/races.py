@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.astutil import dotted_name
+from repro.analysis.astutil import dotted_name, is_process_lookup
 from repro.analysis.callgraph import (
     ClassInfo,
     CodeGraph,
@@ -32,15 +32,12 @@ from repro.analysis.callgraph import (
     LAYER_ROOT,
     PROCESS_ROOT,
     STACK_ROOT,
+    code_graph_for,
 )
 from repro.analysis.finding import Finding, Severity
-from repro.analysis.flowgraph import SEND_ARG, code_graph_for
+from repro.analysis.flowgraph import SEND_ARG
 from repro.analysis.rules import Rule
 from repro.analysis.source import SourceModule
-
-#: attributes on another process that are identity, not state — reading
-#: them cannot create a causal dependency the substrate misses.
-_BENIGN_PROCESS_ATTRS = {"pid"}
 
 #: constructor-ish calls that build an (empty) mutable container.
 _MUTABLE_FACTORIES = {"list", "dict", "set", "defaultdict", "deque", "Counter"}
@@ -123,16 +120,14 @@ class HiddenChannelRule(_GraphRule):
                 isinstance(node, ast.Assign)
                 and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
-                and self._is_process_lookup(node.value)
+                and is_process_lookup(node.value)
             ):
                 process_vars.add(node.targets[0].id)
         reported: Set[int] = set()
         for node in ast.walk(method.node):
             if not isinstance(node, ast.Attribute):
                 continue
-            if node.attr in _BENIGN_PROCESS_ATTRS:
-                continue
-            other = self._other_process(graph, info, node.value, process_vars)
+            other = graph.foreign_access(info, node, process_vars)
             if other is None or node.lineno in reported:
                 continue
             reported.add(node.lineno)
@@ -147,56 +142,6 @@ class HiddenChannelRule(_GraphRule):
                 "(member.send / network) or annotate a deliberate oracle "
                 "with `# repro: ignore[RACE001]` and a justification",
             )
-
-    def _is_process_lookup(self, node: ast.AST) -> bool:
-        """``<anything>.process(...)`` — the Network/Sim registry lookup."""
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "process"
-        )
-
-    def _other_process(
-        self,
-        graph: CodeGraph,
-        info: ClassInfo,
-        base: ast.AST,
-        process_vars: Set[str],
-    ) -> Optional[str]:
-        """Human-readable description of the other process, or None."""
-        if self._is_process_lookup(base):
-            return "a process-registry lookup"
-        if isinstance(base, ast.Name) and base.id in process_vars:
-            return f"`{base.id}` (bound to a process-registry lookup)"
-        # ``self.<a>.<attr>`` where the class knows ``a`` holds a Process.
-        if (
-            isinstance(base, ast.Attribute)
-            and isinstance(base.value, ast.Name)
-            and base.value.id == "self"
-        ):
-            # Only the class's own inference — not the reverse-attach
-            # fallback, which is too speculative for an error-level rule.
-            for candidate in sorted(
-                self._own_attr_types(graph, info, base.attr)
-            ):
-                if graph.is_subtype(candidate, PROCESS_ROOT):
-                    return f"`self.{base.attr}` (a {candidate.rsplit('.', 1)[-1]})"
-        return None
-
-    def _own_attr_types(
-        self, graph: CodeGraph, info: ClassInfo, attr: str
-    ) -> Set[str]:
-        found: Set[str] = set()
-        cursor: Optional[str] = info.qualname
-        hops = 0
-        while cursor is not None and hops < 10:
-            current = graph.class_for(cursor)
-            if current is None:
-                break
-            found |= current.attr_types.get(attr, set())
-            cursor = current.base_names[0] if current.base_names else None
-            hops += 1
-        return found
 
 
 class SharedModuleStateRule(_GraphRule):

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.effects import effect_table_for
+from repro.analysis.effects import SendEffect, effect_table_for
 from repro.analysis.engine import load_project
+from repro.analysis.flowgraph import flow_graph_for
 from repro.analysis.orders import (
-    GuaranteeEnv,
     GuaranteeModel,
     ORDER_CAUSAL,
     ORDER_FIFO,
@@ -195,3 +195,63 @@ def test_payload_derived_flag(assume_table):
     (effect,) = rows["SlotUpdate"].write_effects("slot")
     assert effect.payload_derived
     assert effect.kind == "assign"
+
+
+# -- effect rows against the flow graph ----------------------------------------------
+
+
+def test_effect_sends_agree_with_flow_edges(repo_result):
+    """Both views walk a handler with one walker, so every same-tick send
+    of a constructed class in an effect row is a flow edge out of the
+    row's message."""
+    missing = []
+    for project in (repo_result.project, load_project(paths=[FIXTURES])):
+        flow = flow_graph_for(project)
+        for row in effect_table_for(project).rows:
+            for send in row.sends:
+                if send.delayed or send.message == "<payload>":
+                    continue
+                if flow.edge_for(row.message, send.message) is None:
+                    missing.append(
+                        (row.context, row.message, send.message, send.lineno)
+                    )
+    assert missing == []
+
+
+TIMER_MODULE = """\
+from repro.sim.process import Process
+
+
+class Tick:
+    pass
+
+
+class Tock:
+    pass
+
+
+class Clock(Process):
+    def on_message(self, src, payload):
+        if isinstance(payload, Tick):
+            self.set_timer(5, self._later, src)
+        if isinstance(payload, Tock):
+            self.seen = payload
+
+    def _later(self, src):
+        self.send(src, Tock())
+
+    def kick(self, dst):
+        self.send(dst, Tick())
+"""
+
+
+def test_sends_behind_a_timer_callback_are_delayed(tmp_path):
+    path = tmp_path / "clock.py"
+    path.write_text(TIMER_MODULE, encoding="utf-8")
+    project = load_project(paths=[path])
+    (row,) = [r for r in effect_table_for(project).rows if r.message == "Tick"]
+    line = TIMER_MODULE.splitlines().index("        self.send(src, Tock())") + 1
+    assert row.sends == [
+        SendEffect(message="Tock", via="send", lineno=line, delayed=True)
+    ]
+    assert flow_graph_for(project).edge_for("Tick", "Tock") is None

@@ -9,6 +9,8 @@ within a tick for every registered discipline.
 """
 
 import ast
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from repro.analysis.callgraph import (
     PROCESS_ROOT,
     build_code_graph,
 )
+from repro.analysis.effects import effects_export
 from repro.analysis.engine import load_project
 from repro.analysis.flowgraph import FlowGraph, flow_graph_for
 
@@ -93,6 +96,32 @@ def test_to_json_and_dot_are_deterministic_and_complete():
     assert '"Telemetry"' in dot and "dead" in dot and "orphan" in dot
 
 
+def fixture_output_digests():
+    """sha256 of the fixture directory's graph JSON, graph DOT and effects
+    JSON, as ``graph``/``effects`` would print them."""
+    project = load_project(paths=[FIXTURES])
+    flow = flow_graph_for(project)
+    outputs = {
+        "graph.json": json.dumps(flow.to_json(), indent=2, sort_keys=True) + "\n",
+        "graph.dot": flow.to_dot(),
+        "effects.json": json.dumps(
+            effects_export(project), indent=2, sort_keys=True
+        ) + "\n",
+    }
+    return {
+        name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for name, text in outputs.items()
+    }
+
+
+def test_fixture_graph_and_effects_match_the_pinned_digest():
+    """A refactor of the flow graph or the effect table must not move a
+    byte of what they say about the fixtures."""
+    pins = (FIXTURES.parent / "fixture_outputs.sha256").read_text()
+    pinned = dict(reversed(line.split()) for line in pins.splitlines())
+    assert fixture_output_digests() == pinned
+
+
 # -- repo-wide wiring gate ------------------------------------------------------
 
 
@@ -148,10 +177,10 @@ def test_catocs_subgraph_is_acyclic_per_tick(repo_flow):
 def test_packet_delivery_is_a_delayed_edge_out_of_network_send(repo_flow):
     # The network hands ``_deliver`` to the kernel's handle-free ``post_at``;
     # the graph must read that as it read ``call_at``: a call, next tick.
-    send = repo_flow.code.functions["repro.sim.network.Network.send"]
+    summary = repo_flow.summaries["repro.sim.network.Network.send"]
     scheduled = {
         ast.unparse(call.func)
-        for call, delayed in repo_flow._iter_plain_calls(send) if delayed
+        for call, delayed in summary.plain_calls if delayed
     }
     assert scheduled == {"self._deliver"}
 
