@@ -156,7 +156,7 @@ class FlowGraph:
         self.sends: List[SendSite] = []
         self.handlers: List[HandlerSite] = []
         self.edges: List[FlowEdge] = []
-        #: layer-class simple names registered via ``register_layer(...)``.
+        #: layer-class simple names registered via ``register_layer(cls)``.
         self.registered_layers: Set[str] = set()
         self.summaries: Dict[str, Summary] = {}
         self._build()
@@ -664,13 +664,13 @@ class FlowGraph:
             for node in ast.walk(mod.tree):
                 if not isinstance(node, ast.Call):
                     continue
-                if called_name(node) != "register_layer" or len(node.args) < 2:
+                if called_name(node) != "register_layer" or not node.args:
                     continue
-                cls = dotted_name(node.args[1])
+                cls = dotted_name(node.args[0])
                 if cls:
                     tail = cls.rsplit(".", 1)[-1]
-                    # Decorator helpers pass a lowercase local (``_cls``);
-                    # only literal class references name the layer.
+                    # A loop passes a lowercase local (``_cls``); only
+                    # literal class references name the layer.
                     if tail[:1].isupper():
                         self.registered_layers.add(tail)
 

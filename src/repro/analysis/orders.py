@@ -68,7 +68,7 @@ STABLE_LAYERS = {"stability", "hybrid-causal"}
 ATOMIC_LAYERS = {"total-agreed"}
 
 #: keyword arguments whose string value names a discipline or spec (the
-#: PROTO002 set plus ``stack``, the ``build_group`` override).
+#: PROTO002 set plus ``stack``, the socket host's name for ``ordering``).
 SPEC_KEYWORDS = ("discipline", "spec", "ordering", "stack", "stack_spec")
 
 #: qualified roots the guarantee environment distinguishes.

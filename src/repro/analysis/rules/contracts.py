@@ -111,11 +111,11 @@ def _class_location(cls: type, root: Path) -> Tuple[str, int]:
     return (rel, lineno)
 
 
-def _real_registry() -> Tuple[Dict[str, Any], Dict[str, str], type]:
+def _real_registry() -> Tuple[Dict[str, type], type]:
     from repro.catocs import stack
 
     stack._ensure_layers_imported()
-    return stack.LAYER_REGISTRY, stack.LAYER_KINDS, stack.ProtocolLayer
+    return stack.LAYER_REGISTRY, stack.ProtocolLayer
 
 
 class LayerSurfaceRule(Rule):
@@ -128,42 +128,23 @@ class LayerSurfaceRule(Rule):
 
     def __init__(
         self,
-        registry: Optional[Dict[str, Any]] = None,
-        kinds: Optional[Dict[str, str]] = None,
+        registry: Optional[Dict[str, type]] = None,
         base: Optional[type] = None,
     ) -> None:
         self._registry = registry
-        self._kinds = kinds
         self._base = base
 
     def check_project(self, project: Any) -> Iterable[Finding]:
         if self._registry is not None:
-            registry, kinds, base = self._registry, self._kinds or {}, self._base
+            registry, base = self._registry, self._base
         else:
-            registry, kinds, base = _real_registry()
+            registry, base = _real_registry()
         for name in sorted(registry):
-            yield from self._check_layer(
-                project.root, name, registry[name], kinds.get(name), base
-            )
+            yield from self._check_layer(project.root, name, registry[name], base)
 
     def _check_layer(
-        self,
-        root: Path,
-        name: str,
-        factory: Any,
-        kind: Optional[str],
-        base: Optional[type],
+        self, root: Path, name: str, cls: type, base: Optional[type]
     ) -> Iterable[Finding]:
-        cls = factory if isinstance(factory, type) else None
-        if cls is None:
-            # A non-class factory hides the layer type from inspection;
-            # the registry contract is "register the class itself".
-            yield self._registry_finding(
-                root, None, name,
-                f"layer {name!r} is registered with a non-class factory "
-                f"({factory!r}); register the layer class itself",
-            )
-            return
         if base is not None and not issubclass(cls, base):
             yield self._registry_finding(
                 root, cls, name,
@@ -171,22 +152,8 @@ class LayerSurfaceRule(Rule):
                 f"{base.__name__} subclass",
             )
             return
-        declared = getattr(cls, "name", None)
-        if declared != name:
-            yield self._registry_finding(
-                root, cls, name,
-                f"layer {name!r} ({cls.__name__}) declares name="
-                f"{declared!r}; registry key and class name must agree",
-            )
-        declared_kind = getattr(cls, "kind", None)
-        if kind is not None and declared_kind != kind:
-            yield self._registry_finding(
-                root, cls, name,
-                f"layer {name!r} ({cls.__name__}) declares kind="
-                f"{declared_kind!r} but is registered as {kind!r}",
-            )
         surface = list(LAYER_SURFACE)
-        if (kind or declared_kind) == "ordering":
+        if getattr(cls, "kind", None) == "ordering":
             surface += list(ORDERING_SURFACE)
         for method, arity in surface:
             impl = getattr(cls, method, None)
@@ -204,11 +171,9 @@ class LayerSurfaceRule(Rule):
                 )
 
     def _registry_finding(
-        self, root: Path, cls: Optional[type], name: str, message: str
+        self, root: Path, cls: type, name: str, message: str
     ) -> Finding:
-        relpath, lineno = ("", 0)
-        if cls is not None:
-            relpath, lineno = _class_location(cls, root)
+        relpath, lineno = _class_location(cls, root)
         if not relpath:
             relpath = "src/repro/catocs/stack.py"
         return make_finding(

@@ -38,27 +38,24 @@ from repro.catocs.member import (
 from repro.catocs.membership import ViewChangeRecord, ViewManager
 from repro.catocs.messages import DataMessage, MsgId
 from repro.catocs.ordering_layers import (
-    ORDERINGS,
     CausalOrdering,
     FifoOrdering,
     OrderingLayer,
     RawOrdering,
     TotalAgreedOrdering,
     TotalSequencerOrdering,
-    make_ordering,
 )
 from repro.catocs.stack import (
     DISCIPLINES,
     BatchLayer,
     ProtocolLayer,
     ProtocolStack,
-    build_stack,
     discipline_override,
     register_layer,
     resolve_spec,
     set_discipline_override,
 )
-from repro.catocs.transport import DedupRepairLayer, GroupTransport, StabilityLayer
+from repro.catocs.transport import DedupRepairLayer, StabilityLayer
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.trace import EventTrace
@@ -69,7 +66,6 @@ __all__ = [
     "DeliveryRecord",
     "GroupInstrumentation",
     "GroupMember",
-    "GroupTransport",
     "HeartbeatDetector",
     "ViewManager",
     "ViewChangeRecord",
@@ -80,8 +76,6 @@ __all__ = [
     "HybridCausalOrdering",
     "TotalSequencerOrdering",
     "TotalAgreedOrdering",
-    "ORDERINGS",
-    "make_ordering",
     "ProtocolLayer",
     "ProtocolStack",
     "BatchLayer",
@@ -90,7 +84,6 @@ __all__ = [
     "DISCIPLINES",
     "register_layer",
     "resolve_spec",
-    "build_stack",
     "set_discipline_override",
     "discipline_override",
     "build_group",
@@ -114,7 +107,6 @@ def build_member(
     heartbeat_period: float = 10.0,
     heartbeat_timeout: float = 35.0,
     piggyback_causal: bool = False,
-    stack: Optional[str] = None,
 ) -> GroupMember:
     """Construct one group member through the shared stack factory.
 
@@ -136,7 +128,6 @@ def build_member(
         instrumentation=instrumentation,
         trace=trace,
         piggyback_causal=piggyback_causal,
-        stack=stack,
     )
     if with_membership:
         detector = HeartbeatDetector(
@@ -161,7 +152,6 @@ def build_group(
     heartbeat_period: float = 10.0,
     heartbeat_timeout: float = 35.0,
     piggyback_causal: bool = False,
-    stack: Optional[str] = None,
 ) -> Dict[str, GroupMember]:
     """Construct every member of one process group.
 
@@ -189,6 +179,5 @@ def build_group(
             heartbeat_period=heartbeat_period,
             heartbeat_timeout=heartbeat_timeout,
             piggyback_causal=piggyback_causal,
-            stack=stack,
         )
     return members

@@ -285,4 +285,4 @@ class HybridCausalOrdering(CausalOrdering):
         return data
 
 
-register_layer("hybrid-causal", HybridCausalOrdering, kind="ordering")
+register_layer(HybridCausalOrdering)

@@ -10,10 +10,10 @@ advertises::
     member.multicast({"kind": "update", ...})
 
 ``ordering`` accepts a discipline alias (``"causal"``, ``"total-seq"``, ...)
-or a full stack spec such as ``"dedup|batch|stability|causal"``; the
-``stack`` keyword spells the same thing explicitly.  Inbound traffic is
-routed through the multiplexed :meth:`~repro.sim.process.Process.dispatch`
-hook: one handler per wire-message family (data, transport control, ordering
+or a full stack spec such as ``"dedup|batch|stability|causal"``.  The member
+talks to its layers through ``self.stack``.  Inbound traffic is routed
+through the multiplexed :meth:`~repro.sim.process.Process.dispatch` hook:
+one handler per wire-message family (data, transport control, ordering
 control, membership) instead of an isinstance chain.
 
 Delivery callbacks fire in the discipline's order.  Every member records
@@ -28,23 +28,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.catocs.messages import (
     BatchEnvelope,
-    CommitRequest,
     DataMessage,
-    FlushAck,
-    FlushRequest,
     Heartbeat,
-    JoinRequest,
-    LeaveAnnounce,
     MembershipControl,
     MsgId,
-    OrderToken,
-    OrderTokenRequest,
     OrderingControl,
-    PriorityCommit,
-    PriorityProposal,
-    ProposalRequest,
     TransportControl,
-    ViewInstall,
 )
 from repro.catocs.stack import ProtocolStack, discipline_override, resolve_spec
 from repro.catocs.transport import GroupTransport
@@ -55,25 +44,6 @@ from repro.sim.process import Process
 from repro.sim.trace import EventTrace
 
 DeliverCallback = Callable[[str, Any, DataMessage], None]
-
-#: Legacy aliases for the control families, kept for external callers; the
-#: wire-message marker bases are what dispatch actually routes on.
-_ORDERING_CONTROL = (
-    OrderToken,
-    OrderTokenRequest,
-    PriorityProposal,
-    PriorityCommit,
-    CommitRequest,
-    ProposalRequest,
-)
-_MEMBERSHIP_CONTROL = (
-    Heartbeat,
-    JoinRequest,
-    LeaveAnnounce,
-    FlushRequest,
-    FlushAck,
-    ViewInstall,
-)
 
 
 class GroupInstrumentation:
@@ -140,7 +110,6 @@ class GroupMember(Process):
         instrumentation: Optional[GroupInstrumentation] = None,
         trace: Optional[EventTrace] = None,
         piggyback_causal: bool = False,
-        stack: Optional[str] = None,
     ) -> None:
         super().__init__(sim, network, pid)
         self.group = group
@@ -163,13 +132,14 @@ class GroupMember(Process):
         #: Set by an attached BatchLayer; intercepts ``send``.
         self._batcher = None
 
-        spec = discipline_override() or stack or ordering
-        self.stack = ProtocolStack(self, resolve_spec(spec))
+        self.stack = ProtocolStack(self, resolve_spec(discipline_override() or ordering))
         self.ordering = self.stack.ordering
         self.ordering_name = self.ordering.name
-        self.transport = GroupTransport(self, self.stack)
-        if instrumentation is not None:
-            self.transport.stable_hooks.append(instrumentation.on_stable)
+        #: the six counters perfbench reads; everything else uses the stack
+        self.transport = GroupTransport(self.stack)
+        stability = self.stack.layer("stability")
+        if instrumentation is not None and stability is not None:
+            stability.stable_hooks.append(instrumentation.on_stable)
 
         self._next_seq = 0
         self.delivered: List[DeliveryRecord] = []
@@ -227,9 +197,6 @@ class GroupMember(Process):
         """Payloads in delivery order (the observable the anomaly checks use)."""
         return [record.payload for record in self.delivered]
 
-    def delivery_latencies(self) -> List[float]:
-        return [record.latency for record in self.delivered]
-
     def sequencer_pid(self) -> str:
         """The fixed sequencer / view coordinator: lowest live-believed pid."""
         candidates = [p for p in self.view_members if p not in self._suspected]
@@ -285,7 +252,7 @@ class GroupMember(Process):
         if self.trace is not None:
             self.trace.record(self.sim.now, self.pid, "send", _label(payload), msg.msg_id)
         self.multicasts_sent += 1
-        self.transport.broadcast(msg)
+        self.stack.broadcast(msg)
         for ready in self.ordering.accept_local(msg):
             self._deliver(ready)
         self._pump()
@@ -308,7 +275,8 @@ class GroupMember(Process):
         attached when *it* was sent)."""
         assert msg.vc is not None
         copies: List[DataMessage] = []
-        for buffered in self.transport.buffer.values():
+        stability = self.stack.layer("stability")
+        for buffered in stability.buffer.values() if stability is not None else ():
             if buffered.msg_id == msg.msg_id:
                 continue
             if buffered.seq <= msg.vc[buffered.sender]:
@@ -356,7 +324,7 @@ class GroupMember(Process):
             self.membership.handle(self, src, payload)
 
     def _ingest_data(self, src: str, msg: DataMessage) -> None:
-        fresh = self.transport.on_data(src, msg)
+        fresh = self.stack.receive_data(src, msg)
         if fresh is None:
             return
         if self.trace is not None:
@@ -392,8 +360,8 @@ class GroupMember(Process):
     # -- membership hooks ------------------------------------------------------------------
 
     def on_view_installed(self, install: Any) -> None:
-        """Called after a new view is adopted; refresh transport membership."""
-        self.transport.update_membership(self.view_members)
+        """Called after a new view is adopted; refresh the stack's membership."""
+        self.stack.membership_changed(self.view_members)
 
     def poke_ordering(self) -> None:
         """Re-examine the ordering delay queue (after forgiveness etc.)."""
@@ -433,6 +401,8 @@ class GroupMember(Process):
     # -- metrics --------------------------------------------------------------------------
 
     def metrics(self) -> Dict[str, Any]:
+        """The member's own counters, then every transport layer's
+        ``layer_metrics()``, bottom to top."""
         data = {
             "pid": self.pid,
             "ordering": self.ordering_name,
@@ -444,7 +414,8 @@ class GroupMember(Process):
             "total_hold_time": self.ordering.total_hold_time(),
             "suppressed_time": self.total_suppressed_time,
         }
-        data.update(self.transport.metrics())
+        for layer in self.stack.layers[:-1]:
+            data.update(layer.layer_metrics())
         return data
 
 

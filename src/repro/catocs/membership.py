@@ -188,11 +188,12 @@ class ViewManager:
             return
         member.suppress_sends()
         departed = set(member.view_members) - set(request.proposed_members)
+        dedup = member.stack.layer("dedup")
         ack = FlushAck(
             group=member.group,
             sender=member.pid,
             new_view_id=request.new_view_id,
-            received_counts=dict(member.transport.contiguous),
+            received_counts=dict(dedup.contiguous) if dedup is not None else {},
             ordering_state=member.ordering.flush_state(departed),
         )
         if request.coordinator == member.pid:

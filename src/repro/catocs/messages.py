@@ -14,7 +14,6 @@ instead (a fixed header, not field names); count maps everywhere cost
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -22,13 +21,6 @@ from repro.ordering.dense import DenseVectorClock
 from repro.sim.network import counts_size, estimate_size
 
 MsgId = Tuple[str, int]  # (sender pid, per-sender sequence number)
-
-_unique = itertools.count()
-
-
-def fresh_tag() -> int:
-    """Globally unique small integer, for control-message identification."""
-    return next(_unique)
 
 
 class ControlMessage:

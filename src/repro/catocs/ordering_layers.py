@@ -664,7 +664,7 @@ class TotalAgreedOrdering(OrderingLayer):
 
     def _answer_proposal_request(self, src: str, request: ProposalRequest) -> List[DataMessage]:
         msg = request.msg
-        fresh = self.member.transport.on_data(src, msg)
+        fresh = self.stack.receive_data(src, msg)
         if fresh is not None:
             # We never saw the data; process it normally (which proposes).
             return self.insert(fresh)
@@ -880,21 +880,6 @@ class TotalAgreedOrdering(OrderingLayer):
         return data
 
 
-ORDERINGS = {
-    "raw": RawOrdering,
-    "fifo": FifoOrdering,
-    "causal": CausalOrdering,
-    "total-seq": TotalSequencerOrdering,
-    "total-agreed": TotalAgreedOrdering,
-}
-
-for _name, _cls in ORDERINGS.items():
-    register_layer(_name, _cls, kind="ordering")
-
-
-def make_ordering(name: str, member: "GroupMember") -> OrderingLayer:
-    """Instantiate an ordering layer by name."""
-    try:
-        return ORDERINGS[name](member)
-    except KeyError:
-        raise ValueError(f"unknown ordering {name!r}; options: {sorted(ORDERINGS)}")
+for _cls in (RawOrdering, FifoOrdering, CausalOrdering,
+             TotalSequencerOrdering, TotalAgreedOrdering):
+    register_layer(_cls)

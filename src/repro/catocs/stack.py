@@ -1,10 +1,13 @@
-"""Composable protocol stacks: the layer interface, registry, and factory.
+"""Composable protocol stacks: the layer interface and the layer registry.
 
 The paper's Section 5 argument is about how *stacked* protocol machinery —
 dedup, stability buffering, causal/total ordering — compounds its costs.
 This module makes that stack explicit: a :class:`ProtocolStack` is an
 ordered pipeline of :class:`ProtocolLayer` instances composed by name from a
 registry, selected with a spec string such as ``"dedup|stability|causal"``.
+A member builds its stack from its one ``ordering`` argument, and everything
+else reaches it as ``member.stack``, or one layer as
+``member.stack.layer(name)``.
 
 Spec strings read left to right as **bottom to top** (network side first,
 application side last); the top layer must be an ordering discipline.  The
@@ -33,23 +36,14 @@ the point of coupling:
   NAKs, ordering control, heartbeats) into one envelope per destination.
   This makes its position in the spec string irrelevant.
 
-Writing a new layer: subclass :class:`ProtocolLayer`, override the hooks you
-need, and call :func:`register_layer` at module import.  See
-``docs/ARCHITECTURE.md`` for a walkthrough.
+Writing a new layer: subclass :class:`ProtocolLayer`, set its ``name`` and
+``kind``, override the hooks you need, and call ``register_layer(cls)`` at
+module import.  See ``docs/ARCHITECTURE.md`` for a walkthrough.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.catocs.messages import BatchEnvelope, DataMessage, MsgId
 
@@ -320,23 +314,19 @@ class BatchLayer(ProtocolLayer):
         }
 
 
-# -- registry & factory ----------------------------------------------------------------
+# -- registry ----------------------------------------------------------------------------
 
-#: layer name -> factory(member) -> ProtocolLayer
-LAYER_REGISTRY: Dict[str, Callable[["GroupMember"], ProtocolLayer]] = {}
-#: layer name -> kind ("transport" | "ordering")
-LAYER_KINDS: Dict[str, str] = {}
+#: layer name (``cls.name``, the word used in spec strings) -> layer class
+LAYER_REGISTRY: Dict[str, Type[ProtocolLayer]] = {}
 
 
-def register_layer(name: str,
-                   factory: Callable[["GroupMember"], ProtocolLayer],
-                   kind: str = "transport") -> None:
-    """Add a layer to the registry under ``name`` (used in spec strings)."""
-    LAYER_REGISTRY[name] = factory
-    LAYER_KINDS[name] = kind
+def register_layer(cls: Type[ProtocolLayer]) -> None:
+    """Make ``cls`` addressable in spec strings under ``cls.name``; its
+    ``kind`` says whether it is a transport layer or an ordering discipline."""
+    LAYER_REGISTRY[cls.name] = cls
 
 
-register_layer("batch", BatchLayer, kind="transport")
+register_layer(BatchLayer)
 
 
 #: Friendly discipline names -> full stack specs (bottom|...|top).
@@ -383,18 +373,13 @@ def _validate(names: Sequence[str]) -> None:
         raise ValueError(
             f"unknown layers {unknown}; registered: {sorted(LAYER_REGISTRY)}"
         )
-    ordering = [n for n in names if LAYER_KINDS[n] == "ordering"]
-    if len(ordering) != 1 or LAYER_KINDS[names[-1]] != "ordering":
+    ordering = [n for n in names if LAYER_REGISTRY[n].kind == "ordering"]
+    if len(ordering) != 1 or ordering[0] != names[-1]:
         raise ValueError(
             f"a stack needs exactly one ordering layer, on top; got {list(names)}"
         )
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate layers in stack spec {list(names)}")
-
-
-def build_stack(member: "GroupMember", spec: str) -> ProtocolStack:
-    """Instantiate the stack ``spec`` (alias or explicit) for ``member``."""
-    return ProtocolStack(member, resolve_spec(spec))
 
 
 # -- experiment-wide discipline override -----------------------------------------------

@@ -47,10 +47,11 @@ points the old monolithic transport did.  A stack may omit the stability
 layer (the hybrid-buffering causal stack does); repair then falls back to
 whatever retention the remaining layers expose via ``repair_lookup``.
 
-:class:`GroupTransport` is the façade the rest of the codebase (membership,
-experiments, tests) talks to; it preserves the monolith's attribute surface
-(``contiguous``, ``matrix``, ``buffer``, counters, ``broadcast`` ...) while
-delegating to the stack's layers.
+The rest of the codebase reaches these layers through the member's stack:
+``member.stack`` for the data, control and membership paths, and
+``member.stack.layer("dedup")`` or ``member.stack.layer("stability")`` for
+one layer's state and counters.  :class:`GroupTransport` keeps only six
+read-only counters, for the benchmark's one remaining reader.
 
 Note what the transport does **not** give: durability.  A sender that
 crashes before its message reaches anyone loses the message even though it
@@ -542,111 +543,25 @@ class StabilityLayer(ProtocolLayer):
         }
 
 
-register_layer("dedup", DedupRepairLayer, kind="transport")
-register_layer("stability", StabilityLayer, kind="transport")
+register_layer(DedupRepairLayer)
+register_layer(StabilityLayer)
 
 
 class GroupTransport:
-    """Façade over the stack's transport layers.
+    """The six counters perfbench's ``stack_counts`` reads as
+    ``member.transport.<counter>``: each is its layer's counter, or 0 when
+    the stack has no such layer.  Nothing else reads them."""
 
-    Preserves the attribute surface of the pre-refactor monolithic
-    transport — membership, experiments, and tests read ``contiguous``,
-    ``matrix``, ``buffer`` and the counters, and monkeypatch ``broadcast``
-    — while the actual machinery lives in the registered layers.  Stacks
-    without a stability layer get inert defaults (empty buffer/matrix-less
-    metrics) so the surface stays total.
-    """
+    __slots__ = ("_dedup", "_stability")
 
-    def __init__(self, member: "GroupMember", stack: ProtocolStack) -> None:
-        self.member = member
-        self._stack = stack
-        self._dedup: Optional[DedupRepairLayer] = stack.layer("dedup")
-        self._stability: Optional[StabilityLayer] = stack.layer("stability")
-        #: stable-notification hooks when no stability layer exists (inert)
-        self._orphan_hooks: List[Callable[[MsgId], None]] = []
+    def __init__(self, stack: ProtocolStack) -> None:
+        self._dedup = stack.layer("dedup")
+        self._stability = stack.layer("stability")
 
-    # -- the monolith's verbs -----------------------------------------------------
-
-    def broadcast(self, msg: DataMessage) -> None:
-        """Send a data message to all other view members; buffer for repair."""
-        self._stack.broadcast(msg)
-
-    def on_data(self, src: str, msg: DataMessage) -> Optional[DataMessage]:
-        """Run a data message up the transport layers; None for duplicates."""
-        return self._stack.receive_data(src, msg)
-
-    def on_control(self, src: str, payload: Any) -> bool:
-        """Handle transport control traffic.  Returns True if consumed."""
-        return self._stack.on_control(src, payload) is not None
-
-    def update_membership(self, members: Sequence[str]) -> None:
-        self._stack.membership_changed(members)
-
-    # -- the monolith's state surface ----------------------------------------------
-
-    @property
-    def nak_delay(self) -> float:
-        return self._dedup.nak_delay if self._dedup else 0.0
-
-    @property
-    def ack_period(self) -> float:
-        return self._stability.ack_period if self._stability else 0.0
-
-    @property
-    def contiguous(self) -> Dict[str, int]:
-        return self._dedup.contiguous if self._dedup else {}
-
-    @property
-    def matrix(self) -> Optional[MatrixClock]:
-        return self._stability.matrix if self._stability else None
-
-    @property
-    def buffer(self) -> Dict[MsgId, DataMessage]:
-        return self._stability.buffer if self._stability else {}
-
-    @property
-    def stable_hooks(self) -> List[Callable[[MsgId], None]]:
-        if self._stability is not None:
-            return self._stability.stable_hooks
-        return self._orphan_hooks
-
-    @property
-    def retransmissions(self) -> int:
-        return self._dedup.retransmissions if self._dedup else 0
-
-    @property
-    def naks_sent(self) -> int:
-        return self._dedup.naks_sent if self._dedup else 0
-
-    @property
-    def duplicates(self) -> int:
-        return self._dedup.duplicates if self._dedup else 0
-
-    @property
-    def peak_buffered(self) -> int:
-        return self._stability.peak_buffered if self._stability else 0
-
-    @property
-    def peak_buffered_bytes(self) -> int:
-        return self._stability.peak_buffered_bytes if self._stability else 0
-
-    @property
-    def gossip_sent(self) -> int:
-        return self._stability.gossip_sent if self._stability else 0
-
-    # -- metrics ---------------------------------------------------------------------
-
-    def buffered_bytes(self) -> int:
-        return self._stability.buffered_bytes() if self._stability else 0
-
-    def metrics(self) -> Dict[str, int]:
-        return {
-            "buffered": len(self.buffer),
-            "buffered_bytes": self.buffered_bytes(),
-            "peak_buffered": self.peak_buffered,
-            "peak_buffered_bytes": self.peak_buffered_bytes,
-            "retransmissions": self.retransmissions,
-            "naks_sent": self.naks_sent,
-            "gossip_sent": self.gossip_sent,
-            "duplicates": self.duplicates,
-        }
+    naks_sent = property(lambda self: getattr(self._dedup, "naks_sent", 0))
+    retransmissions = property(lambda self: getattr(self._dedup, "retransmissions", 0))
+    duplicates = property(lambda self: getattr(self._dedup, "duplicates", 0))
+    gossip_sent = property(lambda self: getattr(self._stability, "gossip_sent", 0))
+    peak_buffered = property(lambda self: getattr(self._stability, "peak_buffered", 0))
+    peak_buffered_bytes = property(
+        lambda self: getattr(self._stability, "peak_buffered_bytes", 0))

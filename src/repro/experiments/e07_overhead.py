@@ -13,7 +13,7 @@ reception."  Two costs, measured directly:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.catocs import build_group
 from repro.catocs.messages import DataMessage
@@ -22,13 +22,11 @@ from repro.sim import LinkModel, Network, Simulator
 from repro.sim.network import estimate_size
 
 
-def _measure(seed: int, ordering: str, size: int, msgs_per_member: int,
-             stack: Optional[str] = None) -> Dict[str, float]:
+def _measure(seed: int, ordering: str, size: int, msgs_per_member: int) -> Dict[str, float]:
     sim = Simulator(seed=seed)
     net = Network(sim, LinkModel(latency=5.0, jitter=2.0))
     pids = [f"p{i:02d}" for i in range(size)]
-    members = build_group(sim, net, pids, ordering=ordering, ack_period=0.0,
-                          stack=stack)
+    members = build_group(sim, net, pids, ordering=ordering, ack_period=0.0)
 
     header_samples = []
     original_deliver = {}
@@ -123,8 +121,8 @@ def run_e07(
     # proposal / commit rounds coalesce with the data they ride alongside.
     batching: Dict[str, Dict[str, float]] = {}
     for ordering in ("causal", "total-seq", "total-agreed"):
-        batched = _measure(seed, ordering, biggest, msgs_per_member,
-                           stack=f"dedup|batch|stability|{ordering}")
+        batched = _measure(seed, f"dedup|batch|stability|{ordering}", biggest,
+                           msgs_per_member)
         plain = full[(biggest, ordering)]
         batching[ordering] = {
             "net_msgs_plain": plain["net_msgs"],

@@ -12,7 +12,7 @@ multiplied.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.catocs import build_group
 from repro.experiments.harness import ExperimentResult, Table, mean
@@ -24,13 +24,13 @@ BATCHED_STACK = "dedup|batch|stability|causal"
 
 def _run(seed: int, piggyback: bool, drop_prob: float, size: int,
          msgs_per_member: int, interval: float,
-         stack: Optional[str] = None) -> Dict[str, float]:
+         ordering: str = "causal") -> Dict[str, float]:
     sim = Simulator(seed=seed)
     net = Network(sim, LinkModel(latency=5.0, jitter=4.0, drop_prob=drop_prob))
     pids = [f"p{i}" for i in range(size)]
-    members = build_group(sim, net, pids, ordering="causal",
+    members = build_group(sim, net, pids, ordering=ordering,
                           nak_delay=10.0, ack_period=30.0,
-                          piggyback_causal=piggyback, stack=stack)
+                          piggyback_causal=piggyback)
     for index, pid in enumerate(pids):
         for k in range(msgs_per_member):
             at = 1.0 + index * (interval / size) + k * interval
@@ -120,7 +120,7 @@ def run_e15(
     # lossiest point of the sweep.
     base_drop = max(drop_probs)
     batched = _run(seed, False, base_drop, size, msgs_per_member, interval,
-                   stack=BATCHED_STACK)
+                   ordering=BATCHED_STACK)
     plain_base = data[(base_drop, "plain")]
     extras = {
         "batching": {

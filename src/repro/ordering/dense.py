@@ -109,6 +109,13 @@ def group_domain(sim: object, group: str, pids=()) -> ClockDomain:
     return domain
 
 
+def known_domain(sim: object, group: str) -> Optional[ClockDomain]:
+    """``group``'s domain on ``sim`` if one was made, else ``None``.  Unlike
+    :func:`group_domain` it never makes one, so it is the lookup for group
+    names that arrive from outside."""
+    return getattr(sim, "_clock_domains", {}).get(group)
+
+
 class DenseVectorClock:
     """Array-backed vector clock over a :class:`ClockDomain`.
 

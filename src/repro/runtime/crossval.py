@@ -208,7 +208,7 @@ def _build_members(
     for pid in scenario.pids:
         members[pid] = GroupMember(
             clock, net, pid, group="g", members=scenario.pids,
-            stack=scenario.stack,
+            ordering=scenario.stack,
             nak_delay=scenario.nak_delay * unit,
             ack_period=scenario.ack_period * unit,
             on_deliver=on_deliver_for(pid),

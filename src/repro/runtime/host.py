@@ -113,7 +113,7 @@ class StackHost:
         local_host, local_port = config.members[config.pid]
         self.member = member = GroupMember(
             clock, net, config.pid, group=config.group,
-            members=tuple(config.members), stack=config.stack,
+            members=tuple(config.members), ordering=config.stack,
             nak_delay=config.nak_delay, ack_period=config.ack_period,
             on_deliver=self._on_deliver,
         )

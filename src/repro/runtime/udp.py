@@ -7,7 +7,9 @@ every payload is serialized by :mod:`repro.runtime.codec`, crosses the OS
 socket layer, and is decoded into a fresh object on the receiving side —
 no Python references survive the trip, exactly like a real deployment.  A
 causal stamp decodes into the clock domain its group has on this host's
-clock, the one the receiving members' own clocks index.
+clock, the one the receiving members' own clocks index; a stamp for a group
+with no domain here is a decode error, so forged group names cannot add
+domains to the clock.
 
 The link model is applied *sender-side* before the socket (partition check,
 seeded drop sample, latency/jitter as a wall-clock ``call_later`` before
@@ -29,10 +31,9 @@ did with such a message could be answered.
 from __future__ import annotations
 
 import asyncio
-from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.ordering.dense import group_domain
+from repro.ordering.dense import ClockDomain, known_domain
 from repro.runtime import codec
 from repro.runtime.asyncio_rt import AsyncioClock
 from repro.sim.network import LinkModel, NetworkStats, Packet
@@ -79,7 +80,6 @@ class UdpNetwork:
         "_addrs",
         "_started",
         "_pre_start",
-        "_domains",
     )
 
     def __init__(self, clock: AsyncioClock, default_link: Optional[LinkModel] = None,
@@ -102,9 +102,6 @@ class UdpNetwork:
         self._addrs: Dict[str, Address] = {}
         self._started = False
         self._pre_start: List[Tuple[str, str, bytes]] = []
-        #: group -> the clock domain its members stamp in on this host, so a
-        #: received stamp decodes into the receiver's own domain
-        self._domains = partial(group_domain, clock)
         self._register_metrics(clock.metrics)
 
     def _register_metrics(self, registry) -> None:
@@ -245,9 +242,19 @@ class UdpNetwork:
             return
         transport.sendto(data, addr)
 
+    def _domain(self, group: str) -> ClockDomain:
+        """The clock domain ``group``'s members stamp in on this host, so a
+        received stamp decodes into the receivers' own domain.  A group
+        without one here raises ``CodecError``: the datagram is counted in
+        ``decode_errors`` and adds nothing to the clock."""
+        domain = known_domain(self.clock, group)
+        if domain is None:
+            raise codec.CodecError(f"no clock domain for group {group!r} on this host")
+        return domain
+
     def _on_datagram(self, dst: str, data: bytes) -> None:
         try:
-            src, payload = codec.decode_datagram(data, self._domains)
+            src, payload = codec.decode_datagram(data, self._domain)
         except codec.CodecError:
             self.decode_errors += 1
             return

@@ -36,4 +36,4 @@ class FixtureLayer(ProtocolLayer):
         pass
 
 
-register_layer("fixture-probe", FixtureLayer)
+register_layer(FixtureLayer)

@@ -27,8 +27,9 @@ def _project() -> Project:
     return Project(root=REPO_ROOT)
 
 
-def _surface_findings(registry, kinds):
-    rule = LayerSurfaceRule(registry=registry, kinds=kinds, base=ProtocolLayer)
+def _surface_findings(*classes):
+    registry = {cls.name: cls for cls in classes}
+    rule = LayerSurfaceRule(registry=registry, base=ProtocolLayer)
     return list(rule.check_project(_project()))
 
 
@@ -39,16 +40,6 @@ class RogueLayer:
     """Not a ProtocolLayer at all."""
 
     name = "rogue"
-    kind = "transport"
-
-
-class MisnamedLayer(ProtocolLayer):
-    name = "something-else"
-    kind = "transport"
-
-
-class WrongKindLayer(ProtocolLayer):
-    name = "wrongkind"
     kind = "transport"
 
 
@@ -72,51 +63,27 @@ class ConformantLayer(ProtocolLayer):
     kind = "transport"
 
 
-def test_non_class_factory_flagged():
-    findings = _surface_findings({"lam": lambda member: None}, {"lam": "transport"})
-    assert len(findings) == 1
-    assert "non-class factory" in findings[0].message
-
-
 def test_non_subclass_flagged():
-    findings = _surface_findings({"rogue": RogueLayer}, {"rogue": "transport"})
+    findings = _surface_findings(RogueLayer)
     assert any("not a ProtocolLayer subclass" in f.message for f in findings)
 
 
-def test_name_mismatch_flagged():
-    findings = _surface_findings(
-        {"misnamed": MisnamedLayer}, {"misnamed": "transport"}
-    )
-    assert any("declares name='something-else'" in f.message for f in findings)
-
-
-def test_kind_mismatch_flagged():
-    findings = _surface_findings(
-        {"wrongkind": WrongKindLayer}, {"wrongkind": "ordering"}
-    )
-    assert any("declares kind='transport'" in f.message for f in findings)
-
-
 def test_broken_arity_flagged():
-    findings = _surface_findings({"arity": BrokenArityLayer}, {"arity": "transport"})
+    findings = _surface_findings(BrokenArityLayer)
     assert any(
         "receive_up() does not accept" in f.message for f in findings
     )
 
 
 def test_ordering_layer_without_gate_api_flagged():
-    findings = _surface_findings(
-        {"hollow": HollowOrderingLayer}, {"hollow": "ordering"}
-    )
+    findings = _surface_findings(HollowOrderingLayer)
     missing = {f.message.split(" missing the ")[-1] for f in findings}
     assert "stamp() surface method" in missing
     assert "release_next() surface method" in missing
 
 
 def test_conformant_fake_layer_passes():
-    assert _surface_findings(
-        {"conformant": ConformantLayer}, {"conformant": "transport"}
-    ) == []
+    assert _surface_findings(ConformantLayer) == []
 
 
 def test_real_registry_conforms():

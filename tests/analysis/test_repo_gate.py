@@ -4,6 +4,7 @@ This is the in-process twin of the CI job — if this test fails, so will
 the ``analysis`` CI step, and vice versa.
 """
 
+import ast
 import io
 import re
 import tokenize
@@ -82,3 +83,25 @@ def test_analysis_does_not_import_experiments():
     """Layering: the analyser reads the experiments' source, never runs it."""
     for path in iter_python_files([REPO_ROOT / "src" / "repro" / "analysis"]):
         assert "repro.experiments" not in path.read_text(encoding="utf-8"), path
+
+
+def test_nothing_reads_through_a_member_transport():
+    """Callers talk to ``member.stack`` and its named layers.  What is left
+    of ``member.transport`` is six counters for the benchmark, so nothing in
+    the program, its tests, benchmarks or examples reads anything off it.
+    An attribute chain rooted at the ``repro`` package is a module path,
+    not a member."""
+    reads = []
+    for path in iter_python_files(
+        [REPO_ROOT / d for d in ("src", "tests", "benchmarks", "examples")]
+    ):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "transport"
+                and not ast.unparse(node).startswith("repro.")
+            ):
+                reads.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {ast.unparse(node)}")
+    assert reads == []

@@ -6,11 +6,11 @@ from repro.catocs.stack import BatchLayer
 from repro.sim import LinkModel, Network, Simulator
 
 
-def _run(stack, seed=5, until=600):
+def _run(ordering, seed=5, until=600):
     sim = Simulator(seed=seed)
     net = Network(sim, LinkModel(latency=5.0, jitter=2.0))
-    members = build_group(sim, net, ["a", "b", "c", "d"], ordering="causal",
-                          stack=stack, ack_period=20.0)
+    members = build_group(sim, net, ["a", "b", "c", "d"], ordering=ordering,
+                          ack_period=20.0)
     # A bursty tick: several members multicast at the same instant, so acks,
     # data, and gossip for one destination coincide within a tick.
     for round_start in range(0, 10):
@@ -68,8 +68,8 @@ def test_single_payload_ticks_stay_unwrapped():
         return original(src, dst, payload, *sized)
 
     net.send = sniff
-    members = build_group(sim, net, ["a", "b"], ordering="causal",
-                          stack="dedup|batch|stability|causal", ack_period=0.0)
+    members = build_group(sim, net, ["a", "b"], ordering="dedup|batch|stability|causal",
+                          ack_period=0.0)
     sim.call_at(10.0, members["a"].multicast, "solo")
     sim.run(until=100)
     assert [r.payload for r in members["b"].delivered] == ["solo"]
@@ -91,8 +91,7 @@ def test_batcher_quiesces_with_member_crash():
     """Payloads queued in a crashed member's batcher never hit the wire."""
     sim = Simulator(seed=2)
     net = Network(sim, LinkModel(latency=5.0, jitter=0.0))
-    members = build_group(sim, net, ["a", "b"], ordering="causal",
-                          stack="dedup|batch|stability|causal")
+    members = build_group(sim, net, ["a", "b"], ordering="dedup|batch|stability|causal")
 
     def send_then_crash():
         members["a"].multicast("doomed")

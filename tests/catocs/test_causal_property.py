@@ -48,13 +48,14 @@ def run_workload(ordering: str, schedule, seed: int, drop: float,
     vc_of: Dict[object, object] = {}
 
     def capture(member):
-        original = member.transport.broadcast
+        original = member.send_peers
 
-        def wrapper(msg: DataMessage):
-            original(msg)
-            if msg.vc is not None:
-                vc_of[msg.msg_id] = msg.vc  # a stamp is never written after stamping
-        member.transport.broadcast = wrapper
+        def wrapper(payload):
+            sent = original(payload)
+            if isinstance(payload, DataMessage) and payload.vc is not None:
+                vc_of[payload.msg_id] = payload.vc  # a stamp is never written after stamping
+            return sent
+        member.send_peers = wrapper
 
     for member in members.values():
         capture(member)

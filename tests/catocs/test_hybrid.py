@@ -73,8 +73,7 @@ def test_retention_resend_recovers_lost_final_message():
     assert [r.payload["n"] for r in members["q"].delivered] == [1, 2]
     assert members["p"].ordering.retention_resends >= 1
     # The hybrid stack really has no stability machinery.
-    assert members["q"].transport.gossip_sent == 0
-    assert members["q"].transport.matrix is None
+    assert members["q"].stack.layer("stability") is None
 
 
 def test_hybrid_layer_metrics_shape():

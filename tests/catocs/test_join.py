@@ -108,13 +108,14 @@ def test_own_matrix_row_mirrors_contiguous_after_every_event(ordering):
     while sim.now < 1500.0 and sim.step():
         for m in everyone:
             if m.alive:
-                own = m.transport.matrix.row(m.pid)
-                counts = m.transport.contiguous
+                own = m.stack.layer("stability").matrix.row(m.pid)
+                counts = m.stack.layer("dedup").contiguous
                 assert all(own.get(pid, 0) == n for pid, n in counts.items()), (sim.now, m.pid)
                 checked += 1
     assert set(joiner.view_members) == {"p0", "p1", "p9"}
-    assert joiner.transport.contiguous["p0"] > 0
-    assert sum(m.transport.retransmissions for m in everyone) > 0
+    assert joiner.stack.layer("dedup").contiguous["p0"] > 0
+    assert sum(m.stack.layer("dedup").retransmissions for m in everyone) > 0
     for m in everyone:  # the frontier kept moving: nothing of a member's is left
-        assert not [mid for mid in m.transport.buffer if mid[0] in m.view_members], m.pid
+        buffer = m.stack.layer("stability").buffer
+        assert not [mid for mid in buffer if mid[0] in m.view_members], m.pid
     assert checked > 1000

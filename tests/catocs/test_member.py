@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.catocs import GroupInstrumentation, GroupMember, build_group
+from perfbench.simload import stack_counts
+from repro.catocs import DISCIPLINES, GroupInstrumentation, GroupMember, build_group
 from repro.sim import EventTrace, LinkModel, Network, Simulator
 
 
@@ -82,7 +83,8 @@ def test_instrumentation_holds_no_per_message_state_once_all_is_stable():
     for k in range(40):
         sim.call_at(1.0 + k, members[pids[k % 4]].multicast, k)
     sim.run(until=2000)
-    assert all(len(m.delivered) == 40 and not m.transport.buffer for m in members.values())
+    assert all(len(m.delivered) == 40 and not m.stack.layer("stability").buffer
+               for m in members.values())
     assert instr.graph.peak_nodes > 1
     for holder in (instr, instr.graph):
         grown = {name: value for name, value in vars(holder).items()
@@ -112,14 +114,14 @@ def test_delivered_payloads_in_order():
     assert members["b"].delivered_payloads() == [0, 1, 2, 3, 4]
 
 
-def _fan_out_counters(seed, ordering, stack=None, with_membership=False, leave=None):
+def _fan_out_counters(seed, ordering, with_membership=False, leave=None):
     """Forty round-robin multicasts through a 4-member group at 5% loss;
     the counters every peer fan-out (data, gossip, control, heartbeat,
     leave announce) keeps or feeds."""
     sim = Simulator(seed=seed)
     net = Network(sim, LinkModel(latency=3.0, jitter=2.0, drop_prob=0.05))
     pids = ["p0", "p1", "p2", "p3"]
-    group = build_group(sim, net, pids, ordering=ordering, stack=stack,
+    group = build_group(sim, net, pids, ordering=ordering,
                         with_membership=with_membership)
     for k in range(40):
         sim.call_at(1.0 + k, group[pids[k % 4]].multicast, k)
@@ -134,8 +136,8 @@ def _fan_out_counters(seed, ordering, stack=None, with_membership=False, leave=N
     if with_membership:
         counters["heartbeats_sent"] = [
             m.failure_detector.heartbeats_sent for m in members]
-    if stack is not None:
-        batchers = [m.stack.layer("batch") for m in members]
+    batchers = [m.stack.layer("batch") for m in members]
+    if None not in batchers:
         counters["singles_sent"] = [b.singles_sent for b in batchers]
         counters["batches_sent"] = [b.batches_sent for b in batchers]
     return counters
@@ -163,11 +165,82 @@ def test_peer_fan_out_keeps_the_counters_the_per_peer_loops_kept():
         "wire": (155, 11661, 4),
     }
     assert _fan_out_counters(
-        26, "total-agreed", stack="dedup|batch|stability|total-agreed",
-        with_membership=True) == {
+        26, "dedup|batch|stability|total-agreed", with_membership=True) == {
         "control_sent": [76, 76, 73, 73],
         "wire": (1111, 74999, 60),
         "heartbeats_sent": [180, 180, 180, 180],
         "singles_sent": [264, 238, 262, 261],
         "batches_sent": [19, 32, 18, 17],
     }
+
+
+def _lossy_group(ordering, seed=3):
+    """Twenty-four round-robin multicasts through a 4-member group at 10%
+    loss, 600 units later."""
+    sim = Simulator(seed=seed)
+    net = Network(sim, LinkModel(latency=3.0, jitter=2.0, drop_prob=0.1))
+    pids = ["p0", "p1", "p2", "p3"]
+    group = build_group(sim, net, pids, ordering=ordering)
+    for k in range(24):
+        sim.call_at(1.0 + k, group[pids[k % 4]].multicast, k)
+    sim.run(until=600.0)
+    return group
+
+
+MEMBER_KEYS = ("pid", "ordering", "multicasts_sent", "control_sent", "delivered",
+               "pending", "peak_pending", "total_hold_time", "suppressed_time")
+#: The transport keys ``metrics()`` has always reported.
+TRANSPORT_KEYS = ("buffered", "buffered_bytes", "peak_buffered", "peak_buffered_bytes",
+                  "retransmissions", "naks_sent", "gossip_sent", "duplicates")
+#: p1's values for them on each alias, recorded when ``metrics()`` read them
+#: through a facade that reported 0 for a layer the stack lacks; ``None``
+#: marks those keys, which are now absent.
+RECORDED_TRANSPORT = {
+    "batched-causal": (0, 0, 16, 1792, 3, 0, 3, 0),
+    "causal": (0, 0, 16, 1792, 3, 0, 5, 0),
+    "fifo": (0, 0, 16, 1152, 3, 0, 5, 0),
+    "hybrid-causal": (None, None, None, None, 3, 1, None, 0),
+    "raw": (0, 0, 16, 1152, 3, 0, 5, 0),
+    "total-agreed": (0, 0, 17, 1224, 2, 0, 4, 3),
+    "total-seq": (0, 0, 16, 1752, 2, 4, 4, 2),
+}
+
+
+@pytest.mark.parametrize("alias", sorted(DISCIPLINES))
+def test_metrics_are_the_member_counters_then_each_transport_layers(alias):
+    member = _lossy_group(alias)["p1"]
+    metrics = member.metrics()
+    transport = [key for layer in member.stack.layers[:-1] for key in layer.layer_metrics()]
+    assert list(metrics) == [*MEMBER_KEYS, *transport]
+    assert metrics["ordering"] == member.stack.ordering.name
+    assert tuple(metrics.get(key) for key in TRANSPORT_KEYS) == RECORDED_TRANSPORT[alias]
+
+
+@pytest.mark.parametrize("alias", sorted(DISCIPLINES))
+def test_the_counters_perfbench_reads_are_the_layers_counters(alias):
+    """``stack_counts`` is the one remaining reader of ``member.transport``:
+    each counter it sums or maxes is its layer's, or 0 where the stack has
+    no such layer."""
+    group = _lossy_group(alias)
+    dedup = [m.stack.layer("dedup") for m in group.values()]
+    stability = [m.stack.layer("stability") for m in group.values()]
+
+    def total(layers, counter):
+        return sum(getattr(layer, counter) for layer in layers if layer is not None)
+
+    def peak(layers, counter):
+        return max(getattr(layer, counter) if layer is not None else 0 for layer in layers)
+
+    counts = stack_counts(group)
+    assert {key: counts[key] for key in ("naks", "retransmissions", "duplicates",
+                                         "gossip_msgs", "peak_buffered",
+                                         "peak_buffered_bytes")} == {
+        "naks": total(dedup, "naks_sent"),
+        "retransmissions": total(dedup, "retransmissions"),
+        "duplicates": total(dedup, "duplicates"),
+        "gossip_msgs": total(stability, "gossip_sent") * (len(group) - 1),
+        "peak_buffered": peak(stability, "peak_buffered"),
+        "peak_buffered_bytes": peak(stability, "peak_buffered_bytes"),
+    }
+    assert counts["retransmissions"] > 0
+    assert (counts["peak_buffered"] > 0) == (None not in stability)

@@ -23,7 +23,6 @@ from repro.catocs.ordering_layers import (
     RawOrdering,
     TotalAgreedOrdering,
     TotalSequencerOrdering,
-    make_ordering,
 )
 from repro.ordering.dense import bss_deliverable
 
@@ -75,11 +74,6 @@ def data(sender, seq, vc=None, payload=None):
     return DataMessage(group="g", sender=sender, seq=seq,
                        payload=payload or f"{sender}#{seq}",
                        sent_at=0.0, vc=vc)
-
-
-def test_make_ordering_rejects_unknown():
-    with pytest.raises(ValueError):
-        make_ordering("bogus", FakeMember())
 
 
 def test_raw_delivers_immediately_any_order():

@@ -1,6 +1,7 @@
 """Tests for the footnote-4 piggybacked causal variant."""
 
 from repro.catocs import build_group
+from repro.catocs.messages import DataMessage
 from repro.sim import LinkModel, Network, Simulator
 
 
@@ -16,13 +17,14 @@ def build(seed=0, drop=0.0, piggyback=True):
 def test_attachments_carry_causal_predecessors():
     sim, net, members = build()
     captured = []
-    original = members["a"].transport.broadcast
+    original = members["a"].send_peers
 
-    def sniff(msg):
-        captured.append(msg)
-        original(msg)
+    def sniff(payload):
+        if isinstance(payload, DataMessage):
+            captured.append(payload)
+        return original(payload)
 
-    members["a"].transport.broadcast = sniff
+    members["a"].send_peers = sniff
     # a sends m1 then m2 while m1 is still unstable: m2 carries a copy of m1
     sim.call_at(1.0, members["a"].multicast, "m1")
     sim.call_at(2.0, members["a"].multicast, "m2")

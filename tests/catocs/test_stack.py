@@ -15,11 +15,10 @@ from repro.catocs.stack import (
 from repro.sim import LinkModel, Network, Simulator
 
 
-def _group(ordering="causal", stack=None, seed=1):
+def _group(ordering="causal", seed=1):
     sim = Simulator(seed=seed)
     net = Network(sim, LinkModel(latency=5.0, jitter=2.0))
-    members = build_group(sim, net, ["a", "b", "c"], ordering=ordering,
-                          stack=stack)
+    members = build_group(sim, net, ["a", "b", "c"], ordering=ordering)
     return sim, net, members
 
 
@@ -31,7 +30,7 @@ def test_every_discipline_alias_resolves():
 
 
 def test_explicit_spec_composes_named_layers():
-    _, _, members = _group(stack="dedup|stability|causal")
+    _, _, members = _group(ordering="dedup|stability|causal")
     stack = members["a"].stack
     assert [layer.name for layer in stack.layers] == ["dedup", "stability", "causal"]
     assert stack.ordering.name == "causal"
@@ -109,9 +108,9 @@ def test_custom_layer_registers_and_runs():
         def layer_metrics(self):
             return {"sent": self.sent, "received": self.received}
 
-    register_layer("counting", CountingLayer, kind="transport")
+    register_layer(CountingLayer)
     try:
-        sim, _, members = _group(stack="dedup|counting|stability|causal")  # repro: ignore[PROTO002]
+        sim, _, members = _group(ordering="dedup|counting|stability|causal")  # repro: ignore[PROTO002]
         members["a"].multicast("x")
         members["b"].multicast("y")
         sim.run(until=300)
@@ -135,4 +134,4 @@ def test_legacy_and_stack_paths_agree():
             pid: [r.msg_id for r in m.delivered] for pid, m in members.items()
         }
 
-    assert run(ordering="causal") == run(stack="dedup|stability|causal")
+    assert run(ordering="causal") == run(ordering="dedup|stability|causal")

@@ -36,7 +36,8 @@ def test_loss_is_repaired_via_nak():
     sim.run(until=10_000)
     for member in members.values():
         assert sorted(member.delivered_payloads()) == [f"m{i:02d}" for i in range(20)]
-    total_retransmissions = sum(m.transport.retransmissions for m in members.values())
+    total_retransmissions = sum(m.stack.layer("dedup").retransmissions
+                                for m in members.values())
     assert total_retransmissions > 0
 
 
@@ -56,8 +57,9 @@ def test_stability_trims_buffers():
         sim.call_at(float(i * 5), members["p0"].multicast, i)
     sim.run(until=5000)
     for member in members.values():
-        assert len(member.transport.buffer) == 0, member.pid
-        assert member.transport.peak_buffered > 0
+        stability = member.stack.layer("stability")
+        assert len(stability.buffer) == 0, member.pid
+        assert stability.peak_buffered > 0
 
 
 def test_buffers_grow_without_stability_gossip():
@@ -67,7 +69,7 @@ def test_buffers_grow_without_stability_gossip():
     for i in range(10):
         sim.call_at(float(i * 5), members["p2"].multicast, i)
     sim.run(until=2000)
-    assert all(len(m.transport.buffer) == 10 for m in members.values())
+    assert all(len(m.stack.layer("stability").buffer) == 10 for m in members.values())
 
 
 def test_repair_from_peer_when_sender_crashed():
@@ -158,8 +160,9 @@ def test_peer_retransmission_does_not_corrupt_stability_matrix():
     for observer in members.values():
         for subject in members.values():
             for sender in pids:
-                believed = observer.transport.matrix.row(subject.pid).get(sender, 0)
-                actual = subject.transport.contiguous[sender]
+                matrix = observer.stack.layer("stability").matrix
+                believed = matrix.row(subject.pid).get(sender, 0)
+                actual = subject.stack.layer("dedup").contiguous[sender]
                 assert believed <= actual, (observer.pid, subject.pid, sender)
 
 
@@ -192,9 +195,9 @@ def test_ack_vector_reveals_missing_final_message(suppressed_while_buffered):
         sim.call_at(30.0, net.set_link, "p0", "p2", LinkModel(latency=5.0))
         sim.run(until=5000)
         assert members["p2"].delivered_payloads() == ["m0", "m1", "m2", "m3"], ordering
-        assert members["p2"].transport.naks_sent >= 1, ordering
+        assert members["p2"].stack.layer("dedup").naks_sent >= 1, ordering
         for member in members.values():
-            assert not member.transport.buffer, (ordering, member.pid)
+            assert not member.stack.layer("stability").buffer, (ordering, member.pid)
     assert suppressed_while_buffered == []
 
 
@@ -287,7 +290,7 @@ def test_a_view_install_makes_the_next_tick_send():
     sim, net, members = build(n=3, ack_period=10.0)
     sim.run(until=100.5)
     log = _wire_log(sim, net)
-    members["p1"].transport.update_membership(("p0", "p1", "p2"))
+    members["p1"].stack.membership_changed(("p0", "p1", "p2"))
     sim.run(until=200.5)
     assert [(t, src, kind) for t, src, _, kind in log] == [
         (110.0, "p1", "AckGossip"), (110.0, "p1", "AckGossip"),
@@ -608,7 +611,7 @@ def _stability_counters(seed, ordering, leave=None):
         "peak_buffered": [layer.peak_buffered for layer in layers],
         "peak_buffered_bytes": [layer.peak_buffered_bytes for layer in layers],
         "gossip_sent": [layer.gossip_sent for layer in layers],
-        "retransmissions": [m.transport.retransmissions for m in group.values()],
+        "retransmissions": [m.stack.layer("dedup").retransmissions for m in group.values()],
         "left_buffered": [len(layer.buffer) for layer in layers],
     }
 
@@ -692,13 +695,13 @@ def test_transport_metrics_buffered_bytes_with_and_without_stability_layer():
 
     bare = run("hybrid-causal")
     assert bare.stack.layer("stability") is None
-    assert bare.transport.metrics()["buffered_bytes"] == 0
+    assert "buffered_bytes" not in bare.metrics()  # no layer, no key
 
     member = run("causal")
     layer = member.stack.layer("stability")
     brute = sum(m.size_bytes() for m in layer.buffer.values())
     assert brute > 0  # no gossip, one sender: nothing became stable
-    assert member.transport.metrics()["buffered_bytes"] == layer.buffered_bytes() == brute
+    assert layer.layer_metrics()["buffered_bytes"] == layer.buffered_bytes() == brute
     assert member.metrics()["buffered_bytes"] == brute
 
 
@@ -865,7 +868,7 @@ class PayPerNewsMachine(RuleBasedStateMachine):
         def install(d):
             d.dedup.fast_forward(forward or {})
             d.member.view_members = ("p0", *sorted(others))
-            d.member.transport.update_membership(d.member.view_members)
+            d.member.stack.membership_changed(d.member.view_members)
         self.both(install)
 
     @rule(elapsed=st.sampled_from([3.0, 10.0, 60.0]))

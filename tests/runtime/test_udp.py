@@ -352,6 +352,24 @@ def test_datagrams_from_an_unregistered_pid_never_reach_the_stack():
     assert dedup.naks_sent == 0 and "zz" not in dedup.contiguous
 
 
+def test_stamps_for_unknown_groups_add_no_clock_domains():
+    """A stamp decodes only into a domain its group already has on this
+    host; one group name per forged datagram would otherwise grow the clock's
+    domain registry by one each."""
+    forged = [
+        DataMessage(group=f"forged{k}", sender="zz", seq=1, payload="x", sent_at=0.0,
+                    vc=ClockDomain(("zz",)).clock({"zz": 1}))
+        for k in range(40)
+    ]
+    blobs = [codec.encode_datagram("zz", payload) for payload in forged]
+    delivered, net, _, escaped = asyncio.run(_attacked_group(11, "causal", blobs))
+    assert list(net.clock._clock_domains) == ["g"]
+    assert net.decode_errors == len(forged)
+    assert net.unknown_sender == 0
+    assert escaped == []
+    assert delivered == ["legit"]
+
+
 def test_oversize_datagrams_are_refused_sender_side():
     async def scenario():
         clock = AsyncioClock(seed=7)
