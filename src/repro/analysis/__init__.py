@@ -9,7 +9,7 @@ message vanish.  In the spirit of the paper's own critique (guarantees
 enforced in the wrong place fail without telling anyone), this package
 enforces the invariants *statically*, before a single event runs.
 
-Three rule families (see ``docs/ANALYSIS.md`` for the full catalogue):
+Five rule families (see ``docs/ANALYSIS.md`` for the full catalogue):
 
 - **Determinism** (``DET*``): wall-clock calls, unseeded ``random`` draws,
   iteration over unordered containers feeding ordering-sensitive sinks,
@@ -22,6 +22,11 @@ Three rule families (see ``docs/ANALYSIS.md`` for the full catalogue):
 - **Sim purity** (``PUR*``): simulation packages must not import
   threading/asyncio/wall-clock facilities (that integration lives in
   :mod:`repro.runtime`).
+- **Message flow** (``FLOW*``): dead messages, orphan handlers, same-tick
+  send cycles, and wire envelopes built outside the protocol stack.
+- **Ordering semantics** (``ORD*``): handler effects that need a stronger
+  delivery order than the configured stack gives, and sends gated on or
+  fed by another process's state (the paper's Fig. 1 hidden channel).
 
 Run it with ``python -m repro.analysis`` (one pass over the tree, nothing
 kept between runs); suppress a finding in place with

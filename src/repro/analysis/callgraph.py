@@ -1,6 +1,6 @@
 """Class-hierarchy and attribute-type inference over the parsed tree.
 
-The RACE and FLOW rule families need to answer questions no single-file
+The FLOW and ORD rule families need to answer questions no single-file
 lexical pass can: *is this class a simulated process?* (transitively, through
 bases defined in other files), *what type does ``self.membership`` hold?*
 (assigned ``None`` in the constructor, attached later by ``ViewManager``),
@@ -27,7 +27,7 @@ idioms rather than a general type system:
 The resolvers the rule families share live here, once: the first-base
 chain (:meth:`CodeGraph.base_chain`), method lookup with subtype
 overrides, and "an attribute of another process"
-(:meth:`CodeGraph.foreign_access`, behind RACE001 and ORD003).
+(:meth:`CodeGraph.foreign_access`, behind ORD003).
 
 Everything is plain AST — nothing is imported or executed.
 """
@@ -51,7 +51,6 @@ from repro.analysis.source import SourceModule
 #: whole repo is scanned, but resolvable by name alone in fixture mode).
 PROCESS_ROOT = "repro.sim.process.Process"
 LAYER_ROOT = "repro.catocs.stack.ProtocolLayer"
-STACK_ROOT = "repro.catocs.stack.ProtocolStack"
 
 #: attributes on another process that are identity, not state — reading
 #: them cannot create a causal dependency the substrate misses.
@@ -92,7 +91,7 @@ class ClassInfo:
 
 
 class CodeGraph:
-    """The cross-module class/function index the RACE/FLOW rules query."""
+    """The cross-module class/function index the FLOW/ORD rules query."""
 
     def __init__(self, modules: Iterable[SourceModule]) -> None:
         self.classes: Dict[str, ClassInfo] = {}

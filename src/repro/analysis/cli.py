@@ -8,6 +8,7 @@ at least one fresh finding, ``2`` usage or internal error.  See
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -167,6 +168,22 @@ def _select_rules(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (``--list-rules | head``).  Point
+        # stdout at devnull so the interpreter's exit-time flush cannot
+        # raise again, and report it as the I/O error it is, not as
+        # "fresh findings".
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+
+
+def _run(argv: Optional[List[str]]) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     if raw and raw[0] in EXPORTS:
         return export_main(raw[0], raw[1:])

@@ -49,15 +49,6 @@ class Project:
     docs: List[DocFile] = field(default_factory=list)
     parse_findings: List[Finding] = field(default_factory=list)
 
-    def module_for(self, relpath: str) -> Optional[SourceModule]:
-        for mod in self.src_modules:
-            if mod.relpath == relpath:
-                return mod
-        for mod in self.test_modules:
-            if mod.relpath == relpath:
-                return mod
-        return None
-
 
 @dataclass
 class AnalysisResult:
@@ -70,10 +61,6 @@ class AnalysisResult:
     @property
     def errors(self) -> List[Finding]:
         return [f for f in self.findings if f.severity is Severity.ERROR]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity is Severity.WARNING]
 
 
 def default_root() -> Path:

@@ -92,9 +92,6 @@ class Guarantee:
     def order_name(self) -> str:
         return ORDER_NAMES[self.order]
 
-    def at_least(self, level: int) -> bool:
-        return self.order >= level
-
     def to_json(self) -> Dict[str, object]:
         return {
             "spec": self.spec,

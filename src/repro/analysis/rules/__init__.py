@@ -115,13 +115,6 @@ def _build_all_rules() -> List[Rule]:
         TotalOrderAssumptionRule,
     )
     from repro.analysis.rules.purity import ImpureImportRule
-    from repro.analysis.rules.races import (
-        HiddenChannelRule,
-        LayerAliasRule,
-        MutableDefaultRule,
-        SharedModuleStateRule,
-        StampAfterSendRule,
-    )
 
     return [
         WallClockRule(),
@@ -134,11 +127,6 @@ def _build_all_rules() -> List[Rule]:
         SpecStringRule(),
         HandlerCoverageRule(),
         CodecCoverageRule(),
-        HiddenChannelRule(),
-        SharedModuleStateRule(),
-        MutableDefaultRule(),
-        StampAfterSendRule(),
-        LayerAliasRule(),
         DeadMessageRule(),
         OrphanHandlerRule(),
         SendCycleRule(),

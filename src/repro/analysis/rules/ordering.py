@@ -322,8 +322,8 @@ class ExternalGateRule(_OrdRule):
         expr: ast.AST,
         process_vars: Set[str],
     ) -> bool:
-        """Does ``expr`` contain ``<other process>.attr`` (RACE001's
-        hidden-channel shape)?"""
+        """Does ``expr`` contain ``<other process>.attr`` (the paper's
+        Fig. 1 hidden-channel shape)?"""
         return any(
             isinstance(node, ast.Attribute)
             and graph.foreign_access(info, node, process_vars) is not None

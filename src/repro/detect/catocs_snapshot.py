@@ -25,16 +25,6 @@ from repro.sim.network import Network
 
 
 @dataclass
-class _SnapshotMarker:
-    snapshot_id: int
-
-    # Render in traces as the marker it is.
-    @property
-    def kind(self) -> str:  # pragma: no cover - cosmetic
-        return f"marker#{self.snapshot_id}"
-
-
-@dataclass
 class MemberSnapshot:
     snapshot_id: int
     pid: str

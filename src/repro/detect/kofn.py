@@ -47,9 +47,6 @@ class KofNState:
     def wait(self, txn: str, wanted: Sequence[str], k: int) -> None:
         self.waits[txn] = KofNWait(txn=txn, wanted=frozenset(wanted), k=k)
 
-    def unwait(self, txn: str) -> None:
-        self.waits.pop(txn, None)
-
     def deadlocked(self) -> Set[str]:
         """Graph reduction: the set of transactions that can never proceed.
 

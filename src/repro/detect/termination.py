@@ -108,7 +108,7 @@ class ActivityReporter(Process):
         # worker's counters out of band, exactly the ghost communication the
         # paper's termination-detection study needs CATOCS to miss.  Routing
         # these reads through messages would destroy the experiment.
-        report = ActivityReport(  # repro: ignore[RACE001]
+        report = ActivityReport(
             reporter=self.worker.pid,
             seq=self._seq,
             sent=self.worker.sent_count,
@@ -116,7 +116,7 @@ class ActivityReporter(Process):
             active=self.worker.active,
         )
         for monitor in self.monitors:
-            # The report *is* the out-of-band observation (see the RACE001
+            # The report *is* the out-of-band observation (see the
             # justification above): the send is gated on state the message
             # system never carried, which is exactly the ghost communication
             # this detector feeds to the termination experiment.

@@ -105,7 +105,7 @@ class TokenReporter(Process):
         # counters directly — the out-of-band observation the token-loss
         # experiment studies.  A message round-trip here would perturb the
         # very timeline being measured.
-        report = TokenReport(  # repro: ignore[RACE001]
+        report = TokenReport(
             reporter=self.member.pid,
             seq=self._seq,
             forwards=self.member.forwards,
@@ -113,7 +113,7 @@ class TokenReporter(Process):
             holding=self.member.holding is not None,
         )
         for monitor in self.monitors:
-            # The report *is* the out-of-band observation (see the RACE001
+            # The report *is* the out-of-band observation (see the
             # justification above): this detector deliberately ships state
             # the message system never ordered, to study token loss.
             self.send(monitor, report)  # repro: ignore[ORD003]

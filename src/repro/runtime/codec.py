@@ -181,10 +181,6 @@ def registered_classes() -> Tuple[type, ...]:
     return tuple(sorted(_BY_CLASS, key=lambda c: (c.__name__, c.__module__)))
 
 
-def registered_tags() -> Tuple[str, ...]:
-    return tuple(sorted(_BY_TAG))
-
-
 def _lookup(cls: type) -> Optional[_Registration]:
     for base in cls.__mro__[:-1]:  # exclude object
         registration = _BY_CLASS.get(base)

@@ -149,6 +149,8 @@ class StackHost:
             "net": asdict(self.net.stats),
             "decode_errors": net.decode_errors,
             "unknown_sender": net.unknown_sender,
+            "oversize_dropped": net.oversize_dropped,
+            "socket_errors": net.socket_errors,
         }
 
     def _on_deliver(self, src: str, payload: Any, msg: Any) -> None:

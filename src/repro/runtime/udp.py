@@ -111,6 +111,8 @@ class UdpNetwork:
         registry.gauge_fn("udp.bytes_sent", lambda: self.stats.bytes_sent)
         registry.gauge_fn("udp.decode_errors", lambda: self.decode_errors)
         registry.gauge_fn("udp.unknown_sender", lambda: self.unknown_sender)
+        registry.gauge_fn("udp.oversize_dropped", lambda: self.oversize_dropped)
+        registry.gauge_fn("udp.socket_errors", lambda: self.socket_errors)
 
     # -- wiring -----------------------------------------------------------------------------
 

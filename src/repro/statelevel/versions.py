@@ -23,9 +23,6 @@ class VersionedValue:
     value: Any
     version: int
 
-    def newer_than(self, other: "VersionedValue") -> bool:
-        return self.version > other.version
-
 
 class VersionedStore:
     """Key-value store where every write advances a per-key version number.

@@ -195,7 +195,7 @@ class TransactionCoordinator(Process):
         # failure-detection noise.  A real system would need a detector
         # (paper Section 4) — routing this through messages would change
         # every experiment timeline, so the read stays, annotated.
-        if self.network.process(server).alive:  # repro: ignore[RACE001]
+        if self.network.process(server).alive:
             # Still blocked on a lock held by someone: give it more time and
             # leave resolution to deadlock detection / external aborts.
             self.set_timer(self.prepare_timeout, self._op_deadline, txn_id, step)

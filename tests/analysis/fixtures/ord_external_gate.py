@@ -1,10 +1,8 @@
 """ORD003 fixture: a hidden-channel read gating or feeding a send.
 
-Both violation sites also carry RACE001 (the read itself is a hidden
-channel); ORD003 adds the ordering consequence — the gated/derived send
-creates a causal dependency no delivery discipline can observe.  The
-``fine_*`` methods pin precision: gating on *own* state is the sanctioned
-pattern, and harness-level functions are exempt.
+The gated/derived send creates a causal dependency no delivery discipline
+can observe.  The ``fine_*`` methods pin precision: gating on *own* state
+is the sanctioned pattern, and harness-level functions are exempt.
 """
 
 from repro.sim.process import Process
@@ -26,12 +24,12 @@ class Relay(Process):
 
     def maybe_forward(self) -> None:
         peer = self.network.process("peer")
-        if peer.ready:  # EXPECT[ORD003]  # EXPECT[RACE001]
+        if peer.ready:  # EXPECT[ORD003]
             self.send("down", Gossip())
 
     def report(self) -> None:
         peer = self.network.process("peer")
-        snapshot = Snapshot(peer.count)  # EXPECT[RACE001]
+        snapshot = Snapshot(peer.count)
         self.send("monitor", snapshot)  # EXPECT[ORD003]
 
     def fine_own_gate(self) -> None:

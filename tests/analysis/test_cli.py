@@ -145,10 +145,35 @@ def test_exclude_rules_drops_named_rules():
     assert "DET001" not in proc.stdout
 
 
-def test_unknown_rule_id_is_usage_error():
-    proc = run_cli("--rules", "BOGUS999")
+@pytest.mark.parametrize("rule_id", ["BOGUS999", "RACE001"])
+def test_unknown_rule_id_is_usage_error(rule_id):
+    proc = run_cli("--rules", rule_id)
     assert proc.returncode == 2
     assert "unknown rule id" in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_is_an_error_not_a_traceback(unbuffered):
+    """``--list-rules | head -3``: the reader is gone before the writes.
+    Buffered stdout fails at the final flush, unbuffered at the first
+    print; both must exit 2 quietly, never 1 ("fresh findings")."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.analysis", "--list-rules"],
+            cwd=REPO_ROOT, env=env, stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
 
 
 def test_sarif_format_schema():
@@ -158,7 +183,7 @@ def test_sarif_format_schema():
     assert payload["version"] == "2.1.0"
     run = payload["runs"][0]
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert "DET001" in rule_ids and "RACE001" in rule_ids
+    assert "DET001" in rule_ids and "ORD003" in rule_ids
     assert any(res["ruleId"] == "DET001" for res in run["results"])
     first = next(res for res in run["results"] if res["ruleId"] == "DET001")
     assert "partialFingerprints" in first

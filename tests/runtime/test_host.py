@@ -82,6 +82,8 @@ def test_two_hosts_exchange_real_datagrams():
         assert report["delivered"] == 40, report
         assert report["decode_errors"] == 0
         assert report["unknown_sender"] == 0
+        assert report["oversize_dropped"] == 0
+        assert report["socket_errors"] == 0
         assert report["runtime_msgs_per_sec"] > 0
     # Same seed, same feed: both hosts saw the identical set of tick labels.
     assert set(report_a["delivery_order"]) == set(report_b["delivery_order"])

@@ -400,5 +400,6 @@ def test_udp_metrics_are_wired_into_the_registry():
     snapshot = asyncio.run(scenario())
     gauges = snapshot["gauges"]
     assert {"udp.sent", "udp.delivered", "udp.bytes_sent", "udp.decode_errors",
-            "udp.unknown_sender"} <= set(gauges)
+            "udp.unknown_sender", "udp.oversize_dropped",
+            "udp.socket_errors"} <= set(gauges)
     assert gauges["udp.sent"] >= 1
