@@ -44,7 +44,11 @@ class HeartbeatDetector:
         member.set_timer(self.period, self._tick)
 
     def observe(self, pid: str) -> None:
-        """Record liveness evidence for ``pid`` (heartbeat or any message)."""
+        """Record liveness evidence for ``pid``.
+
+        Only heartbeats reach it (:meth:`handle_heartbeat`): other packets
+        from ``pid`` are not counted as evidence.  Counting any packet is
+        ROADMAP item 7."""
         self.last_heard[pid] = self.member.sim.now
         if not self.member.believes_alive(pid):
             self.member.unsuspect(pid)

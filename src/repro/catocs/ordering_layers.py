@@ -26,9 +26,10 @@ deliverable, in delivery order.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.catocs.messages import (
     CommitRequest,
@@ -545,15 +546,28 @@ class TotalAgreedOrdering(OrderingLayer):
     key is no longer its live entry's.  The heap therefore holds at most
     one stale key per re-key and empties whenever ``_pending`` does.
 
-    Per-message agreement state lives only as long as the agreement:
-    ``_proposals`` and ``_retries`` (the sender's side) and ``_asked`` (a
-    receiver's commit requests) are dropped when the message commits.
-    ``_commit_values`` is the one record kept for good, and it has no
-    bound: any member may be asked for a commit it applied long ago (a
-    ``CommitRequest`` from a peer whose copy was lost), and the view-change
-    flush hands a departed sender's commits to every survivor.
+    A sender commits its own messages in seq order: a message whose
+    proposals are all in waits in ``_ready`` while a lower own seq is still
+    open, and goes out in the same tick as that predecessor's commit.  The
+    wait never changes the agreed value, which the collected proposals
+    already fix.  So a commit for seq ``k`` arriving from its sender is
+    proof that every lower seq of that sender was committed and broadcast:
+    ``proof_grace`` later (covering commits of one tick that arrive out of
+    order), the receiver asks for each one still open here.  The fallback
+    timer armed by :meth:`_drain` covers a sender's last message and lost
+    requests or answers; it asks only for each sender's lowest open seq,
+    since no higher one can have been committed before it.  ``_open``
+    indexes the held, uncommitted seqs per sender for both rules.
 
-    Both repair deadlines are in the member's own time units, multiples of
+    Per-message agreement state lives only as long as the agreement:
+    ``_proposals``, ``_retries`` and ``_ready`` (the sender's side) and
+    ``_asked`` (a receiver's commit requests) are dropped when the message
+    commits.  ``_commit_values`` is the one record kept for good, and it
+    has no bound: any member may be asked for a commit it applied long ago
+    (a ``CommitRequest`` from a peer whose copy was lost), and the
+    view-change flush hands a departed sender's commits to every survivor.
+
+    Every repair deadline is in the member's own time units, a multiple of
     its ``nak_delay``, so one rule serves virtual time and seconds alike.
     """
 
@@ -564,6 +578,9 @@ class TotalAgreedOrdering(OrderingLayer):
     #: The first goes one ``proposal_timeout`` after the send; the wait then
     #: doubles up to four timeouts, so the sender commits without a silent
     #: member after 28 timeouts, 560 units at the default ``nak_delay``.
+    #: While a higher own seq is open the wait does not double, because
+    #: that successor's commit waits on this one: then the window is 9
+    #: timeouts (180 units).
     #: A member that stays silent that long is treated as failed and the
     #: sender commits with the proposals it has: the view-synchronous escape
     #: hatch real implementations tie to membership changes.  Under message
@@ -581,17 +598,26 @@ class TotalAgreedOrdering(OrderingLayer):
         #: How long the sender waits for missing proposals (a lost proposal
         #: or data message, or a crashed member) before re-soliciting them.
         self.proposal_timeout = 4.0 * nak_delay
-        #: How long a member tolerates another sender's uncommitted message
-        #: at its delivery head before asking for the (possibly lost) commit;
-        #: twice this between asks for the same message.
+        #: How long a member holds a sender's lowest open message, while
+        #: another sender's message blocks its delivery head, before the
+        #: fallback timer asks for the (possibly lost) commit; twice this
+        #: between fallback asks for the same message.
         self.commit_repair_delay = 6.0 * nak_delay
+        #: How long after a sender's commit for seq k a member asks for
+        #: that sender's lower seqs still open here; twice this between
+        #: asks for the same message on fresh proof.
+        self.proof_grace = nak_delay
         self._max_priority = 0
         # msg_id -> [msg, priority, tiebreak pid, committed?]
         self._pending: Dict[MsgId, list] = {}
         #: release order over ``_pending``; may hold superseded keys
         self._heap: List[Tuple[int, str, MsgId]] = []
+        #: sender -> sorted seqs of its held, uncommitted messages
+        self._open: Dict[str, List[int]] = {}
         self._proposals: Dict[MsgId, Dict[str, int]] = {}
         self._retries: Dict[MsgId, int] = {}
+        #: own messages ready to commit behind a lower open own seq
+        self._ready: Set[MsgId] = set()
         #: every commit applied here, so any member can answer a
         #: CommitRequest; its keys are the committed ids
         self._commit_values: Dict[MsgId, Tuple[int, str]] = {}
@@ -613,15 +639,13 @@ class TotalAgreedOrdering(OrderingLayer):
         return self._drain()
 
     def insert(self, msg: DataMessage) -> List[DataMessage]:
-        self._hold(msg)
-        self._note_message(msg)
         agreed = self._commit_values.get(msg.msg_id)
+        self._note_message(msg, committed=agreed is not None)
         if agreed is not None:
             # The commit overtook its data (the sender finalised without us
             # while it suspected us).  Take the agreed place and propose
             # nothing: an uncommitted entry here could never be completed,
             # because _apply_commit ignores ids it has already recorded.
-            self._pending[msg.msg_id][3] = True
             self._rekey(msg.msg_id, *agreed)
             return self._drain()
         priority = self._propose()
@@ -642,7 +666,14 @@ class TotalAgreedOrdering(OrderingLayer):
             self._record_proposal(payload.msg_id, payload.proposer, payload.priority)
             return self._drain()
         if isinstance(payload, PriorityCommit):
-            self._apply_commit(payload.msg_id, payload.priority, payload.tiebreak)
+            msg_id = payload.msg_id
+            self._apply_commit(msg_id, payload.priority, payload.tiebreak)
+            if src == msg_id[0]:
+                # Only the sender's own commit proves its lower seqs were
+                # committed; another member's answer proves nothing of it.
+                seqs = self._open.get(src)
+                if seqs and seqs[0] < msg_id[1]:
+                    self.member.set_timer(self.proof_grace, self._ask_on_proof, msg_id)
             return self._drain()
         if isinstance(payload, CommitRequest):
             cached = self._commit_values.get(payload.msg_id)
@@ -689,11 +720,14 @@ class TotalAgreedOrdering(OrderingLayer):
 
     # -- internals -------------------------------------------------------------
 
-    def _note_message(self, msg: DataMessage) -> None:
+    def _note_message(self, msg: DataMessage, committed: bool = False) -> None:
         if msg.msg_id not in self._pending:
-            self._pending[msg.msg_id] = [msg, 0, "", False]
+            self._pending[msg.msg_id] = [msg, 0, "", committed]
+            if not committed:
+                insort(self._open.setdefault(msg.sender, []), msg.seq)
             if msg.msg_id not in self.held_since:
                 self._hold(msg)
+
 
     def _rekey(self, msg_id: MsgId, priority: int, tiebreak: str) -> None:
         """Move a pending entry to ``(priority, tiebreak)`` in the release
@@ -714,8 +748,10 @@ class TotalAgreedOrdering(OrderingLayer):
         box = self._proposals.setdefault(msg_id, {})
         box[proposer] = priority
         if msg_id in self._pending and self._pending[msg_id][0].sender == self.member.pid:
-            members = set(self.member.view_members)
-            if set(box) >= members:
+            members = self.member.view_members
+            # The length test settles every proposal but the last one
+            # without building a set.
+            if len(box) >= len(members) and box.keys() >= set(members):
                 self._commit(msg_id)
 
     def _finalize_on_timeout(self, msg_id: MsgId) -> None:
@@ -744,7 +780,9 @@ class TotalAgreedOrdering(OrderingLayer):
             )
             for pid in missing:
                 self.member.send_control(pid, request)
-            self.member.set_timer(self.proposal_timeout * min(2 ** retries, 4),
+            successors_wait = self._open[self.member.pid][-1] > msg_id[1]
+            backoff = 1 if successors_wait else min(2 ** retries, 4)
+            self.member.set_timer(self.proposal_timeout * backoff,
                                   self._finalize_on_timeout, msg_id)
             return
         if missing:
@@ -754,20 +792,35 @@ class TotalAgreedOrdering(OrderingLayer):
             self.member._deliver(msg)
 
     def _commit(self, msg_id: MsgId) -> None:
-        box = self._proposals.get(msg_id, {})
-        if not box or msg_id in self._commit_values:
+        """Commit own message ``msg_id`` now, or once every lower own seq
+        has committed; then commit the successors that were waiting on it,
+        in seq order."""
+        if not self._proposals.get(msg_id) or msg_id in self._commit_values:
             return
-        agreed = max(box.values())
-        tiebreak = max(p for p, prio in box.items() if prio == agreed)
-        commit = PriorityCommit(
-            group=self.member.group,
-            sender=self.member.pid,
-            msg_id=msg_id,
-            priority=agreed,
-            tiebreak=tiebreak,
-        )
-        self.member.broadcast_control(commit)
-        self._apply_commit(msg_id, agreed, tiebreak)
+        member = self.member
+        own = self._open[member.pid]
+        if own[0] != msg_id[1]:
+            self._ready.add(msg_id)
+            return
+        while True:
+            self._ready.discard(msg_id)
+            box = self._proposals[msg_id]
+            agreed = max(box.values())
+            tiebreak = max(p for p, prio in box.items() if prio == agreed)
+            commit = PriorityCommit(
+                group=member.group,
+                sender=member.pid,
+                msg_id=msg_id,
+                priority=agreed,
+                tiebreak=tiebreak,
+            )
+            member.broadcast_control(commit)
+            self._apply_commit(msg_id, agreed, tiebreak)
+            if not own:
+                return
+            msg_id = (member.pid, own[0])
+            if msg_id not in self._ready:
+                return
 
     def _apply_commit(self, msg_id: MsgId, priority: int, tiebreak: str) -> None:
         if msg_id in self._commit_values:
@@ -778,10 +831,20 @@ class TotalAgreedOrdering(OrderingLayer):
         self._proposals.pop(msg_id, None)
         self._retries.pop(msg_id, None)
         self._asked.pop(msg_id, None)
-        self._max_priority = max(self._max_priority, priority)
+        if priority > self._max_priority:
+            self._max_priority = priority
         if msg_id in self._pending:
             self._pending[msg_id][3] = True
+            self._close(msg_id)
             self._rekey(msg_id, priority, tiebreak)
+
+    def _close(self, msg_id: MsgId) -> None:
+        """Take a held message out of its sender's open seqs."""
+        sender, seq = msg_id
+        seqs = self._open[sender]
+        seqs.remove(seq)
+        if not seqs:
+            del self._open[sender]
 
     def _commit_due(self, msg_id: MsgId) -> float:
         """When this member should ask for ``msg_id``'s commit:
@@ -807,10 +870,13 @@ class TotalAgreedOrdering(OrderingLayer):
             if not entry[3]:
                 # Blocked.  Only another sender can owe this member a
                 # commit; its own messages commit through the proposal
-                # timeout.
-                if not self._repair_armed and head_id[0] != self.member.pid:
+                # timeout.  That sender commits in seq order, so the head
+                # waits on the sender's lowest open seq.
+                sender = head_id[0]
+                if not self._repair_armed and sender != self.member.pid:
                     self._repair_armed = True
-                    delay = self._commit_due(head_id) - self.member.sim.now
+                    lowest = (sender, self._open[sender][0])
+                    delay = self._commit_due(lowest) - self.member.sim.now
                     self.member.set_timer(max(delay, 0.0), self._request_commit_repair)
                 break
             heappop(heap)
@@ -847,30 +913,47 @@ class TotalAgreedOrdering(OrderingLayer):
             msg, _priority, _tiebreak, committed = self._pending[msg_id]
             if not committed and msg_id[0] in departed_counts:
                 del self._pending[msg_id]
+                self._close(msg_id)
                 self._asked.pop(msg_id, None)
                 self._release(msg)
         # Pending proposal collections involving departed members resolve by
         # the normal timeout path (believes_alive now excludes them).
 
+    def _ask(self, msg_id: MsgId) -> None:
+        member = self.member
+        request = CommitRequest(group=member.group, requester=member.pid,
+                                msg_id=msg_id)
+        if member.believes_alive(msg_id[0]):
+            member.send_control(msg_id[0], request)
+        else:
+            # Any survivor may hold the commit of a suspected sender.
+            member.broadcast_control(request)
+        self._asked[msg_id] = member.sim.now
+
+    def _ask_on_proof(self, proof: MsgId) -> None:
+        """Ask for each of the proof's sender's open seqs below it, unless
+        asked within the last ``2 × proof_grace``: its commit was sent, so
+        it was lost (or its answer was)."""
+        sender, seq = proof
+        now = self.member.sim.now
+        for lower in self._open.get(sender, ()):
+            if lower >= seq:
+                break
+            asked = self._asked.get((sender, lower))
+            if asked is None or now - asked >= 2 * self.proof_grace:
+                self._ask((sender, lower))
+
     def _request_commit_repair(self) -> None:
-        """Ask for every overdue commit another sender owes this member,
-        then re-arm through :meth:`_drain` if the head is still blocked."""
+        """Ask for each other sender's lowest open seq whose commit is
+        overdue, then re-arm through :meth:`_drain` if the head is still
+        blocked."""
         self._repair_armed = False
         member = self.member
         now = member.sim.now
-        for msg_id in sorted(self._pending):
-            sender = msg_id[0]
-            if (self._pending[msg_id][3] or sender == member.pid
-                    or self._commit_due(msg_id) > now):
-                continue
-            request = CommitRequest(group=member.group, requester=member.pid,
-                                    msg_id=msg_id)
-            if member.believes_alive(sender):
-                member.send_control(sender, request)
-            else:
-                # Any survivor may hold the commit of a suspected sender.
-                member.broadcast_control(request)
-            self._asked[msg_id] = now
+        for sender in sorted(self._open):
+            msg_id = (sender, self._open[sender][0])
+            if sender != member.pid and self._commit_due(msg_id) <= now:
+                self._ask(msg_id)
         for msg in self._drain():
             member._deliver(msg)
 

@@ -630,7 +630,10 @@ def test_maintained_frontier_keeps_the_counters_the_recomputed_one_kept():
     falls, 27.4 -> 26.5.  The gossip counts were re-pinned again when a
     settled member fell silent instead of backing off (about half as many
     broadcast ticks); that re-rolls seed 31's drops, so p0 and p2 serve a
-    different number of retransmissions.  No buffer count moved."""
+    different number of retransmissions.  No buffer count moved.  The
+    total-agreed run was re-pinned when senders began to commit in seq
+    order and receivers to ask for a commit on the sender's next one: the
+    drop draws re-roll again, and the peak falls to 26."""
     assert _stability_counters(31, "causal", leave="p4") == {
         "peak_buffered": [38, 23, 25, 25, 20],
         "peak_buffered_bytes": [4966, 3036, 3300, 3250, 2640],
@@ -639,10 +642,10 @@ def test_maintained_frontier_keeps_the_counters_the_recomputed_one_kept():
         "left_buffered": [0, 0, 0, 0, 0],
     }
     assert _stability_counters(33, "total-agreed") == {
-        "peak_buffered": [27, 27, 27, 27, 16],
-        "peak_buffered_bytes": [2214, 2214, 2164, 2214, 1312],
+        "peak_buffered": [26, 25, 26, 26, 20],
+        "peak_buffered_bytes": [2132, 2050, 2132, 2132, 1640],
         "gossip_sent": [5, 5, 6, 5, 5],
-        "retransmissions": [5, 3, 3, 1, 1],
+        "retransmissions": [6, 5, 4, 4, 0],
         "left_buffered": [0, 0, 0, 0, 0],
     }
     # E16 samples every member's buffer every five time units
@@ -664,7 +667,10 @@ def test_lean_envelope_path_keeps_the_wire_counters():
     drop draws for the packets after them.  The total-agreed run was
     re-pinned again, the same way, when commit requests became
     blocking-and-overdue only (181 requests -> 16), and all three when a
-    settled member fell silent and answered queries instead."""
+    settled member fell silent and answered queries instead.  The
+    total-agreed run was re-pinned once more, the same way, when senders
+    began to commit in seq order (16 more packets: 6 more data repairs and
+    5 more commits, re-rolled losses)."""
     def wire(*args, **kwargs):
         net, _ = _seeded_group_run(*args, **kwargs)
         return net.stats.snapshot()
@@ -674,8 +680,8 @@ def test_lean_envelope_path_keeps_the_wire_counters():
         "to_crashed": 0, "reset": 0, "bytes_sent": 42390, "bytes_delivered": 42390,
     }
     assert wire(33, "total-agreed") == {
-        "sent": 935, "delivered": 887, "dropped": 48, "partitioned": 0,
-        "to_crashed": 0, "reset": 0, "bytes_sent": 77759, "bytes_delivered": 73734,
+        "sent": 951, "delivered": 903, "dropped": 48, "partitioned": 0,
+        "to_crashed": 0, "reset": 0, "bytes_sent": 78744, "bytes_delivered": 74793,
     }
     assert wire(31, "causal", leave="p4") == {
         "sent": 1517, "delivered": 1437, "dropped": 70, "partitioned": 0,
