@@ -1,7 +1,7 @@
 """Command-line entry point: ``python -m repro.analysis`` / ``repro-analysis``.
 
-Exit codes: ``0`` clean (every finding suppressed or baselined), ``1``
-at least one fresh finding, ``2`` usage or internal error.  See
+Exit codes: ``0`` clean (every finding suppressed), ``1`` at least one
+finding, ``2`` usage or internal error.  See
 ``docs/ANALYSIS.md`` for the workflow.
 """
 
@@ -13,24 +13,20 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis.engine import default_root, run_analysis
 from repro.analysis.report import render_json, render_sarif, render_text
 from repro.analysis.rules import ALL_RULES, rule_catalogue
-
-DEFAULT_BASELINE = "analysis-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analysis",
-        description="Determinism & protocol-contract static analysis "
-        "for the CATOCS reproduction.",
+        description="Determinism, purity, message-flow and ordering "
+        "static analysis of src/ for the CATOCS reproduction.",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,
-        help="files or directories to analyse instead of the whole repo "
-        "(explicit paths get full lexical-rule coverage; docs are skipped)",
+        help="files or directories to analyse instead of src/repro",
     )
     parser.add_argument(
         "--root", type=Path, default=None,
@@ -49,21 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE} if present; "
-        "pass an explicit path to require it)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline file from this run's findings and exit 0",
-    )
-    parser.add_argument(
         "--out", type=Path, default=None,
         help="also write the report to this path (for CI artifacts)",
-    )
-    parser.add_argument(
-        "--no-docs", action="store_true",
-        help="skip scanning Markdown docs for spec strings",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -120,7 +103,7 @@ def export_main(command: str, argv: List[str]) -> int:
     root = (args.root or default_root()).resolve()
     if not _is_repo_root(root):
         return 2
-    project = load_project(root=root, include_docs=False)
+    project = load_project(root=root)
     if args.format == "dot":
         report = flow_graph_for(project).to_dot()
     else:
@@ -176,7 +159,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # The reader closed the pipe (``--list-rules | head``).  Point
         # stdout at devnull so the interpreter's exit-time flush cannot
         # raise again, and report it as the I/O error it is, not as
-        # "fresh findings".
+        # "findings".
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -205,57 +188,19 @@ def _run(argv: Optional[List[str]]) -> int:
 
     try:
         result = run_analysis(
-            root=root,
-            paths=args.paths or None,
-            rules=rules,
-            include_docs=not args.no_docs,
+            root=root, paths=args.paths or None, rules=rules
         )
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error: analysis failed: {exc}", file=sys.stderr)
         return 2
-
-    baseline_path = args.baseline
-    if baseline_path is None:
-        candidate = root / DEFAULT_BASELINE
-        if candidate.is_file():
-            baseline_path = candidate
-
-    if args.update_baseline:
-        target = args.baseline or (root / DEFAULT_BASELINE)
-        ran = {r.rule_id for r in (rules if rules is not None else ALL_RULES)}
-        project = result.project
-        scanned = {
-            f.relpath for f in
-            project.src_modules + project.test_modules + project.docs
-        }
-        removed = baseline_mod.update(
-            result.findings, target, root=root,
-            ran_rules=ran, known_rules=set(rule_catalogue()),
-            scanned_paths=scanned,
-        )
-        print(f"baseline written: {target} "
-              f"({len(result.findings)} finding(s), "
-              f"{removed} stale entr{'y' if removed == 1 else 'ies'} removed)")
-        return 0
-
-    grandfathered = []
-    fresh = result.findings
-    if baseline_path is not None:
-        try:
-            known = baseline_mod.load(baseline_path)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: cannot read baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-        fresh, grandfathered = baseline_mod.apply(result.findings, known)
 
     renderer = {
         "json": render_json,
         "sarif": render_sarif,
         "text": render_text,
     }[args.format]
-    _emit(renderer(fresh, grandfathered, result.suppressed), args.out)
-    return 1 if fresh else 0
+    _emit(renderer(result.findings, result.suppressed), args.out)
+    return 1 if result.findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,8 +14,8 @@ class Severity(enum.Enum):
     outright; ``WARNING`` findings are determinism hazards that happen to be
     benign today (e.g. iteration order that is deterministic by CPython's
     insertion-order guarantee but fragile under refactoring).  The CI gate
-    fails on *any* non-baselined, non-suppressed finding regardless of
-    severity — severity orders the report, it does not soften the gate.
+    fails on *any* non-suppressed finding regardless of severity — severity
+    orders the report, it does not soften the gate.
     """
 
     ERROR = "error"
@@ -30,10 +30,9 @@ class Severity(enum.Enum):
 class Finding:
     """One rule violation, pinned to ``path:line``.
 
-    ``context`` is the stripped source line the finding anchors to; baseline
-    matching keys on ``(rule_id, path, context)`` rather than the line
-    number, so unrelated edits above a grandfathered finding do not
-    invalidate the baseline.
+    ``context`` is the stripped source line the finding anchors to; the
+    SARIF fingerprints key on it rather than the line number, so
+    unrelated edits above a finding do not change its identity.
     """
 
     rule_id: str
@@ -48,7 +47,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> Tuple[str, str, str]:
-        """Baseline identity: stable across pure line-number drift."""
+        """SARIF identity: stable across pure line-number drift."""
         return (self.rule_id, self.path, self.context)
 
     @property
@@ -56,8 +55,8 @@ class Finding:
         """The one canonical order: ``(path, line, col, rule, message)``.
 
         Every renderer sorts by exactly this key (``report.py`` enforces
-        it), so a report — and a baseline diff made from it — does not
-        move with rule registration or file discovery order.
+        it), so a report does not move with rule registration or file
+        discovery order.
         """
         return (self.path, self.line, self.col, self.rule_id, self.message)
 

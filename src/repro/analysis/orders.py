@@ -8,9 +8,9 @@ each registered discipline or explicit spec string onto that lattice, so
 the ORD rules can ask "is the order this handler assumes actually promised
 by the stack the class is configured with?".
 
-Like PROTO002, the mapping is deliberately hybrid: the ordering *level* of
-a layer name comes from a small table over the built-in disciplines, but
-spec resolution goes through the real registry
+The mapping is deliberately hybrid: the ordering *level* of a layer name
+comes from a small table over the built-in disciplines, but spec
+resolution goes through the real registry
 (:func:`repro.catocs.stack.resolve_spec`) so aliases, layer order and
 validity always agree with the runtime.  A layer the table does not know
 is treated as promising **nothing** — the model only under-claims, so a
@@ -67,8 +67,8 @@ STABLE_LAYERS = {"stability", "hybrid-causal"}
 #: closest the stack comes to the paper's "atomic" delivery.
 ATOMIC_LAYERS = {"total-agreed"}
 
-#: keyword arguments whose string value names a discipline or spec (the
-#: PROTO002 set plus ``stack``, the socket host's name for ``ordering``).
+#: keyword arguments whose string value names a discipline or spec
+#: (``stack`` is the socket host's name for ``ordering``).
 SPEC_KEYWORDS = ("discipline", "spec", "ordering", "stack", "stack_spec")
 
 #: qualified roots the guarantee environment distinguishes.
@@ -103,9 +103,8 @@ class Guarantee:
 
 
 #: Unstacked ``Process.send`` traffic: per-packet jittered latency, no
-#: dedup, no retention — the weakest point of the lattice.  (Constructed
-#: positionally: the first field is a *description*, not a spec string,
-#: and must not look like one to PROTO002.)
+#: dedup, no retention — the weakest point of the lattice.  The first
+#: field is a *description*, not a spec string.
 PLAIN_SEND = Guarantee("<plain send>", (), ORDER_NONE, False, False)
 
 
@@ -133,7 +132,7 @@ class GuaranteeModel:
 
     def resolve(self, spec: str) -> Optional[Guarantee]:
         """``Guarantee`` for a discipline alias or explicit spec string;
-        ``None`` when the registry rejects it (PROTO002's department)."""
+        ``None`` when the registry rejects it."""
         if spec in self._cache:
             return self._cache[spec]
         try:
@@ -173,7 +172,8 @@ class GuaranteeModel:
 def spec_strings_in(tree: ast.AST) -> List[Tuple[str, int]]:
     """Candidate spec strings under ``tree``: keyword arguments named in
     :data:`SPEC_KEYWORDS` and defaults of parameters so named.  Strings
-    that do not resolve are dropped later — validity is PROTO002's job."""
+    that do not resolve are dropped later: a bad spec raises ``ValueError``
+    from ``resolve_spec`` wherever the program builds it."""
     out: List[Tuple[str, int]] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):

@@ -1,4 +1,4 @@
-"""Finding renderers: human text and machine JSON (``repro.analysis/v1``)."""
+"""Finding renderers: human text, machine JSON (``repro.analysis/v2``), SARIF."""
 
 from __future__ import annotations
 
@@ -7,80 +7,60 @@ from typing import Any, Dict, List
 
 from repro.analysis.finding import Finding
 
-SCHEMA = "repro.analysis/v1"
+SCHEMA = "repro.analysis/v2"
 
 
 def canonical_order(findings: List[Finding]) -> List[Finding]:
     """The single sort every renderer goes through: ``Finding.sort_key``,
     i.e. ``(path, line, col, rule, message)``.
 
-    Callers may hand a renderer findings in any order (the CLI passes
-    the baseline split, tests pass hand-built lists).  Sorting here
-    (idempotently; the engine pre-sorts too) is what keeps text/JSON/SARIF
-    bytes, SARIF ``partialFingerprints`` order, and baseline diffs stable
-    from run to run.
+    Callers may hand a renderer findings in any order (tests pass
+    hand-built lists).  Sorting here (idempotently; the engine pre-sorts
+    too) is what keeps text/JSON/SARIF bytes and SARIF
+    ``partialFingerprints`` order stable from run to run.
     """
     return sorted(findings, key=lambda f: f.sort_key)
 
 
-def render_text(
-    fresh: List[Finding],
-    grandfathered: List[Finding],
-    suppressed: int,
-) -> str:
-    fresh = canonical_order(fresh)
+def render_text(findings: List[Finding], suppressed: int) -> str:
+    findings = canonical_order(findings)
     lines: List[str] = []
-    for finding in fresh:
+    for finding in findings:
         lines.append(finding.render())
-    counts = _severity_counts(fresh)
+    counts = _severity_counts(findings)
     summary = (
-        f"{len(fresh)} finding(s) "
+        f"{len(findings)} finding(s) "
         f"({counts['error']} error(s), {counts['warning']} warning(s)), "
-        f"{len(grandfathered)} baselined, {suppressed} suppressed"
+        f"{suppressed} suppressed"
     )
-    if fresh:
+    if findings:
         lines.append("")
     lines.append(summary)
     return "\n".join(lines) + "\n"
 
 
-def render_json(
-    fresh: List[Finding],
-    grandfathered: List[Finding],
-    suppressed: int,
-) -> str:
+def render_json(findings: List[Finding], suppressed: int) -> str:
     payload: Dict[str, Any] = {
         "schema": SCHEMA,
-        "findings": [f.to_json() for f in canonical_order(fresh)],
-        "baselined": [f.to_json() for f in canonical_order(grandfathered)],
+        "findings": [f.to_json() for f in canonical_order(findings)],
         "summary": {
-            **_severity_counts(fresh),
-            "total": len(fresh),
-            "baselined": len(grandfathered),
+            **_severity_counts(findings),
+            "total": len(findings),
             "suppressed": suppressed,
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def render_sarif(
-    fresh: List[Finding],
-    grandfathered: List[Finding],
-    suppressed: int,
-) -> str:
-    """SARIF 2.1.0 — the schema GitHub code scanning ingests.
-
-    Baselined findings are included as suppressed results (kind
-    ``external``) so the code-scanning view shows the full picture while
-    only fresh findings surface as annotations.
-    """
+def render_sarif(findings: List[Finding], suppressed: int) -> str:
+    """SARIF 2.1.0 — the schema GitHub code scanning ingests."""
     from repro.analysis.rules import rule_catalogue
 
-    def result(finding: Finding, suppressed_result: bool) -> Dict[str, Any]:
+    def result(finding: Finding) -> Dict[str, Any]:
         text = finding.message
         if finding.hint:
             text += f" (hint: {finding.hint})"
-        entry: Dict[str, Any] = {
+        return {
             "ruleId": finding.rule_id,
             "level": finding.severity.value,
             "message": {"text": text},
@@ -104,11 +84,6 @@ def render_sarif(
                 ),
             },
         }
-        if suppressed_result:
-            entry["suppressions"] = [
-                {"kind": "external", "justification": "analysis-baseline.json"}
-            ]
-        return entry
 
     payload: Dict[str, Any] = {
         "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
@@ -133,8 +108,7 @@ def render_sarif(
                         ],
                     }
                 },
-                "results": [result(f, False) for f in canonical_order(fresh)]
-                + [result(f, True) for f in canonical_order(grandfathered)],
+                "results": [result(f) for f in canonical_order(findings)],
                 "properties": {"suppressedInline": suppressed},
             }
         ],

@@ -2,15 +2,15 @@
 
 A rule subclasses :class:`Rule` and overrides one of two hooks:
 
-- :meth:`Rule.check_module` — called once per Python file in the rule's
-  scope.  Most lexical rules live here.
+- :meth:`Rule.check_module` — called once per parsed Python file.  Most
+  lexical rules live here.
 - :meth:`Rule.check_project` — called once with the whole
-  :class:`~repro.analysis.engine.Project`; the cross-checking contract
-  rules (registry conformance, handler coverage) live here.
+  :class:`~repro.analysis.engine.Project`; the rules that read the
+  message-flow graph or the handler effect tables live here.
 
 Register new rules by appending an *instance* to :data:`ALL_RULES` at
 module import (see ``docs/ANALYSIS.md`` for the add-a-rule walkthrough).
-The engine deduplicates, suppresses, baselines, and orders findings — a
+The engine deduplicates, suppresses, and orders findings — a
 rule only decides *what* is wrong, never *whether it is reported*.
 """
 
@@ -31,13 +31,6 @@ class Rule:
     rule_id = "ABSTRACT"
     title = "abstract rule"
     severity = Severity.ERROR
-    #: which file sets :meth:`check_module` sees: "src", "tests", or both.
-    scopes = ("src",)
-    #: True for rules whose subject is repo-global runtime state (the layer
-    #: registry, the message catalogue) rather than the scanned files; the
-    #: engine skips them in explicit-paths mode, where that state is not in
-    #: view and every verdict would be vacuous.
-    repo_only = False
 
     def check_module(self, mod: SourceModule) -> Iterable[Finding]:
         return ()
@@ -89,12 +82,6 @@ def rule_catalogue() -> Dict[str, Rule]:
 
 
 def _build_all_rules() -> List[Rule]:
-    from repro.analysis.rules.contracts import (
-        CodecCoverageRule,
-        HandlerCoverageRule,
-        LayerSurfaceRule,
-        SpecStringRule,
-    )
     from repro.analysis.rules.determinism import (
         EnvBranchRule,
         IdComparisonRule,
@@ -103,9 +90,7 @@ def _build_all_rules() -> List[Rule]:
         WallClockRule,
     )
     from repro.analysis.rules.flows import (
-        DeadMessageRule,
         LayerBypassRule,
-        OrphanHandlerRule,
         SendCycleRule,
     )
     from repro.analysis.rules.ordering import (
@@ -123,12 +108,6 @@ def _build_all_rules() -> List[Rule]:
         IdComparisonRule(),
         EnvBranchRule(),
         ImpureImportRule(),
-        LayerSurfaceRule(),
-        SpecStringRule(),
-        HandlerCoverageRule(),
-        CodecCoverageRule(),
-        DeadMessageRule(),
-        OrphanHandlerRule(),
         SendCycleRule(),
         LayerBypassRule(),
         ConcurrentConflictRule(),

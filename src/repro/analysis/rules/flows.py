@@ -1,15 +1,11 @@
-"""FLOW001-004: message-flow rules over the interprocedural graph.
+"""FLOW003-004: message-flow rules over the interprocedural graph.
 
 These rules read the graph built by :mod:`repro.analysis.flowgraph`
-(construction is cached on the Project, so the four rules and the
-``graph`` CLI subcommand share one pass):
+(construction is cached on the Project, so both rules and the ``graph``
+CLI subcommand share one pass).  Dead messages and orphan handlers are
+not rules: the wiring gate in ``tests/analysis/test_flowgraph.py`` checks
+the same graph for them.
 
-- **FLOW001** — dead message: a wire-message class is sent somewhere but
-  no typed or ``isinstance`` handler covers it (the send is wasted work
-  at best, a silently dropped protocol step at worst).
-- **FLOW002** — orphan handler: a handler is registered for a class that
-  nothing sends; either the sender was deleted out from under it or the
-  registration is dead code hiding a protocol hole.
 - **FLOW003** — same-tick send cycle: handling message A can send B in
   the same tick and handling B can send A — the tick need not drain.
   Bounded request/reply chains are the legitimate shape that trips this;
@@ -48,64 +44,6 @@ class _FlowRule(Rule):
         by_relpath: Dict[str, SourceModule],
     ) -> Iterable[Finding]:
         raise NotImplementedError
-
-
-class DeadMessageRule(_FlowRule):
-    """FLOW001: sent but unhandled."""
-
-    rule_id = "FLOW001"
-    title = "dead message: sent but no handler covers it"
-
-    def check_flow(self, project, flow, by_relpath):  # type: ignore[no-untyped-def]
-        for name in sorted(flow.messages):
-            if name not in flow.sent_names() or flow.is_handled(name):
-                continue
-            sites = sorted(
-                (s for s in flow.sends if s.message == name),
-                key=lambda s: (s.relpath, s.lineno),
-            )
-            site = sites[0]
-            yield self.finding_at(
-                by_relpath,
-                site.relpath,
-                site.lineno,
-                f"`{name}` is sent here (and at {len(sites) - 1} other "
-                f"site(s)) but no handler covers it — typed dispatch will "
-                "drop it on the floor",
-                hint="register a handler via add_message_handler (or an "
-                "isinstance arm in on_message), or delete the send",
-            )
-
-
-class OrphanHandlerRule(_FlowRule):
-    """FLOW002: handled but never sent."""
-
-    rule_id = "FLOW002"
-    title = "orphan handler: registered for a message nothing sends"
-
-    def check_flow(self, project, flow, by_relpath):  # type: ignore[no-untyped-def]
-        for name in sorted(flow.messages):
-            if name not in flow.handled_names() or flow.is_sent(name):
-                continue
-            # Marker bases (ControlMessage, OrderingControl, ...) exist to
-            # be subclassed; a handler on one covers the subtree, so it is
-            # an orphan only if no subclass is sent either — which
-            # ``is_sent`` already checks via the MRO.  What remains here
-            # is genuinely unreachable.
-            sites = sorted(
-                (h for h in flow.handlers if h.message == name),
-                key=lambda h: (h.relpath, h.lineno),
-            )
-            site = sites[0]
-            yield self.finding_at(
-                by_relpath,
-                site.relpath,
-                site.lineno,
-                f"handler for `{name}` ({site.kind}) but nothing in the "
-                "scanned tree sends that class or any subclass of it",
-                hint="delete the dead registration, or restore the sender "
-                "it was written for",
-            )
 
 
 class SendCycleRule(_FlowRule):
@@ -178,8 +116,6 @@ class LayerBypassRule(_FlowRule):
 
 
 __all__ = [
-    "DeadMessageRule",
-    "OrphanHandlerRule",
     "SendCycleRule",
     "LayerBypassRule",
 ]

@@ -81,8 +81,6 @@ def _is_substrate(info: ClassInfo) -> bool:
 class _OrdRule(Rule):
     """Shared plumbing: effect table + guarantee env + module lookup."""
 
-    scopes = ("src",)
-
     def check_project(self, project) -> Iterable[Finding]:  # type: ignore[no-untyped-def]
         table = effect_table_for(project)
         env = guarantee_env_for(project)

@@ -1,11 +1,9 @@
 """Source discovery and parsing: files in, parsed modules out.
 
 The walker is deliberately boring: deterministic file order (sorted
-POSIX-relative paths), one :class:`SourceModule` per parsable Python file,
-and a :class:`DocFile` per Markdown file for the rules that validate spec
-strings in prose.  Unparsable Python files surface as ``PARSE`` findings
-rather than exceptions, so one syntax error does not hide every other
-finding.
+POSIX-relative paths) and one :class:`SourceModule` per parsable Python
+file.  Unparsable files surface as ``PARSE`` findings rather than
+exceptions, so one syntax error does not hide every other finding.
 """
 
 from __future__ import annotations
@@ -57,16 +55,6 @@ class SourceModule:
         return self._stmt_starts.get(lineno, lineno)
 
 
-@dataclass
-class DocFile:
-    """A Markdown file scanned for spec strings."""
-
-    path: Path
-    relpath: str
-    text: str
-    lines: List[str] = field(default_factory=list)
-
-
 def module_name_for(path: Path, src_root: Path) -> str:
     """Dotted module name of ``path`` under ``src_root`` ("" if outside)."""
     try:
@@ -105,16 +93,6 @@ def load_python_file(
     )
 
 
-def load_doc_file(path: Path, repo_root: Path) -> DocFile:
-    text = path.read_text(encoding="utf-8", errors="replace")
-    return DocFile(
-        path=path,
-        relpath=_relpath(path, repo_root),
-        text=text,
-        lines=text.splitlines(),
-    )
-
-
 def iter_python_files(roots: Iterable[Path]) -> List[Path]:
     """Every ``*.py`` under ``roots`` (files accepted verbatim), sorted."""
     found: Dict[Path, None] = {}
@@ -127,15 +105,6 @@ def iter_python_files(roots: Iterable[Path]) -> List[Path]:
                     continue
                 found[path.resolve()] = None
     return sorted(found)
-
-
-def iter_doc_files(repo_root: Path) -> List[Path]:
-    """Top-level ``*.md`` plus ``docs/**/*.md``, sorted."""
-    found = sorted(repo_root.glob("*.md"))
-    docs = repo_root / "docs"
-    if docs.is_dir():
-        found.extend(sorted(docs.rglob("*.md")))
-    return found
 
 
 def _relpath(path: Path, repo_root: Path) -> str:

@@ -3,14 +3,14 @@
 Grammar (one comment per physical line, anywhere after code)::
 
     # repro: ignore[DET003]            suppress one rule on this line
-    # repro: ignore[DET003, PROTO002]  suppress several rules
+    # repro: ignore[DET003, FLOW003]   suppress several rules
     # repro: ignore                    suppress every rule on this line
 
 A finding at line ``L`` is suppressed when a matching comment sits on ``L``
 itself or on the first line of the statement enclosing ``L`` (so a
 suppression on a ``for`` header covers findings reported against its
 multi-line iterable).  Suppressions are parsed lexically — they work in any
-file the analyser reads, including fixtures and tests.
+file the analyser reads, fixtures included.
 """
 
 from __future__ import annotations

@@ -87,14 +87,8 @@ class HybridCausalOrdering(CausalOrdering):
         self.retention_resends = 0
         self.acks_sent = 0
         self.peak_retained = 0
-
-        # Stub members in unit tests carry no group/timers; the periodic
-        # machinery only makes sense on a real member.
-        if getattr(member, "view_members", None) and hasattr(member, "set_timer"):
-            if self.ack_interval > 0:
-                member.set_timer(self.ack_interval, self._ack_tick)
-            if self.resend_period > 0:
-                member.set_timer(self.resend_period, self._resend_tick)
+        member.set_timer(self.ack_interval, self._ack_tick)
+        member.set_timer(self.resend_period, self._resend_tick)
 
     # -- sender side -------------------------------------------------------------
 

@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.catocs.messages import (
     FlushAck,
     FlushRequest,
-    Heartbeat,
     JoinRequest,
     LeaveAnnounce,
     ViewInstall,
@@ -62,7 +61,6 @@ class ViewManager:
     def __init__(self, member: "GroupMember", detector: Optional["HeartbeatDetector"] = None) -> None:
         self.member = member
         member.membership = self
-        self.detector = detector
         if detector is not None:
             detector.on_suspect.append(self._on_suspect)
         self.view_history: List[ViewChangeRecord] = []
@@ -157,10 +155,6 @@ class ViewManager:
         member.set_timer(linger, member.crash)
 
     def handle(self, member: "GroupMember", src: str, payload) -> None:
-        if isinstance(payload, Heartbeat):
-            if self.detector is not None:
-                self.detector.handle_heartbeat(payload)
-            return
         if isinstance(payload, LeaveAnnounce):
             member.suspect(payload.sender)
             if member.sequencer_pid() == member.pid:
@@ -287,16 +281,15 @@ class ViewManager:
             )
         )
         self._change_started = 0.0
-        registry = getattr(member.sim, "metrics", None)
-        if registry is not None:
-            registry.counter("membership.view_changes").inc()
-            registry.histogram("membership.view_change_duration").observe(
-                member.sim.now - started
-            )
-            registry.gauge_fn("membership.view_change_messages",
-                              lambda: self.view_change_messages, pid=member.pid)
-            registry.gauge_fn("membership.current_view_id",
-                              lambda: member.view_id, pid=member.pid)
+        registry = member.sim.metrics
+        registry.counter("membership.view_changes").inc()
+        registry.histogram("membership.view_change_duration").observe(
+            member.sim.now - started
+        )
+        registry.gauge_fn("membership.view_change_messages",
+                          lambda: self.view_change_messages, pid=member.pid)
+        registry.gauge_fn("membership.current_view_id",
+                          lambda: member.view_id, pid=member.pid)
         member.on_view_installed(install)
 
     def _apply_forgiveness(self, departed_counts: Dict[str, int]) -> None:

@@ -304,8 +304,9 @@ def wire_classes() -> Tuple[type, ...]:
 
     This is the authoritative enumeration of what can cross the network:
     the runtime codec (:mod:`repro.runtime.codec`) registers exactly this
-    set plus the vector-clock types, and the PROTO005 analysis rule holds
-    the codec registry to it.
+    set plus the vector-clock types, and the wiring gate in
+    ``tests/analysis/test_flowgraph.py`` holds every ``repro.catocs`` send
+    to it.
     """
     import dataclasses as _dataclasses
     import sys as _sys

@@ -73,20 +73,15 @@ class OrderingLayer(ProtocolLayer):
         self.hold_log: List[Tuple[MsgId, float]] = []
         self.peak_pending = 0
         # Observability: delay-queue residency histogram plus lazy gauges.
-        # Unit tests drive layers with stub members whose sims carry no
-        # registry, hence the getattr guard.
-        registry = getattr(member.sim, "metrics", None)
-        self._hold_hist = None
-        if registry is not None:
-            pid = getattr(member, "pid", "?")
-            self._hold_hist = registry.histogram(
-                "ordering.hold_time", discipline=self.name
-            )
-            registry.gauge_fn("ordering.pending", self.pending,
-                              discipline=self.name, pid=pid)
-            registry.gauge_fn("ordering.peak_pending",
-                              lambda: self.peak_pending,
-                              discipline=self.name, pid=pid)
+        registry = member.sim.metrics
+        self._hold_hist = registry.histogram(
+            "ordering.hold_time", discipline=self.name
+        )
+        registry.gauge_fn("ordering.pending", self.pending,
+                          discipline=self.name, pid=member.pid)
+        registry.gauge_fn("ordering.peak_pending",
+                          lambda: self.peak_pending,
+                          discipline=self.name, pid=member.pid)
 
     # -- to be implemented by subclasses --------------------------------------
 
@@ -160,8 +155,7 @@ class OrderingLayer(ProtocolLayer):
         if start is not None:
             duration = self.member.sim.now - start
             self.hold_log.append((msg.msg_id, duration))
-            if self._hold_hist is not None:
-                self._hold_hist.observe(duration)
+            self._hold_hist.observe(duration)
 
     def total_hold_time(self) -> float:
         return sum(duration for _, duration in self.hold_log)
@@ -234,8 +228,7 @@ class CausalOrdering(OrderingLayer):
     def __init__(self, member: "GroupMember") -> None:
         super().__init__(member)
         self._domain = group_domain(
-            member.sim, getattr(member, "group", ""),
-            getattr(member, "view_members", ()),
+            member.sim, member.group, member.view_members
         )
         self.delivered = self._domain.zero()
         self._queue: List[DataMessage] = []
@@ -375,7 +368,7 @@ class TotalSequencerOrdering(OrderingLayer):
         #: How long a member waits for a missing order token before asking
         #: the sequencer to resend (lost-control-message repair), in the
         #: member's own time units: five NAK delays.
-        self.token_repair_delay = 5.0 * getattr(member, "nak_delay", 5.0)
+        self.token_repair_delay = 5.0 * member.nak_delay
         self._causal = CausalOrdering(member)
         self._ready: Dict[MsgId, DataMessage] = {}
         self._order: Dict[int, MsgId] = {}
@@ -594,7 +587,7 @@ class TotalAgreedOrdering(OrderingLayer):
 
     def __init__(self, member: "GroupMember") -> None:
         super().__init__(member)
-        nak_delay = getattr(member, "nak_delay", 5.0)
+        nak_delay = member.nak_delay
         #: How long the sender waits for missing proposals (a lost proposal
         #: or data message, or a crashed member) before re-soliciting them.
         self.proposal_timeout = 4.0 * nak_delay

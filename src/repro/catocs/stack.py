@@ -212,10 +212,8 @@ class ProtocolStack:
 
     def register_metrics(self) -> None:
         """Publish every layer's metrics as ``stack.<layer>.<metric>`` gauges."""
-        registry = getattr(self.member.sim, "metrics", None)
-        if registry is None:
-            return
-        pid = getattr(self.member, "pid", "?")
+        registry = self.member.sim.metrics
+        pid = self.member.pid
         for layer in self.layers:
             for key in layer.layer_metrics():
                 registry.gauge_fn(

@@ -81,7 +81,7 @@ class DedupRepairLayer(ProtocolLayer):
 
     def __init__(self, member: "GroupMember") -> None:
         super().__init__(member)
-        self.nak_delay = getattr(member, "nak_delay", 5.0)
+        self.nak_delay = member.nak_delay
         members = list(member.view_members)
         #: contiguous receive count per sender (own sends count as received)
         self.contiguous: Dict[str, int] = {pid: 0 for pid in members}
@@ -316,7 +316,7 @@ class StabilityLayer(ProtocolLayer):
 
     def __init__(self, member: "GroupMember") -> None:
         super().__init__(member)
-        self.ack_period = getattr(member, "ack_period", 20.0)
+        self.ack_period = member.ack_period
         members = list(member.view_members)
         self.matrix = MatrixClock(members)
         #: atomicity buffer: every known-unstable message we hold a copy of

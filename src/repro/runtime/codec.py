@@ -31,9 +31,9 @@ Per-class registration is explicit: :func:`register_wire` either derives the
 field list from a dataclass or takes custom ``to_fields``/``from_fields``
 functions (their field dict then travels as the record's one value).  Every
 class in :func:`repro.catocs.messages.wire_classes` is registered at import
-time, plus the vector clock, under the ``VectorClock`` tag.  The PROTO005
-analysis rule keeps this registry honest: any wire message reachable from a
-protocol layer's send sites without a registration fails the build.
+time, plus the vector clock, under the ``VectorClock`` tag.  The wiring
+gate in ``tests/analysis/test_flowgraph.py`` keeps this registry honest: a
+message ``repro.catocs`` sends outside that set fails the tests.
 
 A :class:`~repro.ordering.dense.DenseVectorClock` travels as its non-zero
 counts, keyed by pid, and is only meaningful in a

@@ -1,4 +1,4 @@
-"""FLOW001/FLOW002 fixture: a deliberately broken fake app.
+"""Flow-graph fixture: a deliberately broken fake app.
 
 ``Telemetry`` is sent but nothing handles it (dead message);
 ``LostCommand`` has a registered handler but no sender (orphan handler);
@@ -23,10 +23,10 @@ class WorkItem:
 class BrokenApp(Process):
     def __init__(self, sim, pid: str) -> None:
         super().__init__(sim, pid)
-        self.add_message_handler(LostCommand, self._on_lost)  # EXPECT[FLOW002]
+        self.add_message_handler(LostCommand, self._on_lost)
 
     def tick(self) -> None:
-        self.send("collector", Telemetry())  # EXPECT[FLOW001]
+        self.send("collector", Telemetry())
         self.send("worker", WorkItem())
 
     def on_message(self, src: str, payload) -> None:

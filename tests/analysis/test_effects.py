@@ -50,9 +50,7 @@ def test_stability_and_atomicity_flags():
 def test_invalid_spec_resolves_to_none():
     model = GuaranteeModel()
     assert model.resolve("no-such-discipline") is None
-    # Assembled at runtime so PROTO002 (which lints literal spec strings,
-    # this one is deliberately invalid) does not flag this test.
-    assert model.resolve("|".join(["dedup", "bogus-layer", "causal"])) is None
+    assert model.resolve("dedup|bogus-layer|causal") is None
 
 
 def test_unknown_ordering_layer_promises_nothing():

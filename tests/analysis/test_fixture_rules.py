@@ -18,7 +18,6 @@ EXPECT_RE = re.compile(r"#\s*EXPECT\[([A-Z0-9]+)\]")
 FIXTURE_FILES = (
     sorted(p.name for p in FIXTURES.glob("det_*.py"))
     + sorted(p.name for p in FIXTURES.glob("flow_*.py"))
-    + sorted(p.name for p in FIXTURES.glob("proto_*.py"))
     + sorted(p.name for p in FIXTURES.glob("ord_*.py"))
 )
 
@@ -55,13 +54,9 @@ def test_fixture_corpus_actually_plants_violations():
     rules = set()
     for name in FIXTURE_FILES:
         rules |= {rule for rule, _ in planted(FIXTURES / name)}
-    # repo_only rules are skipped in explicit-paths mode, and PUR001 fires
-    # only in modules of the sim-pure packages, a dotted module name no
-    # fixture file outside src/ has.
-    expected = {
-        rule_id for rule_id, rule in rule_catalogue().items()
-        if not rule.repo_only and rule_id != "PUR001"
-    }
+    # PUR001 fires only in modules of the sim-pure packages, a dotted
+    # module name no fixture file outside src/ has.
+    expected = set(rule_catalogue()) - {"PUR001"}
     assert expected <= rules, f"rules with no fixture: {sorted(expected - rules)}"
 
 

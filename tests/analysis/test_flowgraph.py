@@ -2,9 +2,10 @@
 
 The fixture tests pin the graph builder's semantics (send extraction,
 typed/isinstance handler surfaces, same-tick vs. delayed edges).  The
-repo-wide tests are the wiring gate the ISSUE asks for: every wire-message
-class in ``repro.catocs``/``repro.apps`` must appear in the graph with a
-sender and a handler, and the CATOCS protocol subgraph must be acyclic
+repo-wide tests are the wiring gate: every wire-message class in
+``repro.catocs``/``repro.apps`` must appear in the graph with a sender and
+a handler, everything ``repro.catocs`` sends must be in the wire catalogue
+the codec registers, and the CATOCS protocol subgraph must be acyclic
 within a tick for every registered discipline.
 """
 
@@ -23,6 +24,7 @@ from repro.analysis.callgraph import (
 from repro.analysis.effects import effects_export
 from repro.analysis.engine import load_project
 from repro.analysis.flowgraph import FlowGraph, flow_graph_for
+from repro.catocs.messages import wire_classes
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -152,6 +154,27 @@ def test_no_dead_messages_or_orphan_handlers_at_head(repo_flow):
     )
     assert dead == [], f"sent but never handled: {dead}"
     assert orphan == [], f"handled but never sent: {orphan}"
+
+
+def test_every_wire_class_has_a_handler(repo_flow):
+    """``wire_classes()`` is what the codec registers at import: each of
+    them needs a handler."""
+    unhandled = sorted(
+        cls.__name__ for cls in wire_classes()
+        if not repo_flow.is_handled(cls.__name__)
+    )
+    assert unhandled == [], f"wire classes without a handler: {unhandled}"
+
+
+def test_every_catocs_send_is_a_wire_class(repo_flow):
+    """``repro.catocs`` sends nothing outside ``wire_classes()``: such a
+    message would raise ``CodecError`` on the first socket."""
+    catalogue = {cls.__name__ for cls in wire_classes()}
+    uncatalogued = sorted(
+        {site.message for site in repo_flow.sends
+         if site.relpath.startswith("src/repro/catocs/")} - catalogue
+    )
+    assert uncatalogued == [], f"catocs sends outside wire_classes(): {uncatalogued}"
 
 
 def test_catocs_subgraph_is_acyclic_per_tick(repo_flow):

@@ -1,4 +1,4 @@
-"""The repo gate: HEAD must be clean under the committed baseline.
+"""The repo gate: HEAD must have no unsuppressed finding.
 
 This is the in-process twin of the CI job — if this test fails, so will
 the ``analysis`` CI step, and vice versa.
@@ -10,9 +10,7 @@ import re
 import tokenize
 from pathlib import Path
 
-from repro.analysis import baseline
 from repro.analysis.engine import PARSE_RULE_ID
-from repro.analysis.finding import Severity
 from repro.analysis.rules import rule_catalogue
 from repro.analysis.source import iter_python_files
 from repro.analysis.suppress import parse_suppressions
@@ -21,32 +19,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_head_has_no_fresh_findings(repo_result):
-    known = baseline.load(REPO_ROOT / "analysis-baseline.json")
-    fresh, _ = baseline.apply(repo_result.findings, known)
-    assert fresh == [], "\n".join(f.render() for f in fresh)
-
-
-def test_committed_baseline_is_tight(repo_result):
-    """Every baseline entry must still match a live finding — dead entries
-    mean the underlying code was fixed and the baseline should shrink."""
-    known = baseline.load(REPO_ROOT / "analysis-baseline.json")
-    live = {f.fingerprint for f in repo_result.findings}
-    stale = [fp for fp in known if fp not in live]
-    assert stale == [], f"stale baseline entries: {stale}"
-
-
-def test_no_determinism_findings_grandfathered(repo_result):
-    """The baseline may tolerate doc-side contract nits, never findings
-    from the determinism or purity families — those must be fixed or
-    explicitly suppressed at the site with a justification comment."""
-    known = baseline.load(REPO_ROOT / "analysis-baseline.json")
-    _, grandfathered = baseline.apply(repo_result.findings, known)
-    hard = [
-        f for f in grandfathered
-        if f.severity is Severity.ERROR
-        and f.rule_id.startswith(("DET", "PUR"))
-    ]
-    assert hard == [], "\n".join(f.render() for f in hard)
+    findings = repo_result.findings
+    assert findings == [], "\n".join(f.render() for f in findings)
 
 
 def test_suppressions_name_live_rule_ids():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.catocs import build_group
 from repro.catocs.messages import (
     CommitRequest,
     DataMessage,
@@ -24,19 +25,25 @@ from repro.catocs.ordering_layers import (
     TotalAgreedOrdering,
     TotalSequencerOrdering,
 )
+from repro.obs import MetricsRegistry
 from repro.ordering.dense import bss_deliverable
+from repro.sim import LinkModel, Network, Simulator
 
 
 class FakeSim:
     def __init__(self):
         self.now = 0.0
         self.scheduled = []
+        self.metrics = MetricsRegistry("sim", clock=lambda: self.now)
 
     def call_later(self, delay, fn, *args):
         self.scheduled.append((delay, fn, args))
 
 
 class FakeMember:
+    #: ``GroupMember``'s default; a test that needs another sets its own.
+    nak_delay = 5.0
+
     def __init__(self, pid="me", members=("me", "p1", "p2")):
         self.pid = pid
         self.group = "g"
@@ -373,7 +380,10 @@ def test_agreed_order_deadlines_are_multiples_of_the_nak_delay():
     assert layer.proposal_timeout == pytest.approx(0.08)
     assert layer.commit_repair_delay == pytest.approx(0.12)
     assert TotalSequencerOrdering(member).token_repair_delay == pytest.approx(0.1)
-    default = TotalAgreedOrdering(FakeMember())
+    sim = Simulator(seed=1)
+    group = build_group(sim, Network(sim, LinkModel()), ["a", "b"],
+                        ordering="total-agreed")
+    default = group["a"].stack.ordering
     assert (default.proposal_timeout, default.commit_repair_delay) == (20.0, 30.0)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.catocs import build_group
+from repro.catocs.ordering_layers import OrderingLayer
 from repro.catocs.stack import (
     DISCIPLINES,
     LAYER_REGISTRY,
@@ -29,6 +30,12 @@ def test_every_discipline_alias_resolves():
         assert all(n in LAYER_REGISTRY for n in names)
 
 
+def test_every_registered_layer_is_a_layer_of_its_kind():
+    for cls in LAYER_REGISTRY.values():
+        assert issubclass(cls, ProtocolLayer), cls
+        assert cls.kind != "ordering" or issubclass(cls, OrderingLayer), cls
+
+
 def test_explicit_spec_composes_named_layers():
     _, _, members = _group(ordering="dedup|stability|causal")
     stack = members["a"].stack
@@ -45,19 +52,19 @@ def test_unknown_discipline_rejected():
 
 def test_unknown_layer_in_spec_rejected():
     with pytest.raises(ValueError, match="unknown layers"):
-        resolve_spec("dedup|bogus|causal")  # repro: ignore[PROTO002]
+        resolve_spec("dedup|bogus|causal")
 
 
 def test_spec_requires_ordering_on_top():
     with pytest.raises(ValueError, match="ordering layer, on top"):
-        resolve_spec("causal|dedup")  # repro: ignore[PROTO002]
+        resolve_spec("causal|dedup")
     with pytest.raises(ValueError, match="ordering layer, on top"):
-        resolve_spec("dedup|stability")  # repro: ignore[PROTO002]
+        resolve_spec("dedup|stability")
 
 
 def test_duplicate_layers_rejected():
     with pytest.raises(ValueError, match="duplicate"):
-        resolve_spec("dedup|dedup|causal")  # repro: ignore[PROTO002]
+        resolve_spec("dedup|dedup|causal")
 
 
 def test_discipline_override_forces_stack_everywhere():
@@ -110,7 +117,7 @@ def test_custom_layer_registers_and_runs():
 
     register_layer(CountingLayer)
     try:
-        sim, _, members = _group(ordering="dedup|counting|stability|causal")  # repro: ignore[PROTO002]
+        sim, _, members = _group(ordering="dedup|counting|stability|causal")
         members["a"].multicast("x")
         members["b"].multicast("y")
         sim.run(until=300)
