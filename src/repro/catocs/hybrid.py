@@ -92,11 +92,11 @@ class HybridCausalOrdering(CausalOrdering):
 
     # -- sender side -------------------------------------------------------------
 
-    def accept_local(self, msg: DataMessage) -> List[DataMessage]:
+    def accept_local(self, msg: DataMessage) -> None:
         self._retained[msg.msg_id] = msg
         if len(self._retained) > self.peak_retained:
             self.peak_retained = len(self._retained)
-        return super().accept_local(msg)
+        super().accept_local(msg)
 
     def repair_lookup(self, msg_id: MsgId) -> Optional[DataMessage]:
         """Serve the dedup layer's NAK repair from sender retention."""
@@ -155,7 +155,7 @@ class HybridCausalOrdering(CausalOrdering):
 
     # -- receiver side -----------------------------------------------------------
 
-    def insert(self, msg: DataMessage) -> List[DataMessage]:
+    def insert(self, msg: DataMessage) -> None:
         if not self._deliverable(msg) and len(self._queue) >= self.buffer_bound:
             # Bounded buffer full: keep the header only.  The body is safe
             # in the sender's retention; refetch once dependencies clear.
@@ -168,8 +168,8 @@ class HybridCausalOrdering(CausalOrdering):
             self._hold(stub)  # residency accounting spans stub + refill
             self._stubs[stub.msg_id] = stub
             self._maybe_refetch()
-            return []
-        return super().insert(msg)
+            return
+        super().insert(msg)
 
     def _commit_release(self, msg: DataMessage) -> DataMessage:
         released = super()._commit_release(msg)
@@ -217,7 +217,7 @@ class HybridCausalOrdering(CausalOrdering):
 
     # -- control traffic ----------------------------------------------------------
 
-    def on_control(self, src: str, payload: Any) -> List[DataMessage]:
+    def on_control(self, src: str, payload: Any) -> None:
         if isinstance(payload, HybridRefetch):
             refills = []
             for mid in payload.wanted:
@@ -241,8 +241,7 @@ class HybridCausalOrdering(CausalOrdering):
                         ],
                     ),
                 )
-            return []
-        if isinstance(payload, HybridRefill):
+        elif isinstance(payload, HybridRefill):
             for msg in payload.msgs:
                 stub = self._stubs.pop(msg.msg_id, None)
                 self._requested.discard(msg.msg_id)
@@ -253,12 +252,9 @@ class HybridCausalOrdering(CausalOrdering):
                     self._release(stub)  # delivered meanwhile via other path
                     continue
                 super().insert(msg)  # _hold keeps the stub's start time
-            return []
-        if isinstance(payload, HybridAck):
+        elif isinstance(payload, HybridAck):
             self._acked[payload.sender] = dict(payload.delivered)
             self._trim_retained()
-            return []
-        return super().on_control(src, payload)
 
     # -- observability -------------------------------------------------------------
 

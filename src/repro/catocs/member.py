@@ -253,9 +253,8 @@ class GroupMember(Process):
             self.trace.record(self.sim.now, self.pid, "send", _label(payload), msg.msg_id)
         self.multicasts_sent += 1
         self.stack.broadcast(msg)
-        for ready in self.ordering.accept_local(msg):
-            self._deliver(ready)
-        self._pump()
+        self.ordering.accept_local(msg)
+        self.deliver_ready()
         return msg.msg_id
 
     def send_control(self, dst: str, payload: Any) -> None:
@@ -311,9 +310,8 @@ class GroupMember(Process):
         self.stack.on_control(src, payload)
 
     def _on_ordering_control(self, src: str, payload: Any) -> None:
-        for ready in self.ordering.on_control(src, payload):
-            self._deliver(ready)
-        self._pump()
+        self.ordering.on_control(src, payload)
+        self.deliver_ready()
 
     def _on_heartbeat(self, src: str, payload: Heartbeat) -> None:
         if self.failure_detector is not None:
@@ -331,9 +329,8 @@ class GroupMember(Process):
             self.trace.record(
                 self.sim.now, self.pid, "recv", _label(fresh.payload), fresh.msg_id
             )
-        for ready in self.ordering.insert(fresh):
-            self._deliver(ready)
-        self._pump()
+        self.ordering.insert(fresh)
+        self.deliver_ready()
 
     def on_app_message(self, src: str, payload: Any) -> None:
         """Hook for non-group point-to-point traffic (hidden channels etc.)."""
@@ -343,41 +340,33 @@ class GroupMember(Process):
         # whatever falls through is application traffic.
         self.on_app_message(src, payload)
 
-    def _deliver(self, msg: DataMessage) -> None:
-        record = DeliveryRecord(
-            msg_id=msg.msg_id,
-            sender=msg.sender,
-            payload=msg.payload,
-            sent_at=msg.sent_at,
-            delivered_at=self.sim.now,
-        )
-        self.delivered.append(record)
-        if self.trace is not None:
-            self.trace.record(self.sim.now, self.pid, "deliver", _label(msg.payload), msg.msg_id)
-        if self.on_deliver is not None:
-            self.on_deliver(msg.sender, msg.payload, msg)
+    def deliver_ready(self) -> None:
+        """Deliver what the ordering layer releases, one message at a time:
+        the application sees each message before the layer accounts the next
+        (see ``OrderingLayer.release_next`` for why this matters).  Runs
+        after every event that can make a message deliverable."""
+        release_next = self.ordering.release_next
+        msg = release_next()
+        while msg is not None:
+            self.delivered.append(DeliveryRecord(
+                msg_id=msg.msg_id,
+                sender=msg.sender,
+                payload=msg.payload,
+                sent_at=msg.sent_at,
+                delivered_at=self.sim.now,
+            ))
+            if self.trace is not None:
+                self.trace.record(self.sim.now, self.pid, "deliver", _label(msg.payload),
+                                  msg.msg_id)
+            if self.on_deliver is not None:
+                self.on_deliver(msg.sender, msg.payload, msg)
+            msg = release_next()
 
     # -- membership hooks ------------------------------------------------------------------
 
     def on_view_installed(self, install: Any) -> None:
         """Called after a new view is adopted; refresh the stack's membership."""
         self.stack.membership_changed(self.view_members)
-
-    def poke_ordering(self) -> None:
-        """Re-examine the ordering delay queue (after forgiveness etc.)."""
-        for ready in self.ordering.poke():
-            self._deliver(ready)
-        self._pump()
-
-    def _pump(self) -> None:
-        """Release queued deliverables one at a time, delivering each to the
-        application before the ordering layer accounts the next (see
-        OrderingLayer.release_next for why this interleaving matters)."""
-        while True:
-            ready = self.ordering.release_next()
-            if ready is None:
-                return
-            self._deliver(ready)
 
     # -- view-change send suppression ------------------------------------------------------
 

@@ -269,7 +269,7 @@ class ViewManager:
         member.ordering.on_view_install(install.ordering_state, departed_counts)
         if self._joining:
             self._complete_join(install)
-        member.poke_ordering()
+        member.deliver_ready()
         member.resume_sends()
         self.view_history.append(
             ViewChangeRecord(
@@ -304,8 +304,6 @@ class ViewManager:
         exempt: their newer messages arrive through the normal path and must
         not be skipped.
         """
-        ordering = self.member.ordering
-        causal = getattr(ordering, "_causal", ordering)
-        if departed_counts and hasattr(causal, "forgive"):
-            causal.forgive(departed_counts)
-        self.member.poke_ordering()
+        if departed_counts:
+            self.member.ordering.forgive(departed_counts)
+        self.member.deliver_ready()

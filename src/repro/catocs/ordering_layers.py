@@ -19,9 +19,10 @@ when they may be delivered to the application:
   priority agreement.
 
 All layers expose ``stamp`` (sender side), ``accept_local`` (sender's own
-copy), ``insert`` (a remote data message), and ``on_control`` (protocol
-control traffic), each returning the list of messages that became
-deliverable, in delivery order.
+copy), ``insert`` (a remote data message), ``on_control`` (protocol control
+traffic) and ``forgive`` (a view change's waiver).  None of them returns a
+message: a message leaves a layer only through ``release_next``, one at a
+time.
 """
 
 from __future__ import annotations
@@ -57,16 +58,21 @@ class OrderingLayer(ProtocolLayer):
     ``accept_local`` / ``insert`` / ``release_next``) rather than the
     transport pipeline's ``send_down``/``receive_up``, because delivery must
     interleave with application callbacks one message at a time.
+
+    A layer that decides a message on arrival (``raw``, ``fifo``, the
+    sender's own copy under ``causal``) puts it on ``_decided``, which the
+    base ``release_next`` pops.  The sender's own copy goes to the front, so
+    a multicast made from a delivery callback is delivered before the rest
+    of the batch that callback belongs to.
     """
 
     name = "abstract"
     kind = "ordering"
-    #: True when the sender's own message must wait for a global order
-    #: decision before local delivery (total-order disciplines).
-    delays_local_delivery = False
 
     def __init__(self, member: "GroupMember") -> None:
         super().__init__(member)
+        #: messages decided for delivery, in release order
+        self._decided: Deque[DataMessage] = deque()
         #: (msg_id -> first-receipt time) for messages currently held back.
         self.held_since: Dict[MsgId, float] = {}
         #: (msg_id, hold duration) for every message that was ever delayed.
@@ -88,30 +94,28 @@ class OrderingLayer(ProtocolLayer):
     def stamp(self, msg: DataMessage) -> None:
         """Attach ordering metadata to an outgoing message."""
 
-    def accept_local(self, msg: DataMessage) -> List[DataMessage]:
+    def accept_local(self, msg: DataMessage) -> None:
         """Process the sender's own copy of a just-multicast message."""
-        return [msg]
+        self._decided.appendleft(msg)
 
-    def insert(self, msg: DataMessage) -> List[DataMessage]:
+    def insert(self, msg: DataMessage) -> None:
         """Process a received (deduplicated) data message."""
-        return [msg]
+        self._decided.append(msg)
 
-    def on_control(self, src: str, payload: Any) -> List[DataMessage]:
+    def on_control(self, src: str, payload: Any) -> None:
         """Process an ordering control message (tokens, proposals...)."""
-        return []
+
+    def forgive(self, ceiling: Dict[str, int]) -> None:
+        """Waive dependencies on messages lost with departed senders
+        (``ceiling[pid]`` is the most any survivor holds from ``pid``)."""
 
     def pending(self) -> int:
         """Messages currently held back from delivery."""
         return len(self.held_since)
 
-    def poke(self) -> List[DataMessage]:
-        """Re-check the delay queue after external state changes (e.g. a
-        view change waived unsatisfiable dependencies)."""
-        return []
-
     def release_next(self) -> Optional[DataMessage]:
         """Release at most one deliverable message, updating layer state for
-        that message only.
+        that message only.  This is the only way a message leaves the layer.
 
         The member pumps this in a loop, delivering to the application
         between releases, so any message the application *sends from a
@@ -121,7 +125,7 @@ class OrderingLayer(ProtocolLayer):
         suite: a reaction multicast mid-batch otherwise claims causal
         dependence on messages delivered after it locally.)
         """
-        return None
+        return self._decided.popleft() if self._decided else None
 
     # -- view-change integration (virtual synchrony for ordering state) --------
 
@@ -184,28 +188,27 @@ class FifoOrdering(OrderingLayer):
         self._next: Dict[str, int] = {}
         self._queued: Dict[str, Dict[int, DataMessage]] = {}
 
-    def accept_local(self, msg: DataMessage) -> List[DataMessage]:
+    def accept_local(self, msg: DataMessage) -> None:
         # A process sends its own messages in seq order, so they are always
         # immediately deliverable locally.
         self._next[msg.sender] = msg.seq + 1
-        return [msg]
+        self._decided.appendleft(msg)
 
-    def insert(self, msg: DataMessage) -> List[DataMessage]:
+    def insert(self, msg: DataMessage) -> None:
         sender = msg.sender
         expected = self._next.get(sender, 1)
         if msg.seq != expected:
             self._hold(msg)
             self._queued.setdefault(sender, {})[msg.seq] = msg
-            return []
-        out = [msg]
+            return
+        self._decided.append(msg)
         self._next[sender] = msg.seq + 1
         queue = self._queued.get(sender, {})
         while self._next[sender] in queue:
             ready = queue.pop(self._next[sender])
             self._release(ready)
-            out.append(ready)
+            self._decided.append(ready)
             self._next[sender] = ready.seq + 1
-        return out
 
 
 class CausalOrdering(OrderingLayer):
@@ -248,11 +251,11 @@ class CausalOrdering(OrderingLayer):
         # so the per-delivery ``advance`` calls stay in-place mutations.
         msg.vc = self.delivered.stamped(msg.sender)
 
-    def accept_local(self, msg: DataMessage) -> List[DataMessage]:
+    def accept_local(self, msg: DataMessage) -> None:
         # Sender delivers its own multicast immediately: everything it
         # depends on was already delivered locally before the send.
         self.delivered.advance(msg.sender, msg.seq)
-        return [msg]
+        self._decided.appendleft(msg)
 
     def _required(self, pid: str, wanted: int) -> int:
         """Dependency level actually required, after waiving lost messages.
@@ -286,13 +289,12 @@ class CausalOrdering(OrderingLayer):
                 return False
         return True
 
-    def insert(self, msg: DataMessage) -> List[DataMessage]:
+    def insert(self, msg: DataMessage) -> None:
         self._hold(msg)
         if self._deliverable(msg):
             self._fast.append(msg)
         else:
             self._queue.append(msg)
-        return []  # the member pumps release_next()
 
     def _commit_release(self, msg: DataMessage) -> DataMessage:
         self._release(msg)
@@ -300,6 +302,8 @@ class CausalOrdering(OrderingLayer):
         return msg
 
     def release_next(self) -> Optional[DataMessage]:
+        if self._decided:
+            return self._decided.popleft()
         while self._fast:
             msg = self._fast.popleft()
             if self._deliverable(msg):
@@ -314,28 +318,12 @@ class CausalOrdering(OrderingLayer):
                 return self._commit_release(queued)
         return None
 
-    def drain(self) -> List[DataMessage]:
-        """Release every queued message whose dependencies are now met.
-
-        Used where per-message interleaving with application callbacks is
-        not needed (e.g. feeding the sequencer's staging area).
-        """
-        out: List[DataMessage] = []
-        released = self.release_next()
-        while released is not None:
-            out.append(released)
-            released = self.release_next()
-        return out
-
-    def poke(self) -> List[DataMessage]:
-        return self.drain()
-
     def on_join(self, merged_state: dict, final_counts: Dict[str, int]) -> None:
         # History counts as delivered: causal conditions start at the
         # view's frontier for a joiner.
         self.delivered.merge_in(final_counts)
 
-    def forgive(self, ceiling: dict) -> None:
+    def forgive(self, ceiling: Dict[str, int]) -> None:
         """Install the post-view-change recoverability ceiling.
 
         ``ceiling[pid]`` is the highest contiguous seq from ``pid`` that any
@@ -361,7 +349,6 @@ class TotalSequencerOrdering(OrderingLayer):
     """
 
     name = "total-seq"
-    delays_local_delivery = True
 
     def __init__(self, member: "GroupMember") -> None:
         super().__init__(member)
@@ -383,24 +370,21 @@ class TotalSequencerOrdering(OrderingLayer):
     def stamp(self, msg: DataMessage) -> None:
         self._causal.stamp(msg)
 
-    def accept_local(self, msg: DataMessage) -> List[DataMessage]:
-        for ready in self._causal.accept_local(msg):
-            self._stage(ready)
-        return []  # the member pumps release_next()
+    def accept_local(self, msg: DataMessage) -> None:
+        self._causal.accept_local(msg)
 
-    def insert(self, msg: DataMessage) -> List[DataMessage]:
+    def insert(self, msg: DataMessage) -> None:
         self._hold(msg)
         self._causal.insert(msg)
-        for ready in self._causal.drain():
-            self._stage(ready)
-        return []
 
-    def on_control(self, src: str, payload: Any) -> List[DataMessage]:
+    def forgive(self, ceiling: Dict[str, int]) -> None:
+        self._causal.forgive(ceiling)
+
+    def on_control(self, src: str, payload: Any) -> None:
         if isinstance(payload, OrderToken):
             for index, msg_id in payload.assignments:
                 self._order[index] = msg_id
-            return []
-        if isinstance(payload, OrderTokenRequest):
+        elif isinstance(payload, OrderTokenRequest):
             assignments = [
                 (index, self._order[index])
                 for index in sorted(self._order)
@@ -415,8 +399,13 @@ class TotalSequencerOrdering(OrderingLayer):
                         assignments=assignments,
                     ),
                 )
-            return []
-        return []
+
+    def _stage_causal(self) -> None:
+        """Stage every message the inner causal layer can release."""
+        released = self._causal.release_next()
+        while released is not None:
+            self._stage(released)
+            released = self._causal.release_next()
 
     def _stage(self, msg: DataMessage) -> None:
         self._ready[msg.msg_id] = msg
@@ -435,6 +424,7 @@ class TotalSequencerOrdering(OrderingLayer):
             self.member.broadcast_control(token)
 
     def release_next(self) -> Optional[DataMessage]:
+        self._stage_causal()
         if self._next_deliver in self._order:
             msg_id = self._order[self._next_deliver]
             msg = self._ready.get(msg_id)
@@ -463,14 +453,6 @@ class TotalSequencerOrdering(OrderingLayer):
         )
         self._repair_armed = True
         self.member.set_timer(self.token_repair_delay * 2, self._request_repair)
-
-    def poke(self) -> List[DataMessage]:
-        for ready in self._causal.drain():
-            self._stage(ready)
-        return []  # the member pumps release_next()
-
-    def pending(self) -> int:
-        return len(self.held_since) + self._causal.pending()
 
     # -- view-change integration ---------------------------------------------------
 
@@ -501,8 +483,7 @@ class TotalSequencerOrdering(OrderingLayer):
         if self.is_sequencer:
             # Adopt orphaned ready messages into the global order (e.g. the
             # old sequencer died before assigning them).
-            for ready in self._causal.drain():
-                self._stage(ready)
+            self._stage_causal()
             already = set(self._order.values())
             for msg_id in sorted(self._ready):
                 if msg_id not in already:
@@ -535,9 +516,9 @@ class TotalAgreedOrdering(OrderingLayer):
     The hold-back set is ``_pending`` (the dict every other method reads)
     plus ``_heap``, a ``heapq`` of ``(priority, tiebreak, msg_id)`` keys
     with lazy invalidation: :meth:`_rekey` pushes an entry's new key and
-    leaves the old one behind, and :meth:`_drain` discards any head whose
-    key is no longer its live entry's.  The heap therefore holds at most
-    one stale key per re-key and empties whenever ``_pending`` does.
+    leaves the old one behind, and :meth:`release_next` discards any head
+    whose key is no longer its live entry's.  The heap therefore holds at
+    most one stale key per re-key and empties whenever ``_pending`` does.
 
     A sender commits its own messages in seq order: a message whose
     proposals are all in waits in ``_ready`` while a lower own seq is still
@@ -547,9 +528,9 @@ class TotalAgreedOrdering(OrderingLayer):
     proof that every lower seq of that sender was committed and broadcast:
     ``proof_grace`` later (covering commits of one tick that arrive out of
     order), the receiver asks for each one still open here.  The fallback
-    timer armed by :meth:`_drain` covers a sender's last message and lost
-    requests or answers; it asks only for each sender's lowest open seq,
-    since no higher one can have been committed before it.  ``_open``
+    timer armed by :meth:`release_next` covers a sender's last message and
+    lost requests or answers; it asks only for each sender's lowest open
+    seq, since no higher one can have been committed before it.  ``_open``
     indexes the held, uncommitted seqs per sender for both rules.
 
     Per-message agreement state lives only as long as the agreement:
@@ -565,7 +546,6 @@ class TotalAgreedOrdering(OrderingLayer):
     """
 
     name = "total-agreed"
-    delays_local_delivery = True
 
     #: Re-solicitations of believed-alive non-proposers before giving up.
     #: The first goes one ``proposal_timeout`` after the send; the wait then
@@ -623,15 +603,14 @@ class TotalAgreedOrdering(OrderingLayer):
     def stamp(self, msg: DataMessage) -> None:
         pass  # priorities travel in control messages, not on the data message
 
-    def accept_local(self, msg: DataMessage) -> List[DataMessage]:
+    def accept_local(self, msg: DataMessage) -> None:
         self._note_message(msg)
         own_priority = self._propose()
         self._rekey(msg.msg_id, own_priority, self.member.pid)
         self._record_proposal(msg.msg_id, self.member.pid, own_priority)
         self.member.set_timer(self.proposal_timeout, self._finalize_on_timeout, msg.msg_id)
-        return self._drain()
 
-    def insert(self, msg: DataMessage) -> List[DataMessage]:
+    def insert(self, msg: DataMessage) -> None:
         agreed = self._commit_values.get(msg.msg_id)
         self._note_message(msg, committed=agreed is not None)
         if agreed is not None:
@@ -640,7 +619,7 @@ class TotalAgreedOrdering(OrderingLayer):
             # nothing: an uncommitted entry here could never be completed,
             # because _apply_commit ignores ids it has already recorded.
             self._rekey(msg.msg_id, *agreed)
-            return self._drain()
+            return
         priority = self._propose()
         self._rekey(msg.msg_id, priority, self.member.pid)
         self.member.send_control(
@@ -652,13 +631,11 @@ class TotalAgreedOrdering(OrderingLayer):
                 priority=priority,
             ),
         )
-        return self._drain()
 
-    def on_control(self, src: str, payload: Any) -> List[DataMessage]:
+    def on_control(self, src: str, payload: Any) -> None:
         if isinstance(payload, PriorityProposal):
             self._record_proposal(payload.msg_id, payload.proposer, payload.priority)
-            return self._drain()
-        if isinstance(payload, PriorityCommit):
+        elif isinstance(payload, PriorityCommit):
             msg_id = payload.msg_id
             self._apply_commit(msg_id, payload.priority, payload.tiebreak)
             if src == msg_id[0]:
@@ -667,8 +644,7 @@ class TotalAgreedOrdering(OrderingLayer):
                 seqs = self._open.get(src)
                 if seqs and seqs[0] < msg_id[1]:
                     self.member.set_timer(self.proof_grace, self._ask_on_proof, msg_id)
-            return self._drain()
-        if isinstance(payload, CommitRequest):
+        elif isinstance(payload, CommitRequest):
             cached = self._commit_values.get(payload.msg_id)
             if cached is not None:
                 self.member.send_control(
@@ -681,22 +657,20 @@ class TotalAgreedOrdering(OrderingLayer):
                         tiebreak=cached[1],
                     ),
                 )
-            return []
-        if isinstance(payload, ProposalRequest):
-            return self._answer_proposal_request(src, payload)
-        return []
+        elif isinstance(payload, ProposalRequest):
+            self._answer_proposal_request(src, payload)
 
-    def _answer_proposal_request(self, src: str, request: ProposalRequest) -> List[DataMessage]:
+    def _answer_proposal_request(self, src: str, request: ProposalRequest) -> None:
         msg = request.msg
         fresh = self.stack.receive_data(src, msg)
         if fresh is not None:
             # We never saw the data; process it normally (which proposes).
-            return self.insert(fresh)
-        cached = self._commit_values.get(msg.msg_id)
-        if cached is not None:
+            self.insert(fresh)
+            return
+        if msg.msg_id in self._commit_values:
             # Already committed here; the sender must have the commit too,
             # so nothing useful to add.
-            return []
+            return
         entry = self._pending.get(msg.msg_id)
         if entry is not None and entry[2] == self.member.pid:
             # Our earlier proposal was lost; resend it.
@@ -709,7 +683,6 @@ class TotalAgreedOrdering(OrderingLayer):
                     priority=entry[1],
                 ),
             )
-        return []
 
     # -- internals -------------------------------------------------------------
 
@@ -724,7 +697,8 @@ class TotalAgreedOrdering(OrderingLayer):
 
     def _rekey(self, msg_id: MsgId, priority: int, tiebreak: str) -> None:
         """Move a pending entry to ``(priority, tiebreak)`` in the release
-        order.  The key it had stays in the heap until ``_drain`` sheds it."""
+        order.  The key it had stays in the heap until ``release_next`` sheds
+        it."""
         entry = self._pending[msg_id]
         entry[1] = priority
         entry[2] = tiebreak
@@ -781,8 +755,7 @@ class TotalAgreedOrdering(OrderingLayer):
         if missing:
             self.proposals_forced += 1
         self._commit(msg_id)
-        for msg in self._drain():
-            self.member._deliver(msg)
+        self.member.deliver_ready()
 
     def _commit(self, msg_id: MsgId) -> None:
         """Commit own message ``msg_id`` now, or once every lower own seq
@@ -848,8 +821,7 @@ class TotalAgreedOrdering(OrderingLayer):
             return self.held_since[msg_id] + self.commit_repair_delay
         return asked + 2 * self.commit_repair_delay
 
-    def _drain(self) -> List[DataMessage]:
-        out: List[DataMessage] = []
+    def release_next(self) -> Optional[DataMessage]:
         pending = self._pending
         heap = self._heap
         while heap:
@@ -871,15 +843,12 @@ class TotalAgreedOrdering(OrderingLayer):
                     lowest = (sender, self._open[sender][0])
                     delay = self._commit_due(lowest) - self.member.sim.now
                     self.member.set_timer(max(delay, 0.0), self._request_commit_repair)
-                break
+                return None
             heappop(heap)
             del pending[head_id]
             self._release(entry[0])
-            out.append(entry[0])
-        return out
-
-    def poke(self) -> List[DataMessage]:
-        return self._drain()
+            return entry[0]
+        return None
 
     # -- view-change integration ---------------------------------------------------
 
@@ -938,8 +907,8 @@ class TotalAgreedOrdering(OrderingLayer):
 
     def _request_commit_repair(self) -> None:
         """Ask for each other sender's lowest open seq whose commit is
-        overdue, then re-arm through :meth:`_drain` if the head is still
-        blocked."""
+        overdue, then re-arm through :meth:`release_next` if the head is
+        still blocked."""
         self._repair_armed = False
         member = self.member
         now = member.sim.now
@@ -947,8 +916,7 @@ class TotalAgreedOrdering(OrderingLayer):
             msg_id = (sender, self._open[sender][0])
             if sender != member.pid and self._commit_due(msg_id) <= now:
                 self._ask(msg_id)
-        for msg in self._drain():
-            member._deliver(msg)
+        member.deliver_ready()
 
     def layer_metrics(self) -> Dict[str, Any]:
         data = super().layer_metrics()

@@ -97,11 +97,8 @@ class ProtocolLayer:
 
     # -- control path ----------------------------------------------------------
 
-    def on_control(self, src: str, payload: Any) -> Optional[List[DataMessage]]:
-        """Handle a control message.  Return ``None`` if it is not ours;
-        otherwise a (possibly empty) list of messages that became
-        deliverable."""
-        return None
+    def on_control(self, src: str, payload: Any) -> None:
+        """Handle a control message; ignore one that is not ours."""
 
     # -- membership ------------------------------------------------------------
 
@@ -181,13 +178,10 @@ class ProtocolStack:
 
     # -- control path ------------------------------------------------------------
 
-    def on_control(self, src: str, payload: Any) -> Optional[List[DataMessage]]:
-        """Offer a control message to each layer, bottom to top."""
+    def on_control(self, src: str, payload: Any) -> None:
+        """Offer a control message to every layer, bottom to top."""
         for layer in self.layers:
-            result = layer.on_control(src, payload)
-            if result is not None:
-                return result
-        return None
+            layer.on_control(src, payload)
 
     # -- membership ---------------------------------------------------------------
 

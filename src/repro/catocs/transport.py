@@ -149,11 +149,9 @@ class DedupRepairLayer(ProtocolLayer):
             stability.check_stability()
         return msg
 
-    def on_control(self, src: str, payload: Any) -> Optional[List[DataMessage]]:
+    def on_control(self, src: str, payload: Any) -> None:
         if isinstance(payload, Nak):
             self._serve_nak(payload)
-            return []
-        return None
 
     def on_membership_changed(self, members: Sequence[str]) -> None:
         for pid in members:
@@ -376,7 +374,7 @@ class StabilityLayer(ProtocolLayer):
         msg.ack_vector = self._acked = dict(self._counts())
         self.buffer_message(msg)
 
-    def on_control(self, src: str, payload: Any) -> Optional[List[DataMessage]]:
+    def on_control(self, src: str, payload: Any) -> None:
         if isinstance(payload, AckGossip):
             vector = payload.ack_vector
             seen = self._absorbed.get(payload.sender)
@@ -388,8 +386,6 @@ class StabilityLayer(ProtocolLayer):
             self.check_stability()
             if isinstance(payload, AckQuery):
                 self._answer(payload.sender)
-            return []
-        return None
 
     def _answer(self, querier: str) -> None:
         """Send a member that still buffers a message this member's counts,

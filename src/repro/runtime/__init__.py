@@ -3,8 +3,8 @@
 The simulator is the right tool for reproducible experiments, but the
 protocol code itself is runtime-agnostic: it only needs ``now``,
 ``call_later``/``call_at`` timers, a seeded RNG, and a datagram ``send``.
-This package provides the real-world implementations of those interfaces
-behind the :class:`~repro.runtime.transport.Transport` seam:
+This package provides the real-world implementations of those interfaces,
+each offering the API its simulator counterpart defines:
 
 - :class:`~repro.runtime.asyncio_rt.AsyncioClock` — wall-clock timers on
   an asyncio event loop;
@@ -23,14 +23,10 @@ simulation, not a simulation-only artifact.  See ``docs/RUNTIME.md``.
 """
 
 from repro.runtime.asyncio_rt import AsyncioClock, run_for
-from repro.runtime.transport import TRANSPORT_SURFACE, Transport, missing_surface
 from repro.runtime.udp import UdpNetwork
 
 __all__ = [
     "AsyncioClock",
     "run_for",
-    "Transport",
-    "TRANSPORT_SURFACE",
-    "missing_surface",
     "UdpNetwork",
 ]

@@ -1,7 +1,8 @@
 """Real-socket transport: UDP datagrams over loopback, behind the seam.
 
-:class:`UdpNetwork` implements the :class:`repro.runtime.transport.Transport`
-surface with one bound UDP socket per attached process, so an unchanged
+:class:`UdpNetwork` offers every public method of
+:class:`repro.sim.network.Network` with one bound UDP socket per attached
+process, so an unchanged
 :class:`~repro.catocs.member.GroupMember` stack runs over actual datagrams:
 every payload is serialized by :mod:`repro.runtime.codec`, crosses the OS
 socket layer, and is decoded into a fresh object on the receiving side —

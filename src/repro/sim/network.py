@@ -19,13 +19,12 @@ Without the reset, post-heal traffic would be sequenced behind the
 scheduled arrivals of packets that no longer exist — phantom ordering
 delays referenced to pre-partition ghosts.
 
-This class is also the reference implementation of the transport seam
-(:class:`repro.runtime.transport.Transport`, a structural protocol — this
-module never imports the runtime): ``UdpNetwork`` exposes the same
-attach/send/multicast/link-model/partition surface, so the protocol stacks run
-unchanged over real UDP loopback sockets on a wall-clock event loop (see
-docs/RUNTIME.md).  ``drop_hooks`` is this class's own: only the simulator
-sees every drop as a packet it can hand to a callback.
+This class also defines the transport API: ``UdpNetwork`` offers each of
+its public methods (attach/send/multicast/link-model/partition) with the
+same leading parameters, so the protocol stacks run unchanged over real UDP
+loopback sockets on a wall-clock event loop (see docs/RUNTIME.md).  This
+module never imports the runtime.  ``drop_hooks`` is this class's own: only
+the simulator sees every drop as a packet it can hand to a callback.
 
 The module also owns the **byte model** — :func:`estimate_size`, which prices
 every packet and so feeds ``bytes_sent``, ``peak_buffered_bytes`` and the

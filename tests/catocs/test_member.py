@@ -249,3 +249,35 @@ def test_the_counters_perfbench_reads_are_the_layers_counters(alias):
     }
     assert counts["retransmissions"] > 0
     assert (counts["peak_buffered"] > 0) == (None not in stability)
+
+
+@pytest.mark.parametrize("alias", sorted(DISCIPLINES))
+def test_every_delivery_leaves_the_layer_through_release_next(alias):
+    """Under 10% loss, with callbacks that multicast from inside a delivery,
+    each member delivers exactly what its ordering layer's ``release_next``
+    returns, in the same order."""
+    sim = Simulator(seed=5)
+    net = Network(sim, LinkModel(latency=5.0, jitter=4.0, drop_prob=0.1))
+    group = build_group(sim, net, ["a", "b", "c"], ordering=alias)
+    released = {pid: [] for pid in group}
+    for pid, member in group.items():
+        layer = member.stack.ordering
+
+        def recording(release=layer.release_next, out=released[pid]):
+            msg = release()
+            if msg is not None:
+                out.append(msg.msg_id)
+            return msg
+
+        def react(src, payload, msg, member=member):
+            if payload < 2:
+                member.multicast(payload + 1)
+
+        layer.release_next = recording
+        member.on_deliver = react
+    for i, pid in enumerate(["a", "b", "c", "a"]):
+        sim.call_at(3.0 * i, group[pid].multicast, 0)
+    sim.run(until=3000.0)
+    for pid, member in group.items():
+        assert released[pid] == [record.msg_id for record in member.delivered]
+        assert 2 in member.delivered_payloads()

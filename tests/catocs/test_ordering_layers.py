@@ -1,7 +1,8 @@
 """Direct unit tests of the ordering disciplines (no network).
 
 A stub member lets us feed messages in arbitrary orders and observe exactly
-what each layer releases.
+what each layer releases.  ``released(layer)`` pumps ``release_next`` the way
+the member's ``deliver_ready`` does after every event.
 """
 
 from typing import Any, List, Tuple
@@ -43,6 +44,8 @@ class FakeSim:
 class FakeMember:
     #: ``GroupMember``'s default; a test that needs another sets its own.
     nak_delay = 5.0
+    #: the layer under test, for a timer that delivers through the member
+    ordering = None
 
     def __init__(self, pid="me", members=("me", "p1", "p2")):
         self.pid = pid
@@ -68,8 +71,18 @@ class FakeMember:
     def set_timer(self, delay, fn, *args):
         self.sim.scheduled.append((delay, fn, args))
 
-    def _deliver(self, msg):
-        self.delivered.append(msg)
+    def deliver_ready(self):
+        self.delivered.extend(released(self.ordering))
+
+
+def released(layer):
+    """Every message ``layer`` releases now, in release order."""
+    out = []
+    msg = layer.release_next()
+    while msg is not None:
+        out.append(msg)
+        msg = layer.release_next()
+    return out
 
 
 def clock(layer, counts):
@@ -87,18 +100,23 @@ def test_raw_delivers_immediately_any_order():
     layer = RawOrdering(FakeMember())
     m2 = data("p1", 2)
     m1 = data("p1", 1)
-    assert layer.insert(m2) == [m2]
-    assert layer.insert(m1) == [m1]
+    layer.insert(m2)
+    assert released(layer) == [m2]
+    layer.insert(m1)
+    assert released(layer) == [m1]
     assert layer.pending() == 0
 
 
 def test_fifo_holds_gap_then_releases_in_order():
     layer = FifoOrdering(FakeMember())
     m1, m2, m3 = data("p1", 1), data("p1", 2), data("p1", 3)
-    assert layer.insert(m3) == []
-    assert layer.insert(m2) == []
+    layer.insert(m3)
+    assert released(layer) == []
+    layer.insert(m2)
+    assert released(layer) == []
     assert layer.pending() == 2
-    assert layer.insert(m1) == [m1, m2, m3]
+    layer.insert(m1)
+    assert released(layer) == [m1, m2, m3]
     assert layer.pending() == 0
 
 
@@ -106,14 +124,17 @@ def test_fifo_senders_independent():
     layer = FifoOrdering(FakeMember())
     a2 = data("p1", 2)
     b1 = data("p2", 1)
-    assert layer.insert(a2) == []
-    assert layer.insert(b1) == [b1]
+    layer.insert(a2)
+    assert released(layer) == []
+    layer.insert(b1)
+    assert released(layer) == [b1]
 
 
 def test_fifo_local_messages_always_deliverable():
     layer = FifoOrdering(FakeMember())
     mine = data("me", 1)
-    assert layer.accept_local(mine) == [mine]
+    layer.accept_local(mine)
+    assert released(layer) == [mine]
 
 
 def test_causal_stamp_counts_own_multicasts():
@@ -134,10 +155,10 @@ def test_causal_delivery_condition_waits_for_dependency():
     dependent = data("p2", 1, vc=clock(layer, {"p1": 1, "p2": 1}))
     first = data("p1", 1, vc=clock(layer, {"p1": 1}))
     layer.insert(dependent)
-    assert layer.drain() == []
+    assert released(layer) == []
     assert layer.pending() == 1
     layer.insert(first)
-    assert layer.drain() == [first, dependent]
+    assert released(layer) == [first, dependent]
     assert layer.pending() == 0
 
 
@@ -146,9 +167,9 @@ def test_causal_same_sender_fifo():
     m1 = data("p1", 1, vc=clock(layer, {"p1": 1}))
     m2 = data("p1", 2, vc=clock(layer, {"p1": 2}))
     layer.insert(m2)
-    assert layer.drain() == []
+    assert released(layer) == []
     layer.insert(m1)
-    assert layer.drain() == [m1, m2]
+    assert released(layer) == [m1, m2]
 
 
 def test_causal_concurrent_messages_deliver_on_arrival():
@@ -167,11 +188,11 @@ def test_causal_hold_log_tracks_delay():
     layer = CausalOrdering(member)
     dependent = data("p2", 1, vc=clock(layer, {"p1": 1, "p2": 1}))
     layer.insert(dependent)
-    layer.drain()
+    released(layer)
     member.sim.now = 42.0
     first = data("p1", 1, vc=clock(layer, {"p1": 1}))
     layer.insert(first)
-    layer.drain()
+    released(layer)
     held = dict(layer.hold_log)
     assert held[("p2", 1)] == 42.0
 
@@ -181,9 +202,9 @@ def test_causal_forgive_unblocks_lost_dependency():
     # depends on p1's msg 2, but p1 crashed and nobody has anything from p1
     orphan = data("p2", 1, vc=clock(layer, {"p1": 2, "p2": 1}))
     layer.insert(orphan)
-    assert layer.drain() == []
+    assert released(layer) == []
     layer.forgive({"p1": 0})
-    assert layer.drain() == [orphan]
+    assert released(layer) == [orphan]
 
 
 def test_causal_forgive_does_not_skip_recoverable_dependency():
@@ -192,10 +213,10 @@ def test_causal_forgive_does_not_skip_recoverable_dependency():
     layer.insert(orphan)
     # someone still holds p1's message 1: keep waiting for the repair
     layer.forgive({"p1": 1})
-    assert layer.drain() == []
+    assert released(layer) == []
     first = data("p1", 1, vc=clock(layer, {"p1": 1}))
     layer.insert(first)
-    assert layer.drain() == [first, orphan]
+    assert released(layer) == [first, orphan]
 
 
 _CLOCK_PIDS = ("me", "p1", "p2", "gone")  # "gone" joins the domain late, as a joiner would
@@ -255,7 +276,7 @@ def test_causal_returns_to_the_flat_test_after_a_view_change(monkeypatch):
     layer.delivered.merge_in({"p1": 1, "p2": 1})
     layer.insert(orphan)
     assert flat == ["p2"]
-    assert layer.drain() == [orphan]
+    assert released(layer) == [orphan]
 
 
 def test_sequencer_assigns_and_gates_delivery():
@@ -263,10 +284,9 @@ def test_sequencer_assigns_and_gates_delivery():
     layer = TotalSequencerOrdering(member)
     m = data("a", 1)
     layer.stamp(m)
-    assert layer.accept_local(m) == []
-    # the member pump then releases it immediately (self-assigned index 0)
-    assert layer.release_next() == m
-    assert layer.release_next() is None
+    layer.accept_local(m)
+    # the member pump releases it at once (self-assigned index 0)
+    assert released(layer) == [m]
     assert member.broadcasts and isinstance(member.broadcasts[0], OrderToken)
 
 
@@ -275,11 +295,11 @@ def test_non_sequencer_waits_for_token():
     layer = TotalSequencerOrdering(member)
     m = data("b", 1)
     layer.stamp(m)
-    assert layer.accept_local(m) == []  # own message gated by global order
-    assert layer.release_next() is None
+    layer.accept_local(m)
+    assert released(layer) == []  # own message gated by global order
     token = OrderToken(group="g", sequencer="a", assignments=[(0, ("b", 1))])
     layer.on_control("a", token)
-    assert layer.release_next() == m
+    assert released(layer) == [m]
 
 
 def test_token_before_data_waits_for_data():
@@ -287,10 +307,10 @@ def test_token_before_data_waits_for_data():
     layer = TotalSequencerOrdering(member)
     token = OrderToken(group="g", sequencer="a", assignments=[(0, ("c", 1))])
     layer.on_control("a", token)
-    assert layer.release_next() is None
+    assert released(layer) == []
     m = data("c", 1, vc=clock(layer._causal, {"c": 1}))
     layer.insert(m)
-    assert layer.release_next() == m
+    assert released(layer) == [m]
 
 
 def test_sequencer_serves_token_repair_requests():
@@ -299,11 +319,32 @@ def test_sequencer_serves_token_repair_requests():
     m = data("a", 1)
     layer.stamp(m)
     layer.accept_local(m)
+    released(layer)  # the sequencer assigns index 0 as it releases
     from repro.catocs.messages import OrderTokenRequest
 
     layer.on_control("b", OrderTokenRequest(group="g", requester="b", from_index=0))
     resent = [p for (dst, p) in member.sent if isinstance(p, OrderToken)]
     assert resent and resent[0].assignments == [(0, ("a", 1))]
+
+
+def test_sequencer_pending_counts_a_causally_blocked_message_once():
+    """Figure 1 on ``total-seq``: b reacts to a's "cause", and the reaction
+    reaches c long before the cause does.  c holds one message, which both
+    its outer layer and the inner causal layer hold."""
+    sim = Simulator(seed=0)
+    net = Network(sim, LinkModel(latency=5.0))
+    net.set_link("a", "c", LinkModel(latency=30.0))
+    group = build_group(sim, net, ["a", "b", "c"], ordering="total-seq")
+    group["b"].on_deliver = (
+        lambda src, payload, msg: payload == "cause" and group["b"].multicast("effect"))
+    group["a"].multicast("cause")
+    sim.run(until=12.0)
+    c = group["c"].stack.ordering
+    assert list(c.held_since) == [("b", 1)]
+    assert c.pending() == 1
+    sim.run(until=100.0)
+    assert group["c"].delivered_payloads() == ["cause", "effect"]
+    assert c.pending() == 0
 
 
 def test_agreed_order_basic_two_member_flow():
@@ -312,20 +353,23 @@ def test_agreed_order_basic_two_member_flow():
     layer_a = TotalAgreedOrdering(sender)
     m = data("a", 1)
     layer_a.stamp(m)
-    assert layer_a.accept_local(m) == []  # waits for b's proposal
+    layer_a.accept_local(m)
+    assert released(layer_a) == []  # waits for b's proposal
     # receiver side proposes
     receiver = FakeMember(pid="b", members=("a", "b"))
     layer_b = TotalAgreedOrdering(receiver)
-    assert layer_b.insert(m) == []
+    layer_b.insert(m)
+    assert released(layer_b) == []
     proposals = [p for (dst, p) in receiver.sent if isinstance(p, PriorityProposal)]
     assert proposals and proposals[0].msg_id == ("a", 1)
     # sender collects the proposal -> commits -> delivers
-    out = layer_a.on_control("b", proposals[0])
-    assert out == [m]
+    layer_a.on_control("b", proposals[0])
+    assert released(layer_a) == [m]
     commits = [p for p in sender.broadcasts if isinstance(p, PriorityCommit)]
     assert commits
     # receiver applies the commit -> delivers in the same position
-    assert layer_b.on_control("a", commits[0]) == [m]
+    layer_b.on_control("a", commits[0])
+    assert released(layer_b) == [m]
 
 
 def test_agreed_order_uncommitted_head_blocks():
@@ -337,14 +381,14 @@ def test_agreed_order_uncommitted_head_blocks():
     layer.insert(m2)
     # commit only the second-arrived message with a HIGH priority: the
     # first (tentative, lower priority) still blocks the queue head.
-    first = layer.on_control("b", PriorityCommit(group="g", sender="b",
-                                                 msg_id=("b", 1), priority=10,
-                                                 tiebreak="c"))
-    assert first == []
-    out = layer.on_control("a", PriorityCommit(group="g", sender="a",
-                                               msg_id=("a", 1), priority=11,
-                                               tiebreak="c"))
-    assert [o.msg_id for o in out] == [("b", 1), ("a", 1)]
+    layer.on_control("b", PriorityCommit(group="g", sender="b",
+                                         msg_id=("b", 1), priority=10,
+                                         tiebreak="c"))
+    assert released(layer) == []
+    layer.on_control("a", PriorityCommit(group="g", sender="a",
+                                         msg_id=("a", 1), priority=11,
+                                         tiebreak="c"))
+    assert [o.msg_id for o in released(layer)] == [("b", 1), ("a", 1)]
 
 
 def test_agreed_order_commit_that_overtakes_its_data_still_delivers():
@@ -356,10 +400,13 @@ def test_agreed_order_commit_that_overtakes_its_data_still_delivers():
     m = data("a", 1)
     commit = PriorityCommit(group="g", sender="a", msg_id=("a", 1),
                             priority=4, tiebreak="b")
-    assert layer.on_control("a", commit) == []  # nothing to place yet
-    assert layer.insert(m) == [m]  # takes the agreed place at once
+    layer.on_control("a", commit)
+    assert released(layer) == []  # nothing to place yet
+    layer.insert(m)
+    assert released(layer) == [m]  # takes the agreed place at once
     assert member.sent == []  # and proposes nothing: agreement is over
-    assert layer.on_control("a", commit) == []  # the repair answer is a no-op
+    layer.on_control("a", commit)
+    assert released(layer) == []  # the repair answer is a no-op
     assert layer._pending == {} and layer._heap == []
     assert layer.pending() == 0
 
@@ -389,9 +436,10 @@ def test_agreed_order_deadlines_are_multiples_of_the_nak_delay():
 
 def test_agreed_order_asks_for_a_lost_commit_once_at_its_due_time():
     member = FakeMember(pid="c", members=("a", "b", "c"))
-    layer = TotalAgreedOrdering(member)
+    layer = member.ordering = TotalAgreedOrdering(member)
     member.sim.now = 4.0
     layer.insert(data("a", 1))  # a's commit for it is lost
+    assert released(layer) == []
     [(delay, fire)] = _repair_timers(member)
     assert delay == layer.commit_repair_delay  # due 30 after it was held
     assert _commit_requests(member) == []
@@ -402,9 +450,9 @@ def test_agreed_order_asks_for_a_lost_commit_once_at_its_due_time():
     assert layer._asked == {("a", 1): 34.0}
     # Still blocked: re-armed for twice the delay after the ask.
     assert _repair_timers(member)[-1][0] == 2 * layer.commit_repair_delay
-    out = layer.on_control("a", PriorityCommit(group="g", sender="a", msg_id=("a", 1),
-                                               priority=3, tiebreak="b"))
-    assert [m.msg_id for m in out] == [("a", 1)]
+    layer.on_control("a", PriorityCommit(group="g", sender="a", msg_id=("a", 1),
+                                         priority=3, tiebreak="b"))
+    assert [m.msg_id for m in released(layer)] == [("a", 1)]
     assert layer._asked == {}
     member.sim.now += 2 * layer.commit_repair_delay
     _repair_timers(member)[-1][1]()  # the re-armed timer finds nothing to ask
@@ -416,25 +464,28 @@ def test_agreed_order_asks_only_once_the_lost_commit_blocks_the_head():
     nothing, so nobody is asked; once it blocks the head it is overdue and
     is asked for at once.  The member never asks for its own message."""
     member = FakeMember(pid="me", members=("me", "a", "b"))
-    layer = TotalAgreedOrdering(member)
+    layer = member.ordering = TotalAgreedOrdering(member)
     own = data("me", 1)
     layer.accept_local(own)  # tentative priority 1: the head
+    assert released(layer) == []
     member.sim.now = 1.0
     theirs = data("a", 1)
     layer.insert(theirs)  # tentative priority 2; a's commit will be lost
+    assert released(layer) == []
     assert _repair_timers(member) == []  # the head is ours: nobody owes us
     member.sim.now = 50.0
     for proposer, priority in (("a", 5), ("b", 6)):
         layer.on_control(proposer, PriorityProposal(
             group="g", proposer=proposer, msg_id=own.msg_id, priority=priority))
+        assert released(layer) == []
     # Ours commits at 6 and now waits behind theirs, due since t = 31.
     [(delay, fire)] = _repair_timers(member)
     assert delay == 0.0
     fire()
     assert _commit_requests(member) == [("a", ("a", 1))]
-    out = layer.on_control("a", PriorityCommit(group="g", sender="a", msg_id=("a", 1),
-                                               priority=3, tiebreak="b"))
-    assert out == [theirs, own]
+    layer.on_control("a", PriorityCommit(group="g", sender="a", msg_id=("a", 1),
+                                         priority=3, tiebreak="b"))
+    assert released(layer) == [theirs, own]
     assert not any(isinstance(p, CommitRequest) for p in member.broadcasts)
 
 
@@ -450,37 +501,33 @@ _agreed_steps = st.one_of(
     st.tuples(st.just("commit"), st.sampled_from(_IDS),
               st.integers(1, 12), st.sampled_from(_PIDS)),
     st.tuples(st.just("view_drop"), st.sampled_from(("a", "b"))),
-    st.tuples(st.just("poke")),
+    st.tuples(st.just("pump")),
 )
 
 
-def _min_scan_drain(pending):
-    """The release rule the heap replaced: repeatedly take the entry with the
-    least (priority, tiebreak, id); stop at the first uncommitted one."""
-    pending = dict(pending)
-    out = []
-    while pending:
-        head = min(pending, key=lambda mid: (pending[mid][1], pending[mid][2], mid))
-        if not pending[head][3]:
-            break
-        out.append(pending.pop(head)[0])
-    return out
+def _min_scan_head(pending):
+    """The release rule the heap replaced: the entry with the least
+    (priority, tiebreak, id) goes next, unless it is uncommitted."""
+    if not pending:
+        return None
+    head = min(pending, key=lambda mid: (pending[mid][1], pending[mid][2], mid))
+    return pending[head][0] if pending[head][3] else None
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_agreed_steps, min_size=1, max_size=40))
 def test_agreed_order_heap_releases_exactly_what_a_min_scan_would(program):
     member = FakeMember(pid="me", members=_PIDS)
-    layer = TotalAgreedOrdering(member)
-    heap_drain = layer._drain
+    layer = member.ordering = TotalAgreedOrdering(member)
+    heap_release = layer.release_next
 
-    def checked_drain():
-        expected = _min_scan_drain(layer._pending)
-        got = heap_drain()
+    def checked_release():
+        expected = _min_scan_head(layer._pending)
+        got = heap_release()
         assert got == expected
         return got
 
-    layer._drain = checked_drain  # every drain any step makes is compared
+    layer.release_next = checked_release  # every release is compared
     for step in program:
         if step[0] == "data":
             msg = data(*step[1])
@@ -496,7 +543,7 @@ def test_agreed_order_heap_releases_exactly_what_a_min_scan_would(program):
                 priority=priority, tiebreak=tiebreak))
         elif step[0] == "view_drop":
             layer.on_view_install({}, {step[1]: 0})
-        layer.poke()  # what the member does after every event
+        released(layer)  # what the member does after every event
         # Every held entry's live key is in the heap, and the heap empties
         # with the hold-back set (stale keys do not outlive it).
         keys = set(layer._heap)

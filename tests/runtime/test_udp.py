@@ -7,14 +7,14 @@ semantics), which hold regardless of wall-clock scheduling noise.
 """
 
 import asyncio
+import inspect
 import struct
 
 from repro.catocs.member import GroupMember
 from repro.catocs.messages import AckGossip, DataMessage, Nak
 from repro.ordering.dense import ClockDomain, group_domain
 from repro.runtime import AsyncioClock, UdpNetwork, codec, run_for
-from repro.runtime.transport import Transport, missing_surface
-from repro.sim.network import LinkModel
+from repro.sim.network import LinkModel, Network, NetworkStats
 
 
 def _build_group(clock, net, pids, ordering, **kwargs):
@@ -28,29 +28,53 @@ def _build_group(clock, net, pids, ordering, **kwargs):
     return members
 
 
-def test_udp_network_implements_the_transport_seam():
-    async def scenario():
-        clock = AsyncioClock(seed=0)
-        net = UdpNetwork(clock)
-        assert missing_surface(net) == ()
-        assert isinstance(net, Transport)
-        net.close()
+def _public_network_methods():
+    methods = {name: value for name, value in vars(Network).items()
+               if not name.startswith("_") and callable(value)}
+    assert {"attach", "send", "multicast", "partition", "heal", "note_crash"} <= set(methods)
+    return methods
 
-    asyncio.run(scenario())
+
+def test_udp_network_implements_the_transport_seam():
+    """``Network`` defines the transport API once: the socket backend has
+    each of its public methods, with the same required parameters and room
+    for every optional one (``send``'s fourth is each backend's own
+    prepared form of the payload, passed by position)."""
+    def parameters(method):
+        params = list(inspect.signature(method).parameters.values())
+        return [p.name for p in params if p.default is p.empty], len(params)
+
+    for name, method in _public_network_methods().items():
+        theirs = getattr(UdpNetwork, name, None)
+        assert callable(theirs), name
+        (required, count), (their_required, their_count) = parameters(method), parameters(theirs)
+        assert their_required == required and their_count >= count, name
+    assert isinstance(UdpNetwork.pids, property)
 
 
 def test_both_backends_implement_the_transport_seam():
-    """One structural protocol, two substrates: the simulator network and
-    the UDP socket network (checked above)."""
-    from repro.runtime.transport import TRANSPORT_SURFACE
+    """Live instances of the simulator network and the socket network both
+    carry the API: every public ``Network`` method, and the data members the
+    stack reads (the clock, the default link, the traffic counters, the
+    attached pids)."""
     from repro.sim import Simulator
-    from repro.sim.network import Network
 
-    sim_net = Network(Simulator(seed=0))
-    assert missing_surface(sim_net) == ()
-    assert isinstance(sim_net, Transport)
-    assert len(TRANSPORT_SURFACE) == 15  # the seam is the whole Network API
-    assert "multicast" in TRANSPORT_SURFACE
+    async def scenario():
+        sim = Simulator(seed=0)
+        clock = AsyncioClock(seed=0)
+        udp_net = UdpNetwork(clock)
+        try:
+            for net, owner in ((Network(sim), sim), (udp_net, clock)):
+                for name in _public_network_methods():
+                    assert callable(getattr(net, name, None)), (type(net).__name__, name)
+                assert net.sim is owner
+                assert isinstance(net.default_link, LinkModel)
+                assert isinstance(net.stats, NetworkStats)
+                assert net.pids == ()
+        finally:
+            udp_net.close()
+
+    asyncio.run(scenario())
 
 
 def test_udp_multicast_encodes_once_and_sends_identical_bytes(monkeypatch):
