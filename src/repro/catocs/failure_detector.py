@@ -39,16 +39,20 @@ class HeartbeatDetector:
         self.last_heard: Dict[str, float] = {
             pid: member.sim.now for pid in member.view_members if pid != member.pid
         }
+        member.last_heard = self.last_heard
         self.on_suspect: List[SuspectCallback] = []
         self.heartbeats_sent = 0
         member.set_timer(self.period, self._tick)
 
     def observe(self, pid: str) -> None:
-        """Record liveness evidence for ``pid``.
+        """Record a heartbeat from ``pid`` and withdraw any suspicion of it.
 
-        Only heartbeats reach it (:meth:`handle_heartbeat`): other packets
-        from ``pid`` are not counted as evidence.  Counting any packet is
-        ROADMAP item 7."""
+        Every packet from ``pid`` is liveness evidence: the member's receive
+        path refreshes ``last_heard`` before dispatch, so a member whose
+        heartbeats are lost but which keeps sending is not suspected.  Only
+        a heartbeat reaches this method (:meth:`handle_heartbeat`), so only
+        a heartbeat un-suspects.  Evidence from a pid outside the view is
+        kept but never acted on: :meth:`_tick` checks view members only."""
         self.last_heard[pid] = self.member.sim.now
         if not self.member.believes_alive(pid):
             self.member.unsuspect(pid)

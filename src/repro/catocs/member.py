@@ -39,7 +39,7 @@ from repro.catocs.stack import ProtocolStack, discipline_override, resolve_spec
 from repro.catocs.transport import GroupTransport
 from repro.ordering.causal_graph import CausalGraph
 from repro.sim.kernel import Simulator
-from repro.sim.network import Network
+from repro.sim.network import Network, Packet
 from repro.sim.process import Process
 from repro.sim.trace import EventTrace
 
@@ -157,6 +157,9 @@ class GroupMember(Process):
         self._suspected: set = set()
         self.membership = None  # attached by ViewManager, if any
         self.failure_detector = None  # attached by HeartbeatDetector, if any
+        #: the attached detector's ``last_heard``, which every inbound
+        #: packet refreshes for its sender; None without a detector
+        self.last_heard: Optional[Dict[str, float]] = None
 
         # Inbound routing: one handler per wire-message family.  Dispatch
         # walks the payload's MRO, so the exact Heartbeat registration wins
@@ -265,6 +268,14 @@ class GroupMember(Process):
         self.control_sent += self.send_peers(payload)
 
     # -- receiving ----------------------------------------------------------------------
+
+    def _receive_packet(self, packet: Packet) -> None:
+        # Any packet is liveness evidence for its sender: one store, and
+        # none without a detector.
+        last_heard = self.last_heard
+        if last_heard is not None:
+            last_heard[packet.src] = self.sim.now
+        self.dispatch(packet.src, packet.payload)
 
     def _causal_predecessor_copies(self, msg: DataMessage) -> List[DataMessage]:
         """Unstable messages this message causally depends on, copied

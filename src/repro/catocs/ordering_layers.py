@@ -541,8 +541,16 @@ class TotalAgreedOrdering(OrderingLayer):
     (a ``CommitRequest`` from a peer whose copy was lost), and the
     view-change flush hands a departed sender's commits to every survivor.
 
+    A sender re-solicits missing proposals one measured round after the
+    send: :attr:`proposal_timeout` is ``1.25 ×`` the slowest proposal
+    collection it has seen for an own message never re-solicited, clamped
+    to ``[nak_delay, 4 × nak_delay]``.  A loss-free round outlasts it only
+    when 25% slower than every round before it; before the first sample
+    it is the upper bound.
+
     Every repair deadline is in the member's own time units, a multiple of
-    its ``nak_delay``, so one rule serves virtual time and seconds alike.
+    its ``nak_delay`` or of a round it measured, so one rule serves virtual
+    time and seconds alike.
     """
 
     name = "total-agreed"
@@ -550,10 +558,11 @@ class TotalAgreedOrdering(OrderingLayer):
     #: Re-solicitations of believed-alive non-proposers before giving up.
     #: The first goes one ``proposal_timeout`` after the send; the wait then
     #: doubles up to four timeouts, so the sender commits without a silent
-    #: member after 28 timeouts, 560 units at the default ``nak_delay``.
-    #: While a higher own seq is open the wait does not double, because
-    #: that successor's commit waits on this one: then the window is 9
-    #: timeouts (180 units).
+    #: member after 44 timeouts: 880 units at the default ``nak_delay``
+    #: before any round is measured, about 545 at a measured 9.9-unit
+    #: round.  While a higher own seq is open the wait does not double,
+    #: because that successor's commit waits on this one: then the window
+    #: is 13 timeouts (260 units at most).
     #: A member that stays silent that long is treated as failed and the
     #: sender commits with the proposals it has: the view-synchronous escape
     #: hatch real implementations tie to membership changes.  Under message
@@ -562,15 +571,17 @@ class TotalAgreedOrdering(OrderingLayer):
     #: liveness and causality, and the agreed-total-order consistency
     #: properties are asserted on loss-free networks.  The number of rounds,
     #: not the window, is what keeps a lossy link from forcing a commit: at
-    #: 15% loss each round fails about 28% of the time.
-    max_proposal_retries = 8
+    #: 15% loss each round fails about 28% of the time; at the measured
+    #: deadline eight rounds forced 4 commits over 96 seeds, twelve none.
+    max_proposal_retries = 12
 
     def __init__(self, member: "GroupMember") -> None:
         super().__init__(member)
         nak_delay = member.nak_delay
-        #: How long the sender waits for missing proposals (a lost proposal
-        #: or data message, or a crashed member) before re-soliciting them.
-        self.proposal_timeout = 4.0 * nak_delay
+        #: The slowest first-round proposal collection seen: from
+        #: ``accept_local`` to the last proposal, for own messages never
+        #: re-solicited (Karn's rule).  0 until the first sample.
+        self.slowest_round = 0.0
         #: How long a member holds a sender's lowest open message, while
         #: another sender's message blocks its delivery head, before the
         #: fallback timer asks for the (possibly lost) commit; twice this
@@ -599,6 +610,17 @@ class TotalAgreedOrdering(OrderingLayer):
         self._repair_armed = False
         #: commits made without a believed-alive member's proposal
         self.proposals_forced = 0
+
+    @property
+    def proposal_timeout(self) -> float:
+        """How long the sender waits for missing proposals (a lost proposal
+        or data message, or a crashed member) before re-soliciting them:
+        ``1.25 ×`` the slowest measured round, clamped to ``[nak_delay,
+        4 × nak_delay]``, and ``4 × nak_delay`` until a round is measured."""
+        nak_delay = self.member.nak_delay
+        if not self.slowest_round:
+            return 4.0 * nak_delay
+        return min(max(1.25 * self.slowest_round, nak_delay), 4.0 * nak_delay)
 
     def stamp(self, msg: DataMessage) -> None:
         pass  # priorities travel in control messages, not on the data message
@@ -713,12 +735,17 @@ class TotalAgreedOrdering(OrderingLayer):
         if msg_id in self._commit_values:
             return
         box = self._proposals.setdefault(msg_id, {})
+        new_proposer = proposer not in box
         box[proposer] = priority
         if msg_id in self._pending and self._pending[msg_id][0].sender == self.member.pid:
             members = self.member.view_members
             # The length test settles every proposal but the last one
             # without building a set.
             if len(box) >= len(members) and box.keys() >= set(members):
+                if new_proposer and msg_id not in self._retries:
+                    took = self.member.sim.now - self.held_since[msg_id]
+                    if took > self.slowest_round:
+                        self.slowest_round = took
                 self._commit(msg_id)
 
     def _finalize_on_timeout(self, msg_id: MsgId) -> None:

@@ -2,8 +2,17 @@
 when, the order a sender commits in, and what per-message agreement state is
 left once a lossy run drains."""
 
+import pytest
+
+from repro.apps.trading import run_trading
 from repro.catocs import build_group
-from repro.catocs.messages import CommitRequest, PriorityCommit, PriorityProposal
+from repro.catocs.messages import (
+    CommitRequest,
+    PriorityCommit,
+    PriorityProposal,
+    ProposalRequest,
+)
+from repro.experiments.e07_overhead import _measure
 from repro.sim import LinkModel, Network, Simulator
 
 PIDS = ["p0", "p1", "p2", "p3", "p4"]
@@ -161,3 +170,94 @@ def test_the_fallback_asks_only_for_each_senders_lowest_open_seq():
         assert [seq for _, seq in mine] == [1, 2, 3]
         times = [t for t, _ in mine]
         assert times == sorted(set(times))  # one at a time, lowest first
+
+
+def test_the_deadline_is_four_nak_delays_until_a_round_is_measured():
+    group, _ = _scripted(None, [])
+    layer = group["p0"].ordering
+    nak_delay = group["p0"].nak_delay
+    assert layer.slowest_round == 0.0
+    assert layer.proposal_timeout == 4 * nak_delay
+    # 1.25 x the slowest round, clamped to [nak_delay, 4 x nak_delay]
+    for slowest, deadline in ((0.1, nak_delay), (6.0, 7.5), (100.0, 4 * nak_delay)):
+        layer.slowest_round = slowest
+        assert layer.proposal_timeout == deadline
+
+
+def test_a_lost_proposal_is_re_solicited_one_measured_round_after_the_send():
+    lose = _lose_first(PriorityProposal, {"p2"}, "p0", {("p0", 2)})
+    group, net = _scripted(lose, [(1.0, "p0"), (50.0, "p0")])
+    layer = group["p0"].ordering
+    requests = [(t, dst, p.msg.msg_id) for t, _, dst, p in net.sent(ProposalRequest)]
+    assert requests == [(50.0 + 1.25 * 2 * LATENCY, "p2", ("p0", 2))]
+    # The second round took the deadline plus a round trip, but it was
+    # re-solicited, so only the first, clean round is a sample.
+    assert layer.slowest_round == 2 * LATENCY
+    assert layer.proposals_forced == 0
+    for member in group.values():
+        assert [r.msg_id for r in member.delivered] == [("p0", 1), ("p0", 2)]
+
+
+def test_a_re_solicited_round_contributes_no_sample():
+    lose = _lose_first(PriorityProposal, {"p2"}, "p0", {("p0", 1)})
+    group, net = _scripted(lose, [(1.0, "p0")])
+    layer = group["p0"].ordering
+    nak_delay = group["p0"].nak_delay
+    requests = [(t, p.msg.msg_id) for t, _, _, p in net.sent(ProposalRequest)]
+    assert requests == [(1.0 + 4 * nak_delay, ("p0", 1))]
+    assert layer.slowest_round == 0.0
+    assert layer.proposal_timeout == 4 * nak_delay
+    assert all(len(m.delivered) == 1 for m in group.values())
+
+
+def test_a_loss_free_group_on_the_perfbench_link_sends_no_proposal_requests():
+    """``sim-total-lossy``'s shape at drop 0: eight members, one multicast
+    per unit.  Every member's deadline moves below 4 x nak_delay, and none
+    fires."""
+    for seed in (1000, 1001, 1002):
+        sim = Simulator(seed=seed)
+        net = RecordingNetwork(sim, LinkModel(latency=3.0, jitter=2.0))
+        pids = [f"p{i}" for i in range(8)]
+        group = build_group(sim, net, pids, ordering="total-agreed")
+        for k in range(200):
+            sim.call_at(1.0 + k, group[pids[k % 8]].multicast, k)
+        sim.run(until=2200.0)
+        assert net.sent(ProposalRequest) == [], seed
+        for member in group.values():
+            assert len(member.delivered) == 200
+            assert member.ordering.proposal_timeout < 4 * member.nak_delay
+
+
+@pytest.fixture
+def proposal_requests(monkeypatch):
+    """Counts every ``ProposalRequest`` put on any network's wire."""
+    sent = []
+    send = Network.send
+
+    def counting(self, src, dst, payload, size=None):
+        if isinstance(payload, ProposalRequest):
+            sent.append((src, dst, payload.msg.msg_id))
+        return send(self, src, dst, payload, size)
+
+    monkeypatch.setattr(Network, "send", counting)
+    return sent
+
+
+@pytest.mark.parametrize("size", [3, 6, 12, 24])
+def test_e07s_agreed_overhead_stays_three_messages_per_peer(size, proposal_requests):
+    """E07's link (latency 5, jitter 2: a round trip of up to 14) with its
+    own seed and schedule: data, proposals and commits, N - 1 each."""
+    measured = _measure(0, "total-agreed", size, 6)
+    assert proposal_requests == []
+    assert measured["net_msgs_per_multicast"] == 3 * (size - 1)
+
+
+@pytest.mark.parametrize("theo_latency", [3.0, 15.0])
+def test_e04s_asymmetric_links_draw_no_proposal_requests(theo_latency, proposal_requests):
+    """E04's theoretical pricer sends on slow links and hears on fast ones.
+    At these lags a round fits in 4 x nak_delay, so nothing is
+    re-solicited; at E04's longer lags (25, 40) every round outlasts the
+    clamp's upper bound and is re-solicited at it, as before the deadline
+    was measured."""
+    run_trading(seed=0, ordering="total-agreed", ticks=8, theo_latency=theo_latency)
+    assert proposal_requests == []

@@ -1,6 +1,7 @@
 """Tests for the heartbeat failure detector."""
 
 from repro.catocs import GroupMember, HeartbeatDetector
+from repro.catocs.messages import Heartbeat
 from repro.sim import FailureInjector, LinkModel, Network, Simulator
 
 
@@ -64,3 +65,59 @@ def test_heartbeat_cost_accounted():
     sim.run(until=100)
     # ~20 periods x 2 peers each
     assert detectors["a"].heartbeats_sent >= 30
+
+
+class HeartbeatLossNetwork(Network):
+    """Loses every heartbeat ``silenced`` sends; its other packets pass.
+    A fan-out goes through ``send`` once per destination."""
+
+    def __init__(self, sim, link, silenced):
+        super().__init__(sim, link)
+        self.silenced = silenced
+
+    def send(self, src, dst, payload, size=None):
+        if src == self.silenced and isinstance(payload, Heartbeat):
+            return None
+        return super().send(src, dst, payload, size)
+
+
+def build_silenced(multicast_every):
+    """``build`` with every heartbeat of c lost; c multicasts every
+    ``multicast_every`` units (never if None)."""
+    sim = Simulator(seed=0)
+    net = HeartbeatLossNetwork(sim, LinkModel(latency=3.0), silenced="c")
+    pids = ["a", "b", "c"]
+    members = {}
+    for pid in pids:
+        members[pid] = GroupMember(sim, net, pid, group="g", members=pids, ordering="raw")
+        HeartbeatDetector(members[pid], period=5.0, timeout=18.0)
+    if multicast_every is not None:
+        for k in range(int(500 / multicast_every)):
+            sim.call_at(1.0 + k * multicast_every, members["c"].multicast, k)
+    return sim, net, members
+
+
+def test_any_packet_is_liveness_evidence():
+    sim, _, members = build_silenced(multicast_every=10.0)
+    sim.run(until=500)
+    assert members["a"].believes_alive("c") and members["b"].believes_alive("c")
+    # without the multicasts the lost heartbeats get c suspected
+    sim, _, members = build_silenced(multicast_every=None)
+    sim.run(until=500)
+    assert not members["a"].believes_alive("c")
+
+
+def test_a_crashed_sender_is_suspected_within_timeout_plus_period_of_its_last_packet():
+    """c multicasts every unit right up to its crash.  Its last packet lands
+    one latency after the crash, and the first tick after the timeout has
+    lapsed from there, at most one period later, suspects c."""
+    sim, net, members, detectors = build()
+    for k in range(49):
+        sim.call_at(1.0 + k, members["c"].multicast, k)
+    suspected_at = []
+    detectors["a"].on_suspect.append(lambda pid: suspected_at.append((sim.now, pid)))
+    FailureInjector(sim, net).crash_at(50.0, "c")
+    sim.run(until=200)
+    (at, pid), = suspected_at
+    assert pid == "c"
+    assert at <= 50.0 + 3.0 + detectors["a"].timeout + detectors["a"].period
