@@ -1,4 +1,4 @@
-"""Static analysis of ``src/`` for determinism, purity and message flow.
+"""Static analysis of ``src/`` for determinism and delivery-order assumptions.
 
 The whole reproduction rests on the seeded discrete-event simulator
 producing byte-identical reports from ``(seed, parameters)`` alone, and on
@@ -11,16 +11,12 @@ anyone), this package enforces the invariants *statically*, before a
 single event runs.  It parses ``src/repro`` (or the paths it is given) and
 nothing else.
 
-Four rule families (see ``docs/ANALYSIS.md`` for the full catalogue):
+Two rule families (see ``docs/ANALYSIS.md`` for the full catalogue):
 
-- **Determinism** (``DET*``): wall-clock calls, unseeded ``random`` draws,
-  iteration over unordered containers feeding ordering-sensitive sinks,
-  ``id()``-based comparisons, environment-dependent branches.
-- **Sim purity** (``PUR*``): simulation packages must not import
-  threading/asyncio/wall-clock facilities (that integration lives in
-  :mod:`repro.runtime`).
-- **Message flow** (``FLOW*``): same-tick send cycles, and wire envelopes
-  built outside the protocol stack.
+- **Determinism** (``DET*``): wall-clock calls outside
+  :mod:`repro.runtime`, unseeded ``random`` draws, iteration over
+  unordered containers feeding ordering-sensitive sinks, ``id()``-based
+  comparisons, environment-dependent branches.
 - **Ordering semantics** (``ORD*``): handler effects that need a stronger
   delivery order than the configured stack gives, and sends gated on or
   fed by another process's state (the paper's Fig. 1 hidden channel).

@@ -1,6 +1,6 @@
 """Class-hierarchy and attribute-type inference over the parsed tree.
 
-The FLOW and ORD rule families need to answer questions no single-file
+The ORD rules and the flow graph need to answer questions no single-file
 lexical pass can: *is this class a simulated process?* (transitively, through
 bases defined in other files), *what type does ``self.membership`` hold?*
 (assigned ``None`` in the constructor, attached later by ``ViewManager``),
@@ -91,7 +91,7 @@ class ClassInfo:
 
 
 class CodeGraph:
-    """The cross-module class/function index the FLOW/ORD rules query."""
+    """The cross-module class/function index the flow graph and ORD rules query."""
 
     def __init__(self, modules: Iterable[SourceModule]) -> None:
         self.classes: Dict[str, ClassInfo] = {}

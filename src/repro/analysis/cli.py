@@ -21,8 +21,8 @@ from repro.analysis.rules import ALL_RULES, rule_catalogue
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analysis",
-        description="Determinism, purity, message-flow and ordering "
-        "static analysis of src/ for the CATOCS reproduction.",
+        description="Determinism and ordering static analysis of src/ "
+        "for the CATOCS reproduction.",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,

@@ -1,4 +1,4 @@
-"""The interprocedural message-flow graph behind the FLOW rules.
+"""The interprocedural message-flow graph behind the handler effect table.
 
 The paper's hidden-channel critique (Section 3) is about traffic the
 ordering substrate cannot see; the dual failure inside the substrate is
@@ -147,7 +147,7 @@ class Summary:
 
 
 class FlowGraph:
-    """The assembled graph plus the queries the FLOW rules need."""
+    """The assembled graph plus the queries the effect table and the tests need."""
 
     def __init__(self, modules: Sequence[SourceModule], graph: CodeGraph) -> None:
         self.code = graph
@@ -156,8 +156,6 @@ class FlowGraph:
         self.sends: List[SendSite] = []
         self.handlers: List[HandlerSite] = []
         self.edges: List[FlowEdge] = []
-        #: layer-class simple names registered via ``register_layer(cls)``.
-        self.registered_layers: Set[str] = set()
         self.summaries: Dict[str, Summary] = {}
         self._build()
 
@@ -363,7 +361,6 @@ class FlowGraph:
             self.summaries[qualname] = self._extract(self.code.functions[qualname])
         self._propagate()
         self._collect_handlers()
-        self._collect_registrations()
         self._assemble_catalogue()
         self._build_edges()
 
@@ -658,21 +655,6 @@ class FlowGraph:
             if candidate is not None:
                 return candidate.qualname
         return ""
-
-    def _collect_registrations(self) -> None:
-        for mod in self.modules:
-            for node in ast.walk(mod.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                if called_name(node) != "register_layer" or not node.args:
-                    continue
-                cls = dotted_name(node.args[0])
-                if cls:
-                    tail = cls.rsplit(".", 1)[-1]
-                    # A loop passes a lowercase local (``_cls``); only
-                    # literal class references name the layer.
-                    if tail[:1].isupper():
-                        self.registered_layers.add(tail)
 
     # Pass 4: catalogue ----------------------------------------------------------
 
@@ -1062,8 +1044,8 @@ class EdgeWalk(HandlerWalk):
 def flow_graph_for(project) -> FlowGraph:  # type: ignore[no-untyped-def]
     """Build (or reuse) the flow graph for a Project.
 
-    Cached on the project object so the FLOW rules, the effect table and
-    the ``graph`` CLI subcommand share one construction.
+    Cached on the project object so the effect table and the ``graph``
+    CLI subcommand share one construction.
     """
     cached = getattr(project, "_flow_graph", None)
     if cached is not None:

@@ -5,8 +5,8 @@ A rule subclasses :class:`Rule` and overrides one of two hooks:
 - :meth:`Rule.check_module` — called once per parsed Python file.  Most
   lexical rules live here.
 - :meth:`Rule.check_project` — called once with the whole
-  :class:`~repro.analysis.engine.Project`; the rules that read the
-  message-flow graph or the handler effect tables live here.
+  :class:`~repro.analysis.engine.Project`; the ORD rules, which read
+  the handler effect tables, live here.
 
 Register new rules by appending an *instance* to :data:`ALL_RULES` at
 module import (see ``docs/ANALYSIS.md`` for the add-a-rule walkthrough).
@@ -58,23 +58,6 @@ class Rule:
             source_line=mod.source_line(line),
         )
 
-    def finding_at(
-        self,
-        by_relpath: Dict[str, SourceModule],
-        relpath: str,
-        line: int,
-        message: str,
-        hint: str = "",
-    ) -> Finding:
-        """:meth:`finding` for a path that need not be a scanned module
-        (a site the graph resolved outside the scan carries no source line)."""
-        mod = by_relpath.get(relpath)
-        if mod is not None:
-            return self.finding(mod, line, message, hint=hint)
-        return make_finding(
-            self.rule_id, self.severity, relpath, line, message, hint=hint
-        )
-
 
 def rule_catalogue() -> Dict[str, Rule]:
     """rule id -> rule instance, for ``--list-rules`` and the docs test."""
@@ -89,17 +72,12 @@ def _build_all_rules() -> List[Rule]:
         UnseededRandomRule,
         WallClockRule,
     )
-    from repro.analysis.rules.flows import (
-        LayerBypassRule,
-        SendCycleRule,
-    )
     from repro.analysis.rules.ordering import (
         ConcurrentConflictRule,
         ExternalGateRule,
         PreStabilityActionRule,
         TotalOrderAssumptionRule,
     )
-    from repro.analysis.rules.purity import ImpureImportRule
 
     return [
         WallClockRule(),
@@ -107,9 +85,6 @@ def _build_all_rules() -> List[Rule]:
         UnorderedIterationRule(),
         IdComparisonRule(),
         EnvBranchRule(),
-        ImpureImportRule(),
-        SendCycleRule(),
-        LayerBypassRule(),
         ConcurrentConflictRule(),
         TotalOrderAssumptionRule(),
         ExternalGateRule(),

@@ -3,7 +3,7 @@
 Grammar (one comment per physical line, anywhere after code)::
 
     # repro: ignore[DET003]            suppress one rule on this line
-    # repro: ignore[DET003, FLOW003]   suppress several rules
+    # repro: ignore[DET003, ORD003]    suppress several rules
     # repro: ignore                    suppress every rule on this line
 
 A finding at line ``L`` is suppressed when a matching comment sits on ``L``

@@ -126,7 +126,7 @@ class QuorumClient(Process):
                 # of outstanding acquisition attempts (each stale grant is
                 # released exactly once and a release only re-grants while a
                 # competing client still waits), so the tick drains.
-                self.send(payload.server, LockRelease(client=self.pid))  # repro: ignore[FLOW003]
+                self.send(payload.server, LockRelease(client=self.pid))
                 return
             self.granted.add(payload.server)
             if len(self.granted) >= self.k:

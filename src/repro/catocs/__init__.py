@@ -50,10 +50,8 @@ from repro.catocs.stack import (
     BatchLayer,
     ProtocolLayer,
     ProtocolStack,
-    discipline_override,
     register_layer,
     resolve_spec,
-    set_discipline_override,
 )
 from repro.catocs.transport import DedupRepairLayer, StabilityLayer
 from repro.sim.kernel import Simulator
@@ -84,8 +82,6 @@ __all__ = [
     "DISCIPLINES",
     "register_layer",
     "resolve_spec",
-    "set_discipline_override",
-    "discipline_override",
     "build_group",
     "build_member",
 ]
@@ -111,9 +107,9 @@ def build_member(
     """Construct one group member through the shared stack factory.
 
     The single construction path every app, experiment, and ``build_group``
-    goes through — so the ``--discipline`` override and stack specs apply
-    uniformly.  ``on_deliver`` here is the member's callback itself (not a
-    factory; see :func:`build_group` for the whole-group form).
+    goes through — so stack specs apply uniformly.  ``on_deliver`` here is
+    the member's callback itself (not a factory; see :func:`build_group`
+    for the whole-group form).
     """
     member = GroupMember(
         sim,

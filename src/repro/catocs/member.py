@@ -35,7 +35,7 @@ from repro.catocs.messages import (
     OrderingControl,
     TransportControl,
 )
-from repro.catocs.stack import ProtocolStack, discipline_override, resolve_spec
+from repro.catocs.stack import ProtocolStack, resolve_spec
 from repro.catocs.transport import GroupTransport
 from repro.ordering.causal_graph import CausalGraph
 from repro.sim.kernel import Simulator
@@ -132,7 +132,7 @@ class GroupMember(Process):
         #: Set by an attached BatchLayer; intercepts ``send``.
         self._batcher = None
 
-        self.stack = ProtocolStack(self, resolve_spec(discipline_override() or ordering))
+        self.stack = ProtocolStack(self, resolve_spec(ordering))
         self.ordering = self.stack.ordering
         self.ordering_name = self.ordering.name
         #: the six counters perfbench reads; everything else uses the stack

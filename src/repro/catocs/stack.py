@@ -372,24 +372,3 @@ def _validate(names: Sequence[str]) -> None:
         )
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate layers in stack spec {list(names)}")
-
-
-# -- experiment-wide discipline override -----------------------------------------------
-
-_discipline_override: Optional[str] = None
-
-
-def set_discipline_override(name: Optional[str]) -> None:
-    """Force every subsequently built member onto stack ``name``.
-
-    Used by ``python -m repro.experiments --discipline`` for A/B reruns;
-    validated against the registry.  ``None`` clears the override.
-    """
-    global _discipline_override
-    if name is not None:
-        resolve_spec(name)  # validate eagerly; raises ValueError if bad
-    _discipline_override = name
-
-
-def discipline_override() -> Optional[str]:
-    return _discipline_override

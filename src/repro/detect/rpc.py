@@ -185,7 +185,7 @@ class RpcProcess(Process):
         # Reply->Request->Reply chains are bounded by the static call tree
         # of the RPC workload (each reply retires one call and nested calls
         # only descend), so the same-tick exchange terminates.
-        self.send(request.caller, RpcReply(call_id=request.call_id, value=reply.value))  # repro: ignore[FLOW003]
+        self.send(request.caller, RpcReply(call_id=request.call_id, value=reply.value))
         self.active.pop(instance.call_id, None)
         # A thread freed: schedule a queued request, if any.
         if self.queued and len(self.active) < self.threads:

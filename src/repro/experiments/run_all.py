@@ -6,15 +6,7 @@ Usage::
     python -m repro.experiments E04 E09                      # a subset
     python -m repro.experiments --list                       # names only
     python -m repro.experiments run_all --metrics-out m.json # + metrics dump
-    python -m repro.experiments --discipline total-seq E06   # A/B rerun
     python -m repro.experiments --sweep seeds=0..99          # seed campaign
-
-``--discipline NAME`` forces every group member the experiments build onto
-the named stack (a discipline alias like ``hybrid-causal`` or a full spec
-like ``dedup|batch|stability|causal`` — validated against the layer
-registry) regardless of what each experiment asks for.  Reproduction checks
-are calibrated for the default disciplines, so expect deliberate FAIL
-verdicts under an override; the point is the A/B comparison of the tables.
 
 Experiments run one after another in this process, in the order requested
 (a name given twice runs once).  One that raises is reported CRASH with its
@@ -93,8 +85,7 @@ def prewarm_registry() -> None:
 # -- the per-experiment envelope -------------------------------------------------
 
 
-def run_one(name: str, want_metrics: bool,
-            discipline: Optional[str] = None) -> Dict[str, Any]:
+def run_one(name: str, want_metrics: bool) -> Dict[str, Any]:
     """Execute one experiment and wrap the outcome in a plain-data envelope:
     the rendered report, the verdict, the names of unmet checks, the
     aggregated ``repro.obs`` metrics dump (when requested), and the
@@ -108,10 +99,7 @@ def run_one(name: str, want_metrics: bool,
         "metrics": None,
         "traceback": None,
     }
-    from repro.catocs.stack import set_discipline_override
-
     try:
-        set_discipline_override(discipline)
         with capture() as registries:
             result = registry()[name]()
         envelope["rendered"] = result.render()
@@ -123,8 +111,6 @@ def run_one(name: str, want_metrics: bool,
             envelope["metrics"] = aggregate(registries)
     except Exception:
         envelope["traceback"] = traceback.format_exc()
-    finally:
-        set_discipline_override(None)
     return envelope
 
 
@@ -132,37 +118,34 @@ def run_one(name: str, want_metrics: bool,
 
 
 def _parse_args(argv: List[str]) -> tuple:
-    """Split argv into (tokens, metrics path, discipline, sweep, error)."""
+    """Split argv into (tokens, metrics path, sweep, error)."""
     names: List[str] = []
     metrics_out = None
-    discipline: Optional[str] = None
     sweep: Optional[str] = None
-    options = ("--metrics-out", "--discipline", "--sweep")
+    options = ("--metrics-out", "--sweep")
     i = 0
     while i < len(argv):
         arg = argv[i]
         value = None
         if arg in options:
             if i + 1 >= len(argv):
-                return [], None, None, None, f"{arg} requires a value"
+                return [], None, None, f"{arg} requires a value"
             value = argv[i + 1]
             i += 2
         elif arg.startswith(tuple(option + "=" for option in options)):
             arg, value = arg.split("=", 1)
             i += 1
         elif arg.startswith("-"):
-            return [], None, None, None, f"unknown option: {arg}"
+            return [], None, None, f"unknown option: {arg}"
         else:
             names.append(arg)
             i += 1
             continue
         if arg == "--metrics-out":
             metrics_out = value
-        elif arg == "--discipline":
-            discipline = value
         else:
             sweep = value
-    return names, metrics_out, discipline, sweep, None
+    return names, metrics_out, sweep, None
 
 
 def _print_report(envelopes: List[Dict[str, Any]]) -> None:
@@ -195,7 +178,7 @@ def main(argv: List[str]) -> int:
         for name in registry():
             print(name)
         return 0
-    tokens, metrics_out, discipline, sweep, error = _parse_args(argv)
+    tokens, metrics_out, sweep, error = _parse_args(argv)
     if error:
         print(error, file=sys.stderr)
         return 2
@@ -212,10 +195,6 @@ def main(argv: List[str]) -> int:
             print("--sweep runs the fixed probe campaign; experiment names "
                   f"are not accepted (got {tokens})", file=sys.stderr)
             return 2
-        if discipline is not None:
-            print("--sweep already sweeps every discipline; --discipline "
-                  "is not accepted", file=sys.stderr)
-            return 2
         return run_sweep(lo, hi, metrics_out)
 
     experiments = registry()
@@ -227,19 +206,8 @@ def main(argv: List[str]) -> int:
     if unknown:
         print(f"unknown experiments: {unknown}; use --list", file=sys.stderr)
         return 2
-    if discipline is not None:
-        from repro.catocs.stack import resolve_spec
-
-        try:
-            resolve_spec(discipline)
-        except ValueError as exc:
-            print(f"--discipline: {exc}", file=sys.stderr)
-            return 2
-        print(f"(discipline override: every group runs {discipline!r})")
-        print()
-
     want_metrics = metrics_out is not None
-    envelopes = [run_one(name, want_metrics, discipline) for name in wanted]
+    envelopes = [run_one(name, want_metrics) for name in wanted]
 
     _print_report(envelopes)
     _print_verdicts(envelopes)

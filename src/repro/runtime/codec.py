@@ -43,7 +43,9 @@ counts, keyed by pid, and is only meaningful in a
 into the domain of the message's group, in either layout: compared there,
 it is two arrays over one index whatever order the sender's domain had.  A
 bare clock record outside a ``DataMessage`` names no group and decodes to
-its counts dict.
+its counts dict.  :func:`decode_datagram` also takes the pids the receiver
+accepts datagrams from, and refuses any other sender before it reads the
+payload.
 
 Decoding is strict: bad magic, any version but this one, truncation at any
 byte, trailing bytes, a declared length or count larger than the bytes that
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Container, Dict, List, Optional, Tuple
 
 from repro.catocs.messages import DataMessage, wire_classes
 from repro.ordering.dense import ClockDomain, DenseVectorClock
@@ -110,6 +112,10 @@ _KNOWN_FLAGS = _RETRANSMIT | _HAS_VC | _HAS_ACKS | _HAS_ATTACHED
 
 class CodecError(ValueError):
     """Raised for any malformed, truncated, or unregistered wire data."""
+
+
+class UnknownSender(CodecError):
+    """A datagram whose sender pid the receiver does not accept."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -474,25 +480,28 @@ def _frame(*values: Any) -> bytes:
     return b"".join(out)
 
 
-def _parse(data: bytes, count: int, domains: DomainLookup) -> List[Any]:
-    """The ``count`` values framed in ``data``, and nothing after them."""
+def _open(data: bytes) -> int:
+    """Where the first framed value starts, once the header checks out."""
     if len(data) < len(HEADER):
         raise CodecError(f"truncated datagram: {len(data)} bytes")
     if data[: len(MAGIC)] != MAGIC:
         raise CodecError("bad magic: not a repro wire datagram")
     if data[len(MAGIC)] != VERSION:
         raise CodecError(f"unsupported wire version: {data[len(MAGIC)]}")
-    pos = len(HEADER)
-    values = []
+    return len(HEADER)
+
+
+def _next(data: bytes, pos: int, domains: DomainLookup) -> Tuple[Any, int]:
+    """:func:`_read` at the top level of a frame."""
     try:
-        for _ in range(count):
-            value, pos = _read(data, pos, 0, domains)
-            values.append(value)
+        return _read(data, pos, 0, domains)
     except (IndexError, struct.error, UnicodeDecodeError) as exc:  # cut short, or not UTF-8
         raise CodecError(f"malformed datagram body: {exc}") from exc
+
+
+def _close(data: bytes, pos: int) -> None:
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing bytes")
-    return values
 
 
 def encode(obj: Any) -> bytes:
@@ -503,7 +512,9 @@ def encode(obj: Any) -> bytes:
 def decode(data: bytes, domains: DomainLookup) -> Any:
     """Parse a framed datagram body back into the wire object, every
     ``DataMessage`` clock in ``domains(msg.group)``."""
-    return _parse(data, 1, domains)[0]
+    value, pos = _next(data, _open(data), domains)
+    _close(data, pos)
+    return value
 
 
 def encode_datagram(src: str, payload: Any) -> bytes:
@@ -511,12 +522,22 @@ def encode_datagram(src: str, payload: Any) -> bytes:
     return _frame(src, payload)
 
 
-def decode_datagram(data: bytes, domains: DomainLookup) -> Tuple[str, Any]:
+def decode_datagram(data: bytes, domains: DomainLookup,
+                    senders: Container[str]) -> Tuple[str, Any]:
     """Inverse of :func:`encode_datagram`; returns ``(src, payload)``, every
-    ``DataMessage`` clock in ``domains(msg.group)``."""
-    src, payload = _parse(data, 2, domains)
-    if type(src) is not str:
+    ``DataMessage`` clock in ``domains(msg.group)``.
+
+    The sender pid is read first, and a pid not in ``senders`` raises
+    :class:`UnknownSender` before any byte of the payload is: a forged
+    datagram cannot add a pid to a clock domain."""
+    pos = _open(data)
+    if data[pos:pos + 1] != _BYTE[_STR]:
         raise CodecError("datagram sender pid is not a string")
+    src, pos = _next(data, pos, domains)
+    if src not in senders:
+        raise UnknownSender(f"datagram from unregistered pid {src!r}")
+    payload, pos = _next(data, pos, domains)
+    _close(data, pos)
     return src, payload
 
 

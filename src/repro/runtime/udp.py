@@ -24,9 +24,10 @@ the ``Process`` constructor), then ``await net.start()`` to bind the
 sockets.  Anything a stack timer sends before the bind completes is queued
 and flushed on start.  Malformed or truncated datagrams are counted in
 ``decode_errors`` and dropped — a byte-flipping peer cannot crash the host —
-and so are well-formed ones whose sender pid is neither attached here nor a
-registered peer (``unknown_sender``): peers are static, so nothing the stack
-did with such a message could be answered.
+and so are ones whose sender pid is neither attached here nor a registered
+peer (``unknown_sender``), before their payload is decoded: peers are
+static, so nothing the stack did with such a message could be answered, and
+a stamp it carried must not grow a clock domain.
 """
 
 from __future__ import annotations
@@ -256,13 +257,16 @@ class UdpNetwork:
         return domain
 
     def _on_datagram(self, dst: str, data: bytes) -> None:
+        # Every local pid has an address once start() has bound its socket,
+        # and no datagram arrives before that: the address book is the set
+        # of senders.
         try:
-            src, payload = codec.decode_datagram(data, self._domain)
+            src, payload = codec.decode_datagram(data, self._domain, self._addrs)
+        except codec.UnknownSender:
+            self.unknown_sender += 1
+            return
         except codec.CodecError:
             self.decode_errors += 1
-            return
-        if src not in self._addrs and src not in self._processes:
-            self.unknown_sender += 1
             return
         process = self._processes.get(dst)
         if process is None or not process.alive:

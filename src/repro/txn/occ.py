@@ -112,7 +112,7 @@ class OccServer(Process):
             # Read->ReadReply->Read ping-pong is bounded by the fixed read
             # set of each OCC transaction (a reply triggers the next read
             # only while unread keys remain), so the tick drains.
-            self.send(  # repro: ignore[FLOW003]
+            self.send(
                 src,
                 OccReadReply(
                     txn_id=payload.txn_id,

@@ -1,4 +1,4 @@
-"""FLOW003 fixture: a same-tick Ping/Pong send cycle.
+"""Flow-graph fixture: a same-tick Ping/Pong send cycle.
 
 ``Slow`` shows the sanctioned fix: replying through a non-zero timer
 moves the response to a later tick, so no cycle is reported.
@@ -22,7 +22,7 @@ class Slow:
 class PingPong(Process):
     def on_message(self, src: str, payload) -> None:
         if isinstance(payload, Ping):
-            self.send(src, Pong())  # EXPECT[FLOW003]
+            self.send(src, Pong())
         if isinstance(payload, Pong):
             self.send(src, Ping())
         if isinstance(payload, Slow):

@@ -1,4 +1,4 @@
-"""FLOW004 fixture: DataMessage-family traffic minted outside the stack."""
+"""Flow-graph fixture: DataMessage-family traffic minted outside the stack."""
 
 from repro.catocs.messages import DataMessage
 from repro.catocs.stack import ProtocolLayer
@@ -11,7 +11,7 @@ class Rogue(Process):
         self.add_message_handler(DataMessage, self._on_data)
 
     def leak(self, dst: str) -> None:
-        self.send(dst, DataMessage(sender=self.pid, seq=1))  # EXPECT[FLOW004]
+        self.send(dst, DataMessage(sender=self.pid, seq=1))
 
     def _on_data(self, src: str, msg) -> None:
         self.seen = True

@@ -54,9 +54,7 @@ def test_fixture_corpus_actually_plants_violations():
     rules = set()
     for name in FIXTURE_FILES:
         rules |= {rule for rule, _ in planted(FIXTURES / name)}
-    # PUR001 fires only in modules of the sim-pure packages, a dotted
-    # module name no fixture file outside src/ has.
-    expected = set(rule_catalogue()) - {"PUR001"}
+    expected = set(rule_catalogue())
     assert expected <= rules, f"rules with no fixture: {sorted(expected - rules)}"
 
 

@@ -1,10 +1,12 @@
 """The one pipeline: a whole-repo run and an explicit-paths run are the
 same pass over a different file set, checked on a synthetic repo.  A
-whole-repo run reads ``src/`` and nothing else."""
+whole-repo run reads ``src/`` and nothing else, and a wall-clock read in
+a protocol package is a DET001 error."""
 
 import pytest
 
 from repro.analysis.engine import PARSE_RULE_ID, run_analysis
+from repro.analysis.finding import Severity
 from repro.analysis.report import render_json
 
 DIRTY_MODULE = '''"""Two planted wall-clock reads: one reported, one suppressed."""
@@ -30,6 +32,15 @@ def test_stamp():
 
 BROKEN_MODULE = "import time\n\n\ndef broken(:\n    return time.time()\n"
 
+#: A tracer-style timing read inside the ordering stack.
+CATOCS_MODULE = '''import time
+
+
+def hold_time(started):
+    return time.perf_counter() - started
+'''
+
+CATOCS = "src/repro/catocs/timed.py"
 DIRTY = "src/repro/extra/dirty.py"
 BROKEN = "src/repro/extra/broken.py"
 TEST = "tests/extra/test_specs.py"
@@ -40,6 +51,7 @@ FIXTURE = "tests/extra/fixtures/planted.py"
 def repo(tmp_path):
     root = tmp_path / "repo"
     for relpath, text in [
+        (CATOCS, CATOCS_MODULE),
         (DIRTY, DIRTY_MODULE),
         (BROKEN, BROKEN_MODULE),
         (TEST, TEST_MODULE),
@@ -56,9 +68,14 @@ def test_repo_run_and_paths_run_are_one_pipeline(repo):
     part = run_analysis(root=repo, paths=[repo / DIRTY])
 
     assert [(f.rule_id, f.path) for f in full.findings] == [
-        (PARSE_RULE_ID, BROKEN), ("DET001", DIRTY),
+        ("DET001", CATOCS), (PARSE_RULE_ID, BROKEN), ("DET001", DIRTY),
     ]
     assert full.suppressed == 1
+
+    # The protocol-package read resolves under repro.catocs and is an error.
+    timed = full.findings[0]
+    assert timed.severity is Severity.ERROR and timed.line == 5
+    assert full.project.src_modules[0].module == "repro.catocs.timed"
 
     # The shared file: same findings, same suppression, either way in.
     assert part.findings == [f for f in full.findings if f.path == DIRTY]
@@ -66,7 +83,7 @@ def test_repo_run_and_paths_run_are_one_pipeline(repo):
 
     # Parsed once; tests/, its fixtures and the broken file are not
     # modules of the run.
-    assert [m.relpath for m in full.project.src_modules] == [DIRTY]
+    assert [m.relpath for m in full.project.src_modules] == [CATOCS, DIRTY]
     assert [m.relpath for m in part.project.src_modules] == [DIRTY]
 
     # The planted test file is clean only because it is out of scope.

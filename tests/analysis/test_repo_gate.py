@@ -11,7 +11,7 @@ import tokenize
 from pathlib import Path
 
 from repro.analysis.engine import PARSE_RULE_ID
-from repro.analysis.rules import rule_catalogue
+from repro.analysis.rules import ALL_RULES, rule_catalogue
 from repro.analysis.source import iter_python_files
 from repro.analysis.suppress import parse_suppressions
 
@@ -23,11 +23,18 @@ def test_head_has_no_fresh_findings(repo_result):
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
-def test_suppressions_name_live_rule_ids():
+def test_suppressions_name_live_rule_ids(repo_result):
     """A suppression naming an id outside the catalogue (a typo, a deleted
-    rule) is silently inert.  Only real comments count: docstrings and
-    test data quote the grammar with made-up ids."""
+    rule) is silently inert, and so is one under ``src/`` whose rule has
+    stopped firing on its line: each must suppress a raw finding at HEAD.
+    Only real comments count: docstrings and test data quote the grammar
+    with made-up ids."""
     known = set(rule_catalogue())
+    project = repo_result.project
+    modules = {m.relpath: m for m in project.src_modules}
+    raw = [f for rule in ALL_RULES for mod in project.src_modules
+           for f in rule.check_module(mod)]
+    raw += [f for rule in ALL_RULES for f in rule.check_project(project)]
     dead = []
     for path in iter_python_files(
         [REPO_ROOT / d for d in ("src", "tests", "benchmarks", "examples")]
@@ -35,13 +42,21 @@ def test_suppressions_name_live_rule_ids():
         text = path.read_text(encoding="utf-8")
         if "repro:" not in text:
             continue
-        dead += [
-            f"{path.relative_to(REPO_ROOT)}:{tok.start[0]}: {rule_id}"
-            for tok in tokenize.generate_tokens(io.StringIO(text).readline)
-            if tok.type == tokenize.COMMENT
-            for ids in parse_suppressions(tok.string).values()
-            for rule_id in sorted((ids or frozenset()) - known)
-        ]
+        relpath = path.relative_to(REPO_ROOT).as_posix()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type != tokenize.COMMENT:
+                continue
+            line = tok.start[0]
+            for ids in parse_suppressions(tok.string).values():
+                dead += [f"{relpath}:{line}: {rule_id}"
+                         for rule_id in sorted((ids or frozenset()) - known)]
+                if relpath.startswith("src/") and not any(
+                    f.path == relpath
+                    and (ids is None or f.rule_id in ids)
+                    and line in (f.line, modules[relpath].stmt_start(f.line))
+                    for f in raw
+                ):
+                    dead.append(f"{relpath}:{line}: suppresses nothing")
     assert dead == []
 
 

@@ -8,10 +8,8 @@ from repro.catocs.stack import (
     DISCIPLINES,
     LAYER_REGISTRY,
     ProtocolLayer,
-    discipline_override,
     register_layer,
     resolve_spec,
-    set_discipline_override,
 )
 from repro.sim import LinkModel, Network, Simulator
 
@@ -65,24 +63,6 @@ def test_spec_requires_ordering_on_top():
 def test_duplicate_layers_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         resolve_spec("dedup|dedup|causal")
-
-
-def test_discipline_override_forces_stack_everywhere():
-    set_discipline_override("total-seq")
-    try:
-        assert discipline_override() == "total-seq"
-        _, _, members = _group(ordering="causal")
-        assert members["a"].ordering_name == "total-seq"
-    finally:
-        set_discipline_override(None)
-    _, _, members = _group(ordering="causal")
-    assert members["a"].ordering_name == "causal"
-
-
-def test_discipline_override_validates_eagerly():
-    with pytest.raises(ValueError):
-        set_discipline_override("no-such-discipline")
-    assert discipline_override() is None
 
 
 def test_stack_metrics_published_per_layer():

@@ -34,12 +34,16 @@ def host_domains(group: str) -> ClockDomain:
     return group_domain(_HOST, group)
 
 
+#: The pids the decoding host accepts datagrams from.
+SENDERS = {"a", "b"}
+
+
 def decode(blob: bytes) -> Any:
     return codec.decode(blob, host_domains)
 
 
 def decode_datagram(blob: bytes) -> Tuple[str, Any]:
-    return codec.decode_datagram(blob, host_domains)
+    return codec.decode_datagram(blob, host_domains, SENDERS)
 
 
 PIDS = st.text(alphabet="abcd", min_size=1, max_size=3)

@@ -376,16 +376,33 @@ def test_datagrams_from_an_unregistered_pid_never_reach_the_stack():
     assert dedup.naks_sent == 0 and "zz" not in dedup.contiguous
 
 
+def test_a_forged_sender_cannot_grow_a_clock_domain():
+    """The sender is checked before the payload is decoded: a stamp naming
+    500 pids, from a pid nobody registered, leaves group g's domain at its
+    two members."""
+    pids = [f"x{k}" for k in range(500)]
+    forged = DataMessage(group="g", sender="intruder", seq=1, payload="x", sent_at=0.0,
+                         vc=ClockDomain(pids).clock(dict.fromkeys(pids, 1)))
+    blob = codec.encode_datagram("intruder", forged)
+    delivered, net, _, escaped = asyncio.run(_attacked_group(12, "causal", [blob]))
+    assert len(net.clock._clock_domains["g"]) == 2
+    assert net.unknown_sender == 1
+    assert net.decode_errors == 0
+    assert escaped == []
+    assert delivered == ["legit"]
+
+
 def test_stamps_for_unknown_groups_add_no_clock_domains():
     """A stamp decodes only into a domain its group already has on this
     host; one group name per forged datagram would otherwise grow the clock's
-    domain registry by one each."""
+    domain registry by one each.  The datagrams claim the registered pid
+    ``a``, so they pass the sender check and reach the payload."""
     forged = [
         DataMessage(group=f"forged{k}", sender="zz", seq=1, payload="x", sent_at=0.0,
                     vc=ClockDomain(("zz",)).clock({"zz": 1}))
         for k in range(40)
     ]
-    blobs = [codec.encode_datagram("zz", payload) for payload in forged]
+    blobs = [codec.encode_datagram("a", payload) for payload in forged]
     delivered, net, _, escaped = asyncio.run(_attacked_group(11, "causal", blobs))
     assert list(net.clock._clock_domains) == ["g"]
     assert net.decode_errors == len(forged)
