@@ -102,7 +102,6 @@ def build_member(
     ack_period: float = 20.0,
     heartbeat_period: float = 10.0,
     heartbeat_timeout: float = 35.0,
-    piggyback_causal: bool = False,
 ) -> GroupMember:
     """Construct one group member through the shared stack factory.
 
@@ -123,7 +122,6 @@ def build_member(
         ack_period=ack_period,
         instrumentation=instrumentation,
         trace=trace,
-        piggyback_causal=piggyback_causal,
     )
     if with_membership:
         detector = HeartbeatDetector(
@@ -147,7 +145,6 @@ def build_group(
     ack_period: float = 20.0,
     heartbeat_period: float = 10.0,
     heartbeat_timeout: float = 35.0,
-    piggyback_causal: bool = False,
 ) -> Dict[str, GroupMember]:
     """Construct every member of one process group.
 
@@ -174,6 +171,5 @@ def build_group(
             ack_period=ack_period,
             heartbeat_period=heartbeat_period,
             heartbeat_timeout=heartbeat_timeout,
-            piggyback_causal=piggyback_causal,
         )
     return members

@@ -52,7 +52,9 @@ class HeartbeatDetector:
         heartbeats are lost but which keeps sending is not suspected.  Only
         a heartbeat reaches this method (:meth:`handle_heartbeat`), so only
         a heartbeat un-suspects.  Evidence from a pid outside the view is
-        kept but never acted on: :meth:`_tick` checks view members only."""
+        kept but never acted on: :meth:`_tick` checks the view's other
+        members only.  (A packet a member sends itself stamps its own pid,
+        and a member must never suspect itself.)"""
         self.last_heard[pid] = self.member.sim.now
         if not self.member.believes_alive(pid):
             self.member.unsuspect(pid)
@@ -66,7 +68,7 @@ class HeartbeatDetector:
         self.heartbeats_sent += member.send_peers(beat)
         now = member.sim.now
         for pid, heard in self.last_heard.items():
-            if pid not in member.view_members:
+            if pid == member.pid or pid not in member.view_members:
                 continue
             if now - heard > self.timeout and member.believes_alive(pid):
                 member.suspect(pid)

@@ -128,16 +128,8 @@ class HybridCausalOrdering(CausalOrdering):
                 if mid[1] > acked and msg.sent_at <= horizon
             )
             for mid in overdue[: self.resend_burst]:
-                msg = self._retained[mid]
                 self.retention_resends += 1
-                self.member.send(
-                    peer,
-                    DataMessage(
-                        group=msg.group, sender=msg.sender, seq=msg.seq,
-                        payload=msg.payload, sent_at=msg.sent_at,
-                        view_id=msg.view_id, vc=msg.vc, retransmit=True,
-                    ),
-                )
+                self.member.send(peer, self._retained[mid].repair_copy())
         self.member.set_timer(self.resend_period, self._resend_tick)
 
     def _ack_tick(self) -> None:
@@ -231,14 +223,7 @@ class HybridCausalOrdering(CausalOrdering):
                     HybridRefill(
                         group=self.member.group,
                         sender=self.member.pid,
-                        msgs=[
-                            DataMessage(
-                                group=m.group, sender=m.sender, seq=m.seq,
-                                payload=m.payload, sent_at=m.sent_at,
-                                view_id=m.view_id, vc=m.vc, retransmit=True,
-                            )
-                            for m in refills
-                        ],
+                        msgs=[m.repair_copy() for m in refills],
                     ),
                 )
         elif isinstance(payload, HybridRefill):

@@ -109,7 +109,6 @@ class GroupMember(Process):
         ack_period: float = 20.0,
         instrumentation: Optional[GroupInstrumentation] = None,
         trace: Optional[EventTrace] = None,
-        piggyback_causal: bool = False,
     ) -> None:
         super().__init__(sim, network, pid)
         self.group = group
@@ -124,11 +123,6 @@ class GroupMember(Process):
         # Layer construction reads these off the member.
         self.nak_delay = nak_delay
         self.ack_period = ack_period
-        #: Footnote 4 alternative to delaying: attach unstable causal
-        #: predecessors to every outgoing data message.  Only meaningful
-        #: with causal-family orderings.
-        self.piggyback_causal = piggyback_causal
-        self.piggybacked_bytes = 0
         #: Set by an attached BatchLayer; intercepts ``send``.
         self._batcher = None
 
@@ -247,9 +241,6 @@ class GroupMember(Process):
             view_id=self.view_id,
         )
         self.ordering.stamp(msg)
-        if self.piggyback_causal and msg.vc is not None:
-            msg.attached = self._causal_predecessor_copies(msg)
-            self.piggybacked_bytes += sum(m.size_bytes() for m in msg.attached)
         if self.instrumentation is not None:
             self.instrumentation.on_send(msg)
         if self.trace is not None:
@@ -276,33 +267,6 @@ class GroupMember(Process):
         if last_heard is not None:
             last_heard[packet.src] = self.sim.now
         self.dispatch(packet.src, packet.payload)
-
-    def _causal_predecessor_copies(self, msg: DataMessage) -> List[DataMessage]:
-        """Unstable messages this message causally depends on, copied
-        without their own attachments (one level is enough: a receiver that
-        processes the attachments before the carrier satisfies the carrier's
-        direct dependencies, and each attachment's own dependencies were
-        attached when *it* was sent)."""
-        assert msg.vc is not None
-        copies: List[DataMessage] = []
-        stability = self.stack.layer("stability")
-        for buffered in stability.buffer.values() if stability is not None else ():
-            if buffered.msg_id == msg.msg_id:
-                continue
-            if buffered.seq <= msg.vc[buffered.sender]:
-                copies.append(
-                    DataMessage(
-                        group=buffered.group,
-                        sender=buffered.sender,
-                        seq=buffered.seq,
-                        payload=buffered.payload,
-                        sent_at=buffered.sent_at,
-                        view_id=buffered.view_id,
-                        vc=buffered.vc,
-                        retransmit=True,
-                    )
-                )
-        return copies
 
     def _on_data_message(self, src: str, payload: DataMessage) -> None:
         if payload.attached:

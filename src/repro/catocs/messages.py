@@ -65,8 +65,8 @@ class DataMessage:
     retransmit: bool = False
     #: Footnote 4 of the paper: "causal protocols can append earlier
     #: 'causal' messages to later dependent messages" instead of delaying.
-    #: When the piggyback option is on, unstable causal predecessors ride
-    #: along here — eliminating delivery delay at a bandwidth cost.
+    #: Under a ``piggyback`` layer, unstable causal predecessors ride along
+    #: here — eliminating delivery delay at a bandwidth cost.
     attached: Optional[List["DataMessage"]] = None
 
     def __post_init__(self) -> None:
@@ -75,6 +75,24 @@ class DataMessage:
         # reassigned.  Deliberately not a dataclass field: eq, ``fields()``
         # and the codec see only the wire fields.
         self.msg_id: MsgId = (self.sender, self.seq)
+
+    def repair_copy(self) -> "DataMessage":
+        """This message as a retransmission: ``retransmit=True``, and no ack
+        vector or attachments.
+
+        No ack vector: the piggybacked ack vector is interpreted as *the
+        message sender's* receive state; a peer serving someone else's
+        message must not publish its own counts under the original sender's
+        identity, or the stability matrix overstates what slow members hold
+        and buffers are trimmed while a member still needs repair (found by
+        E06 under NAK rotation).  No attachments: one level is enough, since
+        each attachment's own predecessors rode along when *it* was sent.
+        """
+        return DataMessage(
+            group=self.group, sender=self.sender, seq=self.seq,
+            payload=self.payload, sent_at=self.sent_at,
+            view_id=self.view_id, vc=self.vc, retransmit=True,
+        )
 
     def size_bytes(self) -> int:
         size = 24  # fixed header: group/sender refs, seq, timestamps

@@ -337,15 +337,23 @@ class CausalOrdering(OrderingLayer):
         self._ceiling = merged
 
 
-class TotalSequencerOrdering(OrderingLayer):
+class TotalSequencerOrdering(CausalOrdering):
     """Fixed-sequencer total order, consistent with causality.
 
-    Every member runs an inner causal layer.  The sequencer (the lowest pid
-    of the current view) assigns global indices in the order messages clear
-    *its* causal filter and multicasts :class:`OrderToken` assignments.
-    Members deliver strictly in global-index order once both the message and
-    its token have arrived — this also respects causality because the
-    sequencer's assignment order is a causal order.
+    The causal filter is inherited: a message that clears it advances
+    ``delivered`` but stays held until its token.  The sequencer (the
+    lowest pid of the installed view) assigns global indices in the order
+    messages clear *its* causal filter and multicasts :class:`OrderToken`
+    assignments.  Members deliver strictly in global-index order once both
+    the message and its token have arrived — this also respects causality
+    because the sequencer's assignment order is a causal order.
+
+    Suspecting the sequencer does not make a member sequencer: only the
+    view install does, after the flush has handed over every surviving
+    assignment.  The new sequencer adopts its unassigned messages in the
+    order they cleared its causal filter, then continues from
+    ``_next_assign``: one past the highest index this member knows of,
+    from its own assignments, received tokens, the flush merge or a join.
     """
 
     name = "total-seq"
@@ -356,7 +364,6 @@ class TotalSequencerOrdering(OrderingLayer):
         #: the sequencer to resend (lost-control-message repair), in the
         #: member's own time units: five NAK delays.
         self.token_repair_delay = 5.0 * member.nak_delay
-        self._causal = CausalOrdering(member)
         self._ready: Dict[MsgId, DataMessage] = {}
         self._order: Dict[int, MsgId] = {}
         self._next_deliver = 0
@@ -365,25 +372,23 @@ class TotalSequencerOrdering(OrderingLayer):
 
     @property
     def is_sequencer(self) -> bool:
-        return self.member.pid == self.member.sequencer_pid()
+        return self.member.pid == min(self.member.view_members)
 
-    def stamp(self, msg: DataMessage) -> None:
-        self._causal.stamp(msg)
+    def _learn(self, index: int, msg_id: MsgId) -> None:
+        """Record an assignment: the one place ``_next_assign`` moves."""
+        self._order[index] = msg_id
+        if index >= self._next_assign:
+            self._next_assign = index + 1
 
-    def accept_local(self, msg: DataMessage) -> None:
-        self._causal.accept_local(msg)
-
-    def insert(self, msg: DataMessage) -> None:
-        self._hold(msg)
-        self._causal.insert(msg)
-
-    def forgive(self, ceiling: Dict[str, int]) -> None:
-        self._causal.forgive(ceiling)
+    def _commit_release(self, msg: DataMessage) -> DataMessage:
+        # Past the causal filter, but still held: the hold ends at delivery.
+        self.delivered.advance(msg.sender, msg.seq)
+        return msg
 
     def on_control(self, src: str, payload: Any) -> None:
         if isinstance(payload, OrderToken):
             for index, msg_id in payload.assignments:
-                self._order[index] = msg_id
+                self._learn(index, msg_id)
         elif isinstance(payload, OrderTokenRequest):
             assignments = [
                 (index, self._order[index])
@@ -401,11 +406,11 @@ class TotalSequencerOrdering(OrderingLayer):
                 )
 
     def _stage_causal(self) -> None:
-        """Stage every message the inner causal layer can release."""
-        released = self._causal.release_next()
+        """Stage every message the causal filter can release."""
+        released = CausalOrdering.release_next(self)
         while released is not None:
             self._stage(released)
-            released = self._causal.release_next()
+            released = CausalOrdering.release_next(self)
 
     def _stage(self, msg: DataMessage) -> None:
         self._ready[msg.msg_id] = msg
@@ -413,15 +418,15 @@ class TotalSequencerOrdering(OrderingLayer):
             # Locally-originated messages also wait for their token.
             self._hold(msg)
         if self.is_sequencer:
-            index = self._next_assign
-            self._next_assign += 1
-            self._order[index] = msg.msg_id
-            token = OrderToken(
-                group=self.member.group,
-                sequencer=self.member.pid,
-                assignments=[(index, msg.msg_id)],
-            )
-            self.member.broadcast_control(token)
+            self._assign(msg.msg_id)
+
+    def _assign(self, msg_id: MsgId) -> None:
+        """Sequencer: give ``msg_id`` the next index and announce it."""
+        index = self._next_assign
+        self._learn(index, msg_id)
+        self.member.broadcast_control(OrderToken(
+            group=self.member.group, sequencer=self.member.pid,
+            assignments=[(index, msg_id)]))
 
     def release_next(self) -> Optional[DataMessage]:
         self._stage_causal()
@@ -441,10 +446,14 @@ class TotalSequencerOrdering(OrderingLayer):
 
     def _request_repair(self) -> None:
         self._repair_armed = False
-        if not self._ready or self._next_deliver in self._order:
+        # Any member answers from its assignments: ask the lowest pid
+        # believed alive (the next sequencer, before the view installs),
+        # but never this member itself.
+        target = self.member.sequencer_pid()
+        if not self._ready or self._next_deliver in self._order or target == self.member.pid:
             return
         self.member.send_control(
-            self.member.sequencer_pid(),
+            target,
             OrderTokenRequest(
                 group=self.member.group,
                 requester=self.member.pid,
@@ -464,9 +473,7 @@ class TotalSequencerOrdering(OrderingLayer):
     def on_view_install(self, merged_state: dict,
                         departed_counts: Dict[str, int]) -> None:
         for index, msg_id in merged_state.get("assignments", {}).items():
-            self._order[index] = msg_id
-        if self._order:
-            self._next_assign = max(self._next_assign, max(self._order) + 1)
+            self._learn(index, msg_id)
         # Skip assignments whose message died with a departed sender and is
         # beyond what any survivor holds: it can never arrive, and leaving
         # it would block global delivery forever.
@@ -482,27 +489,19 @@ class TotalSequencerOrdering(OrderingLayer):
             self._next_deliver += 1
         if self.is_sequencer:
             # Adopt orphaned ready messages into the global order (e.g. the
-            # old sequencer died before assigning them).
-            self._stage_causal()
+            # old sequencer died before assigning them), in the order they
+            # cleared the causal filter, a causal order; then stage the rest.
             already = set(self._order.values())
-            for msg_id in sorted(self._ready):
-                if msg_id not in already:
-                    index = self._next_assign
-                    self._next_assign += 1
-                    self._order[index] = msg_id
-                    token = OrderToken(group=self.member.group,
-                                       sequencer=self.member.pid,
-                                       assignments=[(index, msg_id)])
-                    self.member.broadcast_control(token)
+            for msg_id in [m for m in self._ready if m not in already]:
+                self._assign(msg_id)
+            self._stage_causal()
 
     def on_join(self, merged_state: dict, final_counts: Dict[str, int]) -> None:
-        self._causal.on_join(merged_state, final_counts)
+        super().on_join(merged_state, final_counts)
         for index, msg_id in merged_state.get("assignments", {}).items():
-            self._order[index] = msg_id
+            self._learn(index, msg_id)
         if self._order:
-            top = max(self._order)
-            self._next_assign = max(self._next_assign, top + 1)
-            self._next_deliver = top + 1  # history is not replayed to joiners
+            self._next_deliver = self._next_assign  # history is not replayed to joiners
 
 
 class TotalAgreedOrdering(OrderingLayer):

@@ -1,4 +1,4 @@
-"""Reliable group transport, split into two composable protocol layers.
+"""Reliable group transport, split into composable protocol layers.
 
 Sits between the raw (lossy, reordering) network and the ordering layers:
 
@@ -9,6 +9,10 @@ Sits between the raw (lossy, reordering) network and the ordering layers:
   the message — the "receiver ... can get copies of the causally referenced
   messages from the sender of the new message even if the original sender
   ... has crashed" assumption of Section 5.
+
+- :class:`PiggybackLayer` (``"piggyback"``) — the Footnote 4 alternative
+  to delaying: each outgoing data message carries copies of the unstable
+  messages it causally depends on.
 
 - :class:`StabilityLayer` (``"stability"``) — **atomic-delivery buffering
   and stability tracking.**  Every member retains every data message it has
@@ -274,24 +278,8 @@ class DedupRepairLayer(ProtocolLayer):
             msg = self.stack.repair_lookup(msg_id)
             if msg is None:
                 continue
-            # NOTE: no ack_vector on the copy.  The piggybacked ack vector is
-            # interpreted as *the message sender's* receive state; a peer
-            # serving someone else's message must not publish its own counts
-            # under the original sender's identity, or the stability matrix
-            # overstates what slow members hold and buffers are trimmed while
-            # a member still needs repair (found by E06 under NAK rotation).
-            copy = DataMessage(
-                group=msg.group,
-                sender=msg.sender,
-                seq=msg.seq,
-                payload=msg.payload,
-                sent_at=msg.sent_at,
-                view_id=msg.view_id,
-                vc=msg.vc,
-                retransmit=True,
-            )
             self.retransmissions += 1
-            self.member.send(nak.requester, copy)
+            self.member.send(nak.requester, msg.repair_copy())
 
     # -- metrics -------------------------------------------------------------------
 
@@ -539,8 +527,46 @@ class StabilityLayer(ProtocolLayer):
         }
 
 
+class PiggybackLayer(ProtocolLayer):
+    """Footnote 4: attach unstable causal predecessors instead of delaying.
+
+    "As an alternative to delaying dependent messages, causal protocols can
+    append earlier 'causal' messages to later dependent messages."  Every
+    outgoing data message carries a :meth:`~DataMessage.repair_copy` of each
+    stability-buffered message its vector clock covers.  One level is
+    enough: a receiver ingests a message's attachments before the message
+    itself, which satisfies the carrier's direct dependencies, and each
+    attachment's own dependencies rode along when *it* was sent.
+
+    It sits above ``stability`` (``"dedup|stability|piggyback|causal"``):
+    the stack pushes top to bottom, so the attachments are on the carrier
+    before the stability layer buffers and sizes it, and the carrier is not
+    yet in the buffer it scans.  The receive side needs no layer.
+    """
+
+    name = "piggyback"
+    kind = "transport"
+
+    def __init__(self, member: "GroupMember") -> None:
+        super().__init__(member)
+        self.piggybacked_bytes = 0
+
+    def send_down(self, msg: DataMessage) -> None:
+        vc = msg.vc
+        stability = self.stack.layer("stability")
+        if vc is None or stability is None:
+            return
+        msg.attached = [m.repair_copy() for m in stability.buffer.values()
+                        if m.seq <= vc[m.sender]]
+        self.piggybacked_bytes += sum(m.size_bytes() for m in msg.attached)
+
+    def layer_metrics(self) -> Dict[str, int]:
+        return {"piggybacked_bytes": self.piggybacked_bytes}
+
+
 register_layer(DedupRepairLayer)
 register_layer(StabilityLayer)
+register_layer(PiggybackLayer)
 
 
 class GroupTransport:

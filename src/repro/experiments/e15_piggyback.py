@@ -18,19 +18,19 @@ from repro.catocs import build_group
 from repro.experiments.harness import ExperimentResult, Table, mean
 from repro.sim import LinkModel, Network, Simulator
 
+#: The Footnote 4 variant: causal delivery under the piggyback layer.
+PIGGYBACK_STACK = "dedup|stability|piggyback|causal"
 #: The stack the extras-only batching comparison runs on (see run_e15).
 BATCHED_STACK = "dedup|batch|stability|causal"
 
 
-def _run(seed: int, piggyback: bool, drop_prob: float, size: int,
-         msgs_per_member: int, interval: float,
-         ordering: str = "causal") -> Dict[str, float]:
+def _run(seed: int, drop_prob: float, size: int, msgs_per_member: int,
+         interval: float, ordering: str = "causal") -> Dict[str, float]:
     sim = Simulator(seed=seed)
     net = Network(sim, LinkModel(latency=5.0, jitter=4.0, drop_prob=drop_prob))
     pids = [f"p{i}" for i in range(size)]
     members = build_group(sim, net, pids, ordering=ordering,
-                          nak_delay=10.0, ack_period=30.0,
-                          piggyback_causal=piggyback)
+                          nak_delay=10.0, ack_period=30.0)
     for index, pid in enumerate(pids):
         for k in range(msgs_per_member):
             at = 1.0 + index * (interval / size) + k * interval
@@ -58,7 +58,6 @@ def _run(seed: int, piggyback: bool, drop_prob: float, size: int,
         "bytes_sent": net.stats.bytes_sent,
         "net_msgs": net.stats.sent,
         "batch_saved": batch_saved,
-        "piggyback_bytes": sum(m.piggybacked_bytes for m in members.values()),
         "delivered_frac": delivered / expected,
     }
 
@@ -78,8 +77,9 @@ def run_e15(
     )
     data: Dict[tuple, Dict[str, float]] = {}
     for drop_prob in drop_probs:
-        plain = _run(seed, False, drop_prob, size, msgs_per_member, interval)
-        piggy = _run(seed, True, drop_prob, size, msgs_per_member, interval)
+        plain = _run(seed, drop_prob, size, msgs_per_member, interval)
+        piggy = _run(seed, drop_prob, size, msgs_per_member, interval,
+                     ordering=PIGGYBACK_STACK)
         data[(drop_prob, "plain")] = plain
         data[(drop_prob, "piggyback")] = piggy
         for name, metrics in (("causal (delay)", plain), ("causal (piggyback)", piggy)):
@@ -119,7 +119,7 @@ def run_e15(
     # The savings come from bursty NAK-repair traffic, so measure at the
     # lossiest point of the sweep.
     base_drop = max(drop_probs)
-    batched = _run(seed, False, base_drop, size, msgs_per_member, interval,
+    batched = _run(seed, base_drop, size, msgs_per_member, interval,
                    ordering=BATCHED_STACK)
     plain_base = data[(base_drop, "plain")]
     extras = {

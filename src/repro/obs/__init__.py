@@ -1,4 +1,4 @@
-"""Observability: metrics registry, virtual-time spans, JSON export.
+"""Observability: metrics registry and JSON export.
 
 One :class:`MetricsRegistry` hangs off every
 :class:`~repro.sim.kernel.Simulator` as ``sim.metrics``; the network,
@@ -10,13 +10,11 @@ and writes one aggregated JSON dump — see ``docs/OBSERVABILITY.md``.
 
 from repro.obs.export import SCHEMA, aggregate, capture, write_json
 from repro.obs.metrics import (
-    DEFAULT_SIZE_BUCKETS,
     DEFAULT_TIME_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    Span,
 )
 
 __all__ = [
@@ -28,7 +26,5 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Span",
     "DEFAULT_TIME_BUCKETS",
-    "DEFAULT_SIZE_BUCKETS",
 ]

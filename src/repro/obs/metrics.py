@@ -1,4 +1,4 @@
-"""Metric primitives: counters, gauges, histograms, spans, and the registry.
+"""Metric primitives: counters, gauges, histograms, and the registry.
 
 The simulation is deterministic and single-threaded, so the instruments are
 deliberately minimal — plain Python attributes, no locks, no background
@@ -28,11 +28,6 @@ _capture_sinks: List[List["MetricsRegistry"]] = []
 #: Default bucket bounds for time-like quantities (virtual time units).
 DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
     0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
-)
-
-#: Default bucket bounds for size-like quantities (bytes, counts).
-DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (
-    8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536,
 )
 
 
@@ -135,33 +130,6 @@ class Histogram:
         }
 
 
-class Span:
-    """A started span-style timer; :meth:`end` records elapsed virtual time
-    into the owning histogram.  Idempotent — a second ``end`` is ignored."""
-
-    __slots__ = ("_hist", "_clock", "started_at", "_done")
-
-    def __init__(self, hist: Histogram, clock: Callable[[], float]) -> None:
-        self._hist = hist
-        self._clock = clock
-        self.started_at = clock()
-        self._done = False
-
-    def end(self) -> float:
-        if self._done:
-            return 0.0
-        self._done = True
-        elapsed = self._clock() - self.started_at
-        self._hist.observe(elapsed)
-        return elapsed
-
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.end()
-
-
 class MetricsRegistry:
     """Holds every instrument of one subsystem instance (usually one
     :class:`~repro.sim.kernel.Simulator` and everything built on it).
@@ -171,10 +139,8 @@ class MetricsRegistry:
     components can wire themselves up without coordination.
     """
 
-    def __init__(self, name: str = "",
-                 clock: Optional[Callable[[], float]] = None) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.clock = clock or (lambda: 0.0)
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -209,13 +175,6 @@ class MetricsRegistry:
         if found is None:
             found = self._histograms[key] = Histogram(name, labels, bounds)
         return found
-
-    # -- span timers ----------------------------------------------------------
-
-    def span(self, name: str, bounds: Sequence[float] = DEFAULT_TIME_BUCKETS,
-             **labels: str) -> Span:
-        """Start a span; elapsed virtual time lands in histogram ``name``."""
-        return Span(self.histogram(name, bounds, **labels), self.clock)
 
     # -- export ----------------------------------------------------------------
 

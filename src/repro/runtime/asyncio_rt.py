@@ -90,9 +90,8 @@ class AsyncioClock:
         self._t0 = self._loop.time()
         self.seed = seed
         self.rng = random.Random(seed)
-        # Same observability surface as the simulator kernel; spans measure
-        # wall-clock-since-start here instead of virtual time.
-        self.metrics = MetricsRegistry("asyncio", clock=lambda: self.now)
+        # Same observability surface as the simulator kernel.
+        self.metrics = MetricsRegistry("asyncio")
 
     @property
     def now(self) -> float:

@@ -183,7 +183,7 @@ class Simulator:
         self._events_executed = 0
         self._stopped = False
         self._selfref: "weakref.ref[Simulator]" = weakref.ref(self)
-        self.metrics = MetricsRegistry("sim", clock=lambda: self.now)
+        self.metrics = MetricsRegistry("sim")
         self._register_metrics()
 
     def _register_metrics(self) -> None:

@@ -37,14 +37,12 @@ PROPERTY_SETTINGS = settings(
 )
 
 
-def run_workload(ordering: str, schedule, seed: int, drop: float,
-                 piggyback: bool = False):
+def run_workload(ordering: str, schedule, seed: int, drop: float):
     sim = Simulator(seed=seed)
     net = Network(sim, LinkModel(latency=6.0, jitter=10.0, drop_prob=drop))
     pids = [f"p{i}" for i in range(4)]
     members = build_group(sim, net, pids, ordering=ordering,
-                          nak_delay=8.0, ack_period=25.0,
-                          piggyback_causal=piggyback)
+                          nak_delay=8.0, ack_period=25.0)
     vc_of: Dict[object, object] = {}
 
     def capture(member):
@@ -90,9 +88,9 @@ def test_causal_delivery_never_inverts_happens_before(schedule, seed):
 
 @given(schedule=schedule_strategy, seed=st.integers(0, 1000))
 @PROPERTY_SETTINGS
-def test_piggyback_causal_never_inverts_happens_before(schedule, seed):
-    members, vc_of = run_workload("causal", schedule, seed, drop=0.12,
-                                  piggyback=True)
+def test_piggyback_layer_never_inverts_happens_before(schedule, seed):
+    members, vc_of = run_workload("dedup|stability|piggyback|causal", schedule,
+                                  seed, drop=0.12)
     for member in members.values():
         stamps = [vc_of[r.msg_id] for r in member.delivered if r.msg_id in vc_of]
         assert is_causal_delivery_order(stamps), member.pid

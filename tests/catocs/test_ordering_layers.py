@@ -35,7 +35,7 @@ class FakeSim:
     def __init__(self):
         self.now = 0.0
         self.scheduled = []
-        self.metrics = MetricsRegistry("sim", clock=lambda: self.now)
+        self.metrics = MetricsRegistry("sim")
 
     def call_later(self, delay, fn, *args):
         self.scheduled.append((delay, fn, args))
@@ -308,7 +308,7 @@ def test_token_before_data_waits_for_data():
     token = OrderToken(group="g", sequencer="a", assignments=[(0, ("c", 1))])
     layer.on_control("a", token)
     assert released(layer) == []
-    m = data("c", 1, vc=clock(layer._causal, {"c": 1}))
+    m = data("c", 1, vc=clock(layer, {"c": 1}))
     layer.insert(m)
     assert released(layer) == [m]
 
@@ -329,8 +329,8 @@ def test_sequencer_serves_token_repair_requests():
 
 def test_sequencer_pending_counts_a_causally_blocked_message_once():
     """Figure 1 on ``total-seq``: b reacts to a's "cause", and the reaction
-    reaches c long before the cause does.  c holds one message, which both
-    its outer layer and the inner causal layer hold."""
+    reaches c long before the cause does.  c holds one message, and holds
+    it once."""
     sim = Simulator(seed=0)
     net = Network(sim, LinkModel(latency=5.0))
     net.set_link("a", "c", LinkModel(latency=30.0))
@@ -345,6 +345,20 @@ def test_sequencer_pending_counts_a_causally_blocked_message_once():
     sim.run(until=100.0)
     assert group["c"].delivered_payloads() == ["cause", "effect"]
     assert c.pending() == 0
+
+
+def test_sequencer_registers_no_causal_series():
+    """total-seq inherits its causal filter instead of nesting a causal
+    layer, so its members publish ordering series under their own
+    discipline only."""
+    sim = Simulator(seed=0)
+    net = Network(sim, LinkModel(latency=5.0))
+    build_group(sim, net, ["a", "b", "c"], ordering="total-seq")
+    snapshot = sim.metrics.snapshot()
+    series = [key for kind in ("counters", "gauges", "histograms")
+              for key in snapshot[kind]]
+    assert any("discipline=total-seq" in key for key in series)
+    assert not [key for key in series if "discipline=causal" in key]
 
 
 def test_agreed_order_basic_two_member_flow():

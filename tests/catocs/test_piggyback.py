@@ -1,16 +1,18 @@
-"""Tests for the footnote-4 piggybacked causal variant."""
+"""Tests for the footnote-4 ``piggyback`` layer."""
 
 from repro.catocs import build_group
 from repro.catocs.messages import DataMessage
 from repro.sim import LinkModel, Network, Simulator
 
 
-def build(seed=0, drop=0.0, piggyback=True):
+PIGGYBACK_STACK = "dedup|stability|piggyback|causal"
+
+
+def build(seed=0, drop=0.0, ordering=PIGGYBACK_STACK):
     sim = Simulator(seed=seed)
     net = Network(sim, LinkModel(latency=5.0, jitter=3.0, drop_prob=drop))
-    members = build_group(sim, net, ["a", "b", "c"], ordering="causal",
-                          piggyback_causal=piggyback, nak_delay=10.0,
-                          ack_period=30.0)
+    members = build_group(sim, net, ["a", "b", "c"], ordering=ordering,
+                          nak_delay=10.0, ack_period=30.0)
     return sim, net, members
 
 
@@ -32,7 +34,7 @@ def test_attachments_carry_causal_predecessors():
     assert captured[0].attached == []
     attached_ids = [m.msg_id for m in captured[1].attached]
     assert ("a", 1) in attached_ids
-    assert members["a"].piggybacked_bytes > 0
+    assert members["a"].stack.layer("piggyback").piggybacked_bytes > 0
 
 
 def test_dependent_message_not_delayed_when_dependency_lost():
@@ -54,7 +56,7 @@ def test_dependent_message_not_delayed_when_dependency_lost():
 
 
 def test_without_piggyback_same_scenario_waits_for_repair():
-    sim, net, members = build(piggyback=False)
+    sim, net, members = build(ordering="causal")
     net.set_link("a", "c", LinkModel(latency=5.0, drop_prob=1.0))
 
     def react(src, payload, msg):
