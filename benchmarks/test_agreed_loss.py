@@ -5,9 +5,10 @@ send and gives up after ``max_proposal_retries`` rounds, committing without
 the silent member.  This sweep runs ``sim-total-lossy``'s group shape (eight
 members, one multicast per unit, latency 3 + jitter 2) at 0-15% loss on
 pinned seeds and checks that every multicast reaches every member, that all
-members deliver in one agreed order, and that no commit was forced.  At 15%
-loss seeds 2001 and 2003 each force a commit when the layer gives up after
-eight rounds instead of twelve.
+members deliver in one agreed order, that no commit was forced and that no
+receiver gave up chasing a commit it knew was sent.  At 15% loss seeds 2001
+and 2003 each force a commit when the layer gives up after eight rounds
+instead of twelve.
 """
 
 import pytest
@@ -39,3 +40,4 @@ def test_agreed_loss_delivers_everything_in_one_order(drop_prob, seed):
     order = next(iter(orders))
     assert len(order) == len(set(order)) == MULTICASTS
     assert sum(m.ordering.proposals_forced for m in group.values()) == 0
+    assert sum(m.ordering.commit_chases_abandoned for m in group.values()) == 0

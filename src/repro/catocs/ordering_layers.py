@@ -366,6 +366,8 @@ class TotalSequencerOrdering(CausalOrdering):
         self.token_repair_delay = 5.0 * member.nak_delay
         self._ready: Dict[MsgId, DataMessage] = {}
         self._order: Dict[int, MsgId] = {}
+        #: every id in ``_order``'s values: an id is assigned at most once
+        self._assigned: Set[MsgId] = set()
         self._next_deliver = 0
         self._next_assign = 0
         self._repair_armed = False
@@ -375,8 +377,10 @@ class TotalSequencerOrdering(CausalOrdering):
         return self.member.pid == min(self.member.view_members)
 
     def _learn(self, index: int, msg_id: MsgId) -> None:
-        """Record an assignment: the one place ``_next_assign`` moves."""
+        """Record an assignment: the one place ``_next_assign`` and
+        ``_assigned`` move."""
         self._order[index] = msg_id
+        self._assigned.add(msg_id)
         if index >= self._next_assign:
             self._next_assign = index + 1
 
@@ -417,7 +421,8 @@ class TotalSequencerOrdering(CausalOrdering):
         if msg.msg_id not in self.held_since:
             # Locally-originated messages also wait for their token.
             self._hold(msg)
-        if self.is_sequencer:
+        if self.is_sequencer and msg.msg_id not in self._assigned:
+            # An old sequencer's token can overtake the data it orders.
             self._assign(msg.msg_id)
 
     def _assign(self, msg_id: MsgId) -> None:
@@ -491,8 +496,7 @@ class TotalSequencerOrdering(CausalOrdering):
             # Adopt orphaned ready messages into the global order (e.g. the
             # old sequencer died before assigning them), in the order they
             # cleared the causal filter, a causal order; then stage the rest.
-            already = set(self._order.values())
-            for msg_id in [m for m in self._ready if m not in already]:
+            for msg_id in [m for m in self._ready if m not in self._assigned]:
                 self._assign(msg_id)
             self._stage_causal()
 
@@ -526,19 +530,25 @@ class TotalAgreedOrdering(OrderingLayer):
     already fix.  So a commit for seq ``k`` arriving from its sender is
     proof that every lower seq of that sender was committed and broadcast:
     ``proof_grace`` later (covering commits of one tick that arrive out of
-    order), the receiver asks for each one still open here.  The fallback
-    timer armed by :meth:`release_next` covers a sender's last message and
-    lost requests or answers; it asks only for each sender's lowest open
-    seq, since no higher one can have been committed before it.  ``_open``
-    indexes the held, uncommitted seqs per sender for both rules.
+    order), the receiver asks for each one still open here.  Each id so
+    asked gets one *chase*: every :attr:`proposal_timeout` it asks again,
+    which repairs a lost request or answer, until the commit is applied,
+    a view install drops the id, or ``max_proposal_retries`` asks went
+    unanswered (counted as ``commit_chases_abandoned``).  The fallback
+    timer armed by :meth:`release_next` covers what no proof reaches, a
+    sender's last message, and a chase that gave up; it asks only for each
+    sender's lowest open seq, since no higher one can have been committed
+    before it.  ``_open`` indexes the held, uncommitted seqs per sender for
+    both rules.
 
     Per-message agreement state lives only as long as the agreement:
     ``_proposals``, ``_retries`` and ``_ready`` (the sender's side) and
-    ``_asked`` (a receiver's commit requests) are dropped when the message
-    commits.  ``_commit_values`` is the one record kept for good, and it
-    has no bound: any member may be asked for a commit it applied long ago
-    (a ``CommitRequest`` from a peer whose copy was lost), and the
-    view-change flush hands a departed sender's commits to every survivor.
+    ``_asked`` and ``_chasing`` (a receiver's commit requests) are dropped
+    when the message commits.  ``_commit_values`` is the one record kept
+    for good, and it has no bound: any member may be asked for a commit it
+    applied long ago (a ``CommitRequest`` from a peer whose copy was lost),
+    and the view-change flush hands a departed sender's commits to every
+    survivor.
 
     A sender re-solicits missing proposals one measured round after the
     send: :attr:`proposal_timeout` is ``1.25 ×`` the slowest proposal
@@ -606,7 +616,11 @@ class TotalAgreedOrdering(OrderingLayer):
         self._commit_values: Dict[MsgId, Tuple[int, str]] = {}
         #: msg_id -> when this member last sent a CommitRequest for it
         self._asked: Dict[MsgId, float] = {}
+        #: msg_id -> asks its chase has made for a proven-owed commit
+        self._chasing: Dict[MsgId, int] = {}
         self._repair_armed = False
+        #: chases that gave up after ``max_proposal_retries`` asks
+        self.commit_chases_abandoned = 0
         #: commits made without a believed-alive member's proposal
         self.proposals_forced = 0
 
@@ -823,6 +837,7 @@ class TotalAgreedOrdering(OrderingLayer):
         self._proposals.pop(msg_id, None)
         self._retries.pop(msg_id, None)
         self._asked.pop(msg_id, None)
+        self._chasing.pop(msg_id, None)
         if priority > self._max_priority:
             self._max_priority = priority
         if msg_id in self._pending:
@@ -903,6 +918,7 @@ class TotalAgreedOrdering(OrderingLayer):
                 del self._pending[msg_id]
                 self._close(msg_id)
                 self._asked.pop(msg_id, None)
+                self._chasing.pop(msg_id, None)
                 self._release(msg)
         # Pending proposal collections involving departed members resolve by
         # the normal timeout path (believes_alive now excludes them).
@@ -927,9 +943,28 @@ class TotalAgreedOrdering(OrderingLayer):
         for lower in self._open.get(sender, ()):
             if lower >= seq:
                 break
-            asked = self._asked.get((sender, lower))
+            msg_id = (sender, lower)
+            asked = self._asked.get(msg_id)
             if asked is None or now - asked >= 2 * self.proof_grace:
-                self._ask((sender, lower))
+                self._ask(msg_id)
+                if msg_id not in self._chasing:
+                    self._chasing[msg_id] = 1
+                    self.member.set_timer(self.proposal_timeout, self._chase, msg_id)
+
+    def _chase(self, msg_id: MsgId) -> None:
+        """Ask again for a proven-owed commit every ``proposal_timeout``
+        until it is applied or the id is dropped; give up after
+        ``max_proposal_retries`` asks."""
+        asks = self._chasing.get(msg_id)
+        if asks is None:
+            return
+        if asks >= self.max_proposal_retries:
+            del self._chasing[msg_id]
+            self.commit_chases_abandoned += 1
+            return
+        self._chasing[msg_id] = asks + 1
+        self._ask(msg_id)
+        self.member.set_timer(self.proposal_timeout, self._chase, msg_id)
 
     def _request_commit_repair(self) -> None:
         """Ask for each other sender's lowest open seq whose commit is
@@ -947,6 +982,7 @@ class TotalAgreedOrdering(OrderingLayer):
     def layer_metrics(self) -> Dict[str, Any]:
         data = super().layer_metrics()
         data["proposals_forced"] = self.proposals_forced
+        data["commit_chases_abandoned"] = self.commit_chases_abandoned
         return data
 
 

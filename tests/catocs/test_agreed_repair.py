@@ -2,6 +2,8 @@
 when, the order a sender commits in, and what per-message agreement state is
 left once a lossy run drains."""
 
+from collections import Counter
+
 import pytest
 
 from repro.apps.trading import run_trading
@@ -80,23 +82,30 @@ def test_a_drained_lossy_run_leaves_no_agreement_state():
         assert layer._pending == {} and layer._heap == []
         assert layer._proposals == {} and layer._retries == {}
         assert layer._asked == {} and layer._open == {} and layer._ready == set()
+        assert layer._chasing == {}
         assert len(layer._commit_values) == 60  # kept to answer requests
         assert layer.layer_metrics()["proposals_forced"] == 0
+        assert layer.layer_metrics()["commit_chases_abandoned"] == 0
 
 
-def _lose_first(kind, src, dst, wanted):
-    """A ``lose`` predicate: the first ``kind`` packet from ``src`` to ``dst``
-    for each msg_id in ``wanted``."""
-    lost = set()
+def _lose_first(kind, src, dst, wanted, times=1):
+    """A ``lose`` predicate: the first ``times`` ``kind`` packets from
+    ``src`` to ``dst`` for each msg_id in ``wanted``."""
+    lost = Counter()
 
     def lose(s, d, payload):
         mid = getattr(payload, "msg_id", None)
         if (isinstance(payload, kind) and s in src and d == dst
-                and mid in wanted and mid not in lost):
-            lost.add(mid)
+                and mid in wanted and lost[mid] < times):
+            lost[mid] += 1
             return True
         return False
     return lose
+
+
+def _either(*predicates):
+    """A ``lose`` predicate losing what any of ``predicates`` loses."""
+    return lambda s, d, payload: any(lose(s, d, payload) for lose in predicates)
 
 
 def _scripted(lose, sends):
@@ -142,6 +151,71 @@ def test_a_lost_commit_is_asked_for_when_the_next_one_arrives():
     # held_since + commit_repair_delay
     assert delivered_at[("p0", 1)] <= proof + nak_delay + 2 * LATENCY
     assert delivered_at[("p0", 1)] < 1.0 + LATENCY + 6 * nak_delay
+
+
+def _asks(net, requester):
+    """``(time, msg_id)`` of every ``CommitRequest`` ``requester`` sent."""
+    return [(t, p.msg_id) for t, src, _, p in net.sent(CommitRequest) if src == requester]
+
+
+def _proof_at(net, dst, proof):
+    """When the first copy of ``proof``'s commit reaches ``dst``."""
+    return min(t for t, _, d, p in net.sent(PriorityCommit)
+               if d == dst and p.msg_id == proof) + LATENCY
+
+
+def test_a_lost_answer_is_asked_for_again_one_proposal_timeout_later():
+    # The commit and the answer to p1's proof-triggered request are both
+    # lost; no further proof arrives, so only the chase asks again.
+    lose = _lose_first(PriorityCommit, {"p0"}, "p1", {("p0", 1)}, times=2)
+    group, net = _scripted(lose, [(1.0, "p0"), (2.0, "p0")])
+    layer = group["p1"].ordering
+    first = _proof_at(net, "p1", ("p0", 2)) + group["p1"].nak_delay
+    timeout = layer.proposal_timeout
+    assert _asks(net, "p1") == [(first, ("p0", 1)), (first + timeout, ("p0", 1))]
+    delivered_at = {r.msg_id: r.delivered_at for r in group["p1"].delivered}
+    assert delivered_at[("p0", 1)] == first + timeout + 2 * LATENCY
+    assert layer._chasing == {}
+    assert layer.layer_metrics()["commit_chases_abandoned"] == 0
+
+
+def test_a_chase_gives_up_after_max_proposal_retries_asks():
+    # p0 never hears p1's requests, so the commit never reaches p1.
+    lose = _either(
+        _lose_first(PriorityCommit, {"p0"}, "p1", {("p0", 1)}),
+        _lose_first(CommitRequest, {"p1"}, "p0", {("p0", 1)}, times=1000))
+    group, net = _scripted(lose, [(1.0, "p0"), (2.0, "p0")])
+    layer = group["p1"].ordering
+    retries = layer.max_proposal_retries
+    first = _proof_at(net, "p1", ("p0", 2)) + group["p1"].nak_delay
+    times = [t for t, _ in _asks(net, "p1")]
+    chased = [first + k * layer.proposal_timeout for k in range(retries)]
+    assert times[:retries] == pytest.approx(chased)
+    # After the chase the fallback alone asks, twice commit_repair_delay apart.
+    assert times[retries] - times[retries - 1] == 2 * layer.commit_repair_delay
+    assert layer.layer_metrics()["commit_chases_abandoned"] == 1
+    assert layer._chasing == {}
+    assert ("p0", 1) not in [r.msg_id for r in group["p1"].delivered]
+
+
+def test_a_second_proof_during_a_chase_starts_no_second_chase():
+    # p1's first four requests go unheard.  The proof of (p0, 3) lands
+    # while the chase is live and draws one fresh-proof ask, but the chase
+    # keeps its own timing and no second chain of asks starts.
+    lose = _either(
+        _lose_first(PriorityCommit, {"p0"}, "p1", {("p0", 1)}),
+        _lose_first(CommitRequest, {"p1"}, "p0", {("p0", 1)}, times=4))
+    group, net = _scripted(lose, [(1.0, "p0"), (2.0, "p0"), (40.0, "p0")])
+    layer = group["p1"].ordering
+    nak_delay = group["p1"].nak_delay
+    timeout = layer.proposal_timeout
+    first = _proof_at(net, "p1", ("p0", 2)) + nak_delay
+    fresh = _proof_at(net, "p1", ("p0", 3)) + nak_delay
+    chased = [first + k * timeout for k in range(4)]
+    assert chased[1] + 2 * nak_delay <= fresh < chased[2]  # a re-ask, mid-chase
+    assert _asks(net, "p1") == [(t, ("p0", 1)) for t in sorted(chased + [fresh])]
+    delivered_at = {r.msg_id: r.delivered_at for r in group["p1"].delivered}
+    assert delivered_at[("p0", 1)] == chased[-1] + 2 * LATENCY
 
 
 def test_a_commit_late_behind_its_predecessor_draws_no_request():

@@ -1,12 +1,29 @@
 """Sequencer failover: the total order survives the sequencer's death."""
 
 from repro.catocs import build_group
+from repro.catocs.messages import DataMessage
 from repro.sim import FailureInjector, LinkModel, Network, Simulator
 
 
-def build(seed=0, n=4):
+class HoldingNetwork(Network):
+    """Holds every copy of one data message ``held`` to ``dst`` sent before
+    ``until`` and sends it at ``until``."""
+
+    def __init__(self, sim, link, dst=None, held=None, until=0.0):
+        super().__init__(sim, link)
+        self.dst, self.held, self.until = dst, held, until
+
+    def send(self, src, dst, payload, size=None):
+        if (isinstance(payload, DataMessage) and payload.msg_id == self.held
+                and dst == self.dst and self.sim.now < self.until):
+            self.sim.call_at(self.until, self.send, src, dst, payload, size)
+            return None
+        return super().send(src, dst, payload, size)
+
+
+def build(seed=0, n=4, **hold):
     sim = Simulator(seed=seed)
-    net = Network(sim, LinkModel(latency=5.0, jitter=2.0))
+    net = HoldingNetwork(sim, LinkModel(latency=5.0, jitter=2.0), **hold)
     pids = [f"p{i}" for i in range(n)]
     members = build_group(sim, net, pids, ordering="total-seq",
                           with_membership=True,
@@ -96,3 +113,19 @@ def test_a_new_sequencer_continues_past_received_assignments():
     orders = [tuple(m.delivered_payloads()) for m in survivors]
     assert all(len(o) == 60 for o in orders), [len(o) for o in orders]
     assert len(set(orders)) == 1
+
+
+def test_a_new_sequencer_does_not_reassign_a_message_whose_token_came_first():
+    # p0 orders ("p2", 1) and dies.  p1 has the token but not the data,
+    # which arrives after p1 became sequencer; p1 once gave it a second
+    # index, and every survivor stalled there, short of "after".
+    sim, net, pids, members = build(dst="p1", held=("p2", 1), until=300.0)
+    sim.call_at(10.0, members["p2"].multicast, "x")
+    FailureInjector(sim, net).crash_at(30.0, "p0")
+    sim.call_at(400.0, members["p1"].multicast, "after")
+    sim.run(until=3000)
+    survivors = [m for m in members.values() if m.alive]
+    assert members["p1"].membership.view_history[-1].installed_at < 300.0
+    for member in survivors:
+        assert member.delivered_payloads() == ["x", "after"], member.pid
+        assert list(member.ordering._order.values()) == [("p2", 1), ("p1", 1)]
