@@ -345,6 +345,39 @@ def test_own_count_publish(benchmark, size):
     assert layer.matrix.row("m0") == counts
 
 
+@pytest.mark.parametrize("size", [8, 64])
+def test_stamped_receipt(benchmark, size):
+    """One loss-free causal data message received, through dedup, stability
+    and causal delivery, at the group sizes E05/E07 sweep.  It carries its
+    stamp and no ack vector: stability reads the stamp in place as the
+    sender's receive counts.  Each round receives the sender's next
+    message."""
+    from repro.catocs.messages import DataMessage
+    from repro.ordering import group_domain
+
+    sim = Simulator(seed=0)
+    net = Network(sim, LinkModel(latency=3.0))
+    pids = [f"m{i}" for i in range(size)]
+    receiver = build_group(sim, net, pids, ordering="causal", ack_period=0.0)["m1"]
+    domain = group_domain(sim, receiver.group)
+    seqs = itertools.count(1)
+
+    def next_message():  # not timed
+        seq = next(seqs)
+        return (DataMessage(group=receiver.group, sender="m0", seq=seq, payload=seq,
+                            sent_at=0.0, vc=domain.clock({"m0": seq})),), {}
+
+    def run(msg):
+        receiver.dispatch("m0", msg)
+
+    benchmark.pedantic(run, setup=next_message, rounds=300, warmup_rounds=5)
+    received = next(seqs) - 1
+    assert receiver.delivered_payloads() == list(range(1, received + 1))
+    stability = receiver.stack.layer("stability")
+    assert stability.matrix.row("m0")["m0"] == received
+    assert stability.matrix.row("m0")["m2"] == 0
+
+
 @pytest.mark.parametrize("size", [3, 24])
 def test_wire_codec_datagram(benchmark, size):
     """One multicast in a three-member group as the socket path pays for it:

@@ -51,7 +51,10 @@ class DataMessage:
     ``seq`` is the per-sender sequence number (so ``(sender, seq)`` is the
     message id); ``vc`` is the causal timestamp piggybacked by causal/total
     ordering; ``ack_vector`` piggybacks the sender's contiguous-receipt
-    counts for stability tracking.
+    counts for stability tracking.  On a stamped message those counts are
+    the stamp, the sender's own entry read as ``seq - 1``, and
+    ``ack_vector`` holds only the entries that differ (``None`` when none
+    do, as always loss-free); an unstamped message carries them all.
     """
 
     group: str
@@ -85,8 +88,11 @@ class DataMessage:
         message must not publish its own counts under the original sender's
         identity, or the stability matrix overstates what slow members hold
         and buffers are trimmed while a member still needs repair (found by
-        E06 under NAK rotation).  No attachments: one level is enough, since
-        each attachment's own predecessors rode along when *it* was sent.
+        E06 under NAK rotation).  The copy keeps its stamp, which causal
+        delivery needs, but a receiver reads no counts off a copy's stamp
+        (``DedupRepairLayer.receive_up``), just as it has no ack vector.  No
+        attachments: one level is enough, since each attachment's own
+        predecessors rode along when *it* was sent.
         """
         return DataMessage(
             group=self.group, sender=self.sender, seq=self.seq,

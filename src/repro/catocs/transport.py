@@ -19,8 +19,10 @@ Sits between the raw (lossy, reordering) network and the ordering layers:
   received until the message is *stable* (known received by all members),
   exactly the buffering whose growth Section 5 analyses; peak occupancy is
   instrumented per member.  Each outgoing data message piggybacks the
-  sender's contiguous receive counts; a periodic gossip covers quiet
-  senders.  A :class:`~repro.ordering.matrix.MatrixClock` per member
+  sender's contiguous receive counts; a stamped one carries only the
+  counts its vector clock does not (the stamp is the ack), so a loss-free
+  causal message carries none.  A periodic gossip covers quiet senders.
+  A :class:`~repro.ordering.matrix.MatrixClock` per member
   maintains the stable frontier (the componentwise minimum over rows) as
   acknowledgements arrive; the buffer is swept only when that frontier moves.
   A settled member is silent, and one that is not asks: a tick is *quiet*
@@ -43,11 +45,12 @@ Sits between the raw (lossy, reordering) network and the ordering layers:
 The two layers are deliberately *coupled through documented peer services*
 rather than a pure linear pipeline: the wire format piggybacks ack vectors
 on data messages, so on receive the stability matrix must absorb the ack
-vector *before* the dedup check (duplicates still carry fresh ack state),
-and on send the ack vector must be snapshotted *before* the dedup layer
-counts the outgoing message as received.  The dedup layer drives that
-choreography, calling the stability layer's service methods at exactly the
-points the old monolithic transport did.  A stack may omit the stability
+vector, or the counts a stamp implies, *before* the dedup check
+(duplicates still carry fresh ack state), and on send the ack vector must
+be snapshotted *before* the dedup layer counts the outgoing message as
+received.  The dedup layer drives that choreography, calling the stability
+layer's service methods at exactly the points the old monolithic transport
+did.  A stack may omit the stability
 layer (the hybrid-buffering causal stack does); repair then falls back to
 whatever retention the remaining layers expose via ``repair_lookup``.
 
@@ -67,10 +70,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.catocs.messages import AckGossip, AckQuery, DataMessage, MsgId, Nak
 from repro.catocs.stack import ProtocolLayer, ProtocolStack, register_layer
+from repro.ordering.dense import DenseVectorClock
 from repro.ordering.matrix import MatrixClock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -129,13 +134,27 @@ class DedupRepairLayer(ProtocolLayer):
         dup check and gap chasing, a stability sweep at the end.
         """
         stability = self._stability
-        if msg.ack_vector:
+        sender, acks, vc = msg.sender, msg.ack_vector, msg.vc
+        # A stamp is its sender's receive counts, but where ``acks`` names
+        # a count (StabilityLayer.send_down); a repair copy's is not read.
+        stamped = stability is not None and vc is not None and not msg.retransmit
+        if stamped and acks is None:
+            # The common case: the stamp, read in place.  Its own entry is
+            # seq, where the sender had received seq - 1: learn_existence is
+            # told so, and in the matrix it records that the sender holds
+            # its own message.
+            stability.absorb_ack_vector(sender, vc)
+            self.learn_existence(vc, sender)
+        else:
+            if stamped:
+                acks = dict(vc.items()) | {sender: msg.seq - 1} | acks
+            if acks:
+                if stability is not None:
+                    stability.absorb_ack_vector(sender, acks)
+                self.learn_existence(acks)
+            # The sender necessarily holds its own message.
             if stability is not None:
-                stability.absorb_ack_vector(msg.sender, msg.ack_vector)
-            self.learn_existence(msg.ack_vector)
-        # The sender necessarily holds its own message.
-        if stability is not None:
-            stability.note_sender_holds(msg.sender, msg.seq)
+                stability.note_sender_holds(sender, msg.seq)
 
         if self._already_have(msg.msg_id):
             self.duplicates += 1
@@ -196,12 +215,21 @@ class DedupRepairLayer(ProtocolLayer):
 
     # -- gap repair ---------------------------------------------------------------
 
-    def learn_existence(self, ack_vector: Dict[str, int]) -> None:
+    def learn_existence(self, ack_vector: Union[Mapping[str, int], DenseVectorClock],
+                        carrier: Optional[str] = None) -> None:
         """Ack vectors reveal messages we never saw (e.g. a dropped *final*
-        message from a sender leaves no observable seq gap); chase them."""
+        message from a sender leaves no observable seq gap); chase them.
+
+        ``ack_vector`` may be the stamp of a message from ``carrier``: its
+        own entry there is the message in hand, so it reveals one less."""
+        max_seen, me = self._max_seen, self.member.pid
         for sender, count in ack_vector.items():
-            if count > self._max_seen.get(sender, 0) and sender != self.member.pid:
-                self._max_seen[sender] = count
+            if count > max_seen.get(sender, 0) and sender != me:
+                if sender == carrier:
+                    count -= 1
+                    if count <= max_seen.get(sender, 0):
+                        continue
+                max_seen[sender] = count
                 self._check_gaps(sender)
 
     def _check_gaps(self, sender: str) -> None:
@@ -358,8 +386,26 @@ class StabilityLayer(ProtocolLayer):
         Runs *before* the dedup layer's ``send_down`` (the stack pushes top
         to bottom), so the snapshot excludes the message being sent — as in
         the monolith, where the snapshot preceded ``_note_received``.
+
+        A stamped message carries only the counts its stamp does not: a
+        receiver reads the stamp as the sender's counts, its own entry as
+        ``seq - 1`` (``DedupRepairLayer.receive_up``), so ``ack_vector``
+        holds just the entries that differ from that reading, or is
+        ``None``.  Causal delivery is FIFO per sender, so a stamp entry is a
+        delivered count, at most the received one; the two differ only while
+        a received message waits in the causal queue, and loss-free
+        ``ack_vector`` is ``None``.  ``_acked`` keeps the whole snapshot.
         """
-        msg.ack_vector = self._acked = dict(self._counts())
+        counts = self._acked = dict(self._counts())
+        vc = msg.vc
+        if vc is None:
+            msg.ack_vector = counts
+        else:
+            stamp = dict(vc.items())
+            stamp[msg.sender] = msg.seq - 1
+            msg.ack_vector = None if stamp == counts else {
+                pid: count for pid, count in counts.items()
+                if count != stamp.get(pid, 0)} or None
         self.buffer_message(msg)
 
     def on_control(self, src: str, payload: Any) -> None:
@@ -406,7 +452,8 @@ class StabilityLayer(ProtocolLayer):
 
     # -- peer services (called by the dedup layer mid-choreography) ----------------
 
-    def absorb_ack_vector(self, sender: str, ack_vector: Dict[str, int]) -> None:
+    def absorb_ack_vector(self, sender: str,
+                          ack_vector: Union[Mapping[str, int], DenseVectorClock]) -> None:
         self.matrix.update_row(sender, ack_vector)
 
     def note_sender_holds(self, sender: str, seq: int) -> None:

@@ -159,6 +159,12 @@ class DenseVectorClock:
     def __iter__(self) -> Iterator[str]:
         return iter(self._domain.pids[: len(self._counts)])
 
+    def items(self) -> Iterator[Tuple[str, int]]:
+        """``(pid, count)`` pairs straight off the array, zeros included: a
+        copy-free view, so a clock reads wherever a pid -> count mapping's
+        ``items()`` does (a stamp read as its sender's receive counts)."""
+        return zip(self._domain.pids, self._counts)
+
     def as_dict(self) -> Dict[str, int]:
         """Non-zero components only (a dense clock tracks the whole domain,
         so explicit zeros carry no information — equality ignores them)."""

@@ -60,8 +60,9 @@ class MatrixClock:
     def update_row(self, pid: str, counts) -> None:
         """Merge fresher knowledge about ``pid``'s progress.
 
-        ``counts`` is a pid -> count mapping: a wire ack vector or the
-        dedup layer's contiguous counts.
+        ``counts`` is anything with a pid -> count ``items()``: a wire ack
+        vector, a data message's stamp read in place, or the dedup layer's
+        contiguous counts.
         Unknown observers are ignored: after a membership change, straggler
         traffic from a departed (but still running) member must not crash
         or distort the rebuilt matrix.

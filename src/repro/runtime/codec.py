@@ -45,7 +45,7 @@ it is two arrays over one index whatever order the sender's domain had.  A
 bare clock record outside a ``DataMessage`` names no group and decodes to
 its counts dict.  :func:`decode_datagram` also takes the pids the receiver
 accepts datagrams from, and refuses any other sender before it reads the
-payload.
+payload, and any ``DataMessage`` whose stamp or ack counts name another pid.
 
 Decoding is strict: bad magic, any version but this one, truncation at any
 byte, trailing bytes, a declared length or count larger than the bytes that
@@ -66,6 +66,8 @@ from repro.ordering.dense import ClockDomain, DenseVectorClock
 
 #: The receiver's clock domains: group name -> the domain its stamps index.
 DomainLookup = Callable[[str], ClockDomain]
+#: The pids a datagram may come from and its counts may name; None is any.
+Senders = Optional[Container[str]]
 
 MAGIC = b"RPW"
 VERSION = 2
@@ -340,8 +342,8 @@ def _read_counts(data: bytes, pos: int) -> Tuple[Dict[str, int], int]:
     return counts, end
 
 
-def _read_data(data: bytes, pos: int, depth: int,
-               domains: DomainLookup) -> Tuple[DataMessage, int]:
+def _read_data(data: bytes, pos: int, depth: int, domains: DomainLookup,
+               senders: Senders) -> Tuple[DataMessage, int]:
     _, seq, sent_at, view_id, flags, group_len, sender_len = _DATA_HEAD.unpack_from(data, pos)
     if flags & ~_KNOWN_FLAGS:
         raise CodecError(f"unknown DataMessage flag bits: {flags:#04x}")
@@ -352,15 +354,16 @@ def _read_data(data: bytes, pos: int, depth: int,
         raise CodecError("DataMessage names larger than the bytes that remain")
     group = str(data[pos:split], "utf-8")
     sender = str(data[split:end], "utf-8")
-    payload, pos = _read(data, end, depth + 1, domains)
+    payload, pos = _read(data, end, depth + 1, domains, senders)
     vc = acks = attached = None
     if flags & _HAS_VC:
         counts, pos = _read_counts(data, pos)
-        vc = domains(group).clock(counts)
+        vc = domains(group).clock(_named(counts, senders))
     if flags & _HAS_ACKS:
         acks, pos = _read_counts(data, pos)
+        _named(acks, senders)
     if flags & _HAS_ATTACHED:
-        attached, pos = _read(data, pos, depth + 1, domains)
+        attached, pos = _read(data, pos, depth + 1, domains, senders)
     return DataMessage(group, sender, seq, payload, sent_at, view_id, vc, acks,
                        bool(flags & _RETRANSMIT), attached), pos
 
@@ -373,7 +376,17 @@ def _clock_counts(counts: Any) -> Dict[str, int]:
     return counts
 
 
-def _record_clock(fields: Dict[str, Any], domains: DomainLookup) -> Optional[DenseVectorClock]:
+def _named(counts: Dict[str, Any], senders: Senders) -> Dict[str, Any]:
+    """``counts`` if every pid it names is one of ``senders`` (any pid when
+    ``senders`` is None).  A stamp decodes into the group's domain, and
+    every new pid there would widen every later clock of the group."""
+    if senders is not None and not all(map(senders.__contains__, counts)):
+        raise CodecError("DataMessage counts name a pid that is not an accepted sender")
+    return counts
+
+
+def _record_clock(fields: Dict[str, Any], domains: DomainLookup,
+                  senders: Senders = None) -> Optional[DenseVectorClock]:
     """The clock of a ``DataMessage`` that travelled as a generic record,
     placed in its group's domain as :func:`_read_data` places a packed one."""
     counts, group = fields["vc"], fields["group"]
@@ -381,10 +394,11 @@ def _record_clock(fields: Dict[str, Any], domains: DomainLookup) -> Optional[Den
         return None
     if type(group) is not str:
         raise CodecError("DataMessage group is not a string")
-    return domains(group).clock(_clock_counts(counts))
+    return domains(group).clock(_named(_clock_counts(counts), senders))
 
 
-def _read_record(data: bytes, pos: int, depth: int, domains: DomainLookup) -> Tuple[Any, int]:
+def _read_record(data: bytes, pos: int, depth: int, domains: DomainLookup,
+                 senders: Senders) -> Tuple[Any, int]:
     pos += 2
     end = pos + data[pos - 1]  # where the field count byte sits
     if end >= len(data):
@@ -398,15 +412,17 @@ def _read_record(data: bytes, pos: int, depth: int, domains: DomainLookup) -> Tu
         raise CodecError(f"wire tag {tag!r} with {data[end]} fields")
     pos = end + 1
     if names is None:
-        fields, pos = _read(data, pos, depth + 1, domains)
+        fields, pos = _read(data, pos, depth + 1, domains, senders)
         if type(fields) is not dict:
             raise CodecError(f"wire tag {tag!r} without a field map")
     else:
         fields = {}
         for name in names:
-            fields[name], pos = _read(data, pos, depth + 1, domains)
+            fields[name], pos = _read(data, pos, depth + 1, domains, senders)
         if registration.cls is DataMessage:
-            fields["vc"] = _record_clock(fields, domains)
+            if type(fields["ack_vector"]) is dict:
+                _named(fields["ack_vector"], senders)
+            fields["vc"] = _record_clock(fields, domains, senders)
     try:
         return registration.from_fields(fields), pos
     except CodecError:
@@ -415,7 +431,8 @@ def _read_record(data: bytes, pos: int, depth: int, domains: DomainLookup) -> Tu
         raise CodecError(f"cannot rebuild {tag!r}: {exc}") from exc
 
 
-def _read(data: bytes, pos: int, depth: int, domains: DomainLookup) -> Tuple[Any, int]:
+def _read(data: bytes, pos: int, depth: int, domains: DomainLookup,
+          senders: Senders) -> Tuple[Any, int]:
     """The value that starts at ``data[pos]``, and where the next one starts."""
     code = data[pos]
     if code < _BIGINT:
@@ -430,8 +447,8 @@ def _read(data: bytes, pos: int, depth: int, domains: DomainLookup) -> Tuple[Any
         if depth >= MAX_DEPTH:
             raise _too_deep()
         if code == _DATA:
-            return _read_data(data, pos, depth, domains)
-        return _read_record(data, pos, depth, domains)
+            return _read_data(data, pos, depth, domains, senders)
+        return _read_record(data, pos, depth, domains, senders)
     if code > _DICT:
         raise CodecError(f"unknown type byte: {code:#04x}")
     size = _SIZED.unpack_from(data, pos)[1]
@@ -452,13 +469,13 @@ def _read(data: bytes, pos: int, depth: int, domains: DomainLookup) -> Tuple[Any
         if code == _DICT:
             mapping: Dict[Any, Any] = {}
             for _ in range(size):
-                key, pos = _read(data, pos, depth + 1, domains)
-                mapping[key], pos = _read(data, pos, depth + 1, domains)
+                key, pos = _read(data, pos, depth + 1, domains, senders)
+                mapping[key], pos = _read(data, pos, depth + 1, domains, senders)
             members: Any = mapping
         else:
             items = []
             for _ in range(size):
-                item, pos = _read(data, pos, depth + 1, domains)
+                item, pos = _read(data, pos, depth + 1, domains, senders)
                 items.append(item)
             members = _SEQUENCES[code](items)
     except TypeError as exc:  # an unhashable dict key or set member
@@ -491,10 +508,11 @@ def _open(data: bytes) -> int:
     return len(HEADER)
 
 
-def _next(data: bytes, pos: int, domains: DomainLookup) -> Tuple[Any, int]:
+def _next(data: bytes, pos: int, domains: DomainLookup,
+          senders: Senders) -> Tuple[Any, int]:
     """:func:`_read` at the top level of a frame."""
     try:
-        return _read(data, pos, 0, domains)
+        return _read(data, pos, 0, domains, senders)
     except (IndexError, struct.error, UnicodeDecodeError) as exc:  # cut short, or not UTF-8
         raise CodecError(f"malformed datagram body: {exc}") from exc
 
@@ -512,7 +530,7 @@ def encode(obj: Any) -> bytes:
 def decode(data: bytes, domains: DomainLookup) -> Any:
     """Parse a framed datagram body back into the wire object, every
     ``DataMessage`` clock in ``domains(msg.group)``."""
-    value, pos = _next(data, _open(data), domains)
+    value, pos = _next(data, _open(data), domains, None)
     _close(data, pos)
     return value
 
@@ -529,14 +547,16 @@ def decode_datagram(data: bytes, domains: DomainLookup,
 
     The sender pid is read first, and a pid not in ``senders`` raises
     :class:`UnknownSender` before any byte of the payload is: a forged
-    datagram cannot add a pid to a clock domain."""
+    datagram cannot add a pid to a clock domain.  Nor can a known sender: a
+    ``DataMessage`` stamp or ack vector that names a pid not in ``senders``
+    raises :class:`CodecError`."""
     pos = _open(data)
     if data[pos:pos + 1] != _BYTE[_STR]:
         raise CodecError("datagram sender pid is not a string")
-    src, pos = _next(data, pos, domains)
+    src, pos = _next(data, pos, domains, None)
     if src not in senders:
         raise UnknownSender(f"datagram from unregistered pid {src!r}")
-    payload, pos = _next(data, pos, domains)
+    payload, pos = _next(data, pos, domains, senders)
     _close(data, pos)
     return src, payload
 

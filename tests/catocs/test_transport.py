@@ -9,6 +9,7 @@ from repro.catocs import build_group, build_member
 from repro.catocs.messages import AckGossip, AckQuery, DataMessage, Nak
 from repro.catocs.transport import StabilityLayer
 from repro.experiments.e16_stability import _run as e16_run
+from repro.ordering import group_domain
 from repro.sim import FailureInjector, LinkModel, Network, Simulator
 
 
@@ -636,10 +637,12 @@ def test_maintained_frontier_keeps_the_counters_the_recomputed_one_kept():
     drop draws re-roll again, and the peak falls to 26.  It was re-pinned
     once more when a sender began to re-solicit missing proposals one
     measured round after the send: the drop draws re-roll, and the peak
-    falls to 25."""
+    falls to 25.  The causal byte peaks were re-pinned when a stamped
+    message began to carry only the ack counts its stamp does not: the
+    same messages, each buffered smaller."""
     assert _stability_counters(31, "causal", leave="p4") == {
         "peak_buffered": [38, 23, 25, 25, 20],
-        "peak_buffered_bytes": [4966, 3036, 3300, 3250, 2640],
+        "peak_buffered_bytes": [3276, 2036, 2210, 2210, 1750],
         "gossip_sent": [6, 6, 6, 6, 5],
         "retransmissions": [2, 5, 5, 0, 0],
         "left_buffered": [0, 0, 0, 0, 0],
@@ -677,14 +680,16 @@ def test_lean_envelope_path_keeps_the_wire_counters():
     re-solicit missing proposals one measured round after the send (24
     fewer packets, re-rolled losses), and when a receiver began to re-ask
     for a proven-owed commit every measured round (one commit request
-    fewer, re-rolled losses)."""
+    fewer, re-rolled losses).  Both causal runs' bytes were re-pinned when
+    a stamped message began to carry only the ack counts its stamp does
+    not: the same packets meet the same fate, each smaller."""
     def wire(*args, **kwargs):
         net, _ = _seeded_group_run(*args, **kwargs)
         return net.stats.snapshot()
 
     assert wire(41, "causal", drop_prob=0.0) == {
         "sent": 345, "delivered": 345, "dropped": 0, "partitioned": 0,
-        "to_crashed": 0, "reset": 0, "bytes_sent": 42390, "bytes_delivered": 42390,
+        "to_crashed": 0, "reset": 0, "bytes_sent": 30390, "bytes_delivered": 30390,
     }
     assert wire(33, "total-agreed") == {
         "sent": 926, "delivered": 878, "dropped": 48, "partitioned": 0,
@@ -692,7 +697,7 @@ def test_lean_envelope_path_keeps_the_wire_counters():
     }
     assert wire(31, "causal", leave="p4") == {
         "sent": 1517, "delivered": 1437, "dropped": 70, "partitioned": 0,
-        "to_crashed": 0, "reset": 0, "bytes_sent": 99711, "bytes_delivered": 94522,
+        "to_crashed": 0, "reset": 0, "bytes_sent": 89451, "bytes_delivered": 84662,
     }
 
 
@@ -729,6 +734,79 @@ def test_message_grows_by_exactly_the_ack_vector_when_sent_down():
     assert set(msg.ack_vector) == set(PIDS)
     assert msg.size_bytes() - before == sum(8 + len(pid.encode()) for pid in PIDS)
     assert layer.buffered_bytes() == msg.size_bytes()  # buffered at its wire size
+
+
+# -- the stamp is the ack -------------------------------------------------------------
+
+def _data_sent(ordering):
+    """Every data message of a loss-free three-member run, as sent: in the
+    simulator a receiver is handed the sender's object."""
+    sim, net, members = build(ordering=ordering, ack_period=0.0)
+    sent = {}
+    for member in members.values():
+        member.on_deliver = lambda sender, payload, msg: sent.setdefault(msg.msg_id, msg)
+    for k in range(6):
+        sim.call_at(1.0 + 4.0 * k, members[PIDS[k % 3]].multicast, k)
+    sim.run(until=500)
+    assert len(sent) == 6
+    return list(sent.values())
+
+
+@pytest.mark.parametrize("ordering", ["causal", "total-seq"])
+def test_loss_free_stamped_data_carries_no_ack_vector(ordering):
+    for msg in _data_sent(ordering):
+        assert msg.vc is not None and msg.ack_vector is None, msg.msg_id
+
+
+def test_unstamped_data_still_carries_the_full_ack_vector():
+    for msg in _data_sent("total-agreed"):
+        assert msg.vc is None and set(msg.ack_vector) == set(PIDS), msg.msg_id
+
+
+def test_a_causally_blocked_message_is_named_in_the_delta():
+    """p2 holds p1's first message, which waits for p0's (slow to p2), when
+    p2 sends: its stamp has delivered nothing of p1 but its counts have
+    received one, so the delta names p1 alone.  Each receiver's row for p2
+    is then p2's pre-send counts, bar its own entry: the message in hand."""
+    sim = Simulator(seed=0)
+    net = Network(sim, LinkModel(latency=5.0))
+    members = build_group(sim, net, PIDS, ordering="causal", ack_period=0.0)
+    net.set_link("p0", "p2", LinkModel(latency=50.0))
+    sent, before = [], {}
+    members["p0"].on_deliver = lambda sender, payload, msg: sent.append(msg)
+    sim.call_at(0.0, members["p0"].multicast, "a")
+    sim.call_at(10.0, members["p1"].multicast, "b")  # b depends on a
+    sim.call_at(20.0, lambda: before.update(members["p2"].stack.layer("dedup").contiguous))
+    sim.call_at(20.0, members["p2"].multicast, "c")
+    sim.run(until=30.0)
+    c = sent[-1]
+    assert c.payload == "c" and members["p2"].ordering.pending() == 1  # b is held
+    assert before == {"p0": 0, "p1": 1, "p2": 0}
+    assert c.vc.as_dict() == {"p2": 1}
+    assert c.ack_vector == {"p1": 1}
+    for pid in ("p0", "p1"):
+        row = members[pid].stack.layer("stability").matrix.row("p2")
+        assert row == {**before, "p2": 1}, pid
+
+
+def test_a_repair_copys_stamp_leaves_the_rows_untouched():
+    """A repair copy carries no ack vector, and its stamp is not read as
+    anyone's counts.  Only the sender's own entry moves, as for every copy,
+    because the sender holds its message; a fresh message with the same
+    stamp is read."""
+    _, _, members = build(ordering="causal", ack_period=0.0)
+    stamp = group_domain(members["p2"].sim, "group").clock({"p0": 3, "p1": 2})
+    dedup = members["p2"].stack.layer("dedup")
+    matrix = members["p2"].stack.layer("stability").matrix
+    original = DataMessage(group="group", sender="p1", seq=2, payload="x", sent_at=0.0,
+                           vc=stamp)
+    dedup.receive_up("p0", original.repair_copy())
+    assert matrix.row("p1") == {"p0": 0, "p1": 2, "p2": 0}
+    assert dedup._max_seen["p0"] == 0  # nothing chased on the stamp's word
+    dedup.receive_up("p1", DataMessage(group="group", sender="p1", seq=3, payload="y",
+                                       sent_at=0.0, vc=stamp.stamped("p1")))
+    assert matrix.row("p1") == {"p0": 3, "p1": 3, "p2": 0}  # a fresh one is read
+    assert dedup._max_seen["p0"] == 3
 
 
 # -- pay per news: the absorbed-vector memo vs a layer that always merges -----------

@@ -253,6 +253,25 @@ def test_a_message_the_data_layout_cannot_hold_travels_as_a_record():
     assert codec.encode(_rich_data_message())[len(codec.HEADER)] == codec._DATA
 
 
+@pytest.mark.parametrize("layout", [{}, {"seq": 2**63}], ids=["packed", "record"])
+@pytest.mark.parametrize("where", ["vc", "ack_vector", "attached"])
+def test_counts_naming_a_pid_that_is_not_a_sender_are_a_codec_error(where, layout):
+    """From an accepted sender, a stamp or ack vector that names a pid the
+    receiver does not accept is refused, in either layout and in an
+    attachment; the same message naming only accepted pids decodes."""
+    msg = dataclasses.replace(_rich_data_message(), **layout)
+    assert decode_datagram(codec.encode_datagram("a", msg)) == ("a", msg)
+    stranger = {"vc": {"vc": ClockDomain(("a", "zz")).clock({"a": 4, "zz": 1})},
+                "ack_vector": {"ack_vector": {"b": 1, "zz": 2}},
+                "attached": {"attached": [DataMessage(group="g", sender="b", seq=1,
+                                                      payload=None, sent_at=0.5,
+                                                      ack_vector={"zz": 1})]}}[where]
+    blob = codec.encode_datagram("a", dataclasses.replace(msg, **stranger))
+    with pytest.raises(codec.CodecError) as refused:
+        decode_datagram(blob)
+    assert not isinstance(refused.value, codec.UnknownSender)
+
+
 def test_dense_clock_decodes_into_the_receivers_domain():
     """The sender indexes (a, b, c); the receiver (c, x, a).  The stamp lands
     in the receiver's domain, in both layouts, as the same counts."""

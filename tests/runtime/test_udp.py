@@ -392,6 +392,27 @@ def test_a_forged_sender_cannot_grow_a_clock_domain():
     assert delivered == ["legit"]
 
 
+def test_a_registered_sender_cannot_grow_a_clock_domain():
+    """The registered pid ``a`` stamps 500 pids nobody registered, and
+    another message acks one of them: both are decode errors, and group g's
+    domain stays at its two members."""
+    pids = [f"x{k}" for k in range(500)]
+    forged = [
+        DataMessage(group="g", sender="a", seq=7, payload="x", sent_at=0.0,
+                    vc=ClockDomain(("a", *pids)).clock({"a": 7, **dict.fromkeys(pids, 1)})),
+        DataMessage(group="g", sender="a", seq=8, payload="y", sent_at=0.0,
+                    vc=ClockDomain(("a",)).clock({"a": 8}), ack_vector={"x0": 3}),
+    ]
+    blobs = [codec.encode_datagram("a", payload) for payload in forged]
+    delivered, net, stack, escaped = asyncio.run(_attacked_group(13, "causal", blobs))
+    assert len(net.clock._clock_domains["g"]) == 2
+    assert net.decode_errors == len(forged)
+    assert net.unknown_sender == 0
+    assert escaped == []
+    assert delivered == ["legit"]
+    assert "x0" not in stack.layer("dedup")._max_seen
+
+
 def test_stamps_for_unknown_groups_add_no_clock_domains():
     """A stamp decodes only into a domain its group already has on this
     host; one group name per forged datagram would otherwise grow the clock's
