@@ -1,19 +1,22 @@
 """Command-line entry point: ``python -m repro.analysis`` / ``repro-analysis``.
 
 Exit codes: ``0`` clean (every finding suppressed), ``1`` at least one
-finding, ``2`` usage or internal error.  See
-``docs/ANALYSIS.md`` for the workflow.
+finding, ``2`` usage or internal error (an unknown rule id, or a path that
+is neither a directory nor a ``.py`` file).  ``effects`` prints the effect
+tables the ORD rules read.  See ``docs/ANALYSIS.md`` for the workflow.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.engine import default_root, run_analysis
+from repro.analysis.effects import effects_export
+from repro.analysis.engine import default_root, load_project, run_analysis
 from repro.analysis.report import render_json, render_sarif, render_text
 from repro.analysis.rules import ALL_RULES, rule_catalogue
 
@@ -55,65 +58,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: export subcommand -> (description, formats, ``--out`` help).
-EXPORTS = {
-    "graph": (
-        "Emit the interprocedural message-flow graph "
-        "(send sites vs typed-dispatch handler surface).",
-        ("json", "dot"),
-        "also write the graph to this path",
-    ),
-    "effects": (
-        "Emit the handler effect tables and delivery-guarantee "
+def effects_main(argv: List[str]) -> int:
+    """``effects``: print the project's handler effect tables and
+    delivery-guarantee model (and write them to ``--out``)."""
+    parser = argparse.ArgumentParser(
+        prog="repro-analysis effects",
+        description="Emit the handler effect tables and delivery-guarantee "
         "model the ORD rules join (reads/writes per handler, commutativity "
         "classification, resolved spec lattice).",
-        ("json",),
-        "also write the export to this path",
-    ),
-}
-
-
-def build_export_parser(command: str) -> argparse.ArgumentParser:
-    description, formats, out_help = EXPORTS[command]
-    parser = argparse.ArgumentParser(
-        prog=f"repro-analysis {command}", description=description
     )
-    parser.add_argument(
-        "--format", choices=formats, default="json",
-        help="output format (default: json)",
-    )
-    parser.add_argument(
-        "--root", type=Path, default=None,
-        help="repository root (default: auto-detected)",
-    )
-    parser.add_argument("--out", type=Path, default=None, help=out_help)
-    return parser
-
-
-def export_main(command: str, argv: List[str]) -> int:
-    """``graph`` and ``effects``: build the project's flow graph or effect
-    table and print it (and write it to ``--out``)."""
-    import json
-
-    from repro.analysis.effects import effects_export
-    from repro.analysis.engine import load_project
-    from repro.analysis.flowgraph import flow_graph_for
-
-    args = build_export_parser(command).parse_args(argv)
+    parser.add_argument("--format", choices=("json",), default="json",
+                        help="output format (default: json)")
+    parser.add_argument("--root", type=Path, default=None,
+                        help="repository root (default: auto-detected)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="also write the export to this path")
+    args = parser.parse_args(argv)
     root = (args.root or default_root()).resolve()
     if not _is_repo_root(root):
         return 2
-    project = load_project(root=root)
-    if args.format == "dot":
-        report = flow_graph_for(project).to_dot()
-    else:
-        payload = (
-            flow_graph_for(project).to_json()
-            if command == "graph"
-            else effects_export(project)
-        )
-        report = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _emit(report, args.out)
+    payload = effects_export(load_project(root=root))
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -168,8 +133,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _run(argv: Optional[List[str]]) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
-    if raw and raw[0] in EXPORTS:
-        return export_main(raw[0], raw[1:])
+    if raw and raw[0] == "effects":
+        return effects_main(raw[1:])
     args = build_parser().parse_args(raw)
 
     if args.list_rules:
@@ -179,6 +144,15 @@ def _run(argv: Optional[List[str]]) -> int:
 
     root = (args.root or default_root()).resolve()
     if not args.paths and not _is_repo_root(root):
+        return 2
+
+    unreadable = [
+        str(p) for p in args.paths
+        if not (p.is_dir() or (p.is_file() and p.suffix == ".py"))
+    ]
+    if unreadable:
+        print(f"error: not a directory or .py file: {', '.join(unreadable)}",
+              file=sys.stderr)
         return 2
 
     rules, rule_error = _select_rules(args.rules, args.exclude_rules)

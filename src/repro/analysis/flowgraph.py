@@ -39,6 +39,10 @@ reads the summaries:
 The effect table (:mod:`repro.analysis.effects`) subclasses the same
 walker, so the two views cannot disagree about what a handler reaches.
 
+The graph keeps only what its readers use: ``edges`` is a set of
+``(handled, sent)`` class-name pairs, ``messages`` maps each catalogue
+class to its defining module, and nothing serialises the graph itself.
+
 Known blind spots, accepted for precision: payloads fetched from
 containers (``self.repair_lookup[...]``) do not resolve to a class, and
 callbacks passed through ``on_deliver``-style indirection are not
@@ -110,26 +114,6 @@ class HandlerSite:
     kind: str  # "typed" | "isinstance"
 
 
-@dataclass(frozen=True)
-class FlowEdge:
-    """Handling ``src`` can send ``dst`` within the same tick."""
-
-    src: str
-    dst: str
-    context: str  # handler function whose closure produced the edge
-    relpath: str
-    lineno: int
-
-
-@dataclass
-class MessageNode:
-    name: str
-    relpath: str
-    lineno: int
-    module: str
-    bases: List[str] = field(default_factory=list)  # mro simple names, no self
-
-
 @dataclass
 class Summary:
     """What one walk of a function body found, read by every later pass."""
@@ -152,10 +136,12 @@ class FlowGraph:
     def __init__(self, modules: Sequence[SourceModule], graph: CodeGraph) -> None:
         self.code = graph
         self.modules = list(modules)
-        self.messages: Dict[str, MessageNode] = {}
+        #: catalogue: message class name -> defining module ("" if unscanned)
+        self.messages: Dict[str, str] = {}
         self.sends: List[SendSite] = []
         self.handlers: List[HandlerSite] = []
-        self.edges: List[FlowEdge] = []
+        #: same-tick edges: (handled class, class sent in the same tick)
+        self.edges: Set[Tuple[str, str]] = set()
         self.summaries: Dict[str, Summary] = {}
         self._build()
 
@@ -187,9 +173,9 @@ class FlowGraph:
         """Strongly connected components of the same-tick edge graph that
         contain a cycle, each sorted and the list sorted — deterministic."""
         adj: Dict[str, Set[str]] = {}
-        for edge in self.edges:
-            adj.setdefault(edge.src, set()).add(edge.dst)
-            adj.setdefault(edge.dst, set())
+        for src, dst in self.edges:
+            adj.setdefault(src, set()).add(dst)
+            adj.setdefault(dst, set())
         order: List[str] = []
         visited: Set[str] = set()
 
@@ -214,8 +200,8 @@ class FlowGraph:
                 dfs1(node)
 
         radj: Dict[str, Set[str]] = {n: set() for n in adj}
-        for edge in self.edges:
-            radj[edge.dst].add(edge.src)
+        for src, dst in self.edges:
+            radj[dst].add(src)
         assigned: Set[str] = set()
         components: List[List[str]] = []
         for node in reversed(order):
@@ -231,128 +217,9 @@ class FlowGraph:
                     if prev not in assigned:
                         assigned.add(prev)
                         stack2.append(prev)
-            has_cycle = len(component) > 1 or any(
-                e.src == node and e.dst == node for e in self.edges
-            )
-            if has_cycle:
+            if len(component) > 1 or (node, node) in self.edges:
                 components.append(sorted(component))
         return sorted(components)
-
-    def edge_for(self, src: str, dst: str) -> Optional[FlowEdge]:
-        for edge in self.edges:
-            if edge.src == src and edge.dst == dst:
-                return edge
-        return None
-
-    # -- serialisation ----------------------------------------------------------
-
-    def to_json(self) -> Dict[str, object]:
-        senders: Dict[str, List[Dict[str, object]]] = {}
-        for site in sorted(
-            self.sends, key=lambda s: (s.message, s.relpath, s.lineno, s.via)
-        ):
-            senders.setdefault(site.message, []).append(
-                {
-                    "context": site.context,
-                    "path": site.relpath,
-                    "line": site.lineno,
-                    "via": site.via,
-                    "delayed": site.delayed,
-                }
-            )
-        handlers: Dict[str, List[Dict[str, object]]] = {}
-        for hsite in sorted(
-            self.handlers, key=lambda h: (h.message, h.relpath, h.lineno, h.kind)
-        ):
-            handlers.setdefault(hsite.message, []).append(
-                {
-                    "context": hsite.context,
-                    "path": hsite.relpath,
-                    "line": hsite.lineno,
-                    "kind": hsite.kind,
-                }
-            )
-        return {
-            "schema": "repro.analysis/flowgraph-v1",
-            "messages": [
-                {
-                    "name": node.name,
-                    "module": node.module,
-                    "path": node.relpath,
-                    "line": node.lineno,
-                    "bases": node.bases,
-                    "family": self.family(node.name),
-                    "senders": senders.get(node.name, []),
-                    "handlers": handlers.get(node.name, []),
-                    "dead": not self.is_handled(node.name)
-                    and node.name in self.sent_names(),
-                    "orphan": not self.is_sent(node.name)
-                    and node.name in self.handled_names(),
-                }
-                for _, node in sorted(self.messages.items())
-            ],
-            "edges": [
-                {
-                    "src": e.src,
-                    "dst": e.dst,
-                    "context": e.context,
-                    "path": e.relpath,
-                    "line": e.lineno,
-                }
-                for e in sorted(
-                    self.edges, key=lambda e: (e.src, e.dst, e.relpath, e.lineno)
-                )
-            ],
-            "cycles": self.same_tick_cycles(),
-        }
-
-    def to_dot(self) -> str:
-        lines = [
-            "digraph message_flow {",
-            "  rankdir=LR;",
-            '  node [shape=box, fontname="Helvetica", fontsize=10];',
-            '  edge [fontname="Helvetica", fontsize=9];',
-        ]
-        families: Dict[str, List[MessageNode]] = {}
-        for _, node in sorted(self.messages.items()):
-            families.setdefault(self.family(node.name), []).append(node)
-        for index, family in enumerate(sorted(families)):
-            lines.append(f"  subgraph cluster_{index} {{")
-            lines.append(f'    label="{family}"; color=gray60;')
-            for node in families[family]:
-                attrs = []
-                if not self.is_handled(node.name) and node.name in self.sent_names():
-                    attrs.append('color=red, xlabel="dead"')
-                elif not self.is_sent(node.name) and node.name in self.handled_names():
-                    attrs.append('color=orange, xlabel="orphan"')
-                extra = f" [{', '.join(attrs)}]" if attrs else ""
-                lines.append(f'    "{node.name}"{extra};')
-            lines.append("  }")
-        for edge in sorted(
-            self.edges, key=lambda e: (e.src, e.dst, e.relpath, e.lineno)
-        ):
-            context = edge.context.rsplit(".", 1)[-1]
-            lines.append(f'  "{edge.src}" -> "{edge.dst}" [label="{context}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    def family(self, message: str) -> str:
-        """Coarse family used for DOT clustering and the docs rendering."""
-        mro = self.code.mro_names(message)
-        for marker in (
-            "TransportControl",
-            "OrderingControl",
-            "MembershipControl",
-            "DataMessage",
-            "BatchEnvelope",
-            "ControlMessage",
-        ):
-            if marker in mro[1:] or message == marker:
-                return marker
-        node = self.messages.get(message)
-        if node is not None and node.module:
-            return node.module.rsplit(".", 1)[-1]
-        return "app"
 
     # -- construction -----------------------------------------------------------
 
@@ -684,27 +551,12 @@ class FlowGraph:
         self.handlers = kept
         for name in sorted(names):
             infos = self.code.by_name.get(name, [])
-            if infos:
-                info = infos[0]
-                self.messages[name] = MessageNode(
-                    name=name,
-                    relpath=info.relpath,
-                    lineno=info.lineno,
-                    module=info.module,
-                    bases=self.code.mro_names(info.qualname)[1:],
-                )
-            else:
-                self.messages[name] = MessageNode(
-                    name=name, relpath="", lineno=0, module=""
-                )
+            self.messages[name] = infos[0].module if infos else ""
 
     # Pass 5: same-tick edges ----------------------------------------------------
 
     def _build_edges(self) -> None:
-        edge_index: Dict[Tuple[str, str], FlowEdge] = {}
-        for site in sorted(
-            self.handlers, key=lambda h: (h.message, h.relpath, h.lineno)
-        ):
+        for site in self.handlers:
             func = self.code.functions.get(site.context)
             if func is None:
                 continue
@@ -716,17 +568,7 @@ class FlowGraph:
             for source in sources:
                 walk = EdgeWalk(self, source)
                 walk.visit(func, self.payload_param(func, site))
-                for dst, relpath, lineno in sorted(walk.found):
-                    key = (source, dst)
-                    if key not in edge_index:
-                        edge_index[key] = FlowEdge(
-                            src=source,
-                            dst=dst,
-                            context=func.qualname,
-                            relpath=relpath,
-                            lineno=lineno,
-                        )
-        self.edges = [edge_index[k] for k in sorted(edge_index)]
+                self.edges.update((source, dst) for dst in walk.found)
 
     def payload_param(
         self, func: FunctionInfo, site: HandlerSite
@@ -1022,7 +864,7 @@ class EdgeWalk(HandlerWalk):
 
     def __init__(self, flow: FlowGraph, message: str) -> None:
         super().__init__(flow, message)
-        self.found: Set[Tuple[str, str, int]] = set()
+        self.found: Set[str] = set()
 
     def follows(self, call: ast.Call, delayed: bool) -> bool:
         return not delayed  # next tick breaks any livelock
@@ -1038,14 +880,14 @@ class EdgeWalk(HandlerWalk):
         # Forwarding the handled object itself (``message`` None) re-routes
         # existing work, it does not mint new messages: not an edge.
         if message is not None and not delayed:
-            self.found.add((message, frame.summary.func.relpath, call.lineno))
+            self.found.add(message)
 
 
 def flow_graph_for(project) -> FlowGraph:  # type: ignore[no-untyped-def]
     """Build (or reuse) the flow graph for a Project.
 
-    Cached on the project object so the effect table and the ``graph``
-    CLI subcommand share one construction.
+    Cached on the project object so the effect table and the wiring gate
+    share one construction.
     """
     cached = getattr(project, "_flow_graph", None)
     if cached is not None:
@@ -1058,12 +900,10 @@ def flow_graph_for(project) -> FlowGraph:  # type: ignore[no-untyped-def]
 __all__ = [
     "EdgeWalk",
     "FlowGraph",
-    "FlowEdge",
     "Frame",
     "HandlerWalk",
     "SendSite",
     "HandlerSite",
-    "MessageNode",
     "Summary",
     "flow_graph_for",
     "code_graph_for",

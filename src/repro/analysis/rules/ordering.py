@@ -48,7 +48,7 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.effects import EffectTable, effect_table_for
 from repro.analysis.finding import Finding, Severity
-from repro.analysis.flowgraph import SEND_ARG, TIMER_FUNCS
+from repro.analysis.flowgraph import SEND_ARG, unwrap_timer
 from repro.analysis.orders import (
     GuaranteeEnv,
     MEMBER_ROOT,
@@ -333,16 +333,10 @@ class ExternalGateRule(_OrdRule):
             for node in ast.walk(stmt):
                 if not isinstance(node, ast.Call):
                     continue
-                name = called_name(node)
+                unwrapped = unwrap_timer(node)
+                name = unwrapped[2] if unwrapped else called_name(node)
                 if name in SEND_ARG:
                     return node.lineno
-                if name in TIMER_FUNCS and len(node.args) > 1:
-                    fn = node.args[TIMER_FUNCS[name][1]]
-                    fn_name = (
-                        fn.attr if isinstance(fn, ast.Attribute) else None
-                    )
-                    if fn_name in SEND_ARG:
-                        return node.lineno
         return None
 
 

@@ -379,9 +379,10 @@ def _clock_counts(counts: Any) -> Dict[str, int]:
 def _named(counts: Dict[str, Any], senders: Senders) -> Dict[str, Any]:
     """``counts`` if every pid it names is one of ``senders`` (any pid when
     ``senders`` is None).  A stamp decodes into the group's domain, and
-    every new pid there would widen every later clock of the group."""
+    every new pid there would widen every later clock of the group; an ack
+    vector's new pid would start a NAK chase towards a pid with no address."""
     if senders is not None and not all(map(senders.__contains__, counts)):
-        raise CodecError("DataMessage counts name a pid that is not an accepted sender")
+        raise CodecError("counts name a pid that is not an accepted sender")
     return counts
 
 
@@ -420,9 +421,9 @@ def _read_record(data: bytes, pos: int, depth: int, domains: DomainLookup,
         for name in names:
             fields[name], pos = _read(data, pos, depth + 1, domains, senders)
         if registration.cls is DataMessage:
-            if type(fields["ack_vector"]) is dict:
-                _named(fields["ack_vector"], senders)
             fields["vc"] = _record_clock(fields, domains, senders)
+    if type(fields.get("ack_vector")) is dict:
+        _named(fields["ack_vector"], senders)
     try:
         return registration.from_fields(fields), pos
     except CodecError:
@@ -548,8 +549,9 @@ def decode_datagram(data: bytes, domains: DomainLookup,
     The sender pid is read first, and a pid not in ``senders`` raises
     :class:`UnknownSender` before any byte of the payload is: a forged
     datagram cannot add a pid to a clock domain.  Nor can a known sender: a
-    ``DataMessage`` stamp or ack vector that names a pid not in ``senders``
-    raises :class:`CodecError`."""
+    ``DataMessage`` stamp, or any record's ``ack_vector`` (``AckGossip``,
+    ``AckQuery``), that names a pid not in ``senders`` raises
+    :class:`CodecError`."""
     pos = _open(data)
     if data[pos:pos + 1] != _BYTE[_STR]:
         raise CodecError("datagram sender pid is not a string")

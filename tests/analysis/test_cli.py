@@ -61,6 +61,20 @@ def test_out_writes_artifact(tmp_path):
     assert json.loads(artifact.read_text()) == json.loads(proc.stdout)
 
 
+@pytest.mark.parametrize(
+    "path", ["src/repro/tnx", "README.md", "graph"],
+    ids=["missing", "not-python", "graph-subcommand"],
+)
+def test_unreadable_path_is_usage_error(path):
+    """A path the analyser cannot read must fail the gate, not pass it
+    with nothing checked; ``graph`` is no longer a subcommand, so it is
+    one of them."""
+    proc = run_cli(path)
+    assert proc.returncode == 2
+    assert f"not a directory or .py file: {path}" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_bad_root_is_usage_error(tmp_path):
     proc = run_cli("--root", tmp_path)
     assert proc.returncode == 2
@@ -184,17 +198,6 @@ def test_sarif_context_fingerprint_survives_rename(tmp_path):
     assert keyed_a != keyed_b
 
 
-def test_graph_json_subcommand():
-    proc = run_cli("graph", "--format", "json")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["schema"] == "repro.analysis/flowgraph-v1"
-    names = {entry["name"] for entry in payload["messages"]}
-    assert "DataMessage" in names
-    assert not any(entry["dead"] for entry in payload["messages"])
-    assert not any(entry["orphan"] for entry in payload["messages"])
-
-
 def test_effects_json_subcommand():
     proc = run_cli("effects", "--format", "json")
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -216,15 +219,6 @@ def test_effects_out_writes_artifact(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(artifact.read_text())["schema"] == \
         "repro.analysis/effects-v1"
-
-
-def test_graph_dot_subcommand_writes_artifact(tmp_path):
-    artifact = tmp_path / "flow.dot"
-    proc = run_cli("graph", "--format", "dot", "--out", artifact)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    dot = artifact.read_text()
-    assert dot.startswith("digraph message_flow {")
-    assert '"DataMessage"' in dot
 
 
 def test_renderers_enforce_canonical_order():

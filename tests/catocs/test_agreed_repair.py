@@ -138,6 +138,42 @@ def test_a_sender_commits_its_messages_in_seq_order():
     assert orders == {(("p0", 1), ("p0", 2))}
 
 
+def _out_of_send_order(member):
+    """Ids ``member`` delivered after a later seq from the same sender."""
+    highest, late = {}, []
+    for record in member.delivered:
+        sender, seq = record.msg_id
+        if seq < highest.get(sender, 0):
+            late.append(record.msg_id)
+        highest[sender] = max(highest.get(sender, 0), seq)
+    return late
+
+
+@pytest.mark.parametrize("drop_prob", [
+    0.0,
+    pytest.param(0.01, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP.md item 1: a commit can take a lower agreed priority than "
+        "its sender's previous one when a member gets the previous message "
+        "late, by repair; every member then delivers it out of send order"))),
+])
+def test_every_member_delivers_each_sender_in_send_order(drop_prob):
+    """The lattice puts total-agreed above FIFO.  Four members, sixty
+    round-robin multicasts on seed 0: at 1% loss all 240 deliveries arrive
+    in one agreed order, but 12 of them come after a later seq from the
+    same sender."""
+    pids = PIDS[:4]
+    sim = Simulator(seed=0)
+    net = Network(sim, LinkModel(latency=LATENCY, jitter=2.0, drop_prob=drop_prob))
+    group = build_group(sim, net, pids, ordering="total-agreed")
+    for k in range(60):
+        sim.call_at(1.0 + k, group[pids[k % 4]].multicast, k)
+    sim.run(until=900.0)
+    orders = {tuple(r.msg_id for r in m.delivered) for m in group.values()}
+    assert len(orders) == 1 and len(next(iter(orders))) == 60
+    late = {pid: _out_of_send_order(member) for pid, member in group.items()}
+    assert late == dict.fromkeys(pids, [])
+
+
 def test_a_lost_commit_is_asked_for_when_the_next_one_arrives():
     lose = _lose_first(PriorityCommit, {"p0"}, "p1", {("p0", 1)})
     group, net = _scripted(lose, [(1.0, "p0"), (2.0, "p0")])

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import json_wire_model
 from repro.apps.netnews import Article
-from repro.catocs.messages import AckGossip, DataMessage, Nak, wire_classes
+from repro.catocs.messages import AckGossip, AckQuery, DataMessage, Nak, wire_classes
 from repro.ordering.dense import ClockDomain, DenseVectorClock, group_domain
 from repro.runtime import codec
 
@@ -269,6 +269,19 @@ def test_counts_naming_a_pid_that_is_not_a_sender_are_a_codec_error(where, layou
     blob = codec.encode_datagram("a", dataclasses.replace(msg, **stranger))
     with pytest.raises(codec.CodecError) as refused:
         decode_datagram(blob)
+    assert not isinstance(refused.value, codec.UnknownSender)
+
+
+@pytest.mark.parametrize("cls", [AckGossip, AckQuery])
+def test_gossip_naming_a_pid_that_is_not_a_sender_is_a_codec_error(cls):
+    """Every record's ``ack_vector`` passes the rule a ``DataMessage`` ack
+    vector does: from an accepted sender, gossip counts for a pid the
+    receiver does not accept are refused; counts for senders decode."""
+    known = cls(group="g", sender="a", ack_vector={"a": 3, "b": 1})
+    assert decode_datagram(codec.encode_datagram("a", known)) == ("a", known)
+    stranger = cls(group="g", sender="a", ack_vector={"b": 1, "zz": 5})
+    with pytest.raises(codec.CodecError) as refused:
+        decode_datagram(codec.encode_datagram("a", stranger))
     assert not isinstance(refused.value, codec.UnknownSender)
 
 

@@ -11,7 +11,7 @@ import inspect
 import struct
 
 from repro.catocs.member import GroupMember
-from repro.catocs.messages import AckGossip, DataMessage, Nak
+from repro.catocs.messages import AckGossip, AckQuery, DataMessage, Nak
 from repro.ordering.dense import ClockDomain, group_domain
 from repro.runtime import AsyncioClock, UdpNetwork, codec, run_for
 from repro.sim.network import LinkModel, Network, NetworkStats
@@ -411,6 +411,23 @@ def test_a_registered_sender_cannot_grow_a_clock_domain():
     assert escaped == []
     assert delivered == ["legit"]
     assert "x0" not in stack.layer("dedup")._max_seen
+
+
+def test_a_registered_sender_cannot_gossip_about_unknown_pids():
+    """The registered pid ``a`` gossips, and queries, counts for ``zz``, a
+    pid with no address: both are decode errors, so b learns nothing of
+    ``zz`` and starts no NAK chase towards it."""
+    forged = [
+        AckGossip(group="g", sender="a", ack_vector={"a": 0, "zz": 5}),
+        AckQuery(group="g", sender="a", ack_vector={"zz": 5}),
+    ]
+    blobs = [codec.encode_datagram("a", payload) for payload in forged]
+    delivered, net, stack, escaped = asyncio.run(_attacked_group(14, "causal", blobs))
+    assert net.decode_errors == len(forged)
+    assert net.unknown_sender == 0
+    assert escaped == []
+    assert delivered == ["legit"]
+    assert "zz" not in stack.layer("dedup")._max_seen
 
 
 def test_stamps_for_unknown_groups_add_no_clock_domains():
