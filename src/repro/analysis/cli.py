@@ -2,21 +2,19 @@
 
 Exit codes: ``0`` clean (every finding suppressed), ``1`` at least one
 finding, ``2`` usage or internal error (an unknown rule id, or a path that
-is neither a directory nor a ``.py`` file).  ``effects`` prints the effect
-tables the ORD rules read.  See ``docs/ANALYSIS.md`` for the workflow.
+is neither a directory nor a ``.py`` file).  See ``docs/ANALYSIS.md`` for
+the workflow.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.effects import effects_export
-from repro.analysis.engine import default_root, load_project, run_analysis
+from repro.analysis.engine import default_root, run_analysis
 from repro.analysis.report import render_json, render_sarif, render_text
 from repro.analysis.rules import ALL_RULES, rule_catalogue
 
@@ -56,30 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalogue and exit",
     )
     return parser
-
-
-def effects_main(argv: List[str]) -> int:
-    """``effects``: print the project's handler effect tables and
-    delivery-guarantee model (and write them to ``--out``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-analysis effects",
-        description="Emit the handler effect tables and delivery-guarantee "
-        "model the ORD rules join (reads/writes per handler, commutativity "
-        "classification, resolved spec lattice).",
-    )
-    parser.add_argument("--format", choices=("json",), default="json",
-                        help="output format (default: json)")
-    parser.add_argument("--root", type=Path, default=None,
-                        help="repository root (default: auto-detected)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the export to this path")
-    args = parser.parse_args(argv)
-    root = (args.root or default_root()).resolve()
-    if not _is_repo_root(root):
-        return 2
-    payload = effects_export(load_project(root=root))
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    return 0
 
 
 def _is_repo_root(root: Path) -> bool:
@@ -132,10 +106,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run(argv: Optional[List[str]]) -> int:
-    raw = list(sys.argv[1:] if argv is None else argv)
-    if raw and raw[0] == "effects":
-        return effects_main(raw[1:])
-    args = build_parser().parse_args(raw)
+    args = build_parser().parse_args(argv)
 
     if args.list_rules:
         for rule in ALL_RULES:

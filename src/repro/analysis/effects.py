@@ -23,14 +23,13 @@ helper-call chains), with each write classified by whether it commutes:
   input to ORD004's stability check).
 
 Reads are recorded so ORD001 can flag the read-then-act half of the
-Fig. 5 pattern.  The collector subclasses the flow graph's
-``HandlerWalk``, the walker that also builds its same-tick edges, so it
-narrows on ``isinstance``, resolves calls and marks sends
-behind a timer callback *delayed* exactly as the graph does, and every
-same-tick constructed send in a row is an edge of the graph
-(``test_effect_sends_agree_with_flow_edges``).  It follows only
-``self.`` helper chains, six frames deep; like the flow graph it
-under-approximates — opaque calls contribute nothing.
+Fig. 5 pattern; a row also records whether the handler sends anything,
+the other way it can act on what it read.  The collector subclasses the
+flow graph's ``HandlerWalk``, the walker that also builds its same-tick
+edges, so it narrows on ``isinstance`` and resolves calls exactly as the
+graph does.  It follows only ``self.`` helper chains, six frames deep;
+like the flow graph it under-approximates — opaque calls contribute
+nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from typing import Dict, List, Optional, Set, Tuple, TypeGuard
 
 from repro.analysis.callgraph import ClassInfo, FunctionInfo, PROCESS_ROOT
 from repro.analysis.flowgraph import FlowGraph, Frame, HandlerWalk, flow_graph_for
-from repro.analysis.orders import MEMBER_ROOT, guarantee_env_for
+from repro.analysis.orders import MEMBER_ROOT
 
 #: write kinds in increasing order of commutativity trouble.
 WRITE_KINDS = ("merge", "keyed", "assign", "destructive")
@@ -70,7 +69,6 @@ class AttrEffect:
 
     attr: str
     kind: str  # "read" | one of WRITE_KINDS
-    relpath: str
     lineno: int
     guarded: bool  # under a semantic (state/payload-reading) test
     payload_derived: bool  # the written value mentions the payload
@@ -85,28 +83,17 @@ class AttrEffect:
         return not self.guarded and self.kind in ("assign", "destructive")
 
 
-@dataclass(frozen=True)
-class SendEffect:
-    """A message the handler can emit, with the primitive it used."""
-
-    message: str
-    via: str
-    lineno: int
-    delayed: bool
-
-
 @dataclass
 class HandlerEffect:
     """The effect row for one (process class, message type, handler)."""
 
     process: str  # owning class qualname
-    process_name: str
     message: str
     context: str  # handler function qualname
     relpath: str
     lineno: int  # handler definition line
     effects: List[AttrEffect]
-    sends: List[SendEffect]
+    sends: bool  # the handler can emit a message, now or on a timer
 
     def reads(self) -> Set[str]:
         return {e.attr for e in self.effects if e.kind == "read"}
@@ -119,39 +106,12 @@ class HandlerEffect:
 
     def acts(self) -> bool:
         """Does this handler do anything order-observable after a read?"""
-        return bool(self.writes()) or bool(self.sends)
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "process": self.process,
-            "message": self.message,
-            "context": self.context,
-            "path": self.relpath,
-            "line": self.lineno,
-            "effects": [
-                {
-                    "attr": e.attr,
-                    "kind": e.kind,
-                    "line": e.lineno,
-                    "guarded": e.guarded,
-                    "payload_derived": e.payload_derived,
-                }
-                for e in self.effects
-            ],
-            "sends": [
-                {
-                    "message": s.message,
-                    "via": s.via,
-                    "line": s.lineno,
-                    "delayed": s.delayed,
-                }
-                for s in self.sends
-            ],
-        }
+        return bool(self.writes()) or self.sends
 
 
 class _EffectWalk(HandlerWalk):
-    """The handler walk, collecting ``self.<attr>`` effects and sends."""
+    """The handler walk, collecting ``self.<attr>`` effects and whether
+    it sends."""
 
     max_depth = 6
 
@@ -159,13 +119,12 @@ class _EffectWalk(HandlerWalk):
         super().__init__(flow, message)
         self._owner = owner
         self.effects: List[AttrEffect] = []
-        self.sends: List[SendEffect] = []
+        self.sends = False
         self._seen_effects: Set[Tuple[str, str, int]] = set()
 
     def run(self, func: FunctionInfo, payload: Optional[str]) -> None:
         self.visit(func, payload)
-        self.effects.sort(key=lambda e: (e.relpath, e.lineno, e.attr, e.kind))
-        self.sends.sort(key=lambda s: (s.lineno, s.message, s.via))
+        self.effects.sort(key=lambda e: (e.lineno, e.attr, e.kind))
 
     # -- walker hooks -----------------------------------------------------------
 
@@ -200,10 +159,7 @@ class _EffectWalk(HandlerWalk):
         frame: Frame,
         delayed: bool,
     ) -> None:
-        self.sends.append(
-            SendEffect(message=message or "<payload>", via=via,
-                       lineno=call.lineno, delayed=delayed)
-        )
+        self.sends = True
 
     def statement(self, stmt: ast.stmt, frame: Frame, guarded: bool) -> None:
         consumed: Set[ast.AST] = set()
@@ -327,7 +283,6 @@ class _EffectWalk(HandlerWalk):
             AttrEffect(
                 attr=attr,
                 kind=kind,
-                relpath=self._owner.relpath,
                 lineno=lineno,
                 guarded=guarded,
                 payload_derived=derived,
@@ -404,7 +359,6 @@ class EffectTable:
             collector.run(func, self.flow.payload_param(func, site))
             row = HandlerEffect(
                 process=owner.qualname,
-                process_name=owner.name,
                 message=site.message,
                 context=func.qualname,
                 relpath=func.relpath,
@@ -477,16 +431,10 @@ class EffectTable:
                 out.add(site.context)
         return out
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "schema": "repro.analysis/effects-v1",
-            "handlers": [row.to_json() for row in self.rows],
-        }
-
 
 def effect_table_for(project) -> EffectTable:  # type: ignore[no-untyped-def]
-    """Build (or reuse) the effect table for a Project — shared between
-    the ORD rules and the ``effects`` CLI subcommand."""
+    """Build (or reuse) the effect table for a Project, shared by the ORD
+    rules."""
     cached = getattr(project, "_effect_table", None)
     if cached is not None:
         return cached
@@ -495,56 +443,11 @@ def effect_table_for(project) -> EffectTable:  # type: ignore[no-untyped-def]
     return table
 
 
-def effects_export(project) -> Dict[str, object]:  # type: ignore[no-untyped-def]
-    """The full ``effects`` subcommand payload: effect rows, the guarantee
-    table, per-process resolved guarantees, and raw conflict pairs (before
-    any guarantee gating — the rules decide what is actually unsafe)."""
-    table = effect_table_for(project)
-    env = guarantee_env_for(project)
-    payload = table.to_json()
-    payload["guarantees"] = env.to_json()
-    processes: Dict[str, object] = {}
-    conflicts: List[Dict[str, object]] = []
-    for process in table.processes():
-        info = table.code.class_for(process)
-        if info is None:
-            continue
-        guarantee = env.guarantee_for(info)
-        processes[process] = guarantee.to_json()
-        rows = table.rows_for(process)
-        for i, a in enumerate(rows):
-            for b in rows[i + 1:]:
-                if a.message == b.message:
-                    continue
-                pairs = table.conflicts(a, b)
-                if not pairs:
-                    continue
-                conflicts.append(
-                    {
-                        "process": process,
-                        "a": a.message,
-                        "b": b.message,
-                        "attrs": [
-                            {"attr": attr, "detail": detail}
-                            for attr, detail in pairs
-                        ],
-                        "group_multicast": table.group_sent(a.message)
-                        and table.group_sent(b.message),
-                        "order": guarantee.order_name,
-                    }
-                )
-    payload["processes"] = processes
-    payload["conflicts"] = conflicts
-    return payload
-
-
 __all__ = [
     "AttrEffect",
     "EffectTable",
     "HandlerEffect",
-    "SendEffect",
     "INFRA_ATTRS",
     "WRITE_KINDS",
     "effect_table_for",
-    "effects_export",
 ]

@@ -83,7 +83,6 @@ class Guarantee:
     """What one resolved stack spec promises about delivery."""
 
     spec: str
-    layers: Tuple[str, ...]
     order: int
     stable: bool
     atomic: bool
@@ -92,20 +91,11 @@ class Guarantee:
     def order_name(self) -> str:
         return ORDER_NAMES[self.order]
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "spec": self.spec,
-            "layers": list(self.layers),
-            "order": self.order_name,
-            "stable": self.stable,
-            "atomic": self.atomic,
-        }
-
 
 #: Unstacked ``Process.send`` traffic: per-packet jittered latency, no
 #: dedup, no retention — the weakest point of the lattice.  The first
 #: field is a *description*, not a spec string.
-PLAIN_SEND = Guarantee("<plain send>", (), ORDER_NONE, False, False)
+PLAIN_SEND = Guarantee("<plain send>", ORDER_NONE, False, False)
 
 
 class GuaranteeModel:
@@ -142,7 +132,6 @@ class GuaranteeModel:
             return None
         guarantee = Guarantee(
             spec=spec,
-            layers=names,
             # The top layer is the ordering discipline; an unknown one
             # promises nothing (under-claiming is the safe direction).
             order=LAYER_ORDER.get(names[-1], ORDER_NONE),
@@ -161,7 +150,6 @@ class GuaranteeModel:
                 continue
             weakest = Guarantee(
                 spec=g.spec if g.order < weakest.order else weakest.spec,
-                layers=g.layers if g.order < weakest.order else weakest.layers,
                 order=min(g.order, weakest.order),
                 stable=g.stable and weakest.stable,
                 atomic=g.atomic and weakest.atomic,
@@ -266,26 +254,6 @@ class GuaranteeEnv:
             if guarantee is not None:
                 out.append(guarantee)
         return out
-
-    def to_json(self) -> Dict[str, object]:
-        """The guarantee table for the ``effects`` export: every registered
-        discipline alias plus every spec observed in the scanned tree."""
-        specs: Dict[str, Optional[Guarantee]] = {}
-        try:
-            from repro.catocs.stack import DISCIPLINES
-
-            for alias in sorted(DISCIPLINES):
-                specs[alias] = self.model.resolve(alias)
-        except ImportError:  # pragma: no cover - registry always importable
-            pass
-        for relpath in sorted(self._module_specs):
-            for spec in self._module_specs[relpath]:
-                if spec not in specs:
-                    specs[spec] = self.model.resolve(spec)
-        return {
-            spec: (g.to_json() if g is not None else None)
-            for spec, g in sorted(specs.items())
-        }
 
 
 def guarantee_env_for(project) -> GuaranteeEnv:  # type: ignore[no-untyped-def]

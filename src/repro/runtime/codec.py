@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any, Callable, Container, Dict, List, Optional, Tuple
+from typing import Any, Callable, Container, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from repro.catocs.messages import DataMessage, wire_classes
 from repro.ordering.dense import ClockDomain, DenseVectorClock
@@ -68,6 +68,7 @@ from repro.ordering.dense import ClockDomain, DenseVectorClock
 DomainLookup = Callable[[str], ClockDomain]
 #: The pids a datagram may come from and its counts may name; None is any.
 Senders = Optional[Container[str]]
+_Pids = TypeVar("_Pids", bound=Iterable[str])
 
 MAGIC = b"RPW"
 VERSION = 2
@@ -376,11 +377,12 @@ def _clock_counts(counts: Any) -> Dict[str, int]:
     return counts
 
 
-def _named(counts: Dict[str, Any], senders: Senders) -> Dict[str, Any]:
+def _named(counts: _Pids, senders: Senders) -> _Pids:
     """``counts`` if every pid it names is one of ``senders`` (any pid when
     ``senders`` is None).  A stamp decodes into the group's domain, and
     every new pid there would widen every later clock of the group; an ack
-    vector's new pid would start a NAK chase towards a pid with no address."""
+    vector's new pid would start a NAK chase towards a pid with no address,
+    and a reply to a ``requester`` with no address raises in the stack."""
     if senders is not None and not all(map(senders.__contains__, counts)):
         raise CodecError("counts name a pid that is not an accepted sender")
     return counts
@@ -424,6 +426,10 @@ def _read_record(data: bytes, pos: int, depth: int, domains: DomainLookup,
             fields["vc"] = _record_clock(fields, domains, senders)
     if type(fields.get("ack_vector")) is dict:
         _named(fields["ack_vector"], senders)
+    if "requester" in fields:
+        if type(fields["requester"]) is not str:
+            raise CodecError(f"wire tag {tag!r} with a requester that is not a pid")
+        _named((fields["requester"],), senders)
     try:
         return registration.from_fields(fields), pos
     except CodecError:
@@ -549,8 +555,9 @@ def decode_datagram(data: bytes, domains: DomainLookup,
     The sender pid is read first, and a pid not in ``senders`` raises
     :class:`UnknownSender` before any byte of the payload is: a forged
     datagram cannot add a pid to a clock domain.  Nor can a known sender: a
-    ``DataMessage`` stamp, or any record's ``ack_vector`` (``AckGossip``,
-    ``AckQuery``), that names a pid not in ``senders`` raises
+    ``DataMessage`` stamp, any record's ``ack_vector`` (``AckGossip``,
+    ``AckQuery``), or any record's ``requester`` (``Nak`` and the ordering
+    repair requests), that names a pid not in ``senders`` raises
     :class:`CodecError`."""
     pos = _open(data)
     if data[pos:pos + 1] != _BYTE[_STR]:

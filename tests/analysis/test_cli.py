@@ -62,13 +62,13 @@ def test_out_writes_artifact(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "path", ["src/repro/tnx", "README.md", "graph"],
-    ids=["missing", "not-python", "graph-subcommand"],
+    "path", ["src/repro/tnx", "README.md", "graph", "effects"],
+    ids=["missing", "not-python", "graph-subcommand", "effects-subcommand"],
 )
 def test_unreadable_path_is_usage_error(path):
     """A path the analyser cannot read must fail the gate, not pass it
-    with nothing checked; ``graph`` is no longer a subcommand, so it is
-    one of them."""
+    with nothing checked; ``graph`` and ``effects`` are no longer
+    subcommands, so they are among them."""
     proc = run_cli(path)
     assert proc.returncode == 2
     assert f"not a directory or .py file: {path}" in proc.stderr
@@ -196,29 +196,6 @@ def test_sarif_context_fingerprint_survives_rename(tmp_path):
     assert context_a and context_a == context_b
     # The full fingerprint still embeds the path.
     assert keyed_a != keyed_b
-
-
-def test_effects_json_subcommand():
-    proc = run_cli("effects", "--format", "json")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["schema"] == "repro.analysis/effects-v1"
-    assert payload["handlers"], "no handler effect rows in repo scan"
-    guarantees = payload["guarantees"]
-    assert guarantees["causal"]["order"] == "causal"
-    assert guarantees["total-seq"]["order"] == "total"
-    assert guarantees["raw"]["order"] == "none"
-    # The Figure 5 app's planted conflict must appear in the export.
-    assert any(c["process"].endswith("CellReplica")
-               for c in payload["conflicts"])
-
-
-def test_effects_out_writes_artifact(tmp_path):
-    artifact = tmp_path / "effects.json"
-    proc = run_cli("effects", "--format", "json", "--out", artifact)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert json.loads(artifact.read_text())["schema"] == \
-        "repro.analysis/effects-v1"
 
 
 def test_renderers_enforce_canonical_order():

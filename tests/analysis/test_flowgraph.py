@@ -11,7 +11,6 @@ within a tick for every registered discipline.
 
 import ast
 import hashlib
-import json
 from pathlib import Path
 
 import pytest
@@ -21,9 +20,9 @@ from repro.analysis.callgraph import (
     PROCESS_ROOT,
     build_code_graph,
 )
-from repro.analysis.effects import effects_export
-from repro.analysis.engine import load_project
+from repro.analysis.engine import load_project, run_analysis
 from repro.analysis.flowgraph import FlowGraph, flow_graph_for
+from repro.analysis.report import render_json
 from repro.catocs.messages import wire_classes
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -84,23 +83,16 @@ def test_code_graph_resolves_fixture_hierarchy():
 
 
 def fixture_output_digests():
-    """sha256 of the fixture directory's effects JSON, as ``effects``
-    would print it."""
-    project = load_project(paths=[FIXTURES])
-    outputs = {
-        "effects.json": json.dumps(
-            effects_export(project), indent=2, sort_keys=True
-        ) + "\n",
-    }
-    return {
-        name: hashlib.sha256(text.encode("utf-8")).hexdigest()
-        for name, text in outputs.items()
-    }
+    """sha256 of the fixture directory's findings, as ``python -m
+    repro.analysis --format json tests/analysis/fixtures`` prints them."""
+    result = run_analysis(root=REPO_ROOT, paths=[FIXTURES])
+    text = render_json(result.findings, result.suppressed)
+    return {"findings.json": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
 
 def test_fixture_graph_and_effects_match_the_pinned_digest():
     """A refactor of the flow graph or the effect table must not move a
-    byte of what the effect table says about the fixtures."""
+    byte of what the rules conclude about the fixtures."""
     pins = (FIXTURES.parent / "fixture_outputs.sha256").read_text()
     pinned = dict(reversed(line.split()) for line in pins.splitlines())
     assert fixture_output_digests() == pinned

@@ -285,6 +285,18 @@ def test_gossip_naming_a_pid_that_is_not_a_sender_is_a_codec_error(cls):
     assert not isinstance(refused.value, codec.UnknownSender)
 
 
+@pytest.mark.parametrize("requester", ["zz", 5])
+def test_a_requester_that_is_not_a_sender_is_a_codec_error(requester):
+    """A reply goes to a record's ``requester``, so from an accepted sender
+    it must name an accepted pid too; one that does decodes."""
+    known = Nak(group="g", requester="b", wanted=[("a", 1)])
+    assert decode_datagram(codec.encode_datagram("a", known)) == ("a", known)
+    stranger = dataclasses.replace(known, requester=requester)
+    with pytest.raises(codec.CodecError) as refused:
+        decode_datagram(codec.encode_datagram("a", stranger))
+    assert not isinstance(refused.value, codec.UnknownSender)
+
+
 def test_dense_clock_decodes_into_the_receivers_domain():
     """The sender indexes (a, b, c); the receiver (c, x, a).  The stamp lands
     in the receiver's domain, in both layouts, as the same counts."""

@@ -10,8 +10,18 @@ import asyncio
 import inspect
 import struct
 
+import pytest
+
 from repro.catocs.member import GroupMember
-from repro.catocs.messages import AckGossip, AckQuery, DataMessage, Nak
+from repro.catocs.messages import (
+    AckGossip,
+    AckQuery,
+    CommitRequest,
+    DataMessage,
+    HybridRefetch,
+    Nak,
+    OrderTokenRequest,
+)
 from repro.ordering.dense import ClockDomain, group_domain
 from repro.runtime import AsyncioClock, UdpNetwork, codec, run_for
 from repro.sim.network import LinkModel, Network, NetworkStats
@@ -321,14 +331,19 @@ def test_garbage_datagrams_are_counted_and_dropped():
     assert decode_errors == 2
 
 
-async def _attacked_group(seed, ordering, blobs):
+async def _attacked_group(seed, ordering, blobs, held=None, **kwargs):
     """Two members, ``blobs`` thrown at b's socket from outside the group,
-    then one legitimate multicast.  Returns what b delivered, the network,
-    b's stack and everything that reached the loop's exception handler."""
+    then one legitimate multicast.  With ``held``, b first multicasts it and
+    waits for its delivery, so b holds what a repair request would ask for.
+    Returns what b delivered, the network, b's stack and everything that
+    reached the loop's exception handler."""
     clock = AsyncioClock(seed=seed)
     net = UdpNetwork(clock, LinkModel(latency=0.002))
-    members = _build_group(clock, net, ["a", "b"], ordering)
+    members = _build_group(clock, net, ["a", "b"], ordering, **kwargs)
     await net.start()
+    if held is not None:
+        members["b"].multicast(held)
+        await run_for(0.1)
     loop = asyncio.get_running_loop()
     escaped = []
     loop.set_exception_handler(lambda loop, context: escaped.append(context))
@@ -428,6 +443,27 @@ def test_a_registered_sender_cannot_gossip_about_unknown_pids():
     assert escaped == []
     assert delivered == ["legit"]
     assert "zz" not in stack.layer("dedup")._max_seen
+
+
+@pytest.mark.parametrize("ordering, request_", [
+    ("causal", Nak(group="g", requester="zz", wanted=[("b", 1)])),
+    ("total-agreed", CommitRequest(group="g", requester="zz", msg_id=("b", 1))),
+    ("total-seq", OrderTokenRequest(group="g", requester="zz", from_index=0)),
+    ("hybrid-causal", HybridRefetch(group="g", requester="zz", wanted=[("b", 1)])),
+], ids=["Nak", "CommitRequest", "OrderTokenRequest", "HybridRefetch"])
+def test_a_registered_sender_cannot_ask_for_replies_to_unknown_pids(ordering, request_):
+    """The registered pid ``a`` asks b, on behalf of ``zz``, a pid with no
+    address, for what b holds.  The request is a decode error, so b's reply
+    never raises towards ``zz`` in the event loop.  Ack gossip slower than
+    the run keeps b's message unstable, so b's stability buffer still holds
+    it when the NAK arrives."""
+    blob = codec.encode_datagram("a", request_)
+    delivered, net, _, escaped = asyncio.run(
+        _attacked_group(15, ordering, [blob], held="held", ack_period=5.0))
+    assert net.decode_errors == 1
+    assert net.unknown_sender == 0
+    assert escaped == []
+    assert delivered == ["held", "legit"]
 
 
 def test_stamps_for_unknown_groups_add_no_clock_domains():
