@@ -5,8 +5,9 @@ send and gives up after ``max_proposal_retries`` rounds, committing without
 the silent member.  This sweep runs ``sim-total-lossy``'s group shape (eight
 members, one multicast per unit, latency 3 + jitter 2) at 0-15% loss on
 pinned seeds and checks that every multicast reaches every member, that all
-members deliver in one agreed order, that no commit was forced and that no
-receiver gave up chasing a commit it knew was sent.  At 15% loss seeds 2001
+members deliver in one agreed order that keeps each sender's send order,
+that no commit was forced and that no receiver gave up chasing a commit it
+knew was sent.  At 15% loss seeds 2001
 and 2003 each force a commit when the layer gives up after eight rounds
 instead of twelve.
 """
@@ -39,5 +40,10 @@ def test_agreed_loss_delivers_everything_in_one_order(drop_prob, seed):
     assert len(orders) == 1, "members disagree on the order"
     order = next(iter(orders))
     assert len(order) == len(set(order)) == MULTICASTS
+    for member in group.values():
+        seqs = {}
+        for sender, seq in (r.msg_id for r in member.delivered):
+            seqs.setdefault(sender, []).append(seq)
+        assert all(s == sorted(s) for s in seqs.values()), member.pid
     assert sum(m.ordering.proposals_forced for m in group.values()) == 0
     assert sum(m.ordering.commit_chases_abandoned for m in group.values()) == 0

@@ -3,12 +3,15 @@
 Four members with membership and a heartbeat detector (period 8, timeout
 28); p0, the lowest pid and so the ``total-seq`` sequencer and the view
 coordinator, crashes at 150 while p1-p3 multicast 60 messages, one every
-``gap`` units from 10.  For seeds 0-39 and each gap, every survivor must
-deliver all 60 exactly once, each sender's messages in send order, and
-under a total order all survivors in one order.  ``total-seq`` once failed
+``gap`` units from 10.  For seeds 0-39, each gap and no loss or 5% loss,
+every survivor must deliver all 60 exactly once, each sender's messages in
+send order, and under a total order all survivors in one order.  ``total-seq`` once failed
 17 of its 120 runs here: a member that had become sequencer asked itself
 for a token and came to suspect itself (the group stalled), or numbered
 from 0 again and overwrote an index already delivered (one message lost).
+At 5% loss every discipline once fell short at gap 7 on a few seeds, when a
+survivor lost the view install and stayed send-suppressed in the old view,
+and ``total-agreed`` broke send order on every seed at gaps 1 and 3.
 """
 
 import pytest
@@ -21,9 +24,9 @@ MULTICASTS = 60
 SEEDS = range(40)
 
 
-def _run(ordering, seed, gap):
+def _run(ordering, seed, gap, drop_prob):
     sim = Simulator(seed=seed)
-    net = Network(sim, LinkModel(latency=5.0, jitter=2.0))
+    net = Network(sim, LinkModel(latency=5.0, jitter=2.0, drop_prob=drop_prob))
     members = build_group(sim, net, PIDS, ordering=ordering, with_membership=True,
                           heartbeat_period=8.0, heartbeat_timeout=28.0)
     FailureInjector(sim, net).crash_at(150.0, "p0")
@@ -48,12 +51,13 @@ def _short(ordering, survivors):
     return None
 
 
+@pytest.mark.parametrize("drop_prob", [0.0, 0.05])
 @pytest.mark.parametrize("gap", [1, 3, 7])
 @pytest.mark.parametrize("ordering", ["causal", "fifo", "total-seq", "total-agreed"])
-def test_failover_every_survivor_delivers_everything(ordering, gap):
+def test_failover_every_survivor_delivers_everything(ordering, gap, drop_prob):
     short = {}
     for seed in SEEDS:
-        why = _short(ordering, _run(ordering, seed, gap))
+        why = _short(ordering, _run(ordering, seed, gap, drop_prob))
         if why is not None:
             short[seed] = why
     assert not short, short

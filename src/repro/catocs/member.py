@@ -291,6 +291,8 @@ class GroupMember(Process):
     def _on_heartbeat(self, src: str, payload: Heartbeat) -> None:
         if self.failure_detector is not None:
             self.failure_detector.handle_heartbeat(payload)
+        if self.membership is not None:
+            self.membership.on_heartbeat(src, payload)
 
     def _on_membership_control(self, src: str, payload: Any) -> None:
         if self.membership is not None:

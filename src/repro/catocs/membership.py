@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.catocs.messages import (
     FlushAck,
     FlushRequest,
+    Heartbeat,
     JoinRequest,
     LeaveAnnounce,
     ViewInstall,
@@ -70,6 +71,10 @@ class ViewManager:
         self._acks: Dict[str, FlushAck] = {}
         self._change_started: float = 0.0
         self._joining = False
+        #: the last install applied here, and when: re-sent to a member of
+        #: it whose heartbeat shows it never got it
+        self._installed: Optional[ViewInstall] = None
+        self._installed_at = 0.0
 
     # -- suspicion entry point -----------------------------------------------------
 
@@ -176,6 +181,18 @@ class ViewManager:
             self._on_view_install(payload)
             return
 
+    def on_heartbeat(self, src: str, beat: Heartbeat) -> None:
+        """Re-send the applied install to a member of it still in a lower
+        view: its copy was lost, and nothing else re-sends it.  Only once
+        ``flush_retry`` has passed since the install, so a heartbeat sent
+        before the install arrived draws nothing."""
+        install = self._installed
+        if (install is not None and beat.view_id < install.view_id
+                and src in install.members
+                and self.member.sim.now - self._installed_at >= self.flush_retry):
+            self.member.send(src, install)
+            self.view_change_messages += 1
+
     def _on_flush_request(self, request: FlushRequest) -> None:
         member = self.member
         if request.new_view_id <= member.view_id:
@@ -258,6 +275,8 @@ class ViewManager:
         if install.view_id <= member.view_id:
             return
         started = self._change_started if self._change_started else member.sim.now
+        self._installed = install
+        self._installed_at = member.sim.now
         member.view_id = install.view_id
         member.view_members = tuple(install.members)
         departed_counts = {

@@ -525,16 +525,24 @@ class TotalAgreedOrdering(OrderingLayer):
 
     A sender commits its own messages in seq order: a message whose
     proposals are all in waits in ``_ready`` while a lower own seq is still
-    open, and goes out in the same tick as that predecessor's commit.  The
-    wait never changes the agreed value, which the collected proposals
-    already fix.  So a commit for seq ``k`` arriving from its sender is
+    open, and goes out in the same tick as that predecessor's commit.  Each
+    commit also goes above the sender's previous one (FIFO): a member that
+    got the earlier message late, by repair, proposed high for it, so when
+    the collected maximum is not above the last own commit the sender
+    commits ``(last priority + 1, own pid)`` instead.  Skeen's rule needs
+    only commit >= every proposal, and a raise keeps that.  The raised key
+    may equal another message's final key (``own pid`` may have proposed
+    ``last + 1`` for it); ``_heap`` orders such a tie by ``msg_id``, the
+    same at every member, and delivery stays safe because each message's
+    final ``(priority, tiebreak)`` is still at least every member's
+    tentative one.  So a commit for seq ``k`` arriving from its sender is
     proof that every lower seq of that sender was committed and broadcast:
-    ``proof_grace`` later (covering commits of one tick that arrive out of
-    order), the receiver asks for each one still open here.  Each id so
-    asked gets one *chase*: every :attr:`proposal_timeout` it asks again,
-    which repairs a lost request or answer, until the commit is applied,
-    a view install drops the id, or ``max_proposal_retries`` asks went
-    unanswered (counted as ``commit_chases_abandoned``).  The fallback
+    :attr:`proof_grace` later (covering commits of one tick that arrive
+    out of order), the receiver asks for each one still open here.  Each
+    id so asked gets one *chase*: every :attr:`proposal_timeout` it asks
+    again, which repairs a lost request or answer, until the commit is
+    applied, a view install drops the id, or ``max_proposal_retries`` asks
+    went unanswered (counted as ``commit_chases_abandoned``).  The fallback
     timer armed by :meth:`release_next` covers what no proof reaches, a
     sender's last message, and a chase that gave up; it asks only for each
     sender's lowest open seq, since no higher one can have been committed
@@ -544,11 +552,12 @@ class TotalAgreedOrdering(OrderingLayer):
     Per-message agreement state lives only as long as the agreement:
     ``_proposals``, ``_retries`` and ``_ready`` (the sender's side) and
     ``_asked`` and ``_chasing`` (a receiver's commit requests) are dropped
-    when the message commits.  ``_commit_values`` is the one record kept
-    for good, and it has no bound: any member may be asked for a commit it
-    applied long ago (a ``CommitRequest`` from a peer whose copy was lost),
-    and the view-change flush hands a departed sender's commits to every
-    survivor.
+    when the message commits, and ``_proposals`` takes proposals only for
+    an open own message, so one forged for any other id is never kept.
+    ``_commit_values`` is the one record kept for good, and it has no
+    bound: any member may be asked for a commit it applied long ago (a
+    ``CommitRequest`` from a peer whose copy was lost), and the view-change
+    flush hands a departed sender's commits to every survivor.
 
     A sender re-solicits missing proposals one measured round after the
     send: :attr:`proposal_timeout` is ``1.25 ×`` the slowest proposal
@@ -591,16 +600,19 @@ class TotalAgreedOrdering(OrderingLayer):
         #: ``accept_local`` to the last proposal, for own messages never
         #: re-solicited (Karn's rule).  0 until the first sample.
         self.slowest_round = 0.0
+        #: The fastest single proposal seen: from ``accept_local`` to one
+        #: peer's proposal answered before any re-solicit of its message
+        #: (Karn's rule per proposal).  0 until the first sample.
+        self.fastest_round = 0.0
         #: How long a member holds a sender's lowest open message, while
         #: another sender's message blocks its delivery head, before the
         #: fallback timer asks for the (possibly lost) commit; twice this
         #: between fallback asks for the same message.
         self.commit_repair_delay = 6.0 * nak_delay
-        #: How long after a sender's commit for seq k a member asks for
-        #: that sender's lower seqs still open here; twice this between
-        #: asks for the same message on fresh proof.
-        self.proof_grace = nak_delay
         self._max_priority = 0
+        #: the last ``(priority, tiebreak)`` this member committed for an
+        #: own message; each next own commit goes above it
+        self._last_own = (0, "")
         # msg_id -> [msg, priority, tiebreak pid, committed?]
         self._pending: Dict[MsgId, list] = {}
         #: release order over ``_pending``; may hold superseded keys
@@ -634,6 +646,21 @@ class TotalAgreedOrdering(OrderingLayer):
         if not self.slowest_round:
             return 4.0 * nak_delay
         return min(max(1.25 * self.slowest_round, nak_delay), 4.0 * nak_delay)
+
+    @property
+    def proof_grace(self) -> float:
+        """How long after a sender's commit for seq k a member asks for
+        that sender's lower seqs still open here, and half the spacing of
+        asks for one message on fresh proof: half the spread of the
+        measured rounds, ``(slowest_round - fastest_round) / 2``, at most
+        ``nak_delay``, and ``nak_delay`` until a round is measured.  A round
+        is two one-way trips, so half its spread is the one-way jitter; the
+        commits of one tick travel one link, so that is all they can be
+        reordered by."""
+        nak_delay = self.member.nak_delay
+        if not self.slowest_round:
+            return nak_delay
+        return min((self.slowest_round - self.fastest_round) / 2, nak_delay)
 
     def stamp(self, msg: DataMessage) -> None:
         pass  # priorities travel in control messages, not on the data message
@@ -745,21 +772,30 @@ class TotalAgreedOrdering(OrderingLayer):
         return entry
 
     def _record_proposal(self, msg_id: MsgId, proposer: str, priority: int) -> None:
-        if msg_id in self._commit_values:
+        # Proposals go only to a message's sender, and only while it is
+        # open there: anything else (late, or forged for an id this
+        # member never sent) is dropped before it can be kept.
+        member = self.member
+        if (msg_id[0] != member.pid or msg_id not in self._pending
+                or msg_id in self._commit_values):
             return
         box = self._proposals.setdefault(msg_id, {})
         new_proposer = proposer not in box
         box[proposer] = priority
-        if msg_id in self._pending and self._pending[msg_id][0].sender == self.member.pid:
-            members = self.member.view_members
-            # The length test settles every proposal but the last one
-            # without building a set.
-            if len(box) >= len(members) and box.keys() >= set(members):
-                if new_proposer and msg_id not in self._retries:
-                    took = self.member.sim.now - self.held_since[msg_id]
-                    if took > self.slowest_round:
-                        self.slowest_round = took
-                self._commit(msg_id)
+        took = None
+        if new_proposer and msg_id not in self._retries:
+            # Karn's rule: only answers to the first round are samples.
+            took = member.sim.now - self.held_since[msg_id]
+            if proposer != member.pid and (not self.fastest_round
+                                           or took < self.fastest_round):
+                self.fastest_round = took
+        members = member.view_members
+        # The length test settles every proposal but the last one
+        # without building a set.
+        if len(box) >= len(members) and box.keys() >= set(members):
+            if took is not None and took > self.slowest_round:
+                self.slowest_round = took
+            self._commit(msg_id)
 
     def _finalize_on_timeout(self, msg_id: MsgId) -> None:
         if msg_id in self._commit_values:
@@ -813,6 +849,11 @@ class TotalAgreedOrdering(OrderingLayer):
             box = self._proposals[msg_id]
             agreed = max(box.values())
             tiebreak = max(p for p, prio in box.items() if prio == agreed)
+            last = self._last_own
+            if (agreed, tiebreak) <= last:
+                # FIFO: go above the last own commit (see the class notes).
+                agreed, tiebreak = last[0] + 1, member.pid
+            self._last_own = (agreed, tiebreak)
             commit = PriorityCommit(
                 group=member.group,
                 sender=member.pid,

@@ -10,6 +10,7 @@ from repro.apps.trading import run_trading
 from repro.catocs import build_group
 from repro.catocs.messages import (
     CommitRequest,
+    DataMessage,
     PriorityCommit,
     PriorityProposal,
     ProposalRequest,
@@ -108,11 +109,14 @@ def _either(*predicates):
     return lambda s, d, payload: any(lose(s, d, payload) for lose in predicates)
 
 
-def _scripted(lose, sends):
-    """Three members on fixed-latency links; ``sends`` is ``(time, pid)``."""
+def _scripted(lose, sends, prepare=None):
+    """Three members on fixed-latency links; ``sends`` is ``(time, pid)``;
+    ``prepare(group)`` runs before the first send."""
     sim = Simulator(seed=0)
     net = RecordingNetwork(sim, LinkModel(latency=LATENCY), lose)
     group = build_group(sim, net, PIDS[:3], ordering="total-agreed")
+    if prepare is not None:
+        prepare(group)
     for k, (at, pid) in enumerate(sends):
         sim.call_at(at, group[pid].multicast, k)
     sim.run(until=400.0)
@@ -149,18 +153,8 @@ def _out_of_send_order(member):
     return late
 
 
-@pytest.mark.parametrize("drop_prob", [
-    0.0,
-    pytest.param(0.01, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP.md item 1: a commit can take a lower agreed priority than "
-        "its sender's previous one when a member gets the previous message "
-        "late, by repair; every member then delivers it out of send order"))),
-])
-def test_every_member_delivers_each_sender_in_send_order(drop_prob):
-    """The lattice puts total-agreed above FIFO.  Four members, sixty
-    round-robin multicasts on seed 0: at 1% loss all 240 deliveries arrive
-    in one agreed order, but 12 of them come after a later seq from the
-    same sender."""
+def _round_robin(drop_prob):
+    """Four members, sixty round-robin multicasts on seed 0."""
     pids = PIDS[:4]
     sim = Simulator(seed=0)
     net = Network(sim, LinkModel(latency=LATENCY, jitter=2.0, drop_prob=drop_prob))
@@ -168,10 +162,82 @@ def test_every_member_delivers_each_sender_in_send_order(drop_prob):
     for k in range(60):
         sim.call_at(1.0 + k, group[pids[k % 4]].multicast, k)
     sim.run(until=900.0)
+    return group
+
+
+@pytest.mark.parametrize("drop_prob", [0.0, 0.01])
+def test_every_member_delivers_each_sender_in_send_order(drop_prob):
+    """The lattice puts total-agreed above FIFO.  At 1% loss a member
+    gets a message late, by repair, and proposes high for it, so without
+    the sender's raise its next commit would go below it (12 of 240
+    deliveries after a later seq from the same sender)."""
+    group = _round_robin(drop_prob)
     orders = {tuple(r.msg_id for r in m.delivered) for m in group.values()}
     assert len(orders) == 1 and len(next(iter(orders))) == 60
     late = {pid: _out_of_send_order(member) for pid, member in group.items()}
-    assert late == dict.fromkeys(pids, [])
+    assert late == dict.fromkeys(group, [])
+
+
+def test_a_commit_not_above_the_senders_last_goes_out_one_above_it():
+    # p2 loses p0's first message and gets it by repair after the second,
+    # so it proposes 1 for the second and 2 for the first.  The first
+    # commits at (2, p2); the second collects (2, p1), not above it, and
+    # goes out at (3, p0).
+    lose = _lose_first(DataMessage, {"p0"}, "p2", {("p0", 1)})
+    group, net = _scripted(lose, [(1.0, "p0"), (2.0, "p0")])
+    proposals = {(p.proposer, p.msg_id): p.priority
+                 for _, _, _, p in net.sent(PriorityProposal)}
+    assert proposals == {("p1", ("p0", 1)): 1, ("p1", ("p0", 2)): 2,
+                         ("p2", ("p0", 1)): 2, ("p2", ("p0", 2)): 1}
+    commits = {p.msg_id: (p.priority, p.tiebreak)
+               for _, src, _, p in net.sent(PriorityCommit) if src == "p0"}
+    assert commits == {("p0", 1): (2, "p2"), ("p0", 2): (3, "p0")}
+    for member in group.values():
+        assert [r.msg_id for r in member.delivered] == [("p0", 1), ("p0", 2)]
+        assert member.ordering._commit_values == commits
+
+
+def test_a_raised_commit_can_tie_another_final_key_and_msg_id_breaks_it():
+    """The raise commits ``(last + 1, own pid)``, and ``own pid`` may have
+    proposed ``last + 1`` for another message that then committed at that
+    same key.  The heap key ends in ``msg_id``, so every member breaks the
+    tie one way; and since each final key is still at least every member's
+    tentative key for it, no member delivers either message early.  Here
+    p1's third message is raised to (24, p1), the key p1's proposal gave
+    p2's sixth."""
+    group = _round_robin(0.01)
+    finals = group["p0"].ordering._commit_values
+    ties = Counter(finals.values())
+    tied = sorted(mid for mid, key in finals.items() if ties[key] > 1)
+    assert tied == [("p1", 3), ("p2", 6)]
+    assert finals[("p1", 3)] == finals[("p2", 6)] == (24, "p1")
+    for member in group.values():
+        assert member.ordering._commit_values == finals
+        order = [r.msg_id for r in member.delivered]
+        assert order.index(("p2", 6)) == order.index(("p1", 3)) + 1
+
+
+def test_forged_proposals_leave_no_agreement_state():
+    """Proposals go only to a message's sender.  p1 sends p0 proposals
+    for ids p0 never sent, another sender's and p0's own unsent seqs:
+    p0 keeps none of them, and its own message still commits."""
+    sim = Simulator(seed=0)
+    net = Network(sim, LinkModel(latency=LATENCY))
+    group = build_group(sim, net, PIDS[:3], ordering="total-agreed")
+    layer = group["p0"].ordering
+    before = layer.layer_metrics()
+    for i in range(500):
+        for sender in ("p2", "p0"):
+            forged = PriorityProposal(group=group["p1"].group, proposer="p1",
+                                      msg_id=(sender, 10**6 + i), priority=i)
+            net.send("p1", "p0", forged)
+    sim.run(until=20.0)
+    assert layer._proposals == {}
+    assert layer.layer_metrics() == before
+    group["p0"].multicast("legit")
+    sim.run(until=100.0)
+    assert layer._proposals == {}
+    assert all(m.delivered_payloads() == ["legit"] for m in group.values())
 
 
 def test_a_lost_commit_is_asked_for_when_the_next_one_arrives():
@@ -198,6 +264,59 @@ def _proof_at(net, dst, proof):
     """When the first copy of ``proof``'s commit reaches ``dst``."""
     return min(t for t, _, d, p in net.sent(PriorityCommit)
                if d == dst and p.msg_id == proof) + LATENCY
+
+
+def test_the_grace_is_half_the_measured_spread_at_most_nak_delay():
+    group, _ = _scripted(None, [])
+    layer = group["p0"].ordering
+    nak_delay = group["p0"].nak_delay
+    assert layer.slowest_round == layer.fastest_round == 0.0
+    assert layer.proof_grace == nak_delay  # no round measured yet
+    for slowest, fastest, grace in ((8.0, 6.0, 1.0), (6.0, 6.0, 0.0),
+                                    (30.0, 6.0, nak_delay)):
+        layer.slowest_round, layer.fastest_round = slowest, fastest
+        assert layer.proof_grace == grace
+
+
+def test_only_proposals_answered_before_a_re_solicit_are_fastest_samples():
+    # p2's first proposal for the first message is lost and re-solicited:
+    # p1's answer from the first round is a sample, p2's late one is not,
+    # and the round is not a slowest sample.
+    lose = _lose_first(PriorityProposal, {"p2"}, "p0", {("p0", 1)})
+    group, _ = _scripted(lose, [(1.0, "p0")])
+    layer = group["p0"].ordering
+    assert (layer.fastest_round, layer.slowest_round) == (2 * LATENCY, 0.0)
+    assert layer.proof_grace == group["p0"].nak_delay
+    # Both first-round proposals lost: nothing is sampled at all.
+    lose = _lose_first(PriorityProposal, {"p1", "p2"}, "p0", {("p0", 1)}, times=2)
+    group, net = _scripted(lose, [(1.0, "p0")])
+    layer = group["p0"].ordering
+    assert len(net.sent(ProposalRequest)) == 2
+    assert (layer.fastest_round, layer.slowest_round) == (0.0, 0.0)
+    assert all(len(m.delivered) == 1 for m in group.values())
+
+
+def test_a_lost_commit_is_asked_for_one_measured_grace_after_its_proof():
+    # p1's rounds spread 6 to 8, so it asks 1 after each proof, and on
+    # fresh proof only once 2 have passed since its last ask: the proofs
+    # of the second, third and fourth commits draw asks at +0 and +2.
+    lose = _lose_first(PriorityCommit, {"p0"}, "p1", {("p0", 1)})
+
+    def measured(group):
+        layer = group["p1"].ordering
+        layer.slowest_round, layer.fastest_round = 8.0, 6.0
+
+    sends = [(1.0 + k, "p0") for k in range(4)]
+    group, net = _scripted(lose, sends, prepare=measured)
+    grace = group["p1"].ordering.proof_grace
+    assert grace == 1.0
+    proofs = [_proof_at(net, "p1", ("p0", seq)) for seq in (2, 3, 4)]
+    assert proofs == [11.0, 12.0, 13.0]
+    asks = _asks(net, "p1")
+    assert asks == [(proofs[0] + grace, ("p0", 1)), (proofs[2] + grace, ("p0", 1))]
+    assert asks[1][0] - asks[0][0] == 2 * grace
+    delivered_at = {r.msg_id: r.delivered_at for r in group["p1"].delivered}
+    assert delivered_at[("p0", 1)] == proofs[0] + grace + 2 * LATENCY
 
 
 def test_a_lost_answer_is_asked_for_again_one_proposal_timeout_later():

@@ -1,6 +1,7 @@
 """Tests for view-synchronous membership: suspicion, flush, install."""
 
 from repro.catocs import build_group
+from repro.catocs.messages import ViewInstall
 from repro.sim import FailureInjector, LinkModel, Network, Simulator
 
 
@@ -87,3 +88,80 @@ def test_messages_lost_with_crashed_sender_are_forgiven():
     survivors = [m for m in members.values() if m.alive]
     for m in survivors:
         assert "after" in m.delivered_payloads(), m.pid
+
+
+class InstallLosingNetwork(Network):
+    """Logs every ``ViewInstall`` sent as ``(time, src, dst)`` and loses
+    the first ``lose`` of them to each pid in ``lose_to``."""
+
+    def __init__(self, sim, link, lose_to=(), lose=1):
+        super().__init__(sim, link)
+        self.installs = []
+        self.lose_to = set(lose_to)
+        self.left = {pid: lose for pid in self.lose_to}
+
+    def send(self, src, dst, payload, size=None):
+        if isinstance(payload, ViewInstall):
+            self.installs.append((self.sim.now, src, dst))
+            if self.left.get(dst):
+                self.left[dst] -= 1
+                return None
+        return super().send(src, dst, payload, size)
+
+
+def test_a_lost_install_is_re_sent_when_a_heartbeat_shows_the_old_view():
+    sim = Simulator(seed=0)
+    net = InstallLosingNetwork(sim, LinkModel(latency=5.0, jitter=2.0), lose_to={"p2"})
+    members = build_group(sim, net, ["p0", "p1", "p2", "p3"], ordering="causal",
+                          with_membership=True,
+                          heartbeat_period=8.0, heartbeat_timeout=30.0)
+    FailureInjector(sim, net).crash_at(50.0, "p3")
+    sim.run(until=1500)
+    survivors = [m for m in members.values() if m.alive]
+    assert {(m.view_id, m.view_members) for m in survivors} == {(1, ("p0", "p1", "p2"))}
+    installed = members["p0"].membership.view_history[-1].installed_at
+    first = [(t, src) for t, src, dst in net.installs if dst == "p2"]
+    assert first[0] == (installed, "p0")  # lost
+    # Each member that has the view answers p2's next stale heartbeat once
+    # flush_retry has passed since it installed; none is re-sent after.
+    flush_retry = members["p0"].membership.flush_retry
+    resent = first[1:]
+    assert resent and {src for _, src in resent} <= {"p0", "p1"}
+    assert all(t >= installed + flush_retry for t, _ in resent)
+    assert not members["p2"].suppressed
+    # p2 installs within one link delay (latency 5 + jitter 2) of a re-send
+    assert (members["p2"].membership.view_history[-1].installed_at
+            <= max(t for t, _ in resent) + 5.0 + 2.0)
+
+
+def test_heartbeats_in_flight_at_the_install_draw_no_re_send():
+    sim = Simulator(seed=0)
+    net = InstallLosingNetwork(sim, LinkModel(latency=5.0, jitter=2.0))
+    members = build_group(sim, net, ["p0", "p1", "p2", "p3"], ordering="causal",
+                          with_membership=True,
+                          heartbeat_period=8.0, heartbeat_timeout=30.0)
+    FailureInjector(sim, net).crash_at(50.0, "p3")
+    sim.run(until=1500)
+    assert [dst for _, _, dst in net.installs] == ["p1", "p2"]
+    # two flush requests, two installs
+    assert members["p0"].membership.view_change_messages == 4
+
+
+def test_every_survivor_of_a_lossy_leave_ends_in_one_view():
+    """Four agreed-order members at 5% loss, p3 leaving at 60 (seed 22 of
+    the peer fan-out pin): p0's install to p2 is lost, and p2 gets it again
+    when its heartbeat shows view 0.  Without the re-send p2 stayed in view
+    0 with p3 in it, send-suppressed, for the rest of the run."""
+    sim = Simulator(seed=22)
+    net = InstallLosingNetwork(sim, LinkModel(latency=3.0, jitter=2.0, drop_prob=0.05))
+    pids = ["p0", "p1", "p2", "p3"]
+    members = build_group(sim, net, pids, ordering="total-agreed", with_membership=True)
+    for k in range(40):
+        sim.call_at(1.0 + k, members[pids[k % 4]].multicast, k)
+    sim.call_at(60.0, members["p3"].membership.leave)
+    sim.run(until=600.0)
+    survivors = [members[pid] for pid in ("p0", "p1", "p2")]
+    assert {(m.view_id, m.view_members) for m in survivors} == {(1, ("p0", "p1", "p2"))}
+    assert not any(m.suppressed for m in survivors)
+    assert len([1 for _, _, dst in net.installs if dst == "p2"]) > 1
+    assert all(len(m.delivered) == 40 for m in survivors)

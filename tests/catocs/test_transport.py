@@ -639,7 +639,10 @@ def test_maintained_frontier_keeps_the_counters_the_recomputed_one_kept():
     measured round after the send: the drop draws re-roll, and the peak
     falls to 25.  The causal byte peaks were re-pinned when a stamped
     message began to carry only the ack counts its stamp does not: the
-    same messages, each buffered smaller."""
+    same messages, each buffered smaller.  The total-agreed run was
+    re-pinned when receivers began to ask for a proven-owed commit one
+    measured jitter after the proof: more commit requests re-roll the
+    drops (peak 27)."""
     assert _stability_counters(31, "causal", leave="p4") == {
         "peak_buffered": [38, 23, 25, 25, 20],
         "peak_buffered_bytes": [3276, 2036, 2210, 2210, 1750],
@@ -648,10 +651,10 @@ def test_maintained_frontier_keeps_the_counters_the_recomputed_one_kept():
         "left_buffered": [0, 0, 0, 0, 0],
     }
     assert _stability_counters(33, "total-agreed") == {
-        "peak_buffered": [25, 25, 25, 24, 16],
-        "peak_buffered_bytes": [2050, 2050, 2050, 1968, 1312],
-        "gossip_sent": [5, 5, 5, 5, 6],
-        "retransmissions": [6, 3, 3, 2, 1],
+        "peak_buffered": [25, 27, 25, 27, 16],
+        "peak_buffered_bytes": [2050, 2214, 2050, 2164, 1312],
+        "gossip_sent": [5, 5, 5, 6, 5],
+        "retransmissions": [6, 4, 3, 2, 0],
         "left_buffered": [0, 0, 0, 0, 0],
     }
     # E16 samples every member's buffer every five time units
@@ -682,7 +685,10 @@ def test_lean_envelope_path_keeps_the_wire_counters():
     for a proven-owed commit every measured round (one commit request
     fewer, re-rolled losses).  Both causal runs' bytes were re-pinned when
     a stamped message began to carry only the ack counts its stamp does
-    not: the same packets meet the same fate, each smaller."""
+    not: the same packets meet the same fate, each smaller.  The
+    total-agreed run was re-pinned when a receiver began to ask for a
+    proven-owed commit one measured jitter after the proof, not one
+    nak_delay (40 more packets, re-rolled losses)."""
     def wire(*args, **kwargs):
         net, _ = _seeded_group_run(*args, **kwargs)
         return net.stats.snapshot()
@@ -692,8 +698,8 @@ def test_lean_envelope_path_keeps_the_wire_counters():
         "to_crashed": 0, "reset": 0, "bytes_sent": 30390, "bytes_delivered": 30390,
     }
     assert wire(33, "total-agreed") == {
-        "sent": 926, "delivered": 878, "dropped": 48, "partitioned": 0,
-        "to_crashed": 0, "reset": 0, "bytes_sent": 76863, "bytes_delivered": 72997,
+        "sent": 966, "delivered": 918, "dropped": 48, "partitioned": 0,
+        "to_crashed": 0, "reset": 0, "bytes_sent": 79805, "bytes_delivered": 76023,
     }
     assert wire(31, "causal", leave="p4") == {
         "sent": 1517, "delivered": 1437, "dropped": 70, "partitioned": 0,

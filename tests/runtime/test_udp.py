@@ -21,6 +21,7 @@ from repro.catocs.messages import (
     HybridRefetch,
     Nak,
     OrderTokenRequest,
+    PriorityProposal,
 )
 from repro.ordering.dense import ClockDomain, group_domain
 from repro.runtime import AsyncioClock, UdpNetwork, codec, run_for
@@ -443,6 +444,24 @@ def test_a_registered_sender_cannot_gossip_about_unknown_pids():
     assert escaped == []
     assert delivered == ["legit"]
     assert "zz" not in stack.layer("dedup")._max_seen
+
+
+def test_a_registered_sender_cannot_leave_proposals_for_ids_never_sent():
+    """The registered pid ``a`` sends b proposals for ids b never sent: a
+    third pid's and b's own unsent seqs.  They decode, since message ids are
+    not checked against the senders, but proposals go only to a message's
+    sender while it is open there, so b keeps none and counts nothing."""
+    forged = [PriorityProposal(group="g", proposer="a", msg_id=(sender, 10**6 + i),
+                               priority=i)
+              for i in range(100) for sender in ("c", "b")]
+    blobs = [codec.encode_datagram("a", payload) for payload in forged]
+    delivered, net, stack, escaped = asyncio.run(_attacked_group(16, "total-agreed", blobs))
+    assert net.decode_errors == 0
+    assert net.unknown_sender == 0
+    assert escaped == []
+    assert delivered == ["legit"]
+    assert stack.ordering._proposals == {}
+    assert stack.ordering.layer_metrics()["proposals_forced"] == 0
 
 
 @pytest.mark.parametrize("ordering, request_", [
