@@ -10,6 +10,11 @@ that no commit was forced and that no receiver gave up chasing a commit it
 knew was sent.  At 15% loss seeds 2001
 and 2003 each force a commit when the layer gives up after eight rounds
 instead of twelve.
+
+It also checks that every retention buffer drains by the horizon, though
+an applied commit releases its message ahead of the stable frontier: each
+member's stability buffer and per-sender heaps are empty, and no NAK round
+found nobody to ask.
 """
 
 import pytest
@@ -47,3 +52,8 @@ def test_agreed_loss_delivers_everything_in_one_order(drop_prob, seed):
         assert all(s == sorted(s) for s in seqs.values()), member.pid
     assert sum(m.ordering.proposals_forced for m in group.values()) == 0
     assert sum(m.ordering.commit_chases_abandoned for m in group.values()) == 0
+    for member in group.values():
+        stability = member.stack.layer("stability")
+        assert stability.buffer == {}, member.pid
+        assert not any(stability._held.values()), member.pid
+        assert member.stack.layer("dedup").naks_unroutable == 0, member.pid

@@ -212,6 +212,15 @@ class PriorityCommit(OrderingControl):
 
 
 @dataclass
+class ForcedCommit(PriorityCommit):
+    """An agreed-order commit made without some member's proposal (the
+    sender gave up re-soliciting it).  Ordered exactly like its base class,
+    but it proves nothing about who holds the message: a receiver keeps the
+    message buffered until it is stable, so the silent member can still get
+    it by NAK.  Priced like its base class."""
+
+
+@dataclass
 class Heartbeat(MembershipControl):
     """Failure-detector liveness beacon."""
 

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
 from repro.catocs.messages import (
     CommitRequest,
     DataMessage,
+    ForcedCommit,
     MsgId,
     OrderToken,
     OrderTokenRequest,
@@ -47,6 +48,7 @@ from repro.ordering.dense import bss_deliverable, group_domain
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catocs.member import GroupMember
+    from repro.catocs.transport import StabilityLayer
 
 
 class OrderingLayer(ProtocolLayer):
@@ -557,7 +559,19 @@ class TotalAgreedOrdering(OrderingLayer):
     ``_commit_values`` is the one record kept for good, and it has no
     bound: any member may be asked for a commit it applied long ago (a
     ``CommitRequest`` from a peer whose copy was lost), and the view-change
-    flush hands a departed sender's commits to every survivor.
+    flush hands a departed sender's commits to every survivor.  ``_forced``
+    beside it names the applied commits that prove nothing (below).
+
+    A member proposes only for a message it holds, so a commit made with
+    every view member's proposal proves that every member holds the
+    message: applying it, a member releases that one message from its
+    stability buffer (:meth:`StabilityLayer.release`) instead of waiting
+    for the matrix clock to learn the same fact from acks.  The proof
+    covers the message, not its sender's lower seqs, which may have been
+    committed without it.  A commit made without some member's proposal
+    travels as a :class:`ForcedCommit`, and a commit learned from a view
+    install is taken as one: neither releases anything, so the message
+    stays buffered for the silent member's NAK.
 
     A sender re-solicits missing proposals one measured round after the
     send: :attr:`proposal_timeout` is ``1.25 ×`` the slowest proposal
@@ -626,6 +640,12 @@ class TotalAgreedOrdering(OrderingLayer):
         #: every commit applied here, so any member can answer a
         #: CommitRequest; its keys are the committed ids
         self._commit_values: Dict[MsgId, Tuple[int, str]] = {}
+        #: the committed ids whose commit proves nothing of who holds the
+        #: message: answered with a ForcedCommit
+        self._forced: Set[MsgId] = set()
+        #: the stack's stability layer, which a proving commit releases
+        #: its message from (None without one)
+        self._stability: Optional["StabilityLayer"] = None
         #: msg_id -> when this member last sent a CommitRequest for it
         self._asked: Dict[MsgId, float] = {}
         #: msg_id -> asks its chase has made for a proven-owed commit
@@ -661,6 +681,9 @@ class TotalAgreedOrdering(OrderingLayer):
         if not self.slowest_round:
             return nak_delay
         return min((self.slowest_round - self.fastest_round) / 2, nak_delay)
+
+    def on_attached(self) -> None:
+        self._stability = self.stack.layer("stability")  # may be None
 
     def stamp(self, msg: DataMessage) -> None:
         pass  # priorities travel in control messages, not on the data message
@@ -699,7 +722,8 @@ class TotalAgreedOrdering(OrderingLayer):
             self._record_proposal(payload.msg_id, payload.proposer, payload.priority)
         elif isinstance(payload, PriorityCommit):
             msg_id = payload.msg_id
-            self._apply_commit(msg_id, payload.priority, payload.tiebreak)
+            self._apply_commit(msg_id, payload.priority, payload.tiebreak,
+                               proof=not isinstance(payload, ForcedCommit))
             if src == msg_id[0]:
                 # Only the sender's own commit proves its lower seqs were
                 # committed; another member's answer proves nothing of it.
@@ -707,18 +731,8 @@ class TotalAgreedOrdering(OrderingLayer):
                 if seqs and seqs[0] < msg_id[1]:
                     self.member.set_timer(self.proof_grace, self._ask_on_proof, msg_id)
         elif isinstance(payload, CommitRequest):
-            cached = self._commit_values.get(payload.msg_id)
-            if cached is not None:
-                self.member.send_control(
-                    payload.requester,
-                    PriorityCommit(
-                        group=self.member.group,
-                        sender=self.member.pid,
-                        msg_id=payload.msg_id,
-                        priority=cached[0],
-                        tiebreak=cached[1],
-                    ),
-                )
+            if payload.msg_id in self._commit_values:
+                self._send_commit(payload.msg_id, payload.requester)
         elif isinstance(payload, ProposalRequest):
             self._answer_proposal_request(src, payload)
 
@@ -854,25 +868,28 @@ class TotalAgreedOrdering(OrderingLayer):
                 # FIFO: go above the last own commit (see the class notes).
                 agreed, tiebreak = last[0] + 1, member.pid
             self._last_own = (agreed, tiebreak)
-            commit = PriorityCommit(
-                group=member.group,
-                sender=member.pid,
-                msg_id=msg_id,
-                priority=agreed,
-                tiebreak=tiebreak,
-            )
-            member.broadcast_control(commit)
-            self._apply_commit(msg_id, agreed, tiebreak)
+            # Every view member proposed, so every member holds the message.
+            proof = all(pid in box for pid in member.view_members)
+            self._apply_commit(msg_id, agreed, tiebreak, proof)
+            self._send_commit(msg_id)
             if not own:
                 return
             msg_id = (member.pid, own[0])
             if msg_id not in self._ready:
                 return
 
-    def _apply_commit(self, msg_id: MsgId, priority: int, tiebreak: str) -> None:
+    def _apply_commit(self, msg_id: MsgId, priority: int, tiebreak: str,
+                      proof: bool) -> None:
+        """Record ``msg_id``'s agreed key.  ``proof``: the commit had every
+        view member's proposal, so every member holds the message and the
+        stability buffer can let it go (see the class notes)."""
         if msg_id in self._commit_values:
             return
         self._commit_values[msg_id] = (priority, tiebreak)
+        if not proof:
+            self._forced.add(msg_id)
+        elif self._stability is not None:
+            self._stability.release(msg_id)
         # Every reader of these maps returns early on a committed id, so the
         # agreement's working state dies here.
         self._proposals.pop(msg_id, None)
@@ -885,6 +902,25 @@ class TotalAgreedOrdering(OrderingLayer):
             self._pending[msg_id][3] = True
             self._close(msg_id)
             self._rekey(msg_id, priority, tiebreak)
+
+    def _send_commit(self, msg_id: MsgId, to: Optional[str] = None) -> None:
+        """Send the commit applied here for ``msg_id`` to ``to``, or to every
+        peer: a :class:`ForcedCommit` if it proves nothing of who holds the
+        message, so that its receiver keeps the message buffered too."""
+        member = self.member
+        priority, tiebreak = self._commit_values[msg_id]
+        fields = dict(group=member.group, sender=member.pid, msg_id=msg_id,
+                      priority=priority, tiebreak=tiebreak)
+        if msg_id in self._forced:
+            self._send(to, ForcedCommit(**fields))
+        else:
+            self._send(to, PriorityCommit(**fields))
+
+    def _send(self, to: Optional[str], payload: Any) -> None:
+        if to is None:
+            self.member.broadcast_control(payload)
+        else:
+            self.member.send_control(to, payload)
 
     def _close(self, msg_id: MsgId) -> None:
         """Take a held message out of its sender's open seqs."""
@@ -947,9 +983,10 @@ class TotalAgreedOrdering(OrderingLayer):
 
     def on_view_install(self, merged_state: dict,
                         departed_counts: Dict[str, int]) -> None:
-        # Apply every commit any survivor knew about.
+        # Apply every commit any survivor knew about.  The merge does not say
+        # whether a commit had every proposal, so it proves nothing.
         for msg_id, (priority, tiebreak) in merged_state.get("commits", {}).items():
-            self._apply_commit(msg_id, priority, tiebreak)
+            self._apply_commit(msg_id, priority, tiebreak, proof=False)
         # Uncommitted messages from departed senders never reached agreement
         # (no survivor holds a commit): the sender died mid-protocol, so the
         # message is dropped everywhere — atomic, not durable (Section 2).

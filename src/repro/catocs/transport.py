@@ -34,8 +34,10 @@ Sits between the raw (lossy, reordering) network and the ordering layers:
   member whose buffer is empty answers a query with a plain ``AckGossip``
   to the querier; nothing answers that, so an exchange is two messages.
   This stays live because an unstable message is always in its sender's
-  buffer: the sender queries every tick with counts that reveal it, and
-  every member still holding a message queries too.  A peer whose row for
+  buffer, unless the ordering layer proved every member holds it and
+  :meth:`StabilityLayer.release` dropped it (then no one needs it): the
+  sender queries every tick with counts that reveal it, and every member
+  still holding a message queries too.  A peer whose row for
   a settled member is stale is therefore unsettled, and keeps querying
   until that member's answer arrives.  The work is paid per news as well:
   a tick re-sends its last snapshot while neither its type nor a count has
@@ -69,7 +71,7 @@ deficiency, which experiment E09 demonstrates.
 from __future__ import annotations
 
 from collections import defaultdict
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
@@ -341,7 +343,9 @@ class StabilityLayer(ProtocolLayer):
         self._buffered_bytes = 0
         #: per sender, a heap of (seq, arrival, msg_id) over the buffered
         #: ids: a sweep reads the heads instead of the whole buffer, and
-        #: ``arrival`` restores buffer order among what it releases
+        #: ``arrival`` restores buffer order among what it releases.  The
+        #: heaps hold exactly the buffered ids: :meth:`release` removes its
+        #: id's entry too
         self._held: Dict[str, List[Tuple[int, int, MsgId]]] = defaultdict(list)
         self._arrivals = 0
         #: ``matrix.moves`` as of the last sweep; ``None`` forces the next
@@ -556,6 +560,24 @@ class StabilityLayer(ProtocolLayer):
             self._buffered_bytes -= self._entry_bytes.pop(mid)
             for hook in self.stable_hooks:
                 hook(mid)
+
+    def release(self, msg_id: MsgId) -> None:
+        """Drop ``msg_id`` ahead of the frontier: the ordering layer proved
+        that every member holds it (``total-agreed`` applied a commit made
+        with every member's proposal).  Only that message goes: no matrix
+        row is written, so the frontier, the quiet-tick test and repair
+        routing see what they saw before.  Its heap entry goes with it, so
+        the sweep never meets a released id.  The dedup layer counts the
+        message as received, so no later copy is buffered again."""
+        if msg_id not in self.buffer:
+            return
+        heap = self._held[msg_id[0]]
+        heap.remove(next(entry for entry in heap if entry[2] == msg_id))
+        heapify(heap)
+        del self.buffer[msg_id]
+        self._buffered_bytes -= self._entry_bytes.pop(msg_id)
+        for hook in self.stable_hooks:
+            hook(msg_id)
 
     # -- metrics -------------------------------------------------------------------
 

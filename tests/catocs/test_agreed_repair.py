@@ -1,6 +1,7 @@
 """Agreed-order repair traffic in whole groups: who asks for a commit and
-when, the order a sender commits in, and what per-message agreement state is
-left once a lossy run drains."""
+when, the order a sender commits in, what per-message agreement state is
+left once a lossy run drains, and which commits release their message from
+the stability buffer."""
 
 from collections import Counter
 
@@ -11,6 +12,8 @@ from repro.catocs import build_group
 from repro.catocs.messages import (
     CommitRequest,
     DataMessage,
+    ForcedCommit,
+    Nak,
     PriorityCommit,
     PriorityProposal,
     ProposalRequest,
@@ -109,7 +112,7 @@ def _either(*predicates):
     return lambda s, d, payload: any(lose(s, d, payload) for lose in predicates)
 
 
-def _scripted(lose, sends, prepare=None):
+def _scripted(lose, sends, prepare=None, until=400.0):
     """Three members on fixed-latency links; ``sends`` is ``(time, pid)``;
     ``prepare(group)`` runs before the first send."""
     sim = Simulator(seed=0)
@@ -119,7 +122,7 @@ def _scripted(lose, sends, prepare=None):
         prepare(group)
     for k, (at, pid) in enumerate(sends):
         sim.call_at(at, group[pid].multicast, k)
-    sim.run(until=400.0)
+    sim.run(until=until)
     return group, net
 
 
@@ -490,3 +493,98 @@ def test_e04s_asymmetric_links_draw_no_proposal_requests(theo_latency, proposal_
     was measured."""
     run_trading(seed=0, ordering="total-agreed", ticks=8, theo_latency=theo_latency)
     assert proposal_requests == []
+
+
+def _commit_lost_to_p2():
+    """p0 multicasts once to p0..p2 and its commit to p2 is lost.  At 15,
+    before any gossip tick, p0 has committed and p1 applied the commit."""
+    def lose(src, dst, payload):
+        return isinstance(payload, PriorityCommit) and dst == "p2"
+
+    group, _ = _scripted(lose, [(1.0, "p0")], until=15.0)
+    return group
+
+
+def _stability(member):
+    return member.stack.layer("stability")
+
+
+@pytest.mark.parametrize("arrives_as, releases", [
+    (PriorityCommit, True), (ForcedCommit, False), ("view install", False),
+])
+def test_applying_a_commit_releases_its_message_only_if_every_member_proposed(
+        arrives_as, releases):
+    mid = ("p0", 1)
+    group = _commit_lost_to_p2()
+    # No ack has reached the matrix yet: p0 and p1 let the message go on
+    # the commit alone.
+    for pid in ("p0", "p1"):
+        assert mid not in _stability(group[pid]).buffer
+        assert not _stability(group[pid]).matrix.stable(*mid)
+    stability, layer = _stability(group["p2"]), group["p2"].ordering
+    assert mid in stability.buffer
+    moves = stability.matrix.moves
+    key = group["p0"].ordering._commit_values[mid]
+    if arrives_as == "view install":
+        layer.on_view_install({"commits": {mid: key}}, {})
+    else:
+        layer.on_control("p0", arrives_as(group="group", sender="p0", msg_id=mid,
+                                          priority=key[0], tiebreak=key[1]))
+    assert layer._commit_values[mid] == key
+    assert (mid in stability.buffer) is not releases
+    assert (mid in layer._forced) is not releases
+    assert stability.matrix.moves == moves  # no row written
+
+
+def test_a_released_message_is_not_buffered_again():
+    mid = ("p0", 1)
+    group = _commit_lost_to_p2()
+    member = group["p2"]
+    stability, dedup = _stability(member), member.stack.layer("dedup")
+    msg = stability.buffer[mid]
+    key = group["p0"].ordering._commit_values[mid]
+    member.ordering.on_control("p0", PriorityCommit(group="group", sender="p0", msg_id=mid,
+                                                    priority=key[0], tiebreak=key[1]))
+    duplicates = dedup.duplicates
+    assert member.stack.receive_data("p1", msg.repair_copy()) is None
+    assert dedup.duplicates == duplicates + 1
+    for each in group.values():
+        assert _stability(each).buffer == {}
+        assert _stability(each).buffered_bytes() == 0
+        assert not any(_stability(each)._held.values())
+
+
+def test_a_forced_commit_keeps_the_message_for_the_silent_members_nak():
+    """p0 forces the commit of its message one proposal timeout after the
+    send (no re-solicits) without p2, which lost the message and then the
+    forced commit.  p0 and p1 keep the message, so p2's NAK, sent once
+    gossip reveals the message, is served; p2 then asks p0 for the commit
+    and is answered with a ForcedCommit again.  Had p0 and p1 released the
+    message, p2's NAK would find no copy and p2 would never deliver."""
+    mid = ("p0", 1)
+    forced_to = []
+
+    def lose(src, dst, payload):
+        if isinstance(payload, ForcedCommit):
+            forced_to.append(dst)
+            return dst == "p2" and forced_to.count("p2") == 1
+        return dst == "p2" and isinstance(payload, DataMessage) and not forced_to
+
+    def prepare(group):
+        group["p0"].ordering.max_proposal_retries = 0
+
+    group, net = _scripted(lose, [(1.0, "p0")], prepare, until=26.0)
+    forced_at = net.sent(ForcedCommit)[0][0]
+    assert group["p0"].ordering.proposals_forced == 1
+    for pid in ("p0", "p1"):
+        assert mid in _stability(group[pid]).buffer
+        assert mid in group[pid].ordering._forced
+    group["p0"].sim.run(until=400.0)
+    assert all(m.delivered_payloads() == [0] for m in group.values())
+    naks = [t for t, src, _, p in net.sent(Nak) if src == "p2" and mid in p.wanted]
+    repairs = [t for t, _, dst, p in net.sent(DataMessage) if dst == "p2" and p.retransmit]
+    assert naks and repairs and min(naks) > forced_at and min(repairs) > min(naks)
+    commits_to_p2 = [type(p) for _, _, dst, p in net.sent(PriorityCommit) if dst == "p2"]
+    assert commits_to_p2 == [ForcedCommit, ForcedCommit]  # lost, then the answer
+    for member in group.values():
+        assert _stability(member).buffer == {}  # stable, by the acks

@@ -474,6 +474,7 @@ _receive_op = st.tuples(
 )
 _send_op = st.tuples(st.just("send"), st.integers(min_value=0, max_value=40))
 _gossip_op = st.tuples(st.just("gossip"), st.sampled_from(PIDS[1:]), _counts)
+_release_op = st.tuples(st.just("release"), st.integers(min_value=0, max_value=40))
 
 
 class ReferenceStability:
@@ -503,6 +504,10 @@ class ReferenceStability:
         self.learn(self.own, contiguous)
         self.check()
 
+    def release(self, mid):
+        del self.buffer[mid]
+        self.released.append(mid)
+
     def check(self):
         frontier = {
             s: min(row.get(s, 0) for row in self.rows.values()) for s in self.rows
@@ -514,10 +519,14 @@ class ReferenceStability:
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(
-    st.one_of(_buffer_op, _ack_op, _view_op, _receive_op, _send_op, _gossip_op),
+    st.one_of(_buffer_op, _ack_op, _view_op, _receive_op, _send_op, _gossip_op,
+              _release_op),
     min_size=1, max_size=40,
 ))
 def test_stability_layer_matches_recompute_and_scan(ops):
+    """Also with ``release``, which drops one buffered message the dedup
+    layer counts as received (an applied agreed commit's) ahead of the
+    frontier; the per-sender heaps hold exactly the buffered ids."""
     layer, dedup = _stability_layer()
     reference = ReferenceStability("p0", PIDS)
     hooked = []
@@ -562,6 +571,12 @@ def test_stability_layer_matches_recompute_and_scan(ops):
             dedup.send_down(msg)
             reference.hold(msg)    # sized with the ack vector send_down attached
             reference.learn("p0", dedup.contiguous)
+        elif op[0] == "release":
+            held = [mid for mid in layer.buffer if dedup._already_have(mid)]
+            if held:
+                mid = held[op[1] % len(held)]
+                layer.release(mid)
+                reference.release(mid)
         else:
             _, sender, counts = op
             layer.on_control(sender, AckGossip(group="group", sender=sender, ack_vector=counts))
@@ -569,6 +584,9 @@ def test_stability_layer_matches_recompute_and_scan(ops):
             reference.check()
         assert list(layer.buffer) == list(reference.buffer), op
         assert hooked == reference.released, op
+        assert layer.buffered_bytes() == sum(reference.buffer.values()), op
+        held = sorted(entry[2] for heap in layer._held.values() for entry in heap)
+        assert held == sorted(layer.buffer), op
         assert layer.peak_buffered == reference.peak_buffered, op
         assert layer.peak_buffered_bytes == reference.peak_buffered_bytes, op
 
@@ -642,7 +660,9 @@ def test_maintained_frontier_keeps_the_counters_the_recomputed_one_kept():
     same messages, each buffered smaller.  The total-agreed run was
     re-pinned when receivers began to ask for a proven-owed commit one
     measured jitter after the proof: more commit requests re-roll the
-    drops (peak 27)."""
+    drops (peak 27).  It was re-pinned when an applied commit began to
+    release its message from the stability buffer: the same gossip and
+    retransmissions, and each peak lower by four to five messages."""
     assert _stability_counters(31, "causal", leave="p4") == {
         "peak_buffered": [38, 23, 25, 25, 20],
         "peak_buffered_bytes": [3276, 2036, 2210, 2210, 1750],
@@ -651,8 +671,8 @@ def test_maintained_frontier_keeps_the_counters_the_recomputed_one_kept():
         "left_buffered": [0, 0, 0, 0, 0],
     }
     assert _stability_counters(33, "total-agreed") == {
-        "peak_buffered": [25, 27, 25, 27, 16],
-        "peak_buffered_bytes": [2050, 2214, 2050, 2164, 1312],
+        "peak_buffered": [21, 22, 20, 21, 16],
+        "peak_buffered_bytes": [1722, 1804, 1640, 1672, 1312],
         "gossip_sent": [5, 5, 5, 6, 5],
         "retransmissions": [6, 4, 3, 2, 0],
         "left_buffered": [0, 0, 0, 0, 0],
@@ -688,7 +708,10 @@ def test_lean_envelope_path_keeps_the_wire_counters():
     not: the same packets meet the same fate, each smaller.  The
     total-agreed run was re-pinned when a receiver began to ask for a
     proven-owed commit one measured jitter after the proof, not one
-    nak_delay (40 more packets, re-rolled losses)."""
+    nak_delay (40 more packets, re-rolled losses), and when an applied
+    commit began to release its message from the stability buffer (one
+    more packet: an emptier buffer answers one more query, re-rolled
+    losses)."""
     def wire(*args, **kwargs):
         net, _ = _seeded_group_run(*args, **kwargs)
         return net.stats.snapshot()
@@ -698,8 +721,8 @@ def test_lean_envelope_path_keeps_the_wire_counters():
         "to_crashed": 0, "reset": 0, "bytes_sent": 30390, "bytes_delivered": 30390,
     }
     assert wire(33, "total-agreed") == {
-        "sent": 966, "delivered": 918, "dropped": 48, "partitioned": 0,
-        "to_crashed": 0, "reset": 0, "bytes_sent": 79805, "bytes_delivered": 76023,
+        "sent": 967, "delivered": 919, "dropped": 48, "partitioned": 0,
+        "to_crashed": 0, "reset": 0, "bytes_sent": 79907, "bytes_delivered": 76125,
     }
     assert wire(31, "causal", leave="p4") == {
         "sent": 1517, "delivered": 1437, "dropped": 70, "partitioned": 0,

@@ -18,13 +18,16 @@ from repro.catocs.messages import (
     AckQuery,
     CommitRequest,
     DataMessage,
+    ForcedCommit,
     HybridRefetch,
     Nak,
     OrderTokenRequest,
+    PriorityCommit,
     PriorityProposal,
 )
 from repro.ordering.dense import ClockDomain, group_domain
 from repro.runtime import AsyncioClock, UdpNetwork, codec, run_for
+from repro.sim import Process
 from repro.sim.network import LinkModel, Network, NetworkStats
 
 
@@ -307,6 +310,33 @@ def test_deliveries_are_decoded_copies_not_references():
     sent_payload, records = asyncio.run(scenario())
     assert records == [sent_payload]
     assert records[0] is not sent_payload  # crossed the socket, not the heap
+
+
+def test_a_forced_commit_crosses_the_socket_as_its_own_class():
+    """A ``ForcedCommit`` has its base class's fields and only its class
+    says the commit proves nothing, so the codec must keep the class."""
+    sent = [PriorityCommit(group="g", sender="a", msg_id=("a", 1), priority=3, tiebreak="b"),
+            ForcedCommit(group="g", sender="a", msg_id=("a", 2), priority=4, tiebreak="a")]
+
+    class Inbox(Process):
+        def on_message(self, src, payload):
+            self.got.append(payload)
+
+    async def scenario():
+        clock = AsyncioClock(seed=17)
+        net = UdpNetwork(clock, LinkModel(latency=0.002))
+        a, b = Process(clock, net, "a"), Inbox(clock, net, "b")
+        b.got = []
+        await net.start()
+        for commit in sent:
+            a.send("b", commit)
+        await run_for(0.1)
+        net.close()
+        return b.got
+
+    got = sorted(asyncio.run(scenario()), key=lambda commit: commit.msg_id)
+    assert [type(p) for p in got] == [PriorityCommit, ForcedCommit]
+    assert got == sent
 
 
 def test_garbage_datagrams_are_counted_and_dropped():
