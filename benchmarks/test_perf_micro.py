@@ -402,3 +402,47 @@ def test_wire_codec_datagram(benchmark, size):
 
     first, second = benchmark(run)
     assert first == second == ("m2", msg)
+
+
+@pytest.mark.parametrize("size", [8, 24])
+def test_buffer_shared_message(benchmark, size):
+    """One stamped multicast buffered by all N members, as the simulator
+    hands every receiver the sender's object.  The first buffer sizes the
+    message and records the figure on it; the other N-1 reuse it, so the
+    per-holder cost is the buffer's bookkeeping, not a sizing.  Each round
+    buffers the sender's next message; the previous one is released
+    first, untimed."""
+    from dataclasses import replace
+
+    from repro.catocs.messages import DataMessage
+
+    sim = Simulator(seed=0)
+    net = Network(sim, LinkModel(latency=3.0))
+    pids = [f"m{i}" for i in range(size)]
+    group = build_group(sim, net, pids, ordering="causal", ack_period=0.0)
+    sender = group["m0"]
+    layers = [m.stack.layer("stability") for m in group.values()]
+    seqs = itertools.count(1)
+    last = []
+
+    def next_message():  # not timed
+        for msg in last:
+            for layer in layers:
+                layer.release(msg.msg_id)
+        seq = next(seqs)
+        msg = DataMessage(group=sender.group, sender="m0", seq=seq,
+                          payload={"kind": "update", "seq": seq}, sent_at=0.0)
+        sender.ordering.stamp(msg)
+        last[:] = [msg]
+        return (msg,), {}
+
+    def run(msg):
+        for layer in layers:
+            layer.buffer_message(msg)
+
+    benchmark.pedantic(run, setup=next_message, rounds=300, warmup_rounds=5)
+    msg = last[0]
+    assert msg._size == replace(msg).size_bytes()
+    for layer in layers:
+        assert layer.buffered_bytes() == msg._size
+        assert list(layer.buffer) == [msg.msg_id]

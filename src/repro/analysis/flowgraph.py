@@ -119,7 +119,8 @@ class Summary:
     """What one walk of a function body found, read by every later pass."""
 
     func: FunctionInfo
-    local_ctors: Dict[str, str] = field(default_factory=dict)
+    #: local name -> the classes it may hold (one, or a conditional's two)
+    local_ctors: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     param_annotations: Dict[str, str] = field(default_factory=dict)
     sends_params: Dict[str, int] = field(default_factory=dict)  # name -> line
     #: send primitive calls, timer callbacks unwrapped: (call, delayed, via)
@@ -250,9 +251,9 @@ class FlowGraph:
                 and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
             ):
-                ctor = self._ctor_name(node.value, summary)
-                if ctor:
-                    summary.local_ctors[node.targets[0].id] = ctor
+                ctors = self._ctor_names(node.value, summary)
+                if ctors:
+                    summary.local_ctors[node.targets[0].id] = ctors
         for call in calls:
             name = called_name(call)
             if name in ("add_message_handler", "isinstance"):
@@ -276,23 +277,20 @@ class FlowGraph:
             payload = self.payload_expr(call, via)
             if payload is None:
                 continue
-            resolved = self.resolve_payload(payload, summary)
-            if resolved is None:
-                continue
-            kind, value = resolved
-            if kind == "class":
-                self.sends.append(
-                    SendSite(
-                        message=value,
-                        context=func.qualname,
-                        relpath=func.relpath,
-                        lineno=call.lineno,
-                        via=via,
-                        delayed=delayed,
+            for kind, value in self.resolve_payload(payload, summary):
+                if kind == "class":
+                    self.sends.append(
+                        SendSite(
+                            message=value,
+                            context=func.qualname,
+                            relpath=func.relpath,
+                            lineno=call.lineno,
+                            via=via,
+                            delayed=delayed,
+                        )
                     )
-                )
-            elif kind == "param":
-                summary.sends_params.setdefault(value, call.lineno)
+                elif kind == "param":
+                    summary.sends_params.setdefault(value, call.lineno)
         return summary
 
     def payload_expr(self, call: ast.Call, via: str) -> Optional[ast.AST]:
@@ -311,40 +309,47 @@ class FlowGraph:
             return None
         return args[index]
 
-    def _ctor_name(self, node: ast.AST, summary: Summary) -> Optional[str]:
+    def _ctor_names(self, node: ast.AST, summary: Summary) -> Tuple[str, ...]:
+        """The classes a constructor call builds: one for ``A(...)``, each
+        branch's for ``(A if c else B)(...)``, none for anything else."""
         if not isinstance(node, ast.Call):
-            return None
-        name = dotted_name(node.func)
+            return ()
+        return self._class_names(node.func, summary)
+
+    def _class_names(self, callee: ast.AST, summary: Summary) -> Tuple[str, ...]:
+        if isinstance(callee, ast.IfExp):
+            return (self._class_names(callee.body, summary)
+                    + self._class_names(callee.orelse, summary))
+        name = dotted_name(callee)
         if name is None:
-            return None
+            return ()
         tail = name.rsplit(".", 1)[-1]
         if not tail[:1].isupper():
-            return None
+            return ()
         if tail in self.code.by_name:
-            return tail
+            return (tail,)
         # Imported-but-unscanned classes (fixture mode): accept only names
         # bound to this tree's own packages, so ``OrderedDict(...)`` does
         # not masquerade as a wire message.
         head = name.partition(".")[0]
         binding = self.code.imports.get(summary.func.relpath, {}).get(head)
         if binding and (binding.startswith("repro.") or binding.startswith(".")):
-            return tail
-        return None
+            return (tail,)
+        return ()
 
     def resolve_payload(
         self, expr: ast.AST, summary: Summary
-    ) -> Optional[Tuple[str, str]]:
-        """``("class", name)`` for a constructed message, ``("param",
-        name)`` for a parameter passed through, None when opaque."""
-        ctor = self._ctor_name(expr, summary)
-        if ctor:
-            return ("class", ctor)
-        if isinstance(expr, ast.Name):
+    ) -> List[Tuple[str, str]]:
+        """``("class", name)`` for each class a constructed message may be,
+        ``("param", name)`` for a parameter passed through, nothing when
+        opaque."""
+        ctors = self._ctor_names(expr, summary)
+        if not ctors and isinstance(expr, ast.Name):
             if expr.id in summary.local_ctors:
-                return ("class", summary.local_ctors[expr.id])
-            if expr.id in summary.func.params:
-                return ("param", expr.id)
-        return None
+                ctors = summary.local_ctors[expr.id]
+            elif expr.id in summary.func.params:
+                return [("param", expr.id)]
+        return [("class", ctor) for ctor in ctors]
 
     # Pass 2: fixpoint over forwarders ------------------------------------------
 
@@ -365,34 +370,31 @@ class FlowGraph:
                             arg = self._arg_for_param(call, callee, param)
                             if arg is None:
                                 continue
-                            resolved = self.resolve_payload(arg, summary)
-                            if resolved is None:
-                                continue
-                            kind, value = resolved
-                            if kind == "class":
-                                key = (
-                                    value,
-                                    qualname,
-                                    call.lineno,
-                                    f"{callee.name}({param})",
-                                )
-                                if key not in seen_sends:
-                                    seen_sends.add(key)
-                                    self.sends.append(
-                                        SendSite(
-                                            message=value,
-                                            context=qualname,
-                                            relpath=summary.func.relpath,
-                                            lineno=call.lineno,
-                                            via=key[3],
-                                            delayed=delayed,
-                                        )
+                            for kind, value in self.resolve_payload(arg, summary):
+                                if kind == "class":
+                                    key = (
+                                        value,
+                                        qualname,
+                                        call.lineno,
+                                        f"{callee.name}({param})",
                                     )
-                                    changed = True
-                            elif kind == "param":
-                                if value not in summary.sends_params:
-                                    summary.sends_params[value] = call.lineno
-                                    changed = True
+                                    if key not in seen_sends:
+                                        seen_sends.add(key)
+                                        self.sends.append(
+                                            SendSite(
+                                                message=value,
+                                                context=qualname,
+                                                relpath=summary.func.relpath,
+                                                lineno=call.lineno,
+                                                via=key[3],
+                                                delayed=delayed,
+                                            )
+                                        )
+                                        changed = True
+                                elif kind == "param":
+                                    if value not in summary.sends_params:
+                                        summary.sends_params[value] = call.lineno
+                                        changed = True
             if not changed:
                 break
 
@@ -433,8 +435,8 @@ class FlowGraph:
                 info = self.code.class_for(summary.param_annotations[expr.id])
                 return {info.qualname} if info else set()
             if expr.id in summary.local_ctors:
-                info = self.code.class_for(summary.local_ctors[expr.id])
-                return {info.qualname} if info else set()
+                infos = map(self.code.class_for, summary.local_ctors[expr.id])
+                return {info.qualname for info in infos if info}
             return set()
         if isinstance(expr, ast.Attribute):
             bases = self._expr_classes(expr.value, summary)
@@ -813,10 +815,11 @@ class HandlerWalk:
         if name in SEND_ARG:
             expr = self.flow.payload_expr(call, name)
             if expr is not None:
-                resolved = self.flow.resolve_payload(expr, frame.summary)
-                constructed = resolved is not None and resolved[0] == "class"
-                message = resolved[1] if constructed else None
-                self.send(message, name, call, frame, delayed)
+                classes = [value for kind, value
+                           in self.flow.resolve_payload(expr, frame.summary)
+                           if kind == "class"]
+                for message in classes or [None]:
+                    self.send(message, name, call, frame, delayed)
             return
         if not self.follows(call, delayed):
             return

@@ -99,9 +99,9 @@ class DirectoryServer(Process):
     def _gossip(self) -> None:
         targets = self.sim.rng.sample(self.peers, self.fanout) if self.fanout else []
         digest = GossipDigest(sender=self.pid, bindings=dict(self.bindings))
-        for target in targets:
-            self.send(target, digest)
-            self.gossip_sent += 1
+        # One digest, sized once for the whole fan-out.
+        self.send_many(targets, digest)
+        self.gossip_sent += len(targets)
         self.set_timer(self.gossip_period, self._gossip)
 
     def on_message(self, src: str, payload: Any) -> None:

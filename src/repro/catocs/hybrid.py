@@ -148,7 +148,7 @@ class HybridCausalOrdering(CausalOrdering):
     # -- receiver side -----------------------------------------------------------
 
     def insert(self, msg: DataMessage) -> None:
-        if not self._deliverable(msg) and len(self._queue) >= self.buffer_bound:
+        if len(self._queue) >= self.buffer_bound and not self._deliverable(msg):
             # Bounded buffer full: keep the header only.  The body is safe
             # in the sender's retention; refetch once dependencies clear.
             self.overflow_drops += 1

@@ -72,6 +72,19 @@ class DataMessage:
     #: here — eliminating delivery delay at a bandwidth cost.
     attached: Optional[List["DataMessage"]] = None
 
+    #: The wire size recorded by the first stability buffer that holds this
+    #: object (``StabilityLayer.buffer_message``); ``size_bytes()`` returns
+    #: it from then on.  Every send-path assignment (``vc``, ``attached``,
+    #: ``ack_vector``) happens before the sender buffers, and nothing
+    #: writes a field afterwards, so the figure never goes stale.  Only
+    #: buffering records it: a size taken earlier (the causal-graph
+    #: instrumentation sizes before ``send_down``) is not kept.  A class
+    #: attribute without an annotation, so not a dataclass field: eq,
+    #: ``fields()`` and the codec never see it, and a copy (a repair copy,
+    #: ``dataclasses.replace``, a decoded datagram) starts unsized.  (The
+    #: type comment is for mypy, which does not read it as a field either.)
+    _size = None  # type: Optional[int]
+
     def __post_init__(self) -> None:
         # Built once so every holder (buffers, delivery records, hold logs,
         # the causal graph) shares one tuple; ``sender``/``seq`` are never
@@ -101,6 +114,9 @@ class DataMessage:
         )
 
     def size_bytes(self) -> int:
+        size = self._size
+        if size is not None:
+            return size
         size = 24  # fixed header: group/sender refs, seq, timestamps
         size += estimate_size(self.payload)
         if self.vc is not None:

@@ -226,6 +226,22 @@ class CausalOrdering(OrderingLayer):
     resolves the same domain through its simulator (a socket host decodes
     stamps into it), so the stamp a sender attaches is compared against
     each receiver's ``delivered`` clock as two flat arrays.
+
+    Each message on the fast path takes the BSS test once, in
+    :meth:`insert`; :meth:`release_next` pops ``_fast`` without testing
+    again.  A message that passed stays deliverable until it is released,
+    because between view changes ``delivered`` only rises one delivery at
+    a time: the message's other components stay covered, and its sender's
+    entry reaches the message's seq only by delivering that id, once,
+    since **an id reaches** :meth:`insert` **at most once** (the dedup
+    layer drops repeats, and a hybrid stub is inserted only when its
+    refill arrives).  The sender's own :meth:`accept_local` raises only
+    its own entry, never a received message's sender.  The two view-change
+    events are the exceptions: a joiner's fast-forward (:meth:`on_join`)
+    can carry ``delivered`` past a message, and :meth:`forgive` can raise
+    a ceiling an earlier view set lower.  Both test again what waits on
+    the fast path.  ``deliver_ready`` drains ``_fast`` after every insert,
+    so that is nearly always nothing.
     """
 
     name = "causal"
@@ -306,14 +322,10 @@ class CausalOrdering(OrderingLayer):
     def release_next(self) -> Optional[DataMessage]:
         if self._decided:
             return self._decided.popleft()
-        while self._fast:
-            msg = self._fast.popleft()
-            if self._deliverable(msg):
-                return self._commit_release(msg)
-            # Deliverability was invalidated after insertion (e.g. a view
-            # change fast-forwarded ``delivered`` past it): fall back to the
-            # delay queue, where it waits like any other held message.
-            self._queue.append(msg)
+        if self._fast:
+            # Tested once, at insertion, and still deliverable (see the
+            # class notes): released without a second test.
+            return self._commit_release(self._fast.popleft())
         for queued in self._queue:
             if self._deliverable(queued):
                 self._queue.remove(queued)
@@ -324,6 +336,15 @@ class CausalOrdering(OrderingLayer):
         # History counts as delivered: causal conditions start at the
         # view's frontier for a joiner.
         self.delivered.merge_in(final_counts)
+        self._retest_fast()
+
+    def _retest_fast(self) -> None:
+        """Test again each message waiting on the fast path, after an event
+        that can turn a passed test into a failed one (see the class
+        notes); one that fails goes to the delay queue."""
+        fast, self._fast = self._fast, deque()
+        for msg in fast:
+            (self._fast if self._deliverable(msg) else self._queue).append(msg)
 
     def forgive(self, ceiling: Dict[str, int]) -> None:
         """Install the post-view-change recoverability ceiling.
@@ -337,6 +358,7 @@ class CausalOrdering(OrderingLayer):
             for pid, count in self._ceiling.items():
                 merged[pid] = max(merged.get(pid, 0), count)
         self._ceiling = merged
+        self._retest_fast()
 
 
 class TotalSequencerOrdering(CausalOrdering):
@@ -909,18 +931,13 @@ class TotalAgreedOrdering(OrderingLayer):
         message, so that its receiver keeps the message buffered too."""
         member = self.member
         priority, tiebreak = self._commit_values[msg_id]
-        fields = dict(group=member.group, sender=member.pid, msg_id=msg_id,
-                      priority=priority, tiebreak=tiebreak)
-        if msg_id in self._forced:
-            self._send(to, ForcedCommit(**fields))
-        else:
-            self._send(to, PriorityCommit(**fields))
-
-    def _send(self, to: Optional[str], payload: Any) -> None:
+        commit = (ForcedCommit if msg_id in self._forced else PriorityCommit)(
+            group=member.group, sender=member.pid, msg_id=msg_id,
+            priority=priority, tiebreak=tiebreak)
         if to is None:
-            self.member.broadcast_control(payload)
+            member.broadcast_control(commit)
         else:
-            self.member.send_control(to, payload)
+            member.send_control(to, commit)
 
     def _close(self, msg_id: MsgId) -> None:
         """Take a held message out of its sender's open seqs."""

@@ -465,7 +465,11 @@ class StabilityLayer(ProtocolLayer):
 
     def buffer_message(self, msg: DataMessage) -> None:
         mid = msg.msg_id
-        size = msg.size_bytes()
+        size = msg._size
+        if size is None:
+            # The first buffer to hold this object sizes it for every later
+            # holder (see ``DataMessage._size``).
+            size = msg._size = msg.size_bytes()
         held = self._entry_bytes.get(mid)
         if held is None:
             held = 0
@@ -610,7 +614,8 @@ class PiggybackLayer(ProtocolLayer):
     It sits above ``stability`` (``"dedup|stability|piggyback|causal"``):
     the stack pushes top to bottom, so the attachments are on the carrier
     before the stability layer buffers and sizes it, and the carrier is not
-    yet in the buffer it scans.  The receive side needs no layer.
+    yet in the buffer it scans; a spec with it below ``stability`` is
+    refused when the stack is built.  The receive side needs no layer.
     """
 
     name = "piggyback"
@@ -619,10 +624,19 @@ class PiggybackLayer(ProtocolLayer):
     def __init__(self, member: "GroupMember") -> None:
         super().__init__(member)
         self.piggybacked_bytes = 0
+        self._stability: Optional[StabilityLayer] = None
+
+    def on_attached(self) -> None:
+        stability = self._stability = self.stack.layer("stability")
+        layers = self.stack.layers
+        if stability is not None and layers.index(self) < layers.index(stability):
+            # The stability layer buffers, and so sizes for good, a message
+            # that must already carry its attachments.
+            raise ValueError(f"piggyback must sit above stability: {self.stack.spec!r}")
 
     def send_down(self, msg: DataMessage) -> None:
         vc = msg.vc
-        stability = self.stack.layer("stability")
+        stability = self._stability
         if vc is None or stability is None:
             return
         msg.attached = [m.repair_copy() for m in stability.buffer.values()

@@ -72,12 +72,19 @@ class MatrixClock:
             return
         known = row.get
         frontier = self._mins.get
+        ties = self._ties
         for subject, count in counts.items():
             old = known(subject, 0)
             if count > old:
                 row[subject] = count
                 if old == frontier(subject):  # None for a non-member subject
-                    self._left_minimum(subject)
+                    # This row rose off the column minimum: one tie fewer,
+                    # and the column is read again only when none is left.
+                    left = ties[subject] - 1
+                    if left:
+                        ties[subject] = left
+                    else:
+                        self._rescan(subject)
 
     def set_component(self, observer: str, subject: str, count: int) -> None:
         """Record that ``observer`` has seen ``subject``'s first ``count`` events."""
@@ -88,19 +95,19 @@ class MatrixClock:
         if count > old:
             row[subject] = count
             if old == self._mins.get(subject):
-                self._left_minimum(subject)
+                left = self._ties[subject] - 1
+                if left:
+                    self._ties[subject] = left
+                else:
+                    self._rescan(subject)
 
-    def _left_minimum(self, subject: str) -> None:
-        """A row rose off ``subject``'s column minimum.  While other rows
-        still sit there the frontier stands; the last one to leave moves it,
-        and only then is the column read again."""
-        ties = self._ties[subject] - 1
-        if not ties:
-            column = [row[subject] for row in self._rows.values()]
-            low = self._mins[subject] = min(column)
-            ties = column.count(low)
-            self.moves += 1
-        self._ties[subject] = ties
+    def _rescan(self, subject: str) -> None:
+        """The last row at ``subject``'s column minimum rose off it: read
+        the column again, and the frontier moves."""
+        column = [row[subject] for row in self._rows.values()]
+        low = self._mins[subject] = min(column)
+        self._ties[subject] = column.count(low)
+        self.moves += 1
 
     def min_vector(self) -> Dict[str, int]:
         """Componentwise minimum over all rows, one entry per member, as a

@@ -72,6 +72,23 @@ def test_typed_handler_registration_and_imported_wire_class():
     assert {"Rogue", "FineLayer"} <= contexts
 
 
+def test_a_conditional_constructor_sends_both_classes():
+    flow = fixture_graph("flow_conditional.py")
+    by_site = {}
+    for site in flow.sends:
+        if site.context.endswith("Arbiter._on_request"):
+            by_site.setdefault((site.lineno, site.via), set()).add(site.message)
+    # direct, through a local, and through the forwarder's parameter
+    assert sorted(by_site.values(), key=sorted) == [{"Deny", "Grant"}] * 3
+    assert {via for _, via in by_site} == {"send", "_reply(payload)"}
+    # the handler walk takes each class: a same-tick edge to both
+    assert {("Request", "Grant"), ("Request", "Deny")} <= flow.edges
+    for name in ("Grant", "Deny"):
+        assert flow.is_sent(name) and flow.is_handled(name)
+    # a local bound to the class itself stays unresolved
+    assert not flow.is_sent("Early") and not flow.is_sent("Late")
+
+
 def test_code_graph_resolves_fixture_hierarchy():
     project = load_project(paths=[FIXTURES / "flow_layer_bypass.py"])
     code = build_code_graph(project.src_modules)

@@ -60,6 +60,13 @@ def test_spec_requires_ordering_on_top():
         resolve_spec("dedup|stability")
 
 
+def test_piggyback_below_stability_rejected():
+    # The carrier would be buffered, and its size recorded, before it
+    # carries its attachments.
+    with pytest.raises(ValueError, match="piggyback must sit above stability"):
+        _group(ordering="dedup|piggyback|stability|causal")
+
+
 def test_duplicate_layers_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         resolve_spec("dedup|dedup|causal")
