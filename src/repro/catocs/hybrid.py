@@ -50,6 +50,7 @@ from repro.catocs.stack import register_layer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catocs.member import GroupMember
+    from repro.catocs.transport import DedupRepairLayer
 
 
 class HybridCausalOrdering(CausalOrdering):
@@ -80,6 +81,9 @@ class HybridCausalOrdering(CausalOrdering):
         #: peer pid -> the delivered counts it last acknowledged
         self._acked: Dict[str, Dict[str, int]] = {}
         self._last_ack_sent: Dict[str, int] = {}
+        #: the dedup layer's duplicate count at the last ack sent
+        self._duplicates_acked = 0
+        self._dedup: Optional["DedupRepairLayer"] = None
 
         self.overflow_drops = 0
         self.refetches_sent = 0
@@ -89,6 +93,9 @@ class HybridCausalOrdering(CausalOrdering):
         self.peak_retained = 0
         member.set_timer(self.ack_interval, self._ack_tick)
         member.set_timer(self.resend_period, self._resend_tick)
+
+    def on_attached(self) -> None:
+        self._dedup = self.stack.layer("dedup")  # may be None
 
     # -- sender side -------------------------------------------------------------
 
@@ -133,11 +140,16 @@ class HybridCausalOrdering(CausalOrdering):
         self.member.set_timer(self.resend_period, self._resend_tick)
 
     def _ack_tick(self) -> None:
+        """Ack the delivered counts when they moved, or when a duplicate came
+        since the last ack: a re-send of a delivered message means that ack
+        was lost, and without a new one the sender would re-send forever."""
         counts = {
             pid: count for pid, count in self.delivered.as_dict().items() if count
         }
-        if counts != self._last_ack_sent:
+        duplicates = self._dedup.duplicates if self._dedup is not None else 0
+        if counts != self._last_ack_sent or duplicates != self._duplicates_acked:
             self._last_ack_sent = dict(counts)
+            self._duplicates_acked = duplicates
             self.acks_sent += 1
             ack = HybridAck(
                 group=self.member.group, sender=self.member.pid, delivered=counts

@@ -378,6 +378,14 @@ class TotalSequencerOrdering(CausalOrdering):
     order they cleared its causal filter, then continues from
     ``_next_assign``: one past the highest index this member knows of,
     from its own assignments, received tokens, the flush merge or a join.
+
+    ``_order`` and ``_assigned`` keep one entry per message ever ordered,
+    unbounded: any member answers an ``OrderTokenRequest`` from its map,
+    from the asker's delivery point up, and the flush hands the whole map
+    over so that a new sequencer continues past every surviving assignment.
+    ``_assigned`` stops a new sequencer giving a second index to a message
+    whose token beat its data, which may arrive as late as repair allows.
+    Pruning either needs every member's delivery point, never learnt here.
     """
 
     name = "total-seq"

@@ -44,18 +44,3 @@ def happens_before(a: DenseVectorClock, b: DenseVectorClock) -> bool:
 def concurrent(a: DenseVectorClock, b: DenseVectorClock) -> bool:
     """True iff neither event causally precedes the other."""
     return compare(a, b) is Ordering.CONCURRENT
-
-
-def is_causal_delivery_order(stamps: list[DenseVectorClock]) -> bool:
-    """Check that a delivery sequence never inverts happens-before.
-
-    For every pair (i, j) with i < j in delivery order, it must not be the
-    case that stamps[j] happens-before stamps[i].  Used by the property-based
-    tests to validate the causal multicast implementation against arbitrary
-    schedules.
-    """
-    for i in range(len(stamps)):
-        for j in range(i + 1, len(stamps)):
-            if happens_before(stamps[j], stamps[i]):
-                return False
-    return True

@@ -28,7 +28,7 @@ SEEDS = range(5)
 DISCIPLINES = ("raw", "fifo")
 
 
-def _short(qualname: str) -> str:
+def _class_name(qualname: str) -> str:
     return qualname.rsplit(".", 1)[-1]
 
 
@@ -43,7 +43,7 @@ def static_model():
         for i, a in enumerate(rows):
             for b in rows[i + 1:]:
                 if a.message != b.message and table.conflicts(a, b):
-                    pairs.add(frozenset({_short(a.message), _short(b.message)}))
+                    pairs.add(frozenset({_class_name(a.message), _class_name(b.message)}))
         for row in rows:
             for effect in row.effects:
                 if (effect.kind == "assign" and effect.payload_derived

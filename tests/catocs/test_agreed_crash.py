@@ -2,7 +2,8 @@
 view change deciding the fate of in-flight ordering decisions."""
 
 from repro.catocs import build_group
-from repro.sim import FailureInjector, LinkModel, Network, Simulator
+from repro.sim import EventTrace, FailureInjector, LinkModel, Network, Simulator
+from tests.catocs.test_check import assert_judged
 
 
 def build(seed=0, n=4):
@@ -10,7 +11,7 @@ def build(seed=0, n=4):
     net = Network(sim, LinkModel(latency=5.0, jitter=2.0))
     pids = [f"p{i}" for i in range(n)]
     members = build_group(sim, net, pids, ordering="total-agreed",
-                          with_membership=True,
+                          with_membership=True, trace=EventTrace(),
                           heartbeat_period=8.0, heartbeat_timeout=28.0)
     return sim, net, pids, members, None
 
@@ -21,9 +22,7 @@ def test_commit_proceeds_without_crashed_members_proposal():
     # multicast after the crash: p3 will never propose.
     sim.call_at(50.0, members["p0"].multicast, "needs-agreement")
     sim.run(until=4000)
-    survivors = [m for m in members.values() if m.alive]
-    for m in survivors:
-        assert m.delivered_payloads() == ["needs-agreement"], m.pid
+    assert_judged(members, "total-agreed", 1)
 
 
 def test_stream_continues_across_crash_with_identical_order():
@@ -33,10 +32,7 @@ def test_stream_continues_across_crash_with_identical_order():
         sender = pids[k % 3]  # survivors only, to keep message set identical
         sim.call_at(10.0 + k * 20.0, members[sender].multicast, f"m{k:02d}")
     sim.run(until=6000)
-    survivors = [m for m in members.values() if m.alive]
-    orders = [tuple(m.delivered_payloads()) for m in survivors]
-    assert all(len(o) == 12 for o in orders), [len(o) for o in orders]
-    assert len(set(orders)) == 1, orders
+    assert_judged(members, "total-agreed", 12)
 
 
 def test_crashed_senders_inflight_message_resolves_consistently():
@@ -47,10 +43,6 @@ def test_crashed_senders_inflight_message_resolves_consistently():
     FailureInjector(sim, net).crash_at(11.0, "p3")
     sim.call_at(200.0, members["p0"].multicast, "after")
     sim.run(until=6000)
-    survivors = [m for m in members.values() if m.alive]
-    orders = [tuple(p for p in m.delivered_payloads()) for m in survivors]
     # "after" delivers everywhere; "last-words" either delivers before it
     # everywhere or nowhere (no split decisions).
-    for order in orders:
-        assert "after" in order
-    assert len(set(orders)) == 1, orders
+    assert_judged(members, "total-agreed", 2)

@@ -19,7 +19,8 @@ from repro.catocs.messages import (
     ProposalRequest,
 )
 from repro.experiments.e07_overhead import _measure
-from repro.sim import LinkModel, Network, Simulator
+from repro.sim import EventTrace, LinkModel, Network, Simulator
+from tests.catocs.test_check import assert_judged
 
 PIDS = ["p0", "p1", "p2", "p3", "p4"]
 LATENCY = 3.0
@@ -53,7 +54,7 @@ def _run(seed, drop_prob):
     """Sixty round-robin multicasts through five members, run to quiescence."""
     sim = Simulator(seed=seed)
     net = RecordingNetwork(sim, LinkModel(latency=3.0, jitter=2.0, drop_prob=drop_prob))
-    group = build_group(sim, net, PIDS, ordering="total-agreed")
+    group = build_group(sim, net, PIDS, ordering="total-agreed", trace=EventTrace())
     for k in range(60):
         sim.call_at(1.0 + k, group[PIDS[k % 4]].multicast, k)
     sim.run(until=900.0)
@@ -75,8 +76,7 @@ def test_commit_requests_go_to_the_sender_and_never_from_it():
             sender = request.msg_id[0]
             assert src == request.requester != sender
             assert dst == sender  # nobody is suspected: ask only the sender
-        orders = {tuple(r.msg_id for r in m.delivered) for m in group.values()}
-        assert len(orders) == 1 and len(next(iter(orders))) == 60
+        assert_judged(group, "total-agreed", 60)
 
 
 def test_a_drained_lossy_run_leaves_no_agreement_state():
@@ -145,23 +145,12 @@ def test_a_sender_commits_its_messages_in_seq_order():
     assert orders == {(("p0", 1), ("p0", 2))}
 
 
-def _out_of_send_order(member):
-    """Ids ``member`` delivered after a later seq from the same sender."""
-    highest, late = {}, []
-    for record in member.delivered:
-        sender, seq = record.msg_id
-        if seq < highest.get(sender, 0):
-            late.append(record.msg_id)
-        highest[sender] = max(highest.get(sender, 0), seq)
-    return late
-
-
 def _round_robin(drop_prob):
     """Four members, sixty round-robin multicasts on seed 0."""
     pids = PIDS[:4]
     sim = Simulator(seed=0)
     net = Network(sim, LinkModel(latency=LATENCY, jitter=2.0, drop_prob=drop_prob))
-    group = build_group(sim, net, pids, ordering="total-agreed")
+    group = build_group(sim, net, pids, ordering="total-agreed", trace=EventTrace())
     for k in range(60):
         sim.call_at(1.0 + k, group[pids[k % 4]].multicast, k)
     sim.run(until=900.0)
@@ -174,11 +163,7 @@ def test_every_member_delivers_each_sender_in_send_order(drop_prob):
     gets a message late, by repair, and proposes high for it, so without
     the sender's raise its next commit would go below it (12 of 240
     deliveries after a later seq from the same sender)."""
-    group = _round_robin(drop_prob)
-    orders = {tuple(r.msg_id for r in m.delivered) for m in group.values()}
-    assert len(orders) == 1 and len(next(iter(orders))) == 60
-    late = {pid: _out_of_send_order(member) for pid, member in group.items()}
-    assert late == dict.fromkeys(group, [])
+    assert_judged(_round_robin(drop_prob), "total-agreed", 60)
 
 
 def test_a_commit_not_above_the_senders_last_goes_out_one_above_it():

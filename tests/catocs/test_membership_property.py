@@ -4,7 +4,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.catocs import build_group
-from repro.sim import FailureInjector, LinkModel, Network, Simulator
+from repro.sim import EventTrace, FailureInjector, LinkModel, Network, Simulator
+from tests.catocs.test_check import assert_judged
 
 
 @given(
@@ -22,7 +23,7 @@ def test_survivors_converge_on_membership_after_random_crashes(size, crashes, se
     net = Network(sim, LinkModel(latency=5.0, jitter=3.0))
     pids = [f"p{i}" for i in range(size)]
     members = build_group(sim, net, pids, ordering="causal",
-                          with_membership=True,
+                          with_membership=True, trace=EventTrace(),
                           heartbeat_period=8.0, heartbeat_timeout=28.0)
     injector = FailureInjector(sim, net)
     victims = pids[-len(crashes):]
@@ -39,12 +40,7 @@ def test_survivors_converge_on_membership_after_random_crashes(size, crashes, se
     assert views == {expected_members}, views
     ids = {m.view_id for m in survivors}
     assert len(ids) == 1
-    # all of p0's multicasts reached every survivor, in per-sender order
-    for m in survivors:
-        if m.pid == pids[0]:
-            continue
-        got = [p for p in m.delivered_payloads() if isinstance(p, str)]
-        assert got == [f"m{k}" for k in range(30)], (m.pid, got[:5], len(got))
+    assert_judged(members, "causal", 30)  # p0's stream reached every survivor
 
 
 @given(seed=st.integers(0, 300))

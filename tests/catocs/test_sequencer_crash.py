@@ -2,7 +2,8 @@
 
 from repro.catocs import build_group
 from repro.catocs.messages import DataMessage
-from repro.sim import FailureInjector, LinkModel, Network, Simulator
+from repro.sim import EventTrace, FailureInjector, LinkModel, Network, Simulator
+from tests.catocs.test_check import assert_judged
 
 
 class HoldingNetwork(Network):
@@ -26,7 +27,7 @@ def build(seed=0, n=4, **hold):
     net = HoldingNetwork(sim, LinkModel(latency=5.0, jitter=2.0), **hold)
     pids = [f"p{i}" for i in range(n)]
     members = build_group(sim, net, pids, ordering="total-seq",
-                          with_membership=True,
+                          with_membership=True, trace=EventTrace(),
                           heartbeat_period=8.0, heartbeat_timeout=28.0)
     return sim, net, pids, members
 
@@ -39,12 +40,9 @@ def test_new_sequencer_takes_over_and_order_stays_identical():
         sender = pids[1 + k % 3]
         sim.call_at(10.0 + k * 20.0, members[sender].multicast, f"m{k:02d}")
     sim.run(until=6000)
-    survivors = [m for m in members.values() if m.alive]
-    orders = [tuple(m.delivered_payloads()) for m in survivors]
-    assert all(len(o) == 16 for o in orders), [len(o) for o in orders]
-    assert len(set(orders)) == 1, orders
+    assert_judged(members, "total-seq", 16)
     # the takeover really happened
-    assert all(m.sequencer_pid() == "p1" for m in survivors)
+    assert all(m.sequencer_pid() == "p1" for m in members.values() if m.alive)
 
 
 def test_sequencers_own_inflight_messages_resolve():
@@ -55,11 +53,7 @@ def test_sequencers_own_inflight_messages_resolve():
     FailureInjector(sim, net).crash_at(30.0, "p0")
     sim.call_at(300.0, members["p1"].multicast, "after")
     sim.run(until=6000)
-    survivors = [m for m in members.values() if m.alive]
-    orders = [tuple(m.delivered_payloads()) for m in survivors]
-    for order in orders:
-        assert "after" in order
-    assert len(set(orders)) == 1, orders
+    assert_judged(members, "total-seq", 2)
 
 
 def test_back_to_back_sequencer_failovers():
@@ -71,11 +65,8 @@ def test_back_to_back_sequencer_failovers():
         sender = pids[2 + k % 3]
         sim.call_at(10.0 + k * 25.0, members[sender].multicast, f"m{k:02d}")
     sim.run(until=8000)
-    survivors = [m for m in members.values() if m.alive]
-    orders = [tuple(m.delivered_payloads()) for m in survivors]
-    assert all(len(o) == 20 for o in orders), [len(o) for o in orders]
-    assert len(set(orders)) == 1
-    assert all(m.sequencer_pid() == "p2" for m in survivors)
+    assert_judged(members, "total-seq", 20)
+    assert all(m.sequencer_pid() == "p2" for m in members.values() if m.alive)
 
 
 def _failover_sweep_run(seed, gap):
@@ -87,7 +78,7 @@ def _failover_sweep_run(seed, gap):
         sender = pids[1 + k % 3]
         sim.call_at(10.0 + k * gap, members[sender].multicast, f"m{k:02d}")
     sim.run(until=6000)
-    return [m for m in members.values() if m.alive]
+    return members
 
 
 def test_a_member_never_suspects_itself_after_failover():
@@ -96,23 +87,20 @@ def test_a_member_never_suspects_itself_after_failover():
     # refreshed last_heard["p1"], and p1 later suspected itself.  p1 then
     # took p2 for the sequencer, p2 and p3 took p1, and every survivor
     # stopped at 31 of 60.
-    survivors = _failover_sweep_run(seed=3, gap=7)
-    assert all(m.believes_alive(m.pid) for m in survivors)
-    orders = [tuple(m.delivered_payloads()) for m in survivors]
-    assert all(len(o) == 60 for o in orders), [len(o) for o in orders]
-    assert len(set(orders)) == 1
+    members = _failover_sweep_run(seed=3, gap=7)
+    assert all(m.believes_alive(m.pid) for m in members.values() if m.alive)
+    assert_judged(members, "total-seq", 60)
 
 
 def test_a_new_sequencer_continues_past_received_assignments():
     # p1 became sequencer by suspicion having assigned nothing itself, and
     # numbered from 0 again: it overwrote an index already delivered, and
     # the message it assigned there, ("p3", 19), was never delivered.
-    survivors = _failover_sweep_run(seed=0, gap=3)
-    for member in survivors:
-        assert ("p3", 19) in [r.msg_id for r in member.delivered], member.pid
-    orders = [tuple(m.delivered_payloads()) for m in survivors]
-    assert all(len(o) == 60 for o in orders), [len(o) for o in orders]
-    assert len(set(orders)) == 1
+    members = _failover_sweep_run(seed=0, gap=3)
+    for member in members.values():
+        if member.alive:
+            assert ("p3", 19) in [r.msg_id for r in member.delivered], member.pid
+    assert_judged(members, "total-seq", 60)
 
 
 def test_a_new_sequencer_does_not_reassign_a_message_whose_token_came_first():

@@ -1,7 +1,8 @@
 """View-change edge cases: failures during the flush protocol itself."""
 
 from repro.catocs import build_group
-from repro.sim import FailureInjector, LinkModel, Network, Simulator
+from repro.sim import EventTrace, FailureInjector, LinkModel, Network, Simulator
+from tests.catocs.test_check import assert_judged
 
 
 def build(seed=0, n=5):
@@ -9,7 +10,7 @@ def build(seed=0, n=5):
     net = Network(sim, LinkModel(latency=5.0, jitter=2.0))
     pids = [f"p{i}" for i in range(n)]
     members = build_group(sim, net, pids, ordering="causal",
-                          with_membership=True,
+                          with_membership=True, trace=EventTrace(),
                           heartbeat_period=8.0, heartbeat_timeout=28.0)
     return sim, net, pids, members
 
@@ -58,8 +59,4 @@ def test_traffic_across_double_view_change_is_complete_and_ordered():
     for k in range(50):
         sim.call_at(10.0 + k * 15.0, members["p1"].multicast, f"m{k:02d}")
     sim.run(until=5000)
-    survivors = [m for m in members.values() if m.alive]
-    expected = [f"m{k:02d}" for k in range(50)]
-    for m in survivors:
-        got = [p for p in m.delivered_payloads() if isinstance(p, str)]
-        assert got == expected, (m.pid, len(got))
+    assert_judged(members, "causal", 50)

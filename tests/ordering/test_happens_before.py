@@ -4,7 +4,6 @@ clock oracle (the vocabulary needs only ``<=``)."""
 from dict_clock import VectorClock
 
 from repro.ordering import Ordering, compare, concurrent, happens_before
-from repro.ordering.happens_before import is_causal_delivery_order
 
 
 def test_compare_all_cases():
@@ -23,22 +22,3 @@ def test_predicates():
     assert happens_before(a, b)
     assert not happens_before(b, a)
     assert concurrent(VectorClock({"p": 1}), VectorClock({"q": 1}))
-
-
-def test_is_causal_delivery_order_accepts_valid():
-    m1 = VectorClock({"p": 1})
-    m2 = VectorClock({"p": 1, "q": 1})
-    m3 = VectorClock({"r": 1})
-    assert is_causal_delivery_order([m1, m3, m2])
-    assert is_causal_delivery_order([m3, m1, m2])
-
-
-def test_is_causal_delivery_order_rejects_inversion():
-    m1 = VectorClock({"p": 1})
-    m2 = VectorClock({"p": 1, "q": 1})
-    assert not is_causal_delivery_order([m2, m1])
-
-
-def test_empty_and_singleton_orders_valid():
-    assert is_causal_delivery_order([])
-    assert is_causal_delivery_order([VectorClock({"p": 1})])

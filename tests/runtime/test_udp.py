@@ -27,8 +27,9 @@ from repro.catocs.messages import (
 )
 from repro.ordering.dense import ClockDomain, group_domain
 from repro.runtime import AsyncioClock, UdpNetwork, codec, run_for
-from repro.sim import Process
+from repro.sim import EventTrace, Process
 from repro.sim.network import LinkModel, Network, NetworkStats
+from tests.catocs.test_check import assert_judged
 
 
 def _build_group(clock, net, pids, ordering, **kwargs):
@@ -144,7 +145,7 @@ def test_causal_group_over_udp_loopback():
     async def scenario():
         clock = AsyncioClock(seed=1)
         net = UdpNetwork(clock, LinkModel(latency=0.004, jitter=0.004, drop_prob=0.1))
-        members = _build_group(clock, net, ["a", "b", "c"], "causal")
+        members = _build_group(clock, net, ["a", "b", "c"], "causal", trace=EventTrace())
         await net.start()
 
         def react(src, payload, msg):
@@ -156,12 +157,10 @@ def test_causal_group_over_udp_loopback():
         clock.call_later(0.02, members["c"].multicast, "noise")
         await run_for(1.2)
         net.close()
-        return {pid: m.delivered_payloads() for pid, m in members.items()}, net
+        return members, net
 
-    orders, net = asyncio.run(scenario())
-    for pid, got in orders.items():
-        assert sorted(got) == ["cause", "effect", "noise"], (pid, got)
-        assert got.index("cause") < got.index("effect"), (pid, got)
+    members, net = asyncio.run(scenario())
+    assert_judged(members, "causal", 3)  # cause, then b's effect, and noise
     assert net.decode_errors == 0
     assert net.stats.bytes_delivered > 0  # real datagram bytes, not estimates
 
@@ -216,18 +215,16 @@ def test_total_order_over_udp_loopback():
     async def scenario():
         clock = AsyncioClock(seed=2)
         net = UdpNetwork(clock, LinkModel(latency=0.003, jitter=0.005))
-        members = _build_group(clock, net, ["a", "b", "c"], "total-seq")
+        members = _build_group(clock, net, ["a", "b", "c"], "total-seq", trace=EventTrace())
         await net.start()
         for k in range(6):
             sender = ["a", "b", "c"][k % 3]
             clock.call_later(0.005 + k * 0.01, members[sender].multicast, f"m{k}")
         await run_for(0.8)
         net.close()
-        return [tuple(m.delivered_payloads()) for m in members.values()]
+        return members
 
-    orders = asyncio.run(scenario())
-    assert all(len(o) == 6 for o in orders)
-    assert len(set(orders)) == 1  # identical total order over real sockets
+    assert_judged(asyncio.run(scenario()), "total-seq", 6)  # over real sockets
 
 
 def test_agreed_order_repairs_over_lossy_udp_loopback():
@@ -239,19 +236,18 @@ def test_agreed_order_repairs_over_lossy_udp_loopback():
         clock = AsyncioClock(seed=0)
         net = UdpNetwork(clock, LinkModel(latency=0.003, jitter=0.002, drop_prob=0.15))
         members = _build_group(clock, net, ["a", "b", "c"], "total-agreed",
-                               nak_delay=0.02)
+                               nak_delay=0.02, trace=EventTrace())
         await net.start()
         for k in range(12):
             sender = ["a", "b", "c"][k % 3]
             clock.call_later(0.005 + k * 0.01, members[sender].multicast, f"m{k:02d}")
         await run_for(1.5)
         net.close()
-        return [tuple(m.delivered_payloads()) for m in members.values()], net.stats
+        return members, net.stats
 
-    orders, stats = asyncio.run(scenario())
+    members, stats = asyncio.run(scenario())
     assert stats.dropped > 0
-    assert all(len(order) == 12 for order in orders), [len(o) for o in orders]
-    assert len(set(orders)) == 1, orders
+    assert_judged(members, "total-agreed", 12)
 
 
 def test_loss_repair_over_udp_loopback():
