@@ -201,7 +201,7 @@ def test_trace_filtering_throughput(benchmark):
     def run():
         return len(trace.for_pid("p7")) + len(trace.of_kind("deliver"))
 
-    # indexed filtering: O(result), not O(trace)
+    # each filter is one scan of the 100k entries
     assert benchmark(run) == 1000 + 33_333
 
 

@@ -3,12 +3,17 @@
 Four members with membership and a heartbeat detector (period 8, timeout
 28); p0, the lowest pid and so the ``total-seq`` sequencer and the view
 coordinator, crashes at 150 while p1-p3 multicast 60 messages, one every
-``gap`` units from 10.  For seeds 0-39, each gap and no loss or 5% loss,
-:func:`repro.check.judge` must find that every survivor delivered all 60
-exactly once, in every order the discipline claims.  ``total-seq`` once failed
-17 of its 120 runs here: a member that had become sequencer asked itself
-for a token and came to suspect itself (the group stalled), or numbered
-from 0 again and overwrote an index already delivered (one message lost).
+``gap`` units from 10.  p1 answers some of p2's messages with a multicast
+of its own as it delivers them, and p2's packets to p3 take ten units
+longer than any other link's, so each answer can reach p3 before the
+message it answers: a causal layer that let it through would invert
+causal order even with no loss.  For seeds 0-39, each gap and no loss or
+5% loss, :func:`repro.check.judge` must find that every survivor delivered
+all 60 and the answers exactly once, in every order the discipline claims.
+``total-seq`` once failed 17 of its 120 runs here: a member that had
+become sequencer asked itself for a token and came to suspect itself (the
+group stalled), or numbered from 0 again and overwrote an index already
+delivered (one message lost).
 At 5% loss every discipline once fell short at gap 7 on a few seeds, when a
 survivor lost the view install and stayed send-suppressed in the old view,
 and ``total-agreed`` broke send order on every seed at gaps 1 and 3.
@@ -27,15 +32,25 @@ from tests.catocs.test_receipt_once import fast_path_checked
 PIDS = [f"p{i}" for i in range(4)]
 MULTICASTS = 60
 SEEDS = range(40)
+#: the messages of p2 (``k % 3 == 1``) that p1 answers as it delivers them
+ANSWERED = range(1, MULTICASTS, 12)
 
 
 def _run(ordering, seed, gap, drop_prob):
-    """The multicasts sent (not one left queued by a view change) and the verdict."""
+    """The multicasts sent, answers included (not one left queued by a view
+    change), and the verdict."""
     sim = Simulator(seed=seed)
     net = Network(sim, LinkModel(latency=5.0, jitter=2.0, drop_prob=drop_prob))
+    net.set_link("p2", "p3", LinkModel(latency=15.0, jitter=2.0, drop_prob=drop_prob))
     trace = EventTrace()
+
+    def answer(sender, payload, msg):
+        if sender == "p2" and payload in ANSWERED:
+            members["p1"].multicast(("answer", payload))
+
     members = build_group(sim, net, PIDS, ordering=ordering, with_membership=True,
-                          heartbeat_period=8.0, heartbeat_timeout=28.0, trace=trace)
+                          heartbeat_period=8.0, heartbeat_timeout=28.0, trace=trace,
+                          on_deliver=lambda pid: answer if pid == "p1" else None)
     FailureInjector(sim, net).crash_at(150.0, "p0")
     for k in range(MULTICASTS):
         sim.call_at(10.0 + k * gap, members[PIDS[1 + k % 3]].multicast, k)
@@ -52,7 +67,7 @@ def test_failover_every_survivor_delivers_everything(ordering, gap, drop_prob):
     with fast_path_checked() as checked:
         for seed in SEEDS:
             sent, verdict = _run(ordering, seed, gap, drop_prob)
-            if sent != MULTICASTS or not verdict.ok:
+            if sent != MULTICASTS + len(ANSWERED) or not verdict.ok:
                 short[seed] = (sent, verdict.faults[:3])
     assert not short, short
     # causal and total-seq release through the BSS filter, each release

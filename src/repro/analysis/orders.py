@@ -3,18 +3,16 @@
 The paper's Section 2 taxonomy is a lattice of delivery orders — no
 guarantee ⊂ FIFO ⊂ causal ⊂ total — plus the orthogonal *stability*
 property (a message is stable once every member is known to hold it) that
-Section 3.1's "can't say for sure" argument turns on.  This module maps
-each registered discipline or explicit spec string onto that lattice, so
-the ORD rules can ask "is the order this handler assumes actually promised
-by the stack the class is configured with?".
+Section 3.1's "can't say for sure" argument turns on.  This module
+attaches that lattice to the classes under analysis, so the ORD rules can
+ask "is the order this handler assumes actually promised by the stack the
+class is configured with?".
 
-The mapping is deliberately hybrid: the ordering *level* of a layer name
-comes from a small table over the built-in disciplines, but spec
-resolution goes through the real registry
-(:func:`repro.catocs.stack.resolve_spec`) so aliases, layer order and
-validity always agree with the runtime.  A layer the table does not know
-is treated as promising **nothing** — the model only under-claims, so a
-new exotic ordering layer can never silence a real finding.
+What a spec promises is declared by the layers themselves
+(:func:`repro.catocs.stack.guarantee`: the top layer's ``order``, and
+``stable`` if any layer is), so aliases, layer order, validity and the
+promise always agree with the runtime registry.  A spec the registry
+refuses resolves to ``None`` here and configures nothing.
 
 Guarantees are attached to classes by lexical resolution, weakest wins:
 
@@ -30,42 +28,11 @@ Guarantees are attached to classes by lexical resolution, weakest wins:
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.callgraph import ClassInfo, CodeGraph, code_graph_for
 from repro.analysis.source import SourceModule
-
-#: The order lattice, bottom to top.
-ORDER_NONE = 0
-ORDER_FIFO = 1
-ORDER_CAUSAL = 2
-ORDER_TOTAL = 3
-
-ORDER_NAMES = {
-    ORDER_NONE: "none",
-    ORDER_FIFO: "fifo",
-    ORDER_CAUSAL: "causal",
-    ORDER_TOTAL: "total",
-}
-
-#: ordering-layer name -> lattice level.  Unknown layers fall to NONE.
-LAYER_ORDER: Dict[str, int] = {
-    "raw": ORDER_NONE,
-    "fifo": ORDER_FIFO,
-    "causal": ORDER_CAUSAL,
-    "hybrid-causal": ORDER_CAUSAL,
-    "total-seq": ORDER_TOTAL,
-    "total-agreed": ORDER_TOTAL,
-}
-
-#: layers that retain messages until the group-wide stability horizon
-#: (``hybrid-causal`` keeps its own sender-side retention buffer).
-STABLE_LAYERS = {"stability", "hybrid-causal"}
-
-#: layers whose delivery is agreed across members before release — the
-#: closest the stack comes to the paper's "atomic" delivery.
-ATOMIC_LAYERS = {"total-agreed"}
+from repro.catocs.stack import ORDER_NONE, Guarantee, guarantee
 
 #: keyword arguments whose string value names a discipline or spec
 #: (``stack`` is the socket host's name for ``ordering``).
@@ -78,83 +45,34 @@ MEMBER_ROOT = "repro.catocs.member.GroupMember"
 DEFAULT_MEMBER_SPEC = "causal"
 
 
-@dataclass(frozen=True)
-class Guarantee:
-    """What one resolved stack spec promises about delivery."""
-
-    spec: str
-    order: int
-    stable: bool
-    atomic: bool
-
-    @property
-    def order_name(self) -> str:
-        return ORDER_NAMES[self.order]
-
-
 #: Unstacked ``Process.send`` traffic: per-packet jittered latency, no
 #: dedup, no retention — the weakest point of the lattice.  The first
 #: field is a *description*, not a spec string.
-PLAIN_SEND = Guarantee("<plain send>", ORDER_NONE, False, False)
+PLAIN_SEND = Guarantee("<plain send>", ORDER_NONE, False)
 
 
-class GuaranteeModel:
-    """Resolve spec strings to :class:`Guarantee` values.
+def resolve(spec: str) -> Optional[Guarantee]:
+    """``Guarantee`` for a discipline alias or explicit spec string;
+    ``None`` when the registry refuses it."""
+    try:
+        return guarantee(spec)
+    except ValueError:
+        return None
 
-    ``resolver`` is injectable for tests; the default late-imports the real
-    :func:`repro.catocs.stack.resolve_spec` so aliases and validity agree
-    with the runtime registry (nothing beyond module import is executed).
-    """
 
-    def __init__(
-        self,
-        resolver: Optional[Callable[[str], Sequence[str]]] = None,
-    ) -> None:
-        self._resolver = resolver
-        self._cache: Dict[str, Optional[Guarantee]] = {}
-
-    def _resolve_names(self, spec: str) -> Sequence[str]:
-        if self._resolver is not None:
-            return self._resolver(spec)
-        from repro.catocs import stack
-
-        return stack.resolve_spec(spec)
-
-    def resolve(self, spec: str) -> Optional[Guarantee]:
-        """``Guarantee`` for a discipline alias or explicit spec string;
-        ``None`` when the registry rejects it."""
-        if spec in self._cache:
-            return self._cache[spec]
-        try:
-            names = tuple(self._resolve_names(spec))
-        except (ValueError, KeyError):
-            self._cache[spec] = None
-            return None
-        guarantee = Guarantee(
-            spec=spec,
-            # The top layer is the ordering discipline; an unknown one
-            # promises nothing (under-claiming is the safe direction).
-            order=LAYER_ORDER.get(names[-1], ORDER_NONE),
-            stable=any(n in STABLE_LAYERS for n in names),
-            atomic=any(n in ATOMIC_LAYERS for n in names),
+def meet(guarantees: Iterable[Guarantee]) -> Optional[Guarantee]:
+    """The weakest of several guarantees (lattice meet, ``stable`` ANDed)."""
+    weakest: Optional[Guarantee] = None
+    for g in guarantees:
+        if weakest is None:
+            weakest = g
+            continue
+        weakest = Guarantee(
+            spec=g.spec if g.order < weakest.order else weakest.spec,
+            order=min(g.order, weakest.order),
+            stable=g.stable and weakest.stable,
         )
-        self._cache[spec] = guarantee
-        return guarantee
-
-    def meet(self, guarantees: Iterable[Guarantee]) -> Optional[Guarantee]:
-        """The weakest of several guarantees (lattice meet, flags ANDed)."""
-        weakest: Optional[Guarantee] = None
-        for g in guarantees:
-            if weakest is None:
-                weakest = g
-                continue
-            weakest = Guarantee(
-                spec=g.spec if g.order < weakest.order else weakest.spec,
-                order=min(g.order, weakest.order),
-                stable=g.stable and weakest.stable,
-                atomic=g.atomic and weakest.atomic,
-            )
-        return weakest
+    return weakest
 
 
 def spec_strings_in(tree: ast.AST) -> List[Tuple[str, int]]:
@@ -197,13 +115,7 @@ def spec_strings_in(tree: ast.AST) -> List[Tuple[str, int]]:
 class GuaranteeEnv:
     """class qualname -> the weakest guarantee it is configured with."""
 
-    def __init__(
-        self,
-        graph: CodeGraph,
-        modules: Sequence[SourceModule],
-        model: Optional[GuaranteeModel] = None,
-    ) -> None:
-        self.model = model or GuaranteeModel()
+    def __init__(self, graph: CodeGraph, modules: Sequence[SourceModule]) -> None:
         self._graph = graph
         self._module_specs: Dict[str, List[str]] = {}
         for mod in modules:
@@ -230,17 +142,17 @@ class GuaranteeEnv:
             )
         resolved = self._resolve_all(class_specs)
         if resolved:
-            met = self.model.meet(resolved)
+            met = meet(resolved)
             assert met is not None
             return met
         # 2. spec strings anywhere in the defining module.
         resolved = self._resolve_all(self._module_specs.get(info.relpath, []))
         if resolved:
-            met = self.model.meet(resolved)
+            met = meet(resolved)
             assert met is not None
             return met
         # 3. the GroupMember signature default.
-        fallback = self.model.resolve(DEFAULT_MEMBER_SPEC)
+        fallback = resolve(DEFAULT_MEMBER_SPEC)
         return fallback if fallback is not None else PLAIN_SEND
 
     def _resolve_all(self, specs: Iterable[str]) -> List[Guarantee]:
@@ -250,9 +162,9 @@ class GuaranteeEnv:
             if spec in seen:
                 continue
             seen.add(spec)
-            guarantee = self.model.resolve(spec)
-            if guarantee is not None:
-                out.append(guarantee)
+            found = resolve(spec)
+            if found is not None:
+                out.append(found)
         return out
 
 
@@ -267,17 +179,12 @@ def guarantee_env_for(project) -> GuaranteeEnv:  # type: ignore[no-untyped-def]
 
 
 __all__ = [
-    "Guarantee",
     "GuaranteeEnv",
-    "GuaranteeModel",
     "PLAIN_SEND",
-    "ORDER_NONE",
-    "ORDER_FIFO",
-    "ORDER_CAUSAL",
-    "ORDER_TOTAL",
-    "ORDER_NAMES",
     "MEMBER_ROOT",
     "SPEC_KEYWORDS",
     "guarantee_env_for",
+    "meet",
+    "resolve",
     "spec_strings_in",
 ]

@@ -49,16 +49,10 @@ from repro.analysis.callgraph import (
 from repro.analysis.effects import EffectTable, effect_table_for
 from repro.analysis.finding import Finding, Severity
 from repro.analysis.flowgraph import SEND_ARG, unwrap_timer
-from repro.analysis.orders import (
-    GuaranteeEnv,
-    MEMBER_ROOT,
-    ORDER_FIFO,
-    ORDER_NONE,
-    ORDER_TOTAL,
-    guarantee_env_for,
-)
+from repro.analysis.orders import GuaranteeEnv, MEMBER_ROOT, guarantee_env_for
 from repro.analysis.rules import Rule
 from repro.analysis.source import SourceModule
+from repro.catocs.stack import ORDER_FIFO, ORDER_NONE, ORDER_TOTAL
 
 #: modules that implement ordering rather than consume it.
 SUBSTRATE_PREFIXES = (

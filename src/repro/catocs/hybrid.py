@@ -57,6 +57,7 @@ class HybridCausalOrdering(CausalOrdering):
     """BSS causal delivery with hybrid (sender/receiver) buffering."""
 
     name = "hybrid-causal"
+    stable = True
 
     #: Receiver delay-queue capacity (messages awaiting dependencies).
     buffer_bound = 16

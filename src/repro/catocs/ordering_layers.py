@@ -43,7 +43,13 @@ from repro.catocs.messages import (
     PriorityProposal,
     ProposalRequest,
 )
-from repro.catocs.stack import ProtocolLayer, register_layer
+from repro.catocs.stack import (
+    ORDER_CAUSAL,
+    ORDER_FIFO,
+    ORDER_TOTAL,
+    ProtocolLayer,
+    register_layer,
+)
 from repro.ordering.dense import bss_deliverable, group_domain
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -184,6 +190,7 @@ class FifoOrdering(OrderingLayer):
     """Per-sender FIFO delivery."""
 
     name = "fifo"
+    order = ORDER_FIFO
 
     def __init__(self, member: "GroupMember") -> None:
         super().__init__(member)
@@ -245,6 +252,7 @@ class CausalOrdering(OrderingLayer):
     """
 
     name = "causal"
+    order = ORDER_CAUSAL
 
     def __init__(self, member: "GroupMember") -> None:
         super().__init__(member)
@@ -389,6 +397,7 @@ class TotalSequencerOrdering(CausalOrdering):
     """
 
     name = "total-seq"
+    order = ORDER_TOTAL
 
     def __init__(self, member: "GroupMember") -> None:
         super().__init__(member)
@@ -616,6 +625,7 @@ class TotalAgreedOrdering(OrderingLayer):
     """
 
     name = "total-agreed"
+    order = ORDER_TOTAL
 
     #: Re-solicitations of believed-alive non-proposers before giving up.
     #: The first goes one ``proposal_timeout`` after the send; the wait then

@@ -36,19 +36,40 @@ the point of coupling:
   NAKs, ordering control, heartbeats) into one envelope per destination.
   This makes its position in the spec string irrelevant.
 
-Writing a new layer: subclass :class:`ProtocolLayer`, set its ``name`` and
-``kind``, override the hooks you need, and call ``register_layer(cls)`` at
-module import.  See ``docs/ARCHITECTURE.md`` for a walkthrough.
+Each layer class also declares what it promises about delivery: ``order``,
+its level in the paper's Section 2 lattice (:data:`ORDER_NONE` ⊂
+:data:`ORDER_FIFO` ⊂ :data:`ORDER_CAUSAL` ⊂ :data:`ORDER_TOTAL`), and
+``stable``, whether it retains messages until every member holds them.
+:func:`guarantee` reads a spec's promise off its layers: the order of its
+top layer, and stability if any layer is stable.
+
+Writing a new layer: subclass :class:`ProtocolLayer`, set its ``name``,
+``kind``, ``order`` and ``stable``, override the hooks you need, and call
+``register_layer(cls)`` at module import.  See ``docs/ARCHITECTURE.md`` for
+a walkthrough.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 from repro.catocs.messages import BatchEnvelope, DataMessage, MsgId
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catocs.member import GroupMember
+
+#: The delivery-order lattice, bottom to top.
+ORDER_NONE = 0
+ORDER_FIFO = 1
+ORDER_CAUSAL = 2
+ORDER_TOTAL = 3
+
+ORDER_NAMES = {
+    ORDER_NONE: "none",
+    ORDER_FIFO: "fifo",
+    ORDER_CAUSAL: "causal",
+    ORDER_TOTAL: "total",
+}
 
 
 class ProtocolLayer:
@@ -70,6 +91,10 @@ class ProtocolLayer:
     name = "abstract"
     #: "transport" for pipeline layers, "ordering" for the top discipline.
     kind = "transport"
+    #: the lattice level this layer promises when it is the stack's top.
+    order = ORDER_NONE
+    #: whether it retains messages until every member is known to hold them.
+    stable = False
 
     # Slotted: member/stack are touched on every hop of the data path.
     # Subclasses outside this module stay unslotted (they get a __dict__
@@ -356,6 +381,26 @@ def resolve_spec(name: str) -> Tuple[str, ...]:
         )
     _validate(names)
     return names
+
+
+class Guarantee(NamedTuple):
+    """What one resolved stack spec promises about delivery."""
+
+    spec: str
+    order: int
+    stable: bool
+
+    @property
+    def order_name(self) -> str:
+        return ORDER_NAMES[self.order]
+
+
+def guarantee(spec: str) -> Guarantee:
+    """The promise of a discipline alias or spec string: its top layer's
+    ``order``, and ``stable`` if any of its layers is.  Raises
+    :class:`ValueError` for a spec :func:`resolve_spec` refuses."""
+    layers = [LAYER_REGISTRY[name] for name in resolve_spec(spec)]
+    return Guarantee(spec, layers[-1].order, any(layer.stable for layer in layers))
 
 
 def _validate(names: Sequence[str]) -> None:

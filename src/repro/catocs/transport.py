@@ -329,6 +329,7 @@ class StabilityLayer(ProtocolLayer):
 
     name = "stability"
     kind = "transport"
+    stable = True
 
     def __init__(self, member: "GroupMember") -> None:
         super().__init__(member)

@@ -3,7 +3,7 @@
 The properties are the broadcast ones of Aspnes' *Notes on Theory of
 Distributed Systems*: validity (``missing``), ``agreement``, integrity
 (``duplicate``, ``unexpected``), and the orders (``fifo``, ``causal``,
-``total``) the lattice of :mod:`repro.analysis.orders` gives the spec.
+``total``) the spec's layers promise (:func:`repro.catocs.stack.guarantee`).
 docs/PROTOCOLS.md, "How delivery is judged", states the rules.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.analysis.orders import ORDER_FIFO, ORDER_NAMES, GuaranteeModel
+from repro.catocs.stack import ORDER_FIFO, ORDER_NAMES, guarantee
 from repro.sim.trace import EventTrace
 
 
@@ -36,14 +36,11 @@ class Verdict(NamedTuple):
 
 def judge(trace: EventTrace, members: Iterable[str], spec: str) -> Verdict:
     """Judge the ``send``/``deliver`` entries of ``trace`` at the pids
-    ``members`` by what ``spec`` claims: its lattice order level and every
-    level below it.  A message's causal past is what its sender had sent or
-    delivered before sending it, transitively.  A message is required if a
-    judged member sent or delivered it; only required messages are owed."""
-    guarantee = GuaranteeModel().resolve(spec)
-    if guarantee is None:
-        raise ValueError(f"not a stack spec: {spec!r}")
-    claims = tuple(ORDER_NAMES[level] for level in range(ORDER_FIFO, guarantee.order + 1))
+    ``members`` by what ``spec`` claims: its top layer's order and every
+    lattice level below it.  A message's causal past is what its sender had
+    sent or delivered before sending it, transitively.  A message is required
+    if a judged member sent or delivered it; only required messages are owed."""
+    claims = tuple(ORDER_NAMES[level] for level in range(ORDER_FIFO, guarantee(spec).order + 1))
     sender: Dict[Hashable, str] = {}
     past: Dict[Hashable, Tuple[Hashable, ...]] = {}
     # pid -> what it has sent or delivered; dicts keep faults in history order

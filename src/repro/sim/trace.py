@@ -6,16 +6,16 @@ records events as protocols run, and :func:`render_event_diagram` reproduces
 the figures' form so the experiment harness can print, e.g., the Figure 3
 fire/fire-out anomaly exactly as the paper draws it.
 
-Traces from large runs hold hundreds of thousands of entries and the
-anomaly checks filter them repeatedly, so the trace maintains per-pid and
-per-kind indexes as it records: :meth:`EventTrace.for_pid` and
-:meth:`EventTrace.of_kind` cost O(result) instead of O(trace).
+The trace is one list, ``entries``, in record order; the filters below
+scan it.  Nothing on a protocol's path reads them: they serve tests and
+one-off inspection, and the delivery oracle (:mod:`repro.check`) reads
+``entries`` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 @dataclass(slots=True)
@@ -30,14 +30,12 @@ class TraceEntry:
 
 
 class EventTrace:
-    """An append-only log of process events, indexed by pid and kind."""
+    """An append-only log of process events."""
 
-    __slots__ = ("entries", "_by_pid", "_by_kind")
+    __slots__ = ("entries",)
 
     def __init__(self) -> None:
         self.entries: List[TraceEntry] = []
-        self._by_pid: Dict[str, List[TraceEntry]] = {}
-        self._by_kind: Dict[str, List[TraceEntry]] = {}
 
     def record(
         self,
@@ -47,35 +45,22 @@ class EventTrace:
         label: str,
         msg_id: Optional[object] = None,
     ) -> None:
-        entry = TraceEntry(time, pid, kind, label, msg_id)
-        self.entries.append(entry)
-        self._by_pid.setdefault(pid, []).append(entry)
-        self._by_kind.setdefault(kind, []).append(entry)
+        self.entries.append(TraceEntry(time, pid, kind, label, msg_id))
 
     def for_pid(self, pid: str) -> List[TraceEntry]:
-        """Entries recorded by ``pid``, in record order.  O(result)."""
-        return list(self._by_pid.get(pid, ()))
+        """Entries recorded by ``pid``, in record order."""
+        return [e for e in self.entries if e.pid == pid]
 
     def of_kind(self, kind: str) -> List[TraceEntry]:
-        """Entries of one kind, in record order.  O(result)."""
-        return list(self._by_kind.get(kind, ()))
+        """Entries of one kind, in record order."""
+        return [e for e in self.entries if e.kind == kind]
 
     def labels(self, pid: Optional[str] = None, kind: Optional[str] = None) -> List[str]:
         """Event labels in record order, optionally filtered."""
-        if pid is not None and kind is None:
-            source: Iterable[TraceEntry] = self._by_pid.get(pid, ())
-        elif kind is not None and pid is None:
-            source = self._by_kind.get(kind, ())
-        else:
-            source = self.entries
-        out = []
-        for e in source:
-            if pid is not None and e.pid != pid:
-                continue
-            if kind is not None and e.kind != kind:
-                continue
-            out.append(e.label)
-        return out
+        return [
+            e.label for e in self.entries
+            if (pid is None or e.pid == pid) and (kind is None or e.kind == kind)
+        ]
 
     def delivery_order(self, pid: str) -> List[str]:
         """Labels of messages delivered at ``pid``, in delivery order."""
@@ -83,8 +68,6 @@ class EventTrace:
 
     def clear(self) -> None:
         self.entries.clear()
-        self._by_pid.clear()
-        self._by_kind.clear()
 
 
 def render_event_diagram(

@@ -1,6 +1,6 @@
 """Unit tests for the ORD foundations: the guarantee lattice
-(``repro.analysis.orders``) and the handler effect table
-(``repro.analysis.effects``)."""
+(``repro.analysis.orders``, over ``repro.catocs.stack.guarantee``) and the
+handler effect table (``repro.analysis.effects``)."""
 
 import ast
 from pathlib import Path
@@ -11,14 +11,20 @@ from repro.analysis.effects import effect_table_for
 from repro.analysis.engine import load_project
 from repro.analysis.flowgraph import flow_graph_for
 from repro.analysis.orders import (
-    GuaranteeModel,
+    PLAIN_SEND,
+    guarantee_env_for,
+    meet,
+    resolve,
+    spec_strings_in,
+)
+from repro.catocs.ordering_layers import OrderingLayer
+from repro.catocs.stack import (
+    LAYER_REGISTRY,
     ORDER_CAUSAL,
     ORDER_FIFO,
     ORDER_NONE,
     ORDER_TOTAL,
-    PLAIN_SEND,
-    guarantee_env_for,
-    spec_strings_in,
+    register_layer,
 )
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -28,51 +34,53 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def test_discipline_aliases_map_onto_the_lattice():
-    model = GuaranteeModel()
-    assert model.resolve("raw").order == ORDER_NONE
-    assert model.resolve("fifo").order == ORDER_FIFO
-    assert model.resolve("causal").order == ORDER_CAUSAL
-    assert model.resolve("total-seq").order == ORDER_TOTAL
-    assert model.resolve("total-agreed").order == ORDER_TOTAL
+    assert resolve("raw").order == ORDER_NONE
+    assert resolve("fifo").order == ORDER_FIFO
+    assert resolve("causal").order == ORDER_CAUSAL
+    assert resolve("total-seq").order == ORDER_TOTAL
+    assert resolve("total-agreed").order == ORDER_TOTAL
 
 
 def test_stability_and_atomicity_flags():
-    model = GuaranteeModel()
     # The built-in aliases all include the stability layer...
-    assert model.resolve("raw").stable
+    assert resolve("raw").stable
     # ...but an explicit spec can omit it.
-    assert not model.resolve("dedup|causal").stable
-    assert model.resolve("dedup|stability|causal").stable
-    assert model.resolve("total-agreed").atomic
-    assert not model.resolve("total-seq").atomic
+    assert not resolve("dedup|causal").stable
+    assert resolve("dedup|stability|causal").stable
+    # hybrid-causal retains messages itself.
+    assert resolve("dedup|hybrid-causal").stable
 
 
 def test_invalid_spec_resolves_to_none():
-    model = GuaranteeModel()
-    assert model.resolve("no-such-discipline") is None
-    assert model.resolve("dedup|bogus-layer|causal") is None
+    assert resolve("no-such-discipline") is None
+    assert resolve("dedup|bogus-layer|causal") is None
 
 
 def test_unknown_ordering_layer_promises_nothing():
-    """Under-claiming is the safe direction: a layer the table does not
-    know maps to ORDER_NONE, never to something stronger."""
-    model = GuaranteeModel(resolver=lambda spec: ("dedup", "exotic-order"))
-    assert model.resolve("anything").order == ORDER_NONE
+    """Under-claiming is the safe direction: an ordering layer that
+    declares no order promises ORDER_NONE, never something stronger."""
+
+    class ExoticOrdering(OrderingLayer):
+        name = "exotic-order"
+
+    register_layer(ExoticOrdering)
+    try:
+        assert resolve("dedup|exotic-order").order == ORDER_NONE
+    finally:
+        LAYER_REGISTRY.pop("exotic-order", None)
 
 
 def test_meet_takes_the_weakest_order_and_ands_the_flags():
-    model = GuaranteeModel()
-    met = model.meet([model.resolve("total-agreed"), model.resolve("fifo")])
+    met = meet([resolve("total-agreed"), resolve("fifo")])
     assert met.order == ORDER_FIFO
     assert met.spec == "fifo"
-    assert not met.atomic
-    assert model.meet([]) is None
+    assert met.stable and not meet([met, resolve("dedup|fifo")]).stable
+    assert meet([]) is None
 
 
 def test_plain_send_is_the_lattice_bottom():
     assert PLAIN_SEND.order == ORDER_NONE
     assert not PLAIN_SEND.stable
-    assert not PLAIN_SEND.atomic
 
 
 def test_spec_strings_in_finds_keywords_and_defaults():

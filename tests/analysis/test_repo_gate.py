@@ -74,6 +74,28 @@ def test_analysis_does_not_import_experiments():
         assert "repro.experiments" not in path.read_text(encoding="utf-8"), path
 
 
+def test_only_the_analyser_imports_the_analyser():
+    """Layering: the program (the delivery oracle included) reads what a
+    stack promises off its layers, so nothing outside ``repro/analysis/``
+    imports ``repro.analysis``."""
+    package = REPO_ROOT / "src" / "repro"
+    imports = []
+    for path in iter_python_files([package]):
+        if path.is_relative_to(package / "analysis"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            imports += [f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {name}"
+                        for name in names
+                        if name == "repro.analysis" or name.startswith("repro.analysis.")]
+    assert imports == []
+
+
 def test_nothing_reads_through_a_member_transport():
     """Callers talk to ``member.stack`` and its named layers.  What is left
     of ``member.transport`` is six counters for the benchmark, so nothing in

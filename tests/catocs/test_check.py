@@ -1,10 +1,14 @@
 """The delivery oracle: one hand-built history per verdict reason, flagged
 where the spec claims the broken promise and passed where it does not."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.analysis.orders import ORDER_FIFO, ORDER_NAMES, GuaranteeModel
-from repro.catocs.stack import DISCIPLINES
+from repro.catocs.stack import DISCIPLINES, ORDER_FIFO, ORDER_NAMES, guarantee
 from repro.check import Fault, judge
 from repro.sim import EventTrace
 from tests.catocs.test_causal_property import run_workload
@@ -66,9 +70,20 @@ def test_a_history_that_keeps_every_promise_passes(events, judged):
 
 @pytest.mark.parametrize("alias", sorted(DISCIPLINES))
 def test_each_aliases_claims_are_the_lattices(alias):
-    order = GuaranteeModel().resolve(alias).order
+    order = guarantee(alias).order
     expected = tuple(ORDER_NAMES[level] for level in range(ORDER_FIFO, order + 1))
     assert judge(EventTrace(), [], alias).claims == expected
+
+
+def test_the_oracle_does_not_load_the_analyser():
+    """The oracle reads each spec's promise off its layers; importing it
+    loads no module of the static analyser."""
+    code = ("import sys, repro.check; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_an_unknown_spec_is_refused():

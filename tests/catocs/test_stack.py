@@ -7,6 +7,7 @@ from repro.catocs.ordering_layers import OrderingLayer
 from repro.catocs.stack import (
     DISCIPLINES,
     LAYER_REGISTRY,
+    ORDER_NONE,
     ProtocolLayer,
     register_layer,
     resolve_spec,
@@ -32,6 +33,15 @@ def test_every_registered_layer_is_a_layer_of_its_kind():
     for cls in LAYER_REGISTRY.values():
         assert issubclass(cls, ProtocolLayer), cls
         assert cls.kind != "ordering" or issubclass(cls, OrderingLayer), cls
+
+
+def test_only_raw_promises_no_order():
+    """An ordering layer that forgets to declare its ``order`` inherits
+    ORDER_NONE, and the oracle would then check no order for it: only
+    ``raw`` may promise nothing."""
+    unordered = [name for name, cls in LAYER_REGISTRY.items()
+                 if cls.kind == "ordering" and cls.order == ORDER_NONE]
+    assert unordered == ["raw"]
 
 
 def test_explicit_spec_composes_named_layers():
