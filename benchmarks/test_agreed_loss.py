@@ -14,7 +14,9 @@ layer gives up after eight rounds instead of twelve.
 It also checks that every retention buffer drains by the horizon, though
 an applied commit releases its message ahead of the stable frontier: each
 member's hold-back structures (stability buffer and heaps included) are
-empty, and no NAK round found nobody to ask.
+empty, and no NAK round found nobody to ask.  ``_forced`` has no bound of
+its own: it is asserted to name only ids in ``_commit_values``, the record
+kept for good.
 """
 
 import pytest
@@ -49,3 +51,4 @@ def test_agreed_loss_delivers_everything_in_one_order(drop_prob, seed):
     for member in group.values():
         assert not held_back(member), (member.pid, held_back(member))
         assert member.stack.layer("dedup").naks_unroutable == 0, member.pid
+        assert member.ordering._forced <= member.ordering._commit_values.keys()

@@ -599,7 +599,10 @@ class TotalAgreedOrdering(OrderingLayer):
     bound: any member may be asked for a commit it applied long ago (a
     ``CommitRequest`` from a peer whose copy was lost), and the view-change
     flush hands a departed sender's commits to every survivor.  ``_forced``
-    beside it names the applied commits that prove nothing (below).
+    beside it names the applied commits that prove nothing (below); it is a
+    subset of ``_commit_values``' keys, added to only when a commit is
+    first applied, and kept for the same reason: a late ``CommitRequest``
+    for a forced commit must be answered with a ``ForcedCommit``.
 
     A member proposes only for a message it holds, so a commit made with
     every view member's proposal proves that every member holds the

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import sys
 import traceback
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.experiments.harness import ExperimentResult
@@ -90,6 +91,12 @@ def run_one(name: str, want_metrics: bool) -> Dict[str, Any]:
     the rendered report, the verdict, the names of unmet checks, the
     aggregated ``repro.obs`` metrics dump (when requested), and the
     traceback if the experiment raised.
+
+    Only a run that wants metrics opens :func:`~repro.obs.capture`: a
+    captured registry's gauges close over their simulator and members, so
+    the sink would keep every group the experiment builds alive until it
+    ends.  Without it each simulation is garbage once the experiment drops
+    it.
     """
     envelope: Dict[str, Any] = {
         "name": name,
@@ -100,7 +107,7 @@ def run_one(name: str, want_metrics: bool) -> Dict[str, Any]:
         "traceback": None,
     }
     try:
-        with capture() as registries:
+        with capture() if want_metrics else nullcontext() as registries:
             result = registry()[name]()
         envelope["rendered"] = result.render()
         envelope["failed_checks"] = [

@@ -36,7 +36,13 @@ FAMILIES = ("kernel", "net", "ordering", "membership", "bus")
 
 @contextmanager
 def capture() -> Iterator[List[MetricsRegistry]]:
-    """Collect every registry constructed while the context is active."""
+    """Collect every registry constructed while the context is active.
+
+    The sink holds each registry until the context closes, and a registry's
+    callback gauges close over the simulator and members they read, so
+    every simulation built inside the block stays alive until then: open
+    it only when the metrics will be read (the experiment runner does so
+    only for ``--metrics-out``)."""
     sink: List[MetricsRegistry] = []
     _capture_sinks.append(sink)
     try:

@@ -45,7 +45,8 @@ it is two arrays over one index whatever order the sender's domain had.  A
 bare clock record outside a ``DataMessage`` names no group and decodes to
 its counts dict.  :func:`decode_datagram` also takes the pids the receiver
 accepts datagrams from, and refuses any other sender before it reads the
-payload, and any ``DataMessage`` whose stamp or ack counts name another pid.
+payload, and any ``DataMessage``, stamp, ack counts or message id that
+names another pid.
 
 Decoding is strict: bad magic, any version but this one, truncation at any
 byte, trailing bytes, a declared length or count larger than the bytes that
@@ -355,6 +356,8 @@ def _read_data(data: bytes, pos: int, depth: int, domains: DomainLookup,
         raise CodecError("DataMessage names larger than the bytes that remain")
     group = str(data[pos:split], "utf-8")
     sender = str(data[split:end], "utf-8")
+    if senders is not None and sender not in senders:
+        raise CodecError("DataMessage from a pid that is not an accepted sender")
     payload, pos = _read(data, end, depth + 1, domains, senders)
     vc = acks = attached = None
     if flags & _HAS_VC:
@@ -386,6 +389,24 @@ def _named(counts: _Pids, senders: Senders) -> _Pids:
     if senders is not None and not all(map(senders.__contains__, counts)):
         raise CodecError("counts name a pid that is not an accepted sender")
     return counts
+
+
+def _message_id(mid: Any, senders: Senders) -> None:
+    """Refuse ``mid`` unless it is a ``(pid, seq)`` pair whose pid is one of
+    ``senders``.  Agreed-order commits are kept for good per id, and a NAK or
+    refetch for an id from a pid with no address is answered towards it."""
+    if type(mid) is not tuple or len(mid) != 2 or type(mid[0]) is not str \
+            or type(mid[1]) is not int:
+        raise CodecError("a message id is not a (pid, seq) pair")
+    _named(mid[:1], senders)
+
+
+def _listed(fields: Dict[str, Any], name: str) -> List[Any]:
+    """The list in ``fields[name]`` (empty if the record has no such field)."""
+    value = fields.get(name, [])
+    if type(value) is not list:
+        raise CodecError(f"{name} is not a list")
+    return value
 
 
 def _record_clock(fields: Dict[str, Any], domains: DomainLookup,
@@ -423,6 +444,7 @@ def _read_record(data: bytes, pos: int, depth: int, domains: DomainLookup,
         for name in names:
             fields[name], pos = _read(data, pos, depth + 1, domains, senders)
         if registration.cls is DataMessage:
+            _message_id((fields["sender"], fields["seq"]), senders)
             fields["vc"] = _record_clock(fields, domains, senders)
     if type(fields.get("ack_vector")) is dict:
         _named(fields["ack_vector"], senders)
@@ -430,6 +452,14 @@ def _read_record(data: bytes, pos: int, depth: int, domains: DomainLookup,
         if type(fields["requester"]) is not str:
             raise CodecError(f"wire tag {tag!r} with a requester that is not a pid")
         _named((fields["requester"],), senders)
+    if "msg_id" in fields:
+        _message_id(fields["msg_id"], senders)
+    for mid in _listed(fields, "wanted"):
+        _message_id(mid, senders)
+    for entry in _listed(fields, "assignments"):
+        if type(entry) is not tuple or len(entry) != 2 or type(entry[0]) is not int:
+            raise CodecError("an assignment is not an (index, message id) pair")
+        _message_id(entry[1], senders)
     try:
         return registration.from_fields(fields), pos
     except CodecError:
@@ -555,10 +585,13 @@ def decode_datagram(data: bytes, domains: DomainLookup,
     The sender pid is read first, and a pid not in ``senders`` raises
     :class:`UnknownSender` before any byte of the payload is: a forged
     datagram cannot add a pid to a clock domain.  Nor can a known sender: a
-    ``DataMessage`` stamp, any record's ``ack_vector`` (``AckGossip``,
-    ``AckQuery``), or any record's ``requester`` (``Nak`` and the ordering
-    repair requests), that names a pid not in ``senders`` raises
-    :class:`CodecError`."""
+    ``DataMessage`` sender or stamp, any record's ``ack_vector``
+    (``AckGossip``, ``AckQuery``), any record's ``requester`` (``Nak`` and
+    the ordering repair requests), or any message id (``msg_id``, each id
+    in ``wanted`` and in ``OrderToken.assignments``) that names a pid not in
+    ``senders`` raises :class:`CodecError`.  A relayed message from a
+    departed member still decodes: the receiver keeps accepting every pid
+    it has an address for."""
     pos = _open(data)
     if data[pos:pos + 1] != _BYTE[_STR]:
         raise CodecError("datagram sender pid is not a string")

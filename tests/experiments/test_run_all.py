@@ -6,14 +6,17 @@ hiding the rest of the suite.  Fake registries are swapped in by
 monkeypatching ``run_all.registry``: every experiment runs in this process.
 """
 
+import gc
 import io
 import json
+import weakref
 from contextlib import redirect_stdout
 
 import pytest
 
 from repro.experiments import run_all
 from repro.experiments.harness import ExperimentResult, Table
+from repro.sim import Simulator
 
 
 def _run_main(argv):
@@ -99,6 +102,37 @@ def test_list_reads_the_registry(fake_registry):
     status, out = _run_main(["--list"])
     assert status == 0
     assert out.split() == ["E01", "E02", "E03"]
+
+
+# -- what a run keeps alive ---------------------------------------------------------
+
+
+def _probe_released():
+    """Run one simulator, drop it, and pass only if a full collection
+    reclaims it: nothing the runner holds may keep it alive."""
+    sim = Simulator(seed=1)
+    sim.call_later(1.0, lambda: None)
+    sim.run()
+    ref = weakref.ref(sim)
+    del sim
+    gc.collect()
+    return ExperimentResult("EX", "probe", [], checks={"released": ref() is None})
+
+
+def test_a_run_without_metrics_keeps_no_simulation(monkeypatch):
+    """A captured registry's gauges close over their simulator, so only a
+    run that asked for metrics may hold one past the experiment's own use;
+    the one that did still gets that simulator's series."""
+    monkeypatch.setattr(run_all, "registry", lambda: {"EX": _probe_released})
+    assert run_all.run_one("EX", False)["verdict"] == run_all.PASS
+    metrics = run_all.run_one("EX", True)["metrics"]
+    assert metrics["registries"] == 1
+    assert metrics["kernel"]["gauges"]["kernel.virtual_time"]["max"] == 1.0
+    assert "kernel.events_executed" in metrics["kernel"]["gauges"]
+
+
+def test_capturing_metrics_does_not_change_the_report():
+    assert run_all.run_one("E02", False)["rendered"] == run_all.run_one("E02", True)["rendered"]
 
 
 # -- argument handling -------------------------------------------------------------

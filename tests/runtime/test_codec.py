@@ -254,18 +254,20 @@ def test_a_message_the_data_layout_cannot_hold_travels_as_a_record():
 
 
 @pytest.mark.parametrize("layout", [{}, {"seq": 2**63}], ids=["packed", "record"])
-@pytest.mark.parametrize("where", ["vc", "ack_vector", "attached"])
+@pytest.mark.parametrize("where", ["vc", "ack_vector", "attached", "sender"])
 def test_counts_naming_a_pid_that_is_not_a_sender_are_a_codec_error(where, layout):
     """From an accepted sender, a stamp or ack vector that names a pid the
     receiver does not accept is refused, in either layout and in an
-    attachment; the same message naming only accepted pids decodes."""
+    attachment, and so is a relayed message from such a pid; the same
+    message naming only accepted pids decodes."""
     msg = dataclasses.replace(_rich_data_message(), **layout)
     assert decode_datagram(codec.encode_datagram("a", msg)) == ("a", msg)
     stranger = {"vc": {"vc": ClockDomain(("a", "zz")).clock({"a": 4, "zz": 1})},
                 "ack_vector": {"ack_vector": {"b": 1, "zz": 2}},
                 "attached": {"attached": [DataMessage(group="g", sender="b", seq=1,
                                                       payload=None, sent_at=0.5,
-                                                      ack_vector={"zz": 1})]}}[where]
+                                                      ack_vector={"zz": 1})]},
+                "sender": {"sender": "zz"}}[where]
     blob = codec.encode_datagram("a", dataclasses.replace(msg, **stranger))
     with pytest.raises(codec.CodecError) as refused:
         decode_datagram(blob)

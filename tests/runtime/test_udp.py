@@ -21,6 +21,7 @@ from repro.catocs.messages import (
     ForcedCommit,
     HybridRefetch,
     Nak,
+    OrderToken,
     OrderTokenRequest,
     PriorityCommit,
     PriorityProposal,
@@ -474,20 +475,50 @@ def test_a_registered_sender_cannot_gossip_about_unknown_pids():
 
 def test_a_registered_sender_cannot_leave_proposals_for_ids_never_sent():
     """The registered pid ``a`` sends b proposals for ids b never sent: a
-    third pid's and b's own unsent seqs.  They decode, since message ids are
-    not checked against the senders, but proposals go only to a message's
-    sender while it is open there, so b keeps none and counts nothing."""
+    third pid's and b's own unsent seqs.  The third pid ``c`` has no
+    address, so its ids are decode errors; b's own ids decode, but
+    proposals go only to a message's sender while it is open there, so b
+    keeps none and counts nothing."""
     forged = [PriorityProposal(group="g", proposer="a", msg_id=(sender, 10**6 + i),
                                priority=i)
               for i in range(100) for sender in ("c", "b")]
     blobs = [codec.encode_datagram("a", payload) for payload in forged]
     delivered, net, stack, escaped = asyncio.run(_attacked_group(16, "total-agreed", blobs))
-    assert net.decode_errors == 0
+    assert net.decode_errors == 100
     assert net.unknown_sender == 0
     assert escaped == []
     assert delivered == ["legit"]
     assert stack.ordering._proposals == {}
     assert stack.ordering.layer_metrics()["proposals_forced"] == 0
+
+
+@pytest.mark.parametrize("ordering, forged", [
+    ("causal", [DataMessage(group="g", sender="zz", seq=5, payload="x", sent_at=0.0)]),
+    ("total-agreed", [PriorityCommit(group="g", sender="a", msg_id=("zz", k), priority=k,
+                                     tiebreak="a") for k in range(100)]),
+    ("total-agreed", [CommitRequest(group="g", requester="a", msg_id=("zz", 1))]),
+    ("total-agreed", [PriorityCommit(group="g", sender="a", msg_id=["a", 1], priority=1,
+                                     tiebreak="a")]),
+    ("total-seq", [OrderToken(group="g", sequencer="a", assignments=[(0, ("zz", 1))])]),
+    ("causal", [Nak(group="g", requester="a", wanted=[("zz", 1)])]),
+    ("hybrid-causal", [HybridRefetch(group="g", requester="a", wanted=[("zz", 1)])]),
+], ids=["DataMessage", "PriorityCommit", "CommitRequest", "malformed-id", "OrderToken",
+        "Nak", "HybridRefetch"])
+def test_a_registered_sender_cannot_name_unknown_pids_in_message_ids(ordering, forged):
+    """The registered pid ``a`` relays a message from ``zz``, a pid with no
+    address, or names one of its ids in ordering or repair control; or it
+    sends an id that is not a ``(pid, seq)`` pair.  Each datagram is a
+    decode error, so b neither asserts nor NAKs towards ``zz``, and keeps no
+    commit for an id nobody can have sent."""
+    blobs = [codec.encode_datagram("a", payload) for payload in forged]
+    delivered, net, stack, escaped = asyncio.run(_attacked_group(17, ordering, blobs))
+    assert net.decode_errors == len(forged)
+    assert net.unknown_sender == 0
+    assert escaped == []
+    assert delivered == ["legit"]
+    assert "zz" not in stack.layer("dedup")._max_seen
+    if ordering == "total-agreed":
+        assert list(stack.ordering._commit_values) == [("a", 1)]
 
 
 @pytest.mark.parametrize("ordering, request_", [
@@ -517,8 +548,8 @@ def test_stamps_for_unknown_groups_add_no_clock_domains():
     domain registry by one each.  The datagrams claim the registered pid
     ``a``, so they pass the sender check and reach the payload."""
     forged = [
-        DataMessage(group=f"forged{k}", sender="zz", seq=1, payload="x", sent_at=0.0,
-                    vc=ClockDomain(("zz",)).clock({"zz": 1}))
+        DataMessage(group=f"forged{k}", sender="a", seq=1, payload="x", sent_at=0.0,
+                    vc=ClockDomain(("a",)).clock({"a": 1}))
         for k in range(40)
     ]
     blobs = [codec.encode_datagram("a", payload) for payload in forged]
