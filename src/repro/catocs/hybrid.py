@@ -241,11 +241,13 @@ class HybridCausalOrdering(CausalOrdering):
                 )
         elif isinstance(payload, HybridRefill):
             for msg in payload.msgs:
+                if msg.vc is None:  # unorderable: keep the stub, the retry asks again
+                    self.member.stack.unstamped_dropped += 1
+                    continue
                 stub = self._stubs.pop(msg.msg_id, None)
                 self._requested.discard(msg.msg_id)
                 if stub is None:
                     continue  # duplicate refill (retry raced the answer)
-                assert msg.vc is not None
                 if msg.vc[msg.sender] <= self.delivered[msg.sender]:
                     self._release(stub)  # delivered meanwhile via other path
                     continue

@@ -352,8 +352,8 @@ def wire_classes() -> Tuple[type, ...]:
     """Every wire-message dataclass defined in this module, sorted by name.
 
     This is the authoritative enumeration of what can cross the network:
-    the runtime codec (:mod:`repro.runtime.codec`) registers exactly this
-    set plus the vector-clock types, and the wiring gate in
+    the runtime codec (:mod:`repro.runtime.codec`) lays out ``DataMessage``
+    by hand and registers the rest as records, and the wiring gate in
     ``tests/analysis/test_flowgraph.py`` holds every ``repro.catocs`` send
     to it.
     """

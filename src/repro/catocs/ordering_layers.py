@@ -253,6 +253,7 @@ class CausalOrdering(OrderingLayer):
 
     name = "causal"
     order = ORDER_CAUSAL
+    stamped = True
 
     def __init__(self, member: "GroupMember") -> None:
         super().__init__(member)

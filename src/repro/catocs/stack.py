@@ -41,10 +41,12 @@ its level in the paper's Section 2 lattice (:data:`ORDER_NONE` ⊂
 :data:`ORDER_FIFO` ⊂ :data:`ORDER_CAUSAL` ⊂ :data:`ORDER_TOTAL`), and
 ``stable``, whether it retains messages until every member holds them.
 :func:`guarantee` reads a spec's promise off its layers: the order of its
-top layer, and stability if any layer is stable.
+top layer, and stability if any layer is stable.  An ordering layer also
+declares ``stamped``, whether every data message it sends carries a vector
+clock; its stack drops a received one without before any layer sees it.
 
 Writing a new layer: subclass :class:`ProtocolLayer`, set its ``name``,
-``kind``, ``order`` and ``stable``, override the hooks you need, and call
+``kind``, ``order``, ``stable`` and ``stamped``, override the hooks you need, and call
 ``register_layer(cls)`` at module import.  See ``docs/ARCHITECTURE.md`` for
 a walkthrough.
 """
@@ -95,6 +97,8 @@ class ProtocolLayer:
     order = ORDER_NONE
     #: whether it retains messages until every member is known to hold them.
     stable = False
+    #: whether, as the stack's top, it stamps every data message with ``vc``.
+    stamped = False
 
     # Slotted: member/stack are touched on every hop of the data path.
     # Subclasses outside this module stay unslotted (they get a __dict__
@@ -147,7 +151,7 @@ class ProtocolStack:
     its timers — exactly what the monolithic member constructor did.
     """
 
-    __slots__ = ("member", "spec", "layers", "_by_name")
+    __slots__ = ("member", "spec", "layers", "_by_name", "_stamped", "unstamped_dropped")
 
     def __init__(self, member: "GroupMember", names: Sequence[str]) -> None:
         names = tuple(names)
@@ -160,6 +164,9 @@ class ProtocolStack:
         #: bottom -> top
         self.layers: List[ProtocolLayer] = [instances[n] for n in names]
         self._by_name = instances
+        self._stamped = self.layers[-1].stamped
+        #: received data messages without the stamp the ordering layer needs
+        self.unstamped_dropped = 0
         for layer in self.layers:
             layer.bind(self)
         for layer in self.layers:
@@ -193,7 +200,14 @@ class ProtocolStack:
         swallowed it (duplicate).  The member records its receive trace and
         feeds the ordering layer itself, so application delivery interleaves
         with release accounting (see ``OrderingLayer.release_next``).
+
+        A message a stamping stack cannot order (no ``vc``: only a forged or
+        broken sender sends one) is dropped first: once dedup counted its
+        seq, the real message with that seq would be dropped as a duplicate.
         """
+        if msg.vc is None and self._stamped:
+            self.unstamped_dropped += 1
+            return None
         current: Optional[DataMessage] = msg
         for layer in self.layers[:-1]:
             current = layer.receive_up(src, current)

@@ -4,49 +4,47 @@ The simulator delivers payloads by Python reference — zero-copy, and exactly
 right for a model.  A real socket needs bytes, so the UDP transport
 (:mod:`repro.runtime.udp`) runs every payload through this codec.
 
-``encode(obj)`` is ``b"RPW"`` + the version byte + one *value*; a datagram
-(:func:`encode_datagram`) is the same frame around two values, the sender
-pid and the payload.  A value is one type byte and a body, written in one
-pass with :mod:`struct` and read back in one pass, every integer big-endian:
-None / true / false (no body), ``int`` (int64, or length + two's-complement
-bytes beyond it), ``float`` (float64), ``str`` and ``bytes`` (u32 length +
-raw bytes, UTF-8 for ``str``), list / tuple / set / frozenset / dict (u32
-count + the members; set members sorted by their encoding, dict entries in
-insertion order), and a registered class (the *record*: its tag name, a
-field count and the field values in declaration order).  Two shapes are
-packed tighter because they are what the protocols actually send:
+A datagram (:func:`encode_datagram`) is ``b"RPW"`` + the version byte + two
+*values*, the sender pid and the payload.  A value is one type byte and a
+body, written in one pass with :mod:`struct` and read back in one pass,
+every integer big-endian: None / true / false (no body), ``int`` (int64, or
+length + two's-complement bytes beyond it), ``float`` (float64), ``str`` and
+``bytes`` (u32 length + raw bytes, UTF-8 for ``str``), list / tuple / set /
+frozenset / dict (u32 count + the members; set members sorted by their
+encoding, dict entries in insertion order), and a registered dataclass (the
+*record*: its tag name, a field count and the field values in declaration
+order).  Two shapes are packed tighter because they are what the protocols
+actually send:
 
 - *counts* — the ``str`` -> small non-negative ``int`` dict every ack
   vector and vector clock is: u16 count, u16 key-blob length, the keys
   joined by NUL, then one u32 per key.  Two C calls whatever the group
   size; a dict holding anything else (a bool, a negative, a value >= 2**32,
   a non-``str`` key, a NUL in a key) takes the generic dict form.
-- :class:`~repro.catocs.messages.DataMessage` — one fixed header (seq,
-  sent_at, view_id, a flags byte, two string lengths), then group, sender,
-  the payload as a value, ``vc`` and ``ack_vector`` as bare counts and
-  ``attached`` as a value; a message with a field that layout cannot hold
-  travels as a generic record instead.
+- :class:`~repro.catocs.messages.DataMessage`, which has this one layout and
+  no other: a fixed header (seq, sent_at, view_id, a flags byte, two string
+  lengths), then group, sender, the payload as a value, ``vc`` and
+  ``ack_vector`` as bare counts and ``attached`` as a value.  A message with
+  a field that layout cannot hold is refused at encode.
 
-Per-class registration is explicit: :func:`register_wire` either derives the
-field list from a dataclass or takes custom ``to_fields``/``from_fields``
-functions (their field dict then travels as the record's one value).  Every
-class in :func:`repro.catocs.messages.wire_classes` is registered at import
-time, plus the vector clock, under the ``VectorClock`` tag.  The wiring
-gate in ``tests/analysis/test_flowgraph.py`` keeps this registry honest: a
-message ``repro.catocs`` sends outside that set fails the tests.
+Registration is explicit and per class: :func:`register_wire` takes a
+dataclass, whose fields travel by position.  Every class in
+:func:`repro.catocs.messages.wire_classes` but ``DataMessage`` is registered
+at import time.  The wiring gate in ``tests/analysis/test_flowgraph.py``
+keeps this registry honest: a message ``repro.catocs`` sends outside that
+set fails the tests.
 
-A :class:`~repro.ordering.dense.DenseVectorClock` travels as its non-zero
-counts, keyed by pid, and is only meaningful in a
-:class:`~repro.ordering.dense.ClockDomain`.  The wire names no domain, so
-:func:`decode` and :func:`decode_datagram` take the receiver's
-``group -> ClockDomain`` lookup and a ``DataMessage`` clock decodes straight
-into the domain of the message's group, in either layout: compared there,
-it is two arrays over one index whatever order the sender's domain had.  A
-bare clock record outside a ``DataMessage`` names no group and decodes to
-its counts dict.  :func:`decode_datagram` also takes the pids the receiver
-accepts datagrams from, and refuses any other sender before it reads the
-payload, and any ``DataMessage``, stamp, ack counts or message id that
-names another pid.
+A :class:`~repro.ordering.dense.DenseVectorClock` travels only as a
+``DataMessage``'s stamp, as its non-zero counts keyed by pid, and is only
+meaningful in a :class:`~repro.ordering.dense.ClockDomain`.  The wire names
+no domain, so :func:`decode_datagram` takes the receiver's
+``group -> ClockDomain`` lookup and the stamp decodes straight into the
+domain of the message's group: compared there, it is two arrays over one
+index whatever order the sender's domain had.  A clock anywhere else is an
+unregistered class.  :func:`decode_datagram` also takes the pids the
+receiver accepts datagrams from, and refuses any other sender before it
+reads the payload, and any ``DataMessage``, stamp, count map, message id or
+membership field that names another pid.
 
 Decoding is strict: bad magic, any version but this one, truncation at any
 byte, trailing bytes, a declared length or count larger than the bytes that
@@ -67,8 +65,8 @@ from repro.ordering.dense import ClockDomain, DenseVectorClock
 
 #: The receiver's clock domains: group name -> the domain its stamps index.
 DomainLookup = Callable[[str], ClockDomain]
-#: The pids a datagram may come from and its counts may name; None is any.
-Senders = Optional[Container[str]]
+#: The pids a datagram may come from and its payload may name.
+Senders = Container[str]
 _Pids = TypeVar("_Pids", bound=Iterable[str])
 
 MAGIC = b"RPW"
@@ -126,11 +124,10 @@ class UnknownSender(CodecError):
 class _Registration:
     tag: str
     cls: type
-    to_fields: Callable[[Any], Dict[str, Any]]
-    from_fields: Callable[[Dict[str, Any]], Any]
-    #: Field order on the wire; None when a custom function owns the field
-    #: dict, which then travels as the record's single value.
-    names: Optional[Tuple[str, ...]]
+    #: Field order on the wire.
+    names: Tuple[str, ...]
+    #: The fields :data:`_AUDITS` checks on decode, in wire order.
+    audited: Tuple[str, ...]
     #: Everything before the field values: type byte, tag, field count.
     head: bytes
 
@@ -139,64 +136,27 @@ _BY_CLASS: Dict[type, _Registration] = {}
 _BY_TAG: Dict[str, _Registration] = {}
 
 
-def register_wire(
-    cls: type,
-    tag: Optional[str] = None,
-    *,
-    to_fields: Optional[Callable[[Any], Dict[str, Any]]] = None,
-    from_fields: Optional[Callable[[Dict[str, Any]], Any]] = None,
-) -> type:
-    """Register ``cls`` with the wire codec under ``tag`` (default: class name).
-
-    For dataclasses the field functions are derived automatically.  Returns
-    ``cls`` so it can be used as a decorator.
-    """
+def register_wire(cls: type, tag: Optional[str] = None) -> type:
+    """Register the dataclass ``cls`` with the wire codec under ``tag``
+    (default: class name); its fields travel by position.  Returns ``cls``
+    so it can be used as a decorator."""
+    if not dataclasses.is_dataclass(cls):
+        raise CodecError(f"{cls.__name__} is not a dataclass")
     if cls in _BY_CLASS:
         raise CodecError(f"{cls.__name__} is already codec-registered")
     tag = tag or cls.__name__
     if tag in _BY_TAG:
         raise CodecError(f"wire tag collision: {tag!r}")
-    names: Optional[Tuple[str, ...]] = None
-    if to_fields is None or from_fields is None:
-        if not dataclasses.is_dataclass(cls):
-            raise CodecError(
-                f"{cls.__name__} is not a dataclass; pass to_fields/from_fields explicitly"
-            )
-        derived = tuple(f.name for f in dataclasses.fields(cls))
-        if to_fields is None and from_fields is None:
-            names = derived
-        if to_fields is None:
-            def to_fields(obj: Any) -> Dict[str, Any]:
-                return {name: getattr(obj, name) for name in derived}
-        if from_fields is None:
-            def from_fields(fields: Dict[str, Any]) -> Any:
-                return cls(**fields)
+    names = tuple(f.name for f in dataclasses.fields(cls))
     raw_tag = tag.encode("utf-8")
-    count = 1 if names is None else len(names)
-    if len(raw_tag) > 255 or count > 255:
-        raise CodecError(f"wire tag {tag!r} or its {count} fields do not fit one byte each")
+    if len(raw_tag) > 255 or len(names) > 255:
+        raise CodecError(f"wire tag {tag!r} or its {len(names)} fields do not fit one byte each")
     registration = _Registration(
-        tag=tag, cls=cls, to_fields=to_fields, from_fields=from_fields, names=names,
-        head=bytes([_RECORD, len(raw_tag)]) + raw_tag + bytes([count]))
+        tag=tag, cls=cls, names=names,
+        audited=tuple(name for name in names if name in _AUDITS),
+        head=bytes([_RECORD, len(raw_tag)]) + raw_tag + bytes([len(names)]))
     _BY_CLASS[cls] = _BY_TAG[tag] = registration
     return cls
-
-
-def is_registered(cls: type) -> bool:
-    return cls in _BY_CLASS
-
-
-def registered_classes() -> Tuple[type, ...]:
-    """All codec-registered classes."""
-    return tuple(sorted(_BY_CLASS, key=lambda c: (c.__name__, c.__module__)))
-
-
-def _lookup(cls: type) -> Optional[_Registration]:
-    for base in cls.__mro__[:-1]:  # exclude object
-        registration = _BY_CLASS.get(base)
-        if registration is not None:
-            return registration
-    return None
 
 
 def _too_deep() -> CodecError:
@@ -220,36 +180,39 @@ def _counts_body(counts: Dict[Any, Any]) -> Optional[bytes]:
         return None
 
 
-def _write_data(out: List[bytes], msg: DataMessage, depth: int) -> bool:
-    """Append ``msg`` in the DataMessage layout.  False, with nothing
-    appended, when a field does not fit it (the generic record then does)."""
+def _unfit(msg: DataMessage) -> CodecError:
+    return CodecError(f"DataMessage {msg.msg_id!r} has a field its wire layout cannot hold")
+
+
+def _write_data(out: List[bytes], msg: DataMessage, depth: int) -> None:
+    """Append ``msg`` in the DataMessage layout, or raise :class:`CodecError`
+    for a field it cannot hold."""
     if not (type(msg.seq) is int and type(msg.view_id) is int
-            and type(msg.sent_at) is float and type(msg.retransmit) is bool
+            and type(msg.retransmit) is bool
             and type(msg.group) is str and type(msg.sender) is str):
-        return False
+        raise _unfit(msg)
     flags = _RETRANSMIT if msg.retransmit else 0
-    vc_body = acks_body = b""
+    vc_body: Optional[bytes] = b""
+    acks_body: Optional[bytes] = b""
     vc, acks = msg.vc, msg.ack_vector
     if vc is not None:
-        if type(vc) is not DenseVectorClock:
-            return False
-        vc_body = _counts_body(vc.as_dict())
-        if vc_body is None:
-            return False
+        vc_body = _counts_body(vc.as_dict()) if type(vc) is DenseVectorClock else None
         flags |= _HAS_VC
     if acks is not None:
         acks_body = _counts_body(acks) if type(acks) is dict else None
-        if acks_body is None:
-            return False
         flags |= _HAS_ACKS
+    if vc_body is None or acks_body is None:
+        raise _unfit(msg)
     if msg.attached is not None:
         flags |= _HAS_ATTACHED
     group, sender = msg.group.encode("utf-8"), msg.sender.encode("utf-8")
     try:
+        # ``d`` packs an int sent_at too (the simulator's clock is one after
+        # ``call_at(int)``), and the float it decodes to compares equal.
         out.append(_DATA_HEAD.pack(_DATA, msg.seq, msg.sent_at, msg.view_id,
                                    flags, len(group), len(sender)))
     except struct.error:
-        return False
+        raise _unfit(msg) from None
     out.append(group)
     out.append(sender)
     _write(out, msg.payload, depth + 1)
@@ -257,7 +220,6 @@ def _write_data(out: List[bytes], msg: DataMessage, depth: int) -> bool:
     out.append(acks_body)
     if msg.attached is not None:
         _write(out, msg.attached, depth + 1)
-    return True
 
 
 def _encoded(value: Any, depth: int) -> bytes:
@@ -271,19 +233,18 @@ def _write(out: List[bytes], value: Any, depth: int) -> None:
     kind = type(value)
     code = _CODES.get(kind)
     if code is None:
-        registration = _lookup(kind)
+        if kind is DataMessage:
+            if depth >= MAX_DEPTH:
+                raise _too_deep()
+            _write_data(out, value, depth)
+            return
+        registration = _BY_CLASS.get(kind)
         if registration is not None:
             if depth >= MAX_DEPTH:
                 raise _too_deep()
-            if kind is DataMessage and _write_data(out, value, depth):
-                return
-            fields = registration.to_fields(value)
             out.append(registration.head)
-            if registration.names is None:
-                _write(out, fields, depth + 1)
-            else:
-                for name in registration.names:
-                    _write(out, fields[name], depth + 1)
+            for name in registration.names:
+                _write(out, getattr(value, name), depth + 1)
             return
         code = next((_CODES[base] for base in kind.__mro__ if base in _CODES), None)
         if code is None:
@@ -356,7 +317,7 @@ def _read_data(data: bytes, pos: int, depth: int, domains: DomainLookup,
         raise CodecError("DataMessage names larger than the bytes that remain")
     group = str(data[pos:split], "utf-8")
     sender = str(data[split:end], "utf-8")
-    if senders is not None and sender not in senders:
+    if sender not in senders:
         raise CodecError("DataMessage from a pid that is not an accepted sender")
     payload, pos = _read(data, end, depth + 1, domains, senders)
     vc = acks = attached = None
@@ -372,53 +333,82 @@ def _read_data(data: bytes, pos: int, depth: int, domains: DomainLookup,
                        bool(flags & _RETRANSMIT), attached), pos
 
 
-def _clock_counts(counts: Any) -> Dict[str, int]:
-    """``counts`` if it is a pid -> count dict, which is all a clock may be."""
-    if type(counts) is not dict or not all(
-            type(pid) is str and type(count) is int for pid, count in counts.items()):
-        raise CodecError("a vector clock is not a pid -> count map")
-    return counts
-
-
 def _named(counts: _Pids, senders: Senders) -> _Pids:
-    """``counts`` if every pid it names is one of ``senders`` (any pid when
-    ``senders`` is None).  A stamp decodes into the group's domain, and
-    every new pid there would widen every later clock of the group; an ack
-    vector's new pid would start a NAK chase towards a pid with no address,
-    and a reply to a ``requester`` with no address raises in the stack."""
-    if senders is not None and not all(map(senders.__contains__, counts)):
+    """``counts`` if every pid it names is one of ``senders``.  A stamp
+    decodes into the group's domain, and every new pid there would widen
+    every later clock of the group; an ack vector's new pid would start a
+    NAK chase towards a pid with no address, and a reply to a
+    ``requester`` with no address raises in the stack."""
+    if not all(map(senders.__contains__, counts)):
         raise CodecError("counts name a pid that is not an accepted sender")
     return counts
 
 
-def _message_id(mid: Any, senders: Senders) -> None:
-    """Refuse ``mid`` unless it is a ``(pid, seq)`` pair whose pid is one of
-    ``senders``.  Agreed-order commits are kept for good per id, and a NAK or
-    refetch for an id from a pid with no address is answered towards it."""
-    if type(mid) is not tuple or len(mid) != 2 or type(mid[0]) is not str \
-            or type(mid[1]) is not int:
-        raise CodecError("a message id is not a (pid, seq) pair")
-    _named(mid[:1], senders)
+# Pid audits, by record field name: each refuses a value naming a pid
+# outside ``senders``.  A reply, flush or view towards a pid with no
+# address raises in the stack; a count map's pid starts a NAK chase or
+# enters the causal layer's ceiling.
 
 
-def _listed(fields: Dict[str, Any], name: str) -> List[Any]:
-    """The list in ``fields[name]`` (empty if the record has no such field)."""
-    value = fields.get(name, [])
-    if type(value) is not list:
-        raise CodecError(f"{name} is not a list")
+def _pid(pid: Any, senders: Senders) -> None:
+    if type(pid) is not str or pid not in senders:
+        raise CodecError(f"{pid!r} is not an accepted sender's pid")
+
+
+def _map(value: Any) -> Dict[Any, Any]:
+    if type(value) is not dict:
+        raise CodecError(f"{type(value).__name__} where a map belongs")
     return value
 
 
-def _record_clock(fields: Dict[str, Any], domains: DomainLookup,
-                  senders: Senders = None) -> Optional[DenseVectorClock]:
-    """The clock of a ``DataMessage`` that travelled as a generic record,
-    placed in its group's domain as :func:`_read_data` places a packed one."""
-    counts, group = fields["vc"], fields["group"]
-    if counts is None:
-        return None
-    if type(group) is not str:
-        raise CodecError("DataMessage group is not a string")
-    return domains(group).clock(_named(_clock_counts(counts), senders))
+def _message_id(mid: Any, senders: Senders) -> None:
+    """Agreed-order commits are kept for good per id, and a NAK or refetch
+    for an id is answered towards its pid."""
+    if type(mid) is not tuple or len(mid) != 2 or type(mid[1]) is not int:
+        raise CodecError("a message id is not a (pid, seq) pair")
+    _pid(mid[0], senders)
+
+
+def _assignment(entry: Any, senders: Senders) -> None:
+    if type(entry) is not tuple or len(entry) != 2 or type(entry[0]) is not int:
+        raise CodecError("an assignment is not an (index, message id) pair")
+    _message_id(entry[1], senders)
+
+
+def _each(check: Callable[[Any, Senders], None], kind: type) -> Callable[[Any, Senders], None]:
+    def audit(values: Any, senders: Senders) -> None:
+        if type(values) is not kind:
+            raise CodecError(f"{type(values).__name__} where a {kind.__name__} belongs")
+        for value in values:
+            check(value, senders)
+    return audit
+
+
+def _ordering_state(state: Any, senders: Senders) -> None:
+    """The flush's ``commits`` (message id -> (priority, tiebreak pid)),
+    which ``total-agreed`` keeps for good, and ``assignments`` (index ->
+    message id)."""
+    state = _map(state)
+    for mid, commit in _map(state.get("commits", {})).items():
+        if type(commit) is not tuple or len(commit) != 2:
+            raise CodecError("a commit is not a (priority, tiebreak) pair")
+        _message_id(mid, senders)
+        _pid(commit[1], senders)
+    for mid in _map(state.get("assignments", {})).values():
+        _message_id(mid, senders)
+
+
+def _counts(counts: Any, senders: Senders) -> None:
+    _named(_map(counts), senders)
+
+
+_AUDITS: Dict[str, Callable[[Any, Senders], None]] = {
+    "requester": _pid, "coordinator": _pid, "joiner": _pid,
+    "members": _each(_pid, tuple), "proposed_members": _each(_pid, tuple),
+    "ack_vector": _counts, "received_counts": _counts, "final_counts": _counts,
+    "msg_id": _message_id, "wanted": _each(_message_id, list),
+    "assignments": _each(_assignment, list), "ordering_state": _ordering_state,
+}
 
 
 def _read_record(data: bytes, pos: int, depth: int, domains: DomainLookup,
@@ -431,37 +421,16 @@ def _read_record(data: bytes, pos: int, depth: int, domains: DomainLookup,
     registration = _BY_TAG.get(tag)
     if registration is None:
         raise CodecError(f"unknown wire tag: {tag!r}")
-    names = registration.names
-    if data[end] != (1 if names is None else len(names)):
+    if data[end] != len(registration.names):
         raise CodecError(f"wire tag {tag!r} with {data[end]} fields")
     pos = end + 1
-    if names is None:
-        fields, pos = _read(data, pos, depth + 1, domains, senders)
-        if type(fields) is not dict:
-            raise CodecError(f"wire tag {tag!r} without a field map")
-    else:
-        fields = {}
-        for name in names:
-            fields[name], pos = _read(data, pos, depth + 1, domains, senders)
-        if registration.cls is DataMessage:
-            _message_id((fields["sender"], fields["seq"]), senders)
-            fields["vc"] = _record_clock(fields, domains, senders)
-    if type(fields.get("ack_vector")) is dict:
-        _named(fields["ack_vector"], senders)
-    if "requester" in fields:
-        if type(fields["requester"]) is not str:
-            raise CodecError(f"wire tag {tag!r} with a requester that is not a pid")
-        _named((fields["requester"],), senders)
-    if "msg_id" in fields:
-        _message_id(fields["msg_id"], senders)
-    for mid in _listed(fields, "wanted"):
-        _message_id(mid, senders)
-    for entry in _listed(fields, "assignments"):
-        if type(entry) is not tuple or len(entry) != 2 or type(entry[0]) is not int:
-            raise CodecError("an assignment is not an (index, message id) pair")
-        _message_id(entry[1], senders)
+    fields = {}
+    for name in registration.names:
+        fields[name], pos = _read(data, pos, depth + 1, domains, senders)
+    for name in registration.audited:
+        _AUDITS[name](fields[name], senders)
     try:
-        return registration.from_fields(fields), pos
+        return registration.cls(**fields), pos
     except CodecError:
         raise
     except Exception as exc:
@@ -522,29 +491,6 @@ def _read(data: bytes, pos: int, depth: int, domains: DomainLookup,
     return members, pos
 
 
-def _frame(*values: Any) -> bytes:
-    out = [HEADER]
-    try:
-        for value in values:
-            _write(out, value, 0)
-    except (TypeError, ValueError, struct.error, RecursionError) as exc:
-        if isinstance(exc, CodecError):
-            raise
-        raise CodecError(f"unencodable payload: {exc}") from exc
-    return b"".join(out)
-
-
-def _open(data: bytes) -> int:
-    """Where the first framed value starts, once the header checks out."""
-    if len(data) < len(HEADER):
-        raise CodecError(f"truncated datagram: {len(data)} bytes")
-    if data[: len(MAGIC)] != MAGIC:
-        raise CodecError("bad magic: not a repro wire datagram")
-    if data[len(MAGIC)] != VERSION:
-        raise CodecError(f"unsupported wire version: {data[len(MAGIC)]}")
-    return len(HEADER)
-
-
 def _next(data: bytes, pos: int, domains: DomainLookup,
           senders: Senders) -> Tuple[Any, int]:
     """:func:`_read` at the top level of a frame."""
@@ -554,72 +500,54 @@ def _next(data: bytes, pos: int, domains: DomainLookup,
         raise CodecError(f"malformed datagram body: {exc}") from exc
 
 
-def _close(data: bytes, pos: int) -> None:
-    if pos != len(data):
-        raise CodecError(f"{len(data) - pos} trailing bytes")
-
-
-def encode(obj: Any) -> bytes:
-    """Serialize one wire object to a framed datagram body."""
-    return _frame(obj)
-
-
-def decode(data: bytes, domains: DomainLookup) -> Any:
-    """Parse a framed datagram body back into the wire object, every
-    ``DataMessage`` clock in ``domains(msg.group)``."""
-    value, pos = _next(data, _open(data), domains, None)
-    _close(data, pos)
-    return value
-
-
 def encode_datagram(src: str, payload: Any) -> bytes:
     """Frame ``payload`` with its sender pid for one UDP datagram."""
-    return _frame(src, payload)
+    out = [HEADER]
+    try:
+        _write(out, src, 0)
+        _write(out, payload, 0)
+    except (TypeError, ValueError, struct.error, RecursionError) as exc:
+        if isinstance(exc, CodecError):
+            raise
+        raise CodecError(f"unencodable payload: {exc}") from exc
+    return b"".join(out)
 
 
 def decode_datagram(data: bytes, domains: DomainLookup,
-                    senders: Container[str]) -> Tuple[str, Any]:
+                    senders: Senders) -> Tuple[str, Any]:
     """Inverse of :func:`encode_datagram`; returns ``(src, payload)``, every
     ``DataMessage`` clock in ``domains(msg.group)``.
 
     The sender pid is read first, and a pid not in ``senders`` raises
     :class:`UnknownSender` before any byte of the payload is: a forged
     datagram cannot add a pid to a clock domain.  Nor can a known sender: a
-    ``DataMessage`` sender or stamp, any record's ``ack_vector``
-    (``AckGossip``, ``AckQuery``), any record's ``requester`` (``Nak`` and
-    the ordering repair requests), or any message id (``msg_id``, each id
-    in ``wanted`` and in ``OrderToken.assignments``) that names a pid not in
-    ``senders`` raises :class:`CodecError`.  A relayed message from a
-    departed member still decodes: the receiver keeps accepting every pid
-    it has an address for."""
-    pos = _open(data)
+    ``DataMessage`` sender or stamp, or a record field :data:`_AUDITS`
+    names, that names a pid not in ``senders`` raises :class:`CodecError`.
+    A relay from a departed member still decodes: the receiver keeps
+    accepting every pid it has an address for."""
+    if len(data) < len(HEADER):
+        raise CodecError(f"truncated datagram: {len(data)} bytes")
+    if data[: len(MAGIC)] != MAGIC:
+        raise CodecError("bad magic: not a repro wire datagram")
+    if data[len(MAGIC)] != VERSION:
+        raise CodecError(f"unsupported wire version: {data[len(MAGIC)]}")
+    pos = len(HEADER)
     if data[pos:pos + 1] != _BYTE[_STR]:
         raise CodecError("datagram sender pid is not a string")
-    src, pos = _next(data, pos, domains, None)
+    src, pos = _next(data, pos, domains, senders)
     if src not in senders:
         raise UnknownSender(f"datagram from unregistered pid {src!r}")
     payload, pos = _next(data, pos, domains, senders)
-    _close(data, pos)
+    if pos != len(data):
+        raise CodecError(f"{len(data) - pos} trailing bytes")
     return src, payload
 
 
 def _register_builtin_wire_classes() -> None:
-    """Register every CATOCS wire message plus the clock and app-payload types.
-
-    Called once at import; keeping it in a function makes the registration
-    order explicit and gives tests a single place to assert coverage.
-    """
+    """Register every CATOCS wire record and the app-payload types, once."""
     for cls in wire_classes():
-        register_wire(cls)
-
-    # A bare clock record decodes to its counts; inside a DataMessage record,
-    # _read_record places them in the group's domain.
-    register_wire(
-        DenseVectorClock,
-        tag="VectorClock",
-        to_fields=lambda vc: {"counts": vc.as_dict()},
-        from_fields=lambda fields: _clock_counts(fields["counts"]),
-    )
+        if cls is not DataMessage:  # its own layout, never a record
+            register_wire(cls)
 
     # App payloads that are classes rather than plain dicts.
     from repro.apps.netnews import Article

@@ -1,7 +1,9 @@
 """Hybrid-buffering causal layer: bounded receiver, sender retention."""
 
+import dataclasses
+
 from repro.catocs import build_group
-from repro.catocs.messages import DataMessage
+from repro.catocs.messages import DataMessage, HybridRefill
 from repro.sim import LinkModel, Network, Simulator
 
 
@@ -40,6 +42,38 @@ def test_bounded_buffer_overflows_to_stub_and_refetches():
     assert q_layer.overflow_drops > 0
     assert q_layer.refetches_sent > 0
     assert members["p"].ordering.refills_served > 0
+    assert q_layer.pending() == 0 and not q_layer._stubs
+
+
+def test_an_unstamped_refill_keeps_its_stub_for_the_retry():
+    """A refill whose messages carry no clock cannot be ordered: each is
+    dropped and counted, its stub stays, and the refetch retry brings the
+    real bodies."""
+    sim = Simulator(seed=13)
+    net = Network(sim, LinkModel(latency=5.0, jitter=0.0))
+    members = build_group(sim, net, ["p", "q", "r"], ordering="hybrid-causal",
+                          nak_delay=6.0)
+    q_layer = members["q"].ordering
+    q_layer.buffer_bound = 2
+    _lossy_first_to(net, "p", "q", seq=1)
+    original = net.send
+    stripped = []
+
+    def strip_first_refill(s, d, payload, *sized):
+        if isinstance(payload, HybridRefill) and d == "q" and not stripped:
+            stripped.extend(payload.msgs)
+            payload = dataclasses.replace(payload, msgs=[
+                dataclasses.replace(msg, vc=None) for msg in payload.msgs])
+        return original(s, d, payload, *sized)
+
+    net.send = strip_first_refill
+    for seq, at in enumerate([10.0, 20.0, 24.0, 28.0, 32.0, 36.0], start=1):
+        sim.call_at(at, members["p"].multicast, {"n": seq})
+    sim.run(until=600)
+
+    assert stripped and members["q"].stack.unstamped_dropped == len(stripped)
+    assert [r.payload["n"] for r in members["q"].delivered] == [1, 2, 3, 4, 5, 6]
+    assert q_layer.refetches_sent >= 2
     assert q_layer.pending() == 0 and not q_layer._stubs
 
 

@@ -214,7 +214,8 @@ def test_a_stamp_decoded_into_a_reordered_domain_agrees_with_the_oracle(
     sent = ClockDomain(tuple(PIDS)).clock(stamp)
     msg = DataMessage(group="g", sender=sender, seq=1, payload=None, sent_at=0.0, vc=sent)
     receiver = ClockDomain(tuple(receiver_order))
-    decoded = codec.decode(codec.encode(msg), lambda group: receiver).vc
+    blob = codec.encode_datagram(sender, msg)
+    decoded = codec.decode_datagram(blob, lambda group: receiver, PIDS)[1].vc
     delivered = receiver.clock(seen)
     same = receiver.clock(stamp)
     va, vs = VectorClock(stamp), VectorClock(seen)

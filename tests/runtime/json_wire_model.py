@@ -6,20 +6,26 @@ classes as ``{"!": "<tag>", "f": {field: value}}``, and ``tuple``, ``bytes``,
 ``set``, ``frozenset`` and non-string-keyed dicts under explicit markers.
 ``_pack``/``_unpack``/``_canonical`` are that codec's functions, moved here;
 they read the live registry of :mod:`repro.runtime.codec`, so the two
-formats always describe the same classes, and a ``DataMessage`` clock lands
-in the receiver's clock domain as the binary codec places it.  No production
-code imports this module, and a version-1 datagram is rejected on the wire.
+formats always describe the same classes.  ``DataMessage``, which the binary
+codec lays out by hand, and its clock are packed here as version 1 spelt
+them: a ``DataMessage`` record whose ``vc`` is a ``VectorClock`` record of
+one ``counts`` field, landing in the receiver's clock domain as the binary
+codec places it.  No production code imports this module, and a version-1
+datagram is rejected on the wire.
 """
 
+import dataclasses
 import json
-from typing import Any, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.catocs.messages import DataMessage
-from repro.runtime.codec import _BY_TAG, MAGIC, CodecError, DomainLookup, _lookup, _record_clock
+from repro.ordering.dense import DenseVectorClock
+from repro.runtime.codec import _BY_CLASS, _BY_TAG, MAGIC, CodecError, DomainLookup
 
 HEADER = MAGIC + b"\x01"
 
 _MARKER = "!"
+_CLOCK_TAG = "VectorClock"
 
 
 def _canonical(packed: Any) -> str:
@@ -42,10 +48,13 @@ def _pack(value: Any) -> Any:
         if all(isinstance(k, str) for k in value) and _MARKER not in value:
             return {k: _pack(v) for k, v in value.items()}
         return {_MARKER: "map", "v": [[_pack(k), _pack(v)] for k, v in value.items()]}
-    registration = _lookup(type(value))
-    if registration is not None:
-        fields = registration.to_fields(value)
-        return {_MARKER: registration.tag, "f": {k: _pack(v) for k, v in fields.items()}}
+    if type(value) is DenseVectorClock:
+        return {_MARKER: _CLOCK_TAG, "f": {"counts": value.as_dict()}}
+    registration = _BY_CLASS.get(type(value))
+    if registration is not None or type(value) is DataMessage:
+        fields = {f.name: _pack(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return {_MARKER: "DataMessage" if registration is None else registration.tag,
+                "f": fields}
     raise CodecError(
         f"cannot encode {type(value).__name__}: not a wire-codec-registered class "
         "(see repro.runtime.codec.register_wire)"
@@ -75,21 +84,31 @@ def _unpack(value: Any, domains: DomainLookup) -> Any:
         if marker == "map":
             return {_unpack(k, domains): _unpack(v, domains) for k, v in value["v"]}
         registration = _BY_TAG.get(marker)
-        if registration is None:
+        if registration is None and marker not in ("DataMessage", _CLOCK_TAG):
             raise CodecError(f"unknown wire tag: {marker!r}")
         fields = value.get("f")
         if not isinstance(fields, dict):
             raise CodecError(f"wire tag {marker!r} without a field map")
         fields = {k: _unpack(v, domains) for k, v in fields.items()}
-        if registration.cls is DataMessage:
-            fields["vc"] = _record_clock(fields, domains)
+        if marker == _CLOCK_TAG:  # a clock names no domain: its DataMessage places it
+            return fields["counts"]
+        cls = DataMessage if registration is None else registration.cls
+        if cls is DataMessage and fields.get("vc") is not None:
+            fields["vc"] = _placed(fields, domains)
         try:
-            return registration.from_fields(fields)
+            return cls(**fields)
         except CodecError:
             raise
         except Exception as exc:
             raise CodecError(f"cannot rebuild {marker!r}: {exc}") from exc
     raise CodecError(f"unexpected JSON shape: {type(value).__name__}")
+
+
+def _placed(fields: Dict[str, Any], domains: DomainLookup) -> DenseVectorClock:
+    counts, group = fields["vc"], fields["group"]
+    if type(counts) is not dict or not isinstance(group, str):
+        raise CodecError("a DataMessage clock the receiver cannot place")
+    return domains(group).clock(counts)
 
 
 def encode(obj: Any) -> bytes:

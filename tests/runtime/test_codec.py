@@ -1,12 +1,12 @@
 """Wire-codec round-trip properties and malformed-datagram rejection.
 
-The hypothesis property is the satellite contract: ``decode(encode(msg))``
-is field-equal for *every* registered wire class, with strategies derived
+The hypothesis property is the satellite contract: a datagram carrying
+``msg`` decodes field-equal for *every* wire class, with strategies derived
 from the dataclass annotations so a new field on any message is covered the
 moment it lands.  The version-1 JSON codec (``json_wire_model``) is the
 reference: both formats must return equal values of equal types, and the
-binary one must not be the larger.  Every clock is stamped in, and decodes
-into, the domain ``host_domains`` keeps for its message's group.
+binary one must not be the larger.  Every clock decodes into the domain
+``host_domains`` keeps for its message's group.
 """
 
 import dataclasses
@@ -38,8 +38,21 @@ def host_domains(group: str) -> ClockDomain:
 SENDERS = {"a", "b"}
 
 
+class _AnyPid:
+    """Accepts every pid: the strategies draw arbitrary ones."""
+
+    def __contains__(self, pid: object) -> bool:
+        return True
+
+
+def encode(value: Any) -> bytes:
+    """``value`` as the payload of a datagram from ``a``."""
+    return codec.encode_datagram("a", value)
+
+
 def decode(blob: bytes) -> Any:
-    return codec.decode(blob, host_domains)
+    """The payload of ``blob``, decoded by a host that accepts any pid."""
+    return codec.decode_datagram(blob, host_domains, _AnyPid())[1]
 
 
 def decode_datagram(blob: bytes) -> Tuple[str, Any]:
@@ -140,16 +153,20 @@ def _instances(cls: type) -> st.SearchStrategy:
 @given(data=st.data())
 def test_every_registered_wire_class_round_trips(cls, data):
     msg = data.draw(_instances(cls))
-    assert decode(codec.encode(msg)) == msg
+    assert decode(encode(msg)) == msg
 
 
 def _values(cls: Any) -> st.SearchStrategy:
-    """Instances of any codec-registered class; ``None`` stands for PAYLOADS."""
+    """Instances of a class in CARRIED; ``None`` stands for PAYLOADS, and
+    DenseVectorClock for a message stamped in a domain the host does not
+    keep (a clock travels only as a stamp)."""
     if cls is None:
         return PAYLOADS
     if cls is DenseVectorClock:
         return st.lists(st.integers(0, 99), min_size=3, max_size=3).map(
-            lambda counts: DenseVectorClock(ClockDomain(("a", "b", "c")), counts))
+            lambda counts: DataMessage(
+                group="g", sender="a", seq=1, payload=None, sent_at=0.0,
+                vc=DenseVectorClock(ClockDomain(("a", "b", "c")), counts)))
     return _instances(cls)
 
 
@@ -171,25 +188,31 @@ def _same_types(a: Any, b: Any) -> bool:
     return repr(a) == repr(b)
 
 
-@pytest.mark.parametrize("cls", codec.registered_classes() + (None,),
+#: Every kind of value the codec carries: the wire classes, the app payload
+#: class, a stamp from another host's clock domain, and app payloads.
+CARRIED = wire_classes() + (Article, DenseVectorClock)
+
+
+@pytest.mark.parametrize("cls", CARRIED + (None,),
                          ids=lambda c: "PAYLOADS" if c is None else c.__name__)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_binary_and_json_round_trips_agree(cls, data):
     value = data.draw(_values(cls))
-    binary = decode(codec.encode(value))
+    binary = decode(encode(value))
     reference = json_wire_model.decode(json_wire_model.encode(value), host_domains)
-    # A bare clock names no group, so no domain to decode into: its counts.
-    expected = value.as_dict() if cls is DenseVectorClock else value
+    # A stamp decodes into the host's domain for its group, as the same counts.
+    expected = value if cls is not DenseVectorClock else dataclasses.replace(
+        value, vc=host_domains("g").clock(value.vc.as_dict()))
     assert binary == reference == expected
     assert _same_types(binary, reference)
 
 
-@pytest.mark.parametrize("cls", codec.registered_classes(), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", CARRIED, ids=lambda c: c.__name__)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_mutated_encodings_give_a_value_or_a_codec_error(cls, data):
-    blob = codec.encode(data.draw(_values(cls)))
+    blob = encode(data.draw(_values(cls)))
     for cut in range(len(blob)):
         with pytest.raises(codec.CodecError):
             decode(blob[:cut])
@@ -215,7 +238,7 @@ SIZED_HEADS = [struct.pack("!BI", code, 2**32 - 1)
     bytes([codec._RECORD, 0xFF]),
 ], ids=lambda head: head.hex())
 def test_an_absurd_declared_size_is_rejected_without_allocating(head):
-    blob = codec.HEADER + head + bytes(10)
+    blob = codec.HEADER + SRC + head + bytes(10)
     tracemalloc.start()
     try:
         with pytest.raises(codec.CodecError):
@@ -236,31 +259,34 @@ def _rich_data_message() -> DataMessage:
 
 def test_piggybacked_attachments_round_trip():
     outer = _rich_data_message()
-    assert decode(codec.encode(outer)) == outer
+    assert decode(encode(outer)) == outer
 
 
-def test_a_message_the_data_layout_cannot_hold_travels_as_a_record():
-    """Out-of-range header fields, a clock that is not counts-shaped or an
-    ack vector with a bool: still a round trip, just not the packed one."""
-    for changes in ({"seq": 2**63}, {"view_id": -1}, {"sent_at": 2},
-                    {"vc": host_domains("g").clock({"a": 2**32})}, {"ack_vector": {"a": True}}):
-        msg = dataclasses.replace(_rich_data_message(), **changes)
-        blob = codec.encode(msg)
-        assert blob[len(codec.HEADER)] == codec._RECORD
-        decoded = decode(blob)
-        assert decoded == msg and _same_types(decoded, json_wire_model.decode(
-            json_wire_model.encode(msg), host_domains))
-    assert codec.encode(_rich_data_message())[len(codec.HEADER)] == codec._DATA
+def test_a_message_the_data_layout_cannot_hold_is_refused_at_encode():
+    """A DataMessage has one layout.  Out-of-range header fields, a field of
+    the wrong type, a clock or ack vector that is not counts-shaped: each is
+    a CodecError at encode, not a second form on the wire.  An int
+    ``sent_at`` (the simulator's clock after ``call_at(int)``) packs, and the
+    float it decodes to compares equal."""
+    for changes in ({"seq": 2**63}, {"seq": True}, {"view_id": -1}, {"sent_at": "2"},
+                    {"retransmit": 1}, {"group": 5}, {"vc": {"a": 1}}, {"vc": [1, 2]},
+                    {"vc": host_domains("g").clock({"a": 2**32})}, {"ack_vector": {"a": True}},
+                    {"ack_vector": {"a": 2**32}}):
+        with pytest.raises(codec.CodecError, match="wire layout cannot hold"):
+            encode(dataclasses.replace(_rich_data_message(), **changes))
+    assert encode(_rich_data_message())[BODY] == codec._DATA
+    at_int = dataclasses.replace(_rich_data_message(), sent_at=2)
+    assert decode(encode(at_int)) == at_int
 
 
-@pytest.mark.parametrize("layout", [{}, {"seq": 2**63}], ids=["packed", "record"])
-@pytest.mark.parametrize("where", ["vc", "ack_vector", "attached", "sender"])
-def test_counts_naming_a_pid_that_is_not_a_sender_are_a_codec_error(where, layout):
+@pytest.mark.parametrize("where", ["vc", "ack_vector", "attached", "sender"],
+                         ids=lambda where: f"{where}-packed")
+def test_counts_naming_a_pid_that_is_not_a_sender_are_a_codec_error(where):
     """From an accepted sender, a stamp or ack vector that names a pid the
-    receiver does not accept is refused, in either layout and in an
-    attachment, and so is a relayed message from such a pid; the same
-    message naming only accepted pids decodes."""
-    msg = dataclasses.replace(_rich_data_message(), **layout)
+    receiver does not accept is refused, in a message and in an attachment,
+    and so is a relayed message from such a pid; the same message naming
+    only accepted pids decodes."""
+    msg = _rich_data_message()
     assert decode_datagram(codec.encode_datagram("a", msg)) == ("a", msg)
     stranger = {"vc": {"vc": ClockDomain(("a", "zz")).clock({"a": 4, "zz": 1})},
                 "ack_vector": {"ack_vector": {"b": 1, "zz": 2}},
@@ -301,30 +327,25 @@ def test_a_requester_that_is_not_a_sender_is_a_codec_error(requester):
 
 def test_dense_clock_decodes_into_the_receivers_domain():
     """The sender indexes (a, b, c); the receiver (c, x, a).  The stamp lands
-    in the receiver's domain, in both layouts, as the same counts."""
+    in the receiver's domain as the same counts.  A clock outside a
+    DataMessage names no group, so no domain: it is refused at encode."""
     sent = DenseVectorClock(ClockDomain(("a", "b", "c")), [3, 0, 7])
     receiver = ClockDomain(("c", "x", "a"))
-    for seq in (1, 2**63):  # the packed layout, then the generic record
-        msg = DataMessage(group="g", sender="a", seq=seq, payload=None, sent_at=0.0, vc=sent)
-        decoded = codec.decode(codec.encode(msg), lambda group: receiver).vc
-        assert decoded == receiver.clock({"a": 3, "c": 7})
-        assert decoded.as_dict() == sent.as_dict() == {"a": 3, "c": 7}
-    assert decode(codec.encode(sent)) == {"a": 3, "c": 7}  # bare: no group, no domain
+    msg = DataMessage(group="g", sender="a", seq=1, payload=None, sent_at=0.0, vc=sent)
+    decoded = codec.decode_datagram(encode(msg), lambda group: receiver, SENDERS | {"c"})[1].vc
+    assert decoded == receiver.clock({"a": 3, "c": 7})
+    assert decoded.as_dict() == sent.as_dict() == {"a": 3, "c": 7}
+    with pytest.raises(codec.CodecError, match="not a wire-codec-registered"):
+        encode(sent)
 
 
-#: Two stamped messages, packed and (a 2**32 count) as a generic record, as
-#: the wire format has always spelt them:
-#: the clock is a counts map in the packed layout and a ``VectorClock``
-#: record with one ``counts`` field map in the generic one.
-PINNED_DATAGRAMS = (
+#: A stamped message as the wire format has always spelt it, the clock a
+#: counts map.
+PINNED_DATAGRAM = (
     "525057020900000001610700000000000000044000000000000000000000000e000100016761"
     "0f0000000109000000016b0c000000020300000000000000010a000000010000020003610062"
     "00000004000000010001000162000000010b000000010700000000000000013fe00000000000"
-    "00000000000200010001676209000000056561726c79000100016200000001",
-    "52505702090000000161060b446174614d6573736167650a0900000001670900000001610300"
-    "0000000000000200043ff0000000000000030000000000000000060b566563746f72436c6f63"
-    "6b010f000000010900000006636f756e74730f00000002090000000161030000000100000000"
-    "090000000162030000000000000003000200",
+    "00000000000200010001676209000000056561726c79000100016200000001"
 )
 
 
@@ -335,15 +356,12 @@ def test_encoded_data_messages_keep_their_pinned_bytes():
     rich = DataMessage(group="g", sender="a", seq=4, payload={"k": (1, b"\x00")},
                        sent_at=2.0, vc=domain.clock({"a": 4, "b": 1, "c": 0}),
                        ack_vector={"b": 1}, attached=[inner])
-    wide = DataMessage(group="g", sender="a", seq=2, payload=None, sent_at=1.0,
-                       vc=domain.clock({"a": 2**32, "b": 3}))
-    for msg, pinned in zip((rich, wide), PINNED_DATAGRAMS):
-        assert codec.encode_datagram("a", msg).hex() == pinned
+    assert codec.encode_datagram("a", rich).hex() == PINNED_DATAGRAM
 
 
 def test_decode_returns_a_fresh_object_not_a_reference():
     msg = DataMessage(group="g", sender="a", seq=1, payload={"x": [1]}, sent_at=0.0)
-    decoded = decode(codec.encode(msg))
+    decoded = decode(encode(msg))
     assert decoded == msg and decoded is not msg
     assert decoded.payload is not msg.payload
 
@@ -355,32 +373,50 @@ def test_datagram_frame_carries_the_sender():
 
 
 def test_unregistered_class_is_rejected_at_encode_time():
+    """So is a subclass of a registered class: sent as its base, it would
+    decode as another type."""
     class NotWire:
         pass
 
-    with pytest.raises(codec.CodecError, match="not a wire-codec-registered"):
-        codec.encode(NotWire())
+    @dataclasses.dataclass
+    class LateNak(Nak):
+        pass
+
+    for value in (NotWire(), LateNak(group="g", requester="b", wanted=[])):
+        with pytest.raises(codec.CodecError, match="not a wire-codec-registered"):
+            encode(value)
 
 
 def test_every_wire_tag_names_one_class():
+    """A tag names one dataclass, and a record is a dataclass's fields."""
+    @dataclasses.dataclass
     class Twin:
         pass
 
+    class Plain:
+        pass
+
     with pytest.raises(codec.CodecError, match="tag collision"):
-        codec.register_wire(Twin, tag="VectorClock", to_fields=vars, from_fields=dict)
-    assert not codec.is_registered(Twin)
-    assert "encode_only" not in inspect.signature(codec.register_wire).parameters
+        codec.register_wire(Twin, tag="Nak")
+    with pytest.raises(codec.CodecError, match="not a dataclass"):
+        codec.register_wire(Plain)
+    for cls in (Twin, Plain):
+        with pytest.raises(codec.CodecError, match="not a wire-codec-registered"):
+            encode(cls())
+    assert list(inspect.signature(codec.register_wire).parameters) == ["cls", "tag"]
 
 
-def test_a_record_clock_the_receiver_cannot_place_is_a_codec_error():
-    """A generic record carries whatever its fields held.  A clock that is
-    not a pid -> count map, or whose message names no group, has no domain
-    to decode into."""
-    for changes in ({"vc": {"a": True}}, {"vc": [1, 2]}, {"vc": {1: 2}}, {"group": 5}):
-        blob = codec.encode(dataclasses.replace(_rich_data_message(), **changes))
-        assert blob[len(codec.HEADER)] == codec._RECORD
-        with pytest.raises(codec.CodecError):
-            decode(blob)
+@dataclasses.dataclass
+class _Refusing:
+    """A record class whose constructor refuses whatever it is sent."""
+
+    value: Any
+
+    def __post_init__(self) -> None:
+        raise ValueError("refused")
+
+
+codec.register_wire(_Refusing, tag="test_codec.Refusing")
 
 
 def _v2(*parts: bytes) -> bytes:
@@ -401,7 +437,8 @@ def _record(tag: bytes, fields: int) -> bytes:
 
 NIL = bytes([codec._NONE])
 SRC = _str(b"a")
-EMPTY_COUNTS = bytes([codec._COUNTS]) + struct.pack("!HH", 0, 0)
+#: Where a datagram from ``a`` starts its payload.
+BODY = len(codec.HEADER) + len(SRC)
 
 
 @pytest.mark.parametrize("blob", [
@@ -420,16 +457,15 @@ EMPTY_COUNTS = bytes([codec._COUNTS]) + struct.pack("!HH", 0, 0)
     b"RPW\x011",
     pytest.param(_v2(), id="v2-empty-body"),
     pytest.param(_v2(SRC), id="v2-sender-without-payload"),
-    pytest.param(codec.encode(1), id="v2-one-value-is-not-a-datagram"),
+    pytest.param(_v2(struct.pack("!Bq", codec._INT, 1)), id="v2-one-value-is-not-a-datagram"),
     pytest.param(_v2(SRC, NIL, NIL), id="v2-trailing-byte"),
     pytest.param(_v2(struct.pack("!Bq", codec._INT, 7), NIL), id="v2-sender-not-a-str"),
     pytest.param(_v2(_str(b"\xff\xfe"), NIL), id="v2-not-utf8"),
     pytest.param(_v2(SRC, bytes([codec._DICT + 1])), id="v2-unknown-type-byte"),
     pytest.param(_v2(SRC, _record(b"NoSuchTag", 0)), id="v2-unknown-tag"),
     pytest.param(_v2(SRC, _record(b"Nak", 1), NIL), id="v2-wrong-field-count"),
-    pytest.param(_v2(SRC, _record(b"VectorClock", 1), NIL), id="v2-record-without-field-map"),
-    pytest.param(_v2(SRC, _record(b"VectorClock", 1), EMPTY_COUNTS),
-                 id="v2-from-fields-raises"),
+    pytest.param(_v2(SRC, _record(b"Nak", 3)), id="v2-record-without-field-map"),
+    pytest.param(_v2(SRC, _record(b"test_codec.Refusing", 1), NIL), id="v2-from-fields-raises"),
     pytest.param(_v2(SRC, _head(codec._DICT, 2), _str(b"k"), NIL, _str(b"k"), NIL),
                  id="v2-duplicate-dict-key"),
     pytest.param(_v2(SRC, _head(codec._SET, 2), NIL, NIL), id="v2-duplicate-set-member"),
@@ -455,9 +491,9 @@ def test_the_deepest_legal_nesting_decodes():
     value: Any = None
     for _ in range(codec.MAX_DEPTH):
         value = [value]
-    assert decode(codec.encode(value)) == value
+    assert decode(encode(value)) == value
     with pytest.raises(codec.CodecError, match="nest deeper"):
-        codec.encode([value])
+        encode([value])
 
 
 def test_a_version_1_datagram_is_rejected_as_an_unsupported_version():
@@ -488,7 +524,7 @@ def test_random_bytes_never_crash_the_decoder(blob):
 def test_encoding_is_deterministic():
     msg = DataMessage(group="g", sender="a", seq=2, payload={"b": 1, "a": 2},
                       sent_at=1.0, vc=host_domains("g").clock({"a": 2}))
-    assert codec.encode(msg) == codec.encode(msg)
+    assert encode(msg) == encode(msg)
 
 
 def test_equal_sets_encode_to_equal_bytes_whatever_their_insertion_order():
@@ -497,11 +533,11 @@ def test_equal_sets_encode_to_equal_bytes_whatever_their_insertion_order():
         forward.add(item)
         backward.add(24 - item)
     assert forward == backward and list(forward) != list(backward)
-    assert codec.encode(forward) == codec.encode(backward)
-    assert codec.encode(frozenset(forward)) == codec.encode(frozenset(backward))
+    assert encode(forward) == encode(backward)
+    assert encode(frozenset(forward)) == encode(frozenset(backward))
     mixed = frozenset({"a", ("b", 1), 2, frozenset(forward)})
-    assert decode(codec.encode(mixed)) == mixed
-    assert codec.encode(mixed) == codec.encode(frozenset(sorted(mixed, key=repr)))
+    assert decode(encode(mixed)) == mixed
+    assert encode(mixed) == encode(frozenset(sorted(mixed, key=repr)))
 
 
 def _three_char_pids(count: int) -> List[str]:

@@ -12,6 +12,7 @@ import struct
 
 import pytest
 
+from repro.catocs import HeartbeatDetector, ViewManager
 from repro.catocs.member import GroupMember
 from repro.catocs.messages import (
     AckGossip,
@@ -20,11 +21,13 @@ from repro.catocs.messages import (
     DataMessage,
     ForcedCommit,
     HybridRefetch,
+    JoinRequest,
     Nak,
     OrderToken,
     OrderTokenRequest,
     PriorityCommit,
     PriorityProposal,
+    ViewInstall,
 )
 from repro.ordering.dense import ClockDomain, group_domain
 from repro.runtime import AsyncioClock, UdpNetwork, codec, run_for
@@ -359,15 +362,21 @@ def test_garbage_datagrams_are_counted_and_dropped():
     assert decode_errors == 2
 
 
-async def _attacked_group(seed, ordering, blobs, held=None, **kwargs):
-    """Two members, ``blobs`` thrown at b's socket from outside the group,
-    then one legitimate multicast.  With ``held``, b first multicasts it and
-    waits for its delivery, so b holds what a repair request would ask for.
-    Returns what b delivered, the network, b's stack and everything that
-    reached the loop's exception handler."""
+async def _attacked_group(seed, ordering, blobs, held=None, target="b",
+                          membership=False, **kwargs):
+    """Two members, ``blobs`` thrown at ``target``'s socket from outside the
+    group, then one legitimate multicast from a.  With ``held``, b first
+    multicasts it and waits for its delivery, so b holds what a repair
+    request would ask for.  With ``membership``, each member runs a
+    heartbeat detector and a view manager.  Returns what b delivered, the
+    network, b's stack and everything that reached the loop's exception
+    handler."""
     clock = AsyncioClock(seed=seed)
     net = UdpNetwork(clock, LinkModel(latency=0.002))
     members = _build_group(clock, net, ["a", "b"], ordering, **kwargs)
+    if membership:
+        for member in members.values():
+            ViewManager(member, HeartbeatDetector(member, period=0.1, timeout=0.35))
     await net.start()
     if held is not None:
         members["b"].multicast(held)
@@ -378,7 +387,7 @@ async def _attacked_group(seed, ordering, blobs, held=None, **kwargs):
     attacker, _ = await loop.create_datagram_endpoint(
         asyncio.DatagramProtocol, local_addr=("127.0.0.1", 0))
     for blob in blobs:
-        attacker.sendto(blob, net.address("b"))
+        attacker.sendto(blob, net.address(target))
     clock.call_later(0.05, members["a"].multicast, "legit")
     await run_for(0.4)  # twenty nak_delays: a re-arming repair timer would show
     attacker.close()
@@ -540,6 +549,52 @@ def test_a_registered_sender_cannot_ask_for_replies_to_unknown_pids(ordering, re
     assert net.unknown_sender == 0
     assert escaped == []
     assert delivered == ["held", "legit"]
+
+
+@pytest.mark.parametrize("ordering", ["causal", "total-seq", "hybrid-causal"])
+def test_an_unstamped_message_is_dropped_before_dedup_counts_it(ordering):
+    """The registered pid ``a`` sends a seq-1 message without the clock its
+    stack stamps on every message.  The stack drops and counts it before
+    dedup sees it, so nothing asserts in the loop and a's real seq-1
+    multicast is not dropped as a duplicate."""
+    forged = DataMessage(group="g", sender="a", seq=1, payload="forged", sent_at=0.0)
+    blob = codec.encode_datagram("a", forged)
+    delivered, net, stack, escaped = asyncio.run(_attacked_group(3, ordering, [blob]))
+    assert escaped == []
+    assert delivered == ["legit"]
+    assert stack.unstamped_dropped == 1
+    assert net.decode_errors == 0
+
+
+@pytest.mark.parametrize("ordering, target, forged", [
+    ("causal", "b", ViewInstall(group="g", coordinator="a", view_id=1,
+                                members=("a", "b", "zz"))),
+    ("causal", "a", JoinRequest(group="g", joiner="zz")),
+    ("total-agreed", "b", ViewInstall(group="g", coordinator="a", view_id=1, members=("a", "b"),
+                                      ordering_state={"commits": {("zz", 1): (5, "zz")}})),
+    ("causal", "b", ViewInstall(group="g", coordinator="a", view_id=1, members=("a", "b"),
+                                final_counts={"zz": 3})),
+], ids=["ViewInstall-members", "JoinRequest", "ordering_state-commits", "final_counts"])
+def test_a_registered_sender_cannot_name_unknown_pids_in_membership(ordering, target, forged):
+    """The registered pid ``a`` (or b, towards the coordinator a) names
+    ``zz``, a pid with no address, in a view, a join, a flushed commit or a
+    view's final counts.  Each datagram is a decode error: no view with
+    ``zz`` is installed, no flush goes towards it (which would suppress a's
+    sends), no commit for its id is kept for good, and the causal layer
+    waives nothing for it."""
+    src = "b" if target == "a" else "a"
+    blob = codec.encode_datagram(src, forged)
+    delivered, net, stack, escaped = asyncio.run(
+        _attacked_group(18, ordering, [blob], target=target, membership=True))
+    assert net.decode_errors == 1
+    assert net.unknown_sender == 0
+    assert escaped == []
+    assert delivered == ["legit"]
+    assert stack.member.view_id == 0 and stack.member.view_members == ("a", "b")
+    if ordering == "total-agreed":
+        assert list(stack.ordering._commit_values) == [("a", 1)]
+    else:
+        assert stack.ordering._ceiling is None
 
 
 def test_stamps_for_unknown_groups_add_no_clock_domains():
