@@ -404,6 +404,39 @@ def test_wire_codec_datagram(benchmark, size):
     assert first == second == ("m2", msg)
 
 
+@pytest.mark.parametrize("kind", ["AckGossip", "Nak", "PriorityCommit", "ViewInstall"])
+def test_wire_codec_record(benchmark, kind):
+    """One control record of each family in an eight-member group, encoded
+    once and decoded by two receivers, each decode paying the record's
+    unknown-pid checks: a count map, message ids, a commit's pids, and a
+    view with its final counts and flushed commits."""
+    from repro.catocs.messages import AckGossip, Nak, PriorityCommit, ViewInstall
+    from repro.runtime import codec
+
+    pids = tuple(f"m{i}" for i in range(8))
+    domains = {"group": ClockDomain(pids)}.__getitem__
+    senders = set(pids)
+    counts = {pid: 9 + i for i, pid in enumerate(pids)}
+    ids = [(pid, 3) for pid in pids]
+    record = {
+        "AckGossip": AckGossip(group="group", sender="m2", ack_vector=counts),
+        "Nak": Nak(group="group", requester="m2", wanted=ids),
+        "PriorityCommit": PriorityCommit(group="group", sender="m2", msg_id=("m2", 17),
+                                         priority=40, tiebreak="m5"),
+        "ViewInstall": ViewInstall(
+            group="group", coordinator="m0", view_id=3, members=pids, final_counts=counts,
+            ordering_state={"commits": {mid: (40 + k, pids[k]) for k, mid in enumerate(ids)}}),
+    }[kind]
+
+    def run():
+        data = codec.encode_datagram("m2", record)
+        return (codec.decode_datagram(data, domains, senders),
+                codec.decode_datagram(data, domains, senders))
+
+    first, second = benchmark(run)
+    assert first == second == ("m2", record)
+
+
 @pytest.mark.parametrize("size", [8, 24])
 def test_buffer_shared_message(benchmark, size):
     """One stamped multicast buffered by all N members, as the simulator

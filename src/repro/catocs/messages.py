@@ -14,13 +14,24 @@ instead (a fixed header, not field names); count maps everywhere cost
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, is_dataclass
+from typing import Annotated, Any, Dict, List, Optional, Tuple, TypedDict
 
 from repro.ordering.dense import DenseVectorClock
 from repro.sim.network import counts_size, estimate_size
 
-MsgId = Tuple[str, int]  # (sender pid, per-sender sequence number)
+#: A field that names a process; a bare ``str`` is free text.  The wire codec
+#: refuses a record whose ``Pid`` names a process the receiver cannot reach.
+Pid = Annotated[str, "pid"]
+MsgId = Tuple[Pid, int]  # (sender pid, per-sender sequence number)
+
+
+class OrderingState(TypedDict, total=False):
+    """An ordering layer's part of a flush, merged into the next view:
+    agreed-order commits and sequencer assignments (index -> message id)."""
+
+    commits: Dict[MsgId, Tuple[int, Pid]]
+    assignments: Dict[int, MsgId]
 
 
 class ControlMessage:
@@ -58,13 +69,13 @@ class DataMessage:
     """
 
     group: str
-    sender: str
+    sender: Pid
     seq: int
     payload: Any
     sent_at: float
     view_id: int = 0
     vc: Optional[DenseVectorClock] = None
-    ack_vector: Optional[Dict[str, int]] = None
+    ack_vector: Optional[Dict[Pid, int]] = None
     retransmit: bool = False
     #: Footnote 4 of the paper: "causal protocols can append earlier
     #: 'causal' messages to later dependent messages" instead of delaying.
@@ -142,8 +153,8 @@ class AckGossip(TransportControl):
     """
 
     group: str
-    sender: str
-    ack_vector: Dict[str, int]
+    sender: Pid
+    ack_vector: Dict[Pid, int]
 
 
 @dataclass
@@ -162,7 +173,7 @@ class Nak(TransportControl):
     """Negative acknowledgement: request retransmission of missing seqs."""
 
     group: str
-    requester: str
+    requester: Pid
     wanted: List[MsgId]
 
 
@@ -171,7 +182,7 @@ class OrderToken(OrderingControl):
     """Sequencer-based total order: assigns global indices to message ids."""
 
     group: str
-    sequencer: str
+    sequencer: Pid
     assignments: List[Tuple[int, MsgId]]  # (global index, message id)
 
 
@@ -180,7 +191,7 @@ class OrderTokenRequest(OrderingControl):
     """Repair request: resend sequencer assignments from ``from_index`` on."""
 
     group: str
-    requester: str
+    requester: Pid
     from_index: int
 
 
@@ -189,7 +200,7 @@ class CommitRequest(OrderingControl):
     """Repair request: resend the agreed priority for ``msg_id``."""
 
     group: str
-    requester: str
+    requester: Pid
     msg_id: MsgId
 
 
@@ -202,7 +213,7 @@ class ProposalRequest(OrderingControl):
     """
 
     group: str
-    requester: str
+    requester: Pid
     msg: "DataMessage"
 
 
@@ -211,7 +222,7 @@ class PriorityProposal(OrderingControl):
     """ISIS agreed-order phase 1 reply: proposed priority for a message."""
 
     group: str
-    proposer: str
+    proposer: Pid
     msg_id: MsgId
     priority: int
 
@@ -221,10 +232,10 @@ class PriorityCommit(OrderingControl):
     """ISIS agreed-order phase 2: the final, agreed priority."""
 
     group: str
-    sender: str
+    sender: Pid
     msg_id: MsgId
     priority: int
-    tiebreak: str
+    tiebreak: Pid
 
 
 @dataclass
@@ -241,7 +252,7 @@ class Heartbeat(MembershipControl):
     """Failure-detector liveness beacon."""
 
     group: str
-    sender: str
+    sender: Pid
     view_id: int
 
 
@@ -250,7 +261,7 @@ class JoinRequest(MembershipControl):
     """A new process asks to be added to the group's next view."""
 
     group: str
-    joiner: str
+    joiner: Pid
 
 
 @dataclass
@@ -258,7 +269,7 @@ class LeaveAnnounce(MembershipControl):
     """Voluntary departure: the member asks to be excluded from the next view."""
 
     group: str
-    sender: str
+    sender: Pid
 
 
 @dataclass
@@ -266,14 +277,14 @@ class FlushRequest(MembershipControl):
     """View change phase 1: stop sending, report unstable state."""
 
     group: str
-    coordinator: str
+    coordinator: Pid
     new_view_id: int
-    proposed_members: Tuple[str, ...]
+    proposed_members: Tuple[Pid, ...]
 
 
 @dataclass
 class FlushAck(MembershipControl):
-    """View change phase 2: member's receive state + its unstable messages.
+    """View change phase 2: the member's receive state.
 
     ``ordering_state`` carries the ordering layer's flushable knowledge
     (agreed-order commits, sequencer assignments) so the new view can decide
@@ -281,11 +292,10 @@ class FlushAck(MembershipControl):
     """
 
     group: str
-    sender: str
+    sender: Pid
     new_view_id: int
-    received_counts: Dict[str, int]
-    unstable: List[DataMessage] = field(default_factory=list)
-    ordering_state: Dict[str, Any] = field(default_factory=dict)
+    received_counts: Dict[Pid, int]
+    ordering_state: OrderingState = field(default_factory=dict)
 
 
 @dataclass
@@ -293,11 +303,11 @@ class ViewInstall(MembershipControl):
     """View change phase 3: install the agreed new membership."""
 
     group: str
-    coordinator: str
+    coordinator: Pid
     view_id: int
-    members: Tuple[str, ...]
-    final_counts: Dict[str, int] = field(default_factory=dict)
-    ordering_state: Dict[str, Any] = field(default_factory=dict)
+    members: Tuple[Pid, ...]
+    final_counts: Dict[Pid, int] = field(default_factory=dict)
+    ordering_state: OrderingState = field(default_factory=dict)
 
 
 @dataclass
@@ -309,7 +319,7 @@ class BatchEnvelope:
     amortisation: one framing header instead of one per payload.
     """
 
-    sender: str
+    sender: Pid
     payloads: List[Any]
 
     def size_bytes(self) -> int:
@@ -322,7 +332,7 @@ class HybridRefetch(OrderingControl):
     overflowed asks the retaining sender for the dropped message bodies."""
 
     group: str
-    requester: str
+    requester: Pid
     wanted: List[MsgId]
 
 
@@ -331,7 +341,7 @@ class HybridRefill(OrderingControl):
     """Answer to :class:`HybridRefetch`: full copies from sender retention."""
 
     group: str
-    sender: str
+    sender: Pid
     msgs: List[DataMessage]
 
 
@@ -344,8 +354,8 @@ class HybridAck(OrderingControl):
     minimum of its own entry."""
 
     group: str
-    sender: str
-    delivered: Dict[str, int]
+    sender: Pid
+    delivered: Dict[Pid, int]
 
 
 def wire_classes() -> Tuple[type, ...]:
@@ -357,14 +367,5 @@ def wire_classes() -> Tuple[type, ...]:
     ``tests/analysis/test_flowgraph.py`` holds every ``repro.catocs`` send
     to it.
     """
-    import dataclasses as _dataclasses
-    import sys as _sys
-
-    module = _sys.modules[__name__]
-    return tuple(
-        obj
-        for name in sorted(vars(module))
-        if isinstance(obj := getattr(module, name), type)
-        and _dataclasses.is_dataclass(obj)
-        and obj.__module__ == __name__
-    )
+    return tuple(obj for _, obj in sorted(globals().items())
+                 if isinstance(obj, type) and is_dataclass(obj) and obj.__module__ == __name__)

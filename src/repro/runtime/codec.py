@@ -30,21 +30,21 @@ actually send:
 Registration is explicit and per class: :func:`register_wire` takes a
 dataclass, whose fields travel by position.  Every class in
 :func:`repro.catocs.messages.wire_classes` but ``DataMessage`` is registered
-at import time.  The wiring gate in ``tests/analysis/test_flowgraph.py``
-keeps this registry honest: a message ``repro.catocs`` sends outside that
-set fails the tests.
+at import time; the wiring gate in ``tests/analysis/test_flowgraph.py``
+fails the tests for a message ``repro.catocs`` sends outside that set.
 
 A :class:`~repro.ordering.dense.DenseVectorClock` travels only as a
-``DataMessage``'s stamp, as its non-zero counts keyed by pid, and is only
-meaningful in a :class:`~repro.ordering.dense.ClockDomain`.  The wire names
-no domain, so :func:`decode_datagram` takes the receiver's
-``group -> ClockDomain`` lookup and the stamp decodes straight into the
-domain of the message's group: compared there, it is two arrays over one
-index whatever order the sender's domain had.  A clock anywhere else is an
-unregistered class.  :func:`decode_datagram` also takes the pids the
-receiver accepts datagrams from, and refuses any other sender before it
-reads the payload, and any ``DataMessage``, stamp, count map, message id or
-membership field that names another pid.
+``DataMessage``'s stamp, as its non-zero counts keyed by pid.  The wire
+names no :class:`~repro.ordering.dense.ClockDomain`, so
+:func:`decode_datagram` takes the receiver's ``group -> ClockDomain``
+lookup, and the stamp decodes straight into its group's domain: two arrays
+over one index whatever order the sender's domain had.  A clock anywhere
+else is an unregistered class.  :func:`decode_datagram` also takes the pids
+the receiver accepts, and refuses any other sender before it reads the
+payload, and any ``DataMessage`` sender, stamp or ack vector, or record
+field annotated :data:`~repro.catocs.messages.Pid` (or a container of
+them), that names another: :func:`register_wire` compiles a record's checks
+from its annotations.
 
 Decoding is strict: bad magic, any version but this one, truncation at any
 byte, trailing bytes, a declared length or count larger than the bytes that
@@ -58,16 +58,18 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any, Callable, Container, Dict, Iterable, List, Optional, Tuple, TypeVar
+from typing import (Any, Callable, Container, Dict, List, Optional, Tuple, get_args, get_origin,
+                    get_type_hints, is_typeddict)
 
-from repro.catocs.messages import DataMessage, wire_classes
+from repro.catocs.messages import DataMessage, Pid, wire_classes
 from repro.ordering.dense import ClockDomain, DenseVectorClock
 
 #: The receiver's clock domains: group name -> the domain its stamps index.
 DomainLookup = Callable[[str], ClockDomain]
 #: The pids a datagram may come from and its payload may name.
 Senders = Container[str]
-_Pids = TypeVar("_Pids", bound=Iterable[str])
+#: A decode check: raises :class:`CodecError` unless the value fits.
+_Check = Callable[[Any, Senders], None]
 
 MAGIC = b"RPW"
 VERSION = 2
@@ -79,8 +81,8 @@ HEADER = MAGIC + bytes([VERSION])
 MAX_DATAGRAM = 65_000
 
 #: Containers and records nest at most this deep, on either side: far above
-#: what ``attached``, ``FlushAck.unstable`` or ``ordering_state`` reach, far
-#: below the interpreter's recursion limit.
+#: what ``attached`` or ``ordering_state`` reach, far below the
+#: interpreter's recursion limit.
 MAX_DEPTH = 64
 
 # Type bytes.  Two host processes must agree on them without importing in
@@ -126,8 +128,8 @@ class _Registration:
     cls: type
     #: Field order on the wire.
     names: Tuple[str, ...]
-    #: The fields :data:`_AUDITS` checks on decode, in wire order.
-    audited: Tuple[str, ...]
+    #: ``(field, check)`` for each field that can name a pid (:func:`_audit`).
+    audits: Tuple[Tuple[str, _Check], ...]
     #: Everything before the field values: type byte, tag, field count.
     head: bytes
 
@@ -137,9 +139,9 @@ _BY_TAG: Dict[str, _Registration] = {}
 
 
 def register_wire(cls: type, tag: Optional[str] = None) -> type:
-    """Register the dataclass ``cls`` with the wire codec under ``tag``
-    (default: class name); its fields travel by position.  Returns ``cls``
-    so it can be used as a decorator."""
+    """Register the dataclass ``cls`` under ``tag`` (default: class name):
+    its fields travel by position, each that can name a pid checked on
+    decode as :func:`_audit` compiles its annotation.  Returns ``cls``."""
     if not dataclasses.is_dataclass(cls):
         raise CodecError(f"{cls.__name__} is not a dataclass")
     if cls in _BY_CLASS:
@@ -151,9 +153,10 @@ def register_wire(cls: type, tag: Optional[str] = None) -> type:
     raw_tag = tag.encode("utf-8")
     if len(raw_tag) > 255 or len(names) > 255:
         raise CodecError(f"wire tag {tag!r} or its {len(names)} fields do not fit one byte each")
+    hints = get_type_hints(cls, include_extras=True)
     registration = _Registration(
         tag=tag, cls=cls, names=names,
-        audited=tuple(name for name in names if name in _AUDITS),
+        audits=tuple((name, check) for name in names if (check := _audit(hints[name]))),
         head=bytes([_RECORD, len(raw_tag)]) + raw_tag + bytes([len(names)]))
     _BY_CLASS[cls] = _BY_TAG[tag] = registration
     return cls
@@ -323,7 +326,8 @@ def _read_data(data: bytes, pos: int, depth: int, domains: DomainLookup,
     vc = acks = attached = None
     if flags & _HAS_VC:
         counts, pos = _read_counts(data, pos)
-        vc = domains(group).clock(_named(counts, senders))
+        _named(counts, senders)
+        vc = domains(group).clock(counts)
     if flags & _HAS_ACKS:
         acks, pos = _read_counts(data, pos)
         _named(acks, senders)
@@ -333,82 +337,75 @@ def _read_data(data: bytes, pos: int, depth: int, domains: DomainLookup,
                        bool(flags & _RETRANSMIT), attached), pos
 
 
-def _named(counts: _Pids, senders: Senders) -> _Pids:
-    """``counts`` if every pid it names is one of ``senders``.  A stamp
-    decodes into the group's domain, and every new pid there would widen
-    every later clock of the group; an ack vector's new pid would start a
-    NAK chase towards a pid with no address, and a reply to a
-    ``requester`` with no address raises in the stack."""
-    if not all(map(senders.__contains__, counts)):
-        raise CodecError("counts name a pid that is not an accepted sender")
-    return counts
-
-
-# Pid audits, by record field name: each refuses a value naming a pid
-# outside ``senders``.  A reply, flush or view towards a pid with no
-# address raises in the stack; a count map's pid starts a NAK chase or
-# enters the causal layer's ceiling.
-
-
 def _pid(pid: Any, senders: Senders) -> None:
     if type(pid) is not str or pid not in senders:
         raise CodecError(f"{pid!r} is not an accepted sender's pid")
 
 
-def _map(value: Any) -> Dict[Any, Any]:
-    if type(value) is not dict:
-        raise CodecError(f"{type(value).__name__} where a map belongs")
-    return value
+def _int(value: Any, senders: Senders) -> None:
+    if type(value) is not int:
+        raise CodecError(f"{value!r} where an int belongs")
 
 
-def _message_id(mid: Any, senders: Senders) -> None:
-    """Agreed-order commits are kept for good per id, and a NAK or refetch
-    for an id is answered towards its pid."""
-    if type(mid) is not tuple or len(mid) != 2 or type(mid[1]) is not int:
-        raise CodecError("a message id is not a (pid, seq) pair")
-    _pid(mid[0], senders)
+def _free(value: Any, senders: Senders) -> None:
+    """A slot that names no pid."""
 
 
-def _assignment(entry: Any, senders: Senders) -> None:
-    if type(entry) is not tuple or len(entry) != 2 or type(entry[0]) is not int:
-        raise CodecError("an assignment is not an (index, message id) pair")
-    _message_id(entry[1], senders)
+def _named(counts: Any, senders: Senders) -> None:
+    """Refuse all but a dict keyed by ``senders``, with no Python loop per
+    key: a ``Dict[Pid, int]``, and a ``DataMessage``'s stamp (a new pid
+    would widen every later clock of its group) and ack vector."""
+    if type(counts) is not dict or not all(map(senders.__contains__, counts)):
+        raise CodecError("counts name a pid that is not an accepted sender")
 
 
-def _each(check: Callable[[Any, Senders], None], kind: type) -> Callable[[Any, Senders], None]:
-    def audit(values: Any, senders: Senders) -> None:
-        if type(values) is not kind:
-            raise CodecError(f"{type(values).__name__} where a {kind.__name__} belongs")
-        for value in values:
-            check(value, senders)
-    return audit
+def _audit(tp: Any) -> Optional[_Check]:
+    """The decode check for a field annotated ``tp``, or None when no
+    :data:`~repro.catocs.messages.Pid` is reachable in it.  It refuses a pid
+    outside ``senders`` (a reply, flush or view towards it raises in the
+    stack; a count map's starts a NAK chase; a commit is kept for good), and
+    on the way down another container kind or tuple length, a non-``int``
+    in an ``int`` slot (a message id's seq) or an undeclared key."""
+    if tp == Pid:
+        return _pid
+    if is_typeddict(tp):
+        declared = {key: _audit(hint) or _free
+                    for key, hint in get_type_hints(tp, include_extras=True).items()}
 
+        def entries(value: Any, senders: Senders) -> None:
+            if type(value) is not dict or not value.keys() <= declared.keys():
+                raise CodecError(f"{value!r} does not fit {tp.__name__}")
+            for key, item in value.items():
+                declared[key](item, senders)
+        return entries
+    kind, args = get_origin(tp), get_args(tp)
+    checks = [_audit(arg) for arg in args]
+    if not any(checks):
+        return None
+    slots = [check or (_int if arg is int else _free) for arg, check in zip(args, checks)]
 
-def _ordering_state(state: Any, senders: Senders) -> None:
-    """The flush's ``commits`` (message id -> (priority, tiebreak pid)),
-    which ``total-agreed`` keeps for good, and ``assignments`` (index ->
-    message id)."""
-    state = _map(state)
-    for mid, commit in _map(state.get("commits", {})).items():
-        if type(commit) is not tuple or len(commit) != 2:
-            raise CodecError("a commit is not a (priority, tiebreak) pair")
-        _message_id(mid, senders)
-        _pid(commit[1], senders)
-    for mid in _map(state.get("assignments", {})).values():
-        _message_id(mid, senders)
+    def shape(value: Any, senders: Senders) -> None:  # one check per slot
+        if type(value) is not tuple or len(value) != len(slots):
+            raise CodecError(f"{value!r} where a {len(slots)}-tuple belongs")
+        for check, item in zip(slots, value):
+            check(item, senders)
+    if kind is tuple and args[-1] is not Ellipsis:
+        return shape
+    if kind is dict:
+        if checks == [_pid, None]:
+            return _named
+        each, members = shape, dict.items  # its (key, value) pairs
+    elif kind in (list, tuple):
+        each, members = checks[0], iter
+    else:
+        raise CodecError(f"cannot check the pids in {tp!r}")
 
-
-def _counts(counts: Any, senders: Senders) -> None:
-    _named(_map(counts), senders)
-
-
-_AUDITS: Dict[str, Callable[[Any, Senders], None]] = {
-    "requester": _pid, "coordinator": _pid, "joiner": _pid,
-    "members": _each(_pid, tuple), "proposed_members": _each(_pid, tuple),
-    "ack_vector": _counts, "received_counts": _counts, "final_counts": _counts,
-    "msg_id": _message_id, "wanted": _each(_message_id, list),
-    "assignments": _each(_assignment, list), "ordering_state": _ordering_state,
-}
+    def container(value: Any, senders: Senders) -> None:
+        if type(value) is not kind:
+            raise CodecError(f"{type(value).__name__} where a {kind.__name__} belongs")
+        for item in members(value):
+            each(item, senders)
+    return container
 
 
 def _read_record(data: bytes, pos: int, depth: int, domains: DomainLookup,
@@ -427,8 +424,8 @@ def _read_record(data: bytes, pos: int, depth: int, domains: DomainLookup,
     fields = {}
     for name in registration.names:
         fields[name], pos = _read(data, pos, depth + 1, domains, senders)
-    for name in registration.audited:
-        _AUDITS[name](fields[name], senders)
+    for name, check in registration.audits:
+        check(fields[name], senders)
     try:
         return registration.cls(**fields), pos
     except CodecError:
@@ -521,10 +518,11 @@ def decode_datagram(data: bytes, domains: DomainLookup,
     The sender pid is read first, and a pid not in ``senders`` raises
     :class:`UnknownSender` before any byte of the payload is: a forged
     datagram cannot add a pid to a clock domain.  Nor can a known sender: a
-    ``DataMessage`` sender or stamp, or a record field :data:`_AUDITS`
-    names, that names a pid not in ``senders`` raises :class:`CodecError`.
-    A relay from a departed member still decodes: the receiver keeps
-    accepting every pid it has an address for."""
+    ``DataMessage`` sender, stamp or ack vector, or a record field annotated
+    as a ``Pid`` or a container of them, that names a pid not in
+    ``senders`` raises :class:`CodecError`.  A relay from a departed member
+    still decodes: the receiver keeps accepting every pid it has an address
+    for."""
     if len(data) < len(HEADER):
         raise CodecError(f"truncated datagram: {len(data)} bytes")
     if data[: len(MAGIC)] != MAGIC:

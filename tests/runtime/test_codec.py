@@ -14,7 +14,8 @@ import inspect
 import struct
 import tracemalloc
 from types import SimpleNamespace
-from typing import Any, Dict, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import (Any, Dict, List, Tuple, Union, get_args, get_origin, get_type_hints,
+                    is_typeddict)
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from hypothesis import strategies as st
 
 import json_wire_model
 from repro.apps.netnews import Article
-from repro.catocs.messages import AckGossip, AckQuery, DataMessage, Nak, wire_classes
+from repro.catocs.messages import (AckGossip, AckQuery, DataMessage, Nak, Pid, ViewInstall,
+                                   wire_classes)
 from repro.ordering.dense import ClockDomain, DenseVectorClock, group_domain
 from repro.runtime import codec
 
@@ -120,6 +122,9 @@ def _field_strategy(tp: Any) -> st.SearchStrategy:
         return st.floats(allow_nan=False, allow_infinity=False)
     if tp is DataMessage:
         return DATA_MESSAGES
+    if is_typeddict(tp):
+        return st.fixed_dictionaries({}, optional={
+            key: _field_strategy(hint) for key, hint in get_type_hints(tp).items()})
     origin = get_origin(tp)
     args = get_args(tp)
     if origin is Union:  # includes Optional[...]
@@ -323,6 +328,62 @@ def test_a_requester_that_is_not_a_sender_is_a_codec_error(requester):
     with pytest.raises(codec.CodecError) as refused:
         decode_datagram(codec.encode_datagram("a", stranger))
     assert not isinstance(refused.value, codec.UnknownSender)
+
+
+#: Fields whose text names no process: a group, and a netnews article's
+#: id, newsgroup, kind and the article ids it references.
+FREE_TEXT = {"group", "article_id", "newsgroup", "kind", "references"}
+
+
+def _reaches_bare_str(tp: Any) -> bool:
+    if tp == Pid:
+        return False
+    if is_typeddict(tp):
+        return any(map(_reaches_bare_str, get_type_hints(tp, include_extras=True).values()))
+    return tp is str or any(map(_reaches_bare_str, get_args(tp)))
+
+
+def _unannotated_pid_fields(classes: Any) -> List[str]:
+    """``Class.field`` for each field whose annotation reaches a ``str`` other
+    than through ``Pid``, and which is not free text: the codec would carry
+    a pid there without checking it."""
+    found = []
+    for cls in classes:
+        hints = get_type_hints(cls, include_extras=True)
+        found += [f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls)
+                  if f.name not in FREE_TEXT and _reaches_bare_str(hints[f.name])]
+    return found
+
+
+def test_every_field_that_can_name_a_process_says_so():
+    """A registered record (or a ``DataMessage``) with a text field that is
+    neither a ``Pid`` nor on the free-text list fails here: the codec
+    compiles its unknown-pid checks from ``Pid`` annotations only."""
+    carried = [registration.cls for registration in codec._BY_CLASS.values()]
+    assert Article in carried and len(carried) >= len(wire_classes())
+    assert _unannotated_pid_fields(carried + [DataMessage]) == []
+
+
+def test_an_unannotated_pid_field_is_flagged():
+    @dataclasses.dataclass
+    class Probe:  # never registered
+        group: str
+        peer: str
+        peers: Dict[Pid, int]
+
+    assert _unannotated_pid_fields([Probe]) == ["Probe.peer"]
+
+
+def test_an_ordering_state_key_it_does_not_declare_is_a_codec_error():
+    """``ordering_state`` is an ``OrderingState``: its declared keys decode,
+    and any other key is refused, whatever its value."""
+    known = ViewInstall(group="g", coordinator="a", view_id=1, members=("a", "b"),
+                        ordering_state={"commits": {("a", 1): (5, "b")},
+                                        "assignments": {0: ("b", 1)}})
+    assert decode_datagram(codec.encode_datagram("a", known)) == ("a", known)
+    stranger = dataclasses.replace(known, ordering_state={"next": 4})
+    with pytest.raises(codec.CodecError, match="does not fit OrderingState"):
+        decode_datagram(codec.encode_datagram("a", stranger))
 
 
 def test_dense_clock_decodes_into_the_receivers_domain():

@@ -17,11 +17,17 @@ from repro.catocs.member import GroupMember
 from repro.catocs.messages import (
     AckGossip,
     AckQuery,
+    BatchEnvelope,
     CommitRequest,
     DataMessage,
+    FlushAck,
     ForcedCommit,
+    Heartbeat,
+    HybridAck,
     HybridRefetch,
+    HybridRefill,
     JoinRequest,
+    LeaveAnnounce,
     Nak,
     OrderToken,
     OrderTokenRequest,
@@ -395,6 +401,21 @@ async def _attacked_group(seed, ordering, blobs, held=None, target="b",
     return members["b"].delivered_payloads(), net, members["b"].stack, escaped
 
 
+def _pids_kept(stack):
+    """Every pid b keeps per-pid state for outside its clocks: dedup's
+    counts, suspicions, heartbeat evidence, absorbed gossip, retention acks,
+    agreed-order proposals and commit tiebreaks."""
+    member, ordering = stack.member, stack.ordering
+    detector, stability = member.failure_detector, stack.layer("stability")
+    acked = getattr(ordering, "_acked", {})
+    return {*stack.layer("dedup")._max_seen, *member._suspected,
+            *(detector.last_heard if detector else ()),
+            *(stability._absorbed if stability else ()),
+            *acked, *(pid for counts in acked.values() for pid in counts),
+            *(pid for box in getattr(ordering, "_proposals", {}).values() for pid in box),
+            *(commit[1] for commit in getattr(ordering, "_commit_values", {}).values())}
+
+
 def test_a_datagram_nested_past_the_depth_cap_is_a_decode_error():
     """60 kB of list openers is a legal datagram; unwinding it must end in
     ``CodecError`` and the counter, not in the loop's exception handler."""
@@ -511,21 +532,42 @@ def test_a_registered_sender_cannot_leave_proposals_for_ids_never_sent():
     ("total-seq", [OrderToken(group="g", sequencer="a", assignments=[(0, ("zz", 1))])]),
     ("causal", [Nak(group="g", requester="a", wanted=[("zz", 1)])]),
     ("hybrid-causal", [HybridRefetch(group="g", requester="a", wanted=[("zz", 1)])]),
+    ("total-agreed", [PriorityCommit(group="g", sender="a", msg_id=("a", "1"), priority=1,
+                                     tiebreak="a")]),
+    ("total-agreed", [PriorityCommit(group="g", sender="a", msg_id=("a", 1, 2), priority=1,
+                                     tiebreak="a")]),
+    ("causal", [AckGossip(group="g", sender="zz", ack_vector={"a": 0}),
+                AckQuery(group="g", sender="zz", ack_vector={"a": 0})]),
+    ("total-agreed", [PriorityProposal(group="g", proposer="zz", msg_id=("b", 1), priority=5)]),
+    ("total-seq", [OrderToken(group="g", sequencer="zz", assignments=[])]),
+    ("total-agreed", [PriorityCommit(group="g", sender="zz", msg_id=("a", 1), priority=1,
+                                     tiebreak="a")]),
+    ("total-agreed", [PriorityCommit(group="g", sender="a", msg_id=("a", 1), priority=1,
+                                     tiebreak="zz")]),
+    ("hybrid-causal", [HybridAck(group="g", sender="zz", delivered={"a": 0})]),
+    ("hybrid-causal", [HybridAck(group="g", sender="a", delivered={"zz": 3})]),
+    ("hybrid-causal", [HybridRefill(group="g", sender="zz", msgs=[])]),
+    ("causal", [BatchEnvelope(sender="zz", payloads=[])]),
 ], ids=["DataMessage", "PriorityCommit", "CommitRequest", "malformed-id", "OrderToken",
-        "Nak", "HybridRefetch"])
+        "Nak", "HybridRefetch", "malformed-seq", "malformed-id-length", "AckGossip-sender",
+        "PriorityProposal-proposer", "OrderToken-sequencer", "PriorityCommit-sender",
+        "PriorityCommit-tiebreak", "HybridAck-sender", "HybridAck-delivered",
+        "HybridRefill-sender", "BatchEnvelope-sender"])
 def test_a_registered_sender_cannot_name_unknown_pids_in_message_ids(ordering, forged):
     """The registered pid ``a`` relays a message from ``zz``, a pid with no
-    address, or names one of its ids in ordering or repair control; or it
-    sends an id that is not a ``(pid, seq)`` pair.  Each datagram is a
-    decode error, so b neither asserts nor NAKs towards ``zz``, and keeps no
-    commit for an id nobody can have sent."""
+    address, or names one of its ids in ordering or repair control, or
+    names ``zz`` as the sender, proposer, sequencer or tiebreak of transport
+    or ordering control; or it sends an id that is not a ``(pid, int)``
+    pair.  Each datagram is a decode error, so b neither asserts nor NAKs
+    towards ``zz``, keeps no state for it, and keeps no commit for an id
+    nobody can have sent."""
     blobs = [codec.encode_datagram("a", payload) for payload in forged]
     delivered, net, stack, escaped = asyncio.run(_attacked_group(17, ordering, blobs))
     assert net.decode_errors == len(forged)
     assert net.unknown_sender == 0
     assert escaped == []
     assert delivered == ["legit"]
-    assert "zz" not in stack.layer("dedup")._max_seen
+    assert "zz" not in _pids_kept(stack)
     if ordering == "total-agreed":
         assert list(stack.ordering._commit_values) == [("a", 1)]
 
@@ -574,14 +616,19 @@ def test_an_unstamped_message_is_dropped_before_dedup_counts_it(ordering):
                                       ordering_state={"commits": {("zz", 1): (5, "zz")}})),
     ("causal", "b", ViewInstall(group="g", coordinator="a", view_id=1, members=("a", "b"),
                                 final_counts={"zz": 3})),
-], ids=["ViewInstall-members", "JoinRequest", "ordering_state-commits", "final_counts"])
+    ("causal", "b", Heartbeat(group="g", sender="zz", view_id=0)),
+    ("causal", "a", LeaveAnnounce(group="g", sender="zz")),
+    ("causal", "a", FlushAck(group="g", sender="zz", new_view_id=1, received_counts={})),
+], ids=["ViewInstall-members", "JoinRequest", "ordering_state-commits", "final_counts",
+        "Heartbeat-sender", "LeaveAnnounce-sender", "FlushAck-sender"])
 def test_a_registered_sender_cannot_name_unknown_pids_in_membership(ordering, target, forged):
     """The registered pid ``a`` (or b, towards the coordinator a) names
-    ``zz``, a pid with no address, in a view, a join, a flushed commit or a
-    view's final counts.  Each datagram is a decode error: no view with
-    ``zz`` is installed, no flush goes towards it (which would suppress a's
-    sends), no commit for its id is kept for good, and the causal layer
-    waives nothing for it."""
+    ``zz``, a pid with no address, in a view, a join, a flushed commit, a
+    view's final counts, a heartbeat, a leave or a flush ack.  Each datagram
+    is a decode error: no view with ``zz`` is installed, no flush goes
+    towards it (which would suppress a's sends), no view change starts
+    without it, no commit for its id is kept for good, the causal layer
+    waives nothing for it, and b keeps no state for it."""
     src = "b" if target == "a" else "a"
     blob = codec.encode_datagram(src, forged)
     delivered, net, stack, escaped = asyncio.run(
@@ -591,6 +638,7 @@ def test_a_registered_sender_cannot_name_unknown_pids_in_membership(ordering, ta
     assert escaped == []
     assert delivered == ["legit"]
     assert stack.member.view_id == 0 and stack.member.view_members == ("a", "b")
+    assert "zz" not in _pids_kept(stack)
     if ordering == "total-agreed":
         assert list(stack.ordering._commit_values) == [("a", 1)]
     else:

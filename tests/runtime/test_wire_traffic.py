@@ -58,7 +58,6 @@ class WireNetwork(Network):
         elif kind is ProposalRequest:
             self.seen["ProposalRequest.msg"] += 1
         elif kind is FlushAck:
-            # No sender fills ``unstable``; the flush still carries the field.
             self.seen["FlushAck"] += 1
         elif kind is ViewInstall:
             self.seen["ViewInstall.ordering_state"] += bool(payload.ordering_state)

@@ -423,7 +423,7 @@ def _wire_instance(cls, pids):
         "received_counts": dict(counts), "final_counts": dict(counts),
         "msg_id": ids[0], "wanted": ids, "assignments": list(enumerate(ids)),
         "proposed_members": tuple(pids), "members": tuple(pids),
-        "msg": data, "attached": [data], "unstable": [data, data], "msgs": [data],
+        "msg": data, "attached": [data], "msgs": [data],
         "payloads": [data, Heartbeat("group", pids[0], 2), "tail"],
         "ordering_state": {"commits": {ids[0]: (5, pids[2])}, "next": 4, "open": False},
     }
