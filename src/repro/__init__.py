@@ -10,7 +10,8 @@ on a deterministic discrete-event simulator:
   the Section 5 active causal graph.
 - :mod:`repro.catocs` — the system under critique: reliable group multicast
   with FIFO / causal / total ordering, atomic-delivery buffering, stability
-  tracking, failure detection and view-synchronous membership.
+  tracking, failure detection and flush-and-install membership (not
+  view-synchronous: see ``docs/PROTOCOLS.md`` and ROADMAP item 4).
 - :mod:`repro.statelevel` — the paper's alternatives: versioned state,
   dependency fields, the order-preserving cache, real-time timestamps.
 - :mod:`repro.txn` — transactions: 2PL, 2PC, OCC, WAL durability, and

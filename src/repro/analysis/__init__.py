@@ -14,16 +14,15 @@ nothing else.
 Two rule families (see ``docs/ANALYSIS.md`` for the full catalogue):
 
 - **Determinism** (``DET*``): wall-clock calls outside
-  :mod:`repro.runtime`, unseeded ``random`` draws, iteration over
-  unordered containers feeding ordering-sensitive sinks, ``id()``-based
-  comparisons, environment-dependent branches.
+  :mod:`repro.runtime`, unseeded ``random`` draws, and iteration over
+  unordered containers feeding ordering-sensitive sinks.
 - **Ordering semantics** (``ORD*``): handler effects that need a stronger
   delivery order than the configured stack gives, and sends gated on or
   fed by another process's state (the paper's Fig. 1 hidden channel).
 
-Run it with ``python -m repro.analysis`` (one pass over the tree, nothing
-kept between runs); suppress a finding in place with
-``# repro: ignore[rule-id]``.
+Run it with ``python -m repro.analysis`` (one pass over the tree with
+every rule, nothing kept between runs; ``--format sarif`` for code
+scanning); suppress a finding in place with ``# repro: ignore[rule-id]``.
 """
 
 from repro.analysis.engine import AnalysisResult, Project, run_analysis

@@ -1,9 +1,9 @@
 """Command-line entry point: ``python -m repro.analysis`` / ``repro-analysis``.
 
 Exit codes: ``0`` clean (every finding suppressed), ``1`` at least one
-finding, ``2`` usage or internal error (an unknown rule id, or a path that
-is neither a directory nor a ``.py`` file).  See ``docs/ANALYSIS.md`` for
-the workflow.
+finding, ``2`` usage or internal error (an unknown option, or a path
+that is neither a directory nor a ``.py`` file).  See ``docs/ANALYSIS.md``
+for the workflow.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.engine import default_root, run_analysis
-from repro.analysis.report import render_json, render_sarif, render_text
-from repro.analysis.rules import ALL_RULES, rule_catalogue
+from repro.analysis.report import render_sarif, render_text
+from repro.analysis.rules import ALL_RULES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,16 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="repository root (default: auto-detected)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "sarif"), default="text",
         help="report format (default: text; sarif for code scanning)",
-    )
-    parser.add_argument(
-        "--rules", default=None, metavar="IDS",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--exclude-rules", default=None, metavar="IDS",
-        help="comma-separated rule ids to skip",
     )
     parser.add_argument(
         "--out", type=Path, default=None,
@@ -68,25 +60,6 @@ def _emit(report: str, out: Optional[Path]) -> None:
     sys.stdout.write(report)
     if out is not None:
         out.write_text(report, encoding="utf-8")
-
-
-def _select_rules(
-    include: Optional[str], exclude: Optional[str]
-) -> "tuple[Optional[List], Optional[str]]":
-    """Resolve --rules/--exclude-rules to a rule list (None = all)."""
-    if include is None and exclude is None:
-        return None, None
-    catalogue = rule_catalogue()
-    wanted = list(catalogue)
-    if include is not None:
-        wanted = [r.strip() for r in include.split(",") if r.strip()]
-    dropped = set()
-    if exclude is not None:
-        dropped = {r.strip() for r in exclude.split(",") if r.strip()}
-    unknown = [r for r in list(wanted) + sorted(dropped) if r not in catalogue]
-    if unknown:
-        return None, f"unknown rule id(s): {', '.join(sorted(set(unknown)))}"
-    return [catalogue[r] for r in wanted if r not in dropped], None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -126,24 +99,13 @@ def _run(argv: Optional[List[str]]) -> int:
               file=sys.stderr)
         return 2
 
-    rules, rule_error = _select_rules(args.rules, args.exclude_rules)
-    if rule_error is not None:
-        print(f"error: {rule_error}", file=sys.stderr)
-        return 2
-
     try:
-        result = run_analysis(
-            root=root, paths=args.paths or None, rules=rules
-        )
+        result = run_analysis(root=root, paths=args.paths or None)
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error: analysis failed: {exc}", file=sys.stderr)
         return 2
 
-    renderer = {
-        "json": render_json,
-        "sarif": render_sarif,
-        "text": render_text,
-    }[args.format]
+    renderer = render_sarif if args.format == "sarif" else render_text
     _emit(renderer(result.findings, result.suppressed), args.out)
     return 1 if result.findings else 0
 

@@ -18,9 +18,9 @@ helper-call chains), with each write classified by whether it commutes:
 - ``keyed`` — a store indexed by a payload-derived key
   (``self.store[payload.key] = ...``): concurrent deliveries of distinct
   messages land on distinct slots.
-- ``destructive`` — ``pop``/``remove``/``clear``/``del``: consumes state
-  that a retransmission or a not-yet-stable peer may still need (the
-  input to ORD004's stability check).
+- ``destructive`` — ``pop``/``remove``/``clear``/``del``: consumes state,
+  so like an unguarded ``assign`` it does not commute with another
+  write to the same attribute (ORD001).
 
 Reads are recorded so ORD001 can flag the read-then-act half of the
 Fig. 5 pattern; a row also records whether the handler sends anything,

@@ -6,8 +6,8 @@ run is one pass, for the whole repo and for explicit ``paths`` alike:
 
 - :func:`load_project` parses every file under ``src/repro`` (or the
   given paths) once; nothing else in the repo is read;
-- each active rule sees every module (``check_module``) and then the
-  whole project (``check_project``);
+- each rule sees every module (``check_module``) and then the whole
+  project (``check_project``);
 - findings are deduplicated, checked against the suppression comments of
   the file they name, and sorted by the canonical
   ``(path, line, col, rule, message)`` key.
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.finding import Finding, Severity, make_finding
-from repro.analysis.rules import ALL_RULES, Rule
+from repro.analysis.rules import ALL_RULES
 from repro.analysis.source import (
     SourceModule,
     iter_python_files,
@@ -53,10 +53,6 @@ class AnalysisResult:
     project: Project
     findings: List[Finding]
     suppressed: int = 0
-
-    @property
-    def errors(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity is Severity.ERROR]
 
 
 def default_root() -> Path:
@@ -92,15 +88,13 @@ def load_project(
 def run_analysis(
     root: Optional[Path] = None,
     paths: Optional[Sequence[Path]] = None,
-    rules: Optional[Sequence[Rule]] = None,
 ) -> AnalysisResult:
-    """Run ``rules`` (default: all) over ``src/repro`` under ``root``, or
-    over just ``paths`` when given."""
+    """Run every rule over ``src/repro`` under ``root``, or over just
+    ``paths`` when given."""
     project = load_project(root=root, paths=paths)
-    active = list(rules) if rules is not None else list(ALL_RULES)
     raw: List[Finding] = list(project.parse_findings)
 
-    for rule in active:
+    for rule in ALL_RULES:
         for mod in project.src_modules:
             raw.extend(rule.check_module(mod))
         raw.extend(rule.check_project(project))

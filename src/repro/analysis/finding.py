@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 
 class Severity(enum.Enum):
@@ -43,7 +43,6 @@ class Finding:
     hint: str = ""
     context: str = ""
     col: int = 0  # 1-based column; 0 when the rule reports whole lines
-    extra: Tuple[Tuple[str, Any], ...] = field(default_factory=tuple)
 
     @property
     def fingerprint(self) -> Tuple[str, str, str]:
@@ -66,24 +65,6 @@ class Finding:
         if self.hint:
             text += f"  (hint: {self.hint})"
         return text
-
-    def to_json(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "rule": self.rule_id,
-            "severity": self.severity.value,
-            "path": self.path,
-            "line": self.line,
-            "message": self.message,
-        }
-        if self.hint:
-            payload["hint"] = self.hint
-        if self.context:
-            payload["context"] = self.context
-        if self.col:
-            payload["col"] = self.col
-        if self.extra:
-            payload["extra"] = dict(self.extra)
-        return payload
 
 
 def make_finding(

@@ -6,7 +6,8 @@ property (a message is stable once every member is known to hold it) that
 Section 3.1's "can't say for sure" argument turns on.  This module
 attaches that lattice to the classes under analysis, so the ORD rules can
 ask "is the order this handler assumes actually promised by the stack the
-class is configured with?".
+class is configured with?".  They read only the order; ``stable`` is
+carried because :class:`~repro.catocs.stack.Guarantee` has it.
 
 What a spec promises is declared by the layers themselves
 (:func:`repro.catocs.stack.guarantee`: the top layer's ``order``, and

@@ -1,4 +1,4 @@
-"""Finding renderers: human text, machine JSON (``repro.analysis/v2``), SARIF."""
+"""Finding renderers: human text and SARIF (for code scanning)."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from typing import Any, Dict, List
 
 from repro.analysis.finding import Finding
 
-SCHEMA = "repro.analysis/v2"
-
 
 def canonical_order(findings: List[Finding]) -> List[Finding]:
     """The single sort every renderer goes through: ``Finding.sort_key``,
@@ -16,8 +14,8 @@ def canonical_order(findings: List[Finding]) -> List[Finding]:
 
     Callers may hand a renderer findings in any order (tests pass
     hand-built lists).  Sorting here (idempotently; the engine pre-sorts
-    too) is what keeps text/JSON/SARIF bytes and SARIF
-    ``partialFingerprints`` order stable from run to run.
+    too) is what keeps the text and SARIF bytes, and the order of the
+    SARIF ``partialFingerprints``, stable from run to run.
     """
     return sorted(findings, key=lambda f: f.sort_key)
 
@@ -37,19 +35,6 @@ def render_text(findings: List[Finding], suppressed: int) -> str:
         lines.append("")
     lines.append(summary)
     return "\n".join(lines) + "\n"
-
-
-def render_json(findings: List[Finding], suppressed: int) -> str:
-    payload: Dict[str, Any] = {
-        "schema": SCHEMA,
-        "findings": [f.to_json() for f in canonical_order(findings)],
-        "summary": {
-            **_severity_counts(findings),
-            "total": len(findings),
-            "suppressed": suppressed,
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def render_sarif(findings: List[Finding], suppressed: int) -> str:

@@ -60,14 +60,12 @@ class Rule:
 
 
 def rule_catalogue() -> Dict[str, Rule]:
-    """rule id -> rule instance, for ``--list-rules`` and the docs test."""
+    """rule id -> rule instance, for the SARIF rule list and the tests."""
     return {rule.rule_id: rule for rule in ALL_RULES}
 
 
 def _build_all_rules() -> List[Rule]:
     from repro.analysis.rules.determinism import (
-        EnvBranchRule,
-        IdComparisonRule,
         UnorderedIterationRule,
         UnseededRandomRule,
         WallClockRule,
@@ -75,7 +73,6 @@ def _build_all_rules() -> List[Rule]:
     from repro.analysis.rules.ordering import (
         ConcurrentConflictRule,
         ExternalGateRule,
-        PreStabilityActionRule,
         TotalOrderAssumptionRule,
     )
 
@@ -83,12 +80,9 @@ def _build_all_rules() -> List[Rule]:
         WallClockRule(),
         UnseededRandomRule(),
         UnorderedIterationRule(),
-        IdComparisonRule(),
-        EnvBranchRule(),
         ConcurrentConflictRule(),
         TotalOrderAssumptionRule(),
         ExternalGateRule(),
-        PreStabilityActionRule(),
     ]
 
 

@@ -2,8 +2,8 @@
 
 Everything here guards the invariant stated in ``DESIGN.md``: a run is a
 pure function of ``(seed, parameters)``.  The rules target the ways Python
-quietly breaks that — wall clocks, the process-global ``random`` state,
-salted-hash iteration order, ``id()`` values, and the environment.
+quietly breaks that — wall clocks, the process-global ``random`` state and
+salted-hash iteration order.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.astutil import call_name, import_bindings, resolve_call_target
+from repro.analysis.astutil import call_name, import_bindings
 from repro.analysis.finding import Finding, Severity
 from repro.analysis.rules import Rule
 from repro.analysis.source import SourceModule
@@ -40,18 +40,6 @@ WALL_CLOCK_CALLS = {
     "datetime.date.today": "date.today()",
 }
 
-#: Report fields that are *supposed* to carry wall-clock readings —
-#: timestamps and duration measurements, recognisable by key name.  A
-#: clock value landing anywhere else in a ``repro.*/v1`` payload is data
-#: masquerading as timing (warning severity, even in the allowed modules).
-_TIMING_KEY_SUFFIXES = ("_at", "_s", "_ns", "_ms", "_seconds", "_time")
-_TIMING_KEYS = {"timestamp", "elapsed", "duration", "walltime"}
-
-
-def _is_timing_key(key: str) -> bool:
-    return key in _TIMING_KEYS or key.endswith(_TIMING_KEY_SUFFIXES)
-
-
 def _module_allowed(mod: SourceModule, prefixes: Tuple[str, ...]) -> bool:
     return any(
         mod.module == p or mod.module.startswith(p + ".") for p in prefixes
@@ -61,13 +49,9 @@ def _module_allowed(mod: SourceModule, prefixes: Tuple[str, ...]) -> bool:
 class WallClockRule(Rule):
     """DET001: wall-clock reads make a run depend on when it executes.
 
-    Severity split: outside the allowed modules every wall-clock call is
-    an **error**.  Inside ``repro.runtime`` the calls themselves are
-    sanctioned (that is what that package is for), but a clock-derived
-    value flowing into a schema'd report payload under a key that is not
-    a timing key is a **warning** everywhere — a report field like
-    ``run_id`` fed from ``time.time()`` makes the record non-reproducible
-    in a way the timing allowlist was never meant to cover.
+    Every wall-clock call outside ``repro.runtime`` is an error, so a
+    tracer that timestamps protocol events with a real clock cannot land
+    in a protocol package.
     """
 
     rule_id = "DET001"
@@ -75,102 +59,21 @@ class WallClockRule(Rule):
     severity = Severity.ERROR
 
     def check_module(self, mod: SourceModule) -> Iterable[Finding]:
+        if _module_allowed(mod, WALL_CLOCK_ALLOWED):
+            return
         imports = import_bindings(mod.tree)
-        if not _module_allowed(mod, WALL_CLOCK_ALLOWED):
-            for node in ast.walk(mod.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = call_name(node, imports)
-                if name in WALL_CLOCK_CALLS:
-                    yield self.finding(
-                        mod,
-                        node.lineno,
-                        f"wall-clock call {WALL_CLOCK_CALLS[name]}",
-                        hint="use the simulator's virtual time (sim.now); "
-                        "wall-clock integrations belong in repro.runtime",
-                    )
-        yield from self._report_field_flows(mod, imports)
-
-    def _contains_clock(
-        self, node: ast.AST, imports: Dict[str, str], tainted: set
-    ) -> bool:
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Call)
-                and call_name(sub, imports) in WALL_CLOCK_CALLS
-            ):
-                return True
-            if (
-                isinstance(sub, ast.Name)
-                and isinstance(sub.ctx, ast.Load)
-                and sub.id in tainted
-            ):
-                return True
-        return False
-
-    def _report_field_flows(
-        self, mod: SourceModule, imports: Dict[str, str]
-    ) -> Iterable[Finding]:
-        # Names assigned from a clock-bearing expression, closed
-        # transitively (flow-insensitive: good enough for report builders,
-        # which assign once).
-        tainted: set = set()
-        changed = True
-        while changed:
-            changed = False
-            for node in ast.walk(mod.tree):
-                targets: List[str] = []
-                if isinstance(node, ast.Assign):
-                    targets = [
-                        t.id for t in node.targets if isinstance(t, ast.Name)
-                    ]
-                    value = node.value
-                elif (
-                    isinstance(node, (ast.AnnAssign, ast.AugAssign))
-                    and isinstance(node.target, ast.Name)
-                    and node.value is not None
-                ):
-                    targets = [node.target.id]
-                    value = node.value
-                else:
-                    continue
-                if not targets or not self._contains_clock(
-                    value, imports, tainted
-                ):
-                    continue
-                for name in targets:
-                    if name not in tainted:
-                        tainted.add(name)
-                        changed = True
         for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Dict):
+            if not isinstance(node, ast.Call):
                 continue
-            keys = {
-                k.value
-                for k in node.keys
-                if isinstance(k, ast.Constant) and isinstance(k.value, str)
-            }
-            if "schema" not in keys:
-                continue
-            for key, value in zip(node.keys, node.values):
-                if not (
-                    isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                ):
-                    continue
-                if key.value == "schema" or _is_timing_key(key.value):
-                    continue
-                if self._contains_clock(value, imports, tainted):
-                    yield self.finding(
-                        mod,
-                        value.lineno,
-                        "wall-clock value flows into report field "
-                        f"{key.value!r}",
-                        hint="wall-clock readings belong only under timing "
-                        "keys (*_at, *_s, ...); derive data fields from "
-                        "the seeded envelope",
-                        severity=Severity.WARNING,
-                    )
+            name = call_name(node, imports)
+            if name in WALL_CLOCK_CALLS:
+                yield self.finding(
+                    mod,
+                    node.lineno,
+                    f"wall-clock call {WALL_CLOCK_CALLS[name]}",
+                    hint="use the simulator's virtual time (sim.now); "
+                    "wall-clock integrations belong in repro.runtime",
+                )
 
 
 class UnseededRandomRule(Rule):
@@ -364,75 +267,3 @@ class UnorderedIterationRule(Rule):
             "member list) so send order is explicit",
             severity=Severity.WARNING,
         )
-
-
-class IdComparisonRule(Rule):
-    """DET004: ``id()``-based comparisons vary across runs and processes."""
-
-    rule_id = "DET004"
-    title = "id()-based comparison"
-    severity = Severity.WARNING
-
-    def check_module(self, mod: SourceModule) -> Iterable[Finding]:
-        imports = import_bindings(mod.tree)
-
-        def is_id_call(expr: ast.AST) -> bool:
-            return (
-                isinstance(expr, ast.Call)
-                and call_name(expr, imports) == "id"
-                and len(expr.args) == 1
-            )
-
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.Compare):
-                operands = [node.left, *node.comparators]
-                if any(is_id_call(op) for op in operands):
-                    yield self.finding(
-                        mod, node.lineno,
-                        "comparison on id() values",
-                        hint="compare stable identifiers (pids, msg ids); "
-                        "id() is an address, different every run",
-                    )
-            elif isinstance(node, ast.Call):
-                for kw in node.keywords:
-                    if (
-                        kw.arg == "key"
-                        and isinstance(kw.value, ast.Name)
-                        and kw.value.id == "id"
-                    ):
-                        yield self.finding(
-                            mod, node.lineno,
-                            "sort/ordering keyed on id()",
-                            hint="key on a stable identifier instead of id()",
-                        )
-
-
-class EnvBranchRule(Rule):
-    """DET005: behaviour branching on the process environment."""
-
-    rule_id = "DET005"
-    title = "environment-dependent branch"
-    severity = Severity.WARNING
-
-    def check_module(self, mod: SourceModule) -> Iterable[Finding]:
-        imports = import_bindings(mod.tree)
-        for node in ast.walk(mod.tree):
-            test = None
-            if isinstance(node, (ast.If, ast.While, ast.IfExp)):
-                test = node.test
-            if test is None:
-                continue
-            for sub in ast.walk(test):
-                name = None
-                if isinstance(sub, (ast.Attribute, ast.Name)):
-                    name = resolve_call_target(sub, imports)
-                if name in {"os.environ", "os.getenv"} or (
-                    name and name.startswith("os.environ.")
-                ):
-                    yield self.finding(
-                        mod, node.lineno,
-                        f"branch on the process environment ({name})",
-                        hint="thread configuration through function "
-                        "parameters so the envelope captures it",
-                    )
-                    break

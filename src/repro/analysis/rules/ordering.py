@@ -1,4 +1,4 @@
-"""ORD001-004: handler semantics joined against delivery guarantees.
+"""ORD001-003: handler semantics joined against delivery guarantees.
 
 The paper's core claim (Sections 2-3) is that CATOCS orders *messages*,
 not *semantics*: the substrate can promise causal or total delivery and
@@ -20,12 +20,10 @@ run against our own applications:
   system: a hidden-channel read of another process's state gating or
   feeding a send (Fig. 1 meets Fig. 5 — no delivery discipline can ever
   enforce an ordering it cannot observe).
-- **ORD004** — destructive state operations (``pop``/``remove``/
-  ``clear``/``del``) in handlers of a group member whose spec lacks a
-  stability layer: the state may be consumed before the group agrees the
-  triggering message is stable (Section 3.1), so a late peer or a repair
-  can no longer be served.  Warning severity — destructive-before-stable
-  is a judgement call the way a blind overwrite is not.
+
+The rules read a stack's delivery ``order`` only.  Section 3.1's
+stability argument has no rule: every ``DISCIPLINES`` alias includes a
+stability layer, so a rule on ``stable`` would have nothing to find.
 
 The substrate itself (``repro.sim``, ``repro.catocs``, ...) is exempt:
 protocol layers exist to *implement* ordering and legitimately mutate
@@ -49,7 +47,7 @@ from repro.analysis.callgraph import (
 from repro.analysis.effects import EffectTable, effect_table_for
 from repro.analysis.finding import Finding, Severity
 from repro.analysis.flowgraph import SEND_ARG, unwrap_timer
-from repro.analysis.orders import GuaranteeEnv, MEMBER_ROOT, guarantee_env_for
+from repro.analysis.orders import GuaranteeEnv, guarantee_env_for
 from repro.analysis.rules import Rule
 from repro.analysis.source import SourceModule
 from repro.catocs.stack import ORDER_FIFO, ORDER_NONE, ORDER_TOTAL
@@ -334,53 +332,9 @@ class ExternalGateRule(_OrdRule):
         return None
 
 
-class PreStabilityActionRule(_OrdRule):
-    """ORD004: destructive handler effects without a stability layer."""
-
-    rule_id = "ORD004"
-    title = "destructive effect before stability on a non-stable spec"
-    severity = Severity.WARNING
-
-    def check_table(
-        self,
-        table: EffectTable,
-        env: GuaranteeEnv,
-        by_relpath: Dict[str, SourceModule],
-    ) -> Iterable[Finding]:
-        for process in table.processes():
-            info = table.code.class_for(process)
-            if info is None or _is_substrate(info):
-                continue
-            if not table.code.is_subtype(process, MEMBER_ROOT):
-                continue
-            guarantee = env.guarantee_for(info)
-            if guarantee.stable:
-                continue
-            for row in table.rows_for(process):
-                mod = by_relpath.get(row.relpath)
-                if mod is None:
-                    continue
-                for effect in row.effects:
-                    if effect.kind != "destructive":
-                        continue
-                    yield self.finding(
-                        mod,
-                        effect.lineno,
-                        f"{info.name} handler for {row.message} "
-                        f"destructively updates `self.{effect.attr}`, but "
-                        f"spec {guarantee.spec!r} has no stability layer — "
-                        "the state is consumed before the group agrees the "
-                        "message is stable (paper Section 3.1)",
-                        hint="add `stability` to the spec, or defer the "
-                        "destructive step until an application-level "
-                        "acknowledgement round",
-                    )
-
-
 __all__ = [
     "ConcurrentConflictRule",
     "TotalOrderAssumptionRule",
     "ExternalGateRule",
-    "PreStabilityActionRule",
     "SUBSTRATE_PREFIXES",
 ]

@@ -5,7 +5,10 @@ the protocols it cites ([4] Birman, Schiper & Stephenson 1991): reliable
 group multicast with FIFO, causal (vector clock), and total (fixed-sequencer
 and ISIS agreed-order) delivery disciplines; atomic-delivery buffering with
 matrix-clock stability tracking; heartbeat failure detection; and
-view-synchronous membership with flush.
+flush-and-install membership.  The membership is not view-synchronous:
+old-view gaps are repaired after the new view is installed, so two
+survivors can deliver one message in different views (``docs/PROTOCOLS.md``,
+ROADMAP item 4).
 
 Every member runs a composable protocol stack (:mod:`repro.catocs.stack`):
 ``ordering`` accepts a discipline alias (``"causal"``) or a full spec such

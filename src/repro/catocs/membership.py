@@ -1,4 +1,9 @@
-"""View-synchronous group membership: flush + view install.
+"""Group membership: flush, then view install.
+
+This is flush-and-install membership, not view synchrony: old-view gaps
+are repaired after the install (step 3), so two survivors can deliver one
+message in different views.  ``docs/PROTOCOLS.md`` states the
+simplification; ROADMAP item 4 measures it and holds the plan to judge it.
 
 When a member is suspected, the coordinator (lowest unsuspected pid) runs the
 three-phase protocol the CATOCS literature requires:

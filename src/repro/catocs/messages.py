@@ -52,7 +52,7 @@ class OrderingControl(ControlMessage):
 
 
 class MembershipControl(ControlMessage):
-    """Consumed by the view-synchronous membership protocol."""
+    """Consumed by the flush-and-install membership protocol."""
 
 
 @dataclass

@@ -43,7 +43,8 @@ its level in the paper's Section 2 lattice (:data:`ORDER_NONE` ⊂
 :func:`guarantee` reads a spec's promise off its layers: the order of its
 top layer, and stability if any layer is stable.  An ordering layer also
 declares ``stamped``, whether every data message it sends carries a vector
-clock; its stack drops a received one without before any layer sees it.
+clock; its stack drops a received one without a stamp before any layer
+sees it.
 
 Writing a new layer: subclass :class:`ProtocolLayer`, set its ``name``,
 ``kind``, ``order``, ``stable`` and ``stamped``, override the hooks you need, and call

@@ -1,4 +1,4 @@
-"""End-to-end CLI contract: exit codes, report schemas, rule selection.
+"""End-to-end CLI contract: exit codes and report formats.
 
 These run the analyser exactly as CI does — ``python -m repro.analysis`` in
 a subprocess — so the exit-code contract (0 clean / 1 fresh findings /
@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.finding import Severity, make_finding
-from repro.analysis.report import render_json, render_text
+from repro.analysis.report import render_sarif, render_text
+from repro.analysis.rules import rule_catalogue
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -41,21 +42,9 @@ def test_violation_fixture_fails_the_gate():
     assert "DET001" in proc.stdout
 
 
-def test_json_format_schema():
-    proc = run_cli(FIXTURES / "det_wallclock.py", "--format", "json")
-    assert proc.returncode == 1
-    payload = json.loads(proc.stdout)
-    assert payload["schema"] == "repro.analysis/v2"
-    assert set(payload) == {"schema", "findings", "summary"}
-    assert payload["summary"]["total"] == len(payload["findings"]) > 0
-    first = payload["findings"][0]
-    for key in ("rule", "severity", "path", "line", "message", "hint"):
-        assert key in first
-
-
 def test_out_writes_artifact(tmp_path):
-    artifact = tmp_path / "report.json"
-    proc = run_cli(FIXTURES / "det_wallclock.py", "--format", "json",
+    artifact = tmp_path / "report.sarif"
+    proc = run_cli(FIXTURES / "det_wallclock.py", "--format", "sarif",
                    "--out", artifact)
     assert proc.returncode == 1
     assert json.loads(artifact.read_text()) == json.loads(proc.stdout)
@@ -99,31 +88,37 @@ def test_list_rules_covers_all_families():
     assert proc.returncode == 0
     listed = [line.split()[0] for line in proc.stdout.splitlines()]
     assert listed == [
-        "DET001", "DET002", "DET003", "DET004", "DET005",
-        "ORD001", "ORD002", "ORD003", "ORD004",
+        "DET001", "DET002", "DET003", "ORD001", "ORD002", "ORD003",
     ]
-
-
-def test_rules_filter_selects_only_named_rules():
-    proc = run_cli(FIXTURES / "det_wallclock.py", "--rules", "ORD001,ORD003")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "DET001" not in proc.stdout
-
-
-def test_exclude_rules_drops_named_rules():
-    proc = run_cli(FIXTURES / "det_wallclock.py", "--exclude-rules", "DET001")
-    assert "DET001" not in proc.stdout
 
 
 @pytest.mark.parametrize(
     "rule_id",
     ["BOGUS999", "RACE001", "PROTO002", "FLOW001", "PUR001", "FLOW003",
-     "FLOW004"],
+     "FLOW004", "DET004", "DET005", "ORD004"],
 )
 def test_unknown_rule_id_is_usage_error(rule_id):
+    """A deleted rule's id names nothing in the catalogue, and no option
+    takes a rule id: every rule runs on every pass, so a command line
+    that still names one fails instead of analysing less."""
+    assert rule_id not in rule_catalogue()
     proc = run_cli("--rules", rule_id)
     assert proc.returncode == 2
-    assert "unknown rule id" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["--rules", "DET001"], "unrecognized arguments: --rules"),
+    (["--exclude-rules", "DET001"], "unrecognized arguments: --exclude-rules"),
+    (["--format", "json"], "invalid choice: 'json'"),
+], ids=["rules", "exclude-rules", "format-json"])
+def test_rule_selection_and_json_report_are_gone(argv, refusal):
+    """Nothing read the JSON report or ran a subset of the rules: the
+    options are gone, and argparse refuses them rather than ignoring them."""
+    proc = run_cli(FIXTURES / "det_wallclock.py", *argv)
+    assert proc.returncode == 2
+    assert refusal in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
@@ -165,12 +160,6 @@ def test_sarif_format_schema():
     assert location["artifactLocation"]["uri"].endswith("det_wallclock.py")
 
 
-def test_exclude_unknown_rule_id_is_usage_error():
-    proc = run_cli("--exclude-rules", "DET001,NOPE42")
-    assert proc.returncode == 2
-    assert "unknown rule id" in proc.stderr
-
-
 def _sarif_fingerprints(proc):
     payload = json.loads(proc.stdout)
     results = payload["runs"][0]["results"]
@@ -205,8 +194,15 @@ def test_renderers_enforce_canonical_order():
         make_finding("AAA001", Severity.ERROR, "a.py", 9, "same line"),
         make_finding("AAA001", Severity.ERROR, "a.py", 3, "earlier line"),
     ]
-    data = json.loads(render_json(shuffled, 0))
-    emitted = [(f["path"], f["line"], f["rule"]) for f in data["findings"]]
+    data = json.loads(render_sarif(shuffled, 0))
+    emitted = [
+        (
+            r["locations"][0]["physicalLocation"]["artifactLocation"]["uri"],
+            r["locations"][0]["physicalLocation"]["region"]["startLine"],
+            r["ruleId"],
+        )
+        for r in data["runs"][0]["results"]
+    ]
     assert emitted == sorted(emitted)
     text = render_text(shuffled, 0).splitlines()
     assert text[0].startswith("a.py:3") and text[1].startswith("a.py:9")
@@ -220,7 +216,7 @@ def test_output_is_hash_seed_stable():
         env["PYTHONHASHSEED"] = seed
         proc = subprocess.run(
             [sys.executable, "-m", "repro.analysis",
-             str(FIXTURES / "det_unordered.py"), "--format", "json"],
+             str(FIXTURES / "det_unordered.py"), "--format", "sarif"],
             cwd=REPO_ROOT, env=env, capture_output=True, text=True,
             timeout=300,
         )

@@ -94,24 +94,22 @@ def test_spec_strings_in_finds_keywords_and_defaults():
 # -- guarantee environment ---------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def stability_project():
-    return load_project(paths=[FIXTURES / "ord_stability.py"])
-
-
-def test_class_lexical_specs_resolve_per_class(stability_project):
-    env = guarantee_env_for(stability_project)
-    table = effect_table_for(stability_project)
+def test_class_lexical_specs_resolve_per_class():
+    """Two members in one module: each gets the spec its own constructor
+    names, not the module's weakest."""
+    project = load_project(paths=[FIXTURES / "ord_conflict.py"])
+    env = guarantee_env_for(project)
+    table = effect_table_for(project)
     by_name = {}
     from repro.analysis.flowgraph import code_graph_for
 
-    graph = code_graph_for(stability_project)
+    graph = code_graph_for(project)
     for qualname in table.processes():
         info = graph.class_for(qualname)
         by_name[info.name] = env.guarantee_for(info)
-    assert not by_name["LedgerMember"].stable
-    assert by_name["FineStableMember"].stable
-    assert by_name["LedgerMember"].order == ORDER_CAUSAL
+    assert by_name["FloorController"].order == ORDER_CAUSAL
+    assert by_name["FineTotalController"].order == ORDER_TOTAL
+    assert by_name["FineTotalController"].spec == "total-seq"
 
 
 # -- effect table ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.engine import load_project, run_analysis
 from repro.analysis.flowgraph import FlowGraph, flow_graph_for
-from repro.analysis.report import render_json
+from repro.analysis.report import render_text
 from repro.catocs.messages import wire_classes
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -101,10 +101,10 @@ def test_code_graph_resolves_fixture_hierarchy():
 
 def fixture_output_digests():
     """sha256 of the fixture directory's findings, as ``python -m
-    repro.analysis --format json tests/analysis/fixtures`` prints them."""
+    repro.analysis tests/analysis/fixtures`` prints them."""
     result = run_analysis(root=REPO_ROOT, paths=[FIXTURES])
-    text = render_json(result.findings, result.suppressed)
-    return {"findings.json": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+    text = render_text(result.findings, result.suppressed)
+    return {"findings.txt": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
 
 def test_fixture_graph_and_effects_match_the_pinned_digest():

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.engine import PARSE_RULE_ID, run_analysis
 from repro.analysis.finding import Severity
-from repro.analysis.report import render_json
+from repro.analysis.report import render_sarif
 
 DIRTY_MODULE = '''"""Two planted wall-clock reads: one reported, one suppressed."""
 
@@ -91,5 +91,5 @@ def test_repo_run_and_paths_run_are_one_pipeline(repo):
     assert [f.rule_id for f in planted.findings] == ["DET001"]
 
     again = run_analysis(root=repo)
-    assert (render_json(again.findings, again.suppressed)
-            == render_json(full.findings, full.suppressed))
+    assert (render_sarif(again.findings, again.suppressed)
+            == render_sarif(full.findings, full.suppressed))

@@ -1,4 +1,4 @@
-"""Tests for view-synchronous membership: suspicion, flush, install."""
+"""Tests for flush-and-install membership: suspicion, flush, install."""
 
 from repro.catocs import build_group
 from repro.catocs.messages import ViewInstall

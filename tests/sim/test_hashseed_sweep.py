@@ -6,7 +6,9 @@ drift.  These tests re-run whole scenarios in subprocesses under several
 hash seeds and require byte-identical stdout — the dynamic counterpart of
 the DET003 static rule, and the regression guard for the canonical-order
 fixes in ``repro.txn`` (validate fan-out sorted by server id, constraint
-refusals sorted by key).
+refusals sorted by key).  Each seed runs in a fresh process, so an order
+keyed on ``id()`` (an address, different in every process) drifts here
+too; no static rule looks for one.
 """
 
 import os
