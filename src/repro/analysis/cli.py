@@ -1,9 +1,9 @@
 """Command-line entry point: ``python -m repro.analysis`` / ``repro-analysis``.
 
 Exit codes: ``0`` clean (every finding suppressed), ``1`` at least one
-finding, ``2`` usage or internal error (an unknown option, or a path
-that is neither a directory nor a ``.py`` file).  See ``docs/ANALYSIS.md``
-for the workflow.
+finding, ``2`` usage or internal error (an unknown option, a path that
+is neither a directory nor a ``.py`` file, or an ``--out`` path that
+cannot be written).  See ``docs/ANALYSIS.md`` for the workflow.
 """
 
 from __future__ import annotations
@@ -56,10 +56,17 @@ def _is_repo_root(root: Path) -> bool:
     return False
 
 
-def _emit(report: str, out: Optional[Path]) -> None:
-    sys.stdout.write(report)
+def _emit(report: str, out: Optional[Path]) -> bool:
+    """Write the report to ``out`` (if given), then to stdout.  False, with
+    a one-line error and nothing on stdout, when ``out`` cannot be written."""
     if out is not None:
-        out.write_text(report, encoding="utf-8")
+        try:
+            out.write_text(report, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write report to {out}: {exc}", file=sys.stderr)
+            return False
+    sys.stdout.write(report)
+    return True
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -106,7 +113,8 @@ def _run(argv: Optional[List[str]]) -> int:
         return 2
 
     renderer = render_sarif if args.format == "sarif" else render_text
-    _emit(renderer(result.findings, result.suppressed), args.out)
+    if not _emit(renderer(result.findings, result.suppressed), args.out):
+        return 2
     return 1 if result.findings else 0
 
 

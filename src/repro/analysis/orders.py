@@ -62,18 +62,8 @@ def resolve(spec: str) -> Optional[Guarantee]:
 
 
 def meet(guarantees: Iterable[Guarantee]) -> Optional[Guarantee]:
-    """The weakest of several guarantees (lattice meet, ``stable`` ANDed)."""
-    weakest: Optional[Guarantee] = None
-    for g in guarantees:
-        if weakest is None:
-            weakest = g
-            continue
-        weakest = Guarantee(
-            spec=g.spec if g.order < weakest.order else weakest.spec,
-            order=min(g.order, weakest.order),
-            stable=g.stable and weakest.stable,
-        )
-    return weakest
+    """The weakest of several guarantees by order, the first on ties."""
+    return min(guarantees, key=lambda g: g.order, default=None)
 
 
 def spec_strings_in(tree: ast.AST) -> List[Tuple[str, int]]:

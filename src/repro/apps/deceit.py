@@ -160,21 +160,26 @@ def run_deceit(
     net = Network(sim, LinkModel(latency=latency, jitter=jitter))
     pids = [f"rep{i}" for i in range(replication)]
     replicas: Dict[str, DeceitReplica] = {}
+    heartbeat_timeout = 35.0
     for pid in pids:
         replica = DeceitReplica(sim, net, pid, members=pids, write_safety=write_safety)
-        detector = HeartbeatDetector(replica, period=10.0, timeout=35.0)
+        detector = HeartbeatDetector(replica, period=10.0, timeout=heartbeat_timeout)
         ViewManager(replica, detector)
         replicas[pid] = replica
     primary = replicas[pids[0]]
 
     for i in range(writes):
         sim.call_at(10.0 + i * write_interval, primary.client_write, f"file{i}", i)
+    last_stimulus = 10.0 + (writes - 1) * write_interval
 
     injector = FailureInjector(sim, net)
     if crash_primary_at is not None:
         injector.crash_at(crash_primary_at, pids[0])
+        last_stimulus = max(last_stimulus, crash_primary_at)
 
-    sim.run(until=30_000)
+    # Ten detector timeouts after the last write or crash the view change
+    # and every acknowledgement are long done; only heartbeats remain.
+    sim.run(until=last_stimulus + 10 * heartbeat_timeout)
 
     submitted = [r for r in primary.write_log]
     acked = [r for r in submitted if r.acked_at is not None]

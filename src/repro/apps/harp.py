@@ -60,18 +60,23 @@ def run_harp(
 
     for i in range(writes):
         sim.call_at(10.0 + i * write_interval, client.write, f"file{i}", i)
+    last_stimulus = 10.0 + (writes - 1) * write_interval
 
     injector = FailureInjector(sim, net)
     crashed_pid = pids[crash_replica_index]
     if crash_replica_at is not None:
         injector.crash_at(crash_replica_at, crashed_pid)
+        last_stimulus = max(last_stimulus, crash_replica_at)
         if recover_at is not None:
             injector.recover_at(recover_at, crashed_pid)
             # After WAL recovery, catch up from a live peer and rejoin.
             peer = pids[(crash_replica_index + 1) % replication]
             sim.call_at(recover_at + 1.0, replicas[crashed_pid].begin_rejoin, peer)
+            last_stimulus = max(last_stimulus, recover_at + 1.0)
 
-    sim.run(until=60_000)
+    # Ten vote timeouts after the last write, crash or rejoin every
+    # transaction has committed or aborted and the rejoin is announced.
+    sim.run(until=last_stimulus + 10 * vote_timeout)
 
     committed = [r for r in client.write_results if r.status == "committed"]
     latencies = [r.latency for r in committed]

@@ -35,7 +35,9 @@ def _run_group(seed: int, size: int, msgs_per_member: int,
         for _ in range(msgs_per_member):
             at = sim.rng.uniform(1.0, window)
             sim.call_at(at, members[pid].multicast, {"kind": "tick", "from": pid})
-    sim.run(until=window + 2000.0)
+    # Ten gossip rounds after the last multicast every buffer has drained;
+    # the peaks were reached long before.
+    sim.run(until=window + 10 * ack_period)
 
     graph = instrumentation.metrics()
     stability = [m.stack.layer("stability").layer_metrics() for m in members.values()]

@@ -26,15 +26,20 @@ def _run(seed: int, size: int) -> Dict[str, float]:
     sim = Simulator(seed=seed)
     net = Network(sim, LinkModel(latency=5.0, jitter=3.0))
     pids = [f"p{i}" for i in range(size)]
+    heartbeat_timeout = 35.0
     members = build_group(sim, net, pids, ordering="causal", with_membership=True,
-                          heartbeat_period=10.0, heartbeat_timeout=35.0)
+                          heartbeat_period=10.0, heartbeat_timeout=heartbeat_timeout)
     # Background multicast traffic so suppression has something to suppress.
+    ticks, tick_interval = 30, 20.0
     for index, pid in enumerate(pids[1:], start=1):
-        for k in range(30):
-            sim.call_at(5.0 + k * 20.0 + index, members[pid].multicast,
+        for k in range(ticks):
+            sim.call_at(5.0 + k * tick_interval + index, members[pid].multicast,
                         {"kind": "tick", "n": k})
     FailureInjector(sim, net).crash_at(100.0, pids[-1])
-    sim.run(until=2500.0)
+    last_multicast = 5.0 + (ticks - 1) * tick_interval + (size - 1)
+    # Ten heartbeat timeouts after the last multicast the view change and
+    # every delivery are long done; only heartbeats remain.
+    sim.run(until=last_multicast + 10 * heartbeat_timeout)
 
     survivors = [m for m in members.values() if m.alive]
     histories = [m.membership.view_history for m in survivors]

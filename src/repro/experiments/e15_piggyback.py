@@ -29,14 +29,17 @@ def _run(seed: int, drop_prob: float, size: int, msgs_per_member: int,
     sim = Simulator(seed=seed)
     net = Network(sim, LinkModel(latency=5.0, jitter=4.0, drop_prob=drop_prob))
     pids = [f"p{i}" for i in range(size)]
+    ack_period = 30.0
     members = build_group(sim, net, pids, ordering=ordering,
-                          nak_delay=10.0, ack_period=30.0)
+                          nak_delay=10.0, ack_period=ack_period)
     for index, pid in enumerate(pids):
         for k in range(msgs_per_member):
             at = 1.0 + index * (interval / size) + k * interval
             sim.call_at(at, members[pid].multicast,
                         {"kind": "tick", "n": k, "from": pid})
-    sim.run(until=msgs_per_member * interval + 3000.0)
+    # Ten gossip rounds after the last tick every loss is repaired and
+    # every gossip tick is quiet.
+    sim.run(until=msgs_per_member * interval + 10 * ack_period)
 
     latencies = []
     total_hold = 0.0

@@ -96,7 +96,8 @@ def _bridged_run(seed: int, partitioned: bool, triggers: int = 12) -> Dict[str, 
 
     for n in range(triggers):
         sim.call_at(5.0 + n * 40.0, sender.multicast, {"kind": "trigger", "n": n})
-    sim.run(until=5000)
+    # Ten gossip rounds after the last trigger every relay is delivered.
+    sim.run(until=5.0 + (triggers - 1) * 40.0 + 10 * sender.ack_period)
 
     seen_trigger: Dict[object, float] = {}
     violations = 0
@@ -125,15 +126,17 @@ def _buffer_cost(seed: int, size: int, split: bool,
         else [[f"a{i}" for i in range(size)]]
     )
     all_members = []
+    ack_period = 80.0
     for index, pids in enumerate(groups):
         members = build_group(sim, net, pids, group=f"g{index}",
-                              ordering="causal", ack_period=80.0)
+                              ordering="causal", ack_period=ack_period)
         all_members.extend(members.values())
         for pid in pids:
             for _ in range(msgs_per_member):
                 at = sim.rng.uniform(1.0, window)
                 sim.call_at(at, members[pid].multicast, {"kind": "tick"})
-    sim.run(until=window + 2000.0)
+    # As in E05: ten gossip rounds after the last multicast.
+    sim.run(until=window + 10 * ack_period)
     return float(sum(m.stack.layer("stability").layer_metrics()["peak_buffered_bytes"]
                      for m in all_members))
 

@@ -50,6 +50,17 @@ def test_out_writes_artifact(tmp_path):
     assert json.loads(artifact.read_text()) == json.loads(proc.stdout)
 
 
+def test_unwritable_out_is_a_one_line_error(tmp_path):
+    """An ``--out`` that cannot be written exits 2, not 1 ("findings"),
+    and says so in one line instead of a traceback."""
+    proc = run_cli(FIXTURES / "det_wallclock.py",
+                   "--out", tmp_path / "missing" / "report.txt")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: cannot write report to ")
+
+
 @pytest.mark.parametrize(
     "path", ["src/repro/tnx", "README.md", "graph", "effects"],
     ids=["missing", "not-python", "graph-subcommand", "effects-subcommand"],

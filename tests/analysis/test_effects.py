@@ -70,11 +70,10 @@ def test_unknown_ordering_layer_promises_nothing():
         LAYER_REGISTRY.pop("exotic-order", None)
 
 
-def test_meet_takes_the_weakest_order_and_ands_the_flags():
-    met = meet([resolve("total-agreed"), resolve("fifo")])
-    assert met.order == ORDER_FIFO
-    assert met.spec == "fifo"
-    assert met.stable and not meet([met, resolve("dedup|fifo")]).stable
+def test_meet_takes_the_weakest_order_first_on_ties():
+    fifo = resolve("fifo")
+    assert meet([resolve("total-agreed"), fifo]) is fifo
+    assert meet([fifo, resolve("dedup|fifo")]) is fifo
     assert meet([]) is None
 
 
