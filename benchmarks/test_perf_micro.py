@@ -103,6 +103,7 @@ def test_network_send_deliver(benchmark):
 def _sizing_cases():
     from repro.apps.nameservice import Binding, GossipDigest
     from repro.catocs.messages import AckGossip, DataMessage, Heartbeat
+    from repro.sim.network import estimate_size
 
     def counts(n):
         return {f"m{i}": 9 + i for i in range(n)}
@@ -111,8 +112,10 @@ def _sizing_cases():
     stamped = DataMessage(group="group", sender="m2", seq=17, payload=50, sent_at=0.0667,
                           vc=ClockDomain(pids).clock(counts(24)).stamped("m2"),
                           ack_vector=counts(24))
-    digest = GossipDigest("m0", {f"name-{i}": Binding(f"name-{i}", f"host-{i}", 0.5 * i, "m1")
-                                 for i in range(100)})
+    # A digest reports the size its server keeps; this one was walked once.
+    bindings = {f"name-{i}": Binding(f"name-{i}", f"host-{i}", 0.5 * i, "m1")
+                for i in range(100)}
+    digest = GossipDigest("m0", bindings, estimate_size(bindings))
     return {
         "AckGossip-3": AckGossip("group", "m1", counts(3)),
         "AckGossip-24": AckGossip("group", "m1", counts(24)),

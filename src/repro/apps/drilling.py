@@ -42,13 +42,24 @@ class DrillingResult:
     completed: Set[int]
     checklist: Set[int]
     double_drilled: int
-    total_network_messages: int
     app_messages: int
     completion_time: float
 
     @property
     def all_accounted(self) -> bool:
         return self.completed | self.checklist >= set(range(self.holes))
+
+
+#: The CATOCS cell's failure-detector timeout.
+HEARTBEAT_TIMEOUT = 35.0
+
+
+def _settled(drill_time: float, holes: int) -> float:
+    """Where both designs' runs end: the job drilled by one driller alone,
+    then ten detector timeouts, by when any view change and every hole's
+    fan-out are done and only keepalives (CATOCS) or nothing (central)
+    remain.  One horizon for both keeps their records comparable."""
+    return drill_time * holes + 10 * HEARTBEAT_TIMEOUT
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +173,7 @@ def run_drilling_catocs(
     members: Dict[str, CatocsDriller] = {}
     for pid in pids:
         member = CatocsDriller(sim, net, pid, members=pids, drill_time=drill_time)
-        detector = HeartbeatDetector(member, period=10.0, timeout=35.0)
+        detector = HeartbeatDetector(member, period=10.0, timeout=HEARTBEAT_TIMEOUT)
         ViewManager(member, detector)
         members[pid] = member
     cell = members["cell"]
@@ -170,9 +181,7 @@ def run_drilling_catocs(
     sim.call_at(5.0, cell.multicast, {"kind": "request", "holes": list(range(holes))})
     if crash_driller_at is not None:
         FailureInjector(sim, net).crash_at(crash_driller_at, "driller0")
-    # Horizon sized to the workload: past it only keepalive traffic remains,
-    # which would swamp the message-count comparison without adding signal.
-    sim.run(until=drill_time * holes + 1000.0)
+    sim.run(until=_settled(drill_time, holes))
 
     survivors = [m for m in members.values() if m.alive]
     completed: Set[int] = set()
@@ -197,7 +206,6 @@ def run_drilling_catocs(
         completed=completed,
         checklist=checklist,
         double_drilled=double,
-        total_network_messages=net.stats.sent,
         app_messages=app_messages,
         completion_time=last_done,
     )
@@ -343,7 +351,7 @@ def run_drilling_central(
     sim.call_at(5.0, controller.start_job, list(range(holes)))
     if crash_driller_at is not None:
         FailureInjector(sim, net).crash_at(crash_driller_at, "driller0")
-    sim.run(until=drill_time * holes + 1000.0)
+    sim.run(until=_settled(drill_time, holes))
 
     drilled_counts: Dict[int, int] = {}
     for proc in driller_procs.values():
@@ -357,7 +365,6 @@ def run_drilling_central(
         completed=set(controller.done),
         checklist=set(controller.checklist),
         double_drilled=double,
-        total_network_messages=net.stats.sent,
         app_messages=controller.app_messages + len(controller.done),
         completion_time=controller.finished_at,
     )

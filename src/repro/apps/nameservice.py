@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.kernel import Simulator
-from repro.sim.network import LinkModel, Network
+from repro.sim.network import LinkModel, Network, estimate_size
 from repro.sim.process import Process
 
 
@@ -44,6 +44,11 @@ class Binding:
         )
 
 
+#: What a digest's record costs the byte model besides its values: the 16
+#: every record has and the names of the two fields it carries.
+_DIGEST_RECORD_BYTES = 16 + len("sender") + len("bindings")
+
+
 @dataclass
 class GossipDigest:
     """Anti-entropy payload: the sender's full binding table (small scale) —
@@ -51,6 +56,13 @@ class GossipDigest:
 
     sender: str
     bindings: Dict[str, Binding]
+    #: the byte model's size of ``bindings``, kept by the sending server as
+    #: its table changes, so a round does not walk every binding
+    bindings_bytes: int
+
+    def size_bytes(self) -> int:
+        """What the byte model's walk gives ``sender`` and ``bindings`` alone."""
+        return _DIGEST_RECORD_BYTES + estimate_size(self.sender) + self.bindings_bytes
 
 
 @dataclass
@@ -72,6 +84,8 @@ class DirectoryServer(Process):
         self.gossip_period = gossip_period
         self.fanout = min(fanout, len(self.peers)) if self.peers else 0
         self.bindings: Dict[str, Binding] = {}
+        #: ``estimate_size(self.bindings)``, kept up to date by ``_install``
+        self._bindings_bytes = estimate_size(self.bindings)
         self.undos: List[UndoRecord] = []
         self.gossip_sent = 0
         self.writes_accepted = 0
@@ -98,11 +112,14 @@ class DirectoryServer(Process):
 
     def _gossip(self) -> None:
         targets = self.sim.rng.sample(self.peers, self.fanout) if self.fanout else []
-        digest = GossipDigest(sender=self.pid, bindings=dict(self.bindings))
         # One digest, sized once for the whole fan-out.
-        self.send_many(targets, digest)
+        self.send_many(targets, self.digest())
         self.gossip_sent += len(targets)
         self.set_timer(self.gossip_period, self._gossip)
+
+    def digest(self) -> GossipDigest:
+        """A snapshot of this server's table, as one gossip round sends it."""
+        return GossipDigest(self.pid, dict(self.bindings), self._bindings_bytes)
 
     def on_message(self, src: str, payload: Any) -> None:
         if isinstance(payload, GossipDigest):
@@ -113,14 +130,18 @@ class DirectoryServer(Process):
         current = self.bindings.get(incoming.name)
         if current is None:
             self.bindings[incoming.name] = incoming
+            self._bindings_bytes += estimate_size(incoming.name) + estimate_size(incoming)
             return
-        if current == incoming:
+        # Every digest repeats the whole table: most bindings are the very
+        # object already held.
+        if current is incoming or current == incoming:
             return
         # Duplicate binding: deterministic resolution, record the undo.
         if incoming.beats(current):
             self.undos.append(UndoRecord(name=incoming.name, undone=current,
                                          kept=incoming, at=self.sim.now))
             self.bindings[incoming.name] = incoming
+            self._bindings_bytes += estimate_size(incoming) - estimate_size(current)
         else:
             # We keep ours; still record that a duplicate existed if the
             # loser originated here (so the owner can be notified).

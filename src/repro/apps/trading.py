@@ -178,7 +178,10 @@ def run_trading(
             },
         )
 
-    sim.run(until=10_000)
+    # Ten ack periods after the last option tick every price and every
+    # theoretical price derived from it is delivered; only gossip remains.
+    last_tick = 10.0 + (ticks - 1) * tick_interval
+    sim.run(until=last_tick + 10 * monitor.ack_period)
 
     naive_crossings = sum(1 for s in naive_samples if s.crossed)
     return TradingResult(

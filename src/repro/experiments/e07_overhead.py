@@ -31,17 +31,14 @@ def _measure(seed: int, ordering: str, size: int, msgs_per_member: int) -> Dict[
     members = build_group(sim, net, pids, ordering=ordering, ack_period=0.0)
 
     header_samples = []
-    original_deliver = {}
 
-    def sniff(pid):
-        def cb(src, payload, msg: DataMessage) -> None:
-            vc, acks = msg.vc, msg.ack_vector
-            header_samples.append((0 if vc is None else vc.size_bytes())
-                                  + (0 if acks is None else counts_size(acks)))
-        return cb
+    def sniff(src, payload, msg: DataMessage) -> None:
+        vc, acks = msg.vc, msg.ack_vector
+        header_samples.append((0 if vc is None else vc.size_bytes())
+                              + (0 if acks is None else counts_size(acks)))
 
-    for pid, member in members.items():
-        member.on_deliver = sniff(pid)
+    for member in members.values():
+        member.on_deliver = sniff
 
     payload = {"kind": "tick", "data": "x" * 16}
     total_multicasts = 0
@@ -51,16 +48,9 @@ def _measure(seed: int, ordering: str, size: int, msgs_per_member: int) -> Dict[
             total_multicasts += 1
     sim.run(until=msgs_per_member * 25.0 + 2000.0)
 
-    batch_saved = sum(
-        m.stack.layer("batch").messages_saved()
-        for m in members.values() if m.stack.layer("batch") is not None
-    )
     return {
         "header_bytes": mean(header_samples),
-        "net_msgs": net.stats.sent,
         "net_msgs_per_multicast": net.stats.sent / total_multicasts,
-        "bytes_per_multicast": net.stats.bytes_sent / total_multicasts,
-        "batch_saved": batch_saved,
     }
 
 
@@ -77,9 +67,7 @@ def run_e07(
     )
     headers: Dict[int, float] = {}
     per_mcast: Dict[tuple, float] = {}
-    full: Dict[tuple, Dict[str, float]] = {}
     for size in sizes:
-        row = [size]
         causal = _measure(seed, "causal", size, msgs_per_member)
         headers[size] = causal["header_bytes"]
         for ordering in ("raw", "causal", "total-seq", "total-agreed"):
@@ -88,7 +76,6 @@ def run_e07(
             else:
                 metrics = _measure(seed, ordering, size, msgs_per_member)
             per_mcast[(size, ordering)] = metrics["net_msgs_per_multicast"]
-            full[(size, ordering)] = metrics
         header_table.add_row(
             size,
             round(causal["header_bytes"], 1),
@@ -118,25 +105,6 @@ def run_e07(
     fits = Table("Fitted growth", ["quantity", "exponent k"])
     fits.add_row("causal header bytes vs N", round(header_exp, 2))
 
-    # Extras-only rerun at the largest N on the batching stack: how much of
-    # each discipline's per-multicast message overhead same-tick coalescing
-    # recovers.  Loss-free causal has no same-tick same-destination traffic
-    # (saved == 0, the quiet path is untouched); the total orders' token /
-    # proposal / commit rounds coalesce with the data they ride alongside.
-    batching: Dict[str, Dict[str, float]] = {}
-    for ordering in ("causal", "total-seq", "total-agreed"):
-        batched = _measure(seed, f"dedup|batch|stability|{ordering}", biggest,
-                           msgs_per_member)
-        plain = full[(biggest, ordering)]
-        batching[ordering] = {
-            "net_msgs_plain": plain["net_msgs"],
-            "net_msgs_batched": batched["net_msgs"],
-            "net_msgs_saved": plain["net_msgs"] - batched["net_msgs"],
-            "layer_messages_saved": batched["batch_saved"],
-            "net_msgs_per_multicast_plain": plain["net_msgs_per_multicast"],
-            "net_msgs_per_multicast_batched": batched["net_msgs_per_multicast"],
-        }
-    extras = {"batching": {"size": biggest, "per_ordering": batching}}
     return ExperimentResult(
         experiment_id="E07",
         title="Sections 3.4/5 — per-message ordering overhead",
@@ -148,5 +116,4 @@ def run_e07(
             "envelope is not counted.  Message counts: the control traffic "
             "each ordering discipline adds on top of the N-1 data sends."
         ),
-        extras=extras,
     )

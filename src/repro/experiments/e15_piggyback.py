@@ -20,8 +20,6 @@ from repro.sim import LinkModel, Network, Simulator
 
 #: The Footnote 4 variant: causal delivery under the piggyback layer.
 PIGGYBACK_STACK = "dedup|stability|piggyback|causal"
-#: The stack the extras-only batching comparison runs on (see run_e15).
-BATCHED_STACK = "dedup|batch|stability|causal"
 
 
 def _run(seed: int, drop_prob: float, size: int, msgs_per_member: int,
@@ -51,16 +49,10 @@ def _run(seed: int, drop_prob: float, size: int, msgs_per_member: int,
                 delivered += 1
         total_hold += member.ordering.total_hold_time()
     expected = size * msgs_per_member * (size - 1)
-    batch_saved = sum(
-        m.stack.layer("batch").messages_saved()
-        for m in members.values() if m.stack.layer("batch") is not None
-    )
     return {
         "mean_latency": mean(latencies),
         "total_hold": total_hold,
         "bytes_sent": net.stats.bytes_sent,
-        "net_msgs": net.stats.sent,
-        "batch_saved": batch_saved,
         "delivered_frac": delivered / expected,
     }
 
@@ -116,26 +108,6 @@ def run_e15(
         ),
     }
 
-    # Extras-only third variant: same workload on the batching stack, to
-    # quantify how many wire messages same-tick coalescing saves (tables and
-    # checks above are calibrated for the two paper variants and stay as-is).
-    # The savings come from bursty NAK-repair traffic, so measure at the
-    # lossiest point of the sweep.
-    base_drop = max(drop_probs)
-    batched = _run(seed, base_drop, size, msgs_per_member, interval,
-                   ordering=BATCHED_STACK)
-    plain_base = data[(base_drop, "plain")]
-    extras = {
-        "batching": {
-            "stack": BATCHED_STACK,
-            "drop_prob": base_drop,
-            "net_msgs_plain": plain_base["net_msgs"],
-            "net_msgs_batched": batched["net_msgs"],
-            "net_msgs_saved": plain_base["net_msgs"] - batched["net_msgs"],
-            "layer_messages_saved": batched["batch_saved"],
-            "delivered_frac_batched": batched["delivered_frac"],
-        }
-    }
     return ExperimentResult(
         experiment_id="E15",
         title="Footnote 4 ablation — piggybacked causal predecessors",
@@ -147,5 +119,4 @@ def run_e15(
             "of E06 but multiplies bytes on the wire — there is no free "
             "configuration of CATOCS, only a choice of which cost to pay."
         ),
-        extras=extras,
     )

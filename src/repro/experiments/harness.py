@@ -61,7 +61,6 @@ class ExperimentResult:
     #: named shape assertions — the reproduction criteria
     checks: Dict[str, bool] = field(default_factory=dict)
     notes: str = ""
-    extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:

@@ -12,14 +12,16 @@ a case whose trim was undone fails here too.
 This file runs seeds 0-1; ``benchmarks/test_settled_runs.py`` runs 0-19.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict
 from unittest import mock
 
 import pytest
 
 from repro.apps.deceit import run_deceit
+from repro.apps.drilling import run_drilling_catocs, run_drilling_central
 from repro.apps.harp import run_harp
+from repro.apps.trading import run_trading
 from repro.experiments import (
     e05_scaling,
     e06_false_causality,
@@ -32,6 +34,15 @@ from repro.sim import Simulator
 #: E09's crash point and its Harp recovery (``run_e09``).
 CRASH_AT = 163.0
 RECOVER_AT = CRASH_AT + 400.0
+#: E11's driller crash (``run_e11``).
+DRILLER_CRASH_AT = 50.0
+
+
+def _trading(seed: int, ordering: str, theo_latency: float) -> Any:
+    """E04's run with its trace's entries in place of the trace, which has
+    no ``==`` of its own."""
+    result = run_trading(seed=seed, ordering=ordering, ticks=8, theo_latency=theo_latency)
+    return replace(result, trace=result.trace.entries)
 
 
 @dataclass(frozen=True)
@@ -44,6 +55,10 @@ class SettledRun:
 
 def _cases() -> Dict[str, SettledRun]:
     cases: Dict[str, SettledRun] = {}
+    for ordering in ("causal", "total-seq", "total-agreed"):
+        for lag in (3.0, 15.0, 25.0, 40.0):
+            cases[f"E04-{ordering}-lag{lag}"] = SettledRun(
+                lambda seed, o=ordering, lag=lag: _trading(seed, o, lag), 10_000)
     for k in (0, 1, 2):
         cases[f"E09-deceit-k{k}"] = SettledRun(
             lambda seed, k=k: run_deceit(seed=seed, write_safety=k), 30_000)
@@ -67,11 +82,19 @@ def _cases() -> Dict[str, SettledRun]:
                     seed, o, p, 6, 25, 12.0), 3300.0)
     for drop_prob in (0.0, 0.05, 0.15):
         for name, ordering in (("causal", "causal"),
-                               ("piggyback", e15_piggyback.PIGGYBACK_STACK),
-                               ("batched", e15_piggyback.BATCHED_STACK)):
+                               ("piggyback", e15_piggyback.PIGGYBACK_STACK)):
             cases[f"E15-{name}-{drop_prob}"] = SettledRun(
                 lambda seed, p=drop_prob, o=ordering: e15_piggyback._run(
                     seed, p, 6, 25, 12.0, ordering=o), 3300.0)
+    for design, run in (("catocs", run_drilling_catocs), ("central", run_drilling_central)):
+        for drillers in (2, 4, 6, 8):
+            cases[f"E11-{design}-D{drillers}"] = SettledRun(
+                lambda seed, run=run, d=drillers: run(seed=seed, drillers=d, holes=4 * d),
+                20.0 * 4 * drillers + 1000.0)
+        cases[f"E11-{design}-crash"] = SettledRun(
+            lambda seed, run=run: run(seed=seed, drillers=4, holes=16,
+                                      crash_driller_at=DRILLER_CRASH_AT),
+            20.0 * 16 + 1000.0)
     for partitioned in (True, False):
         cases[f"E17-bridged-partitioned={partitioned}"] = SettledRun(
             lambda seed, p=partitioned: e17_partitioning._bridged_run(seed, p), 5000.0)

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import enum
 from dataclasses import InitVar, dataclass
+from types import SimpleNamespace
 from typing import ClassVar
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import size_model
 from repro.apps.netnews import Article
-from repro.apps.nameservice import Binding, GossipDigest
+from repro.apps.nameservice import Binding, DirectoryServer, GossipDigest
 from repro.catocs.messages import (
     AckGossip, BatchEnvelope, DataMessage, Heartbeat, wire_classes,
 )
@@ -430,19 +431,64 @@ def _wire_instance(cls, pids):
     return cls(**{f.name: by_field[f.name] for f in dataclasses.fields(cls)})
 
 
+def _directory_server(pid="dir0"):
+    sim = Simulator(seed=0)
+    return DirectoryServer(sim, Network(sim, LinkModel()), pid, [pid, "peer"])
+
+
+def _walk_digest(digest):
+    """The reference walk of a digest's two fields, its own hook aside."""
+    return size_model.estimate_size(
+        SimpleNamespace(sender=digest.sender, bindings=digest.bindings))
+
+
 @pytest.mark.parametrize("n", [3, 24, 64])
 def test_every_wire_class_sizes_as_the_walk_says(n):
     pids = [f"m{i}" for i in range(n)]
     wire = [_wire_instance(cls, pids) for cls in wire_classes()]
     assert any(isinstance(m, BatchEnvelope) and len(m.payloads) == 3 for m in wire)
-    bindings = {f"name-{i}": Binding(f"name-{i}", f"host-{i}", 0.5 * i, pids[i % n])
-                for i in range(100)}
     others = [
         Article("<1@a>", "comp.dcs", "response", references=("<0@b>", "<0@c>"), posted_at=2.0),
-        GossipDigest(pids[0], bindings),
     ]
     for payload in wire + others:
         assert estimate_size(payload) == size_model.estimate_size(payload), type(payload)
+    server = _directory_server(pids[0])
+    bindings = {f"name-{i}": Binding(f"name-{i}", f"host-{i}", 0.5 * i, pids[i % n])
+                for i in range(100)}
+    server.on_message("peer", GossipDigest("peer", bindings, 0))
+    digest = server.digest()
+    assert digest.bindings == bindings
+    assert estimate_size(digest) == _walk_digest(digest)
+
+
+_NAMES = st.sampled_from(["a", "bb", "é", "日本", "\ud800", "x\udfffy"])
+_BINDINGS = st.builds(
+    Binding, _NAMES, _TEXT, st.sampled_from([-1.0, 0.0, 1.0]),
+    st.sampled_from(["dir0", "peer", "é"]),
+)
+_DIRECTORY_OPS = st.lists(st.one_of(
+    st.tuples(st.just("bind"), _NAMES, _TEXT),
+    st.tuples(st.just("digest"), st.lists(_BINDINGS, max_size=4)),
+    st.tuples(st.just("echo")),
+), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DIRECTORY_OPS)
+def test_a_directory_digest_sizes_as_the_walk_of_its_table(ops):
+    # The server keeps its table's size as bindings arrive, replace one
+    # another (either way round) or repeat; the digest reports that total.
+    server = _directory_server()
+    for op, *args in ops:
+        if op == "bind":
+            server.bind(*args)
+        elif op == "digest":
+            incoming = {binding.name: binding for binding in args[0]}
+            server.on_message("peer", GossipDigest("peer", incoming, 0))
+        else:
+            server.on_message("dir0", server.digest())
+        digest = server.digest()
+        assert estimate_size(digest) == _walk_digest(digest)
 
 
 @pytest.mark.parametrize("pids", [["a", "bb", "ccc"], ["é", "日本", "\ud800x"],
