@@ -24,7 +24,8 @@ Sits between the raw (lossy, reordering) network and the ordering layers:
   causal message carries none.  A periodic gossip covers quiet senders.
   A :class:`~repro.ordering.matrix.MatrixClock` per member
   maintains the stable frontier (the componentwise minimum over rows) as
-  acknowledgements arrive; the buffer is swept only when that frontier moves.
+  acknowledgements arrive; the buffer is swept only when that frontier
+  moves, and then only the senders whose column moved.
   A settled member is silent, and one that is not asks: a tick is *quiet*
   when the buffer is empty, the counts equal the last ack vector the member
   put on the wire and the frontier has not moved since the previous tick,
@@ -52,7 +53,14 @@ vector, or the counts a stamp implies, *before* the dedup check
 be snapshotted *before* the dedup layer counts the outgoing message as
 received.  The dedup layer drives that choreography, calling the stability
 layer's service methods at exactly the points the old monolithic transport
-did.  A stack may omit the stability
+did.  A stamp is read in one pass (``MatrixClock.absorb_stamp``): it raises
+the sender's row and checks for unseen messages only on the entries that
+rose.  That is exact because, outside one receipt, no row entry for a pid
+other than the member's own exceeds the dedup layer's ``_max_seen``: every
+write to a row for another pid is checked against ``_max_seen`` in the same
+receipt or gossip, or (the sender's own entry) followed by counting the
+message itself.  An unknown observer's stamp, and every dict ack vector,
+are merged and then checked entry by entry.  A stack may omit the stability
 layer (the hybrid-buffering causal stack does); repair then falls back to
 whatever retention the remaining layers expose via ``repair_lookup``.
 
@@ -141,12 +149,19 @@ class DedupRepairLayer(ProtocolLayer):
         # a count (StabilityLayer.send_down); a repair copy's is not read.
         stamped = stability is not None and vc is not None and not msg.retransmit
         if stamped and acks is None:
-            # The common case: the stamp, read in place.  Its own entry is
-            # seq, where the sender had received seq - 1: learn_existence is
-            # told so, and in the matrix it records that the sender holds
-            # its own message.
-            stability.absorb_ack_vector(sender, vc)
-            self.learn_existence(vc, sender)
+            # The common case: the stamp, read in place, in one pass that
+            # raises the sender's row and reports what the risen entries
+            # reveal.  Its own entry is seq, where the sender had received
+            # seq - 1: the pass checks it as such, and in the matrix it
+            # records that the sender holds its own message.
+            revealed = stability.matrix.absorb_stamp(sender, vc, self._max_seen,
+                                                     self.member.pid)
+            if revealed is None:  # no row for the sender: check every entry
+                self.learn_existence(vc, sender)
+            else:
+                for subject, count in revealed:
+                    self._max_seen[subject] = count
+                    self._check_gaps(subject)
         else:
             if stamped:
                 acks = dict(vc.items()) | {sender: msg.seq - 1} | acks
@@ -235,6 +250,8 @@ class DedupRepairLayer(ProtocolLayer):
                 self._check_gaps(sender)
 
     def _check_gaps(self, sender: str) -> None:
+        if self._max_seen.get(sender, 0) <= self.contiguous.get(sender, 0):
+            return  # nothing is missing: the usual call, for a receipt's own sender
         pending = self._nak_pending
         fresh = [mid for mid in self._missing(sender) if mid not in pending]
         if not fresh:
@@ -293,11 +310,11 @@ class DedupRepairLayer(ProtocolLayer):
         if self.member.believes_alive(sender):
             candidates.append(sender)
         if self._stability is not None:
+            matrix = self._stability.matrix
             for pid in self.member.view_members:
                 if pid in (self.member.pid, sender) or not self.member.believes_alive(pid):
                     continue
-                row = self._stability.matrix.row(pid)
-                if all(row.get(s, 0) >= q for s, q in wanted):
+                if matrix.covers(pid, wanted):
                     candidates.append(pid)
         if not candidates:
             return None
@@ -477,7 +494,7 @@ class StabilityLayer(ProtocolLayer):
             sender, seq = mid
             self._arrivals += 1
             heappush(self._held[sender], (seq, self._arrivals, mid))
-            if self.matrix.stable(sender, seq):
+            if seq <= self.matrix.frontier.get(sender, 0):
                 # Buffered under the frontier (never through receive_up:
                 # own row <= contiguous < seq): the next check_stability
                 # must sweep though nothing moved.
@@ -548,18 +565,28 @@ class StabilityLayer(ProtocolLayer):
     def check_stability(self) -> None:
         """Release every buffered message the stable frontier covers, in
         buffer order.  Returns at once while the frontier stands where the
-        last sweep left it."""
-        moves = self.matrix.moves
+        last sweep left it.  Otherwise only the heaps of the columns that
+        moved since (``matrix.moved``) are read, unless ``_swept_at`` is
+        ``None``: a rebuilt matrix, or a message buffered under the
+        frontier, and then every heap is."""
+        matrix = self.matrix
+        moves = matrix.moves
         if moves == self._swept_at:
             return
+        held = self._held
+        senders = held if self._swept_at is None else matrix.moved
         self._swept_at = moves
-        stable = self.matrix.min_vector()
+        frontier = matrix.frontier
         newly_stable = []
-        for sender, heap in self._held.items():
-            covered = stable.get(sender, 0)
-            while heap and heap[0][0] <= covered:
-                newly_stable.append(heappop(heap)[1:])
-        newly_stable.sort()
+        for sender in senders:
+            heap = held.get(sender)
+            if heap:
+                covered = frontier.get(sender, 0)
+                while heap and heap[0][0] <= covered:
+                    newly_stable.append(heappop(heap)[1:])
+        matrix.moved.clear()
+        if len(newly_stable) > 1:
+            newly_stable.sort()
         for _, mid in newly_stable:
             del self.buffer[mid]
             self._buffered_bytes -= self._entry_bytes.pop(mid)

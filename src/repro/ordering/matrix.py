@@ -14,8 +14,11 @@ how many rows sit exactly at it — instead of deriving it from all N^2
 entries on demand.  ``update_row`` and ``set_component`` run on every
 receipt inside the transport and touch only the entries they are given; a
 column is rescanned (O(N)) only when the last row at its minimum leaves it,
-which is the only event that can move the frontier.  ``min_vector`` and
-``stable`` read the maintained frontier.
+which is the only event that can move the frontier, and the column goes on
+``moved`` so a reader sweeps only the columns that moved.  ``min_vector``
+and ``stable`` read the maintained frontier.  ``absorb_stamp`` is
+``update_row`` for a data message's stamp that, in the same pass, reports
+the risen entries that name messages the receiver has not seen.
 
 Rows remember every subject they are told about, members or not (a repair
 request may ask what a peer holds of a departed sender's messages); the
@@ -24,7 +27,7 @@ frontier covers the membership columns only.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.sim.network import counts_size
 
@@ -32,20 +35,25 @@ from repro.sim.network import counts_size
 class MatrixClock:
     """One row per process: what we believe each process has seen."""
 
-    __slots__ = ("_rows", "_mins", "_ties", "moves")
+    __slots__ = ("_rows", "frontier", "_ties", "moves", "moved")
 
     def __init__(self, pids: Iterable[str]) -> None:
         members = list(pids)
         self._rows: Dict[str, Dict[str, int]] = {
             pid: dict.fromkeys(members, 0) for pid in members
         }
-        #: the stable frontier: per member column, the minimum over all rows
-        self._mins: Dict[str, int] = dict.fromkeys(self._rows, 0)
+        #: the stable frontier: per member column, the minimum over all rows.
+        #: Readers on the receipt path read it in place; only the matrix
+        #: writes it
+        self.frontier: Dict[str, int] = dict.fromkeys(self._rows, 0)
         #: per member column, how many rows sit exactly at the minimum
         self._ties: Dict[str, int] = dict.fromkeys(self._rows, len(self._rows))
         #: times the frontier has advanced; lets a reader that remembers the
         #: value skip work while the frontier stands still
         self.moves = 0
+        #: the columns whose minimum moved, one entry per move, until the
+        #: reader that sweeps on them clears the list
+        self.moved: List[str] = []
 
     @property
     def pids(self):
@@ -71,7 +79,7 @@ class MatrixClock:
         if row is None:
             return
         known = row.get
-        frontier = self._mins.get
+        frontier = self.frontier.get
         ties = self._ties
         for subject, count in counts.items():
             old = known(subject, 0)
@@ -86,6 +94,48 @@ class MatrixClock:
                     else:
                         self._rescan(subject)
 
+    def absorb_stamp(self, pid: str, stamp,
+                     seen: Mapping[str, int], me: str) -> Optional[List[Tuple[str, int]]]:
+        """``update_row(pid, stamp)`` for the stamp of a data message from
+        ``pid``, read in place, and in the same pass the risen entries that
+        name more than ``seen`` has: ``(subject, count)`` pairs in stamp
+        order, skipping ``me``.  The stamp's own entry for ``pid`` is the
+        message in hand, so it names one less.  ``None`` when ``pid`` has
+        no row (an unknown observer: nothing is merged or checked).
+
+        Only a risen entry is checked.  That is exact for a caller whose
+        ``seen`` is at least every row's entry for every pid but ``me``
+        before the stamp arrives (``DedupRepairLayer._max_seen`` is)."""
+        row = self._rows.get(pid)
+        if row is None:
+            return None
+        known = row.get
+        frontier = self.frontier.get
+        ties = self._ties
+        unseen = seen.get
+        revealed: List[Tuple[str, int]] = []
+        for subject, count in stamp.items():
+            old = known(subject, 0)
+            if count > old:
+                row[subject] = count
+                if old == frontier(subject):  # as in update_row
+                    left = ties[subject] - 1
+                    if left:
+                        ties[subject] = left
+                    else:
+                        self._rescan(subject)
+                if subject == pid:
+                    count -= 1
+                if count > unseen(subject, 0) and subject != me:
+                    revealed.append((subject, count))
+        return revealed
+
+    def covers(self, pid: str, wanted: Iterable[Tuple[str, int]]) -> bool:
+        """True iff ``pid``'s row holds every ``(subject, seq)`` in
+        ``wanted``: ``row(pid)`` read in place, without the copy."""
+        known = self._rows[pid].get
+        return all(known(s, 0) >= q for s, q in wanted)
+
     def set_component(self, observer: str, subject: str, count: int) -> None:
         """Record that ``observer`` has seen ``subject``'s first ``count`` events."""
         row = self._rows.get(observer)
@@ -94,7 +144,7 @@ class MatrixClock:
         old = row.get(subject, 0)
         if count > old:
             row[subject] = count
-            if old == self._mins.get(subject):
+            if old == self.frontier.get(subject):
                 left = self._ties[subject] - 1
                 if left:
                     self._ties[subject] = left
@@ -105,9 +155,10 @@ class MatrixClock:
         """The last row at ``subject``'s column minimum rose off it: read
         the column again, and the frontier moves."""
         column = [row[subject] for row in self._rows.values()]
-        low = self._mins[subject] = min(column)
+        low = self.frontier[subject] = min(column)
         self._ties[subject] = column.count(low)
         self.moves += 1
+        self.moved.append(subject)
 
     def min_vector(self) -> Dict[str, int]:
         """Componentwise minimum over all rows, one entry per member, as a
@@ -116,12 +167,12 @@ class MatrixClock:
         An event covered by this vector is stable — safe to discard from
         atomic-delivery buffers.
         """
-        return dict(self._mins)
+        return dict(self.frontier)
 
     def stable(self, sender: str, seq: int) -> bool:
         """True iff message ``seq`` from member ``sender`` is known received
         by all: ``seq <= min_vector().get(sender, 0)``."""
-        return seq <= self._mins.get(sender, 0)
+        return seq <= self.frontier.get(sender, 0)
 
     def size_bytes(self) -> int:
         """Storage footprint: N vector clocks of N entries — O(N^2)."""

@@ -64,6 +64,13 @@ _set_op = st.tuples(
     st.integers(0, 6),               # small: many calls raise nothing
 )
 
+_absorb_op = st.tuples(
+    st.just("absorb"), st.sampled_from(OBSERVERS),
+    _mapping,                        # the stamp
+    _mapping,                        # what the receiver has seen
+    st.sampled_from(SUBJECTS),       # the receiver
+)
+
 
 class ModelMatrix:
     """The N x N scan the matrix used to run on every call: a list of dicts."""
@@ -83,13 +90,30 @@ class ModelMatrix:
     def stable(self, subject, seq):
         return all(row.get(subject, 0) >= seq for row in self.rows)
 
+    def revealed(self, observer, stamp, seen, me):
+        """Every entry of ``observer``'s stamp, risen or not, that names
+        more than ``seen`` (its own entry one less), skipping ``me``."""
+        if observer not in self.pids:
+            return None
+        out = []
+        for subject, count in stamp.items():
+            if subject == observer:
+                count -= 1
+            if count > seen.get(subject, 0) and subject != me:
+                out.append((subject, count))
+        return out
+
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 3).map(lambda n: MEMBERS[:n]),
-    st.lists(st.one_of(_update_op, _set_op), min_size=1, max_size=40),
+    st.lists(st.one_of(_update_op, _set_op, _absorb_op), min_size=1, max_size=40),
 )
 def test_matrix_matches_the_brute_force_model(pids, ops):
+    """``absorb_stamp`` checks only the entries that rose, so it agrees with
+    the model's check of every entry when ``seen`` is at least every row
+    entry but the receiver's: the dedup layer's invariant, raised here
+    before the call."""
     matrix, model = MatrixClock(pids), ModelMatrix(pids)
     moves = 0
     for op in ops:
@@ -99,15 +123,30 @@ def test_matrix_matches_the_brute_force_model(pids, ops):
             matrix.update_row(observer, counts)
             for subject, count in counts.items():
                 model.raise_to(observer, subject, count)
+        elif op[0] == "absorb":
+            _, observer, stamp, seen, me = op
+            seen = dict(seen)
+            for row in model.rows:
+                for subject, count in row.items():
+                    if subject != me and count > seen.get(subject, 0):
+                        seen[subject] = count
+            revealed = model.revealed(observer, stamp, seen, me)
+            assert matrix.absorb_stamp(observer, stamp, seen, me) == revealed, op
+            for subject, count in stamp.items():
+                model.raise_to(observer, subject, count)
         else:
             _, observer, subject, count = op
             matrix.set_component(observer, subject, count)
             model.raise_to(observer, subject, count)
         frontier = model.frontier()
         assert matrix.min_vector() == frontier, op
-        # ``moves`` ticks once per column advance and never otherwise
-        moves += sum(frontier[s] > before[s] for s in pids)
+        # ``moves`` ticks once per column advance and never otherwise, and
+        # ``moved`` names each column that advanced
+        advanced = [s for s in pids if frontier[s] > before[s]]
+        moves += len(advanced)
         assert matrix.moves == moves, op
+        assert sorted(matrix.moved) == advanced, op
+        matrix.moved.clear()
         for subject in SUBJECTS:
             for seq in range(0, 8):
                 if subject in pids:
@@ -116,6 +155,10 @@ def test_matrix_matches_the_brute_force_model(pids, ops):
                     assert matrix.stable(subject, seq) == (seq <= 0), op
             for row, pid in zip(model.rows, pids):
                 assert matrix.row(pid).get(subject, 0) == row.get(subject, 0), op
+        for pid, row in zip(pids, model.rows):
+            for subject in SUBJECTS:
+                wanted = [(subject, row.get(subject, 0)), (subject, row.get(subject, 0) + 1)]
+                assert matrix.covers(pid, wanted[:1]) and not matrix.covers(pid, wanted), op
 
 
 def test_rows_remember_outsiders_but_the_frontier_does_not():
