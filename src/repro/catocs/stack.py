@@ -152,8 +152,7 @@ class ProtocolStack:
     its timers — exactly what the monolithic member constructor did.
     """
 
-    __slots__ = ("member", "spec", "layers", "_by_name", "_stamped", "_down", "_up",
-                 "unstamped_dropped")
+    __slots__ = ("member", "spec", "layers", "_by_name", "_stamped", "unstamped_dropped")
 
     def __init__(self, member: "GroupMember", names: Sequence[str]) -> None:
         names = tuple(names)
@@ -167,13 +166,6 @@ class ProtocolStack:
         self.layers: List[ProtocolLayer] = [instances[n] for n in names]
         self._by_name = instances
         self._stamped = self.layers[-1].stamped
-        # The transport layers whose data-path hook does something, in the
-        # order each path runs them: a pass-through layer is not called.
-        transport = self.layers[:-1]
-        self._down = [layer for layer in reversed(transport)
-                      if type(layer).send_down is not ProtocolLayer.send_down]
-        self._up = [layer for layer in transport
-                    if type(layer).receive_up is not ProtocolLayer.receive_up]
         #: received data messages without the stamp the ordering layer needs
         self.unstamped_dropped = 0
         for layer in self.layers:
@@ -195,7 +187,7 @@ class ProtocolStack:
 
     def broadcast(self, msg: DataMessage) -> None:
         """Push a stamped data message down the stack and onto the wire."""
-        for layer in self._down:
+        for layer in reversed(self.layers[:-1]):
             layer.send_down(msg)
         self.transmit(msg)
 
@@ -218,7 +210,7 @@ class ProtocolStack:
             self.unstamped_dropped += 1
             return None
         current: Optional[DataMessage] = msg
-        for layer in self._up:
+        for layer in self.layers[:-1]:
             current = layer.receive_up(src, current)
             if current is None:
                 return None

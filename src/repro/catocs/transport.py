@@ -53,14 +53,7 @@ vector, or the counts a stamp implies, *before* the dedup check
 be snapshotted *before* the dedup layer counts the outgoing message as
 received.  The dedup layer drives that choreography, calling the stability
 layer's service methods at exactly the points the old monolithic transport
-did.  A stamp is read in one pass (``MatrixClock.absorb_stamp``): it raises
-the sender's row and checks for unseen messages only on the entries that
-rose.  That is exact because, outside one receipt, no row entry for a pid
-other than the member's own exceeds the dedup layer's ``_max_seen``: every
-write to a row for another pid is checked against ``_max_seen`` in the same
-receipt or gossip, or (the sender's own entry) followed by counting the
-message itself.  An unknown observer's stamp, and every dict ack vector,
-are merged and then checked entry by entry.  A stack may omit the stability
+did.  A stack may omit the stability
 layer (the hybrid-buffering causal stack does); repair then falls back to
 whatever retention the remaining layers expose via ``repair_lookup``.
 
@@ -149,19 +142,12 @@ class DedupRepairLayer(ProtocolLayer):
         # a count (StabilityLayer.send_down); a repair copy's is not read.
         stamped = stability is not None and vc is not None and not msg.retransmit
         if stamped and acks is None:
-            # The common case: the stamp, read in place, in one pass that
-            # raises the sender's row and reports what the risen entries
-            # reveal.  Its own entry is seq, where the sender had received
-            # seq - 1: the pass checks it as such, and in the matrix it
-            # records that the sender holds its own message.
-            revealed = stability.matrix.absorb_stamp(sender, vc, self._max_seen,
-                                                     self.member.pid)
-            if revealed is None:  # no row for the sender: check every entry
-                self.learn_existence(vc, sender)
-            else:
-                for subject, count in revealed:
-                    self._max_seen[subject] = count
-                    self._check_gaps(subject)
+            # The common case: the stamp, read in place.  Its own entry is
+            # seq, where the sender had received seq - 1: learn_existence is
+            # told so, and in the matrix it records that the sender holds
+            # its own message.
+            stability.absorb_ack_vector(sender, vc)
+            self.learn_existence(vc, sender)
         else:
             if stamped:
                 acks = dict(vc.items()) | {sender: msg.seq - 1} | acks

@@ -14,11 +14,9 @@ how many rows sit exactly at it — instead of deriving it from all N^2
 entries on demand.  ``update_row`` and ``set_component`` run on every
 receipt inside the transport and touch only the entries they are given; a
 column is rescanned (O(N)) only when the last row at its minimum leaves it,
-which is the only event that can move the frontier, and the column goes on
-``moved`` so a reader sweeps only the columns that moved.  ``min_vector``
-and ``stable`` read the maintained frontier.  ``absorb_stamp`` is
-``update_row`` for a data message's stamp that, in the same pass, reports
-the risen entries that name messages the receiver has not seen.
+which is the only event that can move the frontier, and the column goes in
+``moved`` so a reader sweeps only the columns that moved.  ``frontier`` is
+the maintained minimum, read in place; ``min_vector`` copies it.
 
 Rows remember every subject they are told about, members or not (a repair
 request may ask what a peer holds of a departed sender's messages); the
@@ -27,7 +25,7 @@ frontier covers the membership columns only.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 from repro.sim.network import counts_size
 
@@ -51,9 +49,9 @@ class MatrixClock:
         #: times the frontier has advanced; lets a reader that remembers the
         #: value skip work while the frontier stands still
         self.moves = 0
-        #: the columns whose minimum moved, one entry per move, until the
-        #: reader that sweeps on them clears the list
-        self.moved: List[str] = []
+        #: the columns whose minimum moved since the reader that sweeps on
+        #: them last cleared the set; at most one entry per member column
+        self.moved: Set[str] = set()
 
     @property
     def pids(self):
@@ -94,42 +92,6 @@ class MatrixClock:
                     else:
                         self._rescan(subject)
 
-    def absorb_stamp(self, pid: str, stamp,
-                     seen: Mapping[str, int], me: str) -> Optional[List[Tuple[str, int]]]:
-        """``update_row(pid, stamp)`` for the stamp of a data message from
-        ``pid``, read in place, and in the same pass the risen entries that
-        name more than ``seen`` has: ``(subject, count)`` pairs in stamp
-        order, skipping ``me``.  The stamp's own entry for ``pid`` is the
-        message in hand, so it names one less.  ``None`` when ``pid`` has
-        no row (an unknown observer: nothing is merged or checked).
-
-        Only a risen entry is checked.  That is exact for a caller whose
-        ``seen`` is at least every row's entry for every pid but ``me``
-        before the stamp arrives (``DedupRepairLayer._max_seen`` is)."""
-        row = self._rows.get(pid)
-        if row is None:
-            return None
-        known = row.get
-        frontier = self.frontier.get
-        ties = self._ties
-        unseen = seen.get
-        revealed: List[Tuple[str, int]] = []
-        for subject, count in stamp.items():
-            old = known(subject, 0)
-            if count > old:
-                row[subject] = count
-                if old == frontier(subject):  # as in update_row
-                    left = ties[subject] - 1
-                    if left:
-                        ties[subject] = left
-                    else:
-                        self._rescan(subject)
-                if subject == pid:
-                    count -= 1
-                if count > unseen(subject, 0) and subject != me:
-                    revealed.append((subject, count))
-        return revealed
-
     def covers(self, pid: str, wanted: Iterable[Tuple[str, int]]) -> bool:
         """True iff ``pid``'s row holds every ``(subject, seq)`` in
         ``wanted``: ``row(pid)`` read in place, without the copy."""
@@ -158,7 +120,7 @@ class MatrixClock:
         low = self.frontier[subject] = min(column)
         self._ties[subject] = column.count(low)
         self.moves += 1
-        self.moved.append(subject)
+        self.moved.add(subject)
 
     def min_vector(self) -> Dict[str, int]:
         """Componentwise minimum over all rows, one entry per member, as a
@@ -168,11 +130,6 @@ class MatrixClock:
         atomic-delivery buffers.
         """
         return dict(self.frontier)
-
-    def stable(self, sender: str, seq: int) -> bool:
-        """True iff message ``seq`` from member ``sender`` is known received
-        by all: ``seq <= min_vector().get(sender, 0)``."""
-        return seq <= self.frontier.get(sender, 0)
 
     def size_bytes(self) -> int:
         """Storage footprint: N vector clocks of N entries — O(N^2)."""

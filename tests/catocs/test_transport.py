@@ -1,5 +1,7 @@
 """Tests for the reliable group transport: dedup, NAK repair, stability."""
 
+from heapq import heappop
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -840,12 +842,16 @@ def test_a_repair_copys_stamp_leaves_the_rows_untouched():
     assert dedup._max_seen["p0"] == 3
 
 
-# -- pay per news: the absorbed-vector memo vs a layer that always merges -----------
+# -- differential machines: the real layers vs the code they replaced ---------------
 
 SENDERS = ["p1", "p2", "p3", "ghost"]  # p3 joins and leaves; ghost is never a member
 
 _vector = st.lists(st.integers(min_value=0, max_value=5), min_size=4, max_size=4).map(
     lambda values: dict(zip(["p0", "p1", "p2", "p3"], values))
+)
+#: a stamp may name ghost too: its row is unknown, its column not on the frontier
+_stamp = st.lists(st.integers(min_value=0, max_value=5), min_size=5, max_size=5).map(
+    lambda values: dict(zip(["p0", "p1", "p2", "p3", "ghost"], values))
 )
 
 
@@ -873,21 +879,46 @@ class AlwaysMergeStability(StabilityLayer):
         self.matrix.update_row(self.member.pid, self._counts())
 
 
+class FullSweepStability(StabilityLayer):
+    """The sweep before it read only the moved columns: a dict copy of the
+    frontier, every sender's heap, and a sort of whatever it released."""
+
+    def check_stability(self):
+        moves = self.matrix.moves
+        if moves == self._swept_at:
+            return
+        self._swept_at = moves
+        stable = self.matrix.min_vector()
+        newly_stable = []
+        for sender, heap in self._held.items():
+            covered = stable.get(sender, 0)
+            while heap and heap[0][0] <= covered:
+                newly_stable.append(heappop(heap)[1:])
+        newly_stable.sort()
+        for _, mid in newly_stable:
+            del self.buffer[mid]
+            self._buffered_bytes -= self._entry_bytes.pop(mid)
+            for hook in self.stable_hooks:
+                hook(mid)
+
+
 class _Driven:
     """p0's stability and dedup layers on a private simulator: what p0 sends
-    is recorded, not transmitted, and the test plays every other member."""
+    is recorded, not transmitted, and the test plays every other member.
+    ``reference``, if given, is the stability layer's class."""
 
-    def __init__(self, always_merge):
+    def __init__(self, reference=None):
         self.sim = Simulator(seed=0)
         net = Network(self.sim, LinkModel(latency=5.0))
         # ack_period=0: no tick is armed until the class is settled; the
         # manual first tick at the end of __init__ starts the period
         self.member = build_member(self.sim, net, "p0", group="group", members=PIDS,
                                    ordering="raw", ack_period=0.0)
+        self.domain = group_domain(self.sim, "group", [*PIDS, "p3", "ghost"])
         self.layer = self.member.stack.layer("stability")
         self.dedup = self.member.stack.layer("dedup")
-        if always_merge:
-            self.layer.__class__ = AlwaysMergeStability
+        if reference is not None:
+            self.layer.__class__ = reference
         self.sent = []
         self.member.send = lambda dst, payload: self.sent.append(((dst,), payload))
         self.member.send_many = lambda dsts, payload: self.sent.append((tuple(dsts), payload))
@@ -913,9 +944,12 @@ class _Driven:
             "contiguous": dict(self.dedup.contiguous),
             "max_seen": dict(self.dedup._max_seen),
             "nak_pending": dict(self.dedup._nak_pending),
-            "timers": self.sim.pending,
+            "timers": [(timer.time, timer.args[0].__name__, timer.args[1])
+                       for timer in self.member._timers if timer.active],
             "naks_sent": self.dedup.naks_sent,
-            "sent": self.sent,
+            # by repr: a repair copy's stamp lives in this simulator's clock
+            # domain, and clocks of two domains do not compare
+            "sent": [(dsts, repr(payload)) for dsts, payload in self.sent],
             "buffer": list(self.layer.buffer),
             "released": self.released,
             "gossip_sent": self.layer.gossip_sent,
@@ -925,13 +959,15 @@ class _Driven:
 
 
 class PayPerNewsMachine(RuleBasedStateMachine):
-    """Every step goes to the real layer and to :class:`AlwaysMergeStability`;
+    """Every step goes to the real layer and to the ``reference`` layer;
     nothing either of them exposes may differ afterwards."""
+
+    reference = AlwaysMergeStability
 
     def __init__(self):
         super().__init__()
-        self.real = _Driven(always_merge=False)
-        self.model = _Driven(always_merge=True)
+        self.real = _Driven()
+        self.model = _Driven(self.reference)
         self.last = {}  # sender -> the vector it last gossiped
 
     def both(self, act):
@@ -1003,8 +1039,62 @@ class PayPerNewsMachine(RuleBasedStateMachine):
         assert self.real.state() == self.model.state()
 
 
+class MovedColumnsMachine(PayPerNewsMachine):
+    """The sweep that reads only the moved columns vs the full sweep, with
+    stamped receipts, ``release()`` and buffering under the frontier added
+    to the steps."""
+
+    reference = FullSweepStability
+
+    @rule(sender=st.sampled_from(SENDERS), step=st.integers(min_value=-2, max_value=2),
+          stamp=_stamp, kind=st.sampled_from(["plain", "plain", "acks", "repair"]),
+          acks=_vector)
+    def receive_stamped(self, sender, step, stamp, kind, acks):
+        """A stamped message near the sender's highest seq seen, so most are
+        fresh and in order, some gaps, some duplicates: its own entry is its
+        seq, its entry for p0 and for non-members whatever the draw says.
+        With an ack vector, or as a repair copy (which carries none), it
+        takes the dict path."""
+        seq = max(1, self.real.dedup._max_seen.get(sender, 0) + step)
+        counts = {**stamp, sender: seq}
+        self.both(lambda d: d.dedup.receive_up(sender, DataMessage(
+            group="group", sender=sender, seq=seq, payload=seq, sent_at=0.0,
+            vc=d.domain.clock(counts), ack_vector=acks if kind == "acks" else None,
+            retransmit=kind == "repair")))
+
+    @precondition(lambda self: any(self.real.dedup._already_have(mid)
+                                   for mid in self.real.layer.buffer))
+    @rule(data=st.data())
+    def release(self, data):
+        """The ordering layer drops a message the dedup layer counted,
+        ahead of the frontier; no matrix row is written."""
+        held = [mid for mid in self.real.layer.buffer if self.real.dedup._already_have(mid)]
+        mid = data.draw(st.sampled_from(held))
+        self.both(lambda d: d.layer.release(mid))
+
+    @precondition(lambda self: any(self.real.layer.matrix.frontier.values()))
+    @rule(data=st.data(), sweep=st.booleans())
+    def buffer_under_frontier(self, data, sweep):
+        """A message buffered at or below the frontier forces a sweep of
+        every heap though no column moved; with ``sweep`` false the next
+        step's check finds it."""
+        frontier = self.real.layer.matrix.frontier
+        sender = data.draw(st.sampled_from(sorted(s for s, n in frontier.items() if n)))
+        seq = data.draw(st.integers(min_value=1, max_value=frontier[sender]))
+
+        def buffer(d):
+            d.layer.buffer_message(DataMessage(group="group", sender=sender, seq=seq,
+                                               payload="late", sent_at=0.0))
+            if sweep:
+                d.layer.check_stability()
+        self.both(buffer)
+
+
+_SETTINGS = settings(max_examples=120, stateful_step_count=30, deadline=None)
 TestPayPerNews = PayPerNewsMachine.TestCase
-TestPayPerNews.settings = settings(max_examples=120, stateful_step_count=30, deadline=None)
+TestPayPerNews.settings = _SETTINGS
+TestMovedColumnsSweep = MovedColumnsMachine.TestCase
+TestMovedColumnsSweep.settings = _SETTINGS
 
 
 def test_equal_but_distinct_vectors_are_recognised_as_no_news():
@@ -1037,3 +1127,21 @@ def test_the_memo_does_not_survive_a_rebuilt_matrix():
     machine.indistinguishable()
     assert machine.real.merges == 2
     assert machine.real.layer.matrix.row("p1")["p2"] == 3
+
+
+def test_the_sweep_reads_only_the_moved_columns():
+    # p1 and p2 each hold one buffered message; only p2's column moves, so
+    # only p2's heap is read, and nothing is left in moved after the sweep.
+    machine = MovedColumnsMachine()
+    layer = machine.real.layer
+    for sender in ("p1", "p2"):
+        layer.buffer_message(DataMessage(group="group", sender=sender, seq=1,
+                                         payload=sender, sent_at=0.0))
+    layer.check_stability()
+    for observer in PIDS:
+        layer.absorb_ack_vector(observer, {"p2": 1})
+    assert layer.matrix.moved == {"p2"}
+    layer.check_stability()
+    assert machine.real.released == [("p2", 1)]
+    assert not layer.matrix.moved
+    assert list(layer._held["p1"]) and not layer._held["p2"]
