@@ -6,7 +6,7 @@ on a deterministic discrete-event simulator:
 
 - :mod:`repro.sim` — the simulation substrate (event kernel, lossy network,
   processes, clocks, failure injection, event-diagram tracing).
-- :mod:`repro.ordering` — Lamport/vector/matrix clocks, happens-before, and
+- :mod:`repro.ordering` — vector and matrix clocks, happens-before, and
   the Section 5 active causal graph.
 - :mod:`repro.catocs` — the system under critique: reliable group multicast
   with FIFO / causal / total ordering, atomic-delivery buffering, stability
@@ -14,10 +14,10 @@ on a deterministic discrete-event simulator:
   view-synchronous: see ``docs/PROTOCOLS.md`` and ROADMAP item 4).
 - :mod:`repro.statelevel` — the paper's alternatives: versioned state,
   dependency fields, the order-preserving cache, real-time timestamps.
-- :mod:`repro.txn` — transactions: 2PL, 2PC, OCC, WAL durability, and
+- :mod:`repro.txn` — transactions: 2PL, 2PC, WAL durability, and
   read-any/write-all-available replication.
 - :mod:`repro.detect` — predicate detection: wait-for deadlock detection,
-  Chandy-Lamport and CATOCS snapshots, checkpointing, RPC deadlock.
+  coordinated checkpointing, RPC deadlock.
 - :mod:`repro.apps` — the paper's case studies (Figures 2-4, Netnews,
   Deceit/Harp, drilling, the real-time oven), each with both designs.
 - :mod:`repro.experiments` — E01..E19, one per figure/claim.

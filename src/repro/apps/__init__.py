@@ -23,8 +23,6 @@ experiment harness turns into the figures/claims:
   "sufficient consistency" under CATOCS vs latest-value delivery.
 - :mod:`repro.apps.threads` — Section 3, limitation 1 (second example): the
   multi-threaded server whose shared address space is the hidden channel.
-- :mod:`repro.apps.quorum` — Section 4.2's k-of-n case end-to-end: greedy
-  quorum locking, detection by graph reduction, victim retry.
 - :mod:`repro.apps.nameservice` — Section 4.5: a Lampson-style global name
   service on anti-entropy gossip with undo-based duplicate resolution.
 """

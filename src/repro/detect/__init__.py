@@ -10,10 +10,6 @@ implements both sides:
 - :mod:`repro.detect.waitfor` — wait-for graphs with cycle detection, and the
   paper's detector: each node multicasts its local wait-for edges (any order,
   plain sequence numbers) to monitors; only true deadlocks are reported.
-- :mod:`repro.detect.chandy_lamport` — the consistent-cut snapshot over FIFO
-  channels, no CATOCS required.
-- :mod:`repro.detect.catocs_snapshot` — the CATOCS-based snapshot (a marker
-  multicast in causal order yields a consistent cut) for cost comparison.
 - :mod:`repro.detect.checkpoint` — periodic coordinated checkpointing
   (Elnozahy-style), the state-level alternative for full consistent cuts.
 - :mod:`repro.detect.rpc` / :mod:`repro.detect.rpc_deadlock` — an RPC
@@ -28,26 +24,11 @@ from repro.detect.waitfor import (
     WaitForReport,
     WaitForReporter,
 )
-from repro.detect.chandy_lamport import ChandyLamportParticipant, SnapshotResult
-from repro.detect.catocs_snapshot import CatocsSnapshotMember
 from repro.detect.checkpoint import CheckpointCoordinator, CheckpointParticipant
 from repro.detect.rpc import Call, Reply, RpcProcess, Work
 from repro.detect.rpc_deadlock import (
     CausalRpcDeadlockDetector,
     PeriodicRpcDeadlockDetector,
-)
-from repro.detect.kofn import KofNMonitor, KofNReport, KofNState, KofNWait
-from repro.detect.termination import (
-    ActivityReporter,
-    DiffusingWorker,
-    TerminationMonitor,
-)
-from repro.detect.token import (
-    RingMember,
-    Token,
-    TokenMonitor,
-    TokenReporter,
-    build_token_ring,
 )
 
 __all__ = [
@@ -55,9 +36,6 @@ __all__ = [
     "WaitForReport",
     "WaitForReporter",
     "DeadlockMonitor",
-    "ChandyLamportParticipant",
-    "SnapshotResult",
-    "CatocsSnapshotMember",
     "CheckpointCoordinator",
     "CheckpointParticipant",
     "RpcProcess",
@@ -66,16 +44,4 @@ __all__ = [
     "Work",
     "CausalRpcDeadlockDetector",
     "PeriodicRpcDeadlockDetector",
-    "KofNState",
-    "KofNWait",
-    "KofNReport",
-    "KofNMonitor",
-    "DiffusingWorker",
-    "ActivityReporter",
-    "TerminationMonitor",
-    "Token",
-    "RingMember",
-    "TokenReporter",
-    "TokenMonitor",
-    "build_token_ring",
 ]

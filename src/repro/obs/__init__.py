@@ -2,8 +2,8 @@
 
 One :class:`MetricsRegistry` hangs off every
 :class:`~repro.sim.kernel.Simulator` as ``sim.metrics``; the network,
-ordering layers, membership protocol, and information bus register their
-instruments into it as they are constructed.  ``repro.experiments run_all
+ordering layers and membership protocol register their instruments into it
+as they are constructed.  ``repro.experiments run_all
 --metrics-out metrics.json`` captures every registry an experiment creates
 and writes one aggregated JSON dump — see ``docs/OBSERVABILITY.md``.
 """

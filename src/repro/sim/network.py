@@ -8,8 +8,8 @@ paper's point: the communication layer has no visibility into them.
 Per-link properties are configurable so experiments can create asymmetric
 latencies (the ingredient of most reordering anomalies) and inject loss.
 Links are non-FIFO by default (each packet samples latency independently);
-protocols that need FIFO channels (e.g. Chandy-Lamport) layer sequence
-numbers on top, as they would in practice, or request ``fifo=True`` links.
+protocols that need FIFO channels layer sequence numbers on top, as they
+would in practice, or request ``fifo=True`` links.
 
 ``fifo=True`` models a connection-oriented channel, and severing it behaves
 like a connection reset: when a partition splits the endpoints or either

@@ -12,9 +12,6 @@ problems.  This package provides them:
   durability CATOCS lacks.
 - :mod:`repro.txn.server` / :mod:`repro.txn.coordinator` — distributed
   pessimistic transactions (2PL + 2PC) over the simulated network.
-- :mod:`repro.txn.occ` — optimistic concurrency control: commit-time
-  validation with Lamport-timestamp global ordering ("a simple ordering
-  mechanism ... without using or needing CATOCS").
 - :mod:`repro.txn.replication` — read-any/write-all-available replicated
   data with an availability list and recovery, the optimised transactional
   alternative to CATOCS-based replication (the HARP side of E09).
@@ -24,7 +21,6 @@ from repro.txn.locks import LockManager, LockMode, LockRequestState
 from repro.txn.wal import StableStorage, WriteAheadLog
 from repro.txn.server import ResourceServer
 from repro.txn.coordinator import Transaction, TransactionCoordinator, TxnResult
-from repro.txn.occ import OccClient, OccServer
 from repro.txn.replication import ReplicaServer, ReplicatedStoreClient
 
 __all__ = [
@@ -37,8 +33,6 @@ __all__ = [
     "Transaction",
     "TransactionCoordinator",
     "TxnResult",
-    "OccServer",
-    "OccClient",
     "ReplicaServer",
     "ReplicatedStoreClient",
 ]

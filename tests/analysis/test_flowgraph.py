@@ -172,10 +172,9 @@ def test_catocs_subgraph_is_acyclic_per_tick(repo_flow):
     """No registered discipline may reply to protocol traffic in the same
     tick it was delivered: a same-tick cycle through the CATOCS wire
     catalogue would let one delivery trigger unbounded protocol chatter
-    before the simulator advances.  App-level request/reply cycles
-    (quorum locks, RPC, OCC reads) are bounded by pending work, and each
-    send site argues its bound in a comment; the protocol stack itself
-    gets no such waiver."""
+    before the simulator advances.  The app-level RPC request/reply cycle
+    is bounded by pending work, and each send site argues its bound in a
+    comment; the protocol stack itself gets no such waiver."""
     catocs = {
         name for name, module in repo_flow.messages.items()
         if module.startswith("repro.catocs")
@@ -205,7 +204,7 @@ def test_apps_wire_messages_are_covered(repo_flow):
     app_sends = {
         site.message for site in repo_flow.sends
         if site.context.startswith(("repro.apps.", "repro.detect.",
-                                    "repro.txn.", "repro.dsm."))
+                                    "repro.txn."))
     }
     assert app_sends, "expected app modules to send messages"
     unhandled = sorted(

@@ -5,8 +5,7 @@ from repro.catocs import build_group
 from repro.catocs.member import _label
 from repro.sim import LinkModel, Network, Simulator
 from repro.sim.network import estimate_size
-from repro.txn import OccClient, OccServer, Transaction, TransactionCoordinator
-from repro.txn.occ import OccTransaction
+from repro.txn import Transaction, TransactionCoordinator
 from tests.ordering.dict_clock import VectorClock
 
 
@@ -45,17 +44,6 @@ def test_empty_transaction_commits_immediately():
     sim.run(until=100)
     assert done and done[0].status == "committed"
     assert done[0].latency == 0.0
-
-
-def test_empty_occ_transaction_commits():
-    sim = Simulator()
-    net = Network(sim, LinkModel(latency=2.0))
-    OccServer(sim, net, "srv")
-    client = OccClient(sim, net, "cli")
-    done = []
-    sim.call_at(1.0, client.submit, OccTransaction(on_done=done.append))
-    sim.run(until=100)
-    assert done and done[0].status == "committed"
 
 
 def test_abort_unknown_txn_returns_false():

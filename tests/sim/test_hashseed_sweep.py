@@ -4,9 +4,9 @@ CPython randomises ``str`` hashing per process, so any set/dict-order
 dependence in a network- or schedule-visible path shows up as run-to-run
 drift.  These tests re-run whole scenarios in subprocesses under several
 hash seeds and require byte-identical stdout — the dynamic counterpart of
-the DET003 static rule, and the regression guard for the canonical-order
-fixes in ``repro.txn`` (validate fan-out sorted by server id, constraint
-refusals sorted by key).  Each seed runs in a fresh process, so an order
+the DET003 static rule, the regression guard for 2PC's canonical refusal
+order in ``repro.txn`` (constraint refusals sorted by key), and a whole-report
+check on E01 and E06.  Each seed runs in a fresh process, so an order
 keyed on ``id()`` (an address, different in every process) drifts here
 too; no static rule looks for one.
 """
@@ -44,39 +44,6 @@ def sweep(argv, timeout=300):
     return outputs[SEEDS[0]]
 
 
-OCC_MULTI_SERVER = """
-from repro.sim import LinkModel, Network, Simulator
-from repro.txn import OccClient, OccServer
-from repro.txn.occ import OccTransaction
-
-sim = Simulator(seed=0)
-net = Network(sim, LinkModel(latency=3.0, jitter=1.0))
-# String server ids whose hash order differs between seeds.
-servers = {
-    name: OccServer(sim, net, name, initial={"x": 10, "y": 5})
-    for name in ("srv-a", "srv-b", "srv-c")
-}
-client = OccClient(sim, net, "cli")
-done = []
-txn = OccTransaction(
-    reads=[("srv-c", "x"), ("srv-a", "y"), ("srv-b", "x")],
-    compute=lambda ctx: {
-        ("srv-a", "x"): ctx["y"] + 1,
-        ("srv-c", "y"): ctx["x"] * 2,
-        ("srv-b", "y"): 7,
-    },
-    on_done=done.append,
-)
-sim.call_at(1.0, client.submit, txn)
-sim.run(until=2000)
-print(done[0].status)
-for name in sorted(servers):
-    print(name, sorted(servers[name].store.items()),
-          sorted(servers[name].versions.items()))
-print("t", sim.now)
-"""
-
-
 TWO_PC_REFUSAL = """
 from repro.sim import LinkModel, Network, Simulator
 from repro.txn import ResourceServer, Transaction, TransactionCoordinator
@@ -107,10 +74,6 @@ print(done[0].status, done[0].reason)
 print(sorted(sa.store.items()), sorted(sb.store.items()))
 print("refusals", sa.refusals)
 """
-
-
-def test_occ_multi_server_sweep():
-    assert sweep(["-c", OCC_MULTI_SERVER]).startswith("committed\n")
 
 
 def test_2pc_constraint_refusal_sweep():

@@ -1,13 +1,12 @@
 """Unit + property tests for the serializability checker, and end-to-end
-verification that 2PL and OCC histories are serializable."""
+verification that 2PL histories are serializable."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import LinkModel, Network, Simulator
-from repro.txn import OccClient, OccServer, ResourceServer, Transaction, TransactionCoordinator
+from repro.txn import ResourceServer, Transaction, TransactionCoordinator
 from repro.txn.coordinator import update
-from repro.txn.occ import OccTransaction
 from repro.txn.serializability import HistoryRecorder, check_serializable
 
 
@@ -139,32 +138,3 @@ def test_distributed_2pl_histories_are_serializable(workload, seed):
                 merged.record_write(txn.txn_id, f"{server.pid}/{key}", version)
     verdict = check_serializable(merged)
     assert verdict.serializable, verdict.cycle
-
-
-@given(
-    workload=st.lists(
-        st.tuples(st.integers(0, 1), st.integers(0, 1), st.floats(0.0, 30.0)),
-        min_size=2, max_size=10,
-    ),
-    seed=st.integers(0, 500),
-)
-@settings(max_examples=20, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_occ_committed_histories_are_serializable(workload, seed):
-    sim = Simulator(seed=seed)
-    net = Network(sim, LinkModel(latency=3.0, jitter=2.0))
-    server = OccServer(sim, net, "srv", initial={"k0": 0, "k1": 0})
-    clients = [OccClient(sim, net, f"c{i}") for i in range(2)]
-    for who, key_index, at in workload:
-        key = f"k{key_index}"
-        txn = OccTransaction(
-            reads=[("srv", key)],
-            compute=lambda ctx, k=key: {("srv", k): (ctx[k] or 0) + 1},
-            max_restarts=6,
-        )
-        sim.call_at(at, clients[who].submit, txn)
-    sim.run(until=10_000)
-    verdict = check_serializable(server.history)
-    assert verdict.serializable, verdict.cycle
-    committed = sum(c.committed for c in clients)
-    assert server.store["k0"] + server.store["k1"] == committed
