@@ -58,6 +58,12 @@ def test_unknown_discipline_rejected():
         resolve_spec("bogus")
 
 
+@pytest.mark.parametrize("spec", ["", "|", " | "], ids=["empty", "bar", "blank-parts"])
+def test_empty_spec_rejected(spec):
+    with pytest.raises(ValueError, match="empty stack spec"):
+        resolve_spec(spec)
+
+
 def test_unknown_layer_in_spec_rejected():
     with pytest.raises(ValueError, match="unknown layers"):
         resolve_spec("dedup|bogus|causal")

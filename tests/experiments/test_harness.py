@@ -32,6 +32,21 @@ def test_table_render_contains_everything():
     assert "1.23e+04" in out  # large floats in compact form
 
 
+def test_an_empty_table_renders_its_header_at_column_width():
+    out = Table("Empty", ["name", "v"]).render().splitlines()
+    assert out == ["Empty", "name | v", "-----+--"]
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [(0.0, "0"), (0.005, "0.005"), (-2500.0, "-2.5e+03"), (3.14159, "3.14"), (7, "7")],
+)
+def test_table_formats_numbers_by_magnitude(value, shown):
+    table = Table("T", ["v"])
+    table.add_row(value)
+    assert table.render().splitlines()[-1].strip() == shown
+
+
 def test_experiment_result_pass_fail():
     ok = ExperimentResult("EXX", "t", [], checks={"a": True})
     bad = ExperimentResult("EXX", "t", [], checks={"a": True, "b": False})

@@ -84,6 +84,15 @@ def test_crash_skips_metrics_but_not_others(fake_registry, tmp_path):
     assert "E01" in dumps and "E03" not in dumps
 
 
+@pytest.mark.parametrize("where", ["a-directory", "a-missing-directory"])
+def test_an_unwritable_metrics_path_exits_2(fake_registry, tmp_path, capsys, where):
+    path = tmp_path if where == "a-directory" else tmp_path / "missing" / "m.json"
+    status, out = _run_main(["E01", "--metrics-out", str(path)])
+    assert status == 2
+    assert "== E01: fake pass ==" in out  # the run itself completed
+    assert f"cannot write metrics to {path}" in capsys.readouterr().err
+
+
 def test_report_follows_request_order(fake_registry):
     _, out = _run_main(["E02", "E01"])
     assert out.index("== E02") < out.index("== E01")

@@ -66,3 +66,13 @@ def test_frontier_lists_dependency_free_messages():
     assert g.frontier() == ["m1"]
     g.stabilize("m1")
     assert g.frontier() == ["m2"]
+
+
+def test_contains_follows_add_and_stabilize():
+    g = CausalGraph()
+    assert not g.contains("m1")
+    g.add_message("m1", set())
+    g.add_message("m2", {"m1"})
+    assert g.contains("m1") and g.contains("m2")
+    g.stabilize("m1")
+    assert not g.contains("m1") and g.contains("m2")

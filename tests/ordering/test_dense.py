@@ -224,3 +224,21 @@ def test_a_stamp_decoded_into_a_reordered_domain_agrees_with_the_oracle(
     assert (delivered <= decoded) == (vs <= va)
     assert (decoded == delivered) == (va == vs)
     assert decoded == same and decoded.as_dict() == sent.as_dict()
+
+
+def test_stamping_a_short_clock_for_a_joiner_grows_only_the_stamp():
+    domain = ClockDomain(("a", "b"))
+    before_join = domain.zero().stamped("a")
+    domain.ensure("c")
+    stamp = before_join.stamped("c")
+    assert stamp.as_dict() == {"a": 1, "c": 1}
+    assert before_join.as_dict() == {"a": 1}
+    assert stamp.size_bytes() == 3 * 9
+
+
+def test_stamping_for_a_pid_the_domain_has_never_seen_adds_it():
+    domain = ClockDomain(("a",))
+    stamp = domain.zero().stamped("z")
+    assert domain.index("z") == 1
+    assert stamp.as_dict() == {"z": 1}
+    assert stamp["a"] == 0
