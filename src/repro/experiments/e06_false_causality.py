@@ -21,8 +21,10 @@ from repro.experiments.harness import ExperimentResult, Table, mean
 from repro.sim import LinkModel, Network, Simulator
 
 
-def _run(seed: int, ordering: str, drop_prob: float, size: int,
-         msgs_per_member: int, interval: float) -> Dict[str, float]:
+def run_ticks(seed: int, ordering: str, drop_prob: float, size: int,
+              msgs_per_member: int, interval: float) -> Dict[str, float]:
+    """The independent-tick workload under ``ordering``: E06's delay metrics
+    and the bytes on the wire, which E15 prices its piggyback variant by."""
     sim = Simulator(seed=seed)
     net = Network(
         sim, LinkModel(latency=5.0, jitter=4.0, drop_prob=drop_prob)
@@ -56,6 +58,7 @@ def _run(seed: int, ordering: str, drop_prob: float, size: int,
         "mean_latency": mean(latencies),
         "p_held": held / max(delivered, 1),
         "total_hold": total_hold,
+        "bytes_sent": net.stats.bytes_sent,
         "delivered_frac": delivered / expected,
     }
 
@@ -76,7 +79,7 @@ def run_e06(
     data: Dict[tuple, Dict[str, float]] = {}
     for drop_prob in drop_probs:
         for ordering in ("raw", "fifo", "causal"):
-            metrics = _run(seed, ordering, drop_prob, size, msgs_per_member, interval)
+            metrics = run_ticks(seed, ordering, drop_prob, size, msgs_per_member, interval)
             data[(drop_prob, ordering)] = metrics
             table.add_row(
                 drop_prob, ordering,

@@ -14,47 +14,11 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.catocs import build_group
-from repro.experiments.harness import ExperimentResult, Table, mean
-from repro.sim import LinkModel, Network, Simulator
+from repro.experiments.e06_false_causality import run_ticks
+from repro.experiments.harness import ExperimentResult, Table
 
 #: The Footnote 4 variant: causal delivery under the piggyback layer.
 PIGGYBACK_STACK = "dedup|stability|piggyback|causal"
-
-
-def _run(seed: int, drop_prob: float, size: int, msgs_per_member: int,
-         interval: float, ordering: str = "causal") -> Dict[str, float]:
-    sim = Simulator(seed=seed)
-    net = Network(sim, LinkModel(latency=5.0, jitter=4.0, drop_prob=drop_prob))
-    pids = [f"p{i}" for i in range(size)]
-    ack_period = 30.0
-    members = build_group(sim, net, pids, ordering=ordering,
-                          nak_delay=10.0, ack_period=ack_period)
-    for index, pid in enumerate(pids):
-        for k in range(msgs_per_member):
-            at = 1.0 + index * (interval / size) + k * interval
-            sim.call_at(at, members[pid].multicast,
-                        {"kind": "tick", "n": k, "from": pid})
-    # Ten gossip rounds after the last tick every loss is repaired and
-    # every gossip tick is quiet.
-    sim.run(until=msgs_per_member * interval + 10 * ack_period)
-
-    latencies = []
-    total_hold = 0.0
-    delivered = 0
-    for member in members.values():
-        for record in member.delivered:
-            if record.sender != member.pid:
-                latencies.append(record.latency)
-                delivered += 1
-        total_hold += member.ordering.total_hold_time()
-    expected = size * msgs_per_member * (size - 1)
-    return {
-        "mean_latency": mean(latencies),
-        "total_hold": total_hold,
-        "bytes_sent": net.stats.bytes_sent,
-        "delivered_frac": delivered / expected,
-    }
 
 
 def run_e15(
@@ -72,9 +36,8 @@ def run_e15(
     )
     data: Dict[tuple, Dict[str, float]] = {}
     for drop_prob in drop_probs:
-        plain = _run(seed, drop_prob, size, msgs_per_member, interval)
-        piggy = _run(seed, drop_prob, size, msgs_per_member, interval,
-                     ordering=PIGGYBACK_STACK)
+        plain = run_ticks(seed, "causal", drop_prob, size, msgs_per_member, interval)
+        piggy = run_ticks(seed, PIGGYBACK_STACK, drop_prob, size, msgs_per_member, interval)
         data[(drop_prob, "plain")] = plain
         data[(drop_prob, "piggyback")] = piggy
         for name, metrics in (("causal (delay)", plain), ("causal (piggyback)", piggy)):

@@ -19,7 +19,7 @@ anomaly counts, rates and Wilson 95% confidence intervals (see
 ``repro.experiments.sweep``).
 
 ``--metrics-out PATH`` captures every metrics registry the experiments
-create (kernel, network, ordering, membership, bus — see
+create (kernel, network, ordering, membership — see
 ``docs/OBSERVABILITY.md``) and writes one aggregated JSON dump per
 experiment; under ``--sweep`` it writes the ``repro.sweep/v1`` campaign
 summary instead.  ``run_all``/``all`` are accepted as explicit spellings of

@@ -31,7 +31,7 @@ SCHEMA = "repro.obs/v1"
 
 #: Metric-name prefixes grouped into top-level families in the dump, so a
 #: consumer can ask "the kernel metrics of E05" without string-splitting.
-FAMILIES = ("kernel", "net", "ordering", "membership", "bus")
+FAMILIES = ("kernel", "net", "ordering", "membership")
 
 
 @contextmanager

@@ -25,18 +25,13 @@ class _HandleTimer:
     """Wraps an asyncio TimerHandle with the simulator Timer's surface.
 
     Mirrors :class:`repro.sim.kernel.Timer` semantics exactly: ``active`` is
-    false once the timer has either been cancelled *or fired*, ``cancel()``
-    is an idempotent no-op after firing, and ``reschedule()`` moves a live
-    timer but raises once it has fired (a fired callback cannot be un-run;
-    schedule a fresh timer instead) and leaves it armed if the new delay is
-    refused.
+    false once the timer has either been cancelled *or fired*, and
+    ``cancel()`` is an idempotent no-op after firing.
     """
 
-    __slots__ = ("_clock", "_fn", "_args", "_handle", "cancelled", "fired")
+    __slots__ = ("_fn", "_args", "_handle", "cancelled", "fired")
 
-    def __init__(self, clock: "AsyncioClock", fn: Callable[..., None],
-                 args: Tuple[Any, ...]) -> None:
-        self._clock = clock
+    def __init__(self, fn: Callable[..., None], args: Tuple[Any, ...]) -> None:
         self._fn = fn
         self._args = args
         self._handle: Optional[asyncio.TimerHandle] = None
@@ -53,17 +48,6 @@ class _HandleTimer:
         self.cancelled = True
         if self._handle is not None:
             self._handle.cancel()
-
-    def reschedule(self, delay: float) -> "_HandleTimer":
-        if self.fired:
-            raise RuntimeError(
-                "cannot reschedule a timer that has already fired; "
-                "schedule a new one with call_later()"
-            )
-        if delay != delay:
-            raise ValueError(f"NaN delay: {delay}")
-        self.cancel()
-        return self._clock.call_later(delay, self._fn, *self._args)
 
     @property
     def active(self) -> bool:
@@ -102,7 +86,7 @@ class AsyncioClock:
         ``call_at`` deadline the wall clock already passed) runs at once."""
         if delay != delay:  # max(nan, 0.0) is nan: asyncio would take it and fire at once
             raise ValueError(f"NaN delay: {delay}")
-        timer = _HandleTimer(self, fn, args)
+        timer = _HandleTimer(fn, args)
         timer._handle = self._loop.call_later(max(delay, 0.0), timer._run)
         return timer
 

@@ -1,9 +1,10 @@
 """Real-socket transport: UDP datagrams over loopback, behind the seam.
 
-:class:`UdpNetwork` offers every public method of
-:class:`repro.sim.network.Network` with one bound UDP socket per attached
-process, so an unchanged
-:class:`~repro.catocs.member.GroupMember` stack runs over actual datagrams:
+:class:`UdpNetwork` shares :class:`repro.sim.network.Network`'s topology
+base (:class:`~repro.sim.network.Topology`) and offers its ``send`` and
+``multicast`` over one bound UDP socket per attached process, so an
+unchanged :class:`~repro.catocs.member.GroupMember` stack runs over actual
+datagrams:
 every payload is serialized by :mod:`repro.runtime.codec`, crosses the OS
 socket layer, and is decoded into a fresh object on the receiving side —
 no Python references survive the trip, exactly like a real deployment.  A
@@ -33,12 +34,12 @@ a stamp it carried must not grow a clock domain.
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.ordering.dense import ClockDomain, known_domain
 from repro.runtime import codec
 from repro.runtime.asyncio_rt import AsyncioClock
-from repro.sim.network import LinkModel, NetworkStats, Packet
+from repro.sim.network import LinkModel, NetworkStats, Packet, Topology
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import Process
@@ -60,22 +61,18 @@ class _MemberProtocol(asyncio.DatagramProtocol):
         self._net.socket_errors += 1
 
 
-class UdpNetwork:
+class UdpNetwork(Topology):
     """Transport backend over per-process loopback UDP sockets."""
 
     __slots__ = (
         "sim",
         "clock",
         "host",
-        "default_link",
         "stats",
         "decode_errors",
         "unknown_sender",
         "oversize_dropped",
         "socket_errors",
-        "_processes",
-        "_links",
-        "_partition_of",
         "_packet_ids",
         "_requested_ports",
         "_transports",
@@ -86,18 +83,15 @@ class UdpNetwork:
 
     def __init__(self, clock: AsyncioClock, default_link: Optional[LinkModel] = None,
                  host: str = "127.0.0.1") -> None:
+        super().__init__(default_link or LinkModel(latency=0.0))
         self.sim = clock  # processes reach the clock through .sim on attach
         self.clock = clock
         self.host = host
-        self.default_link = default_link or LinkModel(latency=0.0)
         self.stats = NetworkStats()
         self.decode_errors = 0
         self.unknown_sender = 0
         self.oversize_dropped = 0
         self.socket_errors = 0
-        self._processes: Dict[str, "Process"] = {}
-        self._links: Dict[Tuple[str, str], LinkModel] = {}
-        self._partition_of: Dict[str, int] = {}
         self._packet_ids = 0
         self._requested_ports: Dict[str, int] = {}
         self._transports: Dict[str, asyncio.DatagramTransport] = {}
@@ -121,16 +115,7 @@ class UdpNetwork:
     def attach(self, process: "Process") -> None:
         if self._started:
             raise RuntimeError("attach processes before UdpNetwork.start()")
-        if process.pid in self._processes:
-            raise ValueError(f"duplicate process id: {process.pid}")
-        self._processes[process.pid] = process
-
-    def process(self, pid: str) -> "Process":
-        return self._processes[pid]
-
-    @property
-    def pids(self) -> Tuple[str, ...]:
-        return tuple(self._processes)
+        super().attach(process)
 
     def reserve_port(self, pid: str, port: int) -> None:
         """Bind ``pid``'s socket to a fixed port at start (default: ephemeral)."""
@@ -166,33 +151,6 @@ class UdpNetwork:
             transport.close()
         self._transports.clear()
         self._started = False
-
-    # -- topology (same surface as repro.sim.Network) ---------------------------------------
-
-    def set_link(self, src: str, dst: str, model: LinkModel) -> None:
-        self._links[(src, dst)] = model
-
-    def set_link_symmetric(self, a: str, b: str, model: LinkModel) -> None:
-        self.set_link(a, b, model)
-        self.set_link(b, a, model)
-
-    def link(self, src: str, dst: str) -> LinkModel:
-        return self._links.get((src, dst), self.default_link)
-
-    def partition(self, *groups: Set[str]) -> None:
-        self._partition_of = {}
-        for index, group in enumerate(groups):
-            for pid in group:
-                self._partition_of[pid] = index
-
-    def heal(self) -> None:
-        self._partition_of = {}
-
-    def note_crash(self, pid: str) -> None:
-        """Link-state hook for process crashes (no FIFO clocks here)."""
-
-    def connected(self, a: str, b: str) -> bool:
-        return self._partition_of.get(a, 0) == self._partition_of.get(b, 0)
 
     # -- data path --------------------------------------------------------------------------
 

@@ -106,28 +106,6 @@ class Event:
             return
         sim._cancel(self)
 
-    def reschedule(self, delay: float) -> "Timer":
-        """Cancel this timer and schedule its callback ``delay`` from now.
-
-        Raises :class:`RuntimeError` if the timer already fired — silently
-        re-running an already-executed callback is never what the caller
-        meant (arm a fresh timer instead).  A ``delay`` that
-        :meth:`Simulator.call_later` would refuse is refused before the
-        cancel, so the timer stays armed where it was.
-        """
-        if self.fired:
-            raise RuntimeError(
-                "cannot reschedule a timer that has already fired; "
-                "schedule a new one with call_later()"
-            )
-        sim = self._simref()
-        if sim is None:
-            raise RuntimeError("cannot reschedule: simulator no longer exists")
-        if not delay >= 0:
-            raise ValueError(f"negative or NaN delay: {delay}")
-        self.cancel()
-        return sim.call_later(delay, self.fn, *self.args)
-
 
 #: Public alias: the scheduled event doubles as its own cancellation handle.
 Timer = Event

@@ -7,24 +7,19 @@ paper's point: the communication layer has no visibility into them.
 
 Per-link properties are configurable so experiments can create asymmetric
 latencies (the ingredient of most reordering anomalies) and inject loss.
-Links are non-FIFO by default (each packet samples latency independently);
-protocols that need FIFO channels layer sequence numbers on top, as they
-would in practice, or request ``fifo=True`` links.
+Links are datagram links: each packet samples its latency independently, so
+two packets on one link may arrive out of order.  A protocol that needs FIFO
+channels layers sequence numbers on top, as it would over UDP (the ``fifo``
+ordering layer does exactly that).
 
-``fifo=True`` models a connection-oriented channel, and severing it behaves
-like a connection reset: when a partition splits the endpoints or either
-endpoint crashes, packets already in flight on the link are lost, and the
-link's FIFO arrival clock is forgotten once the endpoints can talk again.
-Without the reset, post-heal traffic would be sequenced behind the
-scheduled arrivals of packets that no longer exist — phantom ordering
-delays referenced to pre-partition ghosts.
-
-This class also defines the transport API: ``UdpNetwork`` offers each of
-its public methods (attach/send/multicast/link-model/partition) with the
-same leading parameters, so the protocol stacks run unchanged over real UDP
+:class:`Topology` holds what the two transport backends share — the
+attached processes, the per-link models and the partition map — and
+:class:`Network` adds the simulated data path.  ``UdpNetwork`` subclasses
+the same base and offers each of ``Network``'s public methods with the same
+leading parameters, so the protocol stacks run unchanged over real UDP
 loopback sockets on a wall-clock event loop (see docs/RUNTIME.md).  This
-module never imports the runtime.  ``drop_hooks`` is this class's own: only
-the simulator sees every drop as a packet it can hand to a callback.
+module never imports the runtime.  ``drop_hooks`` is ``Network``'s own:
+only the simulator sees every drop as a packet it can hand to a callback.
 
 The module also owns the **byte model** — :func:`estimate_size`, which prices
 every packet and so feeds ``bytes_sent``, ``peak_buffered_bytes`` and the
@@ -259,7 +254,6 @@ class LinkModel:
     latency: float = 1.0
     jitter: float = 0.0
     drop_prob: float = 0.0
-    fifo: bool = False
 
     def sample_latency(self, rng) -> float:
         if self.jitter <= 0:
@@ -274,11 +268,6 @@ class LinkModel:
 class Packet:
     """A message in flight.
 
-    ``link_epoch`` is stamped on packets sent over FIFO links: it records
-    the link's connection epoch at send time, so a reset (partition or
-    endpoint crash) while the packet is in flight invalidates it.  None for
-    non-FIFO links, which have no connection state to reset.
-
     ``slots=True``: one envelope is allocated per network send, and three
     heap entries in four are a packet's delivery (the kernel's own ``Event``
     is a ``__slots__`` flyweight for the same reason).
@@ -290,7 +279,6 @@ class Packet:
     payload: Any
     send_time: float
     size: int
-    link_epoch: Optional[int] = None
 
 
 @dataclass(slots=True)
@@ -302,7 +290,6 @@ class NetworkStats:
     dropped: int = 0
     partitioned: int = 0
     to_crashed: int = 0
-    reset: int = 0
     bytes_sent: int = 0
     bytes_delivered: int = 0
 
@@ -313,56 +300,27 @@ class NetworkStats:
             "dropped": self.dropped,
             "partitioned": self.partitioned,
             "to_crashed": self.to_crashed,
-            "reset": self.reset,
             "bytes_sent": self.bytes_sent,
             "bytes_delivered": self.bytes_delivered,
         }
 
 
-class Network:
-    """Connects named processes and transports payloads between them.
+class Topology:
+    """Who is attached, how each directed link behaves, and which processes
+    can reach each other: the half of the transport seam both backends
+    share.
 
-    Processes register via :meth:`attach`; :meth:`send` schedules delivery
-    through the destination's ``_receive_packet`` after the sampled latency,
-    unless the packet is dropped, the destination is crashed at delivery
-    time, or a partition separates the endpoints.
-
-    Deliberately unslotted: the loss/sniffing tests replace ``send`` on
-    individual instances (``net.send = wrapper``), which needs a per-instance
-    ``__dict__``.
+    ``partition``/``heal`` only rewrite the partition map; each backend's
+    data path consults :meth:`connected` at send and again at delivery.
     """
 
-    def __init__(self, sim: Simulator, default_link: Optional[LinkModel] = None) -> None:
-        self.sim = sim
-        self.default_link = default_link or LinkModel()
-        self.stats = NetworkStats()
+    __slots__ = ("default_link", "_processes", "_links", "_partition_of")
+
+    def __init__(self, default_link: LinkModel) -> None:
+        self.default_link = default_link
         self._processes: Dict[str, "Process"] = {}
         self._links: Dict[Tuple[str, str], LinkModel] = {}
-        self._packet_ids = itertools.count()
         self._partition_of: Dict[str, int] = {}
-        self._fifo_clock: Dict[Tuple[str, str], float] = {}
-        self._link_epoch: Dict[Tuple[str, str], int] = {}
-        self.drop_hooks: list[Callable[[Packet], None]] = []
-        self._register_metrics()
-
-    def _register_metrics(self) -> None:
-        m = self.sim.metrics
-        stats = self.stats
-        m.gauge_fn("net.sent", lambda: stats.sent)
-        m.gauge_fn("net.delivered", lambda: stats.delivered)
-        m.gauge_fn("net.bytes_sent", lambda: stats.bytes_sent)
-        m.gauge_fn("net.bytes_delivered", lambda: stats.bytes_delivered)
-        # One drop counter per cause; the cause split is what the partition
-        # experiments consume (loss vs partition vs crashed destination).
-        self._m_drop_loss = m.counter("net.drops", cause="loss")
-        self._m_drop_partition = m.counter("net.drops", cause="partition_at_send")
-        self._m_drop_in_flight = m.counter("net.drops", cause="partition_in_flight")
-        self._m_drop_crashed = m.counter("net.drops", cause="to_crashed")
-        self._m_drop_reset = m.counter("net.drops", cause="link_reset")
-        #: per-link latency histograms, memoized by (src, dst)
-        self._latency_hists: Dict[Tuple[str, str], Any] = {}
-
-    # -- topology -----------------------------------------------------------
 
     def attach(self, process: "Process") -> None:
         if process.pid in self._processes:
@@ -387,66 +345,59 @@ class Network:
     def link(self, src: str, dst: str) -> LinkModel:
         return self._links.get((src, dst), self.default_link)
 
-    # -- partitions ---------------------------------------------------------
-
     def partition(self, *groups: Set[str]) -> None:
         """Split processes into disjoint partitions.
 
         Processes not named in any group stay in partition 0 along with the
-        first group.  Packets only flow within a partition.  FIFO links that
-        the new partition severs suffer a connection reset: their in-flight
-        packets are lost (see :class:`Packet` ``link_epoch``).
+        first group.  Packets only flow within a partition.
         """
-        new_map: Dict[str, int] = {}
-        for index, group in enumerate(groups):
-            for pid in group:
-                new_map[pid] = index
-        self._apply_partition(new_map)
+        self._partition_of = {pid: index for index, group in enumerate(groups)
+                              for pid in group}
 
     def heal(self) -> None:
-        """Remove all partitions.
-
-        FIFO clocks for links that were severed are forgotten: their last
-        recorded arrival refers to pre-partition traffic that died in the
-        reset, and holding post-heal packets behind those ghosts would
-        impose phantom ordering delays.
-        """
-        self._apply_partition({})
-
-    def _apply_partition(self, new_map: Dict[str, int]) -> None:
-        old_map = self._partition_of
-
-        def joined(mapping: Dict[str, int], a: str, b: str) -> bool:
-            return mapping.get(a, 0) == mapping.get(b, 0)
-
-        for key in set(self._fifo_clock) | set(self._link_epoch):
-            was = joined(old_map, *key)
-            now = joined(new_map, *key)
-            if was and not now:
-                # Link severed: in-flight FIFO packets die with the
-                # connection.  The clock stays until reconnection so the
-                # severed/reconnected transitions stay symmetric.
-                self._link_epoch[key] = self._link_epoch.get(key, 0) + 1
-            elif now and not was:
-                # Link restored: the recorded arrival is a pre-partition
-                # ghost; a fresh connection starts with a fresh clock.
-                self._fifo_clock.pop(key, None)
-        self._partition_of = new_map
-
-    def note_crash(self, pid: str) -> None:
-        """Reset per-link FIFO state involving a crashed process.
-
-        A crash tears down the process's connections: anything in flight to
-        or from it is lost, and a recovered process's links restart fresh
-        rather than being sequenced after dropped pre-crash packets.
-        """
-        for key in set(self._fifo_clock) | set(self._link_epoch):
-            if pid in key:
-                self._fifo_clock.pop(key, None)
-                self._link_epoch[key] = self._link_epoch.get(key, 0) + 1
+        """Remove all partitions."""
+        self._partition_of = {}
 
     def connected(self, a: str, b: str) -> bool:
         return self._partition_of.get(a, 0) == self._partition_of.get(b, 0)
+
+
+class Network(Topology):
+    """Connects named processes and transports payloads between them.
+
+    Processes register via :meth:`attach`; :meth:`send` schedules delivery
+    through the destination's ``_receive_packet`` after the sampled latency,
+    unless the packet is dropped, the destination is crashed at delivery
+    time, or a partition separates the endpoints.
+
+    Deliberately unslotted: the loss/sniffing tests replace ``send`` on
+    individual instances (``net.send = wrapper``), which needs a per-instance
+    ``__dict__``.
+    """
+
+    def __init__(self, sim: Simulator, default_link: Optional[LinkModel] = None) -> None:
+        super().__init__(default_link or LinkModel())
+        self.sim = sim
+        self.stats = NetworkStats()
+        self._packet_ids = itertools.count()
+        self.drop_hooks: list[Callable[[Packet], None]] = []
+        self._register_metrics()
+
+    def _register_metrics(self) -> None:
+        m = self.sim.metrics
+        stats = self.stats
+        m.gauge_fn("net.sent", lambda: stats.sent)
+        m.gauge_fn("net.delivered", lambda: stats.delivered)
+        m.gauge_fn("net.bytes_sent", lambda: stats.bytes_sent)
+        m.gauge_fn("net.bytes_delivered", lambda: stats.bytes_delivered)
+        # One drop counter per cause; the cause split is what the partition
+        # experiments consume (loss vs partition vs crashed destination).
+        self._m_drop_loss = m.counter("net.drops", cause="loss")
+        self._m_drop_partition = m.counter("net.drops", cause="partition_at_send")
+        self._m_drop_in_flight = m.counter("net.drops", cause="partition_in_flight")
+        self._m_drop_crashed = m.counter("net.drops", cause="to_crashed")
+        #: per-link latency histograms, memoized by (src, dst)
+        self._latency_hists: Dict[Tuple[str, str], Any] = {}
 
     # -- transport ----------------------------------------------------------
 
@@ -470,8 +421,8 @@ class Network:
         stats.sent += 1
         stats.bytes_sent += size
 
-        # The directed-link key is consulted up to three times below (link
-        # model, FIFO clock, latency histogram); build the tuple once.
+        # The directed-link key is consulted twice below (link model,
+        # latency histogram); build the tuple once.
         key = (src, dst)
         # An empty map is every run that never partitions: all connected.
         if self._partition_of and not self.connected(src, dst):
@@ -495,10 +446,6 @@ class Network:
             arrival = now + model.latency
         else:
             arrival = now + (model.latency + sim.rng.uniform(0.0, jitter))
-        if model.fifo:
-            arrival = max(arrival, self._fifo_clock.get(key, 0.0))
-            self._fifo_clock[key] = arrival
-            packet.link_epoch = self._link_epoch.get(key, 0)
         hist = self._latency_hists.get(key)
         if hist is None:
             hist = sim.metrics.histogram("net.link_latency", src=src, dst=dst)
@@ -521,15 +468,6 @@ class Network:
 
     def _deliver(self, packet: Packet) -> None:
         stats = self.stats
-        epoch = packet.link_epoch
-        if (epoch is not None
-                and epoch != self._link_epoch.get((packet.src, packet.dst), 0)):
-            # The FIFO link was reset (partition or endpoint crash) while
-            # the packet was in flight; it died with the connection.
-            stats.reset += 1
-            self._m_drop_reset.inc()
-            self._on_drop(packet)
-            return
         process = self._processes.get(packet.dst)
         if process is None or not process.alive:
             stats.to_crashed += 1

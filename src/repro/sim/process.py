@@ -153,9 +153,6 @@ class Process:
         for timer in self._timers:
             timer.cancel()
         self._timers.clear()
-        # In-flight traffic to/from a crashed process is lost; per-link FIFO
-        # state referencing it must not sequence post-recovery packets.
-        self.network.note_crash(self.pid)
 
     def recover(self) -> None:
         """Restart a crashed process."""

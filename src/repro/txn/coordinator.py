@@ -230,9 +230,9 @@ class TransactionCoordinator(Process):
     def _decide(self, active: _Active, commit: bool) -> None:
         active.phase = "decide"
         active.commit = commit
-        if not active.participants:
-            self._finish(active, "committed" if commit else "aborted")
-            return
+        # Never empty here: ``_advance`` names the first op's server before
+        # anything can decide, and a transaction with no ops finishes in
+        # ``_begin_prepare``.
         for server in active.participants:
             self.send(server, Decision(txn_id=active.txn_id, commit=commit, coordinator=self.pid))
         # A crashed participant never acks; the decision is logged and will

@@ -49,6 +49,9 @@ class ResourceServer(Process):
     ) -> None:
         super().__init__(sim, network, pid)
         self.stable = StableStorage()
+        # The initial values are installed on disk, so a recovery that
+        # replays the WAL replays it over them, not over an empty store.
+        self.stable.write("initial", dict(initial or {}))
         self.wal = WriteAheadLog(self.stable)
         self.store: Dict[str, Any] = dict(initial or {})
         self.versions: Dict[str, int] = {k: 1 for k in self.store}
@@ -76,8 +79,8 @@ class ResourceServer(Process):
         self.locks = LockManager()
 
     def on_recover(self) -> None:
-        # Rebuild committed state from the log.
-        self.store = self.wal.recover()
+        # Rebuild committed state: the initial values, then the log.
+        self.store = {**self.stable.read("initial"), **self.wal.recover()}
         self.versions = {k: 1 for k in self.store}
         self.wal = WriteAheadLog(self.stable)
 

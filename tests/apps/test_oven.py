@@ -68,3 +68,12 @@ def test_unknown_design_rejected():
 def test_trajectory_is_continuous_and_bounded():
     values = [default_trajectory(t) for t in range(0, 2000, 10)]
     assert all(0 < v < 300 for v in values)
+
+
+def test_a_probe_before_the_first_reading_is_infinitely_wrong():
+    from repro.apps.oven import OvenProbe
+
+    assert OvenProbe(time=0.0, true_temp=20.0, monitor_temp=None,
+                     staleness=0.0).abs_error == float("inf")
+    assert OvenProbe(time=0.0, true_temp=20.0, monitor_temp=23.5,
+                     staleness=0.0).abs_error == 3.5

@@ -306,3 +306,15 @@ def test_every_delivery_leaves_the_layer_through_release_next(alias):
     for pid, member in group.items():
         assert released[pid] == [record.msg_id for record in member.delivered]
         assert 2 in member.delivered_payloads()
+
+
+def test_resume_without_suppression_changes_nothing():
+    sim = Simulator()
+    net = Network(sim, LinkModel(latency=2.0))
+    members = build_group(sim, net, ["a", "b"], ordering="raw")
+    a = members["a"]
+    sim.call_at(5.0, a.resume_sends)
+    sim.call_at(6.0, a.multicast, "x")
+    sim.run(until=100)
+    assert members["b"].delivered_payloads() == ["x"]
+    assert not a.suppressed and a.total_suppressed_time == 0.0

@@ -96,3 +96,22 @@ def test_attachments_deduplicated_at_receiver():
     for member in members.values():
         payloads = member.delivered_payloads()
         assert payloads == ["m1", "m2", "m3"], payloads
+
+
+def test_without_a_stability_layer_nothing_is_attached():
+    sim, net, members = build(ordering="dedup|piggyback|causal")
+    captured = []
+    original = members["a"].send_peers
+
+    def sniff(payload):
+        if isinstance(payload, DataMessage):
+            captured.append(payload)
+        return original(payload)
+
+    members["a"].send_peers = sniff
+    sim.call_at(1.0, members["a"].multicast, "m1")
+    sim.call_at(2.0, members["a"].multicast, "m2")
+    sim.run(until=500)
+    assert [m.attached for m in captured] == [None, None]
+    assert members["a"].stack.layer("piggyback").piggybacked_bytes == 0
+    assert_judged(members, "causal", 2)

@@ -722,15 +722,15 @@ def test_lean_envelope_path_keeps_the_wire_counters():
 
     assert wire(41, "causal", drop_prob=0.0) == {
         "sent": 345, "delivered": 345, "dropped": 0, "partitioned": 0,
-        "to_crashed": 0, "reset": 0, "bytes_sent": 30390, "bytes_delivered": 30390,
+        "to_crashed": 0, "bytes_sent": 30390, "bytes_delivered": 30390,
     }
     assert wire(33, "total-agreed") == {
         "sent": 967, "delivered": 919, "dropped": 48, "partitioned": 0,
-        "to_crashed": 0, "reset": 0, "bytes_sent": 79907, "bytes_delivered": 76125,
+        "to_crashed": 0, "bytes_sent": 79907, "bytes_delivered": 76125,
     }
     assert wire(31, "causal", leave="p4") == {
         "sent": 1517, "delivered": 1437, "dropped": 70, "partitioned": 0,
-        "to_crashed": 0, "reset": 0, "bytes_sent": 89387, "bytes_delivered": 84614,
+        "to_crashed": 0, "bytes_sent": 89387, "bytes_delivered": 84614,
     }
 
 

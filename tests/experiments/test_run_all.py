@@ -154,3 +154,12 @@ def test_jobs_option_is_gone(flag, capsys):
     status, _ = _run_main(flag)
     assert status == 2
     assert "unknown option: --jobs" in capsys.readouterr().err
+
+
+def test_prewarm_imports_every_registered_experiment():
+    import sys
+
+    run_all.prewarm_registry()
+    modules = {fn.__module__ for fn in run_all.registry().values()}
+    assert len(run_all.registry()) == 19
+    assert all(name in sys.modules for name in modules)

@@ -78,14 +78,14 @@ def _cases() -> Dict[str, SettledRun]:
     for drop_prob in (0.0, 0.03, 0.08, 0.15):
         for ordering in ("raw", "fifo", "causal"):
             cases[f"E06-{ordering}-{drop_prob}"] = SettledRun(
-                lambda seed, p=drop_prob, o=ordering: e06_false_causality._run(
+                lambda seed, p=drop_prob, o=ordering: e06_false_causality.run_ticks(
                     seed, o, p, 6, 25, 12.0), 3300.0)
     for drop_prob in (0.0, 0.05, 0.15):
         for name, ordering in (("causal", "causal"),
                                ("piggyback", e15_piggyback.PIGGYBACK_STACK)):
             cases[f"E15-{name}-{drop_prob}"] = SettledRun(
-                lambda seed, p=drop_prob, o=ordering: e15_piggyback._run(
-                    seed, p, 6, 25, 12.0, ordering=o), 3300.0)
+                lambda seed, p=drop_prob, o=ordering: e06_false_causality.run_ticks(
+                    seed, o, p, 6, 25, 12.0), 3300.0)
     for design, run in (("catocs", run_drilling_catocs), ("central", run_drilling_central)):
         for drillers in (2, 4, 6, 8):
             cases[f"E11-{design}-D{drillers}"] = SettledRun(

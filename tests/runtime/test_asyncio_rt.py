@@ -63,43 +63,6 @@ def test_timer_inactive_after_cancel():
     assert not timer.fired
 
 
-def test_reschedule_moves_the_timer():
-    async def scenario():
-        clock = AsyncioClock(seed=0)
-        hits = []
-        timer = clock.call_later(0.02, hits.append, "x")
-        moved = timer.reschedule(0.08)
-        assert not timer.active  # the original handle is dead...
-        assert moved.active  # ...and the fresh one owns the callback
-        await run_for(0.05)
-        early = list(hits)
-        await run_for(0.08)
-        return early, hits
-
-    early, hits = asyncio.run(scenario())
-    assert early == []  # not at the original deadline
-    assert hits == ["x"]  # exactly once, at the moved deadline
-
-
-def test_reschedule_after_firing_raises_instead_of_rerunning():
-    async def scenario():
-        clock = AsyncioClock(seed=0)
-        hits = []
-        timer = clock.call_later(0.01, hits.append, "once")
-        await run_for(0.05)
-        assert hits == ["once"]
-        try:
-            timer.reschedule(0.01)
-        except RuntimeError:
-            pass
-        else:
-            raise AssertionError("reschedule after firing must raise")
-        await run_for(0.05)
-        return hits
-
-    assert asyncio.run(scenario()) == ["once"]
-
-
 def test_cancel_after_firing_is_a_noop():
     async def scenario():
         clock = AsyncioClock(seed=0)
@@ -113,16 +76,13 @@ def test_cancel_after_firing_is_a_noop():
     assert not timer.active
 
 
-def test_nan_is_rejected_and_a_rejected_reschedule_leaves_the_timer_armed():
+def test_nan_delay_is_rejected():
     # max(nan, 0.0) is nan: asyncio accepted it, reported when() == nan from
     # inside its own timer heap and ran the callback at once.
     async def scenario():
         clock = AsyncioClock(seed=0)
         hits = []
-        timer = clock.call_later(0.02, hits.append, "x")
-        with pytest.raises(ValueError):
-            timer.reschedule(float("nan"))
-        assert timer.active  # refused before the cancel, not after
+        clock.call_later(0.02, hits.append, "x")
         with pytest.raises(ValueError):
             clock.call_later(float("nan"), hits.append, "nan")
         with pytest.raises(ValueError):

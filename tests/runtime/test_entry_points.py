@@ -66,3 +66,11 @@ def test_load_generator_refuses_a_rate_that_is_not_positive(rate):
 )
 def test_delivery_order_labels_a_payload_by_its_label_id_or_repr(payload, label):
     assert host._payload_label(payload) == label
+
+
+def test_figure1_scenario_names_each_label_a_receiver_never_got():
+    deliveries = {"p": [{"label": "cause"}, {"label": "effect"}],
+                  "q": [{"label": "noise1"}, {"label": "effect"}, {"label": "cause"},
+                        {"label": "noise2"}]}
+    assert crossval._figure1_anomalies(deliveries) == {
+        "p:missing-noise1", "p:missing-noise2", "q:effect-before-cause"}

@@ -38,7 +38,7 @@ from repro.catocs.messages import (
 from repro.ordering.dense import ClockDomain, group_domain
 from repro.runtime import AsyncioClock, UdpNetwork, codec, run_for
 from repro.sim import EventTrace, Process
-from repro.sim.network import LinkModel, Network, NetworkStats
+from repro.sim.network import LinkModel, Network, NetworkStats, Topology
 from tests.catocs.test_check import assert_judged
 
 
@@ -54,10 +54,22 @@ def _build_group(clock, net, pids, ordering, **kwargs):
 
 
 def _public_network_methods():
-    methods = {name: value for name, value in vars(Network).items()
-               if not name.startswith("_") and callable(value)}
-    assert {"attach", "send", "multicast", "partition", "heal", "note_crash"} <= set(methods)
+    methods = {name: getattr(Network, name) for name in dir(Network)
+               if not name.startswith("_") and callable(getattr(Network, name))}
+    assert {"attach", "send", "multicast", "partition", "heal", "connected"} <= set(methods)
     return methods
+
+
+def test_both_backends_share_one_topology():
+    """The topology surface is written once, on ``Topology``: ``Network``
+    inherits all of it, and ``UdpNetwork`` overrides only ``attach``, to
+    refuse a process once its sockets are bound."""
+    topology = {name for name, value in vars(Topology).items()
+                if not name.startswith("_") and (callable(value) or isinstance(value, property))}
+    assert {"attach", "process", "pids", "set_link", "set_link_symmetric", "link",
+            "partition", "heal", "connected"} == topology
+    assert topology & set(vars(Network)) == set()
+    assert topology & set(vars(UdpNetwork)) == {"attach"}
 
 
 def test_udp_network_implements_the_transport_seam():

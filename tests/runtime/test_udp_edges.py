@@ -102,3 +102,36 @@ def test_a_symmetric_link_override_applies_in_both_directions():
         await run_for(0.05)
         return a.got, b.got, net.stats.dropped, net.link("b", "a").drop_prob
     assert _run(scenario) == ([], [], 2, 1.0)
+
+
+def test_a_socket_error_is_counted_not_raised():
+    async def scenario(net, a, b):
+        await net.start()
+        protocol = net._transports["a"].get_protocol()
+        protocol.error_received(ConnectionRefusedError())
+        return net.socket_errors
+
+    assert _run(scenario) == 1
+
+
+def test_a_second_start_keeps_the_bound_sockets():
+    async def scenario(net, a, b):
+        await net.start()
+        bound = dict(net._transports), {pid: net.address(pid) for pid in "ab"}
+        await net.start()
+        return bound, (dict(net._transports), {pid: net.address(pid) for pid in "ab"})
+
+    before, after = _run(scenario)
+    assert after == before
+
+
+def test_a_send_from_a_pid_with_no_local_socket_is_counted_dropped():
+    async def scenario(net, a, b):
+        await net.start()
+        net.send("ghost", "b", "x")  # no socket here to send it from
+        await run_for(0.05)
+        return b.got, net.stats.snapshot()
+
+    got, stats = _run(scenario)
+    assert got == []
+    assert stats["sent"] == 1 and stats["dropped"] == 1

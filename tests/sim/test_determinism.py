@@ -50,8 +50,8 @@ def test_different_seed_differs_somewhere():
 
 
 def test_experiment_results_reproducible():
-    from repro.experiments.e06_false_causality import _run
+    from repro.experiments.e06_false_causality import run_ticks
 
-    a = _run(7, "causal", 0.1, 5, 10, 10.0)
-    b = _run(7, "causal", 0.1, 5, 10, 10.0)
+    a = run_ticks(7, "causal", 0.1, 5, 10, 10.0)
+    b = run_ticks(7, "causal", 0.1, 5, 10, 10.0)
     assert a == b

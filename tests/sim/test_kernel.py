@@ -63,16 +63,6 @@ def test_cancel_is_idempotent():
     sim.run()
 
 
-def test_reschedule_moves_the_timer():
-    sim = Simulator()
-    hits = []
-    timer = sim.call_later(5.0, hits.append, "x")
-    sim.call_later(1.0, timer.reschedule, 20.0)
-    sim.run()
-    assert hits == ["x"]
-    assert sim.now == 21.0
-
-
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
@@ -233,18 +223,6 @@ def test_run_until_nan_rejected():
     with pytest.raises(ValueError):
         sim.run(until=float("nan"))
     assert hits == [] and sim.now == 0.0 and sim.pending == 1
-
-
-@pytest.mark.parametrize("delay", [-1.0, float("nan")])
-def test_rejected_reschedule_leaves_the_timer_armed(delay):
-    sim = Simulator()
-    hits = []
-    timer = sim.call_later(5.0, hits.append, "x")
-    with pytest.raises(ValueError):
-        timer.reschedule(delay)
-    assert timer.active and sim.pending == 1 and sim.tombstones == 0
-    sim.run()
-    assert hits == ["x"] and sim.now == 5.0
 
 
 def test_mass_cancellation_inside_callback_keeps_draining():

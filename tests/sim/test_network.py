@@ -133,19 +133,6 @@ def test_duplicate_pid_rejected():
         Recorder(sim, net, "a")
 
 
-def test_fifo_link_preserves_order_despite_jitter():
-    sim = Simulator(seed=9)
-    net = Network(sim, LinkModel(latency=10.0, jitter=30.0, fifo=True))
-    a = Recorder(sim, net, "a")
-    b = Recorder(sim, net, "b")
-    for i in range(30):
-        sim.call_at(float(i), a.send, "b", i)
-    sim.run()
-    payloads = [p for (_, _, p) in b.received]
-    assert payloads == sorted(payloads)
-    assert len(payloads) == 30
-
-
 def test_stats_bytes_accounting():
     sim, net, a, b = build()
     sim.call_at(0.0, a.send, "b", "x" * 100)
@@ -193,17 +180,17 @@ class PacketLog(Process):
 
     def _receive_packet(self, packet):
         self.packets.append((self.sim.now, packet.packet_id, packet.src,
-                             packet.size, packet.send_time, packet.link_epoch))
+                             packet.size, packet.send_time))
 
 
 def _fan_out_run(fan_out):
     """Six rounds of one payload from ``a`` to ``b``..``e`` over a lossy,
-    jittery network with one FIFO link and a partition that comes and goes;
+    jittery network with one slower link and a partition that comes and goes;
     ``fan_out(net, src, dsts, payload)`` does the sending."""
     sim = Simulator(seed=11)
     net = Network(sim, LinkModel(latency=4.0, jitter=3.0, drop_prob=0.25))
     nodes = {pid: PacketLog(sim, net, pid) for pid in "abcde"}
-    net.set_link("a", "c", LinkModel(latency=9.0, jitter=2.0, fifo=True))
+    net.set_link("a", "c", LinkModel(latency=9.0, jitter=2.0))
     wire = []
     net.drop_hooks.append(
         lambda p: wire.append(("drop", p.packet_id, p.dst, p.size, sim.now)))
@@ -601,10 +588,6 @@ class ReferenceNetwork(Network):
         if model.sample_drop(self.sim.rng):
             return self._drop(packet, "dropped", self._m_drop_loss)
         arrival = self.sim.now + model.sample_latency(self.sim.rng)
-        if model.fifo:
-            arrival = max(arrival, self._fifo_clock.get(key, 0.0))
-            self._fifo_clock[key] = arrival
-            packet.link_epoch = self._link_epoch.get(key, 0)
         hist = self._latency_hists.get(key)
         if hist is None:
             hist = self.sim.metrics.histogram("net.link_latency", src=src, dst=dst)
@@ -614,9 +597,6 @@ class ReferenceNetwork(Network):
         return packet
 
     def _deliver(self, packet):
-        if (packet.link_epoch is not None and packet.link_epoch
-                != self._link_epoch.get((packet.src, packet.dst), 0)):
-            return self._drop(packet, "reset", self._m_drop_reset)
         process = self._processes.get(packet.dst)
         if process is None or not process.alive:
             return self._drop(packet, "to_crashed", self._m_drop_crashed)
@@ -638,7 +618,6 @@ _LINKS = st.builds(
     latency=st.sampled_from([0.0, 0.1, 1.7]),  # not dyadic: float order shows
     jitter=st.sampled_from([0.0, 0.0, 0.7, 3.3]),
     drop_prob=st.sampled_from([0.0, 0.0, 0.3, 1.0]),
-    fifo=st.booleans(),
 )
 _NODE = st.sampled_from(_NODES)
 _STEPS = st.one_of(
@@ -665,7 +644,7 @@ class _World:
             self.net.set_link(src, dst, model)
         self.drops = []
         self.net.drop_hooks.append(lambda p: self.drops.append(
-            (self.sim.now, p.packet_id, p.src, p.dst, p.size, p.link_epoch)))
+            (self.sim.now, p.packet_id, p.src, p.dst, p.size)))
 
     def step(self, op, *args):
         net = self.net
@@ -675,7 +654,7 @@ class _World:
                 packet = net.send(src, dst, _ENVELOPE_PAYLOADS[which])
             except KeyError as exc:
                 return str(exc)
-            return packet and (packet.packet_id, packet.send_time, packet.size, packet.link_epoch)
+            return packet and (packet.packet_id, packet.send_time, packet.size)
         if op == "multicast":
             src, dsts, which = args
             return net.multicast(src, dsts, _ENVELOPE_PAYLOADS[which])

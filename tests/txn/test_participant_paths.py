@@ -229,3 +229,19 @@ def test_holds_is_false_for_unknown_keys_and_other_transactions():
     assert not locks.holds("t2", "k")
     locks.release_all("t1")
     assert not locks.holds("t1", "k")
+
+
+def test_recovery_replays_the_wal_over_the_initial_values():
+    sim, net = _net()
+    server = ResourceServer(sim, net, "s", initial={"x": 1, "y": 2})
+    drv = Driver(sim, net)
+    sim.run(until=1.0)
+    server.crash()
+    server.recover()
+    assert server.store == {"x": 1, "y": 2}
+    _prepare_at_server(sim, drv, server, "x", 42)
+    drv.send("s", Decision(txn_id="t1", commit=True, coordinator=drv.pid))
+    sim.run(until=sim.now + 10.0)
+    server.crash()
+    server.recover()
+    assert server.store == {"x": 42, "y": 2}
